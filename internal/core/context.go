@@ -143,6 +143,10 @@ type Context struct {
 	idlePark      watchdog.Park
 	deferredPark  watchdog.Park
 	abortDeferred func(*abort.Cause)
+
+	// reasmOld holds finished reassembly states for reuse; without it
+	// every multi-packet message allocates one. Owner-thread only.
+	reasmOld []*reasmState
 }
 
 // ctxStats is a context's hardware-counter set (paper §V quantities):
@@ -600,11 +604,12 @@ func (ctx *Context) handlePacket(pkt *mu.Packet) {
 	st, ok := ctx.reasm[key]
 	if !ok {
 		bb := bufpool.Get(hdr.Total)
-		st = &reasmState{
-			buf:      bb.Bytes(),
-			bbuf:     bb,
-			dispatch: hdr.Dispatch,
+		if n := len(ctx.reasmOld); n > 0 {
+			st, ctx.reasmOld = ctx.reasmOld[n-1], ctx.reasmOld[:n-1]
+		} else {
+			st = new(reasmState)
 		}
+		*st = reasmState{buf: bb.Bytes(), bbuf: bb, dispatch: hdr.Dispatch}
 		ctx.reasm[key] = st
 	}
 	if hdr.Offset == 0 && len(hdr.Meta) > 0 {
@@ -627,6 +632,7 @@ func (ctx *Context) handlePacket(pkt *mu.Packet) {
 		ctx.handleMessage(full, st.buf, false)
 		st.bbuf.Release()
 		st.mbuf.Release()
+		ctx.reasmOld = append(ctx.reasmOld, st)
 	}
 }
 

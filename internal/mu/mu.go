@@ -714,7 +714,7 @@ func (f *Fabric) InjectMemFIFO(inj *InjFIFO, dst TaskAddr, hdr Header, payload [
 		return err
 	}
 	if rl := f.rel.Load(); rl != nil {
-		return rl.injectMemFIFO(inj, fifo, dst, hdr, payload)
+		return rl.injectMemFIFOBuf(inj, fifo, dst, hdr, bufpool.GetCopy(payload))
 	}
 	inj.injected.Add(1)
 	f.memFIFOSends.Add(1)

@@ -23,50 +23,80 @@ import (
 // when a fault injector is installed; with faults off, the fabric's
 // send paths never touch any of this state.
 //
-// Protocol: every packet of a (source endpoint -> destination endpoint)
+// Protocol. Every packet of a (source endpoint -> destination endpoint)
 // flow carries a link-level sequence number and a CRC-32C. The receiver
-// side — which models MU hardware, not the destination CPU — verifies
-// the checksum, suppresses duplicates, restores strict in-order
-// delivery through a reorder buffer (MPI matching and the collective
-// inbox rely on per-flow ordering), and acknowledges each sequence
-// number. The sender keeps a sliding window of unacknowledged packets
-// and a daemon retransmits any that outlive their deadline, doubling
-// the timeout up to a cap. A failed CRC elicits a nack, which triggers
-// an immediate fast retransmit.
+// side — which models MU hardware, not the destination CPU, and runs
+// inline on whichever goroutine transmits — verifies the checksum,
+// suppresses duplicates and restores strict in-order delivery (MPI
+// matching and the collective inbox rely on per-flow ordering): the
+// packet that is next in line goes straight into the reception FIFO, one
+// that arrives past a hole parks in a reorder ring until the hole fills.
+// Every accepted copy is answered by one ack, selective and cumulative
+// at once: seq (the packet it answers), frontier (nextExp-1, the end of
+// the in-order prefix), seen (the highest sequence number accepted) and
+// credit (the reception FIFO's slack, see creditFor). The sender retires
+// seq and everything <= frontier in one step, so a lost ack is repaired
+// by the next one with no resend and no duplicate; seen > frontier says
+// there is a hole, and that it starts at frontier+1.
+//
+// Who resends when. deliver does not apply the ack; it hands it to the
+// goroutine that ran the attempt, which applies it under the send lock
+// it needs anyway to stage its next packet and, if the ack reports a
+// hole, resends the missing packet itself, at once — provided the report
+// proves a loss: the packet is unacknowledged, no attempt of it is
+// executing, and the receiver has seen a packet staged after its last
+// transmission (seen >= sentBefore). Each resend needs fresh proof. A
+// failed CRC elicits a nack, answered the same way up to maxFastRetx
+// times in a row. The daemon and its doubling timeout are the fallback:
+// the tail of a burst (nothing later exposes the hole), delay faults,
+// stalled or saturated receivers, and dead peers, whose flows it fails
+// with ErrPeerDead after the retry budget.
+//
+// Window. Both sides keep fixed rings of sendWindow slots indexed by
+// seq & winMask; the sender never stages at or past base+sendWindow, the
+// receiver refuses anything at or past nextExp+sendWindow, and nothing on
+// the per-packet path allocates. Bounds and lifecycle: DESIGN §7.
 const (
-	// sendWindow bounds unacknowledged packets per flow; injection
-	// blocks when the window is full, modeling FIFO backpressure.
+	// sendWindow bounds the span of unretired packets per flow (nextSeq -
+	// base); injection blocks when the window is full, modeling FIFO
+	// backpressure. It is also the size of the sender's window ring and of
+	// the receiver's reorder ring, so it must stay a power of two.
 	sendWindow = 64
+	winMask    = sendWindow - 1
 	// initialRTO is the first retransmission timeout; it doubles on
 	// every expiry up to maxRTO.
 	initialRTO = 2 * time.Millisecond
 	maxRTO     = 32 * time.Millisecond
 	// daemonTick is the retransmission daemon's polling period.
 	daemonTick = 500 * time.Microsecond
-	// maxFastRetx bounds consecutive nack-triggered retransmits before
-	// the sender falls back to its timer (guards pathological corruption
-	// rates).
+	// maxFastRetx bounds consecutive nack-triggered retransmits before the
+	// sender falls back to its timer (guards pathological corruption rates).
 	maxFastRetx = 8
 	// maxRDMAAttempts bounds the per-chunk retry loop of faulted RDMA
 	// operations.
 	maxRDMAAttempts = 1 << 16
 	// defaultRetryBudget caps the total time a flow keeps retransmitting
-	// one packet before giving up with ErrPeerDead: a peer silent for
-	// many maxRTO periods is gone, not slow. It comfortably exceeds any
-	// recoverable chaos storm (RTO caps at 32ms).
+	// one packet before giving up with ErrPeerDead: a peer silent for many
+	// maxRTO periods is gone, not slow.
 	defaultRetryBudget = 500 * time.Millisecond
-	// maxCreditGrant caps how many packets of credit one ack can extend
-	// a flow, whatever the reception FIFO's slack; it bounds the
-	// per-flow burst a momentarily idle receiver can invite.
+	// maxCreditGrant caps how many packets of credit one ack can extend a
+	// flow, whatever the reception FIFO's slack.
 	maxCreditGrant = 256
+	// paceDepth is the reception-queue depth, in packets, past which a
+	// sender backs off paceDelay before each message.
+	paceDepth = 4096
+	paceDelay = 50 * time.Microsecond
+	hdrBytes  = 50 // serialized size of the header fields the checksum covers
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // packetChecksum computes the CRC-32C over every packet field except
-// the checksum itself.
-func packetChecksum(hdr Header, payload []byte) uint32 {
-	var b [50]byte
+// the checksum itself. The header fields are serialized into scratch,
+// which the caller keeps in the flow: crc32 reaches its hardware kernels
+// through a function value, so a stack buffer would escape to the heap.
+func packetChecksum(scratch *[hdrBytes]byte, hdr *Header, payload []byte) uint32 {
+	b := scratch[:]
 	binary.LittleEndian.PutUint16(b[0:], hdr.Dispatch)
 	binary.LittleEndian.PutUint64(b[2:], uint64(int64(hdr.Origin.Task)))
 	binary.LittleEndian.PutUint64(b[10:], uint64(int64(hdr.Origin.Ctx)))
@@ -74,16 +104,18 @@ func packetChecksum(hdr Header, payload []byte) uint32 {
 	binary.LittleEndian.PutUint64(b[26:], uint64(int64(hdr.Offset)))
 	binary.LittleEndian.PutUint64(b[34:], uint64(int64(hdr.Total)))
 	binary.LittleEndian.PutUint64(b[42:], hdr.PktSeq)
-	crc := crc32.Checksum(b[:], crcTable)
-	crc = crc32.Update(crc, crcTable, hdr.Meta)
+	crc := crc32.Checksum(b, crcTable)
+	if len(hdr.Meta) > 0 {
+		crc = crc32.Update(crc, crcTable, hdr.Meta)
+	}
 	return crc32.Update(crc, crcTable, payload)
 }
 
 // corruptCopy returns a copy of the packet with one byte flipped, never
 // aliasing the original's buffers (the sender must keep a pristine copy
 // for retransmission).
-func corruptCopy(p Packet, pick uint64) Packet {
-	q := p
+func corruptCopy(p *Packet, pick uint64) Packet {
+	q := *p
 	flip := byte(pick>>8) | 1
 	switch {
 	case len(p.Payload) > 0:
@@ -104,34 +136,37 @@ func corruptCopy(p Packet, pick uint64) Packet {
 
 type flowKey struct{ src, dst TaskAddr }
 
-// pendingPkt is one unacknowledged packet on the sender side. pkt,
-// fifo, and dstNode are immutable while the packet is live; the timing
-// and lifecycle fields are guarded by the owning flow's smu. The structs
-// themselves are recycled through the flow's free list — the same
-// pendingPkt (and the same staged Packet, holding the same pooled
-// payload slab) serves every retransmission of a sequence number, and
-// returns to the free list only once the packet is acked AND no
-// transmission attempt still holds it (inflight == 0).
+// pendingPkt is one slot of a flow's send window. Lifecycle: staged
+// (unacked, inflight 1 for the attempt its stager is about to run);
+// further inflight holds for resends; acked by its own ack, a frontier or
+// the flow's failure; the window's reference to the pooled slabs dropped
+// once acked AND inflight == 0, never earlier, because attempts read pkt
+// in place without the lock; reused once base has passed it and inflight
+// has drained. All other fields are guarded by the flow's smu; times are
+// the layer's clock (reliableLayer.now).
+//
+// Ownership (DESIGN §7): a reference is taken before the packet copy
+// becomes reachable by a second goroutine — the receiver retains before
+// it enqueues or parks, the delayed list before it appends, a
+// multi-packet send takes every chunk's before the first is staged.
 type pendingPkt struct {
 	pkt      Packet
-	fifo     *RecFIFO
-	dstNode  torus.Rank
-	srcNode  torus.Rank
-	injLink  torus.Link // first link of the deterministic route; feeds congestion sensing
-	hasLink  bool
-	firstTx  time.Time // when the packet was staged; bounds total retry time
-	deadline time.Time
+	firstTx  int64 // when the packet was staged; bounds total retry time
+	deadline int64
 	rto      time.Duration
-	attempts int
-
-	inflight int  // attempts executing outside smu; guards recycling
-	acked    bool // removed from the window; recycle when inflight drains
+	// sentBefore is the flow's nextSeq when this packet's latest
+	// transmission was scheduled: a hole report that has seen a sequence
+	// number >= sentBefore proves that transmission was overtaken.
+	sentBefore uint64
+	attempts   int32
+	inflight   int32 // attempts executing outside smu; guards slab release and slot reuse
+	acked      bool  // left the window; slabs released when inflight drains
 }
 
 // flow is the reliable-delivery state of one sender->receiver stream:
-// the sender's window under smu, the receiver's reorder buffer under
-// rmu. Lock ordering: rmu and smu are never held together except
-// rmu -> fifo internals; acks take smu only.
+// the sender's window under smu, the receiver's reorder ring under rmu.
+// The two locks are never held together; rmu -> reception FIFO internals
+// is the only nesting.
 //
 // Credit accounting (all under smu): creditLimit is the highest PktSeq
 // the receiver has authorized the sender to stage. It is a cumulative
@@ -150,47 +185,63 @@ type flow struct {
 	key  flowKey
 	hash uint64
 
+	// Placement of the two endpoints, fixed for the flow's lifetime (a
+	// revived node gets fresh flows); injLink is the first link of the
+	// deterministic route, which congestion sensing charges.
+	srcNode, dstNode torus.Rank
+	injLink          torus.Link
+	srcOK, dstOK     bool
+	hasLink          bool
+
 	smu     sync.Mutex
 	cond    *sync.Cond
+	base    uint64 // lowest unretired PktSeq; everything below has left the window
 	nextSeq uint64
-	unacked map[uint64]*pendingPkt
-	free    []*pendingPkt // recycled pendingPkt structs
-	failed  error         // set once, permanently: the peer is dead
+	win     [sendWindow]pendingPkt // slot of seq is win[seq&winMask], live for base <= seq < nextSeq
+	failed  error                  // set once, permanently: the peer is dead
 
 	creditLimit uint64   // highest stageable PktSeq (receiver-granted, ratchets up)
 	maxAcked    uint64   // highest PktSeq known delivered; base of daemon re-grants
 	lastFifo    *RecFIFO // destination FIFO; the daemon's credit refresh reads its slack
 
 	// Credit-stall liveness: while a sender is blocked on credit the
-	// daemon watches the destination FIFO. Any drain progress resets
-	// the clock; a receiver that absorbs nothing for the whole retry
-	// budget is declared dead, exactly as a silent ack path would be.
-	stallSince time.Time // zero when not credit-blocked
-	stallOcc   int64     // destination occupancy when the stall began
+	// daemon watches the destination FIFO. Drain progress resets the clock;
+	// a receiver that absorbs nothing for the retry budget is declared dead.
+	stallSince int64 // 0 when not credit-blocked
+	stallOcc   int64 // destination occupancy when the stall began
+	sscratch   [hdrBytes]byte
 
-	rmu     sync.Mutex
-	nextExp uint64
-	pending map[uint64]Packet
+	rmu      sync.Mutex
+	nextExp  uint64
+	maxSeen  uint64              // highest PktSeq accepted (delivered or parked)
+	parked   int                 // packets in reorder
+	reorder  *[sendWindow]Packet // slot of seq is reorder[seq&winMask]; allocated at the first hole
+	rscratch [hdrBytes]byte
 }
 
-// recycle releases the window's reference to the staged packet's pooled
-// buffers and returns the pendingPkt to the flow's free list. Caller
-// holds fl.smu; the packet must be acked with no attempt in flight.
-func (fl *flow) recycle(pp *pendingPkt) {
-	pp.pkt.Release()
-	fl.free = append(fl.free, pp)
+// retireLocked takes an unacked packet out of the window (acked, or the
+// flow failed) and drops the window's reference to its pooled slabs
+// unless an attempt still reads them. Caller holds fl.smu.
+func (r *reliableLayer) retireLocked(pp *pendingPkt) {
+	pp.acked = true
+	r.unackedG.Dec()
+	if pp.inflight == 0 {
+		pp.pkt.Release()
+	}
 }
 
-type attemptOutcome int
-
-const (
-	outcomeDelivered attemptOutcome = iota
-	outcomeLost                     // dropped, stalled, or held back; the timer recovers it
-	outcomeNacked                   // CRC failed at the receiver
-)
+// ackInfo is what one attempt brings back to the sender: an ack (ok), a
+// nack (the CRC failed at the receiver), or nothing — the packet was
+// dropped, refused or held back, or its ack was lost on the reverse
+// path, and the timer recovers it.
+type ackInfo struct {
+	ok, nack            bool
+	seq, frontier, seen uint64
+	credit              uint64
+}
 
 type delayedPkt struct {
-	due     time.Time
+	due     int64
 	fl      *flow
 	pkt     Packet
 	fifo    *RecFIFO
@@ -209,12 +260,17 @@ type reliableLayer struct {
 	f   *Fabric
 	inj *fault.Injector
 
+	epoch       time.Time // origin of the layer's clock
 	retryBudget time.Duration
 
 	deadCount atomic.Int64 // len(deadNodes), readable without fmu
 
-	fmu       sync.Mutex
+	fmu sync.Mutex
+	// flowList holds the values of flows for the daemon and the audits to
+	// walk without copying: appended in place, replaced wholesale on
+	// teardown, so a slice read under fmu stays valid after.
 	flows     map[flowKey]*flow
+	flowList  []*flow
 	deadNodes map[torus.Rank]bool // confirmed-dead nodes: fail fast
 
 	dmu     sync.Mutex
@@ -234,27 +290,32 @@ type reliableLayer struct {
 	stop      chan struct{}
 	done      chan struct{}
 
-	retransmits    *telemetry.Counter
-	corruptDrops   *telemetry.Counter
-	dupDrops       *telemetry.Counter
-	dropsInjected  *telemetry.Counter
-	delaysInjected *telemetry.Counter
-	stallDrops     *telemetry.Counter
-	acksSent       *telemetry.Counter
-	acksDropped    *telemetry.Counter
-	nacksSent      *telemetry.Counter
-	reroutes       *telemetry.Counter
-	linkDownEvents *telemetry.Counter
-	backoffNS      *telemetry.Counter
-	unackedG       *telemetry.Gauge
-	blackholed     *telemetry.Counter
-	peerDeadFails  *telemetry.Counter
-	budgetExceeded *telemetry.Counter
-	fifoRefusals   *telemetry.Counter
+	retransmits      *telemetry.Counter // fastRetransmits + timerRetransmits
+	fastRetransmits  *telemetry.Counter // hole- and nack-driven resends, RDMA link retries
+	timerRetransmits *telemetry.Counter // the daemon's
+	cumAcked         *telemetry.Counter // packets retired by a frontier, not their own ack
+	reorderDepth     *telemetry.Gauge   // packets parked in reorder rings, all flows
+	corruptDrops     *telemetry.Counter
+	dupDrops         *telemetry.Counter
+	dropsInjected    *telemetry.Counter
+	delaysInjected   *telemetry.Counter
+	stallDrops       *telemetry.Counter
+	acksSent         *telemetry.Counter
+	acksDropped      *telemetry.Counter
+	nacksSent        *telemetry.Counter
+	reroutes         *telemetry.Counter
+	linkDownEvents   *telemetry.Counter
+	backoffNS        *telemetry.Counter
+	unackedG         *telemetry.Gauge
+	blackholed       *telemetry.Counter
+	peerDeadFails    *telemetry.Counter
+	budgetExceeded   *telemetry.Counter
+	fifoRefusals     *telemetry.Counter
 
 	creditsGranted  *telemetry.Counter // cumulative credit extended to senders
 	creditStalls    *telemetry.Counter // times a sender blocked on exhausted credit
 	creditRefreshes *telemetry.Counter // daemon re-grants to credit-blocked flows
+	paceWaits       *telemetry.Counter // messages delayed because the reception queue was past paceDepth
 	hotLinks        *telemetry.Gauge   // links over the congestion threshold (hwm = worst heat)
 }
 
@@ -273,42 +334,52 @@ func (f *Fabric) InstallFaults(inj *fault.Injector) {
 		hotThreshold = 8
 	}
 	rl := &reliableLayer{
-		f:              f,
-		inj:            inj,
-		retryBudget:    defaultRetryBudget,
-		cong:           torus.NewCongestion(f.dims, hotThreshold),
-		flows:          make(map[flowKey]*flow),
-		deadNodes:      make(map[torus.Rank]bool),
-		routes:         make(map[[2]torus.Rank]routeEntry),
-		stop:           make(chan struct{}),
-		done:           make(chan struct{}),
-		retransmits:    g.Counter("retransmits"),
-		corruptDrops:   g.Counter("corrupt_drops"),
-		dupDrops:       g.Counter("dup_drops"),
-		dropsInjected:  g.Counter("drops_injected"),
-		delaysInjected: g.Counter("delays_injected"),
-		stallDrops:     g.Counter("stall_drops"),
-		acksSent:       g.Counter("acks_sent"),
-		acksDropped:    g.Counter("acks_dropped"),
-		nacksSent:      g.Counter("nacks_sent"),
-		reroutes:       g.Counter("reroutes"),
-		linkDownEvents: g.Counter("link_down_events"),
-		backoffNS:      g.Counter("backoff_ns"),
-		unackedG:       g.Gauge("unacked"),
-		blackholed:     g.Counter("blackholed"),
-		peerDeadFails:  g.Counter("peer_dead_fails"),
-		budgetExceeded: g.Counter("retry_budget_exceeded"),
-		fifoRefusals:   g.Counter("fifo_refusals"),
+		f:                f,
+		inj:              inj,
+		epoch:            time.Now(),
+		retryBudget:      defaultRetryBudget,
+		cong:             torus.NewCongestion(f.dims, hotThreshold),
+		flows:            make(map[flowKey]*flow),
+		deadNodes:        make(map[torus.Rank]bool),
+		routes:           make(map[[2]torus.Rank]routeEntry),
+		stop:             make(chan struct{}),
+		done:             make(chan struct{}),
+		retransmits:      g.Counter("retransmits"),
+		fastRetransmits:  g.Counter("fast_retransmits"),
+		timerRetransmits: g.Counter("timer_retransmits"),
+		cumAcked:         g.Counter("cum_acked"),
+		reorderDepth:     g.Gauge("reorder_depth"),
+		corruptDrops:     g.Counter("corrupt_drops"),
+		dupDrops:         g.Counter("dup_drops"),
+		dropsInjected:    g.Counter("drops_injected"),
+		delaysInjected:   g.Counter("delays_injected"),
+		stallDrops:       g.Counter("stall_drops"),
+		acksSent:         g.Counter("acks_sent"),
+		acksDropped:      g.Counter("acks_dropped"),
+		nacksSent:        g.Counter("nacks_sent"),
+		reroutes:         g.Counter("reroutes"),
+		linkDownEvents:   g.Counter("link_down_events"),
+		backoffNS:        g.Counter("backoff_ns"),
+		unackedG:         g.Gauge("unacked"),
+		blackholed:       g.Counter("blackholed"),
+		peerDeadFails:    g.Counter("peer_dead_fails"),
+		budgetExceeded:   g.Counter("retry_budget_exceeded"),
+		fifoRefusals:     g.Counter("fifo_refusals"),
 
 		creditsGranted:  g.Counter("credits_granted"),
 		creditStalls:    g.Counter("credit_stalls"),
 		creditRefreshes: g.Counter("credit_refreshes"),
+		paceWaits:       g.Counter("pace_waits"),
 		hotLinks:        g.Gauge("hot_links"),
 	}
 	inj.OnLinkDown(func(torus.Rank, torus.Link) { rl.linkDownEvents.Inc() })
 	f.rel.Store(rl)
 	go rl.daemon()
 }
+
+// now is the layer's clock: nanoseconds since InstallFaults, never 0 (an
+// unset time). One monotonic read, cheaper than time.Now.
+func (r *reliableLayer) now() int64 { return int64(time.Since(r.epoch)) + 1 }
 
 // Injector returns the installed fault injector, or nil when the fabric
 // runs fault-free.
@@ -333,31 +404,25 @@ func (r *reliableLayer) close() {
 		r.closed.Store(true)
 		close(r.stop)
 		<-r.done
-		r.fmu.Lock()
-		for _, fl := range r.flows {
+		for _, fl := range r.allFlows() {
 			fl.smu.Lock()
 			fl.cond.Broadcast()
 			fl.smu.Unlock()
 		}
-		r.fmu.Unlock()
 	})
 }
 
 // creditFor derives the receiver's current credit advertisement for a
-// flow into fifo: the queue's remaining headroom — free lock-free array
-// slots plus what its bounded overflow still accepts — clamped to
-// [0, maxCreditGrant]. Senders therefore block (zero credit) shortly
-// *before* the overflow cap would hard-refuse deliveries: overload
-// becomes receiver-driven pacing instead of a refusal/retransmit storm,
-// and the receiver's memory stays bounded by the same cap as before.
+// flow into fifo: the remaining headroom of the shard serving the flow's
+// origin — free lock-free array slots plus what its bounded overflow
+// still accepts — clamped to [0, maxCreditGrant]. Senders therefore
+// block (zero credit) shortly *before* the overflow cap would
+// hard-refuse deliveries: overload becomes receiver-driven pacing
+// instead of a refusal/retransmit storm, within the same memory bound.
 // Mutual traffic never deadlocks on this: the bound only bites once the
 // consumer has fallen a whole overflow budget behind, and the daemon
 // re-advertises (or, failing drain progress, kills the flow) on its own
-// goroutine.
-// With sharded reception FIFOs the advertisement is per-flow for real:
-// it is the headroom of the shard serving this flow's origin, so one
-// origin's backlog cannot starve the credit of flows landing on other
-// shards.
+// goroutine. One origin's backlog cannot starve flows on other shards.
 func creditFor(fifo *RecFIFO, origin TaskAddr) uint64 {
 	h := fifo.shardFor(origin).Headroom()
 	if h < 0 {
@@ -377,7 +442,7 @@ func (r *reliableLayer) grantLocked(fl *flow, limit uint64) {
 	}
 	r.creditsGranted.Add(int64(limit - fl.creditLimit))
 	fl.creditLimit = limit
-	fl.stallSince = time.Time{}
+	fl.stallSince = 0
 	fl.cond.Broadcast()
 }
 
@@ -389,15 +454,26 @@ func (r *reliableLayer) flowFor(key flowKey) *flow {
 		fl = &flow{
 			key:     key,
 			hash:    fault.FlowHash(key.src.Task, key.src.Ctx, key.dst.Task, key.dst.Ctx),
+			base:    1,
 			nextSeq: 1,
 			nextExp: 1,
-			unacked: make(map[uint64]*pendingPkt),
-			pending: make(map[uint64]Packet),
 		}
 		fl.cond = sync.NewCond(&fl.smu)
+		fl.dstNode, fl.dstOK = r.f.TaskNode(key.dst.Task)
+		if fl.srcNode, fl.srcOK = r.f.TaskNode(key.src.Task); fl.srcOK {
+			fl.injLink, fl.hasLink = r.f.dims.FirstLink(fl.srcNode, fl.dstNode)
+		}
 		r.flows[key] = fl
+		r.flowList = append(r.flowList, fl)
 	}
 	return fl
+}
+
+// allFlows returns every flow the layer knows; the slice is read-only.
+func (r *reliableLayer) allFlows() []*flow {
+	r.fmu.Lock()
+	defer r.fmu.Unlock()
+	return r.flowList
 }
 
 // routeInfo returns the hop count of the (possibly detoured) route
@@ -486,444 +562,392 @@ func (r *reliableLayer) routeHops(sn, dn torus.Rank) (int, bool) {
 	return h, true
 }
 
-// injectMemFIFO is InjectMemFIFO's faulted twin: same packetization and
-// accounting, but every packet goes through stage/attempt and is only
-// forgotten once acknowledged.
-func (r *reliableLayer) injectMemFIFO(inj *InjFIFO, fifo *RecFIFO, dst TaskAddr, hdr Header, payload []byte) error {
-	if r.closed.Load() {
-		return ErrFabricClosed
-	}
-	dstNode, _ := r.f.TaskNode(dst.Task)
-	if r.deadCount.Load() > 0 && r.nodeDead(dstNode) {
-		r.peerDeadFails.Inc()
-		return fmt.Errorf("mu: send to task %d on node %d: %w", dst.Task, dstNode, ErrPeerDead)
-	}
-	srcNode, srcOK := r.f.TaskNode(hdr.Origin.Task)
-	if r.inj.HasDownLinks() && srcOK {
-		if _, routeOK := r.routeInfo(srcNode, dstNode); !routeOK {
-			return fmt.Errorf("%w: node %d -> node %d", ErrNoRoute, srcNode, dstNode)
-		}
-	}
-	// The first link of the deterministic route is where this flow's
-	// traffic leaves the source node; deliveries attribute the
-	// destination FIFO's occupancy to it for congestion sensing.
-	var injLink torus.Link
-	hasLink := false
-	if srcOK {
-		injLink, hasLink = r.f.dims.FirstLink(srcNode, dstNode)
-	}
-	inj.injected.Add(1)
-	r.f.memFIFOSends.Add(1)
-	fl := r.flowFor(flowKey{src: hdr.Origin, dst: dst})
-	total := len(payload)
-	hdr.Total = total
-	var mbuf *bufpool.Buf
-	if len(hdr.Meta) > 0 {
-		mbuf = bufpool.GetCopy(hdr.Meta)
-		hdr.Meta = mbuf.Bytes()
-	}
-	sendOne := func(ph Header, pb, pm *bufpool.Buf) error {
-		var chunk []byte
-		if pb != nil {
-			chunk = pb.Bytes()
-		}
-		pp, err := r.stage(fl, ph, chunk, pb, pm, fifo, dstNode, srcNode, injLink, hasLink)
-		if err != nil {
-			pb.Release()
-			pm.Release()
-			return err
-		}
-		r.runAttempts(fl, pp, 1)
-		return nil
-	}
-	if total == 0 {
-		hdr.Offset = 0
-		if err := sendOne(hdr, nil, mbuf); err != nil {
-			return err
-		}
-		r.f.account(hdr.Origin.Task, dst.Task, 1, PacketHeaderBytes)
-		return nil
-	}
-	npkts := int64(0)
-	for off := 0; off < total; off += MaxPayload {
-		end := off + MaxPayload
-		if end > total {
-			end = total
-		}
-		ph := hdr
-		ph.Offset = off
-		pm := mbuf
-		if off > 0 {
-			ph.Meta = nil
-			pm = nil
-		}
-		pb := bufpool.GetCopy(payload[off:end])
-		if err := sendOne(ph, pb, pm); err != nil {
-			return err
-		}
-		npkts++
-	}
-	r.f.account(hdr.Origin.Task, dst.Task, npkts, int64(total)+npkts*PacketHeaderBytes)
-	return nil
-}
+// chunkSentHook, when non-nil, runs on the sending goroutine between one
+// packet's attempt (ack applied) and the staging of the next. Tests use
+// it to force a consumer's release into that gap.
+var chunkSentHook func()
 
-// injectMemFIFOBuf is InjectMemFIFOBuf's faulted twin: the same staging,
-// windowing and credit protocol as injectMemFIFO, but the packets carry
-// views into the caller-relinquished slab instead of per-chunk copies.
-// The caller's reference rides the first chunk; every later chunk takes
-// its own with Retain, and the retransmit window / receiver / delayed
-// lists stack further references on top exactly as they do for copied
-// packets. The payload reference is consumed on every path, error
-// included.
+// injectMemFIFOBuf is the faulted twin of InjectMemFIFO and
+// InjectMemFIFOBuf both (the former copies its payload into one pooled
+// slab first): same packetization and accounting, but every packet is
+// staged in the flow's window, attempted, and only forgotten once
+// acknowledged. The packets carry views into the relinquished slab, and
+// every chunk's reference is taken before the first chunk is staged:
+// from then on acks and the consumer release references concurrently,
+// and a later Retain could find the slab already freed. The payload
+// reference is consumed on every path, error included.
 func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAddr, hdr Header, payload *bufpool.Buf) error {
 	if r.closed.Load() {
 		payload.Release()
 		return ErrFabricClosed
 	}
-	dstNode, _ := r.f.TaskNode(dst.Task)
-	if r.deadCount.Load() > 0 && r.nodeDead(dstNode) {
+	fl := r.flowFor(flowKey{src: hdr.Origin, dst: dst})
+	if r.deadCount.Load() > 0 && r.nodeDead(fl.dstNode) {
 		payload.Release()
 		r.peerDeadFails.Inc()
-		return fmt.Errorf("mu: send to task %d on node %d: %w", dst.Task, dstNode, ErrPeerDead)
+		return fmt.Errorf("mu: send to task %d on node %d: %w", dst.Task, fl.dstNode, ErrPeerDead)
 	}
-	srcNode, srcOK := r.f.TaskNode(hdr.Origin.Task)
-	if r.inj.HasDownLinks() && srcOK {
-		if _, routeOK := r.routeInfo(srcNode, dstNode); !routeOK {
+	if r.inj.HasDownLinks() && fl.srcOK {
+		if _, routeOK := r.routeInfo(fl.srcNode, fl.dstNode); !routeOK {
 			payload.Release()
-			return fmt.Errorf("%w: node %d -> node %d", ErrNoRoute, srcNode, dstNode)
+			return fmt.Errorf("%w: node %d -> node %d", ErrNoRoute, fl.srcNode, fl.dstNode)
 		}
-	}
-	var injLink torus.Link
-	hasLink := false
-	if srcOK {
-		injLink, hasLink = r.f.dims.FirstLink(srcNode, dstNode)
 	}
 	inj.injected.Add(1)
 	r.f.memFIFOSends.Add(1)
-	fl := r.flowFor(flowKey{src: hdr.Origin, dst: dst})
 	pbytes := payload.Bytes()
 	total := len(pbytes)
 	hdr.Total = total
+	nchunks := (total + MaxPayload - 1) / MaxPayload
+	if total == 0 {
+		payload.Release()
+		payload, nchunks = nil, 1
+	}
+	for i := 1; i < nchunks; i++ {
+		payload.Retain()
+	}
 	var mbuf *bufpool.Buf
 	if len(hdr.Meta) > 0 {
 		mbuf = bufpool.GetCopy(hdr.Meta)
 		hdr.Meta = mbuf.Bytes()
 	}
-	sendOne := func(ph Header, chunk []byte, pb, pm *bufpool.Buf) error {
-		pp, err := r.stage(fl, ph, chunk, pb, pm, fifo, dstNode, srcNode, injLink, hasLink)
+	occ, _ := fifo.Occupancy()
+	if occ >= paceDepth {
+		// The consumer is milliseconds behind. Credit would only stop us a
+		// whole overflow budget later; until then back off a bounded moment
+		// per message: no cycle of senders can turn that into a deadlock,
+		// and a consumer with paceDepth packets in hand never runs dry.
+		r.paceWaits.Inc()
+		time.Sleep(paceDelay)
+	}
+	now := r.now()
+	fl.smu.Lock()
+	for i := 0; i < nchunks; i++ {
+		hdr.Offset = i * MaxPayload
+		pp, err := r.stageLocked(fl, &hdr, pbytes[hdr.Offset:min(hdr.Offset+MaxPayload, total)], payload, mbuf, fifo, &now)
 		if err != nil {
-			pb.Release()
-			pm.Release()
+			fl.smu.Unlock()
+			// Staged chunks keep their references until acked; this one's
+			// and the later ones' were never handed over.
+			for ; i < nchunks; i++ {
+				payload.Release()
+			}
+			mbuf.Release()
 			return err
 		}
-		r.runAttempts(fl, pp, 1)
-		return nil
+		hdr.Meta, mbuf = nil, nil // the metadata rides only in the first packet
+		r.transmitLocked(fl, pp, nil)
+		if h := chunkSentHook; h != nil {
+			fl.smu.Unlock()
+			h()
+			fl.smu.Lock()
+		}
 	}
-	if total == 0 {
-		payload.Release()
-		hdr.Offset = 0
-		if err := sendOne(hdr, nil, nil, mbuf); err != nil {
-			return err
-		}
-		r.f.account(hdr.Origin.Task, dst.Task, 1, PacketHeaderBytes)
-		return nil
+	fl.smu.Unlock()
+	if fl.hasLink {
+		// Feed the congestion sensor, once per message: the destination
+		// FIFO's occupancy, charged to the link the flow leaves its node on.
+		r.cong.Observe(fl.srcNode, fl.injLink, occ)
+		r.hotLinks.Set(r.cong.HotCount())
 	}
-	npkts := int64(0)
-	for off := 0; off < total; off += MaxPayload {
-		end := off + MaxPayload
-		if end > total {
-			end = total
-		}
-		ph := hdr
-		ph.Offset = off
-		pm := mbuf
-		if off > 0 {
-			ph.Meta = nil
-			pm = nil
-			payload.Retain() // each chunk past the first holds its own ref
-		}
-		if err := sendOne(ph, pbytes[off:end], payload, pm); err != nil {
-			// sendOne released this chunk's payload reference; staged
-			// earlier chunks keep theirs until acked.
-			return err
-		}
-		npkts++
-	}
-	r.f.account(hdr.Origin.Task, dst.Task, npkts, int64(total)+npkts*PacketHeaderBytes)
+	r.f.account(hdr.Origin.Task, dst.Task, int64(nchunks), int64(total)+int64(nchunks)*PacketHeaderBytes)
 	return nil
 }
 
-// stage assigns the packet its sequence number and checksum, waits for
-// window space and receiver credit, and records it as unacknowledged.
-// chunk is the packet's payload view; it must be backed by pb (for
-// ownership-transfer sends it is a sub-slice of a larger slab, so it is
-// passed explicitly rather than derived from pb.Bytes()). The staged
-// packet takes ownership of the pooled payload (pb) and metadata (pm)
-// references; the window's reference is dropped when the packet is
-// recycled after its ack. On error the caller still owns them.
-func (r *reliableLayer) stage(fl *flow, hdr Header, chunk []byte, pb, pm *bufpool.Buf, fifo *RecFIFO, dstNode, srcNode torus.Rank, injLink torus.Link, hasLink bool) (*pendingPkt, error) {
-	fl.smu.Lock()
-	if fl.lastFifo == nil {
+// stageLocked waits for window space and receiver credit, assigns the
+// packet its sequence number and checksum, and records it in the window
+// with one inflight hold for the attempt the caller is about to run.
+// chunk is the packet's payload view, a sub-slice of pb's slab. The
+// staged packet takes over the pb and pm references; on error the caller
+// still owns them. Caller holds fl.smu; *now is refreshed if it parked.
+func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, chunk []byte, pb, pm *bufpool.Buf, fifo *RecFIFO, now *int64) (*pendingPkt, error) {
+	if fl.lastFifo != fifo {
+		if fl.lastFifo == nil {
+			// Seed the flow's credit with the receiver's current slack; from
+			// here on only acks and the daemon extend it.
+			r.grantLocked(fl, creditFor(fifo, fl.key.src))
+		}
 		fl.lastFifo = fifo
-		// Seed the flow's credit with the receiver's current slack; from
-		// here on only acks and the daemon extend it.
-		r.grantLocked(fl, creditFor(fifo, fl.key.src))
 	}
-	stalled := false
-	var park watchdog.Park
-	parked := false
-	for (len(fl.unacked) >= sendWindow || fl.nextSeq > fl.creditLimit) &&
-		!r.closed.Load() && fl.failed == nil {
-		if fl.nextSeq > fl.creditLimit && !stalled {
-			stalled = true
-			r.creditStalls.Inc()
-			if fl.stallSince.IsZero() {
-				occ, _ := fifo.Occupancy()
-				fl.stallSince = time.Now()
-				fl.stallOcc = occ
-			}
-		}
-		if !parked {
-			if st := r.f.stallSite.Load(); st != nil {
-				parked = true
-				st.Enter(&park, func(c *abort.Cause) {
-					// Scanner goroutine, no locks held: fail the flow so
-					// the parked sender (and everyone behind it) wakes
-					// with the typed cause instead of waiting forever.
-					r.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: %w", fl.key.src, fl.key.dst, c))
-				})
-			}
-		}
-		fl.cond.Wait()
-	}
-	if parked {
-		park.Leave()
+	if !fl.canStage() {
+		r.awaitWindowLocked(fl, fifo)
+		*now = r.now()
 	}
 	if fl.failed != nil {
-		err := fl.failed
-		fl.smu.Unlock()
-		return nil, err
+		return nil, fl.failed
 	}
 	if r.closed.Load() {
-		fl.smu.Unlock()
 		return nil, ErrFabricClosed
 	}
 	hdr.PktSeq = fl.nextSeq
+	hdr.Checksum = packetChecksum(&fl.sscratch, hdr, chunk)
+	pp := &fl.win[fl.nextSeq&winMask]
 	fl.nextSeq++
-	hdr.Checksum = packetChecksum(hdr, chunk)
-	var pp *pendingPkt
-	if n := len(fl.free); n > 0 {
-		pp = fl.free[n-1]
-		fl.free = fl.free[:n-1]
-	} else {
-		pp = new(pendingPkt)
-	}
-	now := time.Now()
 	*pp = pendingPkt{
-		pkt:      Packet{Hdr: hdr, Payload: chunk, pbuf: pb, mbuf: pm},
-		fifo:     fifo,
-		dstNode:  dstNode,
-		srcNode:  srcNode,
-		injLink:  injLink,
-		hasLink:  hasLink,
-		firstTx:  now,
-		deadline: now.Add(initialRTO),
-		rto:      initialRTO,
-		attempts: 1,
-		inflight: 1, // the initial attempt the caller is about to run
+		pkt:        Packet{Hdr: *hdr, Payload: chunk, pbuf: pb, mbuf: pm},
+		firstTx:    *now,
+		deadline:   *now + int64(initialRTO),
+		rto:        initialRTO,
+		sentBefore: fl.nextSeq,
+		attempts:   1,
+		inflight:   1,
 	}
-	fl.unacked[hdr.PktSeq] = pp
 	r.unackedG.Inc()
-	fl.smu.Unlock()
 	return pp, nil
 }
 
-// runAttempts performs one transmission attempt plus any nack-triggered
-// fast retransmits, then drops its in-flight hold on pp (recycling it if
-// the ack arrived while the attempt ran). Never called with flow locks
-// held; the caller must have counted this call in pp.inflight under smu.
-func (r *reliableLayer) runAttempts(fl *flow, pp *pendingPkt, attempt int) {
-	defer func() {
-		fl.smu.Lock()
-		pp.inflight--
-		if pp.acked && pp.inflight == 0 {
-			fl.recycle(pp)
+// canStage reports whether the next sequence number may be staged now:
+// the window has room, the receiver's credit covers it, and no straggling
+// attempt still reads the ring slot it would overwrite.
+func (fl *flow) canStage() bool {
+	return fl.nextSeq-fl.base < sendWindow && fl.nextSeq <= fl.creditLimit &&
+		fl.win[fl.nextSeq&winMask].inflight == 0
+}
+
+// awaitWindowLocked parks the sender until it may stage, or the flow
+// fails, or the fabric closes. Caller holds fl.smu.
+func (r *reliableLayer) awaitWindowLocked(fl *flow, fifo *RecFIFO) {
+	if st := r.f.stallSite.Load(); st != nil {
+		var park watchdog.Park
+		st.Enter(&park, func(c *abort.Cause) {
+			// Scanner goroutine, no locks held: fail the flow so the parked
+			// sender (and everyone behind it) wakes with the typed cause.
+			r.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: %w", fl.key.src, fl.key.dst, c))
+		})
+		defer park.Leave()
+	}
+	for stalled := false; !fl.canStage() && !r.closed.Load() && fl.failed == nil; fl.cond.Wait() {
+		if fl.nextSeq > fl.creditLimit && !stalled {
+			stalled = true
+			r.creditStalls.Inc()
+			if fl.stallSince == 0 {
+				fl.stallSince = r.now()
+				fl.stallOcc, _ = fifo.Occupancy()
+			}
 		}
-		fl.smu.Unlock()
-	}()
-	for i := 0; ; i++ {
-		if r.attemptOnce(fl, pp, attempt) != outcomeNacked || i >= maxFastRetx {
-			return
-		}
-		fl.smu.Lock()
-		if _, live := fl.unacked[pp.pkt.Hdr.PktSeq]; !live {
-			fl.smu.Unlock()
-			return
-		}
-		pp.attempts++
-		attempt = pp.attempts
-		pp.deadline = time.Now().Add(pp.rto)
-		fl.smu.Unlock()
-		r.retransmits.Inc()
 	}
 }
 
+// transmitLocked runs one attempt of pp and then whatever its outcome
+// asks of this goroutine: resends after a nack, or the resend of the
+// packet the ack reported missing. cause is nil for a first
+// transmission, which stageLocked has already counted in attempts and
+// inflight, and the counter to charge for a resend. Entered and left
+// with fl.smu held; the lock is dropped around every attempt.
+func (r *reliableLayer) transmitLocked(fl *flow, pp *pendingPkt, cause *telemetry.Counter) {
+	for nacks := 0; pp != nil; cause = r.fastRetransmits {
+		if cause != nil {
+			pp.attempts++
+			pp.inflight++
+			cause.Inc()
+			r.retransmits.Inc()
+		}
+		attempt, fifo := int(pp.attempts), fl.lastFifo
+		fl.smu.Unlock()
+		a := r.attemptOnce(fl, pp, fifo, attempt)
+		fl.smu.Lock()
+		pp.inflight--
+		if pp.acked && pp.inflight == 0 {
+			// Retired while this attempt ran: the last reader drops the
+			// window's reference, and a stager may be waiting for the slot.
+			pp.pkt.Release()
+			fl.cond.Broadcast()
+		}
+		switch {
+		case a.ok:
+			pp = r.applyAckLocked(fl, a)
+		case a.nack && !pp.acked && nacks < maxFastRetx:
+			nacks++
+		default:
+			pp = nil
+		}
+	}
+}
+
+// applyAckLocked is the sender's half of the ack protocol: retire the
+// acknowledged packet and everything up to the cumulative frontier,
+// advance base over the retired prefix, extend credit, and decide
+// whether the hole the ack reports is proof of a loss. It returns the
+// packet the caller must resend, or nil. Caller holds fl.smu.
+func (r *reliableLayer) applyAckLocked(fl *flow, a ackInfo) *pendingPkt {
+	if a.seq >= fl.base && a.seq < fl.nextSeq {
+		if pp := &fl.win[a.seq&winMask]; !pp.acked {
+			r.retireLocked(pp)
+		}
+	}
+	base := fl.base
+	for fl.base < fl.nextSeq {
+		pp := &fl.win[fl.base&winMask]
+		if !pp.acked {
+			if fl.base > a.frontier {
+				break
+			}
+			r.retireLocked(pp)
+			r.cumAcked.Inc()
+		}
+		fl.base++
+	}
+	if fl.base != base {
+		fl.cond.Broadcast()
+	}
+	if m := max(a.seq, a.frontier); m > fl.maxAcked {
+		fl.maxAcked = m
+	}
+	r.grantLocked(fl, fl.maxAcked+a.credit)
+	if hole := a.frontier + 1; a.seen > a.frontier && hole >= fl.base && hole < fl.nextSeq {
+		if pp := &fl.win[hole&winMask]; !pp.acked && pp.inflight == 0 && a.seen >= pp.sentBefore {
+			pp.sentBefore = fl.nextSeq
+			return pp
+		}
+	}
+	return nil
+}
+
 // attemptOnce pushes one copy of the packet through the injector and,
-// if it survives, the receiver-side protocol.
-func (r *reliableLayer) attemptOnce(fl *flow, pp *pendingPkt, attempt int) attemptOutcome {
-	if r.inj.NotePacket(pp.dstNode) {
+// if it survives, the receiver-side protocol. It returns what came back
+// (a duplicated copy can bring an ack even when the attempt is lost).
+func (r *reliableLayer) attemptOnce(fl *flow, pp *pendingPkt, fifo *RecFIFO, attempt int) ackInfo {
+	if r.inj.NotePacket(fl.dstNode) {
 		r.stallDrops.Inc()
-		return outcomeLost
+		return ackInfo{}
 	}
-	if r.inj.NodeFaulted(pp.dstNode) {
+	if r.inj.NodeFaulted(fl.dstNode) {
 		// The destination node has crashed or hung: its MU accepts
-		// nothing. The packet vanishes; the sender's timer retries until
-		// the retry budget or the health monitor declares the peer dead.
+		// nothing. The packet vanishes; the timer retries until the retry
+		// budget or the health monitor declares the peer dead.
 		r.blackholed.Inc()
-		return outcomeLost
+		return ackInfo{}
 	}
-	seq := pp.pkt.Hdr.PktSeq
+	pkt := &pp.pkt
+	seq := pkt.Hdr.PktSeq
 	act := r.inj.Decide(fl.hash, seq, attempt)
+	var dupAck ackInfo
 	if act.Has(fault.Duplicate) {
-		// An extra copy arrives; the receiver suppresses whichever copy
-		// comes second.
-		r.deliver(fl, pp.pkt, pp.fifo, attempt)
+		// An extra copy arrives; the receiver suppresses the second one.
+		dupAck = r.deliver(fl, pkt, fifo, attempt)
 	}
 	if act.Has(fault.Drop) {
 		r.dropsInjected.Inc()
-		return outcomeLost
+		return dupAck
 	}
-	pkt := pp.pkt
 	if act.Has(fault.Corrupt) {
-		pkt = corruptCopy(pkt, r.inj.CorruptByte(fl.hash, seq, attempt))
+		c := corruptCopy(pkt, r.inj.CorruptByte(fl.hash, seq, attempt))
+		pkt = &c
 	}
 	if act.Has(fault.Delay) {
 		r.delaysInjected.Inc()
-		r.holdBack(fl, pkt, pp.fifo, attempt, r.inj.DelayFor(fl.hash, seq, attempt))
-		return outcomeLost
+		r.holdBack(fl, pkt, fifo, attempt, r.inj.DelayFor(fl.hash, seq, attempt))
+		return dupAck
 	}
-	out := r.deliver(fl, pkt, pp.fifo, attempt)
-	if pp.hasLink {
-		// Feed the congestion sensor: the destination FIFO's occupancy,
-		// attributed to the link this flow's traffic leaves the source on.
-		occ, _ := pp.fifo.Occupancy()
-		r.cong.Observe(pp.srcNode, pp.injLink, occ)
-		r.hotLinks.Set(r.cong.HotCount())
+	if a := r.deliver(fl, pkt, fifo, attempt); a.ok || !dupAck.ok {
+		return a
 	}
-	return out
+	return dupAck
 }
 
 // deliver is the receiver side, run inline by fabric code (it models MU
 // hardware, not the destination CPU): CRC verify, duplicate
-// suppression, reorder to strict in-order delivery, acknowledge.
-func (r *reliableLayer) deliver(fl *flow, pkt Packet, fifo *RecFIFO, attempt int) attemptOutcome {
-	if packetChecksum(pkt.Hdr, pkt.Payload) != pkt.Hdr.Checksum {
-		r.corruptDrops.Inc()
-		r.nacksSent.Inc()
-		return outcomeNacked
-	}
+// suppression, reorder to strict in-order delivery, acknowledge. pkt is
+// read in place, never written; the receiver takes its own reference to
+// the slabs before the consumer can reach the packet. The ack is
+// returned, not applied: the caller owns the sender side.
+func (r *reliableLayer) deliver(fl *flow, pkt *Packet, fifo *RecFIFO, attempt int) ackInfo {
 	seq := pkt.Hdr.PktSeq
 	fl.rmu.Lock()
-	_, inBuf := fl.pending[seq]
-	if seq < fl.nextExp || inBuf {
+	if packetChecksum(&fl.rscratch, &pkt.Hdr, pkt.Payload) != pkt.Hdr.Checksum {
 		fl.rmu.Unlock()
-		r.dupDrops.Inc()
-		// Re-ack: the earlier ack may have been lost, leaving the sender
-		// retransmitting an already-delivered packet.
-		r.ack(fl, seq, attempt, fifo)
-		return outcomeDelivered
+		r.corruptDrops.Inc()
+		r.nacksSent.Inc()
+		return ackInfo{nack: true}
 	}
-	if fifo.saturatedFor(fl.key.src) {
-		// This flow's shard of the reception FIFO has its overflow at cap:
-		// the consumer has stopped draining (dead or hopelessly behind).
-		// Refuse the packet before accepting it — no ack, so the sender's
-		// timer retries, which is exactly the backpressure a full hardware
-		// FIFO exerts.
+	switch {
+	case seq < fl.nextExp || (fl.parked > 0 && fl.reorder[seq&winMask].Hdr.PktSeq == seq):
+		// Duplicate. Re-ack: the earlier ack may have been lost, leaving
+		// the sender retransmitting an already-delivered packet.
+		r.dupDrops.Inc()
+	case seq-fl.nextExp >= sendWindow || fifo.saturatedFor(fl.key.src):
+		// Past the reorder ring (base ran ahead of a stuck in-order
+		// prefix), or this flow's shard of the reception FIFO has its
+		// overflow at cap: the consumer has stopped draining. Refuse the
+		// packet before accepting it — no ack, so the sender's timer
+		// retries: the backpressure a full hardware FIFO exerts.
 		fl.rmu.Unlock()
 		r.fifoRefusals.Inc()
-		return outcomeLost
-	}
-	// The receiver keeps the packet (reorder buffer, then the reception
-	// FIFO until the consumer dispatches it): take its own reference, so
-	// the sender acking and recycling its copy cannot pull the slab out
-	// from under the consumer.
-	pkt.Retain()
-	fl.pending[seq] = pkt
-	// Drain the in-order prefix into the reception FIFO while still
-	// holding rmu, so concurrent deliveries cannot interleave the
-	// restored order.
-	for {
-		p, ok := fl.pending[fl.nextExp]
-		if !ok {
-			break
-		}
-		if fifo.deliver(&p) != nil {
-			// Saturation raced past the pre-check. If the refused packet
-			// is the one this attempt carried, withdraw it and report the
-			// attempt lost so the sender retries; an already-acked parked
-			// packet just stays in the reorder buffer for the next drain.
+		return ackInfo{}
+	case seq == fl.nextExp:
+		// Next in line: straight into the reception FIFO.
+		pkt.Retain()
+		if fifo.deliver(pkt) != nil {
+			// Saturation raced past the pre-check: withdraw; the sender retries.
+			fl.rmu.Unlock()
+			pkt.pbuf.Release()
+			pkt.mbuf.Release()
 			r.fifoRefusals.Inc()
-			if fl.nextExp == seq {
-				delete(fl.pending, seq)
-				pkt.Release()
-				fl.rmu.Unlock()
-				return outcomeLost
-			}
+			return ackInfo{}
+		}
+		fl.nextExp++
+	default:
+		// Past a hole: park until the hole fills.
+		if fl.reorder == nil {
+			fl.reorder = new([sendWindow]Packet)
+		}
+		pkt.Retain()
+		fl.reorder[seq&winMask] = *pkt
+		fl.parked++
+		r.reorderDepth.Inc()
+	}
+	if seq > fl.maxSeen {
+		fl.maxSeen = seq
+	}
+	// Drain the ring's in-order prefix while still holding rmu, so
+	// concurrent deliveries cannot interleave the restored order. A refusal
+	// leaves the rest parked (acked already) for the next arrival to retry.
+	drained := 0
+	for ; drained < fl.parked; drained++ {
+		slot := &fl.reorder[fl.nextExp&winMask]
+		if slot.Hdr.PktSeq != fl.nextExp {
 			break
 		}
-		delete(fl.pending, fl.nextExp)
+		if fifo.deliver(slot) != nil {
+			r.fifoRefusals.Inc()
+			break
+		}
+		*slot = Packet{}
 		fl.nextExp++
 	}
+	if drained > 0 {
+		fl.parked -= drained
+		r.reorderDepth.Update(-int64(drained))
+	}
+	a := ackInfo{seq: seq, frontier: fl.nextExp - 1, seen: fl.maxSeen}
 	fl.rmu.Unlock()
-	r.ack(fl, seq, attempt, fifo)
-	return outcomeDelivered
-}
-
-// ack acknowledges one sequence number back to the sender, subject to
-// ack loss on the reverse path. Every ack piggybacks the receiver's
-// current credit advertisement — the destination FIFO's slack — so
-// credit flows back on the very traffic it regulates; an ack lost on
-// the reverse path loses its grant too, and the daemon's refresh or
-// the next ack repairs it (grants are cumulative, so replays and
-// reordering are harmless).
-func (r *reliableLayer) ack(fl *flow, seq uint64, attempt int, fifo *RecFIFO) {
+	// The ack crosses the reverse path, subject to ack loss, and
+	// piggybacks the receiver's credit advertisement, so credit flows back
+	// on the very traffic it regulates; a lost ack loses its grant too,
+	// and the next ack or the daemon's refresh repairs it (grants are
+	// cumulative, so replays and reordering are harmless).
 	if r.inj.DropAck(fl.hash, seq, attempt) {
 		r.acksDropped.Inc()
-		return
+		return ackInfo{}
 	}
 	r.acksSent.Inc()
-	fl.smu.Lock()
-	if pp, ok := fl.unacked[seq]; ok {
-		delete(fl.unacked, seq)
-		pp.acked = true
-		if pp.inflight == 0 {
-			fl.recycle(pp)
-		}
-		r.unackedG.Dec()
-		fl.cond.Broadcast()
-	}
-	if seq > fl.maxAcked {
-		fl.maxAcked = seq
-	}
-	r.grantLocked(fl, fl.maxAcked+creditFor(fifo, fl.key.src))
-	fl.smu.Unlock()
+	a.ok, a.credit = true, creditFor(fifo, fl.key.src)
+	return a
 }
 
-func (r *reliableLayer) holdBack(fl *flow, pkt Packet, fifo *RecFIFO, attempt int, d time.Duration) {
-	// The delayed list outlives the sender's window copy (the packet may
-	// be retransmitted, acked, and recycled before the delay elapses), so
-	// it holds its own reference to the pooled slabs.
+func (r *reliableLayer) holdBack(fl *flow, pkt *Packet, fifo *RecFIFO, attempt int, d time.Duration) {
+	// The delayed list outlives the sender's window copy (resent, acked
+	// and retired before the delay elapses), so it holds its own reference.
 	pkt.Retain()
 	r.dmu.Lock()
 	r.delayed = append(r.delayed, delayedPkt{
-		due: time.Now().Add(d), fl: fl, pkt: pkt, fifo: fifo, attempt: attempt,
+		due: r.now() + int64(d), fl: fl, pkt: *pkt, fifo: fifo, attempt: attempt,
 	})
 	r.dmu.Unlock()
 }
 
-// daemon is the retransmission engine: it releases held-back packets
-// and retransmits unacknowledged ones past their deadline, with capped
-// exponential backoff.
+// daemon is the fallback retransmission engine: it releases held-back
+// packets and retransmits what is past its deadline, with capped backoff.
 func (r *reliableLayer) daemon() {
 	defer close(r.done)
 	t := time.NewTicker(daemonTick)
@@ -932,19 +956,23 @@ func (r *reliableLayer) daemon() {
 		select {
 		case <-r.stop:
 			return
-		case now := <-t.C:
+		case <-t.C:
+			now := r.now()
 			r.releaseDelayed(now)
-			r.retransmitDue(now)
+			for _, fl := range r.allFlows() {
+				r.retransmitDue(fl, now)
+			}
 		}
 	}
 }
 
-func (r *reliableLayer) releaseDelayed(now time.Time) {
+// releaseDelayed delivers the held-back packets that have come due.
+func (r *reliableLayer) releaseDelayed(now int64) {
 	r.dmu.Lock()
 	var rel []delayedPkt
 	keep := r.delayed[:0]
 	for _, dp := range r.delayed {
-		if now.After(dp.due) {
+		if now > dp.due {
 			rel = append(rel, dp)
 		} else {
 			keep = append(keep, dp)
@@ -952,90 +980,67 @@ func (r *reliableLayer) releaseDelayed(now time.Time) {
 	}
 	r.delayed = keep
 	r.dmu.Unlock()
-	for _, dp := range rel {
+	for i := range rel {
+		dp := &rel[i]
 		// A nack here is ignored: the sender's timer covers the loss.
-		r.deliver(dp.fl, dp.pkt, dp.fifo, dp.attempt)
+		if a := r.deliver(dp.fl, &dp.pkt, dp.fifo, dp.attempt); a.ok {
+			dp.fl.smu.Lock()
+			r.transmitLocked(dp.fl, r.applyAckLocked(dp.fl, a), r.fastRetransmits)
+			dp.fl.smu.Unlock()
+		}
 		dp.pkt.Release()
 	}
 }
 
-func (r *reliableLayer) retransmitDue(now time.Time) {
-	r.fmu.Lock()
-	flows := make([]*flow, 0, len(r.flows))
-	for _, fl := range r.flows {
-		flows = append(flows, fl)
-	}
-	r.fmu.Unlock()
-	type retx struct {
-		fl      *flow
-		pp      *pendingPkt
-		attempt int
-	}
-	var due []retx
-	var gaveUp []*flow
-	var stalledOut []*flow
-	for _, fl := range flows {
-		fl.smu.Lock()
-		// Credit refresh: a flow blocked on credit with no ack in flight
-		// would otherwise never learn the receiver drained. Re-derive the
-		// advertisement from the destination FIFO; any drain progress also
-		// resets the stall clock, while a receiver that absorbed nothing
-		// for the whole retry budget is declared dead.
-		if fl.failed == nil && fl.lastFifo != nil && fl.nextSeq > fl.creditLimit {
-			if limit := fl.maxAcked + creditFor(fl.lastFifo, fl.key.src); limit > fl.creditLimit {
-				r.creditRefreshes.Inc()
-				r.grantLocked(fl, limit)
-			} else if !fl.stallSince.IsZero() {
-				occ, _ := fl.lastFifo.Occupancy()
-				if occ < fl.stallOcc {
-					fl.stallSince = now
-					fl.stallOcc = occ
-				} else if now.Sub(fl.stallSince) > r.retryBudget {
-					fl.smu.Unlock()
-					stalledOut = append(stalledOut, fl)
-					continue
-				}
+// retransmitDue is the daemon's pass over one flow: refresh the credit
+// of a blocked sender, walk the window base..nextSeq retransmitting what
+// is past its deadline, and fail the flow once the peer has been silent
+// for the whole retry budget.
+func (r *reliableLayer) retransmitDue(fl *flow, now int64) {
+	var dead string
+	fl.smu.Lock()
+	// Credit refresh: a flow blocked on credit with no ack in flight would
+	// otherwise never learn the receiver drained. Re-derive the
+	// advertisement from the destination FIFO; any drain progress resets
+	// the stall clock, a receiver that absorbed nothing for the whole
+	// retry budget is declared dead.
+	if fl.failed == nil && fl.lastFifo != nil && fl.nextSeq > fl.creditLimit {
+		if limit := fl.maxAcked + creditFor(fl.lastFifo, fl.key.src); limit > fl.creditLimit {
+			r.creditRefreshes.Inc()
+			r.grantLocked(fl, limit)
+		} else if fl.stallSince != 0 {
+			if occ, _ := fl.lastFifo.Occupancy(); occ < fl.stallOcc {
+				fl.stallSince = now
+				fl.stallOcc = occ
+			} else if now-fl.stallSince > int64(r.retryBudget) {
+				dead = "receiver absorbed nothing for the credit-stall budget"
 			}
 		}
-		exhausted := false
-		for _, pp := range fl.unacked {
-			if !now.After(pp.deadline) {
-				continue
-			}
-			if now.Sub(pp.firstTx) > r.retryBudget {
-				// The peer has been silent for the whole backoff budget:
-				// stop retrying and fail the flow with ErrPeerDead.
-				exhausted = true
-				break
-			}
-			pp.attempts++
-			pp.rto *= 2
-			if pp.rto > maxRTO {
-				pp.rto = maxRTO
-			}
-			pp.deadline = now.Add(pp.rto)
-			pp.inflight++ // held until runAttempts finishes
-			r.backoffNS.Add(int64(pp.rto))
-			due = append(due, retx{fl, pp, pp.attempts})
-		}
-		fl.smu.Unlock()
-		if exhausted {
-			gaveUp = append(gaveUp, fl)
-		}
 	}
-	for _, fl := range gaveUp {
+	// Each retransmission drops the lock, and its ack may retire a whole
+	// run behind it (one resend fills the hole, the frontier jumps), so
+	// the walk re-reads base and nextSeq as it goes.
+	for seq := fl.base; seq < fl.nextSeq && dead == ""; seq = max(seq+1, fl.base) {
+		pp := &fl.win[seq&winMask]
+		if pp.acked || now <= pp.deadline {
+			continue
+		}
+		if now-pp.firstTx > int64(r.retryBudget) {
+			// The peer has been silent for the whole backoff budget.
+			dead = "retry budget exhausted"
+			break
+		}
+		pp.rto = min(2*pp.rto, maxRTO)
+		pp.deadline = now + int64(pp.rto)
+		pp.sentBefore = fl.nextSeq
+		r.backoffNS.Add(int64(pp.rto))
+		r.transmitLocked(fl, pp, r.timerRetransmits)
+	}
+	fl.smu.Unlock()
+	if dead != "" {
 		r.budgetExceeded.Inc()
-		r.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: retry budget %v exhausted: %w",
-			fl.key.src, fl.key.dst, r.retryBudget, ErrPeerDead))
-	}
-	for _, fl := range stalledOut {
-		r.budgetExceeded.Inc()
-		r.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: receiver absorbed nothing for the credit-stall budget %v: %w",
-			fl.key.src, fl.key.dst, r.retryBudget, ErrPeerDead))
-	}
-	for _, d := range due {
-		r.retransmits.Inc()
-		r.runAttempts(d.fl, d.pp, d.attempt)
+		r.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: %s (%v): %w",
+			fl.key.src, fl.key.dst, dead, r.retryBudget, ErrPeerDead))
 	}
 }
 
@@ -1046,17 +1051,19 @@ func (r *reliableLayer) failFlow(fl *flow, err error) {
 	if fl.failed == nil {
 		fl.failed = err
 		r.peerDeadFails.Inc()
-		for seq, pp := range fl.unacked {
-			delete(fl.unacked, seq)
-			pp.acked = true // lifecycle-wise: leaves the window for good
-			if pp.inflight == 0 {
-				fl.recycle(pp)
+		for seq := fl.base; seq < fl.nextSeq; seq++ {
+			if pp := &fl.win[seq&winMask]; !pp.acked {
+				r.retireLocked(pp)
 			}
-			r.unackedG.Dec()
 		}
 		fl.cond.Broadcast()
 	}
 	fl.smu.Unlock()
+}
+
+// touches reports whether either endpoint of the flow lives on node.
+func (fl *flow) touches(node torus.Rank) bool {
+	return (fl.srcOK && fl.srcNode == node) || (fl.dstOK && fl.dstNode == node)
 }
 
 // nodeDead reports whether node n's death has been confirmed to the
@@ -1087,15 +1094,10 @@ func (r *reliableLayer) markNodeDead(node torus.Rank) {
 	}
 	r.deadNodes[node] = true
 	r.deadCount.Add(1)
-	flows := make([]*flow, 0, len(r.flows))
-	for _, fl := range r.flows {
-		flows = append(flows, fl)
-	}
+	flows := r.flowList
 	r.fmu.Unlock()
 	for _, fl := range flows {
-		sn, okS := r.f.TaskNode(fl.key.src.Task)
-		dn, okD := r.f.TaskNode(fl.key.dst.Task)
-		if (okS && sn == node) || (okD && dn == node) {
+		if fl.touches(node) {
 			r.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: node %d confirmed dead: %w",
 				fl.key.src, fl.key.dst, node, ErrPeerDead))
 		}
@@ -1125,29 +1127,32 @@ func (r *reliableLayer) reviveNode(node torus.Rank) {
 	// Unhook every flow touching the node while the map is locked, so a
 	// concurrent sender's next flowFor builds a fresh flow (nextSeq 1,
 	// nextExp 1) instead of resuming the dead incarnation's stream.
-	var torn []*flow
-	for key, fl := range r.flows {
-		sn, okS := r.f.TaskNode(key.src.Task)
-		dn, okD := r.f.TaskNode(key.dst.Task)
-		if (okS && sn == node) || (okD && dn == node) {
-			delete(r.flows, key)
+	var torn, kept []*flow
+	for _, fl := range r.flowList {
+		if fl.touches(node) {
+			delete(r.flows, fl.key)
 			torn = append(torn, fl)
+		} else {
+			kept = append(kept, fl)
 		}
 	}
+	r.flowList = kept
 	r.fmu.Unlock()
 	for _, fl := range torn {
 		// Sender side: release the unacked window and wake anyone still
-		// blocked on the dead flow (failFlow is idempotent — most of
-		// these already failed when the death was marked).
+		// blocked (most of these already failed when the death was marked).
 		r.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: node %d revived, flow reset: %w",
 			fl.key.src, fl.key.dst, node, ErrEpochChanged))
-		// Receiver side: drop the reorder buffer — packets parked past a
-		// gap the dead incarnation will never fill — and release their
-		// pooled buffers.
+		// Receiver side: release what is parked past a hole the dead
+		// incarnation will never fill.
 		fl.rmu.Lock()
-		for seq, pkt := range fl.pending {
-			delete(fl.pending, seq)
-			pkt.Release()
+		for i := 0; i < sendWindow && fl.parked > 0; i++ {
+			if slot := &fl.reorder[i]; slot.Hdr.PktSeq != 0 {
+				slot.Release()
+				*slot = Packet{}
+				fl.parked--
+				r.reorderDepth.Dec()
+			}
 		}
 		fl.rmu.Unlock()
 	}
@@ -1155,7 +1160,7 @@ func (r *reliableLayer) reviveNode(node torus.Rank) {
 
 // quiesced verifies every flow between live nodes is idle: no delayed
 // packets awaiting re-delivery, empty retransmit windows, and empty
-// reorder buffers. Flows with a dead endpoint are skipped — a death
+// reorder rings. Flows with a dead endpoint are skipped — a death
 // strands window state by design, and failFlow already released it.
 func (r *reliableLayer) quiesced() error {
 	r.dmu.Lock()
@@ -1164,29 +1169,21 @@ func (r *reliableLayer) quiesced() error {
 	if delayed > 0 {
 		return fmt.Errorf("mu: %d delayed packets still in flight", delayed)
 	}
-	r.fmu.Lock()
-	flows := make([]*flow, 0, len(r.flows))
-	for _, fl := range r.flows {
-		flows = append(flows, fl)
-	}
-	r.fmu.Unlock()
-	for _, fl := range flows {
-		sn, okS := r.f.TaskNode(fl.key.src.Task)
-		dn, okD := r.f.TaskNode(fl.key.dst.Task)
-		if (okS && r.nodeDead(sn)) || (okD && r.nodeDead(dn)) {
+	for _, fl := range r.allFlows() {
+		if (fl.srcOK && r.nodeDead(fl.srcNode)) || (fl.dstOK && r.nodeDead(fl.dstNode)) {
 			continue
 		}
 		fl.smu.Lock()
-		unacked, failed := len(fl.unacked), fl.failed
+		unacked, failed := fl.nextSeq-fl.base, fl.failed // base only ever rests on an unacked packet
 		fl.smu.Unlock()
 		if failed != nil {
 			continue
 		}
 		if unacked > 0 {
-			return fmt.Errorf("mu: flow %v -> %v: %d packets unacknowledged", fl.key.src, fl.key.dst, unacked)
+			return fmt.Errorf("mu: flow %v -> %v: window of %d packets not fully acknowledged", fl.key.src, fl.key.dst, unacked)
 		}
 		fl.rmu.Lock()
-		parked := len(fl.pending)
+		parked := fl.parked
 		fl.rmu.Unlock()
 		if parked > 0 {
 			return fmt.Errorf("mu: flow %v -> %v: %d packets parked out of order", fl.key.src, fl.key.dst, parked)
@@ -1240,6 +1237,7 @@ func (r *reliableLayer) rdmaFaults(srcTask, dstTask, mr, n int) error {
 			if act.Has(fault.Corrupt) {
 				r.corruptDrops.Inc()
 			}
+			r.fastRetransmits.Inc()
 			r.retransmits.Inc()
 		}
 	}

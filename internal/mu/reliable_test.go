@@ -151,11 +151,12 @@ func TestInstalledButQuiescentPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := drainPackets(t, res.Rec, 2, time.Second)
+	var scratch [hdrBytes]byte
 	for i, p := range got {
 		if p.Hdr.PktSeq != uint64(i+1) {
 			t.Fatalf("packet %d has PktSeq %d", i, p.Hdr.PktSeq)
 		}
-		if packetChecksum(p.Hdr, p.Payload) != p.Hdr.Checksum {
+		if packetChecksum(&scratch, &p.Hdr, p.Payload) != p.Hdr.Checksum {
 			t.Fatalf("packet %d checksum wrong", i)
 		}
 	}
@@ -300,20 +301,21 @@ func TestChecksumDetectsEveryByteFlip(t *testing.T) {
 	hdr := Header{Dispatch: 3, Origin: TaskAddr{1, 2}, Seq: 4, Offset: 0, Total: 8,
 		Meta: []byte{9, 8}, PktSeq: 5}
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	hdr.Checksum = packetChecksum(hdr, payload)
+	var scratch [hdrBytes]byte
+	hdr.Checksum = packetChecksum(&scratch, &hdr, payload)
 	for i := range payload {
 		for _, pick := range []uint64{uint64(i), uint64(i) | 0xab00} {
-			c := corruptCopy(Packet{Hdr: hdr, Payload: payload}, pick)
-			if packetChecksum(c.Hdr, c.Payload) == c.Hdr.Checksum {
+			c := corruptCopy(&Packet{Hdr: hdr, Payload: payload}, pick)
+			if packetChecksum(&scratch, &c.Hdr, c.Payload) == c.Hdr.Checksum {
 				t.Fatalf("corruption (pick %#x) not detected", pick)
 			}
 		}
 	}
 	// Empty packets corrupt the checksum field itself.
 	e := Header{Origin: TaskAddr{0, 1}, PktSeq: 1}
-	e.Checksum = packetChecksum(e, nil)
-	c := corruptCopy(Packet{Hdr: e}, 0x1234)
-	if packetChecksum(c.Hdr, c.Payload) == c.Hdr.Checksum {
+	e.Checksum = packetChecksum(&scratch, &e, nil)
+	c := corruptCopy(&Packet{Hdr: e}, 0x1234)
+	if packetChecksum(&scratch, &c.Hdr, c.Payload) == c.Hdr.Checksum {
 		t.Fatal("empty-packet corruption not detected")
 	}
 }

@@ -1,0 +1,324 @@
+package mu
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"pamigo/internal/bufpool"
+	"pamigo/internal/fault"
+	"pamigo/internal/torus"
+)
+
+// testMessage builds an n-byte payload whose every byte is a function of
+// origin, message and offset, so a packet delivered to the wrong place in
+// any of the three cannot pass.
+func testMessage(origin, msg, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(origin*131 + msg*31 + i*7 + 3)
+	}
+	return b
+}
+
+// awaitQuiesced waits for the last acks to come home (a dropped final ack
+// costs one timer retransmit) and fails the test if they do not.
+func awaitQuiesced(t *testing.T, f *Fabric, where string) {
+	t.Helper()
+	var err error
+	for stop := time.Now().Add(10 * time.Second); time.Now().Before(stop); time.Sleep(200 * time.Microsecond) {
+		if err = f.Quiesced(); err == nil {
+			return
+		}
+	}
+	t.Fatalf("%s: not quiescent: %v", where, err)
+}
+
+// The window protocol's contract, over seeds, fault mixes and fan-in:
+// every packet reaches the reception FIFO exactly once, each flow's
+// packets in injection order, byte-exact; afterwards no flow holds
+// window or reorder state and every pooled buffer is back.
+func TestWindowProperty(t *testing.T) {
+	plans := []struct {
+		name string
+		plan fault.Plan
+	}{
+		{"drop", fault.Plan{Drop: 0.05}},
+		{"drop+dup", fault.Plan{Drop: 0.05, Duplicate: 0.10}},
+		{"drop+delay", fault.Plan{Drop: 0.05, Delay: 0.05}},
+		{"drop+corrupt", fault.Plan{Drop: 0.05, Corrupt: 0.10}},
+		{"ack-loss-heavy", fault.Plan{Drop: 0.30}},
+	}
+	const (
+		seeds  = 32
+		msgs   = 12
+		msgLen = 2*MaxPayload + 13 // 3 packets
+	)
+	if testing.Short() {
+		t.Skip("320 fabrics")
+	}
+	for _, pl := range plans {
+		for _, origins := range []int{1, 4} {
+			for seed := int64(1); seed <= seeds; seed++ {
+				name := fmt.Sprintf("%s/origins=%d/seed=%d", pl.name, origins, seed)
+				live0, _ := bufpool.Live()
+				f, err := NewFabric(torus.Dims{2, 2, 2, 1, 1}, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst := setupEndpoint(t, f, 0, 0, 0)
+				src := make([]*ContextResources, origins+1)
+				for o := 1; o <= origins; o++ {
+					src[o] = setupEndpoint(t, f, o, torus.Rank(o), 0)
+				}
+				inj, err := fault.NewInjector(f.Dims(), pl.plan, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.InstallFaults(inj)
+
+				var senders sync.WaitGroup
+				for o := 1; o <= origins; o++ {
+					senders.Add(1)
+					go func(o int) {
+						defer senders.Done()
+						for m := 0; m < msgs; m++ {
+							hdr := Header{Dispatch: 1, Origin: TaskAddr{o, 0}, Seq: uint64(m), Meta: []byte{byte(o), byte(m)}}
+							payload := testMessage(o, m, msgLen)
+							var err error
+							if (o+m)%2 == 0 { // both entry points share the one packetization loop
+								err = f.InjectMemFIFOBuf(src[o].PinnedInj(0), TaskAddr{0, 0}, hdr, bufpool.GetCopy(payload))
+							} else {
+								err = f.InjectMemFIFO(src[o].PinnedInj(0), TaskAddr{0, 0}, hdr, payload)
+							}
+							if err != nil {
+								t.Errorf("%s: origin %d msg %d: %v", name, o, m, err)
+								return
+							}
+						}
+					}(o)
+				}
+				// Per flow the next packet must be exactly the successor of the
+				// last one: a duplicate, a loss or a reordering all break it.
+				next := make([]int, origins+1) // packets seen per origin
+				const perMsg = (msgLen + MaxPayload - 1) / MaxPayload
+				for _, p := range drainPackets(t, dst.Rec, origins*msgs*perMsg, 20*time.Second) {
+					o := p.Hdr.Origin.Task
+					m, off := next[o]/perMsg, next[o]%perMsg*MaxPayload
+					next[o]++
+					if p.Hdr.Seq != uint64(m) || p.Hdr.Offset != off {
+						t.Fatalf("%s: origin %d: got (msg %d, off %d), want (msg %d, off %d)", name, o, p.Hdr.Seq, p.Hdr.Offset, m, off)
+					}
+					if want := testMessage(o, m, msgLen)[off:min(off+MaxPayload, msgLen)]; !bytes.Equal(p.Payload, want) {
+						t.Fatalf("%s: origin %d msg %d off %d: payload mangled", name, o, m, off)
+					}
+					if off == 0 && !bytes.Equal(p.Hdr.Meta, []byte{byte(o), byte(m)}) {
+						t.Fatalf("%s: origin %d msg %d: metadata mangled", name, o, m)
+					}
+					p.Release()
+				}
+				senders.Wait()
+				awaitQuiesced(t, f, name)
+				if p, ok := dst.Rec.Poll(); ok {
+					t.Fatalf("%s: extra packet after the last one: %+v", name, p.Hdr)
+				}
+				f.Close()
+				if live, _ := bufpool.Live(); live != live0 {
+					t.Fatalf("%s: %d pooled buffers live, %d before the run", name, live, live0)
+				}
+				if t.Failed() {
+					return
+				}
+			}
+		}
+	}
+}
+
+// cleanStreamSeed finds a fault seed under which, on the flow 1.0 -> 0.0,
+// the first n packets see exactly one mishap on their first attempt — the
+// data packet lost (dropAck false) or only its ack lost (dropAck true), at
+// a sequence number that is not the last — and nothing else goes wrong,
+// retransmission of the victim included.
+func cleanStreamSeed(t *testing.T, plan fault.Plan, n int, dropAck bool) (seed int64, victim uint64) {
+	t.Helper()
+	hash := fault.FlowHash(1, 0, 0, 0)
+	for seed = 1; seed < 1<<16; seed++ {
+		inj, err := fault.NewInjector(dims, plan, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim, ok := uint64(0), true
+		for seq := uint64(1); seq <= uint64(n) && ok; seq++ {
+			drop, ack := inj.Decide(hash, seq, 1).Has(fault.Drop), inj.DropAck(hash, seq, 1)
+			switch {
+			case !drop && !ack:
+			case victim == 0 && seq < uint64(n) && drop != dropAck && ack == dropAck:
+				victim = seq
+				ok = !inj.Decide(hash, seq, 2).Has(fault.Drop) && !inj.DropAck(hash, seq, 2)
+			default:
+				ok = false
+			}
+		}
+		if ok && victim != 0 {
+			return seed, victim
+		}
+	}
+	t.Fatal("no seed gives a single clean mishap")
+	return 0, 0
+}
+
+// streamOnePacketMessages sends n one-packet messages 1.0 -> 0.0 under
+// the plan and seed and checks they all arrive, in order.
+func streamOnePacketMessages(t *testing.T, plan fault.Plan, seed int64, n int) *Fabric {
+	t.Helper()
+	f := newTestFabric(t)
+	dst := setupEndpoint(t, f, 0, 0, 0)
+	src := setupEndpoint(t, f, 1, 1, 0)
+	installPlan(t, f, plan, seed)
+	for m := 0; m < n; m++ {
+		hdr := Header{Dispatch: 1, Origin: TaskAddr{1, 0}, Seq: uint64(m)}
+		if err := f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, hdr, testMessage(1, m, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for m, p := range drainPackets(t, dst.Rec, n, 5*time.Second) {
+		if p.Hdr.Seq != uint64(m) || !bytes.Equal(p.Payload, testMessage(1, m, 40)) {
+			t.Fatalf("packet %d is message %d or mangled", m, p.Hdr.Seq)
+		}
+		p.Release()
+	}
+	awaitQuiesced(t, f, "stream")
+	return f
+}
+
+// One dropped packet in an otherwise clean stream is exposed by the very
+// next arrival and resent by the sending goroutine; the timer never fires.
+func TestGapResendBeatsTimer(t *testing.T) {
+	plan := fault.Plan{Drop: 0.02}
+	seed, victim := cleanStreamSeed(t, plan, 48, false)
+	f := streamOnePacketMessages(t, plan, seed, 48)
+	for name, want := range map[string]int64{
+		"drops_injected": 1, "retransmits": 1, "fast_retransmits": 1, "timer_retransmits": 0, "dup_drops": 0,
+	} {
+		if got := relCounter(t, f, name); got != want {
+			t.Errorf("seed %d, packet %d dropped: %s = %d, want %d", seed, victim, name, got, want)
+		}
+	}
+	if g, _ := f.Telemetry().Snapshot().Gauge("reliable.reorder_depth"); g.HighWater != 1 || g.Value != 0 {
+		t.Errorf("reorder_depth = %+v, want one packet parked behind the hole and none at rest", g)
+	}
+}
+
+// A lost ack is repaired by the next ack's cumulative frontier: nothing is
+// resent, so nothing arrives twice.
+func TestLostAckCostsNoResend(t *testing.T) {
+	plan := fault.Plan{Drop: 0.02}
+	seed, victim := cleanStreamSeed(t, plan, 48, true)
+	f := streamOnePacketMessages(t, plan, seed, 48)
+	for name, want := range map[string]int64{
+		"acks_dropped": 1, "cum_acked": 1, "retransmits": 0, "dup_drops": 0, "drops_injected": 0,
+	} {
+		if got := relCounter(t, f, name); got != want {
+			t.Errorf("seed %d, ack of packet %d lost: %s = %d, want %d", seed, victim, name, got, want)
+		}
+	}
+}
+
+// The fault-free reliable path allocates nothing per message. The slab is
+// kept out of the pool (one reference stays here) so that sync.Pool's
+// behaviour under -race does not enter the count.
+func TestReliableInjectPollZeroAlloc(t *testing.T) {
+	f := newTestFabric(t)
+	dst := setupEndpoint(t, f, 0, 0, 0)
+	src := setupEndpoint(t, f, 1, 1, 0)
+	installPlan(t, f, fault.Plan{}, 1)
+	payload := bufpool.GetCopy(testMessage(1, 0, 8*MaxPayload))
+	defer payload.Release()
+	pkts := make([]Packet, 16)
+	seq := uint64(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		seq++
+		payload.Retain()
+		hdr := Header{Dispatch: 1, Origin: TaskAddr{1, 0}, Seq: seq}
+		if err := f.InjectMemFIFOBuf(src.PinnedInj(0), TaskAddr{0, 0}, hdr, payload); err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; got < 8; {
+			k := dst.Rec.PollBatch(pkts)
+			for j := 0; j < k; j++ {
+				pkts[j].Release()
+			}
+			got += k
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reliable 4 KiB inject + poll: %v allocs per message, want 0", allocs)
+	}
+}
+
+// A multi-packet ownership-transfer send must hold every chunk's
+// reference before chunk 0 is staged: once chunk 0 is acked the window
+// drops its reference, and the consumer is free to drop the receiver's.
+// The hook forces exactly that — the consumer polls and releases each
+// packet before the next is staged — which, with a reference taken per
+// chunk in turn, leaves chunk 1 retaining a slab that is already free.
+func TestDataBufChunkRefsTakenUpFront(t *testing.T) {
+	f := newTestFabric(t)
+	dst := setupEndpoint(t, f, 0, 0, 0)
+	src := setupEndpoint(t, f, 1, 1, 0)
+	installPlan(t, f, fault.Plan{}, 1)
+	live0, _ := bufpool.Live()
+	want := testMessage(1, 0, 3*MaxPayload)
+	var got []byte
+	chunkSentHook = func() {
+		p, ok := dst.Rec.Poll()
+		if !ok {
+			t.Error("hook: the packet just sent is not in the reception FIFO")
+			return
+		}
+		got = append(got, p.Payload...)
+		p.Release()
+	}
+	defer func() { chunkSentHook = nil }()
+	hdr := Header{Dispatch: 1, Origin: TaskAddr{1, 0}}
+	if err := f.InjectMemFIFOBuf(src.PinnedInj(0), TaskAddr{0, 0}, hdr, bufpool.GetCopy(want)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("reassembled %d bytes, want the %d sent", len(got), len(want))
+	}
+	if live, _ := bufpool.Live(); live != live0 {
+		t.Fatalf("%d pooled buffers live, %d before the send", live, live0)
+	}
+}
+
+// A sender backs off, once per message and without blocking, while its
+// destination's reception queue is paceDepth packets deep or more.
+func TestPacingPastPaceDepth(t *testing.T) {
+	f := newTestFabric(t)
+	dst := setupEndpoint(t, f, 0, 0, 0)
+	src := setupEndpoint(t, f, 1, 1, 0)
+	installPlan(t, f, fault.Plan{}, 1)
+	send := func() {
+		t.Helper()
+		if err := f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, Header{Dispatch: 1, Origin: TaskAddr{1, 0}}, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < paceDepth; i++ {
+		send()
+	}
+	if n := relCounter(t, f, "pace_waits"); n != 0 {
+		t.Fatalf("%d pace waits below paceDepth", n)
+	}
+	send()
+	send()
+	if n := relCounter(t, f, "pace_waits"); n != 2 {
+		t.Fatalf("pace_waits = %d after two sends into a queue %d deep, want 2", n, paceDepth)
+	}
+	for _, p := range drainPackets(t, dst.Rec, paceDepth+2, 5*time.Second) {
+		p.Release()
+	}
+}

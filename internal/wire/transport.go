@@ -126,6 +126,7 @@ type peer struct {
 	addr           string // dial address; "" for accepted peers
 	dialer         bool
 
+	rxMu     sync.Mutex // serializes handlePacket across connection incarnations; taken before mu
 	mu       sync.Mutex
 	cond     *sync.Cond
 	conn     net.Conn
@@ -1058,6 +1059,7 @@ func (t *Transport) handleReplica(p *peer, seq uint64, blob []byte) error {
 func (p *peer) writer() {
 	t := p.t
 	defer t.wg.Done()
+	var out []byte // flush buffer, reused: this goroutine is its only user
 	for {
 		p.mu.Lock()
 		for !(p.closed || p.dead) &&
@@ -1069,7 +1071,7 @@ func (p *peer) writer() {
 			return
 		}
 		conn, gen := p.conn, p.connGen
-		var out []byte
+		out = out[:0]
 		nframes := 0
 		if p.ackDue {
 			out = appendAck(out, p.recvSeq)
@@ -1220,6 +1222,12 @@ loop:
 // only after delivery, so an unacknowledged segment is always safe to
 // resend.
 func (t *Transport) handlePacket(p *peer, pf *PacketFrame) error {
+	// A severed connection's readLoop may still be delivering the frame it
+	// has in hand when its successor starts on the resends of the same
+	// sequence numbers: the sequence check, the delivery and the recvSeq
+	// update must be one step, or both deliver.
+	p.rxMu.Lock()
+	defer p.rxMu.Unlock()
 	p.mu.Lock()
 	if pf.Seq <= p.recvSeq {
 		// Resent duplicate from before the last reconnect: drop, but

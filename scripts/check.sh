@@ -17,7 +17,7 @@ sh scripts/lint_parks.sh
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race (telemetry + integration + hot layers)"
+echo "==> go test -race (telemetry + integration + hot layers; mu includes the reliable-window property test: 32 seeds x 5 fault plans x 1 and 4 origins)"
 go test -race ./internal/telemetry ./internal/integration ./internal/core ./internal/mpilib ./internal/mu
 
 echo "==> go test -race (Time Warp engine: equivalence vs oracle, rollback stress, netsim cross-engine)"
@@ -30,7 +30,10 @@ echo "==> go test -race -tags pamitrace ./internal/telemetry"
 go test -race -tags pamitrace ./internal/telemetry
 
 echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release)"
-go test -tags bufpooldebug ./internal/bufpool
+go test -tags bufpooldebug ./internal/bufpool ./internal/mu
+
+echo "==> benchmark module (outside ./...: vet + 1/100-length smoke run)"
+(cd benchmark && go vet ./... && go test)
 
 echo "==> chaos smoke (fault injection, fixed seed, small torus, -race)"
 go test -race -run TestChaos ./internal/integration
