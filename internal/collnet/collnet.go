@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -33,6 +34,7 @@ import (
 	"pamigo/internal/health"
 	"pamigo/internal/telemetry"
 	"pamigo/internal/torus"
+	"pamigo/internal/wakeup"
 	"pamigo/internal/watchdog"
 )
 
@@ -228,10 +230,43 @@ type ClassRoute struct {
 	net      *Network
 	degraded bool // no fault-avoiding tree exists; running on a stale one
 
-	mu       sync.Mutex
-	sessions map[uint64]*Session
-	retired  *sync.Cond // signalled under mu when a session retires or the route is freed
-	poison   error      // sticky route failure: every Join fails fast with it
+	// nodes is every rank of the rectangle, ascending and fixed for the
+	// route's life: the index space of the per-node session state.
+	nodes []torus.Rank
+
+	mu      sync.Mutex
+	slots   [SessionCredits]Session // the session table: one slot per credit
+	retired *sync.Cond              // signalled under mu when a session retires or the route is freed
+	poison  error                   // sticky route failure: every Join fails fast with it
+}
+
+// index returns rank's position in the rectangle.
+func (cr *ClassRoute) index(rank torus.Rank) int {
+	i, ok := slices.BinarySearch(cr.nodes, rank)
+	if !ok {
+		panic(fmt.Sprintf("collnet: node %d is outside classroute %d", rank, cr.ID))
+	}
+	return i
+}
+
+// failOpen fails every session open on cr right now; what names the
+// membership change in the error.
+func (n *Network) failOpen(cr *ClassRoute, node torus.Rank, what string) {
+	var seqs [SessionCredits]uint64
+	var open [SessionCredits]bool
+	cr.mu.Lock()
+	for i := range cr.slots {
+		seqs[i], open[i] = cr.slots[i].seq, cr.slots[i].open
+	}
+	cr.mu.Unlock()
+	// Fail outside cr.mu, by sequence number: a slot may have retired and
+	// found a new tenant in between.
+	for i, seq := range seqs {
+		if open[i] && cr.slots[i].FailSeq(seq, fmt.Errorf("collnet: node %d %s during session %d: %w",
+			node, what, seq, health.ErrEpochChanged)) {
+			n.sessionsFailed.Inc()
+		}
+	}
 }
 
 // Poison marks the classroute failed: parked and future Joins return
@@ -404,13 +439,16 @@ func (n *Network) Allocate(rect torus.Rectangle, root torus.Rank) (*ClassRoute, 
 	n.nextID++
 	n.classroutes.Inc()
 	cr := &ClassRoute{
-		ID:       n.nextID,
-		Rect:     rect,
-		Root:     root,
-		net:      n,
-		sessions: make(map[uint64]*Session),
+		ID:    n.nextID,
+		Rect:  rect,
+		Root:  root,
+		net:   n,
+		nodes: all,
 	}
 	cr.retired = sync.NewCond(&cr.mu)
+	for i := range cr.slots {
+		cr.slots[i].cr, cr.slots[i].region = cr, wakeup.NewRegion()
+	}
 	cr.ranks.Store(&ranks)
 	tree, degraded := n.buildTreeLocked(rect, root)
 	cr.tree.Store(tree)
@@ -541,18 +579,7 @@ func (n *Network) HandleNodeDown(node torus.Rank) {
 	n.mu.Unlock()
 	// Fail in-flight sessions outside n.mu (lock order: cr.mu, then s.mu).
 	for _, cr := range affected {
-		cr.mu.Lock()
-		open := make([]*Session, 0, len(cr.sessions))
-		for _, s := range cr.sessions {
-			open = append(open, s)
-		}
-		cr.mu.Unlock()
-		for _, s := range open {
-			if s.Fail(fmt.Errorf("collnet: node %d died during session %d: %w",
-				node, s.seq, health.ErrEpochChanged)) {
-				n.sessionsFailed.Inc()
-			}
-		}
+		n.failOpen(cr, node, "died")
 	}
 }
 
@@ -607,18 +634,7 @@ func (n *Network) HandleNodeUp(node torus.Rank) {
 	n.mu.Unlock()
 	// Fail in-flight sessions outside n.mu (lock order: cr.mu, then s.mu).
 	for _, cr := range affected {
-		cr.mu.Lock()
-		open := make([]*Session, 0, len(cr.sessions))
-		for _, s := range cr.sessions {
-			open = append(open, s)
-		}
-		cr.mu.Unlock()
-		for _, s := range open {
-			if s.Fail(fmt.Errorf("collnet: node %d rejoined during session %d: %w",
-				node, s.seq, health.ErrEpochChanged)) {
-				n.sessionsFailed.Inc()
-			}
-		}
+		n.failOpen(cr, node, "rejoined")
 	}
 }
 

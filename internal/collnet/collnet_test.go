@@ -189,7 +189,7 @@ func runSession(t *testing.T, cr *ClassRoute, kind Kind, op Op, dt DType, contri
 			if kind != KindBroadcast || r == cr.Root {
 				s.Contribute(r, contribs[r])
 			}
-			res := s.Wait()
+			res := wait(s)
 			mu.Lock()
 			results[r] = res
 			mu.Unlock()
@@ -290,8 +290,13 @@ func TestSessionRetiredAfterUse(t *testing.T) {
 		contribs[r] = EncodeInt64s([]int64{1})
 	}
 	runSession(t, cr, KindReduce, OpAdd, Int64, contribs)
+	live := 0
 	cr.mu.Lock()
-	live := len(cr.sessions)
+	for i := range cr.slots {
+		if cr.slots[i].open {
+			live++
+		}
+	}
 	cr.mu.Unlock()
 	if live != 0 {
 		t.Fatalf("%d sessions still live after completion", live)

@@ -59,7 +59,7 @@ func TestHandleNodeDownFailsOpenSessions(t *testing.T) {
 	s, _ := cr.Join(1, KindBarrier, OpAdd, Uint64, 0)
 	s.Contribute(ranks[0], nil) // one survivor arrived; the rest never will
 	n.HandleNodeDown(victim)
-	if !s.Ready() {
+	if !s.done.Load() {
 		t.Fatal("session not completed after the member death")
 	}
 	if _, err := s.WaitErr(); !errors.Is(err, health.ErrEpochChanged) {

@@ -38,7 +38,7 @@ func TestSessionFoldMatchesSequentialQuick(t *testing.T) {
 		for i, r := range cr.Ranks() {
 			s.Contribute(r, EncodeInt64s([]int64{vals[i]}))
 		}
-		got := DecodeInt64s(s.Wait())[0]
+		got := DecodeInt64s(wait(s))[0]
 		// Drain remaining waiters so the session retires cleanly.
 		for range cr.Ranks()[1:] {
 			// Wait is idempotent on the result; each party calls it once.

@@ -42,7 +42,7 @@ func runAllreduce(t *testing.T, cr *ClassRoute, seq uint64) {
 		s.Contribute(r, EncodeInt64s([]int64{int64(r) + 1}))
 	}
 	for range cr.Ranks() {
-		got := DecodeInt64s(s.Wait())
+		got := DecodeInt64s(wait(s))
 		if got[0] != want {
 			t.Fatalf("allreduce = %d, want %d", got[0], want)
 		}

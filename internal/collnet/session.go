@@ -3,9 +3,12 @@ package collnet
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"pamigo/internal/abort"
+	"pamigo/internal/telemetry"
 	"pamigo/internal/torus"
+	"pamigo/internal/wakeup"
 	"pamigo/internal/watchdog"
 )
 
@@ -34,13 +37,32 @@ const (
 // (mis)use.
 const SessionCredits = 16
 
+// Sink receives a session's outcome for one participating node, in place
+// of the node's WaitErr: once per session, from whichever goroutine
+// completes or fails it (or the node's own late ContributeTo), with the
+// session lock held — it must not block or call back into the session.
+// result is the session's own buffer: the node reads it in place and calls
+// Release(seq) when its last reader is done.
+type Sink interface {
+	SessionDone(seq uint64, result []byte, err error)
+}
+
 // Session is one in-flight collective operation on a classroute. Node
 // processes Join the same sequence number, Contribute their local data,
 // and Wait for the network result. Combining happens in deterministic
 // post-order over the classroute tree, mirroring the fixed hardware wiring
 // that makes BG/Q floating-point reductions bit-reproducible.
+//
+// Sessions are the SessionCredits slots of their classroute's table,
+// reused with their buffers once retired, so a steady stream of
+// collectives allocates nothing — and a *Session is only valid until the
+// holder's own WaitErr or Release.
 type Session struct {
-	cr      *ClassRoute
+	cr     *ClassRoute
+	region *wakeup.Region // WaitErr parks here; touched at completion
+
+	mu      sync.Mutex
+	open    bool // slot holds a session; written under cr.mu and mu
 	seq     uint64
 	kind    Kind
 	op      Op
@@ -48,14 +70,19 @@ type Session struct {
 	nbytes  int
 	parties int
 
-	mu      sync.Mutex
-	contrib map[torus.Rank][]byte
+	// Per node of the route's rectangle (ClassRoute.index): the router's
+	// copy of the contribution, whether it arrived, and who to tell.
+	contrib [][]byte
+	have    []bool
+	sinks   []Sink
+
 	parked  int64 // contribution bytes held until the session retires
 	arrived int
-	waited  int
-	done    chan struct{}
-	result  []byte
-	err     error // set by Fail: membership changed mid-session
+	waited  int         // WaitErr and Release calls so far
+	done    atomic.Bool // result or err is final
+	result  []byte      // aliases the contribution buffer the fold ended in
+	handout []byte      // WaitErr's copy of result, which outlives the slot
+	err     error       // set by Fail: membership changed mid-session
 }
 
 // Join finds or creates the session with the given sequence number on the
@@ -71,172 +98,203 @@ func (cr *ClassRoute) Join(seq uint64, kind Kind, op Op, dt DType, nbytes int) (
 	if cr.net == nil {
 		panic("collnet: Join on a freed classroute")
 	}
-	var park watchdog.Park
-	parked := false
-	defer func() {
-		if parked {
-			park.Leave()
-		}
-	}()
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	for {
-		if s, ok := cr.sessions[seq]; ok {
-			if s.kind != kind || s.op != op || s.dt != dt || s.nbytes != nbytes {
-				panic(fmt.Sprintf("collnet: session %d parameter mismatch: have (%v,%v,%v,%d), got (%v,%v,%v,%d)",
-					seq, s.kind, s.op, s.dt, s.nbytes, kind, op, dt, nbytes))
+		var free *Session
+		for i := range cr.slots {
+			s := &cr.slots[i]
+			if !s.open {
+				if free == nil {
+					free = s
+				}
+			} else if s.seq == seq {
+				if s.kind != kind || s.op != op || s.dt != dt || s.nbytes != nbytes {
+					panic(fmt.Sprintf("collnet: session %d parameter mismatch: have (%v,%v,%v,%d), got (%v,%v,%v,%d)",
+						seq, s.kind, s.op, s.dt, s.nbytes, kind, op, dt, nbytes))
+				}
+				return s, nil
 			}
-			return s, nil
 		}
 		if err := cr.poison; err != nil {
 			return nil, err
 		}
-		if len(cr.sessions) < SessionCredits {
-			break
+		if free != nil {
+			free.reset(seq, kind, op, dt, nbytes)
+			if cr.net != nil {
+				cr.net.sessionsOpen.Inc()
+			}
+			return free, nil
 		}
 		// Inbox full: block until a session retires and frees a credit.
 		// Joining an already-open session (above) never blocks, so slow
 		// peers can always reach the sessions that will retire first.
-		if cr.net != nil {
-			cr.net.creditStalls.Inc()
-			if st := cr.net.joinSite.Load(); st != nil && !parked {
-				parked = true
-				st.Enter(&park, func(c *abort.Cause) { cr.Poison(c) })
-			}
-		}
-		cr.retired.Wait()
-		if cr.net == nil {
-			panic("collnet: classroute freed while waiting for a session credit")
-		}
+		cr.awaitCreditLocked()
 	}
-	s := &Session{
-		cr:      cr,
-		seq:     seq,
-		kind:    kind,
-		op:      op,
-		dt:      dt,
-		nbytes:  nbytes,
-		parties: cr.Parties(),
-		contrib: make(map[torus.Rank][]byte, cr.Parties()),
-		done:    make(chan struct{}),
-	}
-	cr.sessions[seq] = s
+}
+
+// awaitCreditLocked parks a Join on the full session table until a
+// session retires or the route is poisoned or freed. cr.mu is held.
+func (cr *ClassRoute) awaitCreditLocked() {
+	var park watchdog.Park
 	if cr.net != nil {
-		cr.net.sessionsOpen.Inc()
+		cr.net.creditStalls.Inc()
+		if st := cr.net.joinSite.Load(); st != nil {
+			st.Attach(&park, func(c *abort.Cause) { cr.Poison(c) })
+			park.Enter()
+			defer park.Detach()
+		}
 	}
-	return s, nil
+	cr.retired.Wait()
+	if cr.net == nil {
+		panic("collnet: classroute freed while waiting for a session credit")
+	}
+}
+
+// reset turns a free slot into the session for seq, keeping the slot's
+// buffers. cr.mu is held.
+func (s *Session) reset(seq uint64, kind Kind, op Op, dt DType, nbytes int) {
+	s.mu.Lock()
+	s.open, s.seq, s.kind, s.op, s.dt, s.nbytes = true, seq, kind, op, dt, nbytes
+	s.parties = s.cr.Parties()
+	if n := len(s.cr.nodes); len(s.have) != n {
+		s.contrib, s.have, s.sinks = make([][]byte, n), make([]bool, n), make([]Sink, n)
+	}
+	clear(s.have)
+	s.parked, s.arrived, s.waited = 0, 0, 0
+	s.result, s.handout, s.err = nil, nil, nil
+	s.done.Store(false)
+	s.mu.Unlock()
 }
 
 // Contribute injects node rank's local contribution. For KindBroadcast
 // only the root's data matters (peers may pass nil); for KindBarrier data
 // is ignored. Contribute does not block.
-func (s *Session) Contribute(rank torus.Rank, data []byte) {
+func (s *Session) Contribute(rank torus.Rank, data []byte) { s.ContributeTo(rank, data, nil) }
+
+// ContributeTo is Contribute for a node that takes the outcome through a
+// Sink and calls Release, instead of WaitErr.
+func (s *Session) ContributeTo(rank torus.Rank, data []byte, sink Sink) {
+	i := s.cr.index(rank)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
+	switch {
+	case s.err != nil:
 		// The session already failed (a participant died); late
 		// contributions from survivors are moot — they learn the failure
-		// from WaitErr.
-		return
-	}
-	if _, dup := s.contrib[rank]; dup {
+		// from WaitErr or, here, through their sink.
+	case s.have[i]:
 		panic(fmt.Sprintf("collnet: node %d contributed twice to session %d", rank, s.seq))
-	}
-	stored := data
-	if s.kind == KindReduce {
-		if len(data) != s.nbytes {
-			panic(fmt.Sprintf("collnet: node %d contribution %dB, session expects %dB", rank, len(data), s.nbytes))
-		}
+	case s.kind == KindReduce && len(data) != s.nbytes:
+		panic(fmt.Sprintf("collnet: node %d contribution %dB, session expects %dB", rank, len(data), s.nbytes))
+	default:
 		// The router consumes the packet as it flows; keep a private copy so
 		// the caller may reuse its buffer immediately, like the MU does.
-		stored = append([]byte(nil), data...)
+		s.have[i] = true
+		s.contrib[i] = append(s.contrib[i][:0], data...)
+		s.parked += int64(len(data))
+		if net := s.cr.net; net != nil {
+			net.inboxBytes.Update(int64(len(data)))
+		}
+		s.arrived++
 	}
-	s.contrib[rank] = stored
-	s.parked += int64(len(stored))
-	if net := s.cr.net; net != nil {
-		net.inboxBytes.Update(int64(len(stored)))
-	}
-	s.arrived++
-	switch s.kind {
-	case KindBroadcast:
+	s.sinks[i] = sink
+	switch {
+	case s.done.Load():
+		// Failed, or a broadcast whose source was here first.
+		s.deliverLocked(i)
+	case s.kind == KindBroadcast:
 		// Exactly one node — the broadcast source — contributes data; the
 		// router forwards it up to the classroute root and down every
 		// branch, so the source need not be the tree root.
 		if data != nil {
-			if s.result != nil {
-				panic(fmt.Sprintf("collnet: two broadcast sources in session %d", s.seq))
-			}
-			s.result = append([]byte(nil), data...)
-			s.count(KindBroadcast)
-			close(s.done)
+			s.result = s.contrib[i]
+			s.completeLocked()
 		}
-	default:
-		if s.arrived == s.parties {
-			s.result = s.combineTree()
-			s.count(s.kind)
-			close(s.done)
-		}
+	case s.arrived == s.parties:
+		s.result = s.combineTree()
+		s.completeLocked()
+	}
+	s.unlockRetire()
+}
+
+// completeLocked makes the outcome final: counts the session (guarded
+// against a concurrently freed classroute, which retires the counters),
+// tells every sink registered so far and wakes the WaitErr callers.
+func (s *Session) completeLocked() {
+	if net := s.cr.net; net != nil && s.err == nil {
+		[...]*telemetry.Counter{KindReduce: net.reductions, KindBroadcast: net.broadcasts, KindBarrier: net.barriers}[s.kind].Inc()
+	}
+	s.done.Store(true)
+	for i := range s.sinks {
+		s.deliverLocked(i)
+	}
+	s.region.Touch()
+}
+
+func (s *Session) deliverLocked(i int) {
+	if sink := s.sinks[i]; sink != nil {
+		s.sinks[i] = nil
+		sink.SessionDone(s.seq, s.result, s.err)
 	}
 }
 
-// count records a completed session in the network's telemetry. Guarded
-// against a concurrently freed classroute, which retires the counters.
-func (s *Session) count(kind Kind) {
-	net := s.cr.net
-	if net == nil {
+// unlockRetire releases s.mu and, when every participant has collected
+// the outcome, frees the slot and its credit. A failed session retires
+// once every *surviving* participant has — the dead node's WaitErr never
+// comes — so it can reach its quorum more than once (the quorum drops
+// while stragglers still Wait); open and seq retire it exactly once, and
+// never its slot's next tenant.
+func (s *Session) unlockRetire() {
+	parties, seq := s.parties, s.seq
+	if s.err != nil {
+		parties = min(parties, s.cr.Parties())
+	}
+	retire := s.done.Load() && s.waited >= parties
+	s.mu.Unlock()
+	if !retire {
 		return
 	}
-	switch kind {
-	case KindBroadcast:
-		net.broadcasts.Inc()
-	case KindBarrier:
-		net.barriers.Inc()
-	default:
-		net.reductions.Inc()
+	cr := s.cr
+	cr.mu.Lock()
+	s.mu.Lock()
+	if s.open && s.seq == seq {
+		s.open = false
+		if net := cr.net; net != nil {
+			net.sessionsOpen.Dec()
+			net.inboxBytes.Update(-s.parked)
+		}
+		cr.retired.Broadcast()
 	}
+	s.mu.Unlock()
+	cr.mu.Unlock()
 }
 
 // combineTree folds contributions in post-order over the classroute tree:
 // each node combines its children's subtree results into its own
-// contribution; the root's value is the network result. Called with s.mu
-// held, after every contribution arrived.
+// contribution, in place in the session's copies; the root's value is the
+// network result. s.mu is held and every contribution has arrived.
 func (s *Session) combineTree() []byte {
 	if s.kind == KindBarrier || s.nbytes == 0 {
 		return nil
 	}
-	net := s.cr.net
-	var fold func(n torus.Rank) []byte
-	fold = func(n torus.Rank) []byte {
-		if net != nil {
-			net.traversals.Inc()
-		}
-		acc := append([]byte(nil), s.contrib[n]...)
-		for _, c := range s.cr.Tree().Children(n) {
-			sub := fold(c)
-			if err := Combine(s.op, s.dt, acc, sub); err != nil {
-				panic("collnet: " + err.Error())
-			}
-			if net != nil {
-				net.combines.Add(int64(len(acc) / 8))
-			}
-		}
-		return acc
-	}
-	return fold(s.cr.Root)
+	return s.fold(s.cr.Tree(), s.cr.Root)
 }
 
-// Done returns a channel closed when the network result is available;
-// progress loops poll it via select.
-func (s *Session) Done() <-chan struct{} { return s.done }
-
-// Ready reports whether the result is available without blocking.
-func (s *Session) Ready() bool {
-	select {
-	case <-s.done:
-		return true
-	default:
-		return false
+func (s *Session) fold(tree *torus.Tree, n torus.Rank) []byte {
+	net := s.cr.net
+	if net != nil {
+		net.traversals.Inc()
 	}
+	acc := s.contrib[s.cr.index(n)]
+	for _, c := range tree.Children(n) {
+		if err := Combine(s.op, s.dt, acc, s.fold(tree, c)); err != nil {
+			panic("collnet: " + err.Error())
+		}
+		if net != nil {
+			net.combines.Add(int64(len(acc) / 8))
+		}
+	}
+	return acc
 }
 
 // Fail completes the session exceptionally: waiters wake with err
@@ -244,69 +302,63 @@ func (s *Session) Ready() bool {
 // completed or already-failed session is left untouched).
 func (s *Session) Fail(err error) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	select {
-	case <-s.done:
-		return false // already completed or failed
-	default:
-	}
-	s.err = err
-	close(s.done)
-	return true
+	return s.failUnlock(s.seq, err)
 }
 
-// Err returns the session's failure, or nil. Meaningful once Done is
-// closed.
-func (s *Session) Err() error {
+// FailSeq is Fail for a holder whose handle may have gone stale: it only
+// fails the slot while it still holds session seq.
+func (s *Session) FailSeq(seq uint64, err error) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+	return s.failUnlock(seq, err)
 }
 
-// Wait blocks until the result is available and returns it. Every
-// participant must call Wait exactly once: the session is retired from the
-// classroute when the last participant has read the result. The returned
-// buffer is shared — callers copy out of it. Returns nil when the session
-// failed; callers on routes that can shrink use WaitErr.
-func (s *Session) Wait() []byte {
-	res, _ := s.WaitErr()
-	return res
+// Fail fails the route's open session with the given sequence number, if
+// there is one: Session.Fail for a caller that holds no handle.
+func (cr *ClassRoute) Fail(seq uint64, err error) (failed bool) {
+	for i := 0; i < len(cr.slots) && !failed; i++ {
+		failed = cr.slots[i].FailSeq(seq, err)
+	}
+	return failed
+}
+
+// failUnlock is entered with s.mu held and releases it.
+func (s *Session) failUnlock(seq uint64, err error) bool {
+	failed := s.open && s.seq == seq && !s.done.Load()
+	if failed {
+		s.err = err
+		s.completeLocked()
+	}
+	s.unlockRetire()
+	return failed
 }
 
 // WaitErr blocks until the session completes or fails, returning the
-// network result or the typed failure (ErrEpochChanged wrapped with the
-// dead node). A failed session retires once every *surviving*
-// participant has waited — the dead node's Wait never comes.
+// network result — a buffer the participants share and copy out of — or
+// the typed failure (ErrEpochChanged wrapped with the dead node). Every
+// participant calls it exactly once; the last call retires the session.
 func (s *Session) WaitErr() ([]byte, error) {
-	<-s.done
+	for gen := s.region.Gen(); !s.done.Load(); gen = s.region.Gen() {
+		s.region.Wait(gen)
+	}
 	s.mu.Lock()
 	s.waited++
-	parties := s.parties
-	if s.err != nil {
-		if p := s.cr.Parties(); p < parties {
-			parties = p
-		}
+	if s.handout == nil && len(s.result) > 0 {
+		s.handout = append([]byte(nil), s.result...)
 	}
-	last := s.waited >= parties
-	res, err := s.result, s.err
-	parked := s.parked
-	s.mu.Unlock()
-	if last {
-		s.cr.mu.Lock()
-		// A shrunken failed session can compute last more than once (the
-		// quorum drops while stragglers still Wait); retire exactly once
-		// so the credit and inbox accounting stay conserved.
-		if _, open := s.cr.sessions[s.seq]; open {
-			delete(s.cr.sessions, s.seq)
-			if net := s.cr.net; net != nil {
-				net.sessionsOpen.Dec()
-				net.inboxBytes.Update(-parked)
-			}
-			s.cr.retired.Broadcast()
-		}
-		s.cr.mu.Unlock()
-	}
+	res, err := s.handout, s.err
+	s.unlockRetire()
 	return res, err
+}
+
+// Release is the WaitErr of a node whose Sink has the outcome of session
+// seq: its last reader is done with the result buffer. A stale handle (the
+// slot has a new tenant) is ignored.
+func (s *Session) Release(seq uint64) {
+	s.mu.Lock()
+	if s.open && s.seq == seq {
+		s.waited++
+	}
+	s.unlockRetire()
 }
 
 // GIBarrier is the Global Interrupt network barrier: a reusable,

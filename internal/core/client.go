@@ -166,14 +166,12 @@ func (c *Client) CreateContexts(n int) ([]*Context, error) {
 		if telemetry.TraceEnabled {
 			ctx.tracer = telemetry.NewTracer(traceRingSlots)
 		}
-		if sent := c.mach.Sentinel(); sent != nil {
-			ctx.idleSite = sent.Site("core.ctx.idle")
-			// Idle progress parks are legitimately indefinite: pinned
-			// observe-only so an armed sentinel never escalates them.
-			ctx.idleSite.SetDeadline(-1)
-			ctx.deferredSite = sent.Site("core.deferred.send")
-			ctx.abortDeferred = ctx.Abort
-		}
+		// Idle progress parks are legitimately indefinite: pinned
+		// observe-only so an armed sentinel never escalates them.
+		idle := c.mach.Sentinel().Site("core.ctx.idle")
+		idle.SetDeadline(-1)
+		idle.Attach(&ctx.idlePark, nil)
+		c.mach.Sentinel().Site("core.deferred.send").Attach(&ctx.deferredPark, ctx.Abort)
 		fabric.RegisterContext(addr, res.Rec)
 		c.contexts = append(c.contexts, ctx)
 		created = append(created, ctx)
@@ -255,6 +253,8 @@ func (c *Client) Destroy() {
 	node := c.proc.Node()
 	for _, ctx := range c.contexts {
 		c.mach.Shmem(node.Rank).Deregister(ctx.addr)
+		ctx.idlePark.Detach()
+		ctx.deferredPark.Detach()
 	}
 	c.contexts = nil
 	c.proc.FreeContextSlots()

@@ -132,17 +132,13 @@ type Context struct {
 	// because only the owner may touch the thread-unsafe queues.
 	aborted atomic.Pointer[abort.Cause]
 
-	// Stall-sentinel wiring: the observe-only idle park (progress loops
-	// sleeping on the wakeup region are legitimately indefinite) and the
-	// escalating deferred-send park, with its pre-built abort hook.
-	// Caller-owned Parks keep the blocking slow path allocation-free;
-	// AdvanceUntil is thread-unsafe like the rest of the context, so one
-	// set per context suffices.
-	idleSite      *watchdog.Site
-	deferredSite  *watchdog.Site
-	idlePark      watchdog.Park
-	deferredPark  watchdog.Park
-	abortDeferred func(*abort.Cause)
+	// Stall-sentinel wiring, attached at creation: the observe-only idle
+	// park (progress loops sleeping on the wakeup region are legitimately
+	// indefinite) and the escalating deferred-send park, whose hook is
+	// Abort. AdvanceUntil is thread-unsafe like the rest of the context,
+	// so one set per context suffices.
+	idlePark     watchdog.Park
+	deferredPark watchdog.Park
 
 	// reasmOld holds finished reassembly states for reuse; without it
 	// every multi-packet message allocates one. Owner-thread only.
@@ -170,6 +166,13 @@ type ctxStats struct {
 	eagerThreshold *telemetry.Gauge   // effective adaptive eager threshold, bytes
 	inboxMsgs      *telemetry.Gauge   // software-collective fragments parked in the inbox (hwm = peak)
 	deferredSends  *telemetry.Gauge   // sends parked for an over-budget destination (hwm = peak)
+
+	// How each wait of a classroute collective resolved: at its first poll,
+	// or by parking on the team's wakeup region. Parked waits dominating is
+	// normal (seven of eight members wait for the last); parked falling to
+	// zero while throughput falls means waiting has become spinning again.
+	collSpun   *telemetry.Counter
+	collParked *telemetry.Counter
 }
 
 func newCtxStats(reg *telemetry.Registry) *ctxStats {
@@ -191,6 +194,9 @@ func newCtxStats(reg *telemetry.Registry) *ctxStats {
 		eagerThreshold: reg.Gauge("eager_threshold"),
 		inboxMsgs:      reg.Gauge("inbox_msgs"),
 		deferredSends:  reg.Gauge("deferred_sends"),
+
+		collSpun:   reg.Counter("coll_waits_spun"),
+		collParked: reg.Counter("coll_waits_parked"),
 	}
 }
 
@@ -439,9 +445,9 @@ func (ctx *Context) advanceUntil(cond func() bool, sig *abort.Signal) error {
 				// poll instead of sleeping, yielding so the receiver runs.
 				// The park makes the stall visible to the sentinel, whose
 				// escalation fails the deferred queue with a typed cause.
-				if !defParked && ctx.deferredSite != nil {
+				if !defParked {
 					defParked = true
-					ctx.deferredSite.Enter(&ctx.deferredPark, ctx.abortDeferred)
+					ctx.deferredPark.Enter()
 				}
 				runtime.Gosched()
 				continue
@@ -451,12 +457,12 @@ func (ctx *Context) advanceUntil(cond func() bool, sig *abort.Signal) error {
 				ctx.deferredPark.Leave()
 			}
 			if ctx.work.Empty() && ctx.muRes.Rec.Empty() && ctx.shmDev.Empty() {
-				if !idleParked && ctx.idleSite != nil {
+				if !idleParked {
 					// Observe-only: an idle progress loop may legitimately
 					// park forever, so it shows in hang dumps but is never
 					// escalated.
 					idleParked = true
-					ctx.idleSite.Enter(&ctx.idlePark, nil)
+					ctx.idlePark.Enter()
 				}
 				if err := ctx.region.WaitAbort(gen, sig); err != nil {
 					return err

@@ -5,14 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pamigo/internal/abort"
 	"pamigo/internal/collnet"
-	"pamigo/internal/l2atomic"
 	"pamigo/internal/mu"
 	"pamigo/internal/torus"
+	"pamigo/internal/wakeup"
 	"pamigo/internal/watchdog"
 )
 
@@ -37,7 +39,9 @@ type Geometry struct {
 
 	shared *geomShared
 	team   *nodeTeam
-	seq    uint64
+	tidx   int    // this member's index in team.members
+	seq    uint64 // collectives begun; members call them in the same order, so these agree
+	round  uint64 // node-team rounds begun on the classroute path, likewise
 
 	// Membership-failure cache: deadMember scans the task list only when
 	// the machine's epoch moved past memEpoch; the verdict is sticky for
@@ -46,15 +50,13 @@ type Geometry struct {
 	memEpoch int64
 	memErr   error
 
-	// Stall-sentinel wiring: the wait sites team-barrier crossings and
-	// network waits register with, the caller-owned parks they reuse
-	// (collectives are single-threaded per member), and the pre-built
-	// escalation hook that poisons the team barrier (built once so
-	// barrier crossings stay allocation-free).
-	barrierSite *watchdog.Site
-	hwWaitSite  *watchdog.Site
-	bpark       watchdog.Park
-	poisonTeam  func(*abort.Cause)
+	// strikes is the team's poison count this member's collective began
+	// under; a different count in a wait means the team was poisoned.
+	strikes uint64
+	// Stall-sentinel parks, attached for the geometry's life: matePark
+	// (site core.team.barrier) while waiting for node-mates to arrive,
+	// netPark (core.geom.hwwait) while waiting for a collective's outcome.
+	matePark, netPark watchdog.Park
 }
 
 // geomShared is the state all member processes of a geometry share — the
@@ -67,34 +69,119 @@ type geomShared struct {
 	topo  torus.Topology // compact node-set representation (paper §III.G)
 	teams map[torus.Rank]*nodeTeam
 
+	cr     atomic.Pointer[collnet.ClassRoute] // written by rank 0 in Optimize/Deoptimize
 	crMu   sync.Mutex
-	cr     *collnet.ClassRoute
 	optErr error
 }
 
-// nodeTeam is the node-local shared state: the members on this node, the
-// L2-atomic local barrier, and the contribution/result slots exchanged
-// through the CNK global address space.
+// shortMax is the largest reduction the last arriver combines alone and
+// the collective network carries in one packet.
+const shortMax = mu.MaxPayload
+
+// nodeTeam is the node-local shared state: the members on this node and
+// the two slot generations they exchange contributions and outcomes
+// through (the CNK global address space). Every classroute collective is
+// built from arrive and await (DESIGN "Node-team collective protocol").
 type nodeTeam struct {
 	node    torus.Rank
-	members []int // world task ranks on this node, ascending
-	barrier *l2atomic.Barrier
+	members []int          // world task ranks on this node, ascending
+	region  *wakeup.Region // the geometry's: see buildGeomShared
+	cells   [2]teamCell    // round r uses cells[r&1]
 
-	// Collective scratch: written between barrier generations, so no
-	// extra locking is needed — the barrier is the synchronization.
-	slots  [][]byte
-	local  []byte
-	result []byte
-	err    error // network-phase failure, set by the master before release
+	// Poison: poisoned while strikes != heals; cause is the latest strike's.
+	pmu            sync.Mutex
+	cause          atomic.Pointer[error]
+	strikes, heals atomic.Uint64
 }
 
-func (t *nodeTeam) memberIndex(task int) int {
-	for i, m := range t.members {
-		if m == task {
-			return i
+// teamCell is one slot generation. No member leaves round r before all of
+// its team arrived at r, so when anyone arrives at r+2 nobody reads r's
+// cell any more: two generations suffice, and arrive panics if the
+// invariant is ever broken.
+type teamCell struct {
+	team    *nodeTeam
+	arrived atomic.Uint64 // round<<16 | members arrived
+	reduced atomic.Uint64 // long reductions: round<<16 | members done with their slice
+	done    atomic.Uint64 // round whose outcome is in result/err
+	left    atomic.Uint64 // round<<16 | members done reading result
+	sessSeq atomic.Uint64 // the round's session, 0 when none
+	sess    *collnet.Session
+	round   uint64 // written, like sess, by the last arriver before it contributes
+	result  []byte // the session's buffer, until the last reader releases it
+	err     error
+
+	short []byte   // one shortMax slot per member
+	refs  [][]byte // long reductions: the members' send buffers
+	local []byte   // long reductions: the node's combined contribution
+	src   []byte   // broadcast: the root's buffer
+}
+
+// arrive records the caller's arrival at word for round and reports
+// whether it was the last of the team.
+func (t *nodeTeam) arrive(word *atomic.Uint64, round uint64) bool {
+	for {
+		w := word.Load()
+		next := round<<16 | 1
+		if w>>16 == round {
+			next = w + 1
+		} else if w>>16 > round {
+			panic(fmt.Sprintf("core: node %d team round %d lapped by round %d", t.node, round, w>>16))
+		}
+		if word.CompareAndSwap(w, next) {
+			return int(next&0xffff) == len(t.members)
 		}
 	}
-	return -1
+}
+
+// poison releases every waiting member with err and fails arrivals fast
+// until heal. The first cause of a poisoned spell sticks.
+func (t *nodeTeam) poison(err error) {
+	t.pmu.Lock()
+	if t.strikes.Load() == t.heals.Load() {
+		t.cause.Store(&err)
+		t.strikes.Add(1)
+	}
+	t.pmu.Unlock()
+	t.region.Touch()
+}
+
+func (t *nodeTeam) heal() {
+	t.pmu.Lock()
+	t.heals.Store(t.strikes.Load())
+	t.pmu.Unlock()
+}
+
+// SessionDone makes the round's outcome final and wakes the team
+// (collnet.Sink). A session that fails after its round was abandoned
+// finds sessSeq moved on and is ignored.
+func (c *teamCell) SessionDone(seq uint64, result []byte, err error) {
+	if c.sessSeq.Load() == seq {
+		c.result, c.err = result, err
+		c.done.Store(c.round)
+		c.team.region.Touch()
+	}
+}
+
+// await is the one wait of the protocol: until word reaches want — every
+// mate arrived, or the round's outcome is published — or the team is
+// poisoned. One poll, then the paper's wakeup-unit wait: on hosts with
+// fewer cores than ranks any longer spin only delays the mates queued
+// behind the spinner (EXPERIMENTS "Short collectives in one wait").
+func (g *Geometry) await(word *atomic.Uint64, want uint64, park *watchdog.Park) error {
+	t := g.team
+	for how := g.ctx.stats.collSpun; ; how = g.ctx.stats.collParked {
+		gen := t.region.Gen()
+		if word.Load() == want {
+			how.Inc()
+			return nil
+		}
+		if t.strikes.Load() != g.strikes {
+			return *t.cause.Load()
+		}
+		park.Enter()
+		t.region.Wait(gen)
+		park.Leave()
+	}
 }
 
 // ErrNotRectangular is returned by Optimize when the geometry's node set
@@ -131,13 +218,8 @@ func (c *Client) CreateGeometry(ctx *Context, id uint64, tasks []int) (*Geometry
 		return buildGeomShared(c, id, tasks)
 	})
 	shared := sharedAny.(*geomShared)
-	if len(shared.tasks) != len(tasks) {
+	if !slices.Equal(shared.tasks, tasks) {
 		return nil, fmt.Errorf("core: geometry %d created with conflicting task lists", id)
-	}
-	for i := range tasks {
-		if shared.tasks[i] != tasks[i] {
-			return nil, fmt.Errorf("core: geometry %d created with conflicting task lists", id)
-		}
 	}
 	// Bootstrap rendezvous: collective traffic may start the moment this
 	// returns, so wait until every member's endpoint at our context
@@ -149,7 +231,7 @@ func (c *Client) CreateGeometry(ctx *Context, id uint64, tasks []int) (*Geometry
 			runtime.Gosched()
 		}
 	}
-	myNode := c.proc.Node().Rank
+	team := shared.teams[c.proc.Node().Rank]
 	g := &Geometry{
 		client: c,
 		ctx:    ctx,
@@ -158,14 +240,21 @@ func (c *Client) CreateGeometry(ctx *Context, id uint64, tasks []int) (*Geometry
 		rank:   me,
 		ctxOrd: ctx.addr.Ctx,
 		shared: shared,
-		team:   shared.teams[myNode],
+		team:   team,
 	}
-	if sent := c.mach.Sentinel(); sent != nil {
-		g.barrierSite = sent.Site("core.team.barrier")
-		g.hwWaitSite = sent.Site("core.geom.hwwait")
-		team := g.team
-		g.poisonTeam = func(c *abort.Cause) { team.barrier.Poison(c) }
+	g.tidx, _ = slices.BinarySearch(team.members, c.Task())
+	// A wait parked past the stall deadline poisons the team and fails the
+	// sessions it awaits, so every member of every team is cut loose.
+	stalled := func(cause *abort.Cause) {
+		team.poison(cause)
+		if cr := shared.cr.Load(); cr != nil {
+			cr.Fail(team.cells[0].sessSeq.Load(), cause)
+			cr.Fail(team.cells[1].sessSeq.Load(), cause)
+		}
 	}
+	sent := c.mach.Sentinel()
+	sent.Site("core.team.barrier").Attach(&g.matePark, stalled)
+	sent.Site("core.geom.hwwait").Attach(&g.netPark, stalled)
 	return g, nil
 }
 
@@ -176,16 +265,22 @@ func buildGeomShared(c *Client, id uint64, tasks []int) *geomShared {
 		byNode[nr] = append(byNode[nr], t)
 	}
 	var nodes []torus.Rank
+	// One region for every wait of the geometry: a collective completes for
+	// all its teams at once, and one broadcast (wakeup elides the rest)
+	// readies every waiter hosted here in one batch. A region per team
+	// tripled the run-to-run spread of an 8-rank allreduce (DESIGN §7).
+	region := wakeup.NewRegion()
 	teams := make(map[torus.Rank]*nodeTeam, len(byNode))
 	for nr, members := range byNode {
 		sort.Ints(members)
 		nodes = append(nodes, nr)
-		teams[nr] = &nodeTeam{
-			node:    nr,
-			members: members,
-			barrier: l2atomic.NewBarrier(len(members)),
-			slots:   make([][]byte, len(members)),
+		t := &nodeTeam{node: nr, members: members, region: region}
+		for i := range t.cells {
+			t.cells[i].team = t
+			t.cells[i].short = make([]byte, len(members)*shortMax)
+			t.cells[i].refs = make([][]byte, len(members))
 		}
+		teams[nr] = t
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	return &geomShared{
@@ -238,11 +333,7 @@ func (g *Geometry) TaskOf(rank int) int { return g.tasks[rank] }
 func (g *Geometry) Topology() torus.Topology { return g.shared.topo }
 
 // Optimized reports whether the geometry currently holds a classroute.
-func (g *Geometry) Optimized() bool {
-	g.shared.crMu.Lock()
-	defer g.shared.crMu.Unlock()
-	return g.shared.cr != nil
-}
+func (g *Geometry) Optimized() bool { return g.classroute() != nil }
 
 // Optimize programs a classroute for the geometry (MPIX_Comm_optimize,
 // paper §III.D). Collective among members. Fails with ErrNotRectangular
@@ -254,17 +345,17 @@ func (g *Geometry) Optimize() error {
 	}
 	if g.rank == 0 {
 		g.shared.crMu.Lock()
-		if g.shared.cr == nil {
+		g.shared.optErr = nil
+		if g.classroute() == nil {
 			dims := g.client.mach.Dims()
 			rect, exact := torus.BoundingRectangle(dims, g.shared.nodes)
 			if !exact {
 				g.shared.optErr = ErrNotRectangular
+			} else if cr, err := g.client.mach.CollNet().Allocate(rect, g.shared.nodes[0]); err != nil {
+				g.shared.optErr = err
 			} else {
-				cr, err := g.client.mach.CollNet().Allocate(rect, g.shared.nodes[0])
-				g.shared.cr, g.shared.optErr = cr, err
+				g.shared.cr.Store(cr)
 			}
-		} else {
-			g.shared.optErr = nil
 		}
 		g.shared.crMu.Unlock()
 	}
@@ -286,12 +377,7 @@ func (g *Geometry) Deoptimize() {
 		panic(err)
 	}
 	if g.rank == 0 {
-		g.shared.crMu.Lock()
-		if g.shared.cr != nil {
-			g.client.mach.CollNet().Free(g.shared.cr)
-			g.shared.cr = nil
-		}
-		g.shared.crMu.Unlock()
+		g.client.mach.CollNet().Free(g.shared.cr.Swap(nil))
 	}
 	if err := g.swBarrier(); err != nil {
 		panic(err)
@@ -302,22 +388,36 @@ func (g *Geometry) Deoptimize() {
 // the classroute and the shared state. Collective among members.
 func (g *Geometry) Destroy() {
 	g.Deoptimize()
+	g.matePark.Detach()
+	g.netPark.Detach()
 	if g.rank == 0 {
 		g.client.mach.DropSharedState(g.id)
 	}
 }
 
-func (g *Geometry) classroute() *collnet.ClassRoute {
-	g.shared.crMu.Lock()
-	defer g.shared.crMu.Unlock()
-	return g.shared.cr
-}
+func (g *Geometry) classroute() *collnet.ClassRoute { return g.shared.cr.Load() }
 
-// nextSeq returns this member's sequence number for its next collective.
-// Members call collectives in the same order, so local counters agree.
-func (g *Geometry) nextSeq() uint64 {
+// begin opens the caller's next collective: it draws the sequence number
+// and, on the classroute path, the first of the op's node-team rounds —
+// both before the membership gate, so that members failing at the gate
+// stay in step with mates that fail later, and a healed team can go on.
+func (g *Geometry) begin(rounds int) (seq uint64, cr *collnet.ClassRoute, round uint64, err error) {
 	g.seq++
-	return g.seq
+	seq = g.seq
+	if len(g.tasks) > 1 {
+		cr = g.classroute()
+	}
+	if cr != nil {
+		round = g.round + 1
+		g.round += uint64(rounds)
+	}
+	if err = g.deadMember(); err == nil && cr != nil {
+		// Same-spell arrivals fail fast, like the parked mates did.
+		if g.strikes = g.team.strikes.Load(); g.strikes != g.team.heals.Load() {
+			err = *g.team.cause.Load()
+		}
+	}
+	return seq, cr, round, err
 }
 
 // deadMember returns the typed failure when any member's node has been
@@ -330,12 +430,12 @@ func (g *Geometry) nextSeq() uint64 {
 // atomic load per call otherwise, zero when no failure detector is
 // armed).
 //
-// Detecting a death also poisons the node team's L2 barrier: a
-// node-mate that passed this gate *before* the death was confirmed is
-// parked at the team barrier waiting for mates that will now fail fast
-// here and never arrive — the poison releases it with the same typed
-// error every other member returns. A healthy rescan after Revive heals
-// the barrier, so the geometry's fail-fast window matches the epoch.
+// Detecting a death also poisons the node team: a node-mate that passed
+// this gate *before* the death was confirmed is parked in its round
+// waiting for mates that will now fail fast here and never arrive — the
+// poison releases it with the same typed error every other member
+// returns. A healthy rescan after Revive heals the team, so the
+// geometry's fail-fast window matches the epoch.
 func (g *Geometry) deadMember() error {
 	e := g.client.mach.Epoch()
 	if e == 0 {
@@ -354,49 +454,51 @@ func (g *Geometry) deadMember() error {
 		}
 	}
 	if g.memErr != nil {
-		g.team.barrier.Poison(abort.Wrap(abort.KindHealth, "core.team.barrier", g.memErr))
-	} else if g.team.barrier.Poisoned() != nil {
-		g.team.barrier.Heal()
+		g.team.poison(abort.Wrap(abort.KindHealth, "core.team.barrier", g.memErr))
+	} else {
+		g.team.heal()
 	}
 	return g.memErr
 }
 
-// teamBarrier crosses the node team's L2 barrier with stall-sentinel
-// coverage: the crossing is visible in the wait-site table, and — when
-// the sentinel is armed — a crossing parked past the deadline is
-// poisoned, releasing every mate with a typed abort instead of hanging.
-func (g *Geometry) teamBarrier() error {
-	if g.barrierSite != nil {
-		g.barrierSite.Enter(&g.bpark, g.poisonTeam)
-		defer g.bpark.Leave()
+// contribute is the round's last arriver speaking for its node: it joins
+// the collective's session and contributes with the cell as the sink, so
+// the outcome — or the failure to get one — reaches every waiting member.
+func (g *Geometry) contribute(c *teamCell, cr *collnet.ClassRoute, round, key uint64,
+	kind collnet.Kind, op collnet.Op, dt collnet.DType, nbytes int, data []byte) {
+	s, err := cr.Join(key, kind, op, dt, nbytes)
+	c.round, c.sess = round, s
+	if err != nil {
+		c.sessSeq.Store(0)
+		c.SessionDone(0, nil, err)
+		return
 	}
-	return g.team.barrier.Await()
+	c.sessSeq.Store(key)
+	// A death confirmed since the entry gate has failed, and maybe already
+	// retired, the session the survivors were in; this Join may then have
+	// opened a fresh one that nobody else will join, or that completes over
+	// the shrunken route without the dead member's data. The epoch moves
+	// before collnet fails sessions, so re-checking it after the Join sees
+	// every such death, and the member fails its session itself.
+	if err := g.deadMember(); err != nil {
+		s.FailSeq(key, err)
+	}
+	s.ContributeTo(g.team.node, data, c)
 }
 
-// hwWait collects a collective-network session result. With no failure
-// detector armed it is a plain blocking wait. Under node-fault injection
-// it polls, watching the membership epoch: a master whose Join raced
-// with the death notification (the failed session already retired, so
-// it created a fresh one nobody else will join) would otherwise block
-// forever — instead it fails the session itself the moment it observes
-// a member death, and every path converges on the typed error.
-func (g *Geometry) hwWait(s *collnet.Session) ([]byte, error) {
-	if g.hwWaitSite != nil {
-		var park watchdog.Park
-		g.hwWaitSite.Enter(&park, func(c *abort.Cause) { s.Fail(c) })
-		defer park.Leave()
+// finish waits for the round's outcome — each member's one wait in a
+// short collective — copies the result into dst and returns the error.
+// The last member through, poisoned or not, releases the session's buffer.
+func (g *Geometry) finish(c *teamCell, round uint64, dst []byte) error {
+	err := g.await(&c.done, round, &g.netPark)
+	if err == nil {
+		err = c.err
+		copy(dst, c.result)
 	}
-	if g.client.mach.Health() == nil {
-		return s.WaitErr()
+	if g.team.arrive(&c.left, round) && c.sess != nil {
+		c.sess.Release(c.sessSeq.Load())
 	}
-	for !s.Ready() {
-		if err := g.deadMember(); err != nil {
-			s.Fail(err)
-			break
-		}
-		runtime.Gosched()
-	}
-	return s.WaitErr()
+	return err
 }
 
 // ---------------------------------------------------------------------
@@ -404,41 +506,22 @@ func (g *Geometry) hwWait(s *collnet.Session) ([]byte, error) {
 // ---------------------------------------------------------------------
 
 // Barrier blocks until every member has entered it. The signature is
-// void for API compatibility, so a transport failure in the software
-// phase (only possible under injected faults that partition the torus)
-// panics with the wrapped typed error.
+// void for API compatibility, so a failure (a dead member, a stall
+// abort, a transport fault in the software phase) panics with the
+// wrapped typed error; every surviving member observes one.
 func (g *Geometry) Barrier() {
-	if err := g.deadMember(); err != nil {
-		panic(err)
-	}
-	seq := g.nextSeq()
-	cr := g.classroute()
-	if cr == nil || len(g.tasks) == 1 {
-		if err := g.swBarrierSeq(seq); err != nil {
-			panic(err)
+	seq, cr, round, err := g.begin(1)
+	if err == nil && cr == nil {
+		err = g.swBarrierSeq(seq)
+	} else if err == nil {
+		// GI-style zero-byte combine on the classroute.
+		c := &g.team.cells[round&1]
+		if g.team.arrive(&c.arrived, round) {
+			g.contribute(c, cr, round, seq<<16, collnet.KindBarrier, collnet.OpAdd, collnet.Uint64, 0, nil)
 		}
-		return
+		err = g.finish(c, round, nil)
 	}
-	// Local phase on the L2-atomic barrier, network phase on the
-	// classroute (GI-style zero-byte combine), local release.
-	if err := g.teamBarrier(); err != nil {
-		panic(err)
-	}
-	if g.isTeamMaster() {
-		s, err := cr.Join(seq, collnet.KindBarrier, collnet.OpAdd, collnet.Uint64, 0)
-		if err != nil {
-			g.team.err = err
-		} else {
-			s.Contribute(g.team.node, nil)
-			_, g.team.err = g.hwWait(s)
-		}
-	}
-	if err := g.teamBarrier(); err != nil {
-		panic(err)
-	}
-	if err := g.team.err; err != nil {
-		// A member node died mid-barrier (collnet failed the session with
-		// ErrEpochChanged). Every surviving member observes the same error.
+	if err != nil {
 		panic(err)
 	}
 }
@@ -449,59 +532,37 @@ func (g *Geometry) Broadcast(root int, buf []byte) error {
 	if root < 0 || root >= len(g.tasks) {
 		return fmt.Errorf("core: broadcast root %d out of range", root)
 	}
-	if err := g.deadMember(); err != nil {
+	seq, cr, round, err := g.begin(1)
+	if err != nil || len(g.tasks) == 1 {
 		return err
 	}
-	seq := g.nextSeq()
-	if len(g.tasks) == 1 {
-		return nil
-	}
-	cr := g.classroute()
 	if cr == nil {
 		return g.swBroadcast(seq, root, buf)
 	}
-	// Shared-address protocol (paper §IV.C): the root hands its buffer to
-	// its node master through the global VA; masters run the network
-	// broadcast; peers copy the arrived data out of their master's buffer.
-	rootTask := g.tasks[root]
+	// Shared-address protocol (paper §IV.C): the root publishes its buffer
+	// through the global VA; the last arriver of each node joins the
+	// network broadcast, the root's node as its source; members copy the
+	// arrived data out of the node's cell.
+	t, rootTask := g.team, g.tasks[root]
+	c := &t.cells[round&1]
 	if g.client.Task() == rootTask {
-		g.team.result = buf
-	}
-	if err := g.teamBarrier(); err != nil {
-		return err
-	}
-	if g.isTeamMaster() {
-		s, err := cr.Join(seq, collnet.KindBroadcast, collnet.OpAdd, collnet.Uint64, len(buf))
-		if err != nil {
-			g.team.err = err
-		} else {
-			if g.client.mach.NodeOf(rootTask).Rank == g.team.node {
-				data := g.team.result
-				if data == nil {
-					// A zero-length broadcast still has to flow: the session
-					// completes on the source's (possibly empty) contribution.
-					data = []byte{}
-				}
-				s.Contribute(g.team.node, data)
-			}
-			g.team.result, g.team.err = g.hwWait(s)
+		// A zero-length broadcast still has to flow: the session completes
+		// on the source's (possibly empty, never nil) contribution.
+		if c.src = buf; buf == nil {
+			c.src = []byte{}
 		}
 	}
-	if err := g.teamBarrier(); err != nil {
-		return err
+	if t.arrive(&c.arrived, round) {
+		var data []byte
+		if g.client.mach.NodeOf(rootTask).Rank == t.node {
+			data = c.src
+		}
+		g.contribute(c, cr, round, seq<<16, collnet.KindBroadcast, collnet.OpAdd, collnet.Uint64, len(buf), data)
 	}
-	if err := g.team.err; err != nil {
-		// Every member returns before the release barrier, so the team
-		// observes the failure consistently.
-		return err
+	if g.client.Task() == rootTask {
+		buf = nil
 	}
-	if g.client.Task() != rootTask {
-		copy(buf, g.team.result)
-	}
-	if err := g.teamBarrier(); err != nil {
-		return err
-	}
-	return nil
+	return g.finish(c, round, buf)
 }
 
 // Allreduce combines every member's send buffer element-wise and places
@@ -534,129 +595,102 @@ func (g *Geometry) reduceCommon(root int, send, recv []byte, op collnet.Op, dt c
 	if needRecv && len(recv) < len(send) {
 		return fmt.Errorf("core: reduction recv buffer %d < %d", len(recv), len(send))
 	}
-	if err := g.deadMember(); err != nil {
+	// One node-team round per chunk; sub-sessions are keyed under the op's
+	// sequence number.
+	chunks := max(1, (len(send)+LongReduceChunk-1)/LongReduceChunk)
+	seq, cr, round, err := g.begin(chunks)
+	if err != nil {
 		return err
 	}
-	seq := g.nextSeq()
+	if !needRecv {
+		recv = nil
+	}
 	if len(g.tasks) == 1 {
-		if needRecv {
-			copy(recv, send)
-		}
+		copy(recv, send)
 		return nil
 	}
-	cr := g.classroute()
 	if cr == nil {
 		return g.swReduce(seq, root, send, recv, op, dt)
 	}
-	if len(send) <= LongReduceChunk {
-		return g.hwReduceChunk(cr, seq<<16, root, send, recv, op, dt)
-	}
-	// Long protocol: chunked pipeline. Each chunk runs the short protocol
-	// on a slice; sub-sessions are keyed under the op's sequence number.
-	for off, chunk := 0, 0; off < len(send); off, chunk = off+LongReduceChunk, chunk+1 {
-		end := off + LongReduceChunk
-		if end > len(send) {
-			end = len(send)
-		}
-		var recvSlice []byte
+	for k := 0; k < chunks; k++ {
+		lo, hi := k*LongReduceChunk, min((k+1)*LongReduceChunk, len(send))
+		var out []byte
 		if needRecv {
-			recvSlice = recv[off:end]
+			out = recv[lo:hi]
 		}
-		if err := g.hwReduceChunk(cr, seq<<16|uint64(chunk), root, send[off:end], recvSlice, op, dt); err != nil {
+		if err := g.hwReduce(cr, round+uint64(k), seq<<16|uint64(k), send[lo:hi], out, op, dt); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// hwReduceChunk runs the shared-address short-reduction protocol of paper
-// §IV.C figure 3 on one chunk: publish contributions through the global
-// VA, parallelize the node-local math across the node's members, have the
-// node master inject a single network descriptor, then copy the network
-// result out of the master's buffer.
-func (g *Geometry) hwReduceChunk(cr *collnet.ClassRoute, seq uint64, root int, send, recv []byte, op collnet.Op, dt collnet.DType) error {
-	team := g.team
-	idx := team.memberIndex(g.client.Task())
+// hwReduce runs one chunk of a reduction as one node-team round. Up to
+// shortMax bytes it is the short protocol of paper §IV.C figure 3 with a
+// single wait: every member copies its contribution into its slot and
+// arrives; whoever arrives last folds the slots in member order (so a
+// floating-point sum does not depend on who that was) and injects the
+// node's one network descriptor. Longer chunks keep the figure's parallel
+// local math: members publish their buffers, wait for each other, reduce
+// one word-slice each, and the last to finish its slice contributes.
+func (g *Geometry) hwReduce(cr *collnet.ClassRoute, round, key uint64, send, recv []byte, op collnet.Op, dt collnet.DType) error {
+	t, n := g.team, len(g.team.members)
+	c := &t.cells[round&1]
 	if h := reduceEnterHook; h != nil {
-		h(g, idx)
-		// The hook may have moved the membership epoch (tests force a
-		// death confirmation between two node-mates' entries); re-check
-		// the gate so this member fails fast instead of corrupting the
-		// barrier protocol below.
+		h(g, g.tidx)
+		// The hook may have moved the membership epoch (tests confirm a death
+		// between two node-mates' entries): re-check the gate.
 		if err := g.deadMember(); err != nil {
 			return err
 		}
 	}
-	team.slots[idx] = send
-	if idx == 0 {
-		if cap(team.local) < len(send) {
-			team.local = make([]byte, len(send))
-		}
-		team.local = team.local[:len(send)]
-	}
-	if err := g.teamBarrier(); err != nil {
-		return err
-	}
-	// Parallel local math: member j reduces word-slice j of all local
-	// contributions into the node buffer (figure 3's "parallelize the
-	// local math").
-	words := len(send) / 8
-	per := (words + len(team.members) - 1) / len(team.members)
-	lo := idx * per * 8
-	hi := (idx + 1) * per * 8
-	if lo > len(send) {
-		lo = len(send)
-	}
-	if hi > len(send) {
-		hi = len(send)
-	}
-	if lo < hi {
-		copy(team.local[lo:hi], team.slots[0][lo:hi])
-		for m := 1; m < len(team.members); m++ {
-			if err := collnet.Combine(op, dt, team.local[lo:hi], team.slots[m][lo:hi]); err != nil {
-				return err
+	contrib, last := send, false
+	switch {
+	case n == 1:
+		// A team of one: contribute and wait, no node traffic.
+		last = t.arrive(&c.arrived, round)
+	case len(send) <= shortMax:
+		copy(c.short[g.tidx*shortMax:], send)
+		if last = t.arrive(&c.arrived, round); last {
+			contrib = c.short[:len(send)]
+			for m := 1; m < n; m++ {
+				// Cannot fail: equal, word-aligned lengths by construction.
+				_ = collnet.Combine(op, dt, contrib, c.short[m*shortMax:][:len(send)])
 			}
 		}
-	}
-	if err := g.teamBarrier(); err != nil {
-		return err
-	}
-	if idx == 0 {
-		s, err := cr.Join(seq, collnet.KindReduce, op, dt, len(send))
-		if err != nil {
-			team.err = err
-		} else {
-			s.Contribute(team.node, team.local)
-			team.result, team.err = g.hwWait(s)
+	default:
+		c.refs[g.tidx] = send
+		if g.tidx == 0 && cap(c.local) < len(send) {
+			c.local = make([]byte, LongReduceChunk)
 		}
+		if t.arrive(&c.arrived, round) {
+			t.region.Touch()
+		}
+		if err := g.await(&c.arrived, round<<16|uint64(n), &g.matePark); err != nil {
+			return err
+		}
+		// Member j reduces word-slice j of all local contributions into
+		// the node buffer (figure 3's "parallelize the local math").
+		per := (len(send)/8 + n - 1) / n * 8
+		lo, hi := min(g.tidx*per, len(send)), min((g.tidx+1)*per, len(send))
+		contrib = c.local[:len(send)]
+		copy(contrib[lo:hi], c.refs[0][lo:hi])
+		for m := 1; m < n; m++ {
+			_ = collnet.Combine(op, dt, contrib[lo:hi], c.refs[m][lo:hi])
+		}
+		last = t.arrive(&c.reduced, round)
 	}
-	if err := g.teamBarrier(); err != nil {
-		return err
+	if last {
+		g.contribute(c, cr, round, key, collnet.KindReduce, op, dt, len(send), contrib)
 	}
-	if err := team.err; err != nil {
-		// A member node died mid-reduction; every member returns the typed
-		// failure before the release barrier.
-		return err
-	}
-	needRecv := root == -1 || g.rank == root
-	if needRecv {
-		copy(recv, team.result)
-	}
-	if err := g.teamBarrier(); err != nil {
-		return err
-	}
-	return nil
+	return g.finish(c, round, recv)
 }
 
-// reduceEnterHook, when non-nil, runs at the top of every hwReduceChunk
-// with the calling member's geometry and node-local index. Tests use it
-// to force a death confirmation between two node-mates' entries — the
+// reduceEnterHook, when non-nil, runs at the top of every hwReduce with
+// the calling member's geometry and node-local index. Tests use it to
+// force a death confirmation between two node-mates' entries — the
 // choreography behind the stranded-node-mate regression.
 var reduceEnterHook func(g *Geometry, idx int)
-
-func (g *Geometry) isTeamMaster() bool {
-	return g.team.memberIndex(g.client.Task()) == 0
-}
 
 // ---------------------------------------------------------------------
 // Software algorithms (irregular geometries / no classroute)
@@ -699,11 +733,7 @@ func (ctx *Context) handleCollMsg(hdr mu.Header, payload []byte) {
 	if _, dup := ctx.inbox[key]; dup {
 		panic(fmt.Sprintf("core: duplicate software-collective message %+v", key))
 	}
-	buf := []byte{}
-	if len(payload) > 0 {
-		buf = append([]byte(nil), payload...)
-	}
-	ctx.inbox[key] = buf
+	ctx.inbox[key] = append([]byte{}, payload...)
 	// The inbox gauge is the collective layer's pressure signal: its
 	// high-water mark bounds how far any member ever ran ahead of the
 	// slowest one (inbox credits are implicit — the collective algorithms
@@ -770,7 +800,10 @@ func (g *Geometry) swWait(src int, phase uint8, seq uint64) ([]byte, error) {
 }
 
 // swBarrier is a dissemination barrier over the geometry's members.
-func (g *Geometry) swBarrier() error { return g.swBarrierSeq(g.nextSeq()) }
+func (g *Geometry) swBarrier() error {
+	g.seq++
+	return g.swBarrierSeq(g.seq)
+}
 
 func (g *Geometry) swBarrierSeq(seq uint64) error {
 	n := len(g.tasks)
@@ -860,9 +893,5 @@ func (g *Geometry) swReduce(seq uint64, root int, send, recv []byte, op collnet.
 	if g.rank == effRoot {
 		copy(recv, acc)
 	}
-	return g.swBroadcastAll(seq, effRoot, recv, len(send))
-}
-
-func (g *Geometry) swBroadcastAll(seq uint64, root int, recv []byte, n int) error {
-	return g.swBroadcast(seq, root, recv[:n])
+	return g.swBroadcast(seq, effRoot, recv[:len(send)])
 }

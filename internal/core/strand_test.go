@@ -21,17 +21,18 @@ import (
 // TestStrandedNodeMateReleased is the deterministic regression for the
 // stranded-node-mate hazard (ROADMAP item 6): on a two-member node
 // team, member A passes the deadMember gate *before* a remote node's
-// death is confirmed and parks at the L2 team barrier; member B enters
-// *after* the confirmation, fails fast at the gate, and never arrives.
-// Before barrier poisoning, A parked forever. Now B's gate check
-// poisons the team barrier, so A wakes with the same typed error —
+// death is confirmed, arrives at its round and waits for the outcome;
+// member B enters *after* the confirmation, fails fast at the gate, and
+// never arrives. Before team poisoning, A parked forever. Now B's gate
+// check poisons the team, so A wakes with the same typed error —
 // both members return errors classified by errors.Is, and A's
 // additionally wraps abort.ErrAborted (it came through the poison).
 //
 // The choreography is forced, not raced: the reduceEnterHook lets A
-// through immediately, holds B until A is provably parked
-// (Barrier.Parked() == 1), declares the remote node dead, waits for
-// the epoch to move, and only then releases B into the gate.
+// through immediately, holds B until A has provably arrived (the
+// round's arrival word counts one member), declares the remote node
+// dead, waits for the epoch to move, and only then releases B into the
+// gate.
 func TestStrandedNodeMateReleased(t *testing.T) {
 	dims := torus.Dims{2, 1, 1, 1, 1}
 	// A node fault that never fires: arms the health monitor without
@@ -64,13 +65,14 @@ func TestStrandedNodeMateReleased(t *testing.T) {
 			return
 		}
 		if idx == 0 {
-			return // member A: proceed straight to the team barrier
+			return // member A: proceed straight to its arrival
 		}
-		// Member B: wait until every member bootstrapped and A is parked,
-		// then confirm the remote death.
-		for ready.Load() < 4 || g.team.barrier.Parked() == 0 {
+		// Member B: wait until every member bootstrapped and A has arrived
+		// at the round B is about to enter, then confirm the remote death.
+		arrived := &g.team.cells[g.round&1].arrived
+		for ready.Load() < 4 || arrived.Load() != g.round<<16|1 {
 			if time.Now().After(awaitDeadline) {
-				panic("member A never parked at the team barrier")
+				panic("member A never arrived at the team round")
 			}
 			runtime.Gosched()
 		}

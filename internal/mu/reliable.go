@@ -709,12 +709,13 @@ func (fl *flow) canStage() bool {
 func (r *reliableLayer) awaitWindowLocked(fl *flow, fifo *RecFIFO) {
 	if st := r.f.stallSite.Load(); st != nil {
 		var park watchdog.Park
-		st.Enter(&park, func(c *abort.Cause) {
+		st.Attach(&park, func(c *abort.Cause) {
 			// Scanner goroutine, no locks held: fail the flow so the parked
 			// sender (and everyone behind it) wakes with the typed cause.
 			r.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: %w", fl.key.src, fl.key.dst, c))
 		})
-		defer park.Leave()
+		park.Enter()
+		defer park.Detach()
 	}
 	for stalled := false; !fl.canStage() && !r.closed.Load() && fl.failed == nil; fl.cond.Wait() {
 		if fl.nextSeq > fl.creditLimit && !stalled {

@@ -280,8 +280,9 @@ func (s *Supervisor) ReplicaResponse(n torus.Rank, victimLo, victimHi int) (blob
 func (s *Supervisor) AwaitReplica(n torus.Rank, timeout time.Duration) (*Snapshot, error) {
 	if st := s.waitSite.Load(); st != nil {
 		var park watchdog.Park
-		st.Enter(&park, nil) // observe-only: the poll below owns the deadline
-		defer park.Leave()
+		st.Attach(&park, nil) // observe-only: the poll below owns the deadline
+		park.Enter()
+		defer park.Detach()
 	}
 	deadline := time.Now().Add(timeout)
 	for step := int64(0); ; step++ {

@@ -199,6 +199,7 @@ type Registry struct {
 	sharded  map[string]*ShardedGauge
 	children map[string]*Registry
 	order    []string // child names in adoption/creation order
+	refresh  []func() // run at the start of every Snapshot
 }
 
 // NewRegistry returns an empty registry with the given name (the name
@@ -285,10 +286,25 @@ func (r *Registry) Adopt(child *Registry) {
 	r.children[child.name] = child
 }
 
+// OnSnapshot registers fn to run at the start of every Snapshot of this
+// registry, outside its lock: the place to set gauges that are derived
+// from other state instead of being updated where that state changes.
+func (r *Registry) OnSnapshot(fn func()) {
+	r.mu.Lock()
+	r.refresh = append(r.refresh, fn)
+	r.mu.Unlock()
+}
+
 // Snapshot captures the registry tree at one instant. Counters and
 // gauges within a snapshot are read individually (not atomically as a
 // set), which is the same contract hardware counter reads give.
 func (r *Registry) Snapshot() Snapshot {
+	r.mu.Lock()
+	refresh := r.refresh
+	r.mu.Unlock()
+	for _, fn := range refresh {
+		fn()
+	}
 	r.mu.Lock()
 	s := Snapshot{Name: r.name}
 	for name, c := range r.counters {

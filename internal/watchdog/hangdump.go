@@ -7,6 +7,7 @@ import (
 	"os/signal"
 	"sync"
 	"syscall"
+	"time"
 )
 
 // The hang-dump registry: every live machine registers a dumper that
@@ -18,7 +19,44 @@ var (
 	dumpMu   sync.Mutex
 	dumpers  map[int]func(io.Writer)
 	dumpNext int
+
+	// live is every sentinel not yet stopped, and observing whether a hang
+	// dump can be asked for: from then on each of them scans every
+	// idleScan, so that the ages the dump prints are good to that, armed or
+	// not. Until then an unarmed sentinel runs no scanner at all — a wait
+	// costs its two stores and nothing else, not even a timer.
+	live      = map[*Sentinel]struct{}{}
+	observing bool
+	idleScan  = time.Second
 )
+
+// enroll adds a new sentinel to live; forget removes a stopped one.
+func enroll(s *Sentinel) {
+	dumpMu.Lock()
+	defer dumpMu.Unlock()
+	live[s] = struct{}{}
+	if observing {
+		go s.scan(idleScan)
+	}
+}
+
+func forget(s *Sentinel) {
+	dumpMu.Lock()
+	defer dumpMu.Unlock()
+	delete(live, s)
+}
+
+// observe is called by whatever makes a hang dump possible.
+func observe() {
+	dumpMu.Lock()
+	defer dumpMu.Unlock()
+	if !observing {
+		observing = true
+		for s := range live {
+			go s.scan(idleScan)
+		}
+	}
+}
 
 // RegisterDump adds a section to every future hang dump and returns a
 // function that removes it again (call it on shutdown).
@@ -70,6 +108,7 @@ func DumpTo(w io.Writer, label string) {
 // it. Installing replaces the Go runtime's default SIGQUIT behaviour
 // (dump and die) for this process.
 func InstallHangDump(label string) {
+	observe()
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGQUIT)
 	go func() {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pamigo/internal/abort"
@@ -24,10 +25,15 @@ import (
 // is what the idle progress-loop parks — legitimately indefinite —
 // want.
 //
-// The zero-cost contract: registering a park takes one mutex
-// acquisition on a path that is already about to block, allocates
-// nothing (Park structs are caller-owned and reusable), and an unarmed
-// sentinel never runs a scanner.
+// The cost contract: a Park is attached to its site once, when its owner
+// (a geometry, a context, a stalled flow) is set up — the only step that
+// takes the site mutex. A wait then costs two atomic stores into the
+// caller-owned Park (Enter marks it waiting, Leave clears it): no lock, no
+// clock read, no allocation, no cache line shared with another waiter, so
+// a wait that turns out not to block may register too. The scan that
+// first sees a wait stamps it: ages and deadlines run from then, late by
+// at most one scan period — deadline/4 when armed; idleScan once a hang
+// dump can be asked for (observe); else a Table call is the only scan.
 type Sentinel struct {
 	mu    sync.Mutex
 	sites map[string]*Site
@@ -43,8 +49,9 @@ type Sentinel struct {
 }
 
 // NewSentinel returns an unarmed (observe-only) sentinel. reg may be
-// nil; when set, the per-site waiter gauges and the escalation counter
-// are published under a "sentinel" group.
+// nil; when set, the per-site waiter gauges (brought up to date by every
+// snapshot of the group) and the escalation counter are published under
+// a "sentinel" group.
 func NewSentinel(reg *telemetry.Registry) *Sentinel {
 	s := &Sentinel{
 		sites: make(map[string]*Site),
@@ -53,7 +60,9 @@ func NewSentinel(reg *telemetry.Registry) *Sentinel {
 	if reg != nil {
 		s.tele = reg.Group("sentinel")
 		s.escalations = s.tele.Counter("escalations")
+		s.tele.OnSnapshot(s.sweep)
 	}
+	enroll(s)
 	return s
 }
 
@@ -65,18 +74,13 @@ func (s *Sentinel) Site(name string) *Site {
 	if st, ok := s.sites[name]; ok {
 		return st
 	}
-	st := &Site{sent: s, name: name}
+	st := &Site{name: name}
 	if s.tele != nil {
-		st.waitersG = s.tele.Gauge(telemetryName(name) + "_waiters")
+		st.waitersG = s.tele.Gauge(strings.ReplaceAll(name, ".", "_") + "_waiters")
 	}
 	s.sites[name] = st
 	s.order = append(s.order, st)
 	return st
-}
-
-// telemetryName flattens a dotted site name into one registry segment.
-func telemetryName(site string) string {
-	return strings.ReplaceAll(site, ".", "_")
 }
 
 // Arm starts the escalation scanner: any park older than deadline at a
@@ -96,18 +100,18 @@ func (s *Sentinel) Arm(deadline, scanEvery time.Duration) {
 	s.deadline = deadline
 	s.mu.Unlock()
 	if scanEvery <= 0 {
-		scanEvery = deadline / 4
-		if scanEvery < time.Millisecond {
-			scanEvery = time.Millisecond
-		}
+		scanEvery = max(deadline/4, time.Millisecond)
 	}
 	go s.scan(scanEvery)
 }
 
-// Stop halts the scanner. Idempotent; parks keep registering (the
+// Stop halts the scanners. Idempotent; parks keep registering (the
 // table stays live for hang dumps) but nothing escalates anymore.
 func (s *Sentinel) Stop() {
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.stopOnce.Do(func() {
+		close(s.stop)
+		forget(s)
+	})
 }
 
 func (s *Sentinel) scan(every time.Duration) {
@@ -117,47 +121,37 @@ func (s *Sentinel) scan(every time.Duration) {
 		select {
 		case <-s.stop:
 			return
-		case now := <-t.C:
-			s.sweep(now)
+		case <-t.C:
+			s.sweep()
 		}
 	}
 }
 
-// sweep fires the escalation hook of every over-deadline park. Hooks
-// run outside all sentinel locks — they poison barriers, fail
-// sessions, kick condition variables, any of which may take the locks
-// the parked waiters hold.
-func (s *Sentinel) sweep(now time.Time) {
-	type firing struct {
-		fn    func(*abort.Cause)
-		cause *abort.Cause
-	}
+// firing is one escalation a scan decided on.
+type firing struct {
+	fn    func(*abort.Cause)
+	cause *abort.Cause
+}
+
+// sweep is one scan: it stamps the waits it sees for the first time and,
+// when armed, fires the escalation hook of every over-deadline park. Hooks
+// run outside all sentinel locks — they poison teams, fail sessions, kick
+// condition variables, any of which may take the locks the parked waiters
+// hold.
+func (s *Sentinel) sweep() {
 	var fire []firing
+	now := monotonic()
 	s.mu.Lock()
-	def := s.deadline
+	def, armed := s.deadline, s.armed
 	sites := s.order
 	s.mu.Unlock()
 	for _, st := range sites {
-		d := st.effDeadline(def)
-		if d <= 0 {
-			continue
-		}
 		st.mu.Lock()
-		for _, p := range st.parks {
-			if p.fired || p.abortFn == nil {
-				continue
-			}
-			age := now.Sub(p.since)
-			if age <= d {
-				continue
-			}
-			p.fired = true
-			st.escalated++
-			cause := abort.Causef(abort.KindDeadline, st.name,
-				"parked %v, stall deadline %v", age.Round(time.Millisecond), d)
-			st.lastCause = cause.Error()
-			fire = append(fire, firing{fn: p.abortFn, cause: cause})
+		d := effDeadline(st.deadline, def)
+		if !armed {
+			d = 0
 		}
+		st.scanLocked(now, d, &fire)
 		st.mu.Unlock()
 	}
 	for _, f := range fire {
@@ -178,33 +172,27 @@ type SiteStat struct {
 	LastCause   string
 }
 
-// Table snapshots every site, busiest-first (waiters, then name).
+// Table snapshots every site, busiest-first (waiters, then name), and
+// brings the per-site waiter gauges up to date.
 func (s *Sentinel) Table() []SiteStat {
-	now := time.Now()
+	now := monotonic()
 	s.mu.Lock()
-	def := time.Duration(0)
-	if s.armed {
-		def = s.deadline
-	}
+	def := s.deadline // 0 until armed
 	sites := append([]*Site(nil), s.order...)
 	s.mu.Unlock()
 	stats := make([]SiteStat, 0, len(sites))
 	for _, st := range sites {
 		st.mu.Lock()
-		row := SiteStat{
+		waiters, oldest := st.scanLocked(now, 0, nil)
+		stats = append(stats, SiteStat{
 			Name:        st.name,
-			Waiters:     len(st.parks),
+			Waiters:     waiters,
+			OldestAge:   oldest,
 			Deadline:    effDeadline(st.deadline, def),
 			Escalations: st.escalated,
 			LastCause:   st.lastCause,
-		}
-		for _, p := range st.parks {
-			if age := now.Sub(p.since); age > row.OldestAge {
-				row.OldestAge = age
-			}
-		}
+		})
 		st.mu.Unlock()
-		stats = append(stats, row)
 	}
 	sort.Slice(stats, func(i, j int) bool {
 		if stats[i].Waiters != stats[j].Waiters {
@@ -232,10 +220,10 @@ func (s *Sentinel) Render() string {
 	return b.String()
 }
 
-// Site is one named wait site. Parks attach and detach under the
-// site's own mutex so unrelated sites never contend.
+// Site is one named wait site. Its mutex guards the attached-park list
+// and the deadline — Attach, Detach, SetDeadline and the readers — and
+// is never taken by a wait.
 type Site struct {
-	sent *Sentinel
 	name string
 
 	mu        sync.Mutex
@@ -247,9 +235,6 @@ type Site struct {
 	waitersG *telemetry.Gauge
 }
 
-// Name returns the site's registered name.
-func (st *Site) Name() string { return st.name }
-
 // SetDeadline overrides the sentinel's default escalation deadline for
 // this site; a negative d pins the site observe-only even when armed.
 func (st *Site) SetDeadline(d time.Duration) {
@@ -258,70 +243,103 @@ func (st *Site) SetDeadline(d time.Duration) {
 	st.mu.Unlock()
 }
 
-func (st *Site) effDeadline(def time.Duration) time.Duration {
-	st.mu.Lock()
-	d := st.deadline
-	st.mu.Unlock()
-	return effDeadline(d, def)
+// scanLocked is the one pass over the site's parks: it stamps waits seen
+// for the first time, counts the waiters, finds the oldest, sets the
+// site's waiter gauge — derived here, by every scan, Table and telemetry
+// snapshot, instead of being updated by each wait — and, given a deadline
+// d > 0, marks the waits older than d escalated and appends their hooks.
+func (st *Site) scanLocked(now int64, d time.Duration, fire *[]firing) (waiters int, oldest time.Duration) {
+	for _, p := range st.parks {
+		t := p.since.Load()
+		if t == unseen && p.since.CompareAndSwap(unseen, now) {
+			t = now
+		}
+		if t == 0 {
+			continue
+		}
+		waiters++
+		if t == unseen { // left and came back since the load: age 0
+			continue
+		}
+		age := time.Duration(now - max(t, -t))
+		oldest = max(oldest, age)
+		// The CAS marks this wait escalated (negative stamp); it fails when
+		// the waiter left or re-entered since the load above.
+		if d > 0 && t > 0 && age > d && p.abortFn != nil && p.since.CompareAndSwap(t, -t) {
+			st.escalated++
+			cause := abort.Causef(abort.KindDeadline, st.name,
+				"parked %v, stall deadline %v", age.Round(time.Millisecond), d)
+			st.lastCause = cause.Error()
+			*fire = append(*fire, firing{fn: p.abortFn, cause: cause})
+		}
+	}
+	if st.waitersG != nil {
+		st.waitersG.Set(int64(waiters))
+	}
+	return waiters, oldest
 }
 
 func effDeadline(site, def time.Duration) time.Duration {
-	if site < 0 {
-		return 0
-	}
 	if site == 0 {
-		return def
+		site = def
 	}
-	return site
+	return max(site, 0)
 }
 
-// Park is one registered wait, caller-owned so the blocking slow path
-// allocates nothing: embed it in the waiting structure (a context, a
-// flow) and reuse it across waits. A Park must not be entered twice
-// without an intervening Leave.
+// clockBase anchors the monotonic stamps parks carry.
+var clockBase = time.Now()
+
+// monotonic returns nanoseconds since clockBase, above the unseen mark.
+func monotonic() int64 { return int64(time.Since(clockBase)) + unseen + 1 }
+
+// unseen is a Park's stamp from Enter until a scan first sees the wait.
+const unseen = 1
+
+// Park is one waiter's registration, caller-owned so waiting allocates
+// nothing: embed it in the waiting structure (a geometry, a context),
+// Attach it once, and Enter/Leave around every wait. A Park belongs to
+// one waiter; it must not be entered twice without a Leave between.
 type Park struct {
 	site    *Site
-	since   time.Time
 	abortFn func(*abort.Cause)
-	fired   bool
 	idx     int
+	// since is 0 when not waiting, unseen from Enter until a scan stamps
+	// the wait with its monotonic time, and that stamp negated once the
+	// wait has been escalated.
+	since atomic.Int64
 }
 
-// Enter registers p as waiting at the site. abortFn, when non-nil, is
-// the escalation hook: called once (from the scanner goroutine) if the
-// park outlives the site's deadline; it must cut the waiter loose —
-// poison the barrier, fail the session, latch the abort signal — and
-// must not block. A nil abortFn makes this an observe-only park.
-func (st *Site) Enter(p *Park, abortFn func(*abort.Cause)) {
-	p.site = st
-	p.since = time.Now()
-	p.abortFn = abortFn
-	p.fired = false
+// Attach registers p at the site for its owner's lifetime. abortFn,
+// when non-nil, is the escalation hook: called once per wait (from the
+// scanner goroutine) if the wait outlives the site's deadline; it must
+// cut the waiter loose — poison the team, fail the session, latch the
+// abort signal — and must not block. A nil abortFn makes p observe-only.
+func (st *Site) Attach(p *Park, abortFn func(*abort.Cause)) {
 	st.mu.Lock()
-	p.idx = len(st.parks)
+	p.site, p.abortFn, p.idx = st, abortFn, len(st.parks)
 	st.parks = append(st.parks, p)
 	st.mu.Unlock()
-	if st.waitersG != nil {
-		st.waitersG.Update(1)
-	}
 }
 
-// Leave deregisters the park. Safe to call after an escalation fired.
-func (p *Park) Leave() {
+// Detach ends the park's registration (and any wait in progress).
+// Detaching an unattached park is a no-op.
+func (p *Park) Detach() {
 	st := p.site
 	if st == nil {
 		return
 	}
-	p.site = nil
 	st.mu.Lock()
 	last := len(st.parks) - 1
-	if p.idx <= last && st.parks[p.idx] == p {
-		st.parks[p.idx] = st.parks[last]
-		st.parks[p.idx].idx = p.idx
-		st.parks = st.parks[:last]
-	}
+	st.parks[p.idx] = st.parks[last]
+	st.parks[p.idx].idx = p.idx
+	st.parks = st.parks[:last]
+	p.site = nil
 	st.mu.Unlock()
-	if st.waitersG != nil {
-		st.waitersG.Update(-1)
-	}
+	p.since.Store(0)
 }
+
+// Enter marks the park's owner as waiting.
+func (p *Park) Enter() { p.since.Store(unseen) }
+
+// Leave marks the wait over. Safe after an escalation fired.
+func (p *Park) Leave() { p.since.Store(0) }

@@ -31,6 +31,7 @@ func Start(d time.Duration, label string) (stop func()) {
 	if d <= 0 {
 		return func() {}
 	}
+	observe()
 	done := make(chan struct{})
 	go func() {
 		t := time.NewTimer(d)

@@ -11,14 +11,20 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> abortable-wait lint (no raw parks outside the abortable primitives)"
+echo "==> abortable-wait lint (no raw parks outside the abortable primitives, no new Gosched spins)"
 sh scripts/lint_parks.sh
 
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race (telemetry + integration + hot layers; mu includes the reliable-window property test: 32 seeds x 5 fault plans x 1 and 4 origins)"
-go test -race ./internal/telemetry ./internal/integration ./internal/core ./internal/mpilib ./internal/mu
+echo "==> go test -race (telemetry + integration + hot layers; mu includes the reliable-window property test: 32 seeds x 5 fault plans x 1 and 4 origins; core the node-team property test: 4 team shapes x 3 seeds x every root, size class and combine op)"
+# Two invocations: the chaos and recovery suites in integration are
+# sensitive to load, and core's property test is a second of it.
+go test -race ./internal/telemetry ./internal/integration ./internal/mpilib ./internal/mu
+go test -race ./internal/core ./internal/collnet ./internal/watchdog
+
+echo "==> GOMAXPROCS=1 go test -race (node-team protocol: no wait may depend on a second core)"
+GOMAXPROCS=1 go test -race -run 'TestTeam|TestRootedReduceCannotLap|TestParked|TestJoinAfterDeath|TestStranded' ./internal/core
 
 echo "==> go test -race (Time Warp engine: equivalence vs oracle, rollback stress, netsim cross-engine)"
 go test -race ./internal/sim/... ./internal/netsim

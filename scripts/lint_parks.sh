@@ -8,8 +8,8 @@
 # hang waiting to happen.
 #
 # The check is deliberately dumb: it counts raw park primitives
-# (sync.NewCond, channel construction in the abortable layers) per
-# file against a pinned allowlist. Adding a new raw park — a new cond,
+# (sync.NewCond, channel construction in the abortable layers) and raw
+# runtime.Gosched() spins per file against a pinned allowlist. Adding a new raw park — a new cond,
 # a new gate channel — fails until the allowlist is extended, which is
 # the moment to route the wait through an abortable primitive instead,
 # or to justify it here (zero-alloc fast paths that never block, stop/
@@ -57,8 +57,8 @@ check "sync.NewCond" internal/wire/transport.go 3
 check "sync.NewCond" internal/sim/warp/warp.go 1
 
 # Channel construction inside the abortable layers, counts pinned.
-# The allowed ones are either poisonable gates (session done + GI
-# barrier generations: Poison publishes the error then closes) or
+# The allowed ones are either poisonable gates (GI barrier
+# generations: Poison publishes the error then closes) or
 # stop/done plumbing that is closed on shutdown, never awaited by the
 # data path.
 for f in $(grep -rl "make(chan " --include="*.go" \
@@ -74,9 +74,46 @@ for f in $(grep -rl "make(chan " --include="*.go" \
 		;;
 	esac
 done
-check "make(chan " internal/collnet/session.go 4
+check "make(chan " internal/collnet/session.go 3
 check "make(chan " internal/recovery/supervisor.go 2
 check "make(chan " internal/mu/reliable.go 2
 
-[ "$fail" -eq 0 ] && echo "lint_parks: every park site is abortable or allowlisted"
+# Raw spins. A `runtime.Gosched()` poll is a wait the sentinel cannot see
+# and the scheduler pays for (ROADMAP item 1(b)), so the runtime's spins
+# are pinned too: per file, the count that remains and why. A new spin —
+# or a spin in a file not listed — fails until it goes through an
+# abortable park or is justified here. Lines are those of PR 15.
+#
+#   FILE                         N  LINES            WHY IT MAY POLL
+spins="
+internal/core/geometry.go        2  231,797          bootstrap rendezvous in CreateGeometry (bounded by context creation); swWait advances the context itself and yields only when nothing moved, its exit is the deadMember gate
+internal/core/context.go         2  452,583          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
+internal/mpilib/pt2pt.go         4  253,267,288,315  Waitall/Test/Testall/Probe drive progress themselves and yield only on an idle pass; converting them is ROADMAP item 1(b)'s spinwait helper
+internal/mpilib/world.go         1  290              progress(): context lock held by a commthread, yield to it
+internal/l2atomic/l2atomic.go    4  110,233,247,314  the L2 primitives' own backoff: Mutex.Lock (held for a few instructions) and Barrier, which no runtime code constructs any more (checked below)
+internal/bench/bench.go          2  342,418          legacy benchmark drivers: sender retry on ErrThrottled, receiver poll
+internal/bench/flood.go          2  184,190          legacy flood driver: same two loops
+cmd/pamirun/recoverdemo.go       1  359              demo progress loop, yields after a productive pass (idle passes sleep)
+"
+listed=$(echo "$spins" | awk 'NF { print "./" $1 }')
+for f in $(grep -rl "runtime\.Gosched()" --include="*.go" . | grep -v _test.go | grep -v "^./benchmark/" | grep -v "^./examples/"); do
+	if ! echo "$listed" | grep -qx "$f"; then
+		echo "lint_parks: $f introduces a runtime.Gosched() spin outside the allowlist: park on a wakeup.Region (or another abortable primitive) instead, or extend scripts/lint_parks.sh with a justification" >&2
+		fail=1
+	fi
+done
+while read -r f n _; do
+	[ -z "$f" ] || check "runtime\.Gosched()" "$f" "$n"
+done <<SPINS
+$spins
+SPINS
+# The node-team protocol replaced the l2atomic.Barrier crossings (three
+# spins per crossing, four crossings per collective): the primitive stays
+# for the benchmark's ladder, but nothing in the runtime may wait on it.
+if grep -rn "l2atomic\.NewBarrier" --include="*.go" . | grep -v _test.go | grep -v "^./benchmark/" >&2; then
+	echo "lint_parks: the runtime constructs an l2atomic.Barrier again: its Await is a Gosched spin; use the node-team round (internal/core) or a wakeup.Region" >&2
+	fail=1
+fi
+
+[ "$fail" -eq 0 ] && echo "lint_parks: every park site is abortable or allowlisted, every spin is pinned"
 exit "$fail"
