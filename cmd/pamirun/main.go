@@ -47,7 +47,7 @@ func main() {
 	dimsFlag := flag.String("dims", "2x2x2x1x1", "torus shape AxBxCxDxE")
 	ppn := flag.Int("ppn", 2, "processes per node")
 	verbose := flag.Bool("v", false, "print per-rank progress")
-	stats := flag.Bool("stats", false, "print the machine's telemetry totals after the shakedown")
+	stats := flag.Bool("stats", false, "print the machine's telemetry totals after the shakedown (in wire mode, also every peer link's state and last disconnect cause)")
 	faults := flag.String("faults", "", `fault plan, e.g. "drop=0.05,corrupt=0.02,dup=0.01,linkdown=0:A+@500" (empty = off)`)
 	faultSeed := flag.Int64("fault-seed", 1, "seed for deterministic fault decisions")
 	deadline := flag.Duration("deadline", 0, "abort with a goroutine dump if the run exceeds this duration (0 = off)")
@@ -114,6 +114,7 @@ func main() {
 				cfg.Faults = nil
 				fmt.Printf("wire fault storm armed: drop=%g corrupt=%g (seed %d)\n", wf.drop, wf.corrupt, *faultSeed)
 			}
+			wf.stats = *stats
 			if err := runWireRecover(cfg, wf, *incarnation, *buddyInterval, *verbose); err != nil {
 				log.Fatalf("pamirun: wire self-heal: %v", err)
 			}
@@ -138,6 +139,7 @@ func main() {
 			cfg.Faults = nil
 			fmt.Printf("wire fault storm armed: drop=%g corrupt=%g (seed %d)\n", wf.drop, wf.corrupt, *faultSeed)
 		}
+		wf.stats = *stats
 		if err := runWireShakedown(cfg, wf, *verbose); err != nil {
 			log.Fatalf("pamirun: wire shakedown: %v", err)
 		}
@@ -241,9 +243,7 @@ func main() {
 	}
 	m.Shutdown()
 	if *stats {
-		fmt.Println()
-		fmt.Println("telemetry totals (full tree: m.Telemetry().Snapshot().JSON()):")
-		fmt.Print(m.Telemetry().Snapshot().RenderTotals())
+		printStats(m)
 	}
 }
 

@@ -512,9 +512,6 @@ func runWireRecover(cfg machine.Config, wf wireFlags, incarnation uint, ckEvery 
 	if cfg.PPN != 1 {
 		return fmt.Errorf("-recover=auto runs at -ppn 1 (one checkpoint domain per node)")
 	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = 2 * time.Millisecond
-	}
 	if cfg.PhiThreshold == 0 {
 		cfg.PhiThreshold = 10
 	}
@@ -635,6 +632,9 @@ func runWireRecover(cfg machine.Config, wf wireFlags, incarnation uint, ckEvery 
 	fmt.Printf("wire self-heal passed in %v: tasks [%d,%d) byte-exact, %d restore(s) observed here, %d checkpoint(s), last MTTR %v, epoch %d\n",
 		elapsed.Round(time.Millisecond), wf.lo, wf.hi, restores, ckpts,
 		time.Duration(mttr.Value).Round(10*time.Microsecond), m.Epoch())
+	if wf.stats {
+		printStats(m)
+	}
 	return nil
 }
 

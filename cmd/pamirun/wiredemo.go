@@ -56,6 +56,20 @@ type wireFlags struct {
 	dieRound  int
 	drop      float64 // wire-level fault storm probabilities
 	corrupt   float64
+	stats     bool // -stats: print telemetry totals and the link table at the end
+}
+
+// printStats is the -stats report: the machine's telemetry totals and,
+// in wire mode (the wire group has the frames per socket read and write,
+// the writer hand-offs, the drops by cause), how every peer link fared
+// and why it last broke.
+func printStats(m *machine.Machine) {
+	fmt.Println()
+	fmt.Println("telemetry totals (full tree: m.Telemetry().Snapshot().JSON()):")
+	fmt.Print(m.Telemetry().Snapshot().RenderTotals())
+	if w := m.Wire(); w != nil {
+		w.WriteLinks(os.Stdout)
+	}
 }
 
 // validateWireFlags checks the multi-process flag set up front, so a
@@ -637,9 +651,6 @@ func savedRounds(saved []wireSaved) []int {
 // checkpoint and go again — until the shakedown completes byte-exact.
 func runWireShakedown(cfg machine.Config, wf wireFlags, verbose bool) error {
 	nTasks := cfg.Dims.Nodes() * cfg.PPN
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = 2 * time.Millisecond
-	}
 	if cfg.PhiThreshold == 0 {
 		cfg.PhiThreshold = 10
 	}
@@ -724,6 +735,9 @@ func runWireShakedown(cfg machine.Config, wf wireFlags, verbose bool) error {
 		}
 		epochNow := m.Epoch()
 		m.Shutdown()
+		if wf.stats {
+			printStats(m)
+		}
 
 		if runErr == nil {
 			return finishWireShakedown(job, g, time.Since(start))

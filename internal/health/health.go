@@ -69,6 +69,7 @@ const (
 type Monitor struct {
 	interval time.Duration
 	phiMax   float64
+	now      func() int64 // UnixNano clock; the scanner tests substitute their own
 
 	lastBeat []atomic.Int64 // UnixNano of node's latest heartbeat
 	silenced []atomic.Bool  // node stopped heartbeating (fault fired)
@@ -106,6 +107,7 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 	m := &Monitor{
 		interval: cfg.BeatInterval,
 		phiMax:   cfg.PhiThreshold,
+		now:      func() int64 { return time.Now().UnixNano() },
 		lastBeat: make([]atomic.Int64, cfg.Nodes),
 		silenced: make([]atomic.Bool, cfg.Nodes),
 		dead:     make([]atomic.Bool, cfg.Nodes),
@@ -122,12 +124,15 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 			m.phiGauges[i] = g.Gauge(fmt.Sprintf("node%d.phi", i))
 		}
 	}
-	now := time.Now().UnixNano()
+	now := m.now()
 	for i := range m.lastBeat {
 		m.lastBeat[i].Store(now)
 	}
 	return m, nil
 }
+
+// BeatInterval returns the heartbeat period suspicion is counted in.
+func (m *Monitor) BeatInterval() time.Duration { return m.interval }
 
 // Start launches the scanner goroutine. Idempotent.
 func (m *Monitor) Start() {
@@ -146,45 +151,66 @@ func (m *Monitor) scan() {
 	defer close(m.done)
 	tick := time.NewTicker(m.interval)
 	defer tick.Stop()
+	last := m.now()
 	for {
 		select {
 		case <-m.stop:
 			return
 		case <-tick.C:
 		}
-		now := time.Now().UnixNano()
-		for n := range m.lastBeat {
-			if m.dead[n].Load() {
+		now := m.now()
+		m.scanOnce(last, now)
+		last = now
+	}
+}
+
+// scanOnce is one pass of the scanner at time now, the previous pass
+// having run at time last.
+func (m *Monitor) scanOnce(last, now int64) {
+	// A pass that runs a whole interval or more behind its tick has
+	// measured this process's own pause (a descheduled vCPU, a long GC
+	// assist), during which the beats of the external nodes sat unread
+	// in the kernel: that much of their silence is ours, so it is
+	// credited to them instead of accrued.
+	late := now - last - int64(m.interval)
+	if late < int64(m.interval) {
+		late = 0
+	}
+	for n := range m.lastBeat {
+		if m.dead[n].Load() {
+			continue
+		}
+		if !m.silenced[n].Load() {
+			if !m.external[n].Load() {
+				// The service network delivered another beat.
+				m.lastBeat[n].Store(now)
 				continue
 			}
-			if !m.silenced[n].Load() {
-				if !m.external[n].Load() {
-					// The service network delivered another beat.
-					m.lastBeat[n].Store(now)
-					continue
-				}
-				if !m.everBeat[n].Load() {
-					// External node whose process has not joined yet:
-					// suspicion cannot accrue before the first real beat
-					// arrives (bootstrap grace; the join path has its own
-					// timeout). Once it has beaten, silence is suspicion.
-					m.lastBeat[n].Store(now)
-					continue
-				}
+			if !m.everBeat[n].Load() {
+				// External node whose process has not joined yet:
+				// suspicion cannot accrue before the first real beat
+				// arrives (bootstrap grace; the join path has its own
+				// timeout). Once it has beaten, silence is suspicion.
+				m.lastBeat[n].Store(now)
+				continue
 			}
-			phi := float64(now-m.lastBeat[n].Load()) / float64(m.interval)
-			if m.phiGauges != nil {
-				m.phiGauges[n].Set(int64(phi * 100))
+			if lb := m.lastBeat[n].Load(); late > 0 {
+				// A beat that lands meanwhile is fresher: let it win.
+				m.lastBeat[n].CompareAndSwap(lb, min(lb+late, now))
 			}
-			if phi >= m.phiMax {
-				m.declareDead(torus.Rank(n))
-			}
+		}
+		phi := float64(now-m.lastBeat[n].Load()) / float64(m.interval)
+		if m.phiGauges != nil {
+			m.phiGauges[n].Set(int64(phi * 100))
+		}
+		if phi >= m.phiMax {
+			m.declareDead(torus.Rank(n))
 		}
 	}
 }
 
 // SetExternal marks node n's heartbeats as externally supplied: they
-// arrive as out-of-band beat frames over a wire transport, so the
+// are the frames its process sends over a wire transport, so the
 // scanner stops self-stamping and Beat is the only thing that keeps the
 // node alive. A machine spanning OS processes marks every non-hosted
 // node external at boot. Suspicion only starts accruing after the first
@@ -196,11 +222,12 @@ func (m *Monitor) SetExternal(n torus.Rank) {
 	}
 }
 
-// Beat records a live heartbeat for node n, delivered by the wire
-// transport's out-of-band beat frames. Safe from any goroutine.
+// Beat records a sign of life from node n: the wire transport calls it
+// for every burst of valid frames it reads from the node's process,
+// beat frames or not. Safe from any goroutine.
 func (m *Monitor) Beat(n torus.Rank) {
 	if int(n) < len(m.lastBeat) {
-		m.lastBeat[n].Store(time.Now().UnixNano())
+		m.lastBeat[n].Store(m.now())
 		m.everBeat[n].Store(true)
 	}
 }
@@ -267,7 +294,7 @@ func (m *Monitor) Revive(n torus.Rank) bool {
 	// they may immediately probe Alive(n) and start talking to it.
 	m.silenced[n].Store(false)
 	m.everBeat[n].Store(false)
-	m.lastBeat[n].Store(time.Now().UnixNano())
+	m.lastBeat[n].Store(m.now())
 	if m.phiGauges != nil {
 		m.phiGauges[n].Set(0)
 	}
@@ -332,5 +359,5 @@ func (m *Monitor) Phi(n torus.Rank) float64 {
 	if !accruing {
 		return 0
 	}
-	return float64(time.Now().UnixNano()-m.lastBeat[n].Load()) / float64(m.interval)
+	return float64(m.now()-m.lastBeat[n].Load()) / float64(m.interval)
 }

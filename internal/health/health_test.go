@@ -152,3 +152,51 @@ func TestExternalBeatLifecycle(t *testing.T) {
 		t.Fatalf("deaths=%d alive(0)=%v, want exactly the external node dead", died.Load(), m.Alive(0))
 	}
 }
+
+// TestScannerPauseIsNotPeerSilence drives the scanner by hand on a fake
+// clock: a pass that runs ten intervals late (this process was paused,
+// the peer's beats sat unread) must not kill an external node, and the
+// node's real silence afterwards still must.
+func TestScannerPauseIsNotPeerSilence(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	m, err := NewMonitor(Config{Nodes: 2, BeatInterval: time.Millisecond, PhiThreshold: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clk int64
+	m.now = func() int64 { return clk }
+	m.SetExternal(1)
+	m.Beat(1) // joined: silence counts from here
+	last := clk
+	scanAt := func(at int64) {
+		clk = at
+		m.scanOnce(last, at)
+		last = at
+	}
+	scanAt(1 * ms)
+	scanAt(2 * ms)
+	scanAt(12 * ms) // the scanner's own 10-interval gap
+	if !m.Alive(1) {
+		t.Fatal("a late scanner pass killed a peer that had no chance to be heard")
+	}
+	if phi := m.Phi(1); phi > 4 {
+		t.Fatalf("phi %.1f after the pause: the scanner's lateness accrued as the peer's silence", phi)
+	}
+	// A beat that lands during the pass is not overwritten by the credit.
+	m.Beat(1)
+	scanAt(13 * ms)
+	if phi := m.Phi(1); phi != 1 {
+		t.Fatalf("phi %.1f one interval after a beat, want 1", phi)
+	}
+	// On-time passes from here, and the peer stays silent: it dies within
+	// the threshold, not later.
+	for at := 14 * ms; m.Alive(1); at += ms {
+		if at > 12*ms+8*ms+2*ms {
+			t.Fatalf("peer still alive at %d ms: real silence after a pause no longer kills", at/ms)
+		}
+		scanAt(at)
+	}
+	if !m.Alive(0) {
+		t.Fatal("the in-process node died with it")
+	}
+}

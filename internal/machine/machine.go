@@ -51,8 +51,10 @@ type Config struct {
 	Faults *fault.Plan
 	// FaultSeed seeds the fault plan's deterministic decision hash.
 	FaultSeed int64
-	// HeartbeatInterval overrides the health monitor's beat period when
-	// the plan contains node faults; 0 picks the health default (1ms).
+	// HeartbeatInterval overrides the health monitor's beat period; 0
+	// picks the wire transport's beat interval in wire mode — suspicion
+	// is counted in the beats the peers actually send — and the health
+	// default (1ms) otherwise.
 	HeartbeatInterval time.Duration
 	// PhiThreshold overrides the suspicion threshold (silent heartbeat
 	// periods before a node is declared dead); 0 picks the default (8).
@@ -61,8 +63,9 @@ type Config struct {
 	// [HostedLo, HostedHi) and reach the rest of the partition through a
 	// wire transport (TCP or Unix sockets) — the partition spans OS
 	// processes. The health monitor is always armed in wire mode: remote
-	// nodes prove liveness with out-of-band beats, and a process that
-	// dies (even SIGKILL) is confirmed dead by phi accrual.
+	// nodes prove liveness with every frame they send (beat frames when
+	// they have nothing else to say), and a process that dies (even
+	// SIGKILL) is confirmed dead by phi accrual.
 	Wire *wire.Options
 	// HostedLo/HostedHi is the locally hosted task range in wire mode,
 	// node-aligned (multiples of PPN). Both zero means "host everything"
@@ -198,6 +201,15 @@ func New(cfg Config) (*Machine, error) {
 	needHmon := cfg.Wire != nil || cfg.Recovery != nil ||
 		(cfg.Faults != nil && cfg.Faults.Active() && cfg.Faults.HasNodeFaults())
 	if needHmon {
+		if cfg.Wire != nil && cfg.HeartbeatInterval == 0 {
+			// Remote nodes beat at the wire's pace, so that is the unit
+			// PhiThreshold counts in: at the health default of 1 ms a
+			// threshold of 8 would mean four missed 2 ms wire beats.
+			cfg.HeartbeatInterval = cfg.Wire.BeatInterval
+			if cfg.HeartbeatInterval <= 0 {
+				cfg.HeartbeatInterval = wire.DefaultBeatInterval
+			}
+		}
 		hmon, err := health.NewMonitor(health.Config{
 			Nodes:        cfg.Dims.Nodes(),
 			BeatInterval: cfg.HeartbeatInterval,
@@ -257,9 +269,9 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		cfg.HostedLo, cfg.HostedHi = m.cfg.HostedLo, m.cfg.HostedHi
-		// Remote nodes prove liveness with beat frames off the wire, not
-		// the simulated service network: mark them external so silence
-		// accrues suspicion once their process has joined.
+		// Remote nodes prove liveness with the frames they send over the
+		// wire, not the simulated service network: mark them external so
+		// silence accrues suspicion once their process has joined.
 		for r := 0; r < cfg.Dims.Nodes(); r++ {
 			if task := r * cfg.PPN; task < cfg.HostedLo || task >= cfg.HostedHi {
 				m.hmon.SetExternal(torus.Rank(r))
@@ -271,7 +283,8 @@ func New(cfg Config) (*Machine, error) {
 			PPN:      cfg.PPN,
 			HostedLo: cfg.HostedLo,
 			HostedHi: cfg.HostedHi,
-			Deliver:  fabric.DeliverRemote,
+			Deliver:  fabric.DeliverRemoteBurst,
+			BurstEnd: fabric.EndRemoteBurst,
 			Epoch:    m.hmon.Epoch,
 			OnBeat: func(taskLo, taskHi int) {
 				for r := taskLo / cfg.PPN; r < (taskHi+cfg.PPN-1)/cfg.PPN; r++ {
@@ -328,6 +341,10 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.wt = wt
+		// The hang dump gets the link table: every peer's state and why
+		// its connection last broke.
+		unregSites, unregLinks := m.unregDump, watchdog.RegisterDump(wt.WriteLinks)
+		m.unregDump = func() { unregSites(); unregLinks() }
 		m.tele.Adopt(wt.Telemetry())
 		fabric.InstallTransport(wt)
 	}

@@ -3,6 +3,8 @@ package machine_test
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"pamigo/internal/machine"
 	"pamigo/internal/mu"
 	"pamigo/internal/torus"
+	"pamigo/internal/watchdog"
 	"pamigo/internal/wire"
 )
 
@@ -22,12 +25,19 @@ var wireDims = torus.Dims{2, 1, 1, 1, 1}
 // two OS processes.
 func wirePair(t *testing.T, opts wire.Options) (ma, mb *machine.Machine) {
 	t.Helper()
+	return wirePairBeating(t, opts, 0)
+}
+
+// wirePairBeating is wirePair with the health monitors' beat interval
+// set by hand (0 leaves it to the machine).
+func wirePairBeating(t *testing.T, opts wire.Options, heartbeat time.Duration) (ma, mb *machine.Machine) {
+	t.Helper()
 	optsA := opts
 	optsA.Listen = "127.0.0.1:0"
 	ma, err := machine.New(machine.Config{
 		Dims: wireDims, PPN: 1,
 		HostedLo: 0, HostedHi: 1,
-		Wire: &optsA,
+		Wire: &optsA, HeartbeatInterval: heartbeat,
 	})
 	if err != nil {
 		t.Fatalf("machine a: %v", err)
@@ -38,7 +48,7 @@ func wirePair(t *testing.T, opts wire.Options) (ma, mb *machine.Machine) {
 	mb, err = machine.New(machine.Config{
 		Dims: wireDims, PPN: 1,
 		HostedLo: 1, HostedHi: 2,
-		Wire: &optsB,
+		Wire: &optsB, HeartbeatInterval: heartbeat,
 	})
 	if err != nil {
 		t.Fatalf("machine b: %v", err)
@@ -210,6 +220,188 @@ func TestWireDeathDetection(t *testing.T) {
 	defer m2.Shutdown()
 	if m2.Tasks() != 2 || string(ck.Blob("state")) != "survivor" {
 		t.Fatalf("restored shape/blobs wrong: tasks=%d", m2.Tasks())
+	}
+}
+
+// TestWireMonitorIntervalMatchesBeat asserts the failure detector counts
+// suspicion in the beats the wire actually sends: with no explicit
+// HeartbeatInterval the monitor runs at the wire's beat interval, not at
+// the health default — "phi 8" must mean eight missed beats.
+func TestWireMonitorIntervalMatchesBeat(t *testing.T) {
+	cases := []struct {
+		wireBeat, heartbeat, want time.Duration
+	}{
+		{0, 0, wire.DefaultBeatInterval},
+		{7 * time.Millisecond, 0, 7 * time.Millisecond},
+		{7 * time.Millisecond, 3 * time.Millisecond, 3 * time.Millisecond}, // said by hand: kept
+	}
+	for _, tc := range cases {
+		opts := wire.Options{Partition: 7, Listen: "127.0.0.1:0", BeatInterval: tc.wireBeat}
+		m, err := machine.New(machine.Config{
+			Dims: wireDims, PPN: 1, HostedLo: 0, HostedHi: 1,
+			Wire: &opts, HeartbeatInterval: tc.heartbeat,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.Health().BeatInterval()
+		m.Shutdown()
+		if got != tc.want {
+			t.Fatalf("wire beat %v, heartbeat %v: monitor interval %v, want %v", tc.wireBeat, tc.heartbeat, got, tc.want)
+		}
+	}
+}
+
+// TestAnyFrameIsLiveness turns the beat frames off (one an hour) and
+// streams data: every valid frame proves its sender alive, so neither
+// side suspects the other while the stream (and its acks) flow, for five
+// detection thresholds on end. When the stream stops there is nothing
+// left to fill the silence, and the detector confirms the death.
+func TestAnyFrameIsLiveness(t *testing.T) {
+	const heartbeat = 20 * time.Millisecond // threshold 8: 160 ms of silence kills (a loaded -race run stalls a goroutine for tens)
+	opts := fastBeats()
+	opts.BeatInterval = time.Hour
+	ma, mb := wirePairBeating(t, opts, heartbeat)
+	wireCtx(t, ma, 0) // a reception FIFO for the stream to land in
+	start := time.Now()
+	sent := 0
+	for time.Since(start) < 40*heartbeat {
+		if err := mb.Wire().Send(core.Endpoint{Task: 0}, mu.Header{Dispatch: 1, Origin: mu.TaskAddr{Task: 1}, Seq: uint64(sent), Total: 8}, make([]byte, 8)); err != nil {
+			t.Fatalf("send %d: %v", sent, err)
+		}
+		sent++
+		if !ma.Alive(1) || !mb.Alive(0) {
+			t.Fatalf("a streaming peer was confirmed dead %v into the stream (phi a->b %.1f, b->a %.1f)",
+				time.Since(start), ma.Health().Phi(1), mb.Health().Phi(0))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("%d data frames kept both sides alive for %v with no beat frame", sent, time.Since(start))
+	stopped := time.Now()
+	for step := int64(0); ma.Alive(1); step++ {
+		if time.Since(stopped) > 5*time.Second {
+			t.Fatalf("stream stopped, no beats, and the peer was never suspected (phi=%v)", ma.Health().Phi(1))
+		}
+		time.Sleep(fault.Jitter(99, step, time.Millisecond))
+	}
+	if took := time.Since(stopped); took < 4*heartbeat {
+		t.Fatalf("death confirmed %v after the last frame: under half the threshold of silence", took)
+	}
+}
+
+// TestWireBurstIntoFullFIFO streams far more than the receiver's FIFO
+// holds at a consumer that parks whenever it finds the FIFO empty. The
+// wire reader queues a burst without waking it, so when the FIFO
+// refuses, the wake-up the burst owes has to go out before the reader
+// sleeps on the refusal — or both sleep for good.
+func TestWireBurstIntoFullFIFO(t *testing.T) {
+	const n = 3000
+	optsA := fastBeats()
+	optsA.Listen = "127.0.0.1:0"
+	// No failure detection here: a sender this tight can keep a reader
+	// goroutine off its core for a scheduler time slice, which is longer
+	// than eight 500 us beats.
+	ma, err := machine.New(machine.Config{Dims: wireDims, PPN: 1, HostedLo: 0, HostedHi: 1, Wire: &optsA, RecFIFOSlots: 8, PhiThreshold: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ma.Shutdown)
+	// The FIFO is shrunk before the peer joins: the reader goroutine that
+	// fills it does not exist yet.
+	ca := wireCtx(t, ma, 0)
+	fifo, ok := ma.Fabric().RecFIFOOf(mu.TaskAddr{Task: 0})
+	if !ok {
+		t.Fatal("no reception FIFO for task 0")
+	}
+	fifo.SetOverflowCap(4)
+	optsB := fastBeats()
+	optsB.Join = []string{ma.Wire().Addr()}
+	mb, err := machine.New(machine.Config{Dims: wireDims, PPN: 1, HostedLo: 1, HostedHi: 2, Wire: &optsB, PhiThreshold: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mb.Shutdown)
+	if err := mb.WaitWire(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	ca.RegisterDispatch(1, func(_ *core.Context, d *core.Delivery) { got++ })
+	var seen atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		ca.AdvanceUntil(func() bool { seen.Store(int64(got)); return got == n })
+		close(done)
+	}()
+	deadline := time.Now().Add(20 * time.Second)
+	wedged := func() {
+		t.Helper()
+		if time.Now().After(deadline) {
+			t.Fatalf("the stream wedged with %d of %d delivered: reader asleep on a full FIFO, consumer parked", seen.Load(), n)
+		}
+	}
+	for i := 0; i < n; i++ {
+		for step := int64(0); ; step++ {
+			err := mb.Wire().Send(core.Endpoint{Task: 0}, mu.Header{Dispatch: 1, Origin: mu.TaskAddr{Task: 1}, Seq: uint64(i), Total: 8}, make([]byte, 8))
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, wire.ErrBackpressure) {
+				t.Fatalf("send %d: %v", i, err)
+			}
+			wedged()
+			time.Sleep(fault.Jitter(99, step, 100*time.Microsecond))
+		}
+	}
+	for step := int64(0); ; step++ {
+		select {
+		case <-done:
+		default:
+			wedged()
+			time.Sleep(fault.Jitter(99, step, time.Millisecond))
+			continue
+		}
+		break
+	}
+	snap := ma.Telemetry().Snapshot()
+	if stalls, _ := snap.Counter("wire.deliver_stalls"); stalls == 0 {
+		t.Log("the FIFO never refused a burst on this run")
+	}
+}
+
+// TestHangDumpListsLinks: a wire-mode machine adds its link table to the
+// process hang dump — every peer, its state, why its connection last
+// broke — and takes it out again at shutdown.
+func TestHangDumpListsLinks(t *testing.T) {
+	// Detection counted in seconds: a reconnect under -race can outlast
+	// eight 500 us beats, and a dead peer is never redialed.
+	ma, mb := wirePairBeating(t, fastBeats(), time.Second)
+	mb.Wire().SeverConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for step := int64(0); ; step++ {
+		if pi := mb.Wire().Peers()[0]; pi.Reconnects > 0 && pi.Connected {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no reconnect after the cut: %+v", mb.Wire().Peers())
+		}
+		time.Sleep(fault.Jitter(99, step, time.Millisecond))
+	}
+	var dump strings.Builder
+	watchdog.DumpTo(&dump, "test")
+	for _, want := range []string{
+		"wire links of tasks [0,1)", "wire links of tasks [1,2)",
+		fmt.Sprintf("peer [0,1) addr=%q connected=true dead=false reconnects=1 last disconnect", ma.Wire().Addr()),
+	} {
+		if !strings.Contains(dump.String(), want) {
+			t.Fatalf("hang dump lacks %q:\n%s", want, dump.String())
+		}
+	}
+	ma.Shutdown()
+	mb.Shutdown()
+	dump.Reset()
+	watchdog.DumpTo(&dump, "test")
+	if strings.Contains(dump.String(), "wire links") {
+		t.Fatal("a machine that was shut down is still in the hang dump")
 	}
 }
 

@@ -85,6 +85,59 @@ func (f *Fabric) injectRemote(t Transport, inj *InjFIFO, dst TaskAddr, hdr Heade
 // retries with the remainder — hdr.Offset advanced by consumed — once
 // the consumer drains, so no packet is ever delivered twice.
 func (f *Fabric) DeliverRemote(dst TaskAddr, hdr Header, payload []byte) (consumed int, err error) {
+	return f.deliverRemote(dst, hdr, payload, false)
+}
+
+// DeliverRemoteBurst is DeliverRemote for a transport that delivers in
+// bursts: the packets are queued without waking the consumer, and the
+// transport owes one EndRemoteBurst naming dst once its burst is over —
+// and before it sleeps on a refusal, or a full FIFO whose consumer is
+// parked never drains.
+func (f *Fabric) DeliverRemoteBurst(dst TaskAddr, hdr Header, payload []byte) (consumed int, err error) {
+	return f.deliverRemote(dst, hdr, payload, true)
+}
+
+// EndRemoteBurst wakes the consumers of the endpoints a burst of
+// DeliverRemoteBurst calls queued packets for: one touch of each
+// endpoint's wakeup region, however many packets it was sent.
+func (f *Fabric) EndRemoteBurst(dsts []TaskAddr) {
+	contexts := *f.contexts.Load()
+	for _, dst := range dsts {
+		if fifo, ok := contexts[dst]; ok {
+			fifo.region.Touch()
+		}
+	}
+}
+
+// deliverQuiet is RecFIFO.deliver minus the wake-up: the burst's last
+// step, not every packet's.
+func (f *RecFIFO) deliverQuiet(p *Packet) error {
+	q := f.shardFor(p.Hdr.Origin)
+	if err := q.EnqueueRef(p); err != nil {
+		return err
+	}
+	f.received.Inc()
+	f.occupancy.Inc()
+	if hwm := q.OverflowHWM(); hwm > 0 {
+		f.overflowHWM.Set(hwm)
+	}
+	return nil
+}
+
+// deliverRemoteTo is Packet.deliverTo with the choice of enqueue.
+func (p *Packet) deliverRemoteTo(fifo *RecFIFO, dst TaskAddr, quiet bool) error {
+	if !quiet {
+		return p.deliverTo(fifo, dst)
+	}
+	if err := fifo.deliverQuiet(p); err != nil {
+		p.Release()
+		return fmt.Errorf("mu: rec FIFO %d of endpoint %v refused packet from %v: %w",
+			fifo.id, dst, p.Hdr.Origin, err)
+	}
+	return nil
+}
+
+func (f *Fabric) deliverRemote(dst TaskAddr, hdr Header, payload []byte, quiet bool) (consumed int, err error) {
 	fifo, err := f.lookupContext(dst)
 	if err != nil {
 		return 0, err
@@ -102,7 +155,7 @@ func (f *Fabric) DeliverRemote(dst TaskAddr, hdr Header, payload []byte) (consum
 	}
 	if len(payload) == 0 {
 		pkt := Packet{Hdr: hdr, mbuf: mbuf}
-		if err := pkt.deliverTo(fifo, dst); err != nil {
+		if err := pkt.deliverRemoteTo(fifo, dst, quiet); err != nil {
 			return 0, err
 		}
 		f.account(hdr.Origin.Task, dst.Task, 1, PacketHeaderBytes)
@@ -124,7 +177,7 @@ func (f *Fabric) DeliverRemote(dst TaskAddr, hdr Header, payload []byte) (consum
 		}
 		pb := bufpool.GetCopy(payload[off:end])
 		pkt := Packet{Hdr: ph, Payload: pb.Bytes(), pbuf: pb, mbuf: pm}
-		if err := pkt.deliverTo(fifo, dst); err != nil {
+		if err := pkt.deliverRemoteTo(fifo, dst, quiet); err != nil {
 			f.account(hdr.Origin.Task, dst.Task, npkts, int64(off)+npkts*PacketHeaderBytes)
 			return off, err
 		}

@@ -1,0 +1,124 @@
+package mu
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"pamigo/internal/lockless"
+)
+
+// TestRemoteBurstWakesOncePerDestination: DeliverRemoteBurst queues
+// packets exactly like DeliverRemote but leaves the consumer's wakeup
+// region alone; EndRemoteBurst touches each named endpoint once, however
+// many packets it was sent, and ignores an endpoint nobody registered.
+func TestRemoteBurstWakesOncePerDestination(t *testing.T) {
+	f := newTestFabric(t)
+	a := setupEndpoint(t, f, 0, 0, 0)
+	b := setupEndpoint(t, f, 1, 1, 0)
+	dstA, dstB := TaskAddr{0, 0}, TaskAddr{1, 0}
+	hdr := Header{Dispatch: 1, Origin: TaskAddr{Task: 2}, Total: 3 * MaxPayload, Meta: []byte("meta")}
+	touches := func(r *ContextResources) uint64 { n, _ := r.Rec.Region().Stats(); return n }
+
+	// A parked consumer must sleep through the quiet deliveries.
+	gen := a.Rec.Region().Gen()
+	woke := make(chan struct{})
+	go func() { a.Rec.Region().Wait(gen); close(woke) }()
+
+	payload := make([]byte, 3*MaxPayload) // three packets a call
+	for i := 0; i < 4; i++ {
+		if n, err := f.DeliverRemoteBurst(dstA, hdr, payload); err != nil || n != len(payload) {
+			t.Fatalf("burst deliver to a: n=%d err=%v", n, err)
+		}
+	}
+	if n, err := f.DeliverRemoteBurst(dstB, Header{Origin: TaskAddr{Task: 2}}, nil); err != nil || n != 0 {
+		t.Fatalf("burst deliver of an empty message to b: n=%d err=%v", n, err)
+	}
+	if got := a.Rec.Received(); got != 12 {
+		t.Fatalf("a received %d packets, want 12", got)
+	}
+	if touches(a) != 0 || touches(b) != 0 {
+		t.Fatalf("quiet deliveries touched the regions: a %d, b %d", touches(a), touches(b))
+	}
+	select {
+	case <-woke:
+		t.Fatal("a quiet delivery woke the parked consumer")
+	case <-time.After(10 * time.Millisecond):
+	}
+
+	f.EndRemoteBurst([]TaskAddr{dstA, dstB, {Task: 3}})
+	if touches(a) != 1 || touches(b) != 1 {
+		t.Fatalf("burst end touched a %d and b %d times, want once each", touches(a), touches(b))
+	}
+	select {
+	case <-woke:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the burst end did not wake the parked consumer")
+	}
+
+	// The packets are the ones DeliverRemote builds: meta on the first only.
+	first, ok := a.Rec.Poll()
+	if !ok || string(first.Hdr.Meta) != "meta" || first.Hdr.Offset != 0 || len(first.Payload) != MaxPayload {
+		t.Fatalf("first packet: %+v ok=%v", first.Hdr, ok)
+	}
+	first.Release()
+	second, _ := a.Rec.Poll()
+	if second.Hdr.Meta != nil || second.Hdr.Offset != MaxPayload {
+		t.Fatalf("second packet: %+v", second.Hdr)
+	}
+	second.Release()
+
+	// The per-frame form still wakes by itself.
+	if _, err := f.DeliverRemote(dstB, Header{Origin: TaskAddr{Task: 2}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if touches(b) != 2 {
+		t.Fatalf("DeliverRemote touched b %d times in all, want 2", touches(b))
+	}
+}
+
+// TestRemoteBurstRefusalIsResumable: a quiet delivery refused by a full
+// FIFO reports how far it got, like the waking form, so the transport
+// resumes with the remainder and no packet is queued twice.
+func TestRemoteBurstRefusalIsResumable(t *testing.T) {
+	f := newTestFabric(t)
+	a := setupEndpoint(t, f, 0, 0, 0)
+	a.Rec.SetOverflowCap(1)
+	dst := TaskAddr{0, 0}
+	hdr := Header{Origin: TaskAddr{Task: 2}, Total: 1 << 20}
+	payload := make([]byte, 4*MaxPayload)
+	var done, refusals int
+	for done < hdr.Total {
+		h := hdr
+		h.Offset = done
+		n, err := f.DeliverRemoteBurst(dst, h, payload[:min(len(payload), hdr.Total-done)])
+		done += n
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, lockless.ErrBackpressure) {
+			t.Fatal(err)
+		}
+		refusals++
+		for { // the consumer drains
+			pkt, ok := a.Rec.Poll()
+			if !ok {
+				break
+			}
+			pkt.Release()
+		}
+	}
+	if refusals == 0 {
+		t.Fatal("the FIFO never refused: the test proved nothing")
+	}
+	for {
+		pkt, ok := a.Rec.Poll()
+		if !ok {
+			break
+		}
+		pkt.Release()
+	}
+	if got, want := a.Rec.Received(), int64(hdr.Total/MaxPayload); got != want {
+		t.Fatalf("%d packets queued for a %d-packet message", got, want)
+	}
+}

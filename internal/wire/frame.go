@@ -22,15 +22,17 @@
 // Handshake (hello/welcome) frames carry the partition identity —
 // protocol version, partition ID, torus dims, PPN, hosted task range,
 // membership epoch — plus the receiver's cumulative sequence, which
-// trims the peer's resend window on reconnect. Beats are out-of-band
-// liveness for the phi-accrual detector; acks are cumulative; rejects
-// carry a typed reason back to a dialer that will never be admitted.
+// trims the peer's resend window on reconnect. Any valid frame is a
+// sign of life to the phi-accrual detector, and beats fill the silence
+// of an idle link; acks are cumulative; rejects carry a typed reason
+// back to a dialer that will never be admitted.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"pamigo/internal/mu"
 	"pamigo/internal/torus"
@@ -101,8 +103,8 @@ type Hello struct {
 
 // PacketFrame is one decoded data frame: a segment of a memory-FIFO
 // message. Hdr.Meta and Payload are views into the decode buffer —
-// valid only until the next read; the fabric copies them into pooled
-// slabs at delivery.
+// valid only until the next decode into the same Frame; the fabric
+// copies them into pooled slabs at delivery.
 type PacketFrame struct {
 	Seq     uint64
 	Dst     mu.TaskAddr
@@ -213,10 +215,12 @@ func appendReplica(dst []byte, seq uint64, blob []byte) []byte {
 }
 
 // reserve grows dst by the frame envelope (length + crc) plus n body
-// bytes and returns the body slice (kind onward) to fill in.
+// bytes and returns the body slice (kind onward) to fill in — uncleared:
+// every encoder writes all of it. With the capacity already there (a
+// slot of a send ring) nothing is allocated.
 func reserve(dst []byte, n int) (out, body []byte) {
 	start := len(dst)
-	out = append(dst, make([]byte, 8+n)...)
+	out = slices.Grow(dst, 8+n)[:start+8+n]
 	return out, out[start+8:]
 }
 
@@ -239,45 +243,41 @@ func finish(out, body []byte) []byte {
 // views point into data.
 func DecodeFrame(data []byte) (Frame, int, error) {
 	var f Frame
+	n, err := f.decode(data)
+	return f, n, err
+}
+
+// decode is DecodeFrame into a caller-owned Frame (the stream reader
+// decodes every frame of a connection into one). ErrShortFrame comes
+// back bare, so the reader's hot path can test it with ==.
+func (f *Frame) decode(data []byte) (int, error) {
 	if len(data) < 4 {
-		return f, 0, ErrShortFrame
+		return 0, ErrShortFrame
 	}
 	n := binary.BigEndian.Uint32(data)
 	if n > MaxFrame {
-		return f, 0, fmt.Errorf("%w: frame claims %d bytes (max %d)", ErrFrameTooLarge, n, MaxFrame)
+		return 0, fmt.Errorf("%w: frame claims %d bytes (max %d)", ErrFrameTooLarge, n, MaxFrame)
 	}
 	if n < 5 {
-		return f, 0, fmt.Errorf("%w: frame of %d bytes has no room for crc+kind", ErrFrameCorrupt, n)
+		return 0, fmt.Errorf("%w: frame of %d bytes has no room for crc+kind", ErrFrameCorrupt, n)
 	}
 	if uint32(len(data)-4) < n {
-		return f, 0, ErrShortFrame
+		return 0, ErrShortFrame
 	}
-	f, err := decodeStreamFrame(data[4 : 4+n])
-	if err != nil {
-		return f, 0, err
-	}
-	return f, 4 + int(n), nil
-}
-
-// decodeStreamFrame decodes a frame body read off a connection — the
-// bytes after the length prefix (crc onward), already sized by it.
-func decodeStreamFrame(body []byte) (Frame, error) {
-	var f Frame
-	if len(body) < 5 {
-		return f, fmt.Errorf("%w: frame body of %d bytes", ErrFrameCorrupt, len(body))
-	}
+	body := data[4 : 4+n]
 	want := binary.BigEndian.Uint32(body)
 	if got := crc32.Checksum(body[4:], castagnoli); got != want {
-		return f, fmt.Errorf("%w: crc %08x, want %08x", ErrFrameCorrupt, got, want)
+		return 0, fmt.Errorf("%w: crc %08x, want %08x", ErrFrameCorrupt, got, want)
 	}
-	if err := decodeBody(&f, body[4], body[5:]); err != nil {
-		return f, err
+	if err := decodeBody(f, body[4], body[5:]); err != nil {
+		return 0, err
 	}
-	return f, nil
+	return 4 + int(n), nil
 }
 
 // decodeBody fills f from a CRC-verified body. Every length field is
-// validated against the bytes actually present before use.
+// validated against the bytes actually present before use, and every
+// field of the frame's kind is assigned, so f may be reused.
 func decodeBody(f *Frame, kind byte, b []byte) error {
 	f.Kind = kind
 	switch kind {
@@ -316,12 +316,14 @@ func decodeBody(f *Frame, kind byte, b []byte) error {
 		p.Seq = binary.BigEndian.Uint64(b[0:])
 		p.Dst.Task = int(binary.BigEndian.Uint32(b[8:]))
 		p.Dst.Ctx = int(binary.BigEndian.Uint16(b[12:]))
-		p.Hdr.Dispatch = binary.BigEndian.Uint16(b[14:])
-		p.Hdr.Origin.Task = int(binary.BigEndian.Uint32(b[16:]))
-		p.Hdr.Origin.Ctx = int(binary.BigEndian.Uint16(b[20:]))
-		p.Hdr.Seq = binary.BigEndian.Uint64(b[22:])
-		p.Hdr.Offset = int(binary.BigEndian.Uint32(b[30:]))
-		p.Hdr.Total = int(binary.BigEndian.Uint32(b[34:]))
+		p.Hdr = mu.Header{
+			Dispatch: binary.BigEndian.Uint16(b[14:]),
+			Origin:   mu.TaskAddr{Task: int(binary.BigEndian.Uint32(b[16:])), Ctx: int(binary.BigEndian.Uint16(b[20:]))},
+			Seq:      binary.BigEndian.Uint64(b[22:]),
+			Offset:   int(binary.BigEndian.Uint32(b[30:])),
+			Total:    int(binary.BigEndian.Uint32(b[34:])),
+		}
+		p.Payload = nil
 		ml := int(binary.BigEndian.Uint16(b[38:]))
 		if ml > len(b)-packetFixed {
 			return fmt.Errorf("%w: packet meta %d bytes in %d-byte body", ErrFrameCorrupt, ml, len(b))
@@ -354,6 +356,7 @@ func decodeBody(f *Frame, kind byte, b []byte) error {
 			return fmt.Errorf("%w: replica body %d bytes", ErrFrameCorrupt, len(b))
 		}
 		f.ReplicaSeq = binary.BigEndian.Uint64(b)
+		f.Replica = nil
 		if len(b) > 8 {
 			f.Replica = b[8:]
 		}

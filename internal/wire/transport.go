@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -27,6 +29,10 @@ const (
 	DefaultOutboundQueue = 1024
 )
 
+// readBuf is the stream reader's buffer: what one read(2) returns is one
+// burst. Only a replica can exceed it, and is read at its exact size.
+const readBuf = 64 << 10
+
 // Options is the operator-facing tuning of a wire transport. Addresses
 // are "host:port" for TCP or "unix:/path" for Unix-domain sockets.
 type Options struct {
@@ -42,11 +48,11 @@ type Options struct {
 	Partition uint64
 	// DialTimeout bounds one dial attempt (and one handshake read).
 	DialTimeout time.Duration
-	// WriteDeadline bounds one connection write; a peer that stops
-	// reading breaks the connection instead of wedging the writer.
+	// WriteDeadline bounds one connection write, per 256 KiB: a peer that
+	// stops reading breaks the connection instead of wedging the writer.
 	WriteDeadline time.Duration
-	// BeatInterval is the out-of-band heartbeat period feeding the
-	// phi-accrual failure detector.
+	// BeatInterval is the heartbeat period: beat frames fill the silence
+	// of an idle link for the phi-accrual failure detector.
 	BeatInterval time.Duration
 	// BackoffBase/BackoffMax shape the dialer's capped-exponential
 	// reconnect backoff (jittered deterministically from Seed).
@@ -86,9 +92,15 @@ type Config struct {
 	// Deliver injects an arriving message segment into the local
 	// fabric, returning bytes consumed (mu.Fabric.DeliverRemote).
 	Deliver func(dst mu.TaskAddr, hdr mu.Header, payload []byte) (int, error)
-	// OnBeat, if non-nil, is called when a heartbeat arrives from the
-	// peer hosting tasks [taskLo, taskHi).
+	// OnBeat, if non-nil, is called once per read burst that held a valid
+	// frame — any frame, not only a beat: whatever passes its CRC proves
+	// the peer hosting tasks [taskLo, taskHi) alive.
 	OnBeat func(taskLo, taskHi int)
+	// BurstEnd, if non-nil, makes Deliver the quiet half of a burst: only
+	// BurstEnd, called with the destinations Deliver was handed once the
+	// read buffer runs dry (and before every delivery-stall sleep), wakes
+	// their consumers. Nil means Deliver wakes its consumer by itself.
+	BurstEnd func(dsts []mu.TaskAddr)
 	// Epoch, if non-nil, supplies the local membership epoch carried in
 	// handshakes (diagnostic; see DESIGN.md for the epoch rules).
 	Epoch func() int64
@@ -110,13 +122,6 @@ type Config struct {
 	OnReplica func(blob []byte)
 }
 
-// outFrame is one encoded data frame parked in a peer's bounded
-// outbound+resend window until the peer acknowledges it.
-type outFrame struct {
-	seq uint64
-	buf []byte
-}
-
 // peer is the persistent per-peer-process state: identity, the current
 // connection (nil while disconnected), and the sequence machinery that
 // makes delivery exactly-once across reconnects.
@@ -124,27 +129,49 @@ type peer struct {
 	t              *Transport
 	taskLo, taskHi int
 	addr           string // dial address; "" for accepted peers
-	dialer         bool
+	errDead        error  // the typed refusals, built once: senders retry them in a loop
+	errFull        error
 
-	rxMu     sync.Mutex // serializes handlePacket across connection incarnations; taken before mu
-	mu       sync.Mutex
-	cond     *sync.Cond
-	conn     net.Conn
-	connGen  int    // bumped per attached connection
+	rxMu    sync.Mutex    // one read burst at a time across connection incarnations; taken before mu
+	recvSeq atomic.Uint64 // last in-order seq delivered from the peer; stored under rxMu
+
+	mu      sync.Mutex
+	cond    *sync.Cond // connection state changed (the dial supervisor waits here)
+	wake    *sync.Cond // the writer's park
+	idle    bool       // the writer is parked on wake
+	conn    net.Conn
+	connGen int // bumped per attached connection
+	ackDue  bool
+	beatDue bool
+	flushes int64 // writer flush ordinal (fault-storm coordinates)
+	dead    bool
+	closed  bool
+
+	// The send ring: every unacknowledged frame, encoded, in sequence
+	// order; frame s is contiguous from buf[offs[s%len(offs)]], the ring
+	// wraps between frames. ackedSeq <= sentSeq <= sendSeq: an ack moves
+	// the first, a socket write the second, a send the third; a broken
+	// connection rewinds sentSeq to ackedSeq and the same bytes go again.
+	buf      []byte
+	offs     []int
+	head     int    // where the next frame goes
+	wrap     int    // where the frames before the wrap end, while head is below them
 	sendSeq  uint64 // last data seq assigned
 	ackedSeq uint64 // cumulative seq the peer has acknowledged
 	sentSeq  uint64 // last seq written on the current connection
 	everSent uint64 // highest seq ever written (resend accounting)
-	outq     []outFrame
-	recvSeq  uint64 // last in-order seq delivered from the peer
-	ackDue   bool
-	beatDue  bool
-	flushes  int64 // writer flush ordinal (fault-storm coordinates)
-	dead     bool
-	closed   bool
+	// held pins the frames above it while the writer's socket write has
+	// them: their ack can overtake it (DESIGN §7b). noWrite otherwise.
+	held  uint64
+	wvec  [3][]byte   // writer-only: one flush's control frames and ring span(s)
+	wbufs net.Buffers // writer-only: the part of wvec the socket write has yet to take
 
 	reconnects int64
+	lastErr    error // why the last connection broke
+	lastDown   time.Time
 }
+
+const noWrite = ^uint64(0)
 
 // PeerInfo is a snapshot of one peer's state, for drivers and tests.
 type PeerInfo struct {
@@ -153,6 +180,8 @@ type PeerInfo struct {
 	Connected      bool
 	Dead           bool
 	Reconnects     int64
+	LastError      error // why and when the latest connection broke
+	LastDisconnect time.Time
 }
 
 // Transport is a TCP/Unix-socket inter-process transport implementing
@@ -163,16 +192,16 @@ type Transport struct {
 	nTasks int
 	ln     net.Listener
 
-	mu       sync.Mutex
-	cond     *sync.Cond // roster or connectivity changed
-	peers    map[int]*peer
-	increc   map[int]uint32 // highest incarnation admitted per peer taskLo
-	dials    map[string]*dialState
-	pending  map[net.Conn]struct{} // inbound conns mid-handshake
-	closed   bool
-	closeCh  chan struct{}
-	wg       sync.WaitGroup
-	stopOnce sync.Once
+	mu      sync.Mutex
+	cond    *sync.Cond // roster or connectivity changed
+	peers   map[int]*peer
+	byTask  []atomic.Pointer[peer] // peers, indexed by hosted task: Send's lock-free lookup
+	increc  map[int]uint32         // highest incarnation admitted per peer taskLo
+	dials   map[string]*dialState
+	pending map[net.Conn]struct{} // inbound conns mid-handshake
+	closed  bool
+	closeCh chan struct{}
+	wg      sync.WaitGroup
 
 	tele          *telemetry.Registry
 	framesSent    *telemetry.Counter
@@ -182,7 +211,15 @@ type Transport struct {
 	resends       *telemetry.Counter
 	reconnectsCtr *telemetry.Counter
 	dupDrops      *telemetry.Counter
-	streamDrops   *telemetry.Counter
+	streamDrops   *telemetry.Counter // dropsCRC + dropsSeqGap + dropsIO
+	dropsCRC      *telemetry.Counter
+	dropsSeqGap   *telemetry.Counter
+	dropsIO       *telemetry.Counter
+	socketReads   *telemetry.Counter
+	socketWrites  *telemetry.Counter
+	writerWakes   *telemetry.Counter
+	bursts        *telemetry.Counter
+	burstHWM      *telemetry.Gauge
 	beatsSent     *telemetry.Counter
 	beatsRecv     *telemetry.Counter
 	acksSent      *telemetry.Counter
@@ -243,6 +280,7 @@ func New(cfg Config) (*Transport, error) {
 		cfg:     cfg,
 		nTasks:  nTasks,
 		peers:   make(map[int]*peer),
+		byTask:  make([]atomic.Pointer[peer], nTasks),
 		increc:  make(map[int]uint32),
 		dials:   make(map[string]*dialState),
 		pending: make(map[net.Conn]struct{}),
@@ -258,6 +296,14 @@ func New(cfg Config) (*Transport, error) {
 	t.reconnectsCtr = t.tele.Counter("reconnects")
 	t.dupDrops = t.tele.Counter("dup_drops")
 	t.streamDrops = t.tele.Counter("stream_drops")
+	t.dropsCRC = t.tele.Counter("drops_crc")
+	t.dropsSeqGap = t.tele.Counter("drops_seq_gap")
+	t.dropsIO = t.tele.Counter("drops_io")
+	t.socketReads = t.tele.Counter("socket_reads")
+	t.socketWrites = t.tele.Counter("socket_writes")
+	t.writerWakes = t.tele.Counter("writer_wakes")
+	t.bursts = t.tele.Counter("bursts")
+	t.burstHWM = t.tele.Gauge("burst_frames_hwm")
 	t.beatsSent = t.tele.Counter("beats_sent")
 	t.beatsRecv = t.tele.Counter("beats_received")
 	t.acksSent = t.tele.Counter("acks_sent")
@@ -437,19 +483,15 @@ func (t *Transport) hello(peerLo int) Hello {
 		Epoch:       t.epoch(),
 		Incarnation: t.cfg.Incarnation,
 	}
-	if peerLo >= 0 {
-		t.mu.Lock()
-		if p := t.peers[peerLo]; p != nil {
-			p.mu.Lock()
-			// A dead peer's cursor belongs to the dead incarnation; a
-			// rejoining replacement starts a virgin stream at seq 0, and
-			// advertising the stale cursor would trip its fence.
-			if !p.dead {
-				h.RecvSeq = p.recvSeq
-			}
-			p.mu.Unlock()
+	if p := t.peerFor(peerLo); p != nil {
+		p.mu.Lock()
+		// A dead peer's cursor belongs to the dead incarnation; a
+		// rejoining replacement starts a virgin stream at seq 0, and
+		// advertising the stale cursor would trip its fence.
+		if !p.dead {
+			h.RecvSeq = p.recvSeq.Load()
 		}
-		t.mu.Unlock()
+		p.mu.Unlock()
 	}
 	return h
 }
@@ -520,15 +562,7 @@ func (t *Transport) maybeRejoin(h Hello) {
 		// Retire the old incarnation's record whether or not
 		// MarkTaskDead has caught up with it: admitting a strictly
 		// higher incarnation IS the death confirmation for the old one.
-		p.mu.Lock()
-		p.dead = true
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-		}
-		p.outq = nil
-		p.cond.Broadcast()
-		p.mu.Unlock()
+		p.retire()
 		delete(t.peers, h.TaskLo)
 	}
 	// Pre-create the replacement record (no connection yet — the
@@ -538,14 +572,7 @@ func (t *Transport) maybeRejoin(h Hello) {
 	// retry loops, and the rejoined process cannot consume their data
 	// until its tasks have restored from the replica — a data frame
 	// sequenced ahead of the replica is a head-of-line deadlock.
-	np := &peer{t: t, taskLo: h.TaskLo, taskHi: h.TaskHi}
-	np.cond = sync.NewCond(&np.mu)
-	t.peers[h.TaskLo] = np
-	if h.Incarnation > t.increc[h.TaskLo] {
-		t.increc[h.TaskLo] = h.Incarnation
-	}
-	t.wg.Add(1)
-	go np.writer()
+	t.newPeerLocked(h, "")
 	t.mu.Unlock()
 	t.rejoins.Inc()
 	t.cfg.OnRejoin(h.TaskLo, h.TaskHi, h.Incarnation)
@@ -576,19 +603,21 @@ func writeFrame(conn net.Conn, frame []byte, deadline time.Duration) error {
 func readHandshakeFrame(conn net.Conn, deadline time.Duration) (Frame, error) {
 	conn.SetReadDeadline(time.Now().Add(deadline))
 	defer conn.SetReadDeadline(time.Time{})
+	var f Frame
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-		return Frame{}, err
+		return f, err
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n > MaxFrame || n < 5 {
-		return Frame{}, fmt.Errorf("%w: handshake frame of %d bytes", ErrFrameCorrupt, n)
+		return f, fmt.Errorf("%w: handshake frame of %d bytes", ErrFrameCorrupt, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(conn, body); err != nil {
-		return Frame{}, err
+	frame := append(lenBuf[:], make([]byte, n)...)
+	if _, err := io.ReadFull(conn, frame[4:]); err != nil {
+		return f, err
 	}
-	return decodeStreamFrame(body)
+	_, err := f.decode(frame)
+	return f, err
 }
 
 // dialAndShake dials addr, presents our hello, and validates the
@@ -665,10 +694,11 @@ func (t *Transport) supervise(addr string) {
 			}
 			continue
 		}
-		p, aerr := t.attachPeer(conn, h, addr, true)
+		p, aerr := t.attachPeer(conn, h, addr)
 		if aerr != nil {
 			conn.Close()
-			terminal := errors.Is(aerr, ErrPeerDead) || errors.Is(aerr, ErrHandshakeMismatch) || errors.Is(aerr, ErrClosed)
+			// Dead between welcome and attach: terminal only without rejoin.
+			terminal := (errors.Is(aerr, ErrPeerDead) && t.cfg.OnRejoin == nil) || errors.Is(aerr, ErrHandshakeMismatch) || errors.Is(aerr, ErrClosed)
 			if errors.Is(aerr, ErrStaleCursor) {
 				// Incarnation 0 hitting the cursor fence is a genuine
 				// identity collision (two live processes claiming the
@@ -789,7 +819,7 @@ func (t *Transport) handleInbound(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if _, err := t.attachPeer(conn, f.Hello, "", false); err != nil {
+	if _, err := t.attachPeer(conn, f.Hello, ""); err != nil {
 		conn.Close()
 	}
 }
@@ -799,7 +829,7 @@ func (t *Transport) handleInbound(conn net.Conn) {
 // and restarting the writer from the acknowledged frontier — the
 // reconnect-idempotence invariant: any number of reconnects delivers
 // each frame exactly once.
-func (t *Transport) attachPeer(conn net.Conn, h Hello, addr string, dialer bool) (*peer, error) {
+func (t *Transport) attachPeer(conn net.Conn, h Hello, addr string) (*peer, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -814,26 +844,20 @@ func (t *Transport) attachPeer(conn net.Conn, h Hello, addr string, dialer bool)
 					ErrHandshakeMismatch, h.TaskLo, h.TaskHi, q.taskLo, q.taskHi)
 			}
 		}
-		p = &peer{t: t, taskLo: h.TaskLo, taskHi: h.TaskHi, addr: addr, dialer: dialer}
-		p.cond = sync.NewCond(&p.mu)
-		t.peers[h.TaskLo] = p
-		if h.Incarnation > t.increc[h.TaskLo] {
-			t.increc[h.TaskLo] = h.Incarnation
-		}
-		t.wg.Add(1)
-		go p.writer()
+		p = t.newPeerLocked(h, addr)
 	} else if p.taskHi != h.TaskHi {
 		t.mu.Unlock()
 		return nil, fmt.Errorf("%w: peer re-joined as [%d,%d), previously [%d,%d)",
 			ErrHandshakeMismatch, h.TaskLo, h.TaskHi, p.taskLo, p.taskHi)
-	} else if p.addr == "" && addr != "" {
-		// A record pre-created by the rejoin admission learns its dial
-		// address from the first connection that attaches it.
-		p.addr, p.dialer = addr, dialer
 	}
 	t.mu.Unlock()
 
 	p.mu.Lock()
+	if p.addr == "" && addr != "" {
+		// A record pre-created by the rejoin admission learns its dial
+		// address from the first connection that attaches it.
+		p.setAddr(addr)
+	}
 	if p.dead {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("peer [%d,%d) is confirmed dead: %w", p.taskLo, p.taskHi, ErrPeerDead)
@@ -857,9 +881,7 @@ func (t *Transport) attachPeer(conn net.Conn, h Hello, addr string, dialer bool)
 	if p.conn != nil {
 		p.conn.Close() // stale connection; its reader exits on the gen guard
 	}
-	if h.RecvSeq > p.ackedSeq {
-		p.trimLocked(h.RecvSeq)
-	}
+	p.ackedSeq = max(p.ackedSeq, h.RecvSeq) // frees the ring below it
 	p.conn = conn
 	p.connGen++
 	gen := p.connGen
@@ -868,20 +890,20 @@ func (t *Transport) attachPeer(conn net.Conn, h Hello, addr string, dialer bool)
 		p.reconnects++
 		t.reconnectsCtr.Inc()
 	}
-	p.cond.Broadcast()
+	p.changed()
 	p.mu.Unlock()
 
 	t.mu.Lock()
 	t.cond.Broadcast()
 	t.mu.Unlock()
-	// A successful attach proves the peer's process is alive right now,
-	// so it counts as a heartbeat and ends the bootstrap grace. (Failed
-	// dial/hello *attempts* must never count — see DESIGN §7c — but an
-	// admitted peer beats every BeatInterval from here on, so silence
-	// after this point is real suspicion. Without this, a peer killed
-	// between admission and its first beat frame stays in grace forever
-	// and its death is never confirmed.)
-	if t.cfg.OnBeat != nil {
+	// The first attach of a peer record proves its process alive right
+	// now, so it counts as a heartbeat and ends the bootstrap grace:
+	// without it, a peer killed between admission and its first frame
+	// stays in grace forever and its death is never confirmed. Failed
+	// attempts never count, and neither does a reconnect — a frame will —
+	// or redialing a respawned listener that refuses our stale cursor
+	// would keep its dead predecessor alive (DESIGN §7c).
+	if t.cfg.OnBeat != nil && gen == 1 {
 		t.cfg.OnBeat(h.TaskLo, h.TaskHi)
 	}
 	t.wg.Add(1)
@@ -889,20 +911,65 @@ func (t *Transport) attachPeer(conn net.Conn, h Hello, addr string, dialer bool)
 	return p, nil
 }
 
-// trimLocked drops the resend-window prefix the peer has acknowledged.
-func (p *peer) trimLocked(ack uint64) {
-	i := 0
-	for i < len(p.outq) && p.outq[i].seq <= ack {
-		i++
+// newPeerLocked creates the record of the peer process that presented h,
+// publishes it in the roster and the task table, and starts its writer.
+// The first send allocates the ring, 64 B a frame. Caller holds t.mu.
+func (t *Transport) newPeerLocked(h Hello, addr string) *peer {
+	q := t.cfg.OutboundQueue
+	p := &peer{t: t, taskLo: h.TaskLo, taskHi: h.TaskHi, held: noWrite, offs: make([]int, q)}
+	p.cond = sync.NewCond(&p.mu)
+	p.wake = sync.NewCond(&p.mu)
+	p.setAddr(addr)
+	t.peers[h.TaskLo] = p
+	for task := h.TaskLo; task < h.TaskHi; task++ {
+		t.byTask[task].Store(p)
 	}
-	p.outq = p.outq[i:]
-	if len(p.outq) == 0 {
-		p.outq = nil
+	if h.Incarnation > t.increc[h.TaskLo] {
+		t.increc[h.TaskLo] = h.Incarnation
 	}
-	p.ackedSeq = ack
-	if p.sentSeq < ack {
-		p.sentSeq = ack
+	t.wg.Add(1)
+	go p.writer()
+	return p
+}
+
+// setAddr records the dial address and builds the refusals that name it.
+func (p *peer) setAddr(addr string) {
+	p.addr = addr
+	label := fmt.Sprintf("[%d,%d)", p.taskLo, p.taskHi)
+	if addr != "" {
+		label += " at " + addr
 	}
+	p.errDead = fmt.Errorf("wire: peer %s: %w", label, ErrPeerDead)
+	p.errFull = fmt.Errorf("wire: outbound queue to peer %s full (all %d frames unacknowledged): %w", label, len(p.offs), ErrBackpressure)
+}
+
+// changed wakes whoever is parked on the peer's connection state: the
+// writer and, for a dialed peer, its supervisor. Caller holds p.mu.
+func (p *peer) changed() {
+	p.idle = false
+	p.wake.Signal()
+	p.cond.Broadcast()
+}
+
+// kickWriter tells the writer of new work: a signal on the idle-to-busy
+// edge only, a writer in mid-flush looks again. Caller holds p.mu.
+func (p *peer) kickWriter() {
+	if p.idle && p.conn != nil {
+		p.idle = false
+		p.wake.Signal()
+	}
+}
+
+// retire ends the peer's incarnation: sends to it fail typed from here.
+func (p *peer) retire() {
+	p.mu.Lock()
+	p.dead, p.buf = true, nil
+	if p.conn != nil {
+		p.conn.Close()
+		p.conn = nil
+	}
+	p.changed()
+	p.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------
@@ -910,74 +977,102 @@ func (p *peer) trimLocked(ack uint64) {
 // ---------------------------------------------------------------------
 
 // Send ships one memory-FIFO message to the process hosting dst.Task
-// (mu.Transport). The message is segmented, sequenced, and parked in
-// the peer's bounded resend window until acknowledged; it fails typed —
-// ErrPeerDead, ErrBackpressure, ErrNoPeer — and never blocks.
+// (mu.Transport). The message is segmented, sequenced, and encoded into
+// the peer's send ring, where it stays until acknowledged; it fails
+// typed — ErrPeerDead, ErrBackpressure, ErrNoPeer — and never blocks.
 func (t *Transport) Send(dst mu.TaskAddr, hdr mu.Header, payload []byte) error {
 	p := t.peerFor(dst.Task)
 	if p == nil {
 		return fmt.Errorf("%w %d (partition incomplete, or the peer process was never launched)", ErrNoPeer, dst.Task)
 	}
-	return p.send(dst, hdr, payload)
-}
-
-func (t *Transport) peerFor(task int) *peer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, p := range t.peers {
-		if task >= p.taskLo && task < p.taskHi {
-			return p
-		}
-	}
-	return nil
-}
-
-func (p *peer) label() string {
-	if p.addr != "" {
-		return fmt.Sprintf("[%d,%d) at %s", p.taskLo, p.taskHi, p.addr)
-	}
-	return fmt.Sprintf("[%d,%d)", p.taskLo, p.taskHi)
-}
-
-func (p *peer) send(dst mu.TaskAddr, hdr mu.Header, payload []byte) error {
-	nseg := (len(payload) + maxSegment - 1) / maxSegment
-	if nseg == 0 {
-		nseg = 1
-	}
 	p.mu.Lock()
-	if p.dead {
-		p.mu.Unlock()
-		return fmt.Errorf("wire: send %v -> %v: peer %s: %w", hdr.Origin, dst, p.label(), ErrPeerDead)
-	}
-	if p.closed {
-		p.mu.Unlock()
-		return fmt.Errorf("wire: send %v -> %v: %w", hdr.Origin, dst, ErrClosed)
-	}
-	if len(p.outq)+nseg > p.t.cfg.OutboundQueue {
-		n := len(p.outq)
-		p.mu.Unlock()
-		p.t.backpressured.Inc()
-		return fmt.Errorf("wire: send %v -> %v: outbound queue to peer %s full (%d frames unacknowledged): %w",
-			hdr.Origin, dst, p.label(), n, ErrBackpressure)
-	}
+	defer p.mu.Unlock()
 	// All segments enqueue atomically: a message is never torn across a
 	// backpressure refusal.
-	for off := 0; off < len(payload) || off == 0; off += maxSegment {
-		end := off + maxSegment
-		if end > len(payload) {
-			end = len(payload)
-		}
-		p.sendSeq++
-		h := hdr
-		h.Offset = off
-		p.outq = append(p.outq, outFrame{seq: p.sendSeq, buf: appendPacket(nil, p.sendSeq, dst, h, payload[off:end])})
+	if err := p.admit(max(1, (len(payload)+maxSegment-1)/maxSegment)); err != nil {
+		return err
+	}
+	flen := 8 + 1 + packetFixed + len(hdr.Meta) // the first segment's frame, less its payload
+	for off := 0; ; off += maxSegment {
+		end := min(off+maxSegment, len(payload))
+		hdr.Offset = off
+		slot := p.reserve(flen + end - off)
+		appendPacket(slot, p.sendSeq, dst, hdr, payload[off:end])
 		if end == len(payload) {
 			break
 		}
+		flen = 8 + 1 + packetFixed // meta rides only the first
 	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
+	p.kickWriter()
 	return nil
+}
+
+// peerFor is the lock-free roster lookup on the send path.
+func (t *Transport) peerFor(task int) *peer {
+	if task < 0 || task >= len(t.byTask) {
+		return nil
+	}
+	return t.byTask[task].Load()
+}
+
+// admit decides whether n more frames may enter the send ring; frames
+// still held for the socket count even once acknowledged. Holds p.mu.
+func (p *peer) admit(n int) error {
+	switch {
+	case p.dead:
+		return p.errDead
+	case p.closed:
+		return ErrClosed
+	case p.sendSeq-min(p.held, p.ackedSeq)+uint64(n) > uint64(len(p.offs)):
+		p.t.backpressured.Inc()
+		return p.errFull
+	}
+	return nil
+}
+
+// reserve assigns the next sequence number and returns n contiguous
+// bytes of the ring for its frame — empty, capacity n: the append-style
+// encoders fill it in place. A frame that does not fit behind head goes
+// to the front if there is room, else the ring grows. Caller holds p.mu.
+func (p *peer) reserve(n int) []byte {
+	q := uint64(len(p.offs))
+	low := min(p.held, p.ackedSeq) // the highest seq whose bytes may be reused
+	switch tail := p.offs[(low+1)%q]; {
+	case p.sendSeq == low: // empty: start over at the front
+		p.head = 0
+		if n > len(p.buf) {
+			p.grow(low, n)
+		}
+	case tail < p.head && p.head+n <= len(p.buf): // fits behind head
+	case tail < p.head && n < tail: // fits at the front: wrap
+		p.wrap, p.head = p.head, 0
+	case p.head < tail && p.head+n < tail: // wrapped already, fits below the oldest frame
+	default:
+		p.grow(low, n)
+	}
+	p.sendSeq++
+	p.offs[p.sendSeq%q] = p.head
+	slot := p.buf[p.head : p.head : p.head+n]
+	p.head += n
+	return slot
+}
+
+// grow moves the frames above low to the front of a ring at least twice
+// the size. A writer in mid-flush keeps the old array, which is intact.
+func (p *peer) grow(low uint64, n int) {
+	q := uint64(len(p.offs))
+	size := max(2*len(p.buf), 64*len(p.offs))
+	for size < len(p.buf)+n {
+		size *= 2
+	}
+	nb := make([]byte, size)
+	at := 0
+	for s := low + 1; s <= p.sendSeq; s++ {
+		off := p.offs[s%q]
+		p.offs[s%q] = at
+		at += copy(nb[at:], p.buf[off:off+4+int(binary.BigEndian.Uint32(p.buf[off:]))]) // its own length leads every frame
+	}
+	p.buf, p.head = nb, at
 }
 
 // maxReplica bounds one replica blob: it must fit a single frame.
@@ -998,117 +1093,80 @@ func (t *Transport) SendReplica(dstTask int, blob []byte) error {
 		return fmt.Errorf("%w %d (partition incomplete, or the peer process was never launched)", ErrNoPeer, dstTask)
 	}
 	p.mu.Lock()
-	if p.dead {
-		p.mu.Unlock()
-		return fmt.Errorf("wire: replica to peer %s: %w", p.label(), ErrPeerDead)
+	defer p.mu.Unlock()
+	if err := p.admit(1); err != nil {
+		return fmt.Errorf("wire: replica: %w", err)
 	}
-	if p.closed {
-		p.mu.Unlock()
-		return fmt.Errorf("wire: replica to peer %s: %w", p.label(), ErrClosed)
-	}
-	if len(p.outq)+1 > p.t.cfg.OutboundQueue {
-		n := len(p.outq)
-		p.mu.Unlock()
-		t.backpressured.Inc()
-		return fmt.Errorf("wire: replica to peer %s: outbound queue full (%d frames unacknowledged): %w",
-			p.label(), n, ErrBackpressure)
-	}
-	p.sendSeq++
-	p.outq = append(p.outq, outFrame{seq: p.sendSeq, buf: appendReplica(nil, p.sendSeq, blob)})
-	p.cond.Broadcast()
-	p.mu.Unlock()
+	slot := p.reserve(8 + 1 + 8 + len(blob))
+	appendReplica(slot, p.sendSeq, blob)
+	p.kickWriter()
 	t.replicasSent.Inc()
 	return nil
 }
 
-// handleReplica accepts one in-sequence replica frame: same duplicate
-// suppression and gap fencing as data packets (shared sequence space),
-// but the blob goes to the recovery hook instead of the fabric. With no
-// hook installed the blob is acknowledged and dropped — replicas are
-// soft state; the next checkpoint interval replaces them.
-func (t *Transport) handleReplica(p *peer, seq uint64, blob []byte) error {
-	p.mu.Lock()
-	if seq <= p.recvSeq {
-		p.ackDue = true
-		p.cond.Broadcast()
-		p.mu.Unlock()
-		t.dupDrops.Inc()
-		return nil
-	}
-	if seq != p.recvSeq+1 {
-		p.mu.Unlock()
-		return fmt.Errorf("%w: replica seq %d follows %d (sequence gap)", ErrFrameCorrupt, seq, p.recvSeq)
-	}
-	p.mu.Unlock()
-	t.replicasRecv.Inc()
-	if t.cfg.OnReplica != nil {
-		t.cfg.OnReplica(blob)
-	}
-	p.mu.Lock()
-	p.recvSeq = seq
-	p.ackDue = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	return nil
-}
-
-// writer is the peer's single write goroutine: it flushes pending acks,
-// beats, and unsent window frames onto the current connection, under a
-// write deadline so a stalled peer breaks the connection instead of
-// wedging the transport.
+// writer is the peer's single write goroutine. Each time it looks, it
+// hands the socket all there is (a due ack and beat, the unsent span of
+// the ring, in place) as one write under a deadline; it never waits.
 func (p *peer) writer() {
 	t := p.t
 	defer t.wg.Done()
-	var out []byte // flush buffer, reused: this goroutine is its only user
+	var ctl []byte // this flush's ack and beat, reused: this goroutine is its only user
 	for {
 		p.mu.Lock()
+		p.held = noWrite // the previous write is over
 		for !(p.closed || p.dead) &&
 			(p.conn == nil || (p.sentSeq >= p.sendSeq && !p.ackDue && !p.beatDue)) {
-			p.cond.Wait()
+			p.idle = true
+			p.wake.Wait()
+			t.writerWakes.Inc()
 		}
+		p.idle = false
 		if p.closed || p.dead {
 			p.mu.Unlock()
 			return
 		}
 		conn, gen := p.conn, p.connGen
-		out = out[:0]
+		ctl = ctl[:0]
 		nframes := 0
 		if p.ackDue {
-			out = appendAck(out, p.recvSeq)
+			ctl = appendAck(ctl, p.recvSeq.Load())
 			p.ackDue = false
 			nframes++
 			t.acksSent.Inc()
 		}
 		if p.beatDue {
-			out = appendBeat(out)
+			ctl = appendBeat(ctl)
 			p.beatDue = false
 			nframes++
 			t.beatsSent.Inc()
 		}
-		for _, of := range p.outq {
-			if of.seq <= p.sentSeq {
-				continue
-			}
-			if nframes >= 64 || len(out) > 256<<10 {
-				break
-			}
-			if of.seq <= p.everSent {
-				t.resends.Inc()
+		p.wbufs = p.wvec[:0]
+		if len(ctl) > 0 {
+			p.wbufs = append(p.wbufs, ctl)
+		}
+		size := len(ctl)
+		if p.sentSeq < p.sendSeq {
+			from := p.offs[(p.sentSeq+1)%uint64(len(p.offs))]
+			if from < p.head {
+				p.wbufs = append(p.wbufs, p.buf[from:p.head])
+				size += p.head - from
 			} else {
-				p.everSent = of.seq
+				p.wbufs = append(p.wbufs, p.buf[from:p.wrap], p.buf[:p.head])
+				size += p.wrap - from + p.head
 			}
-			out = append(out, of.buf...)
-			p.sentSeq = of.seq
-			nframes++
+			if p.everSent > p.sentSeq {
+				t.resends.Add(int64(min(p.everSent, p.sendSeq) - p.sentSeq))
+			}
+			p.everSent = max(p.everSent, p.sendSeq)
+			nframes += int(p.sendSeq - p.sentSeq)
+			p.held, p.sentSeq = p.sentSeq, p.sendSeq
 		}
 		p.flushes++
-		flush := p.flushes
-		peerLo := int64(p.taskLo)
+		flush, peerLo := p.flushes, int64(p.taskLo)
 		p.mu.Unlock()
 
 		// Deterministic wire-fault storm: cut the connection instead of
 		// writing, or corrupt a byte so the peer's CRC check cuts it.
-		// Either way the resend window replays after reconnect.
 		if t.cfg.DropProb > 0 && fault.Chance(t.cfg.DropProb, t.cfg.Seed, peerLo, flush, 1) {
 			t.cutsInjected.Inc()
 			p.connBroken(gen, fmt.Errorf("wire: injected connection cut"))
@@ -1116,13 +1174,16 @@ func (p *peer) writer() {
 		}
 		if t.cfg.CorruptProb > 0 && fault.Chance(t.cfg.CorruptProb, t.cfg.Seed, peerLo, flush, 2) {
 			t.corrInjected.Inc()
-			// Reduce in uint64: truncating the hash to int first can go
-			// negative, and Go's % keeps the sign (index out of range).
-			out[fault.FlowHash(int(peerLo), int(flush), 0, 0)%uint64(len(out))] ^= 0x40
+			// In a private copy: the ring's bytes are the resend. Reduce in
+			// uint64: a hash truncated to int can go negative, % keeps it.
+			flat := bytes.Join(p.wbufs, nil)
+			flat[fault.FlowHash(int(peerLo), int(flush), 0, 0)%uint64(size)] ^= 0x40
+			p.wbufs = append(p.wbufs[:0], flat)
 		}
-		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteDeadline))
-		n, err := conn.Write(out)
-		t.bytesSent.Add(int64(n))
+		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteDeadline * time.Duration(1+size>>18)))
+		n, err := p.wbufs.WriteTo(conn)
+		t.socketWrites.Inc()
+		t.bytesSent.Add(n)
 		t.framesSent.Add(int64(nframes))
 		if err != nil {
 			p.connBroken(gen, err)
@@ -1130,11 +1191,18 @@ func (p *peer) writer() {
 	}
 }
 
+// seqGapError is a corrupt stream too, but counted on its own.
+type seqGapError struct{ seq, after uint64 }
+
+func (e *seqGapError) Unwrap() error { return ErrFrameCorrupt }
+func (e *seqGapError) Error() string {
+	return fmt.Sprintf("%v: data seq %d follows %d (sequence gap)", ErrFrameCorrupt, e.seq, e.after)
+}
+
 // connBroken tears down one connection incarnation (idempotent per
-// generation) and rewinds the write cursor to the acknowledged
-// frontier so the next connection resends the tail.
+// generation), records why, and rewinds the write cursor to the
+// acknowledged frontier so the next connection resends the tail.
 func (p *peer) connBroken(gen int, reason error) {
-	_ = reason
 	p.mu.Lock()
 	if gen != p.connGen || p.conn == nil {
 		p.mu.Unlock()
@@ -1143,112 +1211,195 @@ func (p *peer) connBroken(gen int, reason error) {
 	p.conn.Close()
 	p.conn = nil
 	p.sentSeq = p.ackedSeq
-	p.cond.Broadcast()
+	p.lastErr, p.lastDown = reason, time.Now()
+	p.changed()
 	p.mu.Unlock()
 	t := p.t
+	var gap *seqGapError
+	switch {
+	case errors.As(reason, &gap):
+		t.dropsSeqGap.Inc()
+	case errors.Is(reason, ErrFrameCorrupt), errors.Is(reason, ErrFrameTooLarge):
+		t.dropsCRC.Inc()
+	default:
+		t.dropsIO.Inc()
+	}
+	t.streamDrops.Inc()
 	t.mu.Lock()
 	t.cond.Broadcast()
 	t.mu.Unlock()
 }
 
-// readLoop consumes frames from one connection incarnation. Any
-// integrity or sequencing violation kills the connection; reconnection
-// plus the resend window restore the stream exactly-once.
-func (t *Transport) readLoop(p *peer, conn net.Conn, gen int) {
-	defer t.wg.Done()
-	var lenBuf [4]byte
-	scratch := make([]byte, 0, 8192)
-	var streamErr error
-loop:
-	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			break
-		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n > MaxFrame || n < 5 {
-			streamErr = ErrFrameTooLarge
-			break
-		}
-		if cap(scratch) < int(n) {
-			scratch = make([]byte, n)
-		}
-		scratch = scratch[:n]
-		if _, err := io.ReadFull(conn, scratch); err != nil {
-			break
-		}
-		t.bytesRecv.Add(int64(n) + 4)
-		f, err := decodeStreamFrame(scratch)
-		if err != nil {
-			streamErr = err
-			break
-		}
-		t.framesRecv.Inc()
-		switch f.Kind {
-		case kindPacket:
-			if err := t.handlePacket(p, &f.Packet); err != nil {
-				streamErr = err
-				break loop
-			}
-		case kindAck:
-			p.mu.Lock()
-			if f.AckSeq > p.ackedSeq && f.AckSeq <= p.sendSeq {
-				p.trimLocked(f.AckSeq)
-			}
-			p.mu.Unlock()
-		case kindBeat:
-			t.beatsRecv.Inc()
-			if t.cfg.OnBeat != nil {
-				t.cfg.OnBeat(p.taskLo, p.taskHi)
-			}
-		case kindReplica:
-			if err := t.handleReplica(p, f.ReplicaSeq, f.Replica); err != nil {
-				streamErr = err
-				break loop
-			}
-		default:
-			streamErr = fmt.Errorf("%w: unexpected frame kind %d mid-stream", ErrFrameCorrupt, f.Kind)
-			break loop
-		}
-	}
-	if streamErr != nil {
-		t.streamDrops.Inc()
-	}
-	p.connBroken(gen, streamErr)
+// rxBurst is one stream reader's state: the frame every decode lands
+// in, and what the frames handled since the last endBurst owe.
+type rxBurst struct {
+	f      Frame
+	ackTo  uint64        // highest cumulative ack among them: a trim
+	ackDue bool          // data delivered or a duplicate seen: an ack of ours
+	dsts   []mu.TaskAddr // whom Deliver was handed frames for: BurstEnd's wake-ups
 }
 
-// handlePacket delivers one in-sequence message segment to the local
-// fabric, stalling (bounded by the frame already in hand — no growing
-// buffer) while the destination FIFO is saturated, and acknowledges it
-// only after delivery, so an unacknowledged segment is always safe to
-// resend.
-func (t *Transport) handlePacket(p *peer, pf *PacketFrame) error {
-	// A severed connection's readLoop may still be delivering the frame it
-	// has in hand when its successor starts on the resends of the same
-	// sequence numbers: the sequence check, the delivery and the recvSeq
-	// update must be one step, or both deliver.
+// readLoop consumes one connection incarnation: each read(2) fills one
+// fixed buffer, and all that is complete in it is one burst. Any
+// integrity or sequencing violation kills the connection; reconnection
+// plus the send ring restore the stream exactly-once.
+func (t *Transport) readLoop(p *peer, conn net.Conn, gen int) {
+	defer t.wg.Done()
+	var rx rxBurst
+	buf := make([]byte, readBuf)
+	var big []byte // a frame larger than buf, at its exact size
+	w := 0         // buf[:w] is read and not yet handled
+	var err error
+	for err == nil {
+		var n int
+		n, err = conn.Read(buf[w:])
+		t.socketReads.Inc()
+		if n == 0 {
+			continue
+		}
+		w += n
+		var used int
+		if used, err = t.burst(p, gen, &rx, buf[:w]); err != nil {
+			break
+		}
+		w = copy(buf, buf[used:w])
+		if w < 4 {
+			continue
+		}
+		// The incomplete frame's length has passed decode's MaxFrame
+		// check: nothing grows before that.
+		if need := 4 + int(binary.BigEndian.Uint32(buf)); need > len(buf) {
+			if cap(big) < need {
+				big = make([]byte, need)
+			}
+			copy(big[:need], buf[:w])
+			t.socketReads.Inc()
+			if _, err = io.ReadFull(conn, big[w:need]); err == nil {
+				_, err = t.burst(p, gen, &rx, big[:need])
+			}
+			w = 0
+		}
+	}
+	p.connBroken(gen, err)
+}
+
+// burst handles every complete frame at the head of data and returns
+// the bytes consumed, under one hold of rxMu: a severed connection's
+// reader may still hold frames when its successor starts on the resends
+// of the same numbers, so a frame's recvSeq+1 check, delivery and recvSeq
+// update are one step, and a reader whose connection is gone takes none.
+func (t *Transport) burst(p *peer, gen int, rx *rxBurst, data []byte) (used int, err error) {
 	p.rxMu.Lock()
 	defer p.rxMu.Unlock()
 	p.mu.Lock()
-	if pf.Seq <= p.recvSeq {
+	gone := p.connGen != gen || p.conn == nil
+	p.mu.Unlock()
+	if gone {
+		return 0, net.ErrClosed
+	}
+	frames := 0
+	for err == nil {
+		var n int
+		if n, err = rx.f.decode(data[used:]); err != nil {
+			if err == ErrShortFrame {
+				err = nil
+			}
+			break
+		}
+		used += n
+		frames++
+		switch f := &rx.f; f.Kind {
+		case kindPacket:
+			err = t.handleData(p, rx, f.Packet.Seq)
+		case kindReplica:
+			err = t.handleData(p, rx, f.ReplicaSeq)
+		case kindAck:
+			rx.ackTo = max(rx.ackTo, f.AckSeq)
+		case kindBeat:
+			t.beatsRecv.Inc()
+		default:
+			err = fmt.Errorf("%w: unexpected frame kind %d mid-stream", ErrFrameCorrupt, f.Kind)
+		}
+	}
+	if frames > 0 {
+		t.bursts.Inc()
+		t.burstHWM.Set(int64(frames))
+		t.framesRecv.Add(int64(frames))
+		t.bytesRecv.Add(int64(used))
+	}
+	t.endBurst(p, rx, frames > 0)
+	return used, err
+}
+
+// endBurst settles what the frames handled since the last call owe: the
+// ring trim, our ack, the liveness stamp, the consumers' wake-up.
+func (t *Transport) endBurst(p *peer, rx *rxBurst, live bool) {
+	if rx.ackTo != 0 || rx.ackDue {
+		p.mu.Lock()
+		if rx.ackTo > p.ackedSeq && rx.ackTo <= p.sendSeq {
+			p.ackedSeq, p.sentSeq = rx.ackTo, max(p.sentSeq, rx.ackTo) // frees the ring below it
+		}
+		if rx.ackDue {
+			p.ackDue = true
+			p.kickWriter()
+		}
+		p.mu.Unlock()
+	}
+	if live && t.cfg.OnBeat != nil {
+		t.cfg.OnBeat(p.taskLo, p.taskHi)
+	}
+	if len(rx.dsts) > 0 {
+		t.cfg.BurstEnd(rx.dsts)
+	}
+	rx.ackTo, rx.ackDue, rx.dsts = 0, false, rx.dsts[:0]
+}
+
+// handleData takes the data frame in rx.f — a packet or a replica, one
+// sequence space — if it is the next in sequence, and acknowledges it
+// only after delivery, so an unacknowledged frame is always safe to
+// resend. Caller holds p.rxMu.
+func (t *Transport) handleData(p *peer, rx *rxBurst, seq uint64) error {
+	recv := p.recvSeq.Load()
+	if seq <= recv {
 		// Resent duplicate from before the last reconnect: drop, but
 		// re-acknowledge so the sender trims its window.
-		p.ackDue = true
-		p.cond.Broadcast()
-		p.mu.Unlock()
+		rx.ackDue = true
 		t.dupDrops.Inc()
 		return nil
 	}
-	if pf.Seq != p.recvSeq+1 {
-		p.mu.Unlock()
-		return fmt.Errorf("%w: packet seq %d follows %d (sequence gap)", ErrFrameCorrupt, pf.Seq, p.recvSeq)
+	if seq != recv+1 {
+		return &seqGapError{seq, recv}
 	}
-	p.mu.Unlock()
+	if rx.f.Kind == kindReplica {
+		// The blob goes to the recovery hook instead of the fabric. With
+		// no hook installed it is acknowledged and dropped — replicas are
+		// soft state; the next checkpoint interval replaces them.
+		t.replicasRecv.Inc()
+		if t.cfg.OnReplica != nil {
+			t.cfg.OnReplica(rx.f.Replica)
+		}
+	} else if err := t.deliver(p, rx); err != nil {
+		return err
+	}
+	p.recvSeq.Store(seq)
+	rx.ackDue = true
+	return nil
+}
+
+// deliver hands the message segment in rx.f to the local fabric,
+// stalling (bounded by the frame already in hand — no growing buffer)
+// while the destination FIFO is saturated.
+func (t *Transport) deliver(p *peer, rx *rxBurst) error {
+	pf := &rx.f.Packet
 	if !t.Local(pf.Dst.Task) {
 		return fmt.Errorf("%w: packet for task %d, which is not hosted here", ErrFrameCorrupt, pf.Dst.Task)
 	}
 	hdr := pf.Hdr
 	payload := pf.Payload
 	for step := int64(0); ; step++ {
+		if t.cfg.BurstEnd != nil && (len(rx.dsts) == 0 || rx.dsts[len(rx.dsts)-1] != pf.Dst) {
+			rx.dsts = append(rx.dsts, pf.Dst) // a repeat further back costs a second touch, no more
+		}
 		n, err := t.cfg.Deliver(pf.Dst, hdr, payload)
 		hdr.Offset += n
 		payload = payload[n:]
@@ -1258,7 +1409,7 @@ func (t *Transport) handlePacket(p *peer, pf *PacketFrame) error {
 			hdr.Meta = nil
 		}
 		if err == nil {
-			break
+			return nil
 		}
 		if t.isClosed() {
 			return ErrClosed
@@ -1267,19 +1418,16 @@ func (t *Transport) handlePacket(p *peer, pf *PacketFrame) error {
 		// bootstrap): hold this one frame and retry on a seeded-jitter
 		// cadence. The TCP window does the upstream throttling; the
 		// sender's bounded queue surfaces ErrBackpressure beyond that.
+		// Settle first: the consumer that must drain the FIFO may be
+		// parked on the wake-up this burst still owes it.
 		t.deliverStalls.Inc()
+		t.endBurst(p, rx, true)
 		time.Sleep(fault.Jitter(t.cfg.Seed, step, 100*time.Microsecond))
 	}
-	p.mu.Lock()
-	p.recvSeq = pf.Seq
-	p.ackDue = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	return nil
 }
 
 // beater marks every connected peer beat-due on the configured period;
-// the writers put the beats on the wire out-of-band from data.
+// the writers put the beats on the wire with whatever else is due.
 func (t *Transport) beater() {
 	defer t.wg.Done()
 	tick := time.NewTicker(t.cfg.BeatInterval)
@@ -1294,7 +1442,7 @@ func (t *Transport) beater() {
 			p.mu.Lock()
 			if p.conn != nil && !p.dead {
 				p.beatDue = true
-				p.cond.Broadcast()
+				p.kickWriter()
 			}
 			p.mu.Unlock()
 		}
@@ -1320,27 +1468,12 @@ func (t *Transport) peerSnapshot() []*peer {
 // its resend window discarded, its supervisor stopped; pending and
 // future sends to its range fail with ErrPeerDead.
 func (t *Transport) MarkTaskDead(task int) {
-	p := t.peerFor(task)
-	if p == nil {
-		// No peer object (e.g. a restored survivor that never heard from
-		// the dead range) — still wake WaitComplete so coverage re-checks
-		// against RangeDead.
-		t.mu.Lock()
-		t.cond.Broadcast()
-		t.mu.Unlock()
-		return
+	// With no peer object (e.g. a restored survivor that never heard from
+	// the dead range) WaitComplete is still woken, so coverage re-checks
+	// against RangeDead.
+	if p := t.peerFor(task); p != nil {
+		p.retire()
 	}
-	p.mu.Lock()
-	if !p.dead {
-		p.dead = true
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-		}
-		p.outq = nil
-		p.cond.Broadcast()
-	}
-	p.mu.Unlock()
 	t.mu.Lock()
 	t.cond.Broadcast()
 	t.mu.Unlock()
@@ -1355,6 +1488,7 @@ func (t *Transport) Peers() []PeerInfo {
 		out = append(out, PeerInfo{
 			TaskLo: p.taskLo, TaskHi: p.taskHi, Addr: p.addr,
 			Connected: p.conn != nil, Dead: p.dead, Reconnects: p.reconnects,
+			LastError: p.lastErr, LastDisconnect: p.lastDown,
 		})
 		p.mu.Unlock()
 	}
@@ -1364,6 +1498,19 @@ func (t *Transport) Peers() []PeerInfo {
 		}
 	}
 	return out
+}
+
+// WriteLinks writes one line per peer — state, reconnects, why and when
+// its link last broke — for the hang dump and pamirun -stats.
+func (t *Transport) WriteLinks(w io.Writer) {
+	fmt.Fprintf(w, "wire links of tasks [%d,%d):\n", t.cfg.HostedLo, t.cfg.HostedHi)
+	for _, pi := range t.Peers() {
+		fmt.Fprintf(w, "  peer [%d,%d) addr=%q connected=%v dead=%v reconnects=%d", pi.TaskLo, pi.TaskHi, pi.Addr, pi.Connected, pi.Dead, pi.Reconnects)
+		if pi.LastError != nil {
+			fmt.Fprintf(w, " last disconnect %v ago: %v", time.Since(pi.LastDisconnect).Round(time.Millisecond), pi.LastError)
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // WaitComplete blocks until every task of the partition is hosted
@@ -1465,7 +1612,7 @@ func (t *Transport) coverageGapLocked() string {
 func (t *Transport) Quiesced() error {
 	for _, p := range t.peerSnapshot() {
 		p.mu.Lock()
-		n, dead := len(p.outq), p.dead
+		n, dead := p.sendSeq-p.ackedSeq, p.dead
 		lo, hi := p.taskLo, p.taskHi
 		p.mu.Unlock()
 		if !dead && n > 0 {
@@ -1519,7 +1666,7 @@ func (t *Transport) Close() error {
 			p.conn.Close()
 			p.conn = nil
 		}
-		p.cond.Broadcast()
+		p.changed()
 		p.mu.Unlock()
 	}
 	t.wg.Wait()

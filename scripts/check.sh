@@ -29,8 +29,11 @@ GOMAXPROCS=1 go test -race -run 'TestTeam|TestRootedReduceCannotLap|TestParked|T
 echo "==> go test -race (Time Warp engine: equivalence vs oracle, rollback stress, netsim cross-engine)"
 go test -race ./internal/sim/... ./internal/netsim
 
-echo "==> go test -race (wire transport: reconnect storm, fault storm, cross-process machines)"
+echo "==> go test -race (wire transport: burst property + chunking + reconnect and fault storms, cross-process machines, liveness)"
 go test -race ./internal/wire ./internal/machine ./internal/health ./cmd/pamirun
+
+echo "==> GOMAXPROCS=1 go test -race ./internal/wire (a reader/writer pair must not need a second core to make progress)"
+GOMAXPROCS=1 go test -race ./internal/wire
 
 echo "==> go test -race -tags pamitrace ./internal/telemetry"
 go test -race -tags pamitrace ./internal/telemetry
@@ -81,8 +84,9 @@ fi
 echo "==> fault-grammar fuzz (short deterministic run)"
 go test -run xxx -fuzz FuzzParsePlan -fuzztime 10s ./internal/fault >/dev/null
 
-echo "==> wire frame fuzz (decoder must never panic on hostile bytes)"
+echo "==> wire frame fuzz (decoder must never panic on hostile bytes; the stream reader delivers only what it accepts, however the stream is cut)"
 go test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire >/dev/null
+go test -run xxx -fuzz FuzzStreamReader -fuzztime 10s ./internal/wire >/dev/null
 
 echo "==> GVT fuzz (concurrent stamp folding + whole-engine runs, short)"
 go test -run xxx -fuzz 'FuzzGVT$' -fuzztime 10s ./internal/sim/warp >/dev/null

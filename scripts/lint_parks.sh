@@ -107,6 +107,14 @@ while read -r f n _; do
 done <<SPINS
 $spins
 SPINS
+# The wire transport's data path wakes by cond signal and by socket
+# readiness, never by polling: no Gosched anywhere in it (it is not in
+# the table above), and exactly one time.Sleep — the reader's
+# delivery-stall retry while the destination FIFO refuses the frame in
+# hand, after it has settled the burst and woken the consumer. A writer
+# that slept to accumulate a bigger flush would be the second.
+check "time\.Sleep" internal/wire/transport.go 1
+
 # The node-team protocol replaced the l2atomic.Barrier crossings (three
 # spins per crossing, four crossings per collective): the primitive stays
 # for the benchmark's ladder, but nothing in the runtime may wait on it.
