@@ -52,6 +52,28 @@ func TestPAMIFasterThanMPI(t *testing.T) {
 	}
 }
 
+// A fixed-count fan-in ends with the receiver ahead of its last senders,
+// polling a FIFO whose head ticket is claimed but not yet published. If
+// that poll spins instead of yielding to the producer, a run collapses to
+// a tenth of its rate and counts tens of millions of advances for 120 k
+// messages (one run in five did, before mu.RecFIFO.PollBatch yielded);
+// a healthy run counts a tenth of an advance per message.
+func TestFanInStragglersDoNotSpin(t *testing.T) {
+	const senders, window, reps, runs = 4, 100, 300, 12
+	var advances int64
+	for i := 0; i < runs; i++ {
+		_, snap, err := FanInPAMI(senders, window, reps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters, _ := snap.Totals()
+		advances += counters["advances"]
+	}
+	if msgs := int64(runs * senders * window * reps); advances > 2*msgs {
+		t.Errorf("%d advances for %d messages: the receiver spun on an unpublished FIFO head", advances, msgs)
+	}
+}
+
 func TestMessageRatePAMIRuns(t *testing.T) {
 	rate, _, err := MessageRatePAMI(2, 100, 3)
 	if err != nil {

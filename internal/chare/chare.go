@@ -30,8 +30,9 @@ const (
 )
 
 // EntryFn is an entry method: it runs on the element's home rank with
-// the element's state and the invocation payload. Entry methods may send
-// further invocations through the runtime.
+// the element's state and the invocation payload, which is valid for
+// the call only (copy to keep). Entry methods may send further
+// invocations through the runtime.
 type EntryFn func(rt *Runtime, state any, elem int, payload []byte)
 
 // Runtime is one process's chare runtime.

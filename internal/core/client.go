@@ -25,6 +25,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"pamigo/internal/cnk"
 	"pamigo/internal/lockless"
@@ -49,6 +50,8 @@ type Client struct {
 	mu       sync.Mutex
 	contexts []*Context
 	cts      []*cnk.CommThread
+
+	commThreaded atomic.Bool // len(cts) > 0, readable without mu
 
 	// EagerThreshold is the message size (bytes) at or below which Send
 	// uses the eager protocol; larger messages use rendezvous. Mutable
@@ -219,27 +222,21 @@ func (c *Client) EnableCommThreads() {
 			return n
 		})
 		c.cts = append(c.cts, ct)
-		ctx.commThreaded.Store(true)
 	}
+	c.commThreaded.Store(len(c.cts) > 0)
 }
 
-// CommThreadsEnabled reports whether commthreads are running.
-func (c *Client) CommThreadsEnabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.cts) > 0
-}
+// CommThreadsEnabled reports whether commthreads are running. It is read
+// several times per MPI call, so it answers from an atomic, not c.mu.
+func (c *Client) CommThreadsEnabled() bool { return c.commThreaded.Load() }
 
 // DisableCommThreads stops the client's commthreads.
 func (c *Client) DisableCommThreads() {
 	c.mu.Lock()
 	cts := c.cts
 	c.cts = nil
-	ctxs := append([]*Context(nil), c.contexts...)
+	c.commThreaded.Store(false)
 	c.mu.Unlock()
-	for _, ctx := range ctxs {
-		ctx.commThreaded.Store(false)
-	}
 	for _, ct := range cts {
 		ct.Stop()
 	}

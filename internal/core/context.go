@@ -123,8 +123,6 @@ type Context struct {
 	stats  *ctxStats
 	tracer *telemetry.Tracer // non-nil only under -tags pamitrace
 
-	commThreaded atomic.Bool
-
 	// aborted is the typed cancellation flag for the deferred-send
 	// queues: any thread (the stall sentinel's scanner, a shutdown path)
 	// stores a cause via Abort, and the owning thread drains it on its
@@ -332,9 +330,10 @@ func (ctx *Context) Advance(max int) int {
 		}
 		if g := ctx.muRes.Rec.PollBatch(ctx.pktBatch[:k]); g > 0 {
 			for i := 0; i < g; i++ {
+				// An inline packet's bytes are this scratch element: the
+				// handler's views die when the next drain overwrites it.
 				ctx.handlePacket(&ctx.pktBatch[i])
-				ctx.pktBatch[i].Release()
-				ctx.pktBatch[i] = mu.Packet{}
+				ctx.pktBatch[i].Release() // drops the slab pointers too
 			}
 			n += g
 			continue
@@ -601,11 +600,11 @@ func (ctx *Context) Tracer() *telemetry.Tracer { return ctx.tracer }
 // packet) or a piece to reassemble. It takes the packet by pointer into
 // the drain scratch so the hot path never copies the Packet struct.
 func (ctx *Context) handlePacket(pkt *mu.Packet) {
-	hdr := pkt.Hdr
-	if hdr.Offset == 0 && len(pkt.Payload) == hdr.Total {
-		ctx.handleMessage(hdr, pkt.Payload, false)
+	if pkt.Whole() {
+		ctx.handleMessage(pkt.Header(), pkt.Payload(), false)
 		return
 	}
+	hdr, payload := pkt.Header(), pkt.Payload()
 	key := reasmKey{origin: hdr.Origin, seq: hdr.Seq}
 	st, ok := ctx.reasm[key]
 	if !ok {
@@ -619,13 +618,13 @@ func (ctx *Context) handlePacket(pkt *mu.Packet) {
 		ctx.reasm[key] = st
 	}
 	if hdr.Offset == 0 && len(hdr.Meta) > 0 {
-		// The packet's meta lives in a pooled slab that is released when
-		// this packet is; the reassembly outlives it, so copy.
+		// The packet's meta lives in the packet or in a pooled slab that
+		// is released when the packet is; the reassembly outlives both.
 		st.mbuf = bufpool.GetCopy(hdr.Meta)
 		st.meta = st.mbuf.Bytes()
 	}
-	copy(st.buf[hdr.Offset:], pkt.Payload)
-	st.got += len(pkt.Payload)
+	copy(st.buf[hdr.Offset:], payload)
+	st.got += len(payload)
 	if st.got >= len(st.buf) {
 		delete(ctx.reasm, key)
 		full := mu.Header{

@@ -38,8 +38,13 @@ type SendParams struct {
 	// payload) and the context consumes that reference on every path —
 	// success, error, deferral or cancellation. Same-node eager delivery
 	// then dispatches straight out of this slab with no copy at all, and
-	// the MU path packetizes it as views instead of copies. Do not set
-	// Data and DataBuf together, and do not touch the buffer after Send.
+	// the MU path packetizes it as views instead of copies — unless Meta
+	// and payload together fit in the packet itself (mu.InlineMax, 64
+	// bytes): then they are copied into it and the slab is released
+	// before Send returns, on this thread, so it goes back to the pool
+	// shard it came from. The cut is a constant of the packet layout,
+	// not an option. Do not set Data and DataBuf together, and do not
+	// touch the buffer after Send.
 	DataBuf *bufpool.Buf
 	// OnDone, if non-nil, runs when the send buffer may be reused: at
 	// injection for eager, at remote-completion ack for rendezvous. It
@@ -91,7 +96,10 @@ func (d *Delivery) IsRendezvous() bool { return d.rts != nil }
 
 // SendImmediate sends a small message that fits in a single packet,
 // copying it out of the caller's buffers before returning — the paper's
-// lowest-latency path (Table 1). meta+data must fit in one packet payload.
+// lowest-latency path (Table 1). meta+data must fit in one packet
+// payload; up to mu.InlineMax (64 bytes, what the 128-byte reception-FIFO
+// element has room for: a constant of its layout) they ride in the
+// element itself and no pooled buffer is involved at either end.
 func (ctx *Context) SendImmediate(dst Endpoint, dispatch uint16, meta, data []byte) error {
 	if dispatch >= MaxUserDispatch {
 		return fmt.Errorf("core: dispatch %#x is reserved", dispatch)

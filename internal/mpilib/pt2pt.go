@@ -108,8 +108,11 @@ func (c *Comm) isend(buf []byte, dest, tag int, mode core.SendMode) (*Request, e
 		// straight out of it), and on the commthread path the copy runs
 		// on the application thread, off the injection thread. Rendezvous
 		// payloads stay in caller memory — MPI forbids touching the
-		// buffer until completion, so the pull reads it in place.
-		params.DataBuf = bufpool.GetCopy(buf)
+		// buffer until completion, so the pull reads it in place. A
+		// zero-length payload takes no slab at all.
+		if len(buf) > 0 {
+			params.DataBuf = bufpool.GetCopy(buf)
+		}
 	} else {
 		params.Data = buf
 	}
@@ -210,7 +213,10 @@ func (c *Comm) SendRecv(sendBuf []byte, dest, sendTag int, recvBuf []byte, src, 
 
 // Wait blocks until the request completes, driving progress as needed.
 func (w *World) Wait(req *Request) {
-	w.waitall([]*Request{req})
+	if req.Done() {
+		return
+	}
+	w.waitall([]*Request{req}) // on the stack, like waitall's residue of it
 }
 
 // Waitall blocks until every request completes, using the two-phase
@@ -224,7 +230,9 @@ func (w *World) Waitall(reqs []*Request) {
 
 func (w *World) waitall(reqs []*Request) {
 	// Phase 1: single sweep; prefetch-style pipelining of counter loads.
-	var pending []*Request
+	// The residue of a blocking Send, Recv or SendRecv fits on the stack.
+	var few [2]*Request
+	pending := few[:0]
 	for i, r := range reqs {
 		if i+1 < len(reqs) {
 			_ = reqs[i+1].done.Load() // warm the next counter's line

@@ -34,6 +34,10 @@ var (
 	// so puts and remote gets cannot cross the wire transport. Senders
 	// use eager memory-FIFO messages between processes instead.
 	ErrCrossProcessRDMA = errors.New("mu: RDMA cannot reach a task in another process")
+	// ErrTooLarge means a message cannot be described by the packet's
+	// narrow header: 4 GiB or more of payload or metadata, or an origin
+	// outside 32-bit task / 16-bit context space. Refused at injection.
+	ErrTooLarge = errors.New("mu: message exceeds the packet header's field widths")
 )
 
 // Membership and backpressure errors re-exported from the layers that

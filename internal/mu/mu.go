@@ -26,6 +26,7 @@ package mu
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -83,36 +84,6 @@ type Header struct {
 	Checksum uint32
 }
 
-// Packet is one torus packet delivered to a reception FIFO. Payload and
-// Hdr.Meta are views into pooled slabs when the packet was built by the
-// fabric (see internal/bufpool): the consumer that polls a packet out of
-// a reception FIFO owns one reference and must call Release when it is
-// done dispatching; a layer that stores the packet beyond that (the
-// reliable retransmit window, a delayed-packet list) holds its own
-// reference via Retain. Packets built by tests with plain slices have
-// nil buffer handles, for which Retain/Release are no-ops.
-type Packet struct {
-	Hdr     Header
-	Payload []byte
-
-	pbuf *bufpool.Buf // backing slab of Payload; nil if not pooled
-	mbuf *bufpool.Buf // backing slab of Hdr.Meta; nil if not pooled
-}
-
-// Retain adds a reference to the packet's pooled buffers.
-func (p *Packet) Retain() {
-	p.pbuf.Retain()
-	p.mbuf.Retain()
-}
-
-// Release drops the consumer's reference to the packet's pooled buffers.
-// The packet's Payload and Hdr.Meta must not be touched afterwards.
-func (p *Packet) Release() {
-	p.pbuf.Release()
-	p.mbuf.Release()
-	p.pbuf, p.mbuf = nil, nil
-}
-
 // recShards is the number of per-producer queue shards inside one
 // reception FIFO. Producers are origin-hashed onto shards, so a
 // many-to-one fan-in spreads its ticket CASes over recShards cache
@@ -121,6 +92,13 @@ func (p *Packet) Release() {
 // (an origin always hashes to the same shard); order *across* origins
 // was never guaranteed — concurrent producers raced for tickets before.
 const recShards = 4
+
+// dryPollsPerLook is how many empty-handed PollBatch calls pass between
+// two looks at whether the FIFO is empty or stuck behind an unpublished
+// ticket: a publish takes nanoseconds, so one dry poll says nothing (and
+// a ping-pong's, before it parks, stays free); a consumer spinning on a
+// descheduled producer gets there in a microsecond.
+const dryPollsPerLook = 16
 
 // RecFIFO is a reception FIFO owned by exactly one PAMI context. It is
 // recShards lockless queues behind one facade: deliveries hash their
@@ -132,6 +110,7 @@ type RecFIFO struct {
 	shards [recShards]*lockless.Queue[Packet]
 	region *wakeup.Region
 	next   uint32 // round-robin drain cursor; single consumer, no atomics
+	dry    uint32 // PollBatch calls that drained nothing; same consumer
 
 	received *telemetry.Counter
 
@@ -181,6 +160,12 @@ func (f *RecFIFO) PollBatch(dst []Packet) int {
 	}
 	if n > 0 {
 		f.occupancy.Update(-int64(n))
+	} else if f.dry++; f.dry%dryPollsPerLook == 0 && !f.Empty() {
+		// A ticket is claimed but not published: its producer lost the P
+		// between the two (typically waiting for the overflow lock). The
+		// caller's progress loop neither parks nor yields on a non-empty
+		// FIFO, so hand that producer the P instead of spinning it away.
+		runtime.Gosched()
 	}
 	return n
 }
@@ -259,10 +244,10 @@ func (f *RecFIFO) ID() int { return f.id }
 // deliver appends one packet to the origin's shard of the FIFO. It fails
 // with lockless.ErrBackpressure when that shard's overflow is at cap —
 // the hardware analogue of a reception FIFO whose consumer has died —
-// and the caller then owns the packet's buffers. The packet is copied
-// out of *p into the queue; the caller's struct is not retained.
-func (f *RecFIFO) deliver(p *Packet) error {
-	q := f.shardFor(p.Hdr.Origin)
+// and the caller then still owns the packet's references. The packet is
+// copied out of *p; quiet leaves the wake-up to the burst's end.
+func (f *RecFIFO) deliver(p *Packet, quiet bool) error {
+	q := f.shardFor(p.origin())
 	if err := q.EnqueueRef(p); err != nil {
 		return err
 	}
@@ -276,7 +261,9 @@ func (f *RecFIFO) deliver(p *Packet) error {
 	if hwm := q.OverflowHWM(); hwm > 0 {
 		f.overflowHWM.Set(hwm)
 	}
-	f.region.Touch()
+	if !quiet {
+		f.region.Touch()
+	}
 	return nil
 }
 
@@ -698,153 +685,92 @@ func (f *Fabric) account(srcTask int, dstTask int, packets, bytes int64) {
 // InjectMemFIFO injects a memory-FIFO message: the payload is packetized
 // into MaxPayload chunks and delivered, in order, to the destination
 // endpoint's reception FIFO. The metadata rides only in the first packet.
-// Both payload and metadata are copied out — into pooled slabs, not fresh
-// allocations — at injection time, so the caller may reuse its buffers
-// immediately: the same contract the MU gives software once the
-// descriptor's data has been DMA-read, at the same (zero) allocator cost.
+// Both are copied out at injection time — into the packet itself when
+// they fit (InlineMax), else into pooled slabs, never fresh allocations —
+// so the caller may reuse its buffers immediately: the contract the MU
+// gives software once the descriptor's data has been DMA-read. Callable
+// from any thread (the rendezvous ack fires from whichever ran Receive).
 func (f *Fabric) InjectMemFIFO(inj *InjFIFO, dst TaskAddr, hdr Header, payload []byte) error {
-	if t := f.remoteFor(dst.Task); t != nil {
-		return f.injectRemote(t, inj, dst, hdr, payload)
-	}
-	// Uncached lookup: this entry point is callable from any thread (the
-	// rendezvous ack fires from whichever thread ran Receive), so it must
-	// not touch the injection FIFO's single-owner destination cache.
-	fifo, err := f.lookupContext(dst)
-	if err != nil {
-		return err
-	}
-	if rl := f.rel.Load(); rl != nil {
-		return rl.injectMemFIFOBuf(inj, fifo, dst, hdr, bufpool.GetCopy(payload))
-	}
-	inj.injected.Add(1)
-	f.memFIFOSends.Add(1)
-	total := len(payload)
-	hdr.Total = total
-	var mbuf *bufpool.Buf
-	if len(hdr.Meta) > 0 {
-		mbuf = bufpool.GetCopy(hdr.Meta)
-		hdr.Meta = mbuf.Bytes()
-	}
-	if total == 0 {
-		hdr.Offset = 0
-		pkt := Packet{Hdr: hdr, mbuf: mbuf}
-		if err := pkt.deliverTo(fifo, dst); err != nil {
-			return err
-		}
-		f.account(hdr.Origin.Task, dst.Task, 1, PacketHeaderBytes)
-		return nil
-	}
-	npkts := int64(0)
-	for off := 0; off < total; off += MaxPayload {
-		end := off + MaxPayload
-		if end > total {
-			end = total
-		}
-		ph := hdr
-		ph.Offset = off
-		pm := mbuf
-		if off > 0 {
-			ph.Meta = nil
-			pm = nil
-		}
-		pb := bufpool.GetCopy(payload[off:end])
-		pkt := Packet{Hdr: ph, Payload: pb.Bytes(), pbuf: pb, mbuf: pm}
-		if err := pkt.deliverTo(fifo, dst); err != nil {
-			f.account(hdr.Origin.Task, dst.Task, npkts, int64(off)+npkts*PacketHeaderBytes)
-			return err
-		}
-		npkts++
-	}
-	f.account(hdr.Origin.Task, dst.Task, npkts, int64(total)+npkts*PacketHeaderBytes)
-	return nil
+	return f.injectMemFIFO(inj, false, dst, &hdr, payload, nil)
 }
 
 // InjectMemFIFOBuf is InjectMemFIFO with ownership transfer: the caller
 // relinquishes payload — a pooled buffer whose Bytes() are exactly the
 // message — and the fabric consumes that reference on every path,
-// success or failure. The payload is never copied again: packets carry
-// views into the caller's slab, each chunk holding its own reference,
-// and the last consumer Release returns the slab to the pool. The
-// metadata blob still rides by copy (it is small and first-packet-only).
-// A nil payload is the zero-length message.
+// success or failure. A message that fits inline (InlineMax) is copied
+// into its packet and the slab released before the call returns; a
+// larger one is never copied again: its packets carry views into the
+// slab, one reference each, and the last consumer Release repools it. A
+// nil payload is the zero-length message. Owner thread of inj only.
 func (f *Fabric) InjectMemFIFOBuf(inj *InjFIFO, dst TaskAddr, hdr Header, payload *bufpool.Buf) error {
 	if payload == nil {
-		return f.InjectMemFIFO(inj, dst, hdr, nil)
+		return f.injectMemFIFO(inj, true, dst, &hdr, nil, nil)
+	}
+	return f.injectMemFIFO(inj, true, dst, &hdr, payload.Bytes(), payload)
+}
+
+// injectMemFIFO routes one message to its leg. own is the relinquished
+// slab src views, nil when the caller keeps src; owner says the caller is
+// inj's owning thread and may use its single-owner destination cache.
+func (f *Fabric) injectMemFIFO(inj *InjFIFO, owner bool, dst TaskAddr, hdr *Header, src []byte, own *bufpool.Buf) error {
+	if err := hdr.checkNarrow(len(src)); err != nil {
+		own.Release()
+		return err
 	}
 	if t := f.remoteFor(dst.Task); t != nil {
 		// The transport contract copies the payload before Send returns,
 		// so the wire leg can consume the caller's reference right here.
-		err := f.injectRemote(t, inj, dst, hdr, payload.Bytes())
-		payload.Release()
+		err := f.injectRemote(t, inj, dst, *hdr, src)
+		own.Release()
 		return err
 	}
-	fifo, err := f.lookupContextCached(inj, dst)
+	var fifo *RecFIFO
+	var err error
+	if owner {
+		fifo, err = f.lookupContextCached(inj, dst)
+	} else {
+		fifo, err = f.lookupContext(dst)
+	}
 	if err != nil {
-		payload.Release()
+		own.Release()
 		return err
 	}
+	hdr.Offset, hdr.Total = 0, len(src)
 	if rl := f.rel.Load(); rl != nil {
-		return rl.injectMemFIFOBuf(inj, fifo, dst, hdr, payload)
+		return rl.injectMemFIFOBuf(inj, fifo, dst, hdr, src, own)
 	}
 	inj.injected.Add(1)
 	f.memFIFOSends.Add(1)
-	pbytes := payload.Bytes()
-	total := len(pbytes)
-	hdr.Total = total
-	var mbuf *bufpool.Buf
-	if len(hdr.Meta) > 0 {
-		mbuf = bufpool.GetCopy(hdr.Meta)
-		hdr.Meta = mbuf.Bytes()
-	}
-	if total == 0 {
-		payload.Release()
-		hdr.Offset = 0
-		pkt := Packet{Hdr: hdr, mbuf: mbuf}
-		if err := pkt.deliverTo(fifo, dst); err != nil {
-			return err
-		}
-		f.account(hdr.Origin.Task, dst.Task, 1, PacketHeaderBytes)
-		return nil
-	}
-	npkts := int64(0)
-	for off := 0; off < total; off += MaxPayload {
-		end := off + MaxPayload
-		if end > total {
-			end = total
-		}
-		ph := hdr
-		ph.Offset = off
-		pm := mbuf
-		if off > 0 {
-			ph.Meta = nil
-			pm = nil
-			payload.Retain() // each chunk past the first holds its own ref
-		}
-		pkt := Packet{Hdr: ph, Payload: pbytes[off:end], pbuf: payload, mbuf: pm}
-		if err := pkt.deliverTo(fifo, dst); err != nil {
-			// deliverTo released the refused chunk's references; chunks not
-			// yet built never took theirs. Nothing further to reclaim.
-			f.account(hdr.Origin.Task, dst.Task, npkts, int64(off)+npkts*PacketHeaderBytes)
-			return err
-		}
-		npkts++
-	}
-	f.account(hdr.Origin.Task, dst.Task, npkts, int64(total)+npkts*PacketHeaderBytes)
-	return nil
+	_, err = f.enqueue(fifo, dst, hdr, src, own, false)
+	return err
 }
 
-// deliverTo hands the packet to a reception FIFO, reclaiming its pooled
-// buffers if the FIFO refuses it under backpressure. The error names the
-// flow (origin endpoint -> destination endpoint) and FIFO so callers up
-// in core/mpilib can both diagnose it and errors.Is-match the underlying
-// lockless.ErrBackpressure sentinel.
-func (p *Packet) deliverTo(fifo *RecFIFO, dst TaskAddr) error {
-	if err := fifo.deliver(p); err != nil {
-		p.Release()
-		return fmt.Errorf("mu: rec FIFO %d of endpoint %v refused packet from %v: %w",
-			fifo.id, dst, p.Hdr.Origin, err)
+// enqueue is the fault-free end of local injection and of the wire leg:
+// packetize src from hdr.Offset on and queue the packets on fifo. It
+// returns the payload bytes queued; a refusal names the flow and FIFO so
+// callers up in core/mpilib can diagnose it and still errors.Is-match
+// lockless.ErrBackpressure.
+func (f *Fabric) enqueue(fifo *RecFIFO, dst TaskAddr, hdr *Header, src []byte, own *bufpool.Buf, quiet bool) (int, error) {
+	var pkt Packet
+	var err error
+	base, npkts := hdr.Offset, int64(0)
+	own = slabFor(hdr, src, own)
+	for more := true; more; npkts++ {
+		rest := nextPacket(&pkt, hdr, src, own)
+		if err = fifo.deliver(&pkt, quiet); err != nil {
+			pkt.Release()
+			if len(rest) > 0 {
+				abandon(own, rest)
+			}
+			hdr.Offset -= int(pkt.plen)
+			err = fmt.Errorf("mu: rec FIFO %d of endpoint %v refused packet from %v: %w", fifo.id, dst, hdr.Origin, err)
+			break
+		}
+		src, more = rest, len(rest) > 0
 	}
-	return nil
+	done := hdr.Offset - base
+	f.account(hdr.Origin.Task, dst.Task, npkts, int64(done)+npkts*PacketHeaderBytes)
+	return done, err
 }
 
 // InjectPut performs an RDMA write: n bytes from src are stored into the

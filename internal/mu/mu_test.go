@@ -103,14 +103,14 @@ func TestMemFIFOSmallMessage(t *testing.T) {
 	if !ok {
 		t.Fatal("no packet delivered")
 	}
-	if p.Hdr.Dispatch != 7 || p.Hdr.Seq != 1 || string(p.Hdr.Meta) != "envelope" {
-		t.Fatalf("header corrupted: %+v", p.Hdr)
+	if p.Header().Dispatch != 7 || p.Header().Seq != 1 || string(p.Header().Meta) != "envelope" {
+		t.Fatalf("header corrupted: %+v", p.Header())
 	}
-	if p.Hdr.Total != len(payload) || p.Hdr.Offset != 0 {
-		t.Fatalf("reassembly coords wrong: %+v", p.Hdr)
+	if p.Header().Total != len(payload) || p.Header().Offset != 0 {
+		t.Fatalf("reassembly coords wrong: %+v", p.Header())
 	}
-	if !bytes.Equal(p.Payload, payload) {
-		t.Fatalf("payload corrupted: %q", p.Payload)
+	if !bytes.Equal(p.Payload(), payload) {
+		t.Fatalf("payload corrupted: %q", p.Payload())
 	}
 	if _, ok := dst.Rec.Poll(); ok {
 		t.Fatal("spurious extra packet")
@@ -137,16 +137,16 @@ func TestMemFIFOPacketization(t *testing.T) {
 			break
 		}
 		pkts++
-		if p.Hdr.Offset != 0 && p.Hdr.Meta != nil {
+		if p.Header().Offset != 0 && p.Header().Meta != nil {
 			t.Fatal("metadata duplicated beyond the first packet")
 		}
-		if p.Hdr.Total != len(payload) {
-			t.Fatalf("packet Total = %d", p.Hdr.Total)
+		if p.Header().Total != len(payload) {
+			t.Fatalf("packet Total = %d", p.Header().Total)
 		}
-		if len(p.Payload) > MaxPayload {
-			t.Fatalf("packet payload %dB exceeds the %dB maximum", len(p.Payload), MaxPayload)
+		if len(p.Payload()) > MaxPayload {
+			t.Fatalf("packet payload %dB exceeds the %dB maximum", len(p.Payload()), MaxPayload)
 		}
-		copy(got[p.Hdr.Offset:], p.Payload)
+		copy(got[p.Header().Offset:], p.Payload())
 	}
 	if pkts != 4 {
 		t.Fatalf("message split into %d packets, want 4", pkts)
@@ -165,7 +165,7 @@ func TestMemFIFOZeroBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, ok := dst.Rec.Poll()
-	if !ok || len(p.Payload) != 0 || p.Hdr.Total != 0 {
+	if !ok || len(p.Payload()) != 0 || p.Header().Total != 0 {
 		t.Fatalf("zero-byte message mangled: ok=%v %+v", ok, p)
 	}
 }
@@ -180,8 +180,8 @@ func TestMemFIFOSenderBufferReusable(t *testing.T) {
 	}
 	copy(payload, "CLOBBER!")
 	p, _ := dst.Rec.Poll()
-	if string(p.Payload) != "original" {
-		t.Fatalf("in-flight payload aliased the sender buffer: %q", p.Payload)
+	if string(p.Payload()) != "original" {
+		t.Fatalf("in-flight payload aliased the sender buffer: %q", p.Payload())
 	}
 }
 
@@ -205,8 +205,8 @@ func TestMemFIFOOrderingPerSource(t *testing.T) {
 	}
 	for i := uint64(0); i < n; i++ {
 		p, ok := dst.Rec.Poll()
-		if !ok || p.Hdr.Seq != i {
-			t.Fatalf("packet %d out of order: ok=%v seq=%d", i, ok, p.Hdr.Seq)
+		if !ok || p.Header().Seq != i {
+			t.Fatalf("packet %d out of order: ok=%v seq=%d", i, ok, p.Header().Seq)
 		}
 	}
 }
@@ -363,11 +363,11 @@ func TestConcurrentSendersOneReceiver(t *testing.T) {
 			}
 			continue
 		}
-		src := p.Hdr.Origin.Task
-		if int64(p.Hdr.Seq) <= lastSeq[src] {
-			t.Fatalf("per-source order violated for task %d: %d after %d", src, p.Hdr.Seq, lastSeq[src])
+		src := p.Header().Origin.Task
+		if int64(p.Header().Seq) <= lastSeq[src] {
+			t.Fatalf("per-source order violated for task %d: %d after %d", src, p.Header().Seq, lastSeq[src])
 		}
-		lastSeq[src] = int64(p.Hdr.Seq)
+		lastSeq[src] = int64(p.Header().Seq)
 		received++
 	}
 }

@@ -5,14 +5,24 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pamigo/internal/bufpool"
 	"pamigo/internal/torus"
 )
 
 // Property: any payload survives packetization + reassembly byte-exact,
-// with every packet within the hardware payload limit and offsets
-// forming a perfect tiling.
+// with every packet within the hardware payload limit, offsets forming a
+// perfect tiling and the metadata on the first packet only — through
+// either entry point, for sizes on both sides of the inline cut
+// (quick's own slices are at most 50 bytes: all inline) and of the
+// packet cut, and with every pooled buffer back afterwards.
 func TestPacketizationRoundTripQuick(t *testing.T) {
-	f := func(payload []byte, seed uint16) bool {
+	f := func(small []byte, sizeSel, metaLen uint8, seed uint16, transfer bool) bool {
+		payload := small
+		if n := []int{-1, InlineMax, InlineMax + 1, MaxPayload, MaxPayload + 1, 5*MaxPayload + int(seed)%MaxPayload}[sizeSel%6]; n >= 0 {
+			payload = testMessage(int(seed), 1, n)
+		}
+		meta := testMessage(int(seed), 2, int(metaLen)%(InlineMax+8))
+		live0, _ := bufpool.Live()
 		f2, err := NewFabric(torus.Dims{2, 1, 1, 1, 1}, 8)
 		if err != nil {
 			return false
@@ -28,8 +38,13 @@ func TestPacketizationRoundTripQuick(t *testing.T) {
 			return false
 		}
 		f2.RegisterContext(TaskAddr{1, 0}, dst.Rec)
-		hdr := Header{Dispatch: 1, Origin: TaskAddr{0, 0}, Seq: uint64(seed)}
-		if err := f2.InjectMemFIFO(src.PinnedInj(1), TaskAddr{1, 0}, hdr, payload); err != nil {
+		hdr := Header{Dispatch: 1, Origin: TaskAddr{0, 0}, Seq: uint64(seed), Meta: meta}
+		if transfer {
+			err = f2.InjectMemFIFOBuf(src.PinnedInj(1), TaskAddr{1, 0}, hdr, bufpool.GetCopy(payload))
+		} else {
+			err = f2.InjectMemFIFO(src.PinnedInj(1), TaskAddr{1, 0}, hdr, payload)
+		}
+		if err != nil {
 			return false
 		}
 		out := make([]byte, len(payload))
@@ -39,29 +54,31 @@ func TestPacketizationRoundTripQuick(t *testing.T) {
 			if !ok {
 				break
 			}
-			if len(p.Payload) > MaxPayload {
+			h, chunk := p.Header(), p.Payload()
+			if len(chunk) > MaxPayload || h.Total != len(payload) || h.Seq != uint64(seed) {
 				return false
 			}
-			if p.Hdr.Total != len(payload) {
-				return false
+			if (h.Offset == 0) != bytes.Equal(h.Meta, meta) && len(meta) > 0 {
+				return false // metadata missing from the first packet, or on a later one
 			}
-			for i := range p.Payload {
-				if covered[p.Hdr.Offset+i] {
+			for i := range chunk {
+				if covered[h.Offset+i] {
 					return false // overlapping chunks
 				}
-				covered[p.Hdr.Offset+i] = true
+				covered[h.Offset+i] = true
 			}
-			copy(out[p.Hdr.Offset:], p.Payload)
+			copy(out[h.Offset:], chunk)
+			p.Release()
 		}
-		for i, c := range covered {
+		for _, c := range covered {
 			if !c {
-				_ = i
 				return false // gap
 			}
 		}
-		return bytes.Equal(out, payload)
+		live, _ := bufpool.Live()
+		return bytes.Equal(out, payload) && live == live0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
 }

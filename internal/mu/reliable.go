@@ -92,44 +92,48 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // packetChecksum computes the CRC-32C over every packet field except
-// the checksum itself. The header fields are serialized into scratch,
+// the checksum itself — header fields at their Header widths, metadata,
+// payload, inline or slab alike. The header is serialized into scratch,
 // which the caller keeps in the flow: crc32 reaches its hardware kernels
 // through a function value, so a stack buffer would escape to the heap.
-func packetChecksum(scratch *[hdrBytes]byte, hdr *Header, payload []byte) uint32 {
+func packetChecksum(scratch *[hdrBytes]byte, p *Packet) uint32 {
 	b := scratch[:]
-	binary.LittleEndian.PutUint16(b[0:], hdr.Dispatch)
-	binary.LittleEndian.PutUint64(b[2:], uint64(int64(hdr.Origin.Task)))
-	binary.LittleEndian.PutUint64(b[10:], uint64(int64(hdr.Origin.Ctx)))
-	binary.LittleEndian.PutUint64(b[18:], hdr.Seq)
-	binary.LittleEndian.PutUint64(b[26:], uint64(int64(hdr.Offset)))
-	binary.LittleEndian.PutUint64(b[34:], uint64(int64(hdr.Total)))
-	binary.LittleEndian.PutUint64(b[42:], hdr.PktSeq)
+	binary.LittleEndian.PutUint16(b[0:], p.dispatch)
+	binary.LittleEndian.PutUint64(b[2:], uint64(p.task))
+	binary.LittleEndian.PutUint64(b[10:], uint64(p.ctx))
+	binary.LittleEndian.PutUint64(b[18:], p.seq)
+	binary.LittleEndian.PutUint64(b[26:], uint64(p.offset))
+	binary.LittleEndian.PutUint64(b[34:], uint64(p.total))
+	binary.LittleEndian.PutUint64(b[42:], p.pktSeq)
 	crc := crc32.Checksum(b, crcTable)
-	if len(hdr.Meta) > 0 {
-		crc = crc32.Update(crc, crcTable, hdr.Meta)
+	if p.mlen > 0 {
+		crc = crc32.Update(crc, crcTable, p.Meta())
 	}
-	return crc32.Update(crc, crcTable, payload)
+	return crc32.Update(crc, crcTable, p.Payload())
 }
 
 // corruptCopy returns a copy of the packet with one byte flipped, never
-// aliasing the original's buffers (the sender must keep a pristine copy
-// for retransmission).
+// in a slab the original views (the sender keeps it pristine for
+// retransmission). The copy holds its own references: release it.
 func corruptCopy(p *Packet, pick uint64) Packet {
 	q := *p
+	q.Retain()
 	flip := byte(pick>>8) | 1
 	switch {
-	case len(p.Payload) > 0:
-		pl := append([]byte(nil), p.Payload...)
-		pl[pick%uint64(len(pl))] ^= flip
-		q.Payload = pl
-		q.pbuf = nil // private copy: the copy no longer aliases the slab
-	case len(p.Hdr.Meta) > 0:
-		m := append([]byte(nil), p.Hdr.Meta...)
-		m[pick%uint64(len(m))] ^= flip
-		q.Hdr.Meta = m
-		q.mbuf = nil
+	case q.plen > 0:
+		if shared := q.pbuf; shared != nil {
+			q.pbuf, q.poff = bufpool.GetCopy(p.Payload()), 0
+			shared.Release()
+		}
+		q.Payload()[pick%uint64(q.plen)] ^= flip
+	case q.mlen > 0:
+		if shared := q.mbuf; shared != nil {
+			q.mbuf = bufpool.GetCopy(p.Meta())
+			shared.Release()
+		}
+		q.Meta()[pick%uint64(q.mlen)] ^= flip
 	default:
-		q.Hdr.Checksum ^= uint32(pick) | 1
+		q.checksum ^= uint32(pick) | 1
 	}
 	return q
 }
@@ -567,50 +571,31 @@ func (r *reliableLayer) routeHops(sn, dn torus.Rank) (int, bool) {
 // it to force a consumer's release into that gap.
 var chunkSentHook func()
 
-// injectMemFIFOBuf is the faulted twin of InjectMemFIFO and
-// InjectMemFIFOBuf both (the former copies its payload into one pooled
-// slab first): same packetization and accounting, but every packet is
-// staged in the flow's window, attempted, and only forgotten once
-// acknowledged. The packets carry views into the relinquished slab, and
-// every chunk's reference is taken before the first chunk is staged:
-// from then on acks and the consumer release references concurrently,
-// and a later Retain could find the slab already freed. The payload
-// reference is consumed on every path, error included.
-func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAddr, hdr Header, payload *bufpool.Buf) error {
+// injectMemFIFOBuf is the faulted leg of injectMemFIFO, copy-in (own
+// nil) and ownership transfer alike: same packetization and accounting,
+// but every packet is built in the flow's window, attempted, and only
+// forgotten once acknowledged. The own reference is consumed on every
+// path, error included.
+func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAddr, hdr *Header, src []byte, own *bufpool.Buf) error {
 	if r.closed.Load() {
-		payload.Release()
+		own.Release()
 		return ErrFabricClosed
 	}
 	fl := r.flowFor(flowKey{src: hdr.Origin, dst: dst})
 	if r.deadCount.Load() > 0 && r.nodeDead(fl.dstNode) {
-		payload.Release()
+		own.Release()
 		r.peerDeadFails.Inc()
 		return fmt.Errorf("mu: send to task %d on node %d: %w", dst.Task, fl.dstNode, ErrPeerDead)
 	}
 	if r.inj.HasDownLinks() && fl.srcOK {
 		if _, routeOK := r.routeInfo(fl.srcNode, fl.dstNode); !routeOK {
-			payload.Release()
+			own.Release()
 			return fmt.Errorf("%w: node %d -> node %d", ErrNoRoute, fl.srcNode, fl.dstNode)
 		}
 	}
 	inj.injected.Add(1)
 	r.f.memFIFOSends.Add(1)
-	pbytes := payload.Bytes()
-	total := len(pbytes)
-	hdr.Total = total
-	nchunks := (total + MaxPayload - 1) / MaxPayload
-	if total == 0 {
-		payload.Release()
-		payload, nchunks = nil, 1
-	}
-	for i := 1; i < nchunks; i++ {
-		payload.Retain()
-	}
-	var mbuf *bufpool.Buf
-	if len(hdr.Meta) > 0 {
-		mbuf = bufpool.GetCopy(hdr.Meta)
-		hdr.Meta = mbuf.Bytes()
-	}
+	own = slabFor(hdr, src, own) // every chunk's reference, before chunk 0 is staged
 	occ, _ := fifo.Occupancy()
 	if occ >= paceDepth {
 		// The consumer is milliseconds behind. Credit would only stop us a
@@ -622,20 +607,15 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 	}
 	now := r.now()
 	fl.smu.Lock()
-	for i := 0; i < nchunks; i++ {
-		hdr.Offset = i * MaxPayload
-		pp, err := r.stageLocked(fl, &hdr, pbytes[hdr.Offset:min(hdr.Offset+MaxPayload, total)], payload, mbuf, fifo, &now)
+	for more := true; more; more = len(src) > 0 {
+		pp, err := r.stageLocked(fl, hdr, &src, own, fifo, &now)
 		if err != nil {
 			fl.smu.Unlock()
-			// Staged chunks keep their references until acked; this one's
-			// and the later ones' were never handed over.
-			for ; i < nchunks; i++ {
-				payload.Release()
-			}
-			mbuf.Release()
+			// Staged chunks keep their references until acked; the rest's
+			// were never handed over.
+			abandon(own, src)
 			return err
 		}
-		hdr.Meta, mbuf = nil, nil // the metadata rides only in the first packet
 		r.transmitLocked(fl, pp, nil)
 		if h := chunkSentHook; h != nil {
 			fl.smu.Unlock()
@@ -650,17 +630,18 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 		r.cong.Observe(fl.srcNode, fl.injLink, occ)
 		r.hotLinks.Set(r.cong.HotCount())
 	}
-	r.f.account(hdr.Origin.Task, dst.Task, int64(nchunks), int64(total)+int64(nchunks)*PacketHeaderBytes)
+	nchunks := int64(packetsFor(hdr.Total))
+	r.f.account(hdr.Origin.Task, dst.Task, nchunks, int64(hdr.Total)+nchunks*PacketHeaderBytes)
 	return nil
 }
 
-// stageLocked waits for window space and receiver credit, assigns the
-// packet its sequence number and checksum, and records it in the window
-// with one inflight hold for the attempt the caller is about to run.
-// chunk is the packet's payload view, a sub-slice of pb's slab. The
-// staged packet takes over the pb and pm references; on error the caller
-// still owns them. Caller holds fl.smu; *now is refreshed if it parked.
-func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, chunk []byte, pb, pm *bufpool.Buf, fifo *RecFIFO, now *int64) (*pendingPkt, error) {
+// stageLocked waits for window space and receiver credit, builds the
+// message's next packet (nextPacket; *src advances) in the window slot
+// of the next sequence number, stamps it with that number and its
+// checksum, and records one inflight hold for the attempt the caller
+// runs next. On error nothing was built. Caller holds fl.smu; *now is
+// refreshed if it parked.
+func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, src *[]byte, own *bufpool.Buf, fifo *RecFIFO, now *int64) (*pendingPkt, error) {
 	if fl.lastFifo != fifo {
 		if fl.lastFifo == nil {
 			// Seed the flow's credit with the receiver's current slack; from
@@ -679,19 +660,19 @@ func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, chunk []byte, pb, pm 
 	if r.closed.Load() {
 		return nil, ErrFabricClosed
 	}
-	hdr.PktSeq = fl.nextSeq
-	hdr.Checksum = packetChecksum(&fl.sscratch, hdr, chunk)
 	pp := &fl.win[fl.nextSeq&winMask]
-	fl.nextSeq++
 	*pp = pendingPkt{
-		pkt:        Packet{Hdr: *hdr, Payload: chunk, pbuf: pb, mbuf: pm},
 		firstTx:    *now,
 		deadline:   *now + int64(initialRTO),
 		rto:        initialRTO,
-		sentBefore: fl.nextSeq,
+		sentBefore: fl.nextSeq + 1,
 		attempts:   1,
 		inflight:   1,
 	}
+	*src = nextPacket(&pp.pkt, hdr, *src, own)
+	pp.pkt.pktSeq = fl.nextSeq
+	pp.pkt.checksum = packetChecksum(&fl.sscratch, &pp.pkt)
+	fl.nextSeq++
 	r.unackedG.Inc()
 	return pp, nil
 }
@@ -820,7 +801,7 @@ func (r *reliableLayer) attemptOnce(fl *flow, pp *pendingPkt, fifo *RecFIFO, att
 		return ackInfo{}
 	}
 	pkt := &pp.pkt
-	seq := pkt.Hdr.PktSeq
+	seq := pkt.pktSeq
 	act := r.inj.Decide(fl.hash, seq, attempt)
 	var dupAck ackInfo
 	if act.Has(fault.Duplicate) {
@@ -833,6 +814,7 @@ func (r *reliableLayer) attemptOnce(fl *flow, pp *pendingPkt, fifo *RecFIFO, att
 	}
 	if act.Has(fault.Corrupt) {
 		c := corruptCopy(pkt, r.inj.CorruptByte(fl.hash, seq, attempt))
+		defer c.Release()
 		pkt = &c
 	}
 	if act.Has(fault.Delay) {
@@ -853,16 +835,16 @@ func (r *reliableLayer) attemptOnce(fl *flow, pp *pendingPkt, fifo *RecFIFO, att
 // the slabs before the consumer can reach the packet. The ack is
 // returned, not applied: the caller owns the sender side.
 func (r *reliableLayer) deliver(fl *flow, pkt *Packet, fifo *RecFIFO, attempt int) ackInfo {
-	seq := pkt.Hdr.PktSeq
+	seq := pkt.pktSeq
 	fl.rmu.Lock()
-	if packetChecksum(&fl.rscratch, &pkt.Hdr, pkt.Payload) != pkt.Hdr.Checksum {
+	if packetChecksum(&fl.rscratch, pkt) != pkt.checksum {
 		fl.rmu.Unlock()
 		r.corruptDrops.Inc()
 		r.nacksSent.Inc()
 		return ackInfo{nack: true}
 	}
 	switch {
-	case seq < fl.nextExp || (fl.parked > 0 && fl.reorder[seq&winMask].Hdr.PktSeq == seq):
+	case seq < fl.nextExp || (fl.parked > 0 && fl.reorder[seq&winMask].pktSeq == seq):
 		// Duplicate. Re-ack: the earlier ack may have been lost, leaving
 		// the sender retransmitting an already-delivered packet.
 		r.dupDrops.Inc()
@@ -878,11 +860,10 @@ func (r *reliableLayer) deliver(fl *flow, pkt *Packet, fifo *RecFIFO, attempt in
 	case seq == fl.nextExp:
 		// Next in line: straight into the reception FIFO.
 		pkt.Retain()
-		if fifo.deliver(pkt) != nil {
+		if fifo.deliver(pkt, false) != nil {
 			// Saturation raced past the pre-check: withdraw; the sender retries.
 			fl.rmu.Unlock()
-			pkt.pbuf.Release()
-			pkt.mbuf.Release()
+			pkt.unretain()
 			r.fifoRefusals.Inc()
 			return ackInfo{}
 		}
@@ -906,10 +887,10 @@ func (r *reliableLayer) deliver(fl *flow, pkt *Packet, fifo *RecFIFO, attempt in
 	drained := 0
 	for ; drained < fl.parked; drained++ {
 		slot := &fl.reorder[fl.nextExp&winMask]
-		if slot.Hdr.PktSeq != fl.nextExp {
+		if slot.pktSeq != fl.nextExp {
 			break
 		}
-		if fifo.deliver(slot) != nil {
+		if fifo.deliver(slot, false) != nil {
 			r.fifoRefusals.Inc()
 			break
 		}
@@ -1148,7 +1129,7 @@ func (r *reliableLayer) reviveNode(node torus.Rank) {
 		// incarnation will never fill.
 		fl.rmu.Lock()
 		for i := 0; i < sendWindow && fl.parked > 0; i++ {
-			if slot := &fl.reorder[i]; slot.Hdr.PktSeq != 0 {
+			if slot := &fl.reorder[i]; slot.pktSeq != 0 {
 				slot.Release()
 				*slot = Packet{}
 				fl.parked--

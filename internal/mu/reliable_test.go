@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pamigo/internal/bufpool"
 	"pamigo/internal/fault"
 	"pamigo/internal/torus"
 )
@@ -67,8 +68,8 @@ func TestFaultFreeFastPath(t *testing.T) {
 	}
 	got := drainPackets(t, res.Rec, 3, time.Second)
 	for _, p := range got {
-		if p.Hdr.PktSeq != 0 || p.Hdr.Checksum != 0 {
-			t.Fatalf("fast-path packet carries reliable-layer fields: %+v", p.Hdr)
+		if p.Header().PktSeq != 0 || p.Header().Checksum != 0 {
+			t.Fatalf("fast-path packet carries reliable-layer fields: %+v", p.Header())
 		}
 	}
 	if f.Injector() != nil {
@@ -106,9 +107,9 @@ func TestReliableDeliveryUnderFaults(t *testing.T) {
 		for off := 0; off < payloadLen; off += MaxPayload {
 			p := got[idx]
 			idx++
-			if p.Hdr.Seq != uint64(m) || p.Hdr.Offset != off {
+			if p.Header().Seq != uint64(m) || p.Header().Offset != off {
 				t.Fatalf("packet %d is (msg %d, off %d), want (msg %d, off %d)",
-					idx-1, p.Hdr.Seq, p.Hdr.Offset, m, off)
+					idx-1, p.Header().Seq, p.Header().Offset, m, off)
 			}
 			end := off + MaxPayload
 			if end > payloadLen {
@@ -118,7 +119,7 @@ func TestReliableDeliveryUnderFaults(t *testing.T) {
 			for i := range want {
 				want[i] = byte(m + off + i)
 			}
-			if !bytes.Equal(p.Payload, want) {
+			if !bytes.Equal(p.Payload(), want) {
 				t.Fatalf("msg %d off %d corrupted after reassembly", m, off)
 			}
 		}
@@ -153,10 +154,10 @@ func TestInstalledButQuiescentPlan(t *testing.T) {
 	got := drainPackets(t, res.Rec, 2, time.Second)
 	var scratch [hdrBytes]byte
 	for i, p := range got {
-		if p.Hdr.PktSeq != uint64(i+1) {
-			t.Fatalf("packet %d has PktSeq %d", i, p.Hdr.PktSeq)
+		if p.Header().PktSeq != uint64(i+1) {
+			t.Fatalf("packet %d has PktSeq %d", i, p.Header().PktSeq)
 		}
-		if packetChecksum(&scratch, &p.Hdr, p.Payload) != p.Hdr.Checksum {
+		if packetChecksum(&scratch, &p) != p.Header().Checksum {
 			t.Fatalf("packet %d checksum wrong", i)
 		}
 	}
@@ -297,26 +298,53 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
+// buildPacket packetizes a one-packet message the way every leg does.
+func buildPacket(hdr Header, payload []byte) Packet {
+	var p Packet
+	nextPacket(&p, &hdr, payload, slabFor(&hdr, payload, nil))
+	return p
+}
+
+// A flipped byte fails the CRC wherever the byte lives: in the packet
+// (inline) or in a slab, payload or metadata; and the corrupted copy
+// never writes the bytes the sender keeps for retransmission.
 func TestChecksumDetectsEveryByteFlip(t *testing.T) {
-	hdr := Header{Dispatch: 3, Origin: TaskAddr{1, 2}, Seq: 4, Offset: 0, Total: 8,
-		Meta: []byte{9, 8}, PktSeq: 5}
-	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	live0, _ := bufpool.Live()
 	var scratch [hdrBytes]byte
-	hdr.Checksum = packetChecksum(&scratch, &hdr, payload)
-	for i := range payload {
-		for _, pick := range []uint64{uint64(i), uint64(i) | 0xab00} {
-			c := corruptCopy(&Packet{Hdr: hdr, Payload: payload}, pick)
-			if packetChecksum(&scratch, &c.Hdr, c.Payload) == c.Hdr.Checksum {
-				t.Fatalf("corruption (pick %#x) not detected", pick)
+	for _, c := range []struct{ meta, payload int }{
+		{2, 8}, {16, InlineMax - 16}, // inline
+		{2, InlineMax}, {0, MaxPayload}, // slabs
+		{7, 0}, {InlineMax + 1, 0}, // metadata only: inline, slab
+	} {
+		hdr := Header{Dispatch: 3, Origin: TaskAddr{1, 2}, Seq: 4, Total: c.payload, Meta: testMessage(9, 9, c.meta), PktSeq: 5}
+		payload := testMessage(1, 2, c.payload)
+		p := buildPacket(hdr, payload)
+		if inline := p.pbuf == nil && p.mbuf == nil; inline != (c.meta+c.payload <= InlineMax) {
+			t.Fatalf("meta %d + payload %d: inline = %v", c.meta, c.payload, inline)
+		}
+		p.checksum = packetChecksum(&scratch, &p)
+		for i := 0; i < max(c.meta, c.payload); i++ {
+			for _, pick := range []uint64{uint64(i), uint64(i) | 0xab00} {
+				q := corruptCopy(&p, pick)
+				if packetChecksum(&scratch, &q) == q.checksum {
+					t.Fatalf("meta %d + payload %d: corruption (pick %#x) not detected", c.meta, c.payload, pick)
+				}
+				q.Release()
+				if !bytes.Equal(p.Payload(), payload) || !bytes.Equal(p.Meta(), hdr.Meta) || packetChecksum(&scratch, &p) != p.checksum {
+					t.Fatalf("meta %d + payload %d: corrupting a copy changed the original", c.meta, c.payload)
+				}
 			}
 		}
+		p.Release()
 	}
 	// Empty packets corrupt the checksum field itself.
-	e := Header{Origin: TaskAddr{0, 1}, PktSeq: 1}
-	e.Checksum = packetChecksum(&scratch, &e, nil)
-	c := corruptCopy(&Packet{Hdr: e}, 0x1234)
-	if packetChecksum(&scratch, &c.Hdr, c.Payload) == c.Hdr.Checksum {
+	e := buildPacket(Header{Origin: TaskAddr{0, 1}, PktSeq: 1}, nil)
+	e.checksum = packetChecksum(&scratch, &e)
+	if c := corruptCopy(&e, 0x1234); packetChecksum(&scratch, &c) == c.checksum {
 		t.Fatal("empty-packet corruption not detected")
+	}
+	if live, _ := bufpool.Live(); live != live0 {
+		t.Fatalf("%d pooled buffers live, %d before", live, live0)
 	}
 }
 
@@ -379,12 +407,12 @@ func TestConcurrentFlowsUnderFaults(t *testing.T) {
 	for task := 0; task < 4; task++ {
 		got := drainPackets(t, recs[task].Rec, 3*msgsPerPair*perMsg, 10*time.Second)
 		for _, p := range got {
-			end := p.Hdr.Offset + MaxPayload
+			end := p.Header().Offset + MaxPayload
 			if end > len(payload) {
 				end = len(payload)
 			}
-			if !bytes.Equal(p.Payload, payload[p.Hdr.Offset:end]) {
-				t.Fatalf("task %d received corrupted chunk at offset %d", task, p.Hdr.Offset)
+			if !bytes.Equal(p.Payload(), payload[p.Header().Offset:end]) {
+				t.Fatalf("task %d received corrupted chunk at offset %d", task, p.Header().Offset)
 			}
 		}
 	}

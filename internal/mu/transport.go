@@ -1,10 +1,6 @@
 package mu
 
-import (
-	"fmt"
-
-	"pamigo/internal/bufpool"
-)
+import "fmt"
 
 // Transport moves memory-FIFO messages addressed to tasks hosted by
 // another OS process. The fabric consults it on every injection: tasks
@@ -75,9 +71,10 @@ func (f *Fabric) injectRemote(t Transport, inj *InjFIFO, dst TaskAddr, hdr Heade
 // DeliverRemote injects a message segment that arrived from a peer
 // process into the destination endpoint's reception FIFO, packetized
 // exactly like a local injection (MaxPayload chunks, metadata only on
-// the offset-0 packet). hdr.Offset is the segment's absolute offset
-// within hdr.Total; meta and payload are copied into pooled slabs, so
-// the caller may reuse its frame buffer immediately.
+// the offset-0 packet, the same packetizer). hdr.Offset is the segment's
+// absolute offset within hdr.Total; meta and payload are copied — into
+// the packet itself when they fit (InlineMax), else into pooled slabs —
+// so the caller may reuse its frame buffer immediately.
 //
 // It returns the number of payload bytes delivered. On backpressure
 // (the FIFO's overflow is at cap) the error wraps
@@ -109,82 +106,21 @@ func (f *Fabric) EndRemoteBurst(dsts []TaskAddr) {
 	}
 }
 
-// deliverQuiet is RecFIFO.deliver minus the wake-up: the burst's last
-// step, not every packet's.
-func (f *RecFIFO) deliverQuiet(p *Packet) error {
-	q := f.shardFor(p.Hdr.Origin)
-	if err := q.EnqueueRef(p); err != nil {
-		return err
-	}
-	f.received.Inc()
-	f.occupancy.Inc()
-	if hwm := q.OverflowHWM(); hwm > 0 {
-		f.overflowHWM.Set(hwm)
-	}
-	return nil
-}
-
-// deliverRemoteTo is Packet.deliverTo with the choice of enqueue.
-func (p *Packet) deliverRemoteTo(fifo *RecFIFO, dst TaskAddr, quiet bool) error {
-	if !quiet {
-		return p.deliverTo(fifo, dst)
-	}
-	if err := fifo.deliverQuiet(p); err != nil {
-		p.Release()
-		return fmt.Errorf("mu: rec FIFO %d of endpoint %v refused packet from %v: %w",
-			fifo.id, dst, p.Hdr.Origin, err)
-	}
-	return nil
-}
-
 func (f *Fabric) deliverRemote(dst TaskAddr, hdr Header, payload []byte, quiet bool) (consumed int, err error) {
 	fifo, err := f.lookupContext(dst)
+	if err == nil {
+		err = hdr.checkNarrow(max(hdr.Total, hdr.Offset+len(payload)))
+	}
 	if err != nil {
 		return 0, err
 	}
 	// Wire integrity and ordering are the transport's job; mark the
 	// packets as having bypassed the in-process reliable layer.
-	hdr.PktSeq = 0
-	hdr.Checksum = 0
-	var mbuf *bufpool.Buf
-	if len(hdr.Meta) > 0 && hdr.Offset == 0 {
-		mbuf = bufpool.GetCopy(hdr.Meta)
-		hdr.Meta = mbuf.Bytes()
-	} else {
+	hdr.PktSeq, hdr.Checksum = 0, 0
+	if hdr.Offset != 0 {
 		hdr.Meta = nil
 	}
-	if len(payload) == 0 {
-		pkt := Packet{Hdr: hdr, mbuf: mbuf}
-		if err := pkt.deliverRemoteTo(fifo, dst, quiet); err != nil {
-			return 0, err
-		}
-		f.account(hdr.Origin.Task, dst.Task, 1, PacketHeaderBytes)
-		return 0, nil
-	}
-	base := hdr.Offset
-	npkts := int64(0)
-	for off := 0; off < len(payload); off += MaxPayload {
-		end := off + MaxPayload
-		if end > len(payload) {
-			end = len(payload)
-		}
-		ph := hdr
-		ph.Offset = base + off
-		pm := mbuf
-		if off > 0 {
-			ph.Meta = nil
-			pm = nil
-		}
-		pb := bufpool.GetCopy(payload[off:end])
-		pkt := Packet{Hdr: ph, Payload: pb.Bytes(), pbuf: pb, mbuf: pm}
-		if err := pkt.deliverRemoteTo(fifo, dst, quiet); err != nil {
-			f.account(hdr.Origin.Task, dst.Task, npkts, int64(off)+npkts*PacketHeaderBytes)
-			return off, err
-		}
-		npkts++
-	}
-	f.account(hdr.Origin.Task, dst.Task, npkts, int64(len(payload))+npkts*PacketHeaderBytes)
-	return len(payload), nil
+	return f.enqueue(fifo, dst, &hdr, payload, nil, quiet)
 }
 
 // crossProcessRDMACheck rejects RDMA naming a task in another process:

@@ -2,9 +2,12 @@ package mu
 
 import (
 	"errors"
+	"math"
+	"strconv"
 	"testing"
 	"time"
 
+	"pamigo/internal/bufpool"
 	"pamigo/internal/lockless"
 )
 
@@ -58,13 +61,13 @@ func TestRemoteBurstWakesOncePerDestination(t *testing.T) {
 
 	// The packets are the ones DeliverRemote builds: meta on the first only.
 	first, ok := a.Rec.Poll()
-	if !ok || string(first.Hdr.Meta) != "meta" || first.Hdr.Offset != 0 || len(first.Payload) != MaxPayload {
-		t.Fatalf("first packet: %+v ok=%v", first.Hdr, ok)
+	if !ok || string(first.Header().Meta) != "meta" || first.Header().Offset != 0 || len(first.Payload()) != MaxPayload {
+		t.Fatalf("first packet: %+v ok=%v", first.Header(), ok)
 	}
 	first.Release()
 	second, _ := a.Rec.Poll()
-	if second.Hdr.Meta != nil || second.Hdr.Offset != MaxPayload {
-		t.Fatalf("second packet: %+v", second.Hdr)
+	if second.Header().Meta != nil || second.Header().Offset != MaxPayload {
+		t.Fatalf("second packet: %+v", second.Header())
 	}
 	second.Release()
 
@@ -84,6 +87,7 @@ func TestRemoteBurstRefusalIsResumable(t *testing.T) {
 	f := newTestFabric(t)
 	a := setupEndpoint(t, f, 0, 0, 0)
 	a.Rec.SetOverflowCap(1)
+	live0, _ := bufpool.Live()
 	dst := TaskAddr{0, 0}
 	hdr := Header{Origin: TaskAddr{Task: 2}, Total: 1 << 20}
 	payload := make([]byte, 4*MaxPayload)
@@ -121,4 +125,30 @@ func TestRemoteBurstRefusalIsResumable(t *testing.T) {
 	if got, want := a.Rec.Received(), int64(hdr.Total/MaxPayload); got != want {
 		t.Fatalf("%d packets queued for a %d-packet message", got, want)
 	}
+	if live, _ := bufpool.Live(); live != live0 {
+		t.Fatalf("%d pooled buffers live, %d before: a refused segment kept its slab", live, live0)
+	}
+}
+
+// The wire reader retries every Deliver error as backpressure, so a frame
+// its decoder accepts must never be refused for good: the packet's narrow
+// origin has the frame's widths (task uint32, context uint16), and a
+// forged origin at their top is delivered intact, as it was when the
+// element stored a whole Header.
+func TestDeliverRemoteForgedOrigin(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("a 32-bit int cannot hold the frame's largest task")
+	}
+	f := newTestFabric(t)
+	dst := setupEndpoint(t, f, 0, 0, 0)
+	forged := TaskAddr{Task: math.MaxUint32, Ctx: math.MaxUint16}
+	hdr := Header{Dispatch: 1, Origin: forged, Total: 8, Meta: []byte("m")}
+	if n, err := f.DeliverRemote(TaskAddr{0, 0}, hdr, []byte("12345678")); err != nil || n != 8 {
+		t.Fatalf("forged origin %v: n=%d err=%v, want delivery", forged, n, err)
+	}
+	pkt, ok := dst.Rec.Poll()
+	if !ok || pkt.Header().Origin != forged || string(pkt.Payload()) != "12345678" {
+		t.Fatalf("polled ok=%v origin=%v payload=%q", ok, pkt.Header().Origin, pkt.Payload())
+	}
+	pkt.Release()
 }

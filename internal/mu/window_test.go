@@ -39,7 +39,11 @@ func awaitQuiesced(t *testing.T, f *Fabric, where string) {
 // The window protocol's contract, over seeds, fault mixes and fan-in:
 // every packet reaches the reception FIFO exactly once, each flow's
 // packets in injection order, byte-exact; afterwards no flow holds
-// window or reorder state and every pooled buffer is back.
+// window or reorder state and every pooled buffer is back. Every third
+// message is one inline packet (metadata and 40 bytes in the element, no
+// slab) and the three-packet messages end in an inline 13-byte tail, so
+// inline packets are dropped, duplicated, delayed and corrupted — a
+// flipped inline byte must fail the CRC — like the slab ones beside them.
 func TestWindowProperty(t *testing.T) {
 	plans := []struct {
 		name string
@@ -55,7 +59,20 @@ func TestWindowProperty(t *testing.T) {
 		seeds  = 32
 		msgs   = 12
 		msgLen = 2*MaxPayload + 13 // 3 packets
+		perMsg = (msgLen + MaxPayload - 1) / MaxPayload
 	)
+	lenOf := func(m int) int { // of message m, on every flow
+		if m%3 == 2 {
+			return 40
+		}
+		return msgLen
+	}
+	var sched []int // the messages' packets in order, as m*perMsg + chunk
+	for m := 0; m < msgs; m++ {
+		for c := 0; c*MaxPayload < lenOf(m); c++ {
+			sched = append(sched, m*perMsg+c)
+		}
+	}
 	if testing.Short() {
 		t.Skip("320 fabrics")
 	}
@@ -86,9 +103,9 @@ func TestWindowProperty(t *testing.T) {
 						defer senders.Done()
 						for m := 0; m < msgs; m++ {
 							hdr := Header{Dispatch: 1, Origin: TaskAddr{o, 0}, Seq: uint64(m), Meta: []byte{byte(o), byte(m)}}
-							payload := testMessage(o, m, msgLen)
+							payload := testMessage(o, m, lenOf(m))
 							var err error
-							if (o+m)%2 == 0 { // both entry points share the one packetization loop
+							if (o+m)%2 == 0 { // both entry points share the one packetizer
 								err = f.InjectMemFIFOBuf(src[o].PinnedInj(0), TaskAddr{0, 0}, hdr, bufpool.GetCopy(payload))
 							} else {
 								err = f.InjectMemFIFO(src[o].PinnedInj(0), TaskAddr{0, 0}, hdr, payload)
@@ -103,18 +120,17 @@ func TestWindowProperty(t *testing.T) {
 				// Per flow the next packet must be exactly the successor of the
 				// last one: a duplicate, a loss or a reordering all break it.
 				next := make([]int, origins+1) // packets seen per origin
-				const perMsg = (msgLen + MaxPayload - 1) / MaxPayload
-				for _, p := range drainPackets(t, dst.Rec, origins*msgs*perMsg, 20*time.Second) {
-					o := p.Hdr.Origin.Task
-					m, off := next[o]/perMsg, next[o]%perMsg*MaxPayload
+				for _, p := range drainPackets(t, dst.Rec, origins*len(sched), 20*time.Second) {
+					o := p.Header().Origin.Task
+					m, off := sched[next[o]]/perMsg, sched[next[o]]%perMsg*MaxPayload
 					next[o]++
-					if p.Hdr.Seq != uint64(m) || p.Hdr.Offset != off {
-						t.Fatalf("%s: origin %d: got (msg %d, off %d), want (msg %d, off %d)", name, o, p.Hdr.Seq, p.Hdr.Offset, m, off)
+					if p.Header().Seq != uint64(m) || p.Header().Offset != off {
+						t.Fatalf("%s: origin %d: got (msg %d, off %d), want (msg %d, off %d)", name, o, p.Header().Seq, p.Header().Offset, m, off)
 					}
-					if want := testMessage(o, m, msgLen)[off:min(off+MaxPayload, msgLen)]; !bytes.Equal(p.Payload, want) {
+					if want := testMessage(o, m, lenOf(m))[off:min(off+MaxPayload, lenOf(m))]; !bytes.Equal(p.Payload(), want) {
 						t.Fatalf("%s: origin %d msg %d off %d: payload mangled", name, o, m, off)
 					}
-					if off == 0 && !bytes.Equal(p.Hdr.Meta, []byte{byte(o), byte(m)}) {
+					if off == 0 && !bytes.Equal(p.Header().Meta, []byte{byte(o), byte(m)}) {
 						t.Fatalf("%s: origin %d msg %d: metadata mangled", name, o, m)
 					}
 					p.Release()
@@ -122,7 +138,7 @@ func TestWindowProperty(t *testing.T) {
 				senders.Wait()
 				awaitQuiesced(t, f, name)
 				if p, ok := dst.Rec.Poll(); ok {
-					t.Fatalf("%s: extra packet after the last one: %+v", name, p.Hdr)
+					t.Fatalf("%s: extra packet after the last one: %+v", name, p.Header())
 				}
 				f.Close()
 				if live, _ := bufpool.Live(); live != live0 {
@@ -184,8 +200,8 @@ func streamOnePacketMessages(t *testing.T, plan fault.Plan, seed int64, n int) *
 		}
 	}
 	for m, p := range drainPackets(t, dst.Rec, n, 5*time.Second) {
-		if p.Hdr.Seq != uint64(m) || !bytes.Equal(p.Payload, testMessage(1, m, 40)) {
-			t.Fatalf("packet %d is message %d or mangled", m, p.Hdr.Seq)
+		if p.Header().Seq != uint64(m) || !bytes.Equal(p.Payload(), testMessage(1, m, 40)) {
+			t.Fatalf("packet %d is message %d or mangled", m, p.Header().Seq)
 		}
 		p.Release()
 	}
@@ -278,7 +294,7 @@ func TestDataBufChunkRefsTakenUpFront(t *testing.T) {
 			t.Error("hook: the packet just sent is not in the reception FIFO")
 			return
 		}
-		got = append(got, p.Payload...)
+		got = append(got, p.Payload()...)
 		p.Release()
 	}
 	defer func() { chunkSentHook = nil }()

@@ -38,8 +38,8 @@ GOMAXPROCS=1 go test -race ./internal/wire
 echo "==> go test -race -tags pamitrace ./internal/telemetry"
 go test -race -tags pamitrace ./internal/telemetry
 
-echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release)"
-go test -tags bufpooldebug ./internal/bufpool ./internal/mu
+echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release, a kept view of an inline message reads poison)"
+go test -tags bufpooldebug ./internal/bufpool ./internal/mu ./internal/core ./internal/mpilib
 
 echo "==> benchmark module (outside ./...: vet + 1/100-length smoke run)"
 (cd benchmark && go vet ./... && go test)

@@ -82,7 +82,8 @@ check "make(chan " internal/mu/reliable.go 2
 # and the scheduler pays for (ROADMAP item 1(b)), so the runtime's spins
 # are pinned too: per file, the count that remains and why. A new spin —
 # or a spin in a file not listed — fails until it goes through an
-# abortable park or is justified here. Lines are those of PR 15.
+# abortable park or is justified here. Lines are those of PR 15 (mu.go's:
+# PR 19).
 #
 #   FILE                         N  LINES            WHY IT MAY POLL
 spins="
@@ -90,6 +91,7 @@ internal/core/geometry.go        2  231,797          bootstrap rendezvous in Cre
 internal/core/context.go         2  452,583          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
 internal/mpilib/pt2pt.go         4  253,267,288,315  Waitall/Test/Testall/Probe drive progress themselves and yield only on an idle pass; converting them is ROADMAP item 1(b)'s spinwait helper
 internal/mpilib/world.go         1  290              progress(): context lock held by a commthread, yield to it
+internal/mu/mu.go                1  168              not a wait: RecFIFO.PollBatch yields once, then returns 0, when it drained nothing from a FIFO whose head ticket is claimed but unpublished, so the producer that lost the P can publish; the wait around it is the caller's (advanceUntil: visible, abortable)
 internal/l2atomic/l2atomic.go    4  110,233,247,314  the L2 primitives' own backoff: Mutex.Lock (held for a few instructions) and Barrier, which no runtime code constructs any more (checked below)
 internal/bench/bench.go          2  342,418          legacy benchmark drivers: sender retry on ErrThrottled, receiver poll
 internal/bench/flood.go          2  184,190          legacy flood driver: same two loops
