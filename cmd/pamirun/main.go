@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -21,6 +22,7 @@ import (
 	"pamigo/internal/collnet"
 	"pamigo/internal/fault"
 	"pamigo/internal/machine"
+	"pamigo/internal/scenario"
 	"pamigo/internal/torus"
 	"pamigo/internal/watchdog"
 	"pamigo/mpi"
@@ -81,89 +83,78 @@ func main() {
 	}
 	cfg := machine.Config{Dims: dims, PPN: *ppn, TrackHops: true, FaultSeed: *faultSeed, StallDeadline: *stallDeadline}
 	if *faults != "" {
-		plan, err := fault.ParsePlan(*faults)
+		fp, err := fault.ParsePlan(*faults)
 		if err != nil {
 			log.Fatalf("pamirun: %v", err)
 		}
-		if err := plan.Validate(dims); err != nil {
+		if err := fp.Validate(dims); err != nil {
 			log.Fatalf("pamirun: %v", err)
 		}
-		cfg.Faults = &plan
+		cfg.Faults = &fp
 	}
-	if *recoverMode != "" {
-		if *recoverMode != "auto" {
-			log.Fatalf(`pamirun: -recover %q: the only supported mode is "auto"`, *recoverMode)
-		}
-		if *buddyInterval < 1 {
-			log.Fatalf("pamirun: -buddy-interval %d: the checkpoint interval must be at least 1 round", *buddyInterval)
-		}
-		if *respawn {
-			// Parent: supervise a worker child, relaunching on kills.
-			if err := runRespawnSupervisor(*spares); err != nil {
-				log.Fatalf("pamirun: respawn supervisor: %v", err)
-			}
-			return
-		}
-		if *listen != "" || *join != "" {
-			wf, err := validateWireFlags(dims, *ppn, *listen, *join, *rankRange, *partitionID, *dieRound)
-			if err != nil {
-				log.Fatalf("pamirun: %v", err)
-			}
-			if cfg.Faults != nil {
-				wf.drop, wf.corrupt = cfg.Faults.Drop, cfg.Faults.Corrupt
-				cfg.Faults = nil
-				fmt.Printf("wire fault storm armed: drop=%g corrupt=%g (seed %d)\n", wf.drop, wf.corrupt, *faultSeed)
-			}
-			wf.stats = *stats
-			if err := runWireRecover(cfg, wf, *incarnation, *buddyInterval, *verbose); err != nil {
-				log.Fatalf("pamirun: wire self-heal: %v", err)
-			}
-			return
-		}
-		if err := runRecoverDemo(cfg, *buddyInterval, *verbose); err != nil {
-			log.Fatalf("pamirun: self-heal: %v", err)
+	if *recoverMode != "" && *recoverMode != "auto" {
+		log.Fatalf(`pamirun: -recover %q: the only supported mode is "auto"`, *recoverMode)
+	}
+	if *recoverMode != "" && *respawn {
+		// Parent: supervise a worker child, relaunching on kills.
+		if err := runRespawnSupervisor(*spares); err != nil {
+			log.Fatalf("pamirun: respawn supervisor: %v", err)
 		}
 		return
 	}
-	if *listen != "" || *join != "" || *rankRange != "" || *wiredemo || *dieRound >= 0 {
-		wf, err := validateWireFlags(dims, *ppn, *listen, *join, *rankRange, *partitionID, *dieRound)
-		if err != nil {
+
+	// Everything but the MPI shakedown is a failure scenario of
+	// internal/scenario; the flags pick the workload and the recovery policy.
+	plan := scenario.Plan{
+		Machine: cfg, Workload: scenario.Exchange, Policy: scenario.Restart,
+		BuddyInterval: *buddyInterval, Verbose: *verbose, Out: os.Stdout,
+	}
+	what := "wire shakedown"
+	switch {
+	case *recoverMode != "" || *listen != "" || *join != "" || *rankRange != "" || *wiredemo || *dieRound >= 0:
+		if plan.Span, err = validateWireFlags(dims, *ppn, *listen, *join, *rankRange, *partitionID, *dieRound); err != nil {
 			log.Fatalf("pamirun: %v", err)
 		}
-		if cfg.Faults != nil {
-			// In wire mode the fault plan's drop/corrupt rates drive the
-			// wire-level storm (cut connections, flipped bytes); the torus
-			// injector stays off — the inter-process link is the fabric
-			// under test.
-			wf.drop, wf.corrupt = cfg.Faults.Drop, cfg.Faults.Corrupt
-			cfg.Faults = nil
-			fmt.Printf("wire fault storm armed: drop=%g corrupt=%g (seed %d)\n", wf.drop, wf.corrupt, *faultSeed)
+		plan.Span.Incarnation = uint32(*incarnation)
+		if *recoverMode != "" {
+			plan.Policy, what = scenario.Online, "self-heal"
 		}
-		wf.stats = *stats
-		if err := runWireShakedown(cfg, wf, *verbose); err != nil {
-			log.Fatalf("pamirun: wire shakedown: %v", err)
-		}
-		return
-	}
-	if cfg.Faults != nil && cfg.Faults.HasNodeFaults() {
-		// Node faults run the crash-recovery demo instead of the MPI
+	case cfg.Faults != nil && cfg.Faults.HasNodeFaults():
+		// Node faults run the crash-recovery scenario instead of the MPI
 		// shakedown: the MPI layer is deliberately not fault-aware, the
 		// core layer is (see README, "Failure model").
-		fmt.Printf("node-fault plan armed: %s (seed %d) — running crash-recovery demo\n",
-			cfg.Faults, *faultSeed)
-		if err := runCrashRecovery(cfg, *verbose); err != nil {
-			log.Fatalf("pamirun: crash recovery: %v", err)
-		}
+		fmt.Printf("node-fault plan armed: %s (seed %d) — running crash-recovery demo\n", cfg.Faults, *faultSeed)
+		plan.Workload, plan.Span.DieRound, what = scenario.Allreduce, -1, "crash recovery"
+	default:
+		shakedown(cfg, *verbose, *stats)
 		return
 	}
+	rep, err := scenario.Run(plan)
+	for _, line := range rep.Lines {
+		fmt.Println(line)
+	}
+	if *stats {
+		for _, m := range rep.Machines {
+			printStats(m)
+		}
+	}
+	if err != nil {
+		log.Fatalf("pamirun: %s: %v", what, err)
+	}
+}
+
+// shakedown is the default run: point-to-point, the collectives and a
+// rectangle broadcast through the MPI layer, then the fabric statistics.
+func shakedown(cfg machine.Config, verbose, stats bool) {
+	dims, ppn := cfg.Dims, cfg.PPN
 	m, err := pami.NewMachine(cfg)
 	if err != nil {
 		log.Fatalf("pamirun: %v", err)
 	}
 	fmt.Printf("booted %s torus, %d nodes, %d processes (PPN=%d)\n",
-		dims, m.Nodes(), m.Tasks(), *ppn)
+		dims, m.Nodes(), m.Tasks(), ppn)
 	if cfg.Faults != nil {
-		fmt.Printf("fault injection armed: %s (seed %d)\n", cfg.Faults, *faultSeed)
+		fmt.Printf("fault injection armed: %s (seed %d)\n", cfg.Faults, cfg.FaultSeed)
 	}
 
 	start := time.Now()
@@ -183,7 +174,7 @@ func main() {
 		if _, err := cw.SendRecv(out, next, 1, in[:len(out)], prev, 1); err != nil {
 			log.Fatalf("rank %d sendrecv: %v", w.Rank(), err)
 		}
-		if *verbose {
+		if verbose {
 			fmt.Printf("rank %2d received %q\n", w.Rank(), strings.TrimRight(string(in), "\x00"))
 		}
 		cw.Barrier()
@@ -210,7 +201,7 @@ func main() {
 		}
 
 		// Rectangle broadcast at one process per node.
-		if *ppn == 1 {
+		if ppn == 1 {
 			if err := cw.RectBcast(buf, 0); err != nil {
 				log.Fatalf("rank %d rectbcast: %v", w.Rank(), err)
 			}
@@ -222,7 +213,7 @@ func main() {
 	s := m.Fabric().Snapshot()
 	fmt.Printf("shakedown passed in %v\n", elapsed)
 	fmt.Printf("torus traffic: %d packets, %d bytes, %d hops (%.2f hops/packet)\n",
-		s.Packets, s.Bytes, s.Hops, float64(s.Hops)/float64(max64(s.Packets, 1)))
+		s.Packets, s.Bytes, s.Hops, float64(s.Hops)/float64(max(s.Packets, 1)))
 	fmt.Printf("operations: %d memory-FIFO sends, %d RDMA puts, %d remote gets\n",
 		s.MemFIFOSends, s.Puts, s.RemoteGets)
 	if cfg.Faults != nil {
@@ -242,14 +233,7 @@ func main() {
 			downs, rebuilds, get("reroutes"))
 	}
 	m.Shutdown()
-	if *stats {
+	if stats {
 		printStats(m)
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

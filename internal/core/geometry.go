@@ -72,6 +72,9 @@ type geomShared struct {
 	cr     atomic.Pointer[collnet.ClassRoute] // written by rank 0 in Optimize/Deoptimize
 	crMu   sync.Mutex
 	optErr error
+
+	// detachDeath removes the machine death hook buildGeomShared registered.
+	detachDeath func()
 }
 
 // shortMax is the largest reduction the last arriver combines alone and
@@ -283,12 +286,29 @@ func buildGeomShared(c *Client, id uint64, tasks []int) *geomShared {
 		teams[nr] = t
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	// A confirmed death of any listed node poisons every team at once.
+	// The deadMember gate alone poisons lazily, only the team of a member
+	// that happens to pass a gate of *this* geometry: a rank that entered
+	// its round before the epoch moved would wait for a node-mate that
+	// failed at another geometry's gate and left the job. Same cause as the
+	// gate's, so the first of the two sticks and a healthy rescan heals.
+	detach := c.mach.OnDeath(func(n torus.Rank) {
+		if teams[n] == nil {
+			return
+		}
+		cause := abort.Wrap(abort.KindHealth, "core.team.barrier",
+			fmt.Errorf("core: geometry %d has members on node %d, confirmed dead: %w", id, n, mu.ErrPeerDead))
+		for _, t := range teams {
+			t.poison(cause)
+		}
+	})
 	return &geomShared{
-		id:    id,
-		tasks: append([]int(nil), tasks...),
-		nodes: nodes,
-		topo:  torus.OptimizeTopology(c.mach.Dims(), nodes),
-		teams: teams,
+		id:          id,
+		tasks:       append([]int(nil), tasks...),
+		nodes:       nodes,
+		topo:        torus.OptimizeTopology(c.mach.Dims(), nodes),
+		teams:       teams,
+		detachDeath: detach,
 	}
 }
 
@@ -391,6 +411,7 @@ func (g *Geometry) Destroy() {
 	g.matePark.Detach()
 	g.netPark.Detach()
 	if g.rank == 0 {
+		g.shared.detachDeath()
 		g.client.mach.DropSharedState(g.id)
 	}
 }

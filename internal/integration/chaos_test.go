@@ -21,58 +21,84 @@ import (
 // whole suite until the go test timeout.
 const chaosDeadline = 2 * time.Minute
 
-// runChaosJob boots a machine with cfg, runs body once per process,
-// enforces the chaos deadline, shuts the machine down, and verifies no
-// goroutines leaked. It returns the machine so callers can inspect
-// telemetry.
-func runChaosJob(t *testing.T, cfg machine.Config, opts mpilib.Options, body func(w *mpilib.World)) *machine.Machine {
+// bounded is the harness every chaos job runs in: job gets its own
+// goroutine and a deadline — an overrun fails the test with a goroutine
+// dump instead of wedging the whole suite until the go test timeout — and
+// once it returns (having shut down whatever it booted) the goroutine
+// count must come back to its starting level: no survivor blocks forever,
+// no commthread or retransmit daemon outlives its machine. The runtime
+// needs a moment to unwind them, so the check polls before declaring a
+// leak — on a cadence derived from the fault-plan seed, not the wall
+// clock, so a given plan re-runs with identical timing behavior. job runs
+// off the test goroutine: it reports with t.Error, never t.Fatal.
+func bounded(t *testing.T, what string, deadline time.Duration, seed int64, job func()) {
 	t.Helper()
 	before := runtime.NumGoroutine()
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fail sync.Once
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		m.Run(func(p *cnk.Process) {
-			defer func() {
-				if r := recover(); r != nil {
-					fail.Do(func() { t.Errorf("rank %d panicked: %v", p.TaskRank(), r) })
-				}
-			}()
-			w, err := mpilib.Init(m, p, opts)
-			if err != nil {
-				panic(err)
-			}
-			body(w)
-			w.Finalize()
-		})
+		job()
 	}()
 	select {
 	case <-done:
-	case <-time.After(chaosDeadline):
-		t.Fatalf("chaos job still running after %v; goroutine dump:\n\n%s", chaosDeadline, watchdog.Stacks())
+	case <-time.After(deadline):
+		t.Fatalf("%s job still running after %v; goroutine dump:\n\n%s", what, deadline, watchdog.Stacks())
 	}
-	m.Shutdown()
-	// All commthreads and the retransmit daemon must be gone. The runtime
-	// needs a moment to unwind them, so poll before declaring a leak —
-	// on a cadence derived from the fault-plan seed, not the wall clock,
-	// so a given plan re-runs with identical timing behavior.
-	deadline := time.Now().Add(5 * time.Second)
-	for step := int64(0); ; step++ {
-		if g := runtime.NumGoroutine(); g <= before {
-			break
-		}
-		if time.Now().After(deadline) {
+	leakDeadline := time.Now().Add(5 * time.Second)
+	for step := int64(0); runtime.NumGoroutine() > before; step++ {
+		if time.Now().After(leakDeadline) {
 			t.Errorf("goroutines leaked: %d before job, %d after shutdown\n\n%s",
 				before, runtime.NumGoroutine(), watchdog.Stacks())
 			break
 		}
-		time.Sleep(fault.Jitter(cfg.FaultSeed, step, 5*time.Millisecond))
+		time.Sleep(fault.Jitter(seed, step, 5*time.Millisecond))
+	}
+}
+
+// runMachineJob boots cfg, runs job on the machine inside the bounded harness,
+// shuts the machine down, and returns it so callers can inspect its
+// telemetry.
+func runMachineJob(t *testing.T, what string, deadline time.Duration, cfg machine.Config, job func(m *machine.Machine)) *machine.Machine {
+	t.Helper()
+	var m *machine.Machine
+	bounded(t, what, deadline, cfg.FaultSeed, func() {
+		var err error
+		if m, err = machine.New(cfg); err != nil {
+			t.Error(err)
+			return
+		}
+		defer m.Shutdown()
+		job(m)
+	})
+	if m == nil {
+		t.FailNow()
 	}
 	return m
+}
+
+// runChaosJob runs body once per process on an MPI world over cfg.
+func runChaosJob(t *testing.T, cfg machine.Config, opts mpilib.Options, body func(w *mpilib.World)) *machine.Machine {
+	t.Helper()
+	return runMachineJob(t, "chaos", chaosDeadline, cfg, func(m *machine.Machine) { runWorld(t, m, opts, body) })
+}
+
+// runWorld runs body once per process on an MPI world over m; the first
+// rank to panic fails the test.
+func runWorld(t *testing.T, m *machine.Machine, opts mpilib.Options, body func(w *mpilib.World)) {
+	var fail sync.Once
+	m.Run(func(p *cnk.Process) {
+		defer func() {
+			if r := recover(); r != nil {
+				fail.Do(func() { t.Errorf("rank %d panicked: %v", p.TaskRank(), r) })
+			}
+		}()
+		w, err := mpilib.Init(m, p, opts)
+		if err != nil {
+			panic(err)
+		}
+		body(w)
+		w.Finalize()
+	})
 }
 
 func machineCounter(t *testing.T, m *machine.Machine, path string) int64 {

@@ -25,20 +25,7 @@ func runJob(t *testing.T, dims torus.Dims, ppn int, opts mpilib.Options, body fu
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fail sync.Once
-	m.Run(func(p *cnk.Process) {
-		defer func() {
-			if r := recover(); r != nil {
-				fail.Do(func() { t.Errorf("rank %d panicked: %v", p.TaskRank(), r) })
-			}
-		}()
-		w, err := mpilib.Init(m, p, opts)
-		if err != nil {
-			panic(err)
-		}
-		body(w)
-		w.Finalize()
-	})
+	runWorld(t, m, opts, body)
 }
 
 // TestMixedWorkload interleaves deterministic pseudo-random pt2pt

@@ -5,74 +5,28 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pamigo/internal/cnk"
 	"pamigo/internal/collnet"
 	"pamigo/internal/core"
-	"pamigo/internal/fault"
 	"pamigo/internal/machine"
 	"pamigo/internal/mu"
+	"pamigo/internal/scenario"
 	"pamigo/internal/torus"
-	"pamigo/internal/watchdog"
 )
 
-// fastDetect arms millisecond-scale failure detection so the chaos runs
-// turn around quickly; production defaults are 1ms beats / phi 8.
-func fastDetect(cfg *machine.Config) {
-	cfg.HeartbeatInterval = 200 * time.Microsecond
-	cfg.PhiThreshold = 4
-}
-
-// runNodeFaultJob boots cfg (whose plan kills or freezes nodes), runs
-// body once per process on a core client, enforces the chaos deadline,
-// shuts down, and verifies no goroutine leaked — the post-recovery leak
-// check the failure model promises (no survivor blocks forever).
+// runNodeFaultJob runs body once per process on a core client over cfg,
+// whose plan kills or freezes nodes. The window is wider than
+// chaosDeadline: recovery paths busy-poll with Gosched and millisecond
+// heartbeats, which crawl when the race detector plus parallel package
+// builds starve the scheduler.
 func runNodeFaultJob(t *testing.T, cfg machine.Config, body func(m *machine.Machine, p *cnk.Process)) *machine.Machine {
 	t.Helper()
-	before := runtime.NumGoroutine()
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	return runMachineJob(t, "node-fault", 2*chaosDeadline, cfg, func(m *machine.Machine) {
 		m.Run(func(p *cnk.Process) { body(m, p) })
-	}()
-	// Wider window than chaosDeadline: recovery paths busy-poll with
-	// Gosched and millisecond heartbeats, which crawl when the race
-	// detector plus parallel package builds starve the scheduler.
-	jobDeadline := 2 * chaosDeadline
-	select {
-	case <-done:
-	case <-time.After(jobDeadline):
-		t.Fatalf("node-fault job still running after %v; goroutine dump:\n\n%s", jobDeadline, watchdog.Stacks())
-	}
-	m.Shutdown()
-	deadline := time.Now().Add(5 * time.Second)
-	for step := int64(0); ; step++ {
-		if g := runtime.NumGoroutine(); g <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("goroutines leaked: %d before job, %d after shutdown\n\n%s",
-				before, runtime.NumGoroutine(), watchdog.Stacks())
-			break
-		}
-		// Seed-derived cadence: a given fault plan re-runs identically.
-		time.Sleep(fault.Jitter(cfg.FaultSeed, step, 5*time.Millisecond))
-	}
-	return m
-}
-
-// typedFailure reports whether err is one of the crash-stop failure
-// model's typed errors.
-func typedFailure(err error) bool {
-	return errors.Is(err, mu.ErrPeerDead) || errors.Is(err, mu.ErrEpochChanged)
+	})
 }
 
 // worldGeometry builds a client, one context, and an all-tasks geometry
@@ -113,7 +67,7 @@ func TestChaosCrashMidSoftwareCollective(t *testing.T) {
 		Faults:    mustPlan(t, "crash@pkt=400,node=2", dims),
 		FaultSeed: 3,
 	}
-	fastDetect(&cfg)
+	scenario.FastDetect(&cfg)
 	var typed, completed, crashed atomic.Int64
 	m := runNodeFaultJob(t, cfg, func(m *machine.Machine, p *cnk.Process) {
 		_, g, err := worldGeometry(m, p, false)
@@ -129,7 +83,7 @@ func TestChaosCrashMidSoftwareCollective(t *testing.T) {
 			}
 			binary.LittleEndian.PutUint64(send, uint64(p.TaskRank()+step))
 			if err := g.Allreduce(send, recv, collnet.OpAdd, collnet.Uint64); err != nil {
-				if !typedFailure(err) {
+				if !core.Recoverable(err) {
 					panic(fmt.Sprintf("rank %d: untyped failure: %v", p.TaskRank(), err))
 				}
 				typed.Add(1)
@@ -163,7 +117,7 @@ func TestChaosCrashMidHardwareCollective(t *testing.T) {
 		Faults:    mustPlan(t, "crash@pkt=500,node=3", dims),
 		FaultSeed: 11,
 	}
-	fastDetect(&cfg)
+	scenario.FastDetect(&cfg)
 	var typed, completed atomic.Int64
 	m := runNodeFaultJob(t, cfg, func(m *machine.Machine, p *cnk.Process) {
 		ctx, g, err := worldGeometry(m, p, true)
@@ -190,14 +144,14 @@ func TestChaosCrashMidHardwareCollective(t *testing.T) {
 			}
 			binary.LittleEndian.PutUint64(send, uint64(step))
 			if err := g.Allreduce(send, recv, collnet.OpAdd, collnet.Uint64); err != nil {
-				if !typedFailure(err) {
+				if !core.Recoverable(err) {
 					panic(fmt.Sprintf("rank %d: untyped hw failure: %v", p.TaskRank(), err))
 				}
 				typed.Add(1)
 				return
 			}
 			if err := gsw.Allreduce(send, recv, collnet.OpAdd, collnet.Uint64); err != nil {
-				if !typedFailure(err) {
+				if !core.Recoverable(err) {
 					panic(fmt.Sprintf("rank %d: untyped sw failure: %v", p.TaskRank(), err))
 				}
 				typed.Add(1)
@@ -228,7 +182,7 @@ func TestChaosCrashDuringRendezvous(t *testing.T) {
 		Faults:    mustPlan(t, "crash@pkt=1,node=1", dims),
 		FaultSeed: 2,
 	}
-	fastDetect(&cfg)
+	scenario.FastDetect(&cfg)
 	var failedWith atomic.Value
 	m := runNodeFaultJob(t, cfg, func(m *machine.Machine, p *cnk.Process) {
 		cl, err := core.NewClient(m, p, "rdv")
@@ -275,7 +229,7 @@ func TestChaosCrashDuringRendezvous(t *testing.T) {
 		if err != nil {
 			// The RTS injection itself may fail fast when the death is
 			// already confirmed; that is a legal typed outcome too.
-			if !typedFailure(err) {
+			if !core.Recoverable(err) {
 				panic(err)
 			}
 			failedWith.Store(err)
@@ -298,228 +252,42 @@ func TestChaosCrashDuringRendezvous(t *testing.T) {
 	}
 }
 
-// --- checkpoint-restart under a fault storm -------------------------
-
-const (
-	stormWords = 16 // state vector words
-	stormSteps = 48 // total steps
-	stormEvery = 6  // checkpoint interval
-)
-
-func stormContrib(dst []uint64, step, rank int) {
-	for w := range dst {
-		dst[w] = uint64(step+1)*2654435761 ^ uint64(rank+1)*40503 ^ uint64(w)*9176
-	}
-}
-
-// stormBarrier is the out-of-band control barrier of the checkpoint
-// coordinator; Await fails when the membership epoch moves.
-type stormBarrier struct {
-	m       *machine.Machine
-	parties int
-	mu      sync.Mutex
-	arrived int
-	ch      chan struct{}
-}
-
-func (b *stormBarrier) Await() error {
-	b.mu.Lock()
-	b.arrived++
-	if b.arrived == b.parties {
-		close(b.ch)
-		b.arrived = 0
-		b.ch = make(chan struct{})
-		b.mu.Unlock()
-		return nil
-	}
-	ch := b.ch
-	ord := int64(b.arrived)
-	b.mu.Unlock()
-	// Poll cadence derives from the fault-plan seed, salted by arrival
-	// order: deterministic for a given plan, and parties never poll in
-	// lockstep (the wall-clock variant flaked when synchronized polls all
-	// sampled the epoch just before the flip).
-	seed := b.m.Config().FaultSeed
-	for step := int64(1); ; step++ {
-		select {
-		case <-ch:
-			return nil
-		case <-time.After(fault.Jitter(seed, ord<<32|step, 100*time.Microsecond)):
-			if b.m.Epoch() != 0 {
-				return mu.ErrEpochChanged
-			}
-		}
-	}
-}
-
-type stormCoord struct {
-	m    *machine.Machine
-	bar  *stormBarrier
-	ckOK atomic.Bool
-
-	mu        sync.Mutex
-	saved     []byte
-	savedStep int
-}
-
-// stormRun executes steps [start, end) of the iterative allreduce,
-// checkpointing every stormEvery steps. Identical to the pamirun demo
-// workload, compacted for the test.
-func stormRun(m *machine.Machine, p *cnk.Process, co *stormCoord, seed []uint64, start, end int) ([]uint64, error) {
-	ctx, g, err := worldGeometry(m, p, false)
-	if err != nil {
-		return nil, err
-	}
-	state := append([]uint64(nil), seed...)
-	mine := make([]uint64, stormWords)
-	send := make([]byte, stormWords*8)
-	recv := make([]byte, stormWords*8)
-	for step := start; step < end; step++ {
-		if m.Crashed(p.TaskRank()) {
-			return state, mu.ErrPeerDead // cooperative crash
-		}
-		stormContrib(mine, step, g.Rank())
-		for w, v := range mine {
-			binary.LittleEndian.PutUint64(send[w*8:], v)
-		}
-		if err := g.Allreduce(send, recv, collnet.OpAdd, collnet.Uint64); err != nil {
-			return state, err
-		}
-		for w := range state {
-			state[w] += binary.LittleEndian.Uint64(recv[w*8:])
-		}
-		if (step+1)%stormEvery == 0 && step+1 < end {
-			if err := stormCheckpoint(co, ctx, g.Rank(), state, step+1); err != nil {
-				return state, err
-			}
-		}
-	}
-	return state, nil
-}
-
-func stormCheckpoint(co *stormCoord, ctx *core.Context, rank int, state []uint64, nextStep int) error {
-	for {
-		if err := co.bar.Await(); err != nil {
-			return err
-		}
-		ctx.Drain()
-		if err := co.bar.Await(); err != nil {
-			return err
-		}
-		if rank == 0 {
-			co.ckOK.Store(false)
-			blob := make([]byte, 8+len(state)*8)
-			binary.LittleEndian.PutUint64(blob, uint64(nextStep))
-			for w, v := range state {
-				binary.LittleEndian.PutUint64(blob[8+w*8:], v)
-			}
-			if ck, err := co.m.Checkpoint(map[string][]byte{"app": blob}); err == nil {
-				if enc, err := ck.Encode(); err == nil {
-					co.mu.Lock()
-					co.saved, co.savedStep = enc, nextStep
-					co.mu.Unlock()
-					co.ckOK.Store(true)
-				}
-			}
-		}
-		if err := co.bar.Await(); err != nil {
-			return err
-		}
-		if co.ckOK.Load() {
-			return nil
-		}
-	}
-}
-
 // TestChaosCheckpointRestoreUnderStorm runs the full recovery story at
-// once: an iterative allreduce under a >10% drop/dup/corrupt storm loses
-// a node mid-run, survivors fail over with typed errors, and a restore
-// from the last checkpoint finishes the job byte-exact against the
-// analytically computed answer.
+// once, through the scenario package pamirun itself calls: an iterative
+// allreduce under a >10% drop/dup/corrupt storm loses a node mid-run,
+// survivors fail over with typed errors, and a restart from the last
+// checkpoint finishes the job byte-exact against the analytically
+// computed answer.
 func TestChaosCheckpointRestoreUnderStorm(t *testing.T) {
 	dims := torus.Dims{2, 2, 1, 1, 1}
-	cfg := machine.Config{
-		Dims: dims, PPN: 1,
-		Faults:    mustPlan(t, "drop=0.05,dup=0.04,corrupt=0.03,crash@pkt=150,node=1", dims),
-		FaultSeed: 17,
+	plan := scenario.Plan{
+		Machine: machine.Config{
+			Dims: dims, PPN: 1,
+			Faults:    mustPlan(t, "drop=0.05,dup=0.04,corrupt=0.03,crash@pkt=1500,node=1", dims),
+			FaultSeed: 17,
+		},
+		Workload: scenario.Allreduce, Policy: scenario.Restart,
+		Span: scenario.Span{DieRound: -1},
 	}
-	fastDetect(&cfg)
-	nTasks := dims.Nodes() * cfg.PPN
-
-	expected := make([]uint64, stormWords)
-	tmp := make([]uint64, stormWords)
-	for step := 0; step < stormSteps; step++ {
-		for r := 0; r < nTasks; r++ {
-			stormContrib(tmp, step, r)
-			for w, v := range tmp {
-				expected[w] += v
-			}
-		}
-	}
-
-	var co *stormCoord
-	var coOnce sync.Once
-	var typed atomic.Int64
-	runNodeFaultJob(t, cfg, func(m *machine.Machine, p *cnk.Process) {
-		coOnce.Do(func() {
-			co = &stormCoord{m: m, bar: &stormBarrier{m: m, parties: nTasks, ch: make(chan struct{})}}
-		})
-		if _, err := stormRun(m, p, co, make([]uint64, stormWords), 0, stormSteps); err != nil {
-			if !typedFailure(err) {
-				panic(fmt.Sprintf("rank %d: untyped failure: %v", p.TaskRank(), err))
-			}
-			typed.Add(1)
-		}
-	})
-	if typed.Load() == 0 {
-		t.Fatal("the storm never produced a typed failure; crash@pkt threshold too high for the workload?")
-	}
-	co.mu.Lock()
-	saved, savedStep := co.saved, co.savedStep
-	co.mu.Unlock()
-	if saved == nil {
-		t.Fatal("no checkpoint was ever captured")
-	}
-
-	ck, err := machine.DecodeCheckpoint(saved)
+	var rep *scenario.Report
+	var err error
+	bounded(t, "checkpoint-restore", 2*chaosDeadline, plan.Machine.FaultSeed, func() { rep, err = scenario.Run(plan) })
 	if err != nil {
+		// Not byte-exact, an untyped failure, a plan that never fired: all
+		// come back as the run's error.
 		t.Fatal(err)
 	}
-	m2, err := machine.Restore(ck)
-	if err != nil {
-		t.Fatal(err)
+	if rep.TypedFailures == 0 {
+		t.Error("the storm never produced a typed failure")
 	}
-	blob := ck.Blob("app")
-	resume := int(binary.LittleEndian.Uint64(blob))
-	if resume != savedStep {
-		t.Fatalf("checkpoint resume step %d != coordinator's %d", resume, savedStep)
+	// A periodic checkpoint was captured before the crash, and the restart
+	// resumed from it: the retained blob is a recovery.Snapshot whose
+	// version is the coordinator's step, and a mismatch fails the run.
+	if rep.Generations != 2 || rep.Resume <= 0 || rep.Checkpoints < 2 {
+		t.Errorf("generations %d, resumed at step %d, %d checkpoints: want one restart from a periodic checkpoint",
+			rep.Generations, rep.Resume, rep.Checkpoints)
 	}
-	seed := make([]uint64, stormWords)
-	for w := range seed {
-		seed[w] = binary.LittleEndian.Uint64(blob[8+w*8:])
-	}
-	co2 := &stormCoord{m: m2, bar: &stormBarrier{m: m2, parties: nTasks, ch: make(chan struct{})}}
-	var inexact atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		m2.Run(func(p *cnk.Process) {
-			state, err := stormRun(m2, p, co2, seed, resume, stormSteps)
-			if err != nil {
-				panic(fmt.Sprintf("rank %d failed after restore: %v", p.TaskRank(), err))
-			}
-			for w := range state {
-				if state[w] != expected[w] {
-					inexact.Add(1)
-					return
-				}
-			}
-		})
-	}()
-	wg.Wait()
-	m2.Shutdown()
-	if inexact.Load() != 0 {
-		t.Fatalf("%d tasks finished with a non-byte-exact state after restore", inexact.Load())
+	if len(rep.Digests) != dims.Nodes() {
+		t.Errorf("%d of %d tasks verified byte-exact", len(rep.Digests), dims.Nodes())
 	}
 }

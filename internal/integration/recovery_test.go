@@ -10,15 +10,15 @@ import (
 	"time"
 
 	"pamigo/internal/core"
-	"pamigo/internal/fault"
 	"pamigo/internal/machine"
 	"pamigo/internal/recovery"
+	"pamigo/internal/scenario"
 	"pamigo/internal/torus"
-	"pamigo/internal/watchdog"
 )
 
-// recoveryJob boots a self-healing machine, runs the ring workload with
-// driver-managed relaunch, and applies the usual leak check. Unlike
+// recoveryRing boots a self-healing machine, runs the ring workload with
+// driver-managed relaunch in the usual job harness, and holds the
+// recovery telemetry to the number of kills the plan fires. Unlike
 // runNodeFaultJob, tasks here come BACK: a task goroutine returning on
 // a crash is relaunched by the supervisor's OnRestore hook, resuming
 // from the buddy replica's version, so the job's WaitGroup is owned by
@@ -31,45 +31,68 @@ import (
 // job — the transparent-retry contract under test.
 func recoveryRing(t *testing.T, cfg machine.Config, kills int, target, ckptEvery uint64) *machine.Machine {
 	t.Helper()
-	before := runtime.NumGoroutine()
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	var resumedFrom atomic.Int64 // highest checkpoint version a restore resumed from
+	m := runMachineJob(t, "recovery", 4*chaosDeadline, cfg, func(m *machine.Machine) {
+		ringJob(t, m, target, ckptEvery, &resumedFrom)
+	})
+	snap := m.Telemetry().Snapshot()
+	if v, _ := snap.Counter("recovery.restores"); v < int64(kills) {
+		t.Errorf("recovery.restores = %d, want >= %d", v, kills)
 	}
+	if g, ok := snap.Gauge("recovery.mttr_ns"); !ok || g.Value <= 0 {
+		t.Errorf("recovery.mttr_ns = %+v, want a positive restore latency", g)
+	}
+	if v, _ := snap.Counter("recovery.checkpoints"); v == 0 {
+		t.Error("no checkpoints were ever taken")
+	}
+	if got, want := m.Epoch(), int64(2*kills); got != want {
+		t.Errorf("epoch = %d, want %d (+1 per death, +1 per revival)", got, want)
+	}
+	if resumedFrom.Load() == 0 {
+		t.Error("every restore started from zero; expected at least one resume from a buddy checkpoint")
+	}
+	return m
+}
+
+// ringJob is recoveryRing's workload: it returns when every task has
+// pushed its target sends.
+func ringJob(t *testing.T, m *machine.Machine, target, ckptEvery uint64, resumedFrom *atomic.Int64) {
 	sup := m.Recovery()
 	if sup == nil {
-		t.Fatal("Config.Recovery armed but Machine.Recovery() is nil")
+		t.Error("Config.Recovery armed but Machine.Recovery() is nil")
+		return
 	}
-	n := m.Tasks()
+	n, ppn := m.Tasks(), m.Config().PPN
 	const disp = 7
 
 	// One client + context per task, built up front and reused across the
 	// task's incarnations (the context survives; the revival chain resets
 	// the flows underneath it).
 	ctxs := make([]*core.Context, n)
-	var recvd []atomic.Int64
-	recvd = make([]atomic.Int64, n)
+	recvd := make([]atomic.Int64, n)
 	for task := 0; task < n; task++ {
 		cl, err := core.NewClient(m, m.Task(task), "recovery")
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
 		cc, err := cl.CreateContexts(1)
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
 		task := task
 		if err := cc[0].RegisterDispatch(disp, func(_ *core.Context, _ *core.Delivery) {
 			recvd[task].Add(1)
 		}); err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
 		ctxs[task] = cc[0]
 	}
 
 	var wg sync.WaitGroup
-	var done atomic.Int64       // tasks that pushed all target sends
-	var resumedFrom atomic.Int64 // highest checkpoint version a restore resumed from
+	var done atomic.Int64 // tasks that pushed all target sends
 	allDone := make(chan struct{})
 	var closeOnce sync.Once
 
@@ -99,7 +122,7 @@ func recoveryRing(t *testing.T, cfg machine.Config, kills int, target, ckptEvery
 				if sent%ckptEvery == 0 {
 					state := make([]byte, 8)
 					binary.LittleEndian.PutUint64(state, sent)
-					if err := sup.Checkpoint(torus.Rank(task/cfg.PPN), sent, state); err != nil {
+					if err := sup.Checkpoint(torus.Rank(task/ppn), sent, state); err != nil {
 						panic(fmt.Sprintf("task %d checkpoint: %v", task, err))
 					}
 				}
@@ -140,7 +163,7 @@ func recoveryRing(t *testing.T, cfg machine.Config, kills int, target, ckptEvery
 				break
 			}
 		}
-		for task := int(s.Node) * cfg.PPN; task < (int(s.Node)+1)*cfg.PPN; task++ {
+		for task := int(s.Node) * ppn; task < (int(s.Node)+1)*ppn; task++ {
 			launch(task, start)
 		}
 	})
@@ -148,46 +171,7 @@ func recoveryRing(t *testing.T, cfg machine.Config, kills int, target, ckptEvery
 	for task := 0; task < n; task++ {
 		launch(task, 0)
 	}
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	deadline := 4 * chaosDeadline
-	select {
-	case <-finished:
-	case <-time.After(deadline):
-		t.Fatalf("recovery job still running after %v; goroutine dump:\n\n%s", deadline, watchdog.Stacks())
-	}
-
-	snap := m.Telemetry().Snapshot()
-	if v, _ := snap.Counter("recovery.restores"); v < int64(kills) {
-		t.Errorf("recovery.restores = %d, want >= %d", v, kills)
-	}
-	if g, ok := snap.Gauge("recovery.mttr_ns"); !ok || g.Value <= 0 {
-		t.Errorf("recovery.mttr_ns = %+v, want a positive restore latency", g)
-	}
-	if v, _ := snap.Counter("recovery.checkpoints"); v == 0 {
-		t.Error("no checkpoints were ever taken")
-	}
-	if got, want := m.Epoch(), int64(2*kills); got != want {
-		t.Errorf("epoch = %d, want %d (+1 per death, +1 per revival)", got, want)
-	}
-	if resumedFrom.Load() == 0 {
-		t.Error("every restore started from zero; expected at least one resume from a buddy checkpoint")
-	}
-
-	m.Shutdown()
-	leakDeadline := time.Now().Add(5 * time.Second)
-	for step := int64(0); ; step++ {
-		if g := runtime.NumGoroutine(); g <= before {
-			break
-		}
-		if time.Now().After(leakDeadline) {
-			t.Errorf("goroutines leaked: %d before job, %d after shutdown\n\n%s",
-				before, runtime.NumGoroutine(), watchdog.Stacks())
-			break
-		}
-		time.Sleep(fault.Jitter(cfg.FaultSeed, step, 5*time.Millisecond))
-	}
-	return m
+	wg.Wait()
 }
 
 // TestRecoveryAutoReviveSingleKill is the basic self-healing round
@@ -201,7 +185,7 @@ func TestRecoveryAutoReviveSingleKill(t *testing.T) {
 		FaultSeed: 9,
 		Recovery:  &recovery.Options{AutoRevive: true, SettleDelay: 2 * time.Millisecond, Seed: 9},
 	}
-	fastDetect(&cfg)
+	scenario.FastDetect(&cfg)
 	recoveryRing(t, cfg, 1, 400, 25)
 }
 
@@ -217,7 +201,7 @@ func TestRecoveryChaosSoakSequentialKills(t *testing.T) {
 		FaultSeed: 17,
 		Recovery:  &recovery.Options{AutoRevive: true, SettleDelay: 2 * time.Millisecond, Seed: 17},
 	}
-	fastDetect(&cfg)
+	scenario.FastDetect(&cfg)
 	recoveryRing(t, cfg, 3, 900, 25)
 }
 
@@ -233,6 +217,6 @@ func TestRecoveryRepeatKillSameNode(t *testing.T) {
 		FaultSeed: 5,
 		Recovery:  &recovery.Options{AutoRevive: true, SettleDelay: 2 * time.Millisecond, Seed: 5},
 	}
-	fastDetect(&cfg)
+	scenario.FastDetect(&cfg)
 	recoveryRing(t, cfg, 2, 700, 20)
 }

@@ -138,6 +138,12 @@ type Machine struct {
 
 	geoMu  sync.Mutex
 	geoReg map[uint64]any
+
+	// deathHooks run at the end of the death propagation below, keyed by
+	// registration order so OnDeath's detach can remove one.
+	deathMu    sync.Mutex
+	deathHooks map[uint64]func(torus.Rank)
+	deathSeq   uint64
 }
 
 // New boots a machine: builds every node, maps every task onto the torus,
@@ -164,6 +170,8 @@ func New(cfg Config) (*Machine, error) {
 		gi:     collnet.NewGIBarrier(cfg.Dims.Nodes()),
 		geoReg: make(map[uint64]any),
 		tele:   telemetry.NewRegistry("machine"),
+
+		deathHooks: make(map[uint64]func(torus.Rank)),
 	}
 	// One registry tree for the whole job: the substrates' private
 	// registries become groups, and the software layers above (core, mpi)
@@ -239,6 +247,11 @@ func New(cfg Config) (*Machine, error) {
 			// complete: poison it with the typed cause (Revive heals it).
 			m.gi.Poison(abort.Wrap(abort.KindHealth, "machine.gibarrier",
 				fmt.Errorf("node %d confirmed dead: %w", n, mu.ErrPeerDead)))
+			m.deathMu.Lock()
+			for _, fn := range m.deathHooks {
+				fn(n)
+			}
+			m.deathMu.Unlock()
 			m.fabric.TouchAll()
 		})
 	}
@@ -424,6 +437,49 @@ func (m *Machine) Revive(n torus.Rank) error {
 		m.gi.Heal()
 	}
 	m.fabric.TouchAll()
+	return nil
+}
+
+// OnDeath registers fn to run on every confirmed node death, after the
+// machine has propagated the death through its own layers (flows failed,
+// classroutes shrunk, the epoch already moved) and before the recovery
+// supervisor hears of it — so a hook's effects precede any revival. The
+// layers above use it for state that must fail eagerly rather than at
+// the next membership gate (core: the node teams of every geometry that
+// lists the dead node). fn runs under the hook table's lock: it must not
+// block, nor register or detach a hook. The returned detach removes the
+// hook. Without a failure detector no death is ever confirmed and the
+// hook never runs.
+func (m *Machine) OnDeath(fn func(torus.Rank)) (detach func()) {
+	m.deathMu.Lock()
+	defer m.deathMu.Unlock()
+	m.deathSeq++
+	id := m.deathSeq
+	m.deathHooks[id] = fn
+	return func() {
+		m.deathMu.Lock()
+		delete(m.deathHooks, id)
+		m.deathMu.Unlock()
+	}
+}
+
+// Quiesced is the checkpoint precondition: nil only when nothing is in
+// flight — every reception FIFO is empty, every reliable-delivery window
+// between live nodes has drained and, in wire mode, every frame to every
+// live peer has been acknowledged — so a snapshot taken now holds no
+// transport state and a restart (machine.New on the same Config, its
+// transports starting clean) never replays or loses a message. Callers
+// stop initiating traffic and drain their contexts (core.Context.Drain)
+// first; otherwise the error names the busy component.
+func (m *Machine) Quiesced() error {
+	if err := m.fabric.Quiesced(); err != nil {
+		return fmt.Errorf("machine: checkpoint refused, data plane not quiescent: %w", err)
+	}
+	if m.wt != nil {
+		if err := m.wt.Quiesced(); err != nil {
+			return fmt.Errorf("machine: checkpoint refused, wire transport not quiescent: %w", err)
+		}
+	}
 	return nil
 }
 

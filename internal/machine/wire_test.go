@@ -178,48 +178,49 @@ func TestWireDeathDetection(t *testing.T) {
 	// ordering guarantees — just silence.
 	mb.Shutdown()
 
+	// Wait on what is asserted, not on Alive: Alive flips when the monitor
+	// confirms the death, the transport refuses sends only once the death
+	// callbacks that follow have reached it.
+	refused := func() bool {
+		return errors.Is(ma.Wire().Send(core.Endpoint{Task: 1}, wireTestHeader(1), []byte("x")), health.ErrPeerDead)
+	}
 	deadline = time.Now().Add(10 * time.Second)
-	for step := int64(0); ma.Alive(1); step++ {
+	for step := int64(0); !refused(); step++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("node 1 never confirmed dead (phi=%v)", ma.Health().Phi(1))
+			t.Fatalf("the wire never refused a send to node 1 with ErrPeerDead (alive=%v phi=%v)", ma.Alive(1), ma.Health().Phi(1))
 		}
 		time.Sleep(fault.Jitter(99, step, time.Millisecond))
 	}
-	if ma.Epoch() == 0 {
-		t.Fatal("epoch did not advance on death")
+	if ma.Alive(1) || ma.Epoch() == 0 {
+		t.Fatalf("send refused but alive=%v epoch=%d", ma.Alive(1), ma.Epoch())
 	}
-
-	// Sends to the dead range fail typed, immediately.
-	err := ca.Send(core.SendParams{Dest: core.Endpoint{Task: 1}, Dispatch: 1, Data: []byte("x")})
-	if err == nil {
-		// The send may have been accepted into the context before the
-		// death propagated; advancing must surface the failure rather
-		// than hang. Either way the wire itself must refuse new frames.
-		werr := ma.Wire().Send(core.Endpoint{Task: 1}, wireTestHeader(1), []byte("x"))
-		if !errors.Is(werr, health.ErrPeerDead) {
-			t.Fatalf("wire send to dead peer: %v, want ErrPeerDead", werr)
+	for _, pi := range ma.Wire().Peers() {
+		if pi.TaskLo == 1 && !pi.Dead {
+			t.Fatal("peer record of the dead range not marked dead")
 		}
-	} else if !errors.Is(err, health.ErrPeerDead) {
+	}
+	// Core sends to the dead range fail typed, immediately.
+	err := ca.Send(core.SendParams{Dest: core.Endpoint{Task: 1}, Dispatch: 1, Data: []byte("x")})
+	if !errors.Is(err, health.ErrPeerDead) {
 		t.Fatalf("send to dead peer: %v, want ErrPeerDead", err)
 	}
 
-	// Survivor recovers by checkpoint-restart: quiesce, snapshot,
-	// restore into a fresh machine whose transports start clean.
+	// Survivor recovers by checkpoint-restart: drain, pass the quiescence
+	// precondition, boot a fresh machine whose transports start clean.
 	ca.Drain()
-	ck, err := ma.Checkpoint(map[string][]byte{"state": []byte("survivor")})
-	if err != nil {
-		t.Fatalf("checkpoint after death: %v", err)
+	if err := ma.Quiesced(); err != nil {
+		t.Fatalf("not quiescent after death and drain: %v", err)
 	}
-	if len(ck.DeadNodes) != 1 || ck.DeadNodes[0] != 1 {
-		t.Fatalf("checkpoint dead set %v, want [1]", ck.DeadNodes)
+	if dead := ma.Health().DeadNodes(); len(dead) != 1 || dead[0] != 1 {
+		t.Fatalf("dead set %v, want [1]", dead)
 	}
-	m2, err := machine.RestoreWith(ck, machine.Config{})
+	m2, err := machine.New(machine.Config{Dims: wireDims, PPN: 1})
 	if err != nil {
-		t.Fatalf("restore: %v", err)
+		t.Fatalf("restart: %v", err)
 	}
 	defer m2.Shutdown()
-	if m2.Tasks() != 2 || string(ck.Blob("state")) != "survivor" {
-		t.Fatalf("restored shape/blobs wrong: tasks=%d", m2.Tasks())
+	if m2.Tasks() != 2 || m2.Epoch() != 0 {
+		t.Fatalf("restarted machine: tasks=%d epoch=%d", m2.Tasks(), m2.Epoch())
 	}
 }
 
@@ -451,8 +452,8 @@ func TestCheckpointRefusedWhileWireBusy(t *testing.T) {
 		// when the window is demonstrably still open.
 		t.Skip("ack arrived before the quiescence check; nothing to refuse")
 	}
-	if _, err := ma.Checkpoint(nil); err == nil {
-		t.Fatal("checkpoint accepted with unacknowledged wire frames")
+	if err := ma.Quiesced(); err == nil || !contains(err.Error(), "wire transport not quiescent") {
+		t.Fatalf("Quiesced with unacknowledged wire frames: %v, want a refusal naming the wire transport", err)
 	}
 	// Once acknowledged, the checkpoint goes through.
 	deadline := time.Now().Add(5 * time.Second)
@@ -462,8 +463,8 @@ func TestCheckpointRefusedWhileWireBusy(t *testing.T) {
 		}
 		time.Sleep(fault.Jitter(99, step, time.Millisecond))
 	}
-	if _, err := ma.Checkpoint(nil); err != nil {
-		t.Fatalf("checkpoint after quiesce: %v", err)
+	if err := ma.Quiesced(); err != nil {
+		t.Fatalf("Quiesced after the ack: %v", err)
 	}
 }
 

@@ -29,8 +29,8 @@ GOMAXPROCS=1 go test -race -run 'TestTeam|TestRootedReduceCannotLap|TestParked|T
 echo "==> go test -race (Time Warp engine: equivalence vs oracle, rollback stress, netsim cross-engine)"
 go test -race ./internal/sim/... ./internal/netsim
 
-echo "==> go test -race (wire transport: burst property + chunking + reconnect and fault storms, cross-process machines, liveness)"
-go test -race ./internal/wire ./internal/machine ./internal/health ./cmd/pamirun
+echo "==> go test -race (wire transport: burst property + chunking + reconnect and fault storms, cross-process machines, liveness; the failure scenarios pamirun runs, in one process)"
+go test -race ./internal/wire ./internal/machine ./internal/health ./cmd/pamirun ./internal/scenario
 
 echo "==> GOMAXPROCS=1 go test -race ./internal/wire (a reader/writer pair must not need a second core to make progress)"
 GOMAXPROCS=1 go test -race ./internal/wire
