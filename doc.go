@@ -7,6 +7,8 @@
 // CNK process/commthread environment.
 //
 // Import the public APIs from pamigo/pami and pamigo/mpi. The root
-// package exists only to carry the repository-level benchmarks
-// (bench_test.go), one per table and figure of the paper's evaluation.
+// package carries this overview only. cmd/paperbench prints the paper's
+// tables and figures from the calibrated model; the benchmark module
+// under benchmark/ (its workloads declared in BENCHMARK.json) is where
+// the functional runtime's performance is measured.
 package pamigo

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,23 @@ import (
 	"pamigo/internal/bufpool"
 	"pamigo/internal/torus"
 )
+
+// fanInStream sends messages [from, to) from sctx to dst as 8 B
+// SendImmediateBuf carrying their sequence number, staying at most window
+// ahead of seen, the count of them the consumer has dispatched.
+func fanInStream(t *testing.T, sctx *Context, dst Endpoint, seen *atomic.Int64, window, from, to int64) {
+	var payload [8]byte
+	for seq := from; seq < to; seq++ {
+		for seq-seen.Load() >= window {
+			runtime.Gosched()
+		}
+		binary.LittleEndian.PutUint64(payload[:], uint64(seq))
+		if err := sctx.SendImmediateBuf(dst, 1, nil, bufpool.GetCopy(payload[:])); err != nil {
+			t.Errorf("task %d, message %d: %v", sctx.Endpoint().Task, seq, err)
+			return
+		}
+	}
+}
 
 // TestFanInNoPoolTraffic closes ROADMAP 5(e): in steady state a
 // many-to-one stream of small ownership-transfer sends moves no slab
@@ -54,19 +72,6 @@ func TestFanInNoPoolTraffic(t *testing.T) {
 	})
 	dst := rctx.Endpoint()
 
-	stream := func(sctx *Context, origin int, from, to int64) {
-		var payload [8]byte
-		for seq := from; seq < to; seq++ {
-			for seq-seen[origin].Load() >= window {
-				runtime.Gosched()
-			}
-			binary.LittleEndian.PutUint64(payload[:], uint64(seq))
-			if err := sctx.SendImmediateBuf(dst, 1, nil, bufpool.GetCopy(payload[:])); err != nil {
-				t.Errorf("origin %d, message %d: %v", origin, seq, err)
-				return
-			}
-		}
-	}
 	// Three phases, the producers parked between them: a window's worth
 	// queued with nobody consuming, the warm-up, the measured stream.
 	var phase [3]sync.WaitGroup
@@ -91,7 +96,7 @@ func TestFanInNoPoolTraffic(t *testing.T) {
 			from := int64(0)
 			for i, upTo := range []int64{window, warm, warm + msgs} {
 				<-start[i]
-				stream(sctx, o, from, upTo)
+				fanInStream(t, sctx, dst, &seen[o], window, from, upTo)
 				from = upTo
 				phase[i].Done()
 			}
@@ -141,6 +146,57 @@ func TestFanInNoPoolTraffic(t *testing.T) {
 	}
 	if bad != 0 {
 		t.Errorf("%d messages mangled or out of sequence", bad)
+	}
+}
+
+// TestFanInStragglersDoNotSpin: a fixed-count fan-in ends with the
+// receiver ahead of its last senders, polling a FIFO whose head ticket is
+// claimed but not yet published — its producer lost the P between the
+// two, queued on the shard's overflow lock behind another producer of the
+// same shard. AdvanceUntil neither parks nor yields on a non-empty FIFO,
+// so if that poll spins instead of handing the producer the P
+// (mu.RecFIFO.PollBatch), a run with the rest of the machine waiting in
+// the closing barrier stalls for seconds and counts tens of millions of
+// advances for 120 k messages; a healthy run counts a fiftieth of an
+// advance per message. Tasks 1, 2 and 3 hash onto one shard and task 6
+// onto another (mu.RecFIFO.shardFor): TestFanInNoPoolTraffic's origins,
+// one per shard, never queue on each other's lock and never stall.
+func TestFanInStragglersDoNotSpin(t *testing.T) {
+	const window, runs = 1024, 12
+	msgs := int64(30_000)
+	if bufpool.DebugEnabled {
+		// Every released slab keeps its stack for the life of the process,
+		// kilobytes a message. This run checks the fan-in's buffer
+		// ownership; it is too short for the advance bound, which one
+		// ~10 ms preemption stall of an otherwise healthy run exceeds.
+		msgs = 500
+	}
+	origins := []int{1, 2, 3, 6}
+	total := int64(len(origins)) * msgs
+	var advances atomic.Int64
+	for r := 0; r < runs; r++ {
+		seen := make([]atomic.Int64, 18)
+		runJob(t, torus.Dims{3, 3, 2, 1, 1}, 1, func(g *Geometry, ctx *Context) {
+			var got int64 // the handler runs on the receiver's own thread
+			ctx.RegisterDispatch(1, func(_ *Context, d *Delivery) {
+				seen[d.Origin.Task].Add(1)
+				got++
+			})
+			g.Barrier()
+			switch me := ctx.Endpoint().Task; {
+			case me == 0:
+				ctx.AdvanceUntil(func() bool { return got >= total || t.Failed() })
+				a, _, _ := ctx.Stats()
+				advances.Add(a)
+			case slices.Contains(origins, me):
+				fanInStream(t, ctx, Endpoint{Task: 0}, &seen[me], window, 0, msgs)
+			}
+			g.Barrier()
+		}).Shutdown()
+	}
+	t.Logf("%d advances for %d messages", advances.Load(), int64(runs)*total)
+	if msgs := int64(runs) * total; advances.Load() > 2*msgs && !bufpool.DebugEnabled {
+		t.Errorf("%d advances for %d messages: the receiver spun on an unpublished FIFO head", advances.Load(), msgs)
 	}
 }
 

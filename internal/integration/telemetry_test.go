@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pamigo/internal/cnk"
+	"pamigo/internal/core"
 	"pamigo/internal/machine"
 	"pamigo/internal/mpilib"
 	"pamigo/internal/torus"
@@ -17,9 +18,10 @@ import (
 // access is unsynchronized — it is the cross-layer companion of the
 // package-level races in internal/telemetry.
 //
-// After the job drains it also audits the books: sends happened in both
-// protocols, MU packets moved, every rendezvous acked (rdv_inflight back
-// to zero), and the MPI matching queues emptied out.
+// After the job drains it also audits the books: every send is counted
+// under the protocol its size or its forced mode selects, MU packets
+// moved, every rendezvous acked (rdv_inflight back to zero), and the MPI
+// matching queues emptied out.
 func TestTelemetryUnderConcurrentTraffic(t *testing.T) {
 	m, err := machine.New(machine.Config{Dims: torus.Dims{2, 2, 1, 1, 1}, PPN: 2})
 	if err != nil {
@@ -51,6 +53,16 @@ func TestTelemetryUnderConcurrentTraffic(t *testing.T) {
 		}()
 	}
 
+	// Eager, at-threshold and rendezvous by size, then each protocol
+	// forced against its size.
+	sends := []struct {
+		size int
+		mode core.SendMode
+		rdv  bool
+	}{
+		{64, core.ModeAuto, false}, {512, core.ModeAuto, false}, {3000, core.ModeAuto, true},
+		{64, core.ModeRendezvous, true}, {3000, core.ModeEager, false},
+	}
 	const rounds = 40
 	var fail sync.Once
 	m.Run(func(p *cnk.Process) {
@@ -71,23 +83,33 @@ func TestTelemetryUnderConcurrentTraffic(t *testing.T) {
 		n := w.Size()
 		peer := (w.Rank() + n/2) % n // cross-node partner, symmetric pairing
 		for i := 0; i < rounds; i++ {
-			size := []int{64, 512, 3000}[i%3] // eager, at-threshold, rendezvous
-			in := make([]byte, size)
-			out := make([]byte, size)
-			if _, err := cw.SendRecv(out, peer, i, in, peer, i); err != nil {
+			c := sends[i%len(sends)]
+			in := make([]byte, c.size)
+			out := make([]byte, c.size)
+			r, err := cw.Irecv(in, peer, i)
+			if err != nil {
 				panic(err)
 			}
+			s, err := cw.IsendMode(out, peer, i, c.mode)
+			if err != nil {
+				panic(err)
+			}
+			w.Waitall([]*mpilib.Request{r, s})
 		}
 	})
 	close(stop)
 	readers.Wait()
 
 	counters, gauges := m.Telemetry().Snapshot().Totals()
-	if counters["sends_eager"] == 0 {
-		t.Error("no eager sends recorded")
+	var rdv int64
+	for i := 0; i < rounds; i++ {
+		if sends[i%len(sends)].rdv {
+			rdv += int64(m.Tasks())
+		}
 	}
-	if counters["sends_rendezvous"] == 0 {
-		t.Error("no rendezvous sends recorded")
+	if counters["sends_eager"] != int64(rounds*m.Tasks())-rdv || counters["sends_rendezvous"] != rdv {
+		t.Errorf("%d eager and %d rendezvous sends recorded, want %d and %d",
+			counters["sends_eager"], counters["sends_rendezvous"], int64(rounds*m.Tasks())-rdv, rdv)
 	}
 	if counters["packets"] == 0 || counters["packets_received"] == 0 {
 		t.Errorf("no MU traffic recorded: injected=%d received=%d",

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -395,5 +396,27 @@ func TestFiguresRender(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestRenderTable(t *testing.T) {
+	out := RenderTable(Table1(Default()))
+	if !strings.Contains(out, "PAMI Send Immediate") || !strings.Contains(out, "us") {
+		t.Fatalf("render missing content:\n%s", out)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) < 4 {
+		t.Fatalf("render too short:\n%s", out)
+	}
+}
+
+func TestRenderSeries(t *testing.T) {
+	out := RenderSeries("Figure 5", Fig5(Default()))
+	if !strings.Contains(out, "PAMI") || !strings.Contains(out, "MMPS") {
+		t.Fatalf("series render missing content:\n%s", out)
+	}
+	// PPN=32 row must show '-' for the commthread series (not run there).
+	if !strings.Contains(out, "-") {
+		t.Fatalf("missing N/A marker:\n%s", out)
 	}
 }

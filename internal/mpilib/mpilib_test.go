@@ -3,11 +3,14 @@ package mpilib
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"pamigo/internal/cnk"
 	"pamigo/internal/collnet"
+	"pamigo/internal/core"
 	"pamigo/internal/machine"
 	"pamigo/internal/torus"
 )
@@ -80,6 +83,81 @@ func TestPingPongBlocking(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPAMIFasterThanMPI checks the relative claim behind Tables 1-2: a
+// 0 B PAMI SendImmediate half round trip beats MPI's Send/Recv, which pays
+// request and matching overheads on top. The two ping-pongs alternate in
+// blocks on one machine and one context, so a slow spell of the host slows
+// both sides together; the medians of the blocks are compared.
+func TestPAMIFasterThanMPI(t *testing.T) {
+	const blocks, trips = 11, 300
+	const dispatchPAMI = 2
+	var pami, mpi []time.Duration
+	runMPI(t, torus.Dims{2, 1, 1, 1, 1}, 1, Options{}, func(w *World) {
+		cw := w.CommWorld()
+		ctx := w.ctxs[0]
+		peer := 1 - w.Rank()
+		var got, want int64 // the handler runs on this rank's advancing thread
+		arrived := func() bool { return got >= want }
+		if err := ctx.RegisterDispatch(dispatchPAMI, func(*core.Context, *core.Delivery) { got++ }); err != nil {
+			panic(err)
+		}
+		pamiSend := func() {
+			if err := ctx.SendImmediate(core.Endpoint{Task: peer}, dispatchPAMI, nil, nil); err != nil {
+				panic(err)
+			}
+		}
+		pamiRecv := func() {
+			want = got + 1
+			ctx.AdvanceUntil(arrived)
+		}
+		mpiSend := func() {
+			if err := cw.Send(nil, peer, 0); err != nil {
+				panic(err)
+			}
+		}
+		mpiRecv := func() {
+			if _, err := cw.Recv(nil, peer, 0); err != nil {
+				panic(err)
+			}
+		}
+		// halfRoundTrip times one block of trips from rank 0.
+		halfRoundTrip := func(send, recv func()) time.Duration {
+			cw.Barrier()
+			start := time.Now()
+			for i := 0; i < trips; i++ {
+				if w.Rank() == 0 {
+					send()
+					recv()
+				} else {
+					recv()
+					send()
+				}
+			}
+			return time.Since(start) / (2 * trips)
+		}
+		for b := 0; b < blocks; b++ {
+			var p, m time.Duration
+			if b%2 == 0 {
+				p = halfRoundTrip(pamiSend, pamiRecv)
+				m = halfRoundTrip(mpiSend, mpiRecv)
+			} else {
+				m = halfRoundTrip(mpiSend, mpiRecv)
+				p = halfRoundTrip(pamiSend, pamiRecv)
+			}
+			if w.Rank() == 0 {
+				pami, mpi = append(pami, p), append(mpi, m)
+			}
+		}
+	})
+	slices.Sort(pami)
+	slices.Sort(mpi)
+	p, m := pami[blocks/2], mpi[blocks/2]
+	t.Logf("median half round trip: PAMI %v, MPI %v", p, m)
+	if p >= m {
+		t.Errorf("PAMI median half round trip %v should be below MPI's %v\nPAMI blocks %v\nMPI blocks  %v", p, m, pami, mpi)
+	}
 }
 
 func TestIsendIrecvWaitall(t *testing.T) {
@@ -171,6 +249,9 @@ func TestWildcardSourceAndTag(t *testing.T) {
 				if st.Tag != 100+st.Source {
 					t.Errorf("tag %d from %d", st.Tag, st.Source)
 				}
+			}
+			if hits, _ := w.mach.Telemetry().Snapshot().Counter("mpi.rank0.match_hits"); hits != int64(w.Size()-1) {
+				t.Errorf("%d wildcard receives counted %d match hits", w.Size()-1, hits)
 			}
 		} else {
 			if err := cw.Send([]byte("hello000"), 0, 100+w.Rank()); err != nil {

@@ -140,10 +140,9 @@ func TestWildcardWithConcurrentThreads(t *testing.T) {
 
 // --- Ablation: context count (the §IV.A hashing scheme) ---
 
-// benchMessageBurst measures a burst of nonblocking sends between two
-// processes spread across `contexts` PAMI contexts via the (dest, comm)
-// hash. With one destination the hash pins a single context; the
-// multi-destination benchmark in bench_test.go shows the spread.
+// benchContexts reports benchBurst's message rate with `contexts` PAMI
+// contexts per process, over which the (dest, comm) hash spreads the
+// burst's three destinations.
 func benchContexts(b *testing.B, contexts int) {
 	b.Helper()
 	rate, err := benchBurst(contexts, b.N)

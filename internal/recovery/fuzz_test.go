@@ -21,9 +21,9 @@ func FuzzRestoreBlob(f *testing.F) {
 	} {
 		blob := s.Encode()
 		f.Add(blob)
-		f.Add(blob[:len(blob)-1])           // truncated crc
-		f.Add(blob[:snapHeader])            // header only
-		f.Add(append(blob[:0:0], blob...))  // full copy for mutation
+		f.Add(blob[:len(blob)-1])          // truncated crc
+		f.Add(blob[:snapHeader])           // header only
+		f.Add(append(blob[:0:0], blob...)) // full copy for mutation
 		mut := append(blob[:0:0], blob...)
 		mut[18] ^= 0x80 // length field bit flip
 		f.Add(mut)

@@ -82,19 +82,18 @@ check "make(chan " internal/mu/reliable.go 2
 # and the scheduler pays for (ROADMAP item 1(b)), so the runtime's spins
 # are pinned too: per file, the count that remains and why. A new spin —
 # or a spin in a file not listed — fails until it goes through an
-# abortable park or is justified here. Lines are those of PR 15 (mu.go's:
-# PR 19; geometry.go's and scenario's: PR 21).
+# abortable park or is justified here. LINES are where the sites sit in
+# the current tree (15 spins in all); an edit that moves one updates its
+# row.
 #
 #   FILE                         N  LINES            WHY IT MAY POLL
 spins="
 internal/core/geometry.go        2  234,818          bootstrap rendezvous in CreateGeometry (bounded by context creation); swWait advances the context itself and yields only when nothing moved, its exit is the deadMember gate
-internal/core/context.go         2  452,583          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
-internal/mpilib/pt2pt.go         4  253,267,288,315  Waitall/Test/Testall/Probe drive progress themselves and yield only on an idle pass; converting them is ROADMAP item 1(b)'s spinwait helper
+internal/core/context.go         2  451,582          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
+internal/mpilib/pt2pt.go         4  261,275,296,323  Waitall/Test/Testall/Probe drive progress themselves and yield only on an idle pass; converting them is ROADMAP item 1(b)'s spinwait helper
 internal/mpilib/world.go         1  290              progress(): context lock held by a commthread, yield to it
 internal/mu/mu.go                1  168              not a wait: RecFIFO.PollBatch yields once, then returns 0, when it drained nothing from a FIFO whose head ticket is claimed but unpublished, so the producer that lost the P can publish; the wait around it is the caller's (advanceUntil: visible, abortable)
 internal/l2atomic/l2atomic.go    4  110,233,247,314  the L2 primitives' own backoff: Mutex.Lock (held for a few instructions) and Barrier, which no runtime code constructs any more (checked below)
-internal/bench/bench.go          2  342,418          legacy benchmark drivers: sender retry on ErrThrottled, receiver poll
-internal/bench/flood.go          2  184,190          legacy flood driver: same two loops
 internal/scenario/online.go      1  326              the online policy's progress loop, yields after a productive pass (idle passes sleep)
 "
 listed=$(echo "$spins" | awk 'NF { print "./" $1 }')
