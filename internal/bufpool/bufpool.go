@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pamigo/internal/l2atomic"
 	"pamigo/internal/telemetry"
 )
 
@@ -15,9 +16,10 @@ import (
 // workloads move. Buffers beyond the last class are not pooled.
 var classSizes = [...]int{64, 512, 4 << 10, 64 << 10, 1 << 20}
 
-// class is one size-classed slab pool. The telemetry instruments are
-// cache-line padded (telemetry.Counter/Gauge pad to 64 bytes), so the
-// per-class counters of neighboring classes never false-share.
+// class is one size-classed slab pool. Get and Release each write one
+// counter, the buffer's class's gets or puts; the package totals are
+// folded from them when read. The counters are cache-line padded, so
+// neighboring classes never false-share.
 type class struct {
 	size int
 	pool sync.Pool
@@ -73,9 +75,8 @@ func (b *Buf) Release() {
 		debugViolation(b, "double Release")
 		panic("bufpool: Release of a released buffer")
 	}
-	live.Dec()
 	if b.cls == nil {
-		oversize.Inc()
+		unpooled.puts.Inc()
 		return // oversize: let the GC take it
 	}
 	if debugQuarantine(b) {
@@ -90,18 +91,17 @@ func (b *Buf) Refs() int32 { return b.refs.Load() }
 
 var (
 	reg = telemetry.NewRegistry("bufpool")
-	// live is process-global and touched by every Get/Release on every
-	// context, so it is the one gauge that must not share a cache line
-	// across producers: ShardedGauge folds at snapshot/Live() time.
-	live    = reg.ShardedGauge("live")
-	missesT = reg.Counter("misses")
-	getsT   = reg.Counter("gets")
 
-	// oversize counts buffers beyond the largest class that bypassed the
-	// pools entirely (allocated fresh, dropped on release).
-	oversize = reg.Counter("oversize")
+	// unpooled counts the buffers beyond the largest class, which bypass
+	// the pools (allocated fresh, dropped on release): its gets are the
+	// oversize counter, its puts the drops.
+	unpooled = class{gets: reg.Counter("oversize"), puts: new(telemetry.Counter)}
 
 	classes [len(classSizes)]*class
+
+	// liveHWM is the peak of the folded live count, ratcheted wherever
+	// the count is read (Live, and so every snapshot).
+	liveHWM l2atomic.Counter
 )
 
 func init() {
@@ -115,11 +115,13 @@ func init() {
 		sz := sz
 		c.pool.New = func() any {
 			c.misses.Inc()
-			missesT.Inc()
 			return &Buf{data: make([]byte, sz), cls: c}
 		}
 		classes[i] = c
 	}
+	reg.CounterFunc("gets", gets)
+	reg.CounterFunc("misses", Misses)
+	reg.GaugeFunc("live", Live)
 }
 
 // Telemetry returns the package's counter registry; the machine layer
@@ -128,19 +130,52 @@ func init() {
 func Telemetry() *telemetry.Registry { return reg }
 
 // Live returns the number of buffers currently checked out and the peak
-// ever checked out (the bufpool.live gauge).
-func Live() (cur, highWater int64) { return live.Load(), live.HighWater() }
+// (the bufpool.live gauge): Gets minus Releases that returned a slab,
+// folded over the classes and the oversize count, less the slabs the
+// bufpooldebug quarantine kept. Exact once Get and Release callers are
+// quiescent; the peak is sampled at each call and each snapshot.
+func Live() (cur, highWater int64) {
+	// Each class's puts are read just before its gets, so a concurrent
+	// Get+Release pair can read high for a moment, never negative.
+	cur = -debugQuarantined()
+	for _, c := range classes {
+		cur += c.outstanding()
+	}
+	cur += unpooled.outstanding()
+	liveHWM.StoreMax(cur)
+	return cur, liveHWM.Load()
+}
+
+// outstanding is the class's Gets not yet matched by a Release that
+// returned the slab.
+func (c *class) outstanding() int64 {
+	puts := c.puts.Load()
+	return c.gets.Load() - puts
+}
+
+// gets is the number of Get calls, folded from the per-class counts.
+func gets() int64 {
+	n := unpooled.gets.Load()
+	for _, c := range classes {
+		n += c.gets.Load()
+	}
+	return n
+}
 
 // Misses returns how many Gets required a fresh allocation.
-func Misses() int64 { return missesT.Load() }
+func Misses() int64 {
+	var n int64
+	for _, c := range classes {
+		n += c.misses.Load()
+	}
+	return n
+}
 
 // Get returns a buffer whose Bytes() has length n, drawn from the
 // smallest size class that fits, with reference count 1. Requests beyond
 // the largest class are served by the regular allocator and are not
 // pooled on Release.
 func Get(n int) *Buf {
-	getsT.Inc()
-	live.Inc()
 	for _, c := range classes {
 		if n <= c.size {
 			c.gets.Inc()
@@ -150,6 +185,7 @@ func Get(n int) *Buf {
 			return b
 		}
 	}
+	unpooled.gets.Inc()
 	b := &Buf{data: make([]byte, n), n: n}
 	b.refs.Store(1)
 	return b

@@ -14,19 +14,26 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // DebugEnabled reports whether the bufpooldebug build tag is active.
 const DebugEnabled = true
 
 // quarantine maps a released *Buf to the stack that performed the final
-// Release.
-var quarantine sync.Map
+// Release; quarantined counts them, so Live can fold them out.
+var (
+	quarantine  sync.Map
+	quarantined atomic.Int64
+)
 
 func debugQuarantine(b *Buf) bool {
 	quarantine.Store(b, debug.Stack())
+	quarantined.Add(1)
 	return true
 }
+
+func debugQuarantined() int64 { return quarantined.Load() }
 
 func debugViolation(b *Buf, what string) {
 	if st, ok := quarantine.Load(b); ok {

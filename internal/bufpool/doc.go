@@ -34,6 +34,10 @@
 // gauge counts buffers currently checked out (its high-water mark is
 // peak buffer exposure), misses counts Gets the pool could not serve
 // without a fresh allocation, and gets/puts/oversize complete the
-// picture. The pools are process-global, exactly like the Go allocator
-// they stand in front of.
+// picture. Get and Release each write one counter, the class's own
+// gets or puts; gets, misses and live are folded from the per-class
+// counts (plus the oversize count and, under bufpooldebug, the
+// quarantine) when a snapshot or Live reads them, and live's high-water
+// mark is sampled there. The pools are process-global, exactly like the
+// Go allocator they stand in front of.
 package bufpool

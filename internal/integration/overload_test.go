@@ -75,6 +75,11 @@ func TestOverloadFlood(t *testing.T) {
 			if max := int64(tc.budget + tc.senders*tc.slack); rep.queueHWM > max {
 				t.Errorf("victim queue HWM %d exceeds budget %d + %d senders x %d", rep.queueHWM, tc.budget, tc.senders, tc.slack)
 			}
+			// The mark is sampled, not kept per delivery; the pressure probe
+			// that saw the budget reached must have ratcheted it.
+			if rep.throttled > 0 && rep.queueHWM < int64(tc.budget) {
+				t.Errorf("senders were throttled %d times but the victim queue HWM is %d, below budget %d", rep.throttled, rep.queueHWM, tc.budget)
+			}
 		})
 	}
 }

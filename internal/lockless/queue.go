@@ -56,8 +56,14 @@ type Queue[T any] struct {
 	cells []cell[T]
 	mask  int64
 
+	// tail is written by every producer, head by the consumer once per
+	// drain. Each has a cache line to itself, so a ticket claim neither
+	// evicts the consumer's cursor nor the read-mostly fields around it.
+	_    [64]byte
 	tail l2atomic.Counter // next ticket to allocate
+	_    [64]byte
 	head l2atomic.Counter // next ticket to consume
+	_    [64]byte
 
 	// Overflow entries park in a ticket-indexed ring, not a hash map:
 	// tickets are dense integers, so slot ticket&mask is an exact-fit
@@ -74,9 +80,8 @@ type Queue[T any] struct {
 	// a register compare instead of an atomic max.
 	hwmLocal int64
 
-	// overflowed counts enqueues that missed the fast path; exported for
-	// the statistics the bench harness reports. overflowHWM is the
-	// high-water mark of parked overflow entries.
+	// overflowed counts enqueues that missed the fast path; overflowHWM
+	// is the high-water mark of parked overflow entries.
 	overflowed  l2atomic.Counter
 	overflowHWM l2atomic.Counter
 }
@@ -165,31 +170,12 @@ func (q *Queue[T]) ovfTake(t int64, out *T) bool {
 // full. Returns ErrBackpressure — before claiming a ticket — when the
 // overflow queue has reached its cap. Safe for concurrent use by any
 // number of producers.
-func (q *Queue[T]) Enqueue(v T) error {
-	if q.overflowN.Load() >= q.overflowCap &&
-		q.tail.Load()-q.head.Load() >= int64(len(q.cells)) {
-		return ErrBackpressure
-	}
-	t := q.tail.LoadIncrement()
-	if t-q.head.Load() < int64(len(q.cells)) {
-		// Fast path: the slot for this ticket is free (its previous
-		// occupant, ticket t-cap, has already been consumed).
-		c := &q.cells[t&q.mask]
-		c.val = v
-		c.seq.Store(t + 1) // publish
-		return nil
-	}
-	q.overflowed.LoadIncrement()
-	q.overflowMu.Lock()
-	q.ovfPut(t, &v)
-	q.noteParked()
-	q.overflowMu.Unlock()
-	return nil
-}
+func (q *Queue[T]) Enqueue(v T) error { return q.EnqueueRef(&v) }
 
 // noteParked accounts one newly parked overflow entry. Call with
 // overflowMu held.
 func (q *Queue[T]) noteParked() {
+	q.overflowed.LoadIncrement()
 	if live := q.overflowN.LoadIncrement() + 1; live > q.hwmLocal {
 		q.hwmLocal = live
 		q.overflowHWM.Store(live)
@@ -208,12 +194,13 @@ func (q *Queue[T]) EnqueueRef(v *T) error {
 	}
 	t := q.tail.LoadIncrement()
 	if t-q.head.Load() < int64(len(q.cells)) {
+		// Fast path: the slot for this ticket is free (its previous
+		// occupant, ticket t-cap, has already been consumed).
 		c := &q.cells[t&q.mask]
 		c.val = *v
 		c.seq.Store(t + 1) // publish
 		return nil
 	}
-	q.overflowed.LoadIncrement()
 	q.overflowMu.Lock()
 	q.ovfPut(t, v)
 	q.noteParked()
@@ -258,7 +245,6 @@ func (q *Queue[T]) EnqueueN(vs []T) error {
 	// it lands past the (soft) cap.
 	q.overflowMu.Lock()
 	for i := spill; i < int64(len(vs)); i++ {
-		q.overflowed.LoadIncrement()
 		q.ovfPut(t0+i, &vs[i])
 		q.noteParked()
 	}
@@ -268,17 +254,15 @@ func (q *Queue[T]) EnqueueN(vs []T) error {
 
 // DrainInto removes up to len(dst) ready elements in FIFO order with a
 // single head update, instead of one head store per element — the batch
-// reception drain of a context advance. It stops early at the first
-// ticket that is not yet published. Returns the number of elements
-// written to dst. Single consumer, like Dequeue.
+// reception drain of a context advance. The tail is read once, at the
+// start: tickets claimed after that wait for the next call. It stops
+// early at the first ticket that is not yet published. Returns the
+// number of elements written to dst. Single consumer, like Dequeue.
 func (q *Queue[T]) DrainInto(dst []T) int {
 	n := 0
-	h := q.head.Load()
+	h, t := q.head.Load(), q.tail.Load()
 	var zero T
-	for n < len(dst) {
-		if h >= q.tail.Load() {
-			break
-		}
+	for n < len(dst) && h < t {
 		c := &q.cells[h&q.mask]
 		if c.seq.Load() == h+1 {
 			dst[n] = c.val
@@ -379,6 +363,11 @@ func (q *Queue[T]) Len() int {
 
 // Empty reports whether the queue holds no elements (ready or in flight).
 func (q *Queue[T]) Empty() bool { return q.Len() == 0 }
+
+// Enqueued reports how many elements were ever enqueued: the tail
+// ticket, so it includes elements whose producers are still publishing.
+// A refused enqueue claims no ticket and is not counted.
+func (q *Queue[T]) Enqueued() int64 { return q.tail.Load() }
 
 // Overflowed reports how many enqueues took the mutex-protected overflow
 // path since the queue was created.

@@ -112,15 +112,12 @@ type RecFIFO struct {
 	next   uint32 // round-robin drain cursor; single consumer, no atomics
 	dry    uint32 // PollBatch calls that drained nothing; same consumer
 
-	received *telemetry.Counter
-
-	// occupancy is deliberately NOT sharded, unlike the write-hot
-	// counters: every sender reads it per message (the flow-control
-	// pressure probe), and folding a sharded gauge per probe costs eight
-	// dirtied cache lines where this single line costs one. Shard the
-	// write-hot/read-rare stats; keep the read-hot ones compact.
-	occupancy   *telemetry.Gauge
-	overflowHWM *telemetry.Gauge
+	// The FIFO keeps no per-packet counter of its own: packets received,
+	// occupancy and the overflow high-water mark are read off the shards'
+	// tickets (Received, Occupancy, overflowHWM). occHWM is the occupancy
+	// high-water mark, ratcheted where the depth is computed anyway: at
+	// each drain, each Occupancy probe and each snapshot.
+	occHWM l2atomic.Counter
 }
 
 // shardFor picks the delivery shard for an origin endpoint. The same
@@ -139,7 +136,6 @@ func (f *RecFIFO) Poll() (Packet, bool) {
 		idx := (f.next + i) & (recShards - 1)
 		if p, ok := f.shards[idx].Dequeue(); ok {
 			f.next = idx + 1
-			f.occupancy.Dec()
 			return p, ok
 		}
 	}
@@ -152,14 +148,16 @@ func (f *RecFIFO) Poll() (Packet, bool) {
 // often. The caller owns one reference to each drained packet's pooled
 // buffers and must Release each after dispatch.
 func (f *RecFIFO) PollBatch(dst []Packet) int {
-	n := 0
+	n, depth := 0, int64(0)
 	start := f.next
 	f.next++
 	for i := uint32(0); i < recShards && n < len(dst); i++ {
-		n += f.shards[(start+i)&(recShards-1)].DrainInto(dst[n:])
+		q := f.shards[(start+i)&(recShards-1)]
+		depth += int64(q.Len())
+		n += q.DrainInto(dst[n:])
 	}
 	if n > 0 {
-		f.occupancy.Update(-int64(n))
+		f.occHWM.StoreMax(depth)
 	} else if f.dry++; f.dry%dryPollsPerLook == 0 && !f.Empty() {
 		// A ticket is claimed but not published: its producer lost the P
 		// between the two (typically waiting for the overflow lock). The
@@ -180,21 +178,10 @@ func (f *RecFIFO) Empty() bool {
 	return true
 }
 
-// Saturated reports whether the FIFO can no longer absorb deliveries
-// from at least one producer shard: that shard's overflow has reached
-// cap, meaning the owning context has stopped consuming.
-func (f *RecFIFO) Saturated() bool {
-	for _, q := range f.shards {
-		if q.OverflowLen() >= q.OverflowCap() {
-			return true
-		}
-	}
-	return false
-}
-
 // saturatedFor reports whether the shard serving the given origin can no
-// longer absorb its deliveries — the per-flow form of Saturated the
-// reliable layer's delivery check uses.
+// longer absorb its deliveries: its overflow has reached cap, meaning the
+// owning context has stopped consuming. The reliable layer's delivery
+// check uses it.
 func (f *RecFIFO) saturatedFor(origin TaskAddr) bool {
 	q := f.shardFor(origin)
 	return q.OverflowLen() >= q.OverflowCap()
@@ -206,7 +193,7 @@ func (f *RecFIFO) Region() *wakeup.Region { return f.region }
 // SetOverflowCap bounds the FIFO's overflow queues: the budget is split
 // evenly over the shards (rounded up), so the whole FIFO parks at most
 // n+recShards-1 packets beyond its lock-free arrays before refusing
-// further traffic (Saturated). Drivers that model a strict
+// further traffic. Drivers that model a strict
 // unexpected-message budget lower this from the default.
 func (f *RecFIFO) SetOverflowCap(n int) {
 	per := n
@@ -218,14 +205,36 @@ func (f *RecFIFO) SetOverflowCap(n int) {
 	}
 }
 
-// Received returns the number of packets delivered to this FIFO.
-func (f *RecFIFO) Received() int64 { return f.received.Load() }
+// Received returns the number of packets delivered to this FIFO: the
+// sum of its shards' tail tickets.
+func (f *RecFIFO) Received() int64 {
+	var n int64
+	for _, q := range f.shards {
+		n += q.Enqueued()
+	}
+	return n
+}
 
 // Occupancy returns the packets currently queued and the FIFO's
 // occupancy high-water mark — the §V quantity that shows whether a
-// context keeps up with its arrival rate.
+// context keeps up with its arrival rate. The level is the sum of the
+// shards' ticket spans; the mark is sampled at each drain, each call and
+// each snapshot, so it is a lower bound of the true peak that every
+// sender's pressure probe (a call here) keeps honest.
 func (f *RecFIFO) Occupancy() (cur, highWater int64) {
-	return f.occupancy.Load(), f.occupancy.HighWater()
+	for _, q := range f.shards {
+		cur += int64(q.Len())
+	}
+	f.occHWM.StoreMax(cur)
+	return cur, f.occHWM.Load()
+}
+
+// overflowHWM is the deepest any shard's overflow has been.
+func (f *RecFIFO) overflowHWM() (value, highWater int64) {
+	for _, q := range f.shards {
+		value = max(value, q.OverflowHWM())
+	}
+	return value, value
 }
 
 // ArrayCap returns the total lock-free array capacity across the FIFO's
@@ -247,19 +256,8 @@ func (f *RecFIFO) ID() int { return f.id }
 // and the caller then still owns the packet's references. The packet is
 // copied out of *p; quiet leaves the wake-up to the burst's end.
 func (f *RecFIFO) deliver(p *Packet, quiet bool) error {
-	q := f.shardFor(p.origin())
-	if err := q.EnqueueRef(p); err != nil {
+	if err := f.shardFor(p.origin()).EnqueueRef(p); err != nil {
 		return err
-	}
-	f.received.Inc()
-	f.occupancy.Inc()
-	// Gauge only this shard's own high-water mark: under a sustained
-	// flood every delivery lands here, and scanning the other shards'
-	// counters would drag their producer-owned cache lines through this
-	// core once per packet. Slight undercount across shards, zero
-	// cross-shard traffic.
-	if hwm := q.OverflowHWM(); hwm > 0 {
-		f.overflowHWM.Set(hwm)
 	}
 	if !quiet {
 		f.region.Touch()
@@ -273,8 +271,14 @@ func (f *RecFIFO) deliver(p *Packet, quiet bool) error {
 // it is what makes the embedded destination cache legal: only the owner
 // reads or writes it.
 type InjFIFO struct {
-	id       int
-	injected *telemetry.Counter
+	id int
+
+	// The traffic this FIFO's descriptors carried: memory-FIFO sends,
+	// RDMA descriptors, and the packets and bytes the sends put on the
+	// torus. The owning context is in practice the one writer (atomics
+	// because InjectMemFIFO may run on another thread), so counting costs
+	// no shared cache line; the fabric folds them into its totals.
+	sends, rdma, packets, bytes atomic.Int64
 
 	// Destination-resolution cache. Injection FIFOs are pinned per
 	// destination (PinnedInj), so consecutive injections overwhelmingly
@@ -288,13 +292,17 @@ type InjFIFO struct {
 	lastMap  *map[TaskAddr]*RecFIFO
 	lastDst  TaskAddr
 	lastFifo *RecFIFO
+
+	// Pad to 128 bytes, an allocation size class of whole cache lines:
+	// FIFOs of two contexts never share a line.
+	_ [56]byte
 }
 
 // ID returns the FIFO's hardware index on its node.
 func (f *InjFIFO) ID() int { return f.id }
 
 // Injected returns the number of descriptors injected into this FIFO.
-func (f *InjFIFO) Injected() int64 { return f.injected.Load() }
+func (f *InjFIFO) Injected() int64 { return f.sends.Load() + f.rdma.Load() }
 
 // ContextResources is the exclusive MU slice handed to one PAMI context.
 type ContextResources struct {
@@ -315,7 +323,7 @@ type NodeMU struct {
 	tele *telemetry.Registry
 
 	mu         sync.Mutex
-	injUsed    int
+	inj        []*InjFIFO // every FIFO allocated, in id order
 	recUsed    int
 	recFIFOCap int
 }
@@ -337,22 +345,14 @@ func (n *NodeMU) AllocContext(injCount int, region *wakeup.Region) (*ContextReso
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.injUsed+injCount > InjFIFOsPerNode {
-		return nil, fmt.Errorf("%w: node %d (%d used, %d requested)", ErrNoInjFIFO, n.rank, n.injUsed, injCount)
+	if len(n.inj)+injCount > InjFIFOsPerNode {
+		return nil, fmt.Errorf("%w: node %d (%d used, %d requested)", ErrNoInjFIFO, n.rank, len(n.inj), injCount)
 	}
 	if n.recUsed+1 > RecFIFOsPerNode {
 		return nil, fmt.Errorf("%w: node %d", ErrNoRecFIFO, n.rank)
 	}
-	recTele := n.tele.Group(fmt.Sprintf("rec%d", n.recUsed))
-	res := &ContextResources{
-		Rec: &RecFIFO{
-			id:          n.recUsed,
-			region:      region,
-			received:    recTele.Counter("packets_received"),
-			occupancy:   recTele.Gauge("occupancy"),
-			overflowHWM: recTele.Gauge("overflow_hwm"),
-		},
-	}
+	rec := &RecFIFO{id: n.recUsed, region: region}
+	res := &ContextResources{Rec: rec}
 	// Every shard gets the FULL configured array capacity, not a
 	// 1/recShards slice of it: a single-origin flow hashes onto exactly
 	// one shard, and shrinking that shard's array would push a flow into
@@ -363,17 +363,19 @@ func (n *NodeMU) AllocContext(injCount int, region *wakeup.Region) (*ContextReso
 	if perShard < 2 {
 		perShard = 2
 	}
-	for i := range res.Rec.shards {
-		res.Rec.shards[i] = lockless.NewQueue[Packet](perShard)
+	for i := range rec.shards {
+		rec.shards[i] = lockless.NewQueue[Packet](perShard)
 	}
+	recTele := n.tele.Group(fmt.Sprintf("rec%d", rec.id))
+	recTele.CounterFunc("packets_received", rec.Received)
+	recTele.GaugeFunc("occupancy", rec.Occupancy)
+	recTele.GaugeFunc("overflow_hwm", rec.overflowHWM)
 	for i := 0; i < injCount; i++ {
-		id := n.injUsed + i
-		res.Inj = append(res.Inj, &InjFIFO{
-			id:       id,
-			injected: n.tele.Group(fmt.Sprintf("inj%d", id)).Counter("descriptors_injected"),
-		})
+		inj := &InjFIFO{id: len(n.inj)}
+		n.tele.Group(fmt.Sprintf("inj%d", inj.id)).CounterFunc("descriptors_injected", inj.Injected)
+		res.Inj = append(res.Inj, inj)
+		n.inj = append(n.inj, inj)
 	}
-	n.injUsed += injCount
 	n.recUsed++
 	return res, nil
 }
@@ -382,7 +384,7 @@ func (n *NodeMU) AllocContext(injCount int, region *wakeup.Region) (*ContextReso
 func (n *NodeMU) InjFIFOsUsed() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.injUsed
+	return len(n.inj)
 }
 
 // Stats aggregates fabric-wide traffic counters.
@@ -421,12 +423,13 @@ type Fabric struct {
 	mrMu       sync.RWMutex
 	memregions map[memregionKey][]byte
 
-	packets      *telemetry.Counter
-	bytes        *telemetry.Counter
-	memFIFOSends *telemetry.Counter
-	puts         *telemetry.Counter
-	remoteGets   *telemetry.Counter
-	hops         *telemetry.Counter
+	// packets and bytes count the traffic no injection FIFO here carries
+	// (wire deliveries, RDMA); injected messages are counted on their
+	// InjFIFO, and Snapshot folds both.
+	packets, bytes telemetry.Counter
+	puts           *telemetry.Counter
+	remoteGets     *telemetry.Counter
+	hops           *telemetry.Counter
 
 	// rel is the reliable-delivery layer, installed by InstallFaults.
 	// Nil (the default) keeps every send on the zero-overhead fast path.
@@ -475,13 +478,13 @@ func NewFabric(dims torus.Dims, recFIFOSlots int) (*Fabric, error) {
 		tele:         tele,
 		recFIFOSlots: recFIFOSlots,
 		memregions:   make(map[memregionKey][]byte),
-		packets:      tele.Counter("packets"),
-		bytes:        tele.Counter("bytes"),
-		memFIFOSends: tele.Counter("mem_fifo_sends"),
 		puts:         tele.Counter("puts"),
 		remoteGets:   tele.Counter("remote_gets"),
 		hops:         tele.Counter("hops"),
 	}
+	tele.CounterFunc("packets", func() int64 { return f.Snapshot().Packets })
+	tele.CounterFunc("bytes", func() int64 { return f.Snapshot().Bytes })
+	tele.CounterFunc("mem_fifo_sends", func() int64 { return f.Snapshot().MemFIFOSends })
 	emptyTasks := make(map[int]torus.Rank)
 	emptyCtxs := make(map[TaskAddr]*RecFIFO)
 	f.taskNode.Store(&emptyTasks)
@@ -577,15 +580,6 @@ func (f *Fabric) ContextRegistered(addr TaskAddr) bool {
 	return ok
 }
 
-// Congestion returns the fabric's per-link congestion sensor, or nil when
-// faults were never installed (the sensor rides on the reliable layer).
-func (f *Fabric) Congestion() *torus.Congestion {
-	if rl := f.rel.Load(); rl != nil {
-		return rl.cong
-	}
-	return nil
-}
-
 // InboundPressure reports the destination endpoint's reception FIFO
 // occupancy and the capacity of its lock-free array. Senders read it to
 // pace themselves before committing an eager message — the software
@@ -664,9 +658,16 @@ func (f *Fabric) Memregion(task int, id uint64) ([]byte, bool) {
 	return buf, ok
 }
 
-func (f *Fabric) account(srcTask int, dstTask int, packets, bytes int64) {
-	f.packets.Add(packets)
-	f.bytes.Add(bytes)
+// account charges packets put on the torus to inj, the FIFO that carried
+// them, or with a nil inj to the fabric's own counters.
+func (f *Fabric) account(inj *InjFIFO, srcTask int, dstTask int, packets, bytes int64) {
+	if inj != nil {
+		inj.packets.Add(packets)
+		inj.bytes.Add(bytes)
+	} else {
+		f.packets.Add(packets)
+		f.bytes.Add(bytes)
+	}
 	if f.TrackHops {
 		sn, ok1 := f.TaskNode(srcTask)
 		dn, ok2 := f.TaskNode(dstTask)
@@ -739,18 +740,18 @@ func (f *Fabric) injectMemFIFO(inj *InjFIFO, owner bool, dst TaskAddr, hdr *Head
 	if rl := f.rel.Load(); rl != nil {
 		return rl.injectMemFIFOBuf(inj, fifo, dst, hdr, src, own)
 	}
-	inj.injected.Add(1)
-	f.memFIFOSends.Add(1)
-	_, err = f.enqueue(fifo, dst, hdr, src, own, false)
+	inj.sends.Add(1)
+	_, err = f.enqueue(inj, fifo, dst, hdr, src, own, false)
 	return err
 }
 
 // enqueue is the fault-free end of local injection and of the wire leg:
-// packetize src from hdr.Offset on and queue the packets on fifo. It
-// returns the payload bytes queued; a refusal names the flow and FIFO so
-// callers up in core/mpilib can diagnose it and still errors.Is-match
+// packetize src from hdr.Offset on and queue the packets on fifo,
+// accounting them to inj (nil on the wire leg). It returns the payload
+// bytes queued; a refusal names the flow and FIFO so callers up in
+// core/mpilib can diagnose it and still errors.Is-match
 // lockless.ErrBackpressure.
-func (f *Fabric) enqueue(fifo *RecFIFO, dst TaskAddr, hdr *Header, src []byte, own *bufpool.Buf, quiet bool) (int, error) {
+func (f *Fabric) enqueue(inj *InjFIFO, fifo *RecFIFO, dst TaskAddr, hdr *Header, src []byte, own *bufpool.Buf, quiet bool) (int, error) {
 	var pkt Packet
 	var err error
 	base, npkts := hdr.Offset, int64(0)
@@ -769,7 +770,7 @@ func (f *Fabric) enqueue(fifo *RecFIFO, dst TaskAddr, hdr *Header, src []byte, o
 		src, more = rest, len(rest) > 0
 	}
 	done := hdr.Offset - base
-	f.account(hdr.Origin.Task, dst.Task, npkts, int64(done)+npkts*PacketHeaderBytes)
+	f.account(inj, hdr.Origin.Task, dst.Task, npkts, int64(done)+npkts*PacketHeaderBytes)
 	return done, err
 }
 
@@ -788,7 +789,7 @@ func (f *Fabric) InjectPut(inj *InjFIFO, srcTask int, src []byte, dst TaskAddr, 
 	if dstOff < 0 || dstOff+len(src) > len(buf) {
 		return fmt.Errorf("%w: put %d+%d > %d (memregion %d of task %d)", ErrMemregionBounds, dstOff, len(src), len(buf), dstMR, dst.Task)
 	}
-	inj.injected.Add(1)
+	inj.rdma.Add(1)
 	f.puts.Add(1)
 	if rl := f.rel.Load(); rl != nil {
 		if err := rl.rdmaFaults(srcTask, dst.Task, int(dstMR), len(src)); err != nil {
@@ -803,7 +804,7 @@ func (f *Fabric) InjectPut(inj *InjFIFO, srcTask int, src []byte, dst TaskAddr, 
 	if npkts == 0 {
 		npkts = 1
 	}
-	f.account(srcTask, dst.Task, npkts, int64(len(src))+npkts*PacketHeaderBytes)
+	f.account(nil, srcTask, dst.Task, npkts, int64(len(src))+npkts*PacketHeaderBytes)
 	if fifo, err := f.lookupContext(dst); err == nil {
 		fifo.region.Touch()
 	}
@@ -826,7 +827,7 @@ func (f *Fabric) InjectRemoteGet(inj *InjFIFO, initiator TaskAddr, dataTask int,
 	if srcOff < 0 || srcOff+len(dst) > len(buf) {
 		return fmt.Errorf("%w: remote get %d+%d > %d (memregion %d of task %d)", ErrMemregionBounds, srcOff, len(dst), len(buf), dataMR, dataTask)
 	}
-	inj.injected.Add(1)
+	inj.rdma.Add(1)
 	f.remoteGets.Add(1)
 	if rl := f.rel.Load(); rl != nil {
 		// The data moves dataTask -> initiator; faults hit that direction.
@@ -842,21 +843,31 @@ func (f *Fabric) InjectRemoteGet(inj *InjFIFO, initiator TaskAddr, dataTask int,
 	if npkts == 0 {
 		npkts = 1
 	}
-	f.account(dataTask, initiator.Task, npkts, int64(len(dst))+npkts*PacketHeaderBytes)
+	f.account(nil, dataTask, initiator.Task, npkts, int64(len(dst))+npkts*PacketHeaderBytes)
 	if fifo, err := f.lookupContext(initiator); err == nil {
 		fifo.region.Touch()
 	}
 	return nil
 }
 
-// Snapshot returns the fabric's cumulative traffic statistics.
+// Snapshot returns the fabric's cumulative traffic statistics: its own
+// counters plus every injection FIFO's.
 func (f *Fabric) Snapshot() Stats {
-	return Stats{
-		Packets:      f.packets.Load(),
-		Bytes:        f.bytes.Load(),
-		MemFIFOSends: f.memFIFOSends.Load(),
-		Puts:         f.puts.Load(),
-		RemoteGets:   f.remoteGets.Load(),
-		Hops:         f.hops.Load(),
+	s := Stats{
+		Packets:    f.packets.Load(),
+		Bytes:      f.bytes.Load(),
+		Puts:       f.puts.Load(),
+		RemoteGets: f.remoteGets.Load(),
+		Hops:       f.hops.Load(),
 	}
+	for _, n := range f.nodes {
+		n.mu.Lock()
+		for _, inj := range n.inj {
+			s.MemFIFOSends += inj.sends.Load()
+			s.Packets += inj.packets.Load()
+			s.Bytes += inj.bytes.Load()
+		}
+		n.mu.Unlock()
+	}
+	return s
 }

@@ -593,8 +593,7 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 			return fmt.Errorf("%w: node %d -> node %d", ErrNoRoute, fl.srcNode, fl.dstNode)
 		}
 	}
-	inj.injected.Add(1)
-	r.f.memFIFOSends.Add(1)
+	inj.sends.Add(1)
 	own = slabFor(hdr, src, own) // every chunk's reference, before chunk 0 is staged
 	occ, _ := fifo.Occupancy()
 	if occ >= paceDepth {
@@ -631,7 +630,7 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 		r.hotLinks.Set(r.cong.HotCount())
 	}
 	nchunks := int64(packetsFor(hdr.Total))
-	r.f.account(hdr.Origin.Task, dst.Task, nchunks, int64(hdr.Total)+nchunks*PacketHeaderBytes)
+	r.f.account(inj, hdr.Origin.Task, dst.Task, nchunks, int64(hdr.Total)+nchunks*PacketHeaderBytes)
 	return nil
 }
 

@@ -56,15 +56,14 @@ func (f *Fabric) remoteFor(task int) Transport {
 // transport, keeping the fabric's injection accounting so telemetry
 // views traffic uniformly regardless of which leg carried it.
 func (f *Fabric) injectRemote(t Transport, inj *InjFIFO, dst TaskAddr, hdr Header, payload []byte) error {
-	inj.injected.Add(1)
-	f.memFIFOSends.Add(1)
+	inj.sends.Add(1)
 	hdr.Total = len(payload)
 	hdr.Offset = 0
 	npkts := int64((len(payload) + MaxPayload - 1) / MaxPayload)
 	if npkts == 0 {
 		npkts = 1
 	}
-	f.account(hdr.Origin.Task, dst.Task, npkts, int64(len(payload))+npkts*PacketHeaderBytes)
+	f.account(inj, hdr.Origin.Task, dst.Task, npkts, int64(len(payload))+npkts*PacketHeaderBytes)
 	return t.Send(dst, hdr, payload)
 }
 
@@ -120,7 +119,7 @@ func (f *Fabric) deliverRemote(dst TaskAddr, hdr Header, payload []byte, quiet b
 	if hdr.Offset != 0 {
 		hdr.Meta = nil
 	}
-	return f.enqueue(fifo, dst, &hdr, payload, nil, quiet)
+	return f.enqueue(nil, fifo, dst, &hdr, payload, nil, quiet)
 }
 
 // crossProcessRDMACheck rejects RDMA naming a task in another process:

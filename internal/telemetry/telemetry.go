@@ -8,20 +8,19 @@
 //
 // The design follows the L2-atomic discipline of internal/l2atomic:
 //
-//   - a Counter is a small array of padded 8-byte shards; an update picks
-//     a shard from the calling goroutine's stack address and does one
-//     uncontended atomic add — no locks, no allocation, and no shared
-//     cache-line traffic even when every P increments the same counter —
-//     cheap enough to live on the eager send path. Load folds the shards
-//     and is exact once writers are quiescent (sums are never lost, only
-//     momentarily split across shards);
-//   - a Gauge tracks a current level plus its high-water mark (FIFO
-//     occupancy, queue depth) with two padded words; its high-water mark
-//     is exact per update. A ShardedGauge spreads the level over padded
-//     shards like a Counter and ratchets its high-water mark only at fold
-//     points (Load/HighWater/Snapshot), trading hwm exactness for zero
-//     contention — the right shape for hot levels like FIFO occupancy
-//     that are folded every poll batch anyway;
+//   - a Counter is one padded atomic word with, by policy, one writer:
+//     the object that owns the event. An update is one uncontended atomic
+//     add — no locks, no allocation — cheap enough to live on the eager
+//     send path;
+//   - a Gauge tracks a current level plus its high-water mark (queue
+//     depth, messages in flight) with two padded words; its high-water
+//     mark is exact per update;
+//   - a count or level that a shared structure already keeps (a queue's
+//     ticket counter, a sum of per-owner counts) is not mirrored by a
+//     second counter every producer bumps: the owner registers it with
+//     CounterFunc or GaugeFunc and the registry evaluates it at snapshot
+//     time. FIFO occupancy, packets received and the buffer pool's live
+//     count are read this way;
 //   - a Registry names counters and gauges and arranges them in groups
 //     (one per context, FIFO, rank...); get-or-create runs under a lock
 //     but only at setup time — hot paths hold direct pointers;
@@ -41,55 +40,29 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
-// shardCount is the number of padded words a Counter or ShardedGauge
-// spreads its updates over. Eight lines cover the contention seen on the
-// CI container (4-8 runnable Ps) while keeping the fold loop trivial;
-// it must stay a power of two for the mask in shardIndex.
-const shardCount = 8
-
-// shard is one padded slot of a sharded instrument.
-type shard struct {
-	v atomic.Int64
-	_ [56]byte // pad to 64 bytes: neighbors update without line bouncing
-}
-
-// shardIndex picks a shard for the calling goroutine. Goroutine stacks
-// are at least 2KB apart, so bits above the 10th of a stack-local's
-// address distinguish goroutines cheaply and stay fixed for a
-// goroutine's lifetime on its current stack. A stack move or a biased
-// hash only costs contention, never correctness: shards are summed
-// exactly at fold time.
-func shardIndex() int {
-	var x byte
-	return int((uintptr(unsafe.Pointer(&x)) >> 10) & (shardCount - 1))
-}
-
-// Counter is a monotonically increasing event count, sharded across
-// padded cache lines so concurrent writers on different goroutines do
-// not bounce a shared line. The zero value is ready to use.
+// Counter is a monotonically increasing event count: one atomic word,
+// padded to its own cache line so two counters never share one. The zero
+// value is ready to use.
+//
+// A Counter is meant to have one writer, the object that owns the event
+// it counts. A count that every producer of a shared queue would bump
+// instead comes from state the queue keeps anyway (Registry.CounterFunc),
+// so the per-message path pays no extra shared-line write for it.
 type Counter struct {
-	shards [shardCount]shard
+	v atomic.Int64
+	_ [56]byte
 }
 
 // Inc adds one to the counter.
-func (c *Counter) Inc() { c.shards[shardIndex()].v.Add(1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds delta to the counter.
-func (c *Counter) Add(delta int64) { c.shards[shardIndex()].v.Add(delta) }
+func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
-// Load folds the shards and returns the current value. Concurrent with
-// writers the fold is a consistent-read-per-shard sample (never loses an
-// update, may miss in-flight ones); quiescent it is exact.
-func (c *Counter) Load() int64 {
-	var sum int64
-	for i := range c.shards {
-		sum += c.shards[i].v.Load()
-	}
-	return sum
-}
+// Load returns the current value.
+func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous level with a high-water mark: FIFO occupancy,
 // queue depth, messages in flight. Update moves the level; the high-water
@@ -136,56 +109,6 @@ func (g *Gauge) Load() int64 { return g.cur.Load() }
 // HighWater returns the highest level the gauge ever reached.
 func (g *Gauge) HighWater() int64 { return g.hwm.Load() }
 
-// ShardedGauge is a Gauge for levels updated on every message: the level
-// is spread over padded per-goroutine shards (updates are one uncontended
-// atomic add, like Counter), and the high-water mark ratchets only when
-// the shards are folded — by Load, HighWater, or a registry Snapshot.
-// The folded level is exact once writers are quiescent; the high-water
-// mark is a sampled lower bound of the true peak, refreshed at every
-// fold point. Use it where Gauge's exact per-update hwm CAS would become
-// the contention it is trying to measure; keep Gauge where the exact
-// peak is the datum. The zero value is ready to use.
-type ShardedGauge struct {
-	shards [shardCount]shard
-	hwm    atomic.Int64
-}
-
-// Update moves the level by delta (positive or negative) on the calling
-// goroutine's shard. The high-water mark is NOT ratcheted here — that
-// happens at the next fold.
-func (g *ShardedGauge) Update(delta int64) { g.shards[shardIndex()].v.Add(delta) }
-
-// Inc raises the level by one.
-func (g *ShardedGauge) Inc() { g.Update(1) }
-
-// Dec lowers the level by one.
-func (g *ShardedGauge) Dec() { g.Update(-1) }
-
-// Load folds the shards into the current level and ratchets the
-// high-water mark from it. Concurrent with writers the fold may catch a
-// delta split across shards (transiently high, low, or even negative for
-// a level whose inc and dec land on different goroutines); quiescent it
-// is exact.
-func (g *ShardedGauge) Load() int64 {
-	var sum int64
-	for i := range g.shards {
-		sum += g.shards[i].v.Load()
-	}
-	for {
-		h := g.hwm.Load()
-		if sum <= h || g.hwm.CompareAndSwap(h, sum) {
-			return sum
-		}
-	}
-}
-
-// HighWater folds the shards (so a current peak is observed) and returns
-// the highest level any fold has seen.
-func (g *ShardedGauge) HighWater() int64 {
-	g.Load()
-	return g.hwm.Load()
-}
-
 // Registry names counters and gauges and arranges them in a tree of
 // groups. Lookup/creation takes a mutex and may allocate; hot paths call
 // it once at setup and keep the returned pointer. All methods are safe
@@ -193,24 +116,26 @@ func (g *ShardedGauge) HighWater() int64 {
 type Registry struct {
 	name string
 
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	sharded  map[string]*ShardedGauge
-	children map[string]*Registry
-	order    []string // child names in adoption/creation order
-	refresh  []func() // run at the start of every Snapshot
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	counterFns map[string]func() int64
+	gaugeFns   map[string]func() (value, highWater int64)
+	children   map[string]*Registry
+	order      []string // child names in adoption/creation order
+	refresh    []func() // run at the start of every Snapshot
 }
 
 // NewRegistry returns an empty registry with the given name (the name
 // becomes the top of every snapshot path).
 func NewRegistry(name string) *Registry {
 	return &Registry{
-		name:     name,
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		sharded:  make(map[string]*ShardedGauge),
-		children: make(map[string]*Registry),
+		name:       name,
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		counterFns: make(map[string]func() int64),
+		gaugeFns:   make(map[string]func() (int64, int64)),
+		children:   make(map[string]*Registry),
 	}
 }
 
@@ -242,18 +167,27 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// ShardedGauge returns the sharded gauge with the given name, creating
-// it on first use. Sharded gauges share the gauge namespace in snapshots
-// (they render as GaugeStat rows), so a name must not be used for both.
-func (r *Registry) ShardedGauge(name string) *ShardedGauge {
+// CounterFunc registers a counter whose value is fn(), evaluated at every
+// Snapshot: the form for a count derived from state that already keeps
+// it (a queue's ticket counter, a sum of per-owner counts), so no second
+// counter is updated beside that state. fn must be safe to call from any
+// goroutine and must not call into this registry (Snapshot holds its
+// lock while evaluating). A later registration
+// under the same name replaces the earlier one; a name must not also be
+// used by Counter.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.sharded[name]
-	if !ok {
-		g = new(ShardedGauge)
-		r.sharded[name] = g
-	}
-	return g
+	r.counterFns[name] = fn
+	r.mu.Unlock()
+}
+
+// GaugeFunc is CounterFunc for a gauge: fn returns the current level and
+// the high-water mark, which the owner ratchets wherever it computes the
+// level anyway.
+func (r *Registry) GaugeFunc(name string, fn func() (value, highWater int64)) {
+	r.mu.Lock()
+	r.gaugeFns[name] = fn
+	r.mu.Unlock()
 }
 
 // Group returns the child registry with the given name, creating it on
@@ -313,9 +247,12 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeStat{Name: name, Value: g.Load(), HighWater: g.HighWater()})
 	}
-	for name, g := range r.sharded {
-		v := g.Load() // fold point: ratchets the hwm before reading it
-		s.Gauges = append(s.Gauges, GaugeStat{Name: name, Value: v, HighWater: g.HighWater()})
+	for name, fn := range r.counterFns {
+		s.Counters = append(s.Counters, CounterStat{Name: name, Value: fn()})
+	}
+	for name, fn := range r.gaugeFns {
+		v, hwm := fn()
+		s.Gauges = append(s.Gauges, GaugeStat{Name: name, Value: v, HighWater: hwm})
 	}
 	children := make([]*Registry, 0, len(r.children))
 	for _, name := range r.order {

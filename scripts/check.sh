@@ -25,10 +25,10 @@ sh scripts/lint_parks.sh
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race (telemetry + integration + hot layers; mu includes the reliable-window property test: 32 seeds x 5 fault plans x 1 and 4 origins; core the node-team property test: 4 team shapes x 3 seeds x every root, size class and combine op)"
+echo "==> go test -race (telemetry + integration + hot layers; bufpool and lockless carry the concurrent-count and queue stress tests; mu includes the reliable-window property test: 32 seeds x 5 fault plans x 1 and 4 origins; core the node-team property test: 4 team shapes x 3 seeds x every root, size class and combine op)"
 # Two invocations: the chaos and recovery suites in integration are
 # sensitive to load, and core's property test is a second of it.
-go test -race ./internal/telemetry ./internal/integration ./internal/mpilib ./internal/mu
+go test -race ./internal/telemetry ./internal/bufpool ./internal/lockless ./internal/integration ./internal/mpilib ./internal/mu
 go test -race ./internal/core ./internal/collnet ./internal/watchdog
 
 echo "==> GOMAXPROCS=1 go test -race (node-team protocol: no wait may depend on a second core)"
@@ -46,8 +46,9 @@ GOMAXPROCS=1 go test -race ./internal/wire
 echo "==> go test -race -tags pamitrace ./internal/telemetry"
 go test -race -tags pamitrace ./internal/telemetry
 
-echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release, a kept view of an inline message reads poison)"
+echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release, a kept view of an inline message reads poison; the live count folds the quarantine out, under -race)"
 go test -tags bufpooldebug ./internal/bufpool ./internal/mu ./internal/core ./internal/mpilib
+go test -race -tags bufpooldebug ./internal/bufpool
 
 echo "==> benchmark module (outside ./...: vet + 1/100-length smoke run)"
 (cd benchmark && go vet ./... && go test)
