@@ -12,15 +12,9 @@
 // that preserves bandwidth results exactly and inflates only the
 // per-packet latency term by hops×serialization).
 //
-// Execution is event-driven over the backend-neutral internal/sim/des
-// interface: every packet advances hop by hop as events on the logical
-// process that owns its current node (node rank mod LP count). New runs
-// on the sequential oracle; NewOn accepts any backend, in particular the
-// optimistic parallel engine internal/sim/warp — the per-node resource
-// sharding, journaled reservations, and Commit-deferred completion
-// callbacks below are exactly what lets the same model roll back cleanly
-// there. The cross-engine test suite asserts both backends produce
-// byte-identical packet schedules.
+// Execution is event-driven on one sequential internal/sim engine: every
+// packet advances inject -> hop* -> arrive, one scheduled callback per
+// step, each booking its resource at the engine's current time.
 package netsim
 
 import (
@@ -29,7 +23,6 @@ import (
 
 	"pamigo/internal/mu"
 	"pamigo/internal/sim"
-	"pamigo/internal/sim/des"
 	"pamigo/internal/telemetry"
 	"pamigo/internal/torus"
 )
@@ -64,47 +57,28 @@ type linkKey struct {
 	link torus.Link
 }
 
-// message is one SendMessage call's run-time state. Route, resources and
-// owner LPs are resolved eagerly at SendMessage time — the resource maps
-// are never touched during the run, so hop events on different LPs share
-// nothing but the per-node resources they own. The arrival bookkeeping
-// at the bottom belongs exclusively to the destination's LP.
+// message is one SendMessage call's run-time state. The route and its
+// resources are resolved at SendMessage time, so route errors surface
+// there and the run phase touches no map.
 type message struct {
-	size  int
-	npkts int
-
-	inject *sim.Resource
-	// links[h] carries hop h; hopLP[h] is the LP owning its upstream
-	// node (where the hop's reservation event executes); nextLP[h] is
-	// where the packet goes after hop h (the next hop's LP, or the
-	// destination LP for the last hop).
-	links  []*sim.Resource
-	hopLP  []int32
-	nextLP []int32
-
-	onDone func(sim.Time)
-
-	// Owned by the destination LP, mutated under journal.
+	size    int
+	npkts   int
+	inject  *sim.Resource
+	links   []*sim.Resource // links[h] carries hop h
+	onDone  func(sim.Time)
 	arrived int
-	lastArr sim.Time
 }
 
-// Event payloads: plain values, as the optimistic backend requires.
-type evInject struct{ msg, pkt int32 }   // reserve the MU injection engine
-type evHop struct{ msg, pkt, hop int32 } // reserve one link, forward
-type evArrive struct{ msg, pkt int32 }   // packet complete at destination
-
-// Network is one simulated fabric instance. Building traffic
-// (SendMessage, FailLink) is not safe for concurrent use; the run phase
-// is parallelized internally by the chosen backend.
+// Network is one simulated fabric instance. It is not safe for
+// concurrent use.
 type Network struct {
 	dims   torus.Dims
 	params Params
-	eng    des.Engine
+	eng    sim.Engine
 	links  map[linkKey]*sim.Resource
+	order  []*sim.Resource // links in creation order, for fixed-order sums
 	inject map[linkKey]*sim.Resource
 	down   map[linkKey]bool // failed directed links (cables fail both ways)
-	msgs   []*message
 
 	tele      *telemetry.Registry
 	packets   *telemetry.Counter
@@ -114,17 +88,8 @@ type Network struct {
 	reroutes  *telemetry.Counter // messages detoured around failed links
 }
 
-// New builds a fabric for the given torus shape on the sequential
-// engine.
+// New builds a fabric for the given torus shape.
 func New(dims torus.Dims, p Params) (*Network, error) {
-	return NewOn(dims, p, des.NewSeq(1))
-}
-
-// NewOn builds a fabric running on an explicit simulation backend —
-// des.NewSeq(n) for the deterministic oracle, warp.New(n, ...) for the
-// optimistic parallel engine. Torus nodes are sharded onto the backend's
-// LPs by rank modulo LP count.
-func NewOn(dims torus.Dims, p Params, eng des.Engine) (*Network, error) {
 	if err := dims.Validate(); err != nil {
 		return nil, err
 	}
@@ -135,7 +100,6 @@ func NewOn(dims torus.Dims, p Params, eng des.Engine) (*Network, error) {
 	return &Network{
 		dims:      dims,
 		params:    p,
-		eng:       eng,
 		links:     make(map[linkKey]*sim.Resource),
 		inject:    make(map[linkKey]*sim.Resource),
 		down:      make(map[linkKey]bool),
@@ -152,20 +116,13 @@ func NewOn(dims torus.Dims, p Params, eng des.Engine) (*Network, error) {
 // larger tree or direct snapshotting.
 func (n *Network) Telemetry() *telemetry.Registry { return n.tele }
 
-// Backend exposes the simulation backend the fabric runs on.
-func (n *Network) Backend() des.Engine { return n.eng }
-
-// lpOf shards torus nodes over the backend's logical processes.
-func (n *Network) lpOf(node torus.Rank) int32 {
-	return int32(int(node) % n.eng.LPs())
-}
-
 func (n *Network) linkFor(node torus.Rank, l torus.Link) *sim.Resource {
 	k := linkKey{node, l}
 	r, ok := n.links[k]
 	if !ok {
 		r = &sim.Resource{}
 		n.links[k] = r
+		n.order = append(n.order, r)
 	}
 	return r
 }
@@ -243,9 +200,7 @@ func (n *Network) hopLink(cur, next torus.Rank) (torus.Link, error) {
 // the deterministic dimension-ordered route, serializing on the MU
 // injection engine at the source and then on each directed link, hop by
 // hop as simulation events. onDone (optional) fires when the last packet
-// arrives; on the optimistic backend it is deferred until the arrival
-// can no longer be rolled back. Call Run afterwards to execute the
-// simulation.
+// arrives. Call Run afterwards to execute the simulation.
 func (n *Network) SendMessage(at sim.Time, src, dst torus.Rank, size int, onDone func(done sim.Time)) error {
 	if src == dst {
 		return fmt.Errorf("netsim: message to self")
@@ -265,9 +220,6 @@ func (n *Network) SendMessage(at sim.Time, src, dst torus.Rank, size int, onDone
 			n.reroutes.Inc()
 		}
 	}
-	// Resolve the whole route — links, resources, owner LPs — eagerly:
-	// route errors surface here, and the run phase then shares no maps
-	// across LPs.
 	npkts := (size + mu.MaxPayload - 1) / mu.MaxPayload
 	if npkts == 0 {
 		npkts = 1
@@ -277,8 +229,6 @@ func (n *Network) SendMessage(at sim.Time, src, dst torus.Rank, size int, onDone
 		npkts:  npkts,
 		onDone: onDone,
 		links:  make([]*sim.Resource, len(path)),
-		hopLP:  make([]int32, len(path)),
-		nextLP: make([]int32, len(path)),
 	}
 	cur := src
 	for h, next := range path {
@@ -287,31 +237,22 @@ func (n *Network) SendMessage(at sim.Time, src, dst torus.Rank, size int, onDone
 			return err
 		}
 		m.links[h] = n.linkFor(cur, l)
-		m.hopLP[h] = n.lpOf(cur)
 		if h == 0 {
 			m.inject = n.injectFor(src, l)
 		}
 		cur = next
 	}
-	for h := range path {
-		if h+1 < len(path) {
-			m.nextLP[h] = m.hopLP[h+1]
-		} else {
-			m.nextLP[h] = n.lpOf(dst)
-		}
-	}
 	n.packets.Add(int64(npkts))
 	n.bytes.Add(int64(size))
 	n.hops.Add(int64(npkts) * int64(len(path)))
-	n.msgs = append(n.msgs, m)
-	n.eng.Post(int(m.hopLP[0]), at, evInject{msg: int32(len(n.msgs) - 1)})
+	n.eng.Schedule(at, func() { n.injectPacket(m, 0) })
 	return nil
 }
 
 // payload returns packet pkt's payload size (full packets, then the
 // remainder; a zero-byte message still serializes one header byte).
-func (m *message) payload(pkt int32) int {
-	p := m.size - int(pkt)*mu.MaxPayload
+func (m *message) payload(pkt int) int {
+	p := m.size - pkt*mu.MaxPayload
 	if p > mu.MaxPayload {
 		p = mu.MaxPayload
 	}
@@ -321,67 +262,46 @@ func (m *message) payload(pkt int32) int {
 	return p
 }
 
-// reserve books service on r at the current event's time, journaled so
-// the optimistic backend can undo it on rollback.
-func reserve(p des.Proc, r *sim.Resource, service sim.Time) (start, done sim.Time) {
-	freeAt, busy := r.State()
-	p.Journal(func() { r.SetState(freeAt, busy) })
-	return r.Reserve(p.Now(), service)
+// injectPacket books the MU injection engine for packet pkt of m.
+func (n *Network) injectPacket(m *message, pkt int) {
+	_, done := m.inject.Reserve(n.eng.Now(), n.params.InjectOverhead)
+	if pkt+1 < m.npkts {
+		// The next packet enters the injection engine when this one
+		// clears it, back to back.
+		n.eng.Schedule(done, func() { n.injectPacket(m, pkt+1) })
+	}
+	n.eng.Schedule(done, func() { n.hop(m, pkt, 0) })
 }
 
-// HandleEvent implements des.Handler: the per-packet lifecycle
-// inject -> hop* -> arrive.
-func (n *Network) HandleEvent(p des.Proc, msg des.Msg) {
-	switch ev := msg.(type) {
-	case evInject:
-		m := n.msgs[ev.msg]
-		_, injDone := reserve(p, m.inject, n.params.InjectOverhead)
-		if int(ev.pkt)+1 < m.npkts {
-			// Next packet enters the injection engine when this one
-			// clears it, back to back.
-			p.Send(p.LP(), injDone, evInject{msg: ev.msg, pkt: ev.pkt + 1})
-		}
-		p.Send(p.LP(), injDone, evHop{msg: ev.msg, pkt: ev.pkt})
+// hop books link h for packet pkt of m and forwards the packet.
+func (n *Network) hop(m *message, pkt, h int) {
+	// Serialize payload bytes at the payload rate: the 32B header's wire
+	// time is already folded into the 1.8 GB/s payload figure (2 GB/s raw
+	// minus header and protocol overhead, paper §II.B).
+	ser := sim.BytesTime(int64(m.payload(pkt)), n.params.LinkBytesPerSec)
+	_, done := m.links[h].Reserve(n.eng.Now(), ser)
+	n.transfers.Inc()
+	arr := done + n.params.HopLatency
+	if h+1 < len(m.links) {
+		n.eng.Schedule(arr, func() { n.hop(m, pkt, h+1) })
+	} else {
+		n.eng.Schedule(arr, func() { n.arrive(m) })
+	}
+}
 
-	case evHop:
-		m := n.msgs[ev.msg]
-		// Serialize payload bytes at the payload rate: the 32B header's
-		// wire time is already folded into the 1.8 GB/s payload figure
-		// (2 GB/s raw minus header and protocol overhead, paper §II.B).
-		ser := sim.BytesTime(int64(m.payload(ev.pkt)), n.params.LinkBytesPerSec)
-		_, done := reserve(p, m.links[ev.hop], ser)
-		n.transfers.Inc()
-		p.Journal(func() { n.transfers.Add(-1) })
-		arr := done + n.params.HopLatency
-		if int(ev.hop)+1 < len(m.links) {
-			p.Send(int(m.nextLP[ev.hop]), arr, evHop{msg: ev.msg, pkt: ev.pkt, hop: ev.hop + 1})
-		} else {
-			p.Send(int(m.nextLP[ev.hop]), arr, evArrive{msg: ev.msg, pkt: ev.pkt})
-		}
-
-	case evArrive:
-		m := n.msgs[ev.msg]
-		oldArrived, oldLast := m.arrived, m.lastArr
-		p.Journal(func() { m.arrived, m.lastArr = oldArrived, oldLast })
-		m.arrived++
-		if t := p.Now(); t > m.lastArr {
-			m.lastArr = t
-		}
-		if m.arrived == m.npkts && m.onDone != nil {
-			final := m.lastArr
-			cb := m.onDone
-			p.Commit(func() { cb(final) })
-		}
-
-	default:
-		panic(fmt.Sprintf("netsim: unknown event %T", msg))
+// arrive counts a packet in at the destination. Events fire in time
+// order, so the last packet counted is the message's completion time.
+func (n *Network) arrive(m *message) {
+	m.arrived++
+	if m.arrived == m.npkts && m.onDone != nil {
+		m.onDone(n.eng.Now())
 	}
 }
 
 // Run executes all scheduled traffic and returns the completion time of
 // the simulation: the latest packet arrival.
 func (n *Network) Run() sim.Time {
-	return n.eng.Run(n)
+	return n.eng.Run()
 }
 
 // Stats returns total packets and payload bytes moved.
@@ -407,12 +327,7 @@ func (n *Network) LinkUtilization(horizon sim.Time) map[string]float64 {
 // returns the aggregate throughput in MB/s. This is the rendezvous
 // (RDMA) data path: no CPU copies, links are the only resource.
 func NeighborExchange(dims torus.Dims, p Params, neighbors, size, iters int) (float64, error) {
-	return NeighborExchangeOn(des.NewSeq(1), dims, p, neighbors, size, iters)
-}
-
-// NeighborExchangeOn is NeighborExchange on an explicit backend.
-func NeighborExchangeOn(eng des.Engine, dims torus.Dims, p Params, neighbors, size, iters int) (float64, error) {
-	n, err := NewOn(dims, p, eng)
+	n, err := New(dims, p)
 	if err != nil {
 		return 0, err
 	}
@@ -452,14 +367,10 @@ func NeighborExchangeOn(eng des.Engine, dims torus.Dims, p Params, neighbors, si
 // UniformAllToAll simulates every node sending one message to every
 // other node and returns (completion time, max link utilization, mean
 // link utilization). On a symmetric torus, dimension-ordered routing
-// balances uniform traffic: max/mean stays near 1.
+// balances uniform traffic: max/mean stays near 1. The mean sums the
+// links in creation order, so it is the same float on every call.
 func UniformAllToAll(dims torus.Dims, p Params, size int) (sim.Time, float64, float64, error) {
-	return UniformAllToAllOn(des.NewSeq(1), dims, p, size)
-}
-
-// UniformAllToAllOn is UniformAllToAll on an explicit backend.
-func UniformAllToAllOn(eng des.Engine, dims torus.Dims, p Params, size int) (sim.Time, float64, float64, error) {
-	n, err := NewOn(dims, p, eng)
+	n, err := New(dims, p)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -476,17 +387,16 @@ func UniformAllToAllOn(eng des.Engine, dims torus.Dims, p Params, size int) (sim
 	}
 	end := n.Run()
 	var max, sum float64
-	cnt := 0
-	for _, u := range n.LinkUtilization(end) {
+	for _, r := range n.order {
+		u := r.Utilization(end)
 		if u > max {
 			max = u
 		}
 		sum += u
-		cnt++
 	}
 	mean := 0.0
-	if cnt > 0 {
-		mean = sum / float64(cnt)
+	if len(n.order) > 0 {
+		mean = sum / float64(len(n.order))
 	}
 	return end, max, mean, nil
 }

@@ -162,6 +162,24 @@ func TestUniformAllToAllBalanced(t *testing.T) {
 	}
 }
 
+// The mean link utilization is a float sum, and float addition is not
+// associative: it must not depend on the order links are visited in.
+func TestUniformAllToAllMeanIsDeterministic(t *testing.T) {
+	var first uint64
+	for i := 0; i < 50; i++ {
+		_, _, mean, err := UniformAllToAll(torus.Dims{4, 3, 2, 1, 1}, DefaultParams(), 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := math.Float64bits(mean)
+		if i == 0 {
+			first = bits
+		} else if bits != first {
+			t.Fatalf("call %d: mean %x, first call %x", i, bits, first)
+		}
+	}
+}
+
 func TestValidation(t *testing.T) {
 	p := DefaultParams()
 	if _, err := New(torus.Dims{0, 1, 1, 1, 1}, p); err == nil {

@@ -1,5 +1,6 @@
-// Package sim is a small discrete-event simulation engine used by the
-// performance models that regenerate the paper's tables and figures.
+// Package sim is the one discrete-event engine of the repository: a
+// sequential event heap plus first-come-first-served resources, which the
+// packet-level torus model (internal/netsim) runs on.
 //
 // The functional PAMI runtime in this repository executes for real on Go
 // goroutines; sim is only used where the paper reports *hardware timing* at
@@ -93,40 +94,23 @@ type Engine struct {
 	now   Time
 	seq   int64
 	queue eventHeap
-	steps int64
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Steps returns the number of events executed so far.
-func (e *Engine) Steps() int64 { return e.steps }
-
-// Pending returns the number of events not yet executed.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Grow pre-sizes the event queue so the next n Schedule calls append
-// without reallocating the backing array.
-func (e *Engine) Grow(n int) {
-	if free := cap(e.queue) - len(e.queue); free < n {
-		q := make(eventHeap, len(e.queue), len(e.queue)+n)
-		copy(q, e.queue)
-		e.queue = q
-	}
-}
-
 // Schedule runs fn at the given absolute simulated time. Scheduling in the
 // past panics: it would silently corrupt causality in a model. Apart from
-// backing-array growth (avoidable with Grow), scheduling allocates
-// nothing.
+// backing-array growth, scheduling allocates nothing.
 //
 // Tie-breaking is part of the engine's contract: events at equal times
 // fire in Schedule order. Every event carries a monotone sequence number
 // and the heap orders by (time, seq), so same-time ordering is total and
-// deterministic — never dependent on heap insertion shape. The
-// equivalence between the sequential oracle and the optimistic parallel
-// engine (internal/sim/des, internal/sim/warp) is anchored on this
-// guarantee; TestEngineTieBreakIsScheduleOrder is its regression test.
+// deterministic — never dependent on heap insertion shape. A model's
+// output is a function of that order (two packets reaching one link at
+// the same picosecond are served in it), so the contract is what makes a
+// simulation reproducible bit for bit; TestEngineTieBreakIsScheduleOrder
+// is its regression test.
 func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
@@ -136,25 +120,12 @@ func (e *Engine) Schedule(at Time, fn func()) {
 	e.queue.siftUp(len(e.queue) - 1)
 }
 
-// After runs fn d after the current simulated time.
-func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
-
 // Run executes events until the queue is empty and returns the final time.
 func (e *Engine) Run() Time {
 	for len(e.queue) > 0 {
 		e.step()
 	}
 	return e.now
-}
-
-// RunUntil executes events with timestamps <= t, then sets the clock to t.
-func (e *Engine) RunUntil(t Time) {
-	for len(e.queue) > 0 && e.queue[0].at <= t {
-		e.step()
-	}
-	if e.now < t {
-		e.now = t
-	}
 }
 
 func (e *Engine) step() {
@@ -167,7 +138,6 @@ func (e *Engine) step() {
 		e.queue.siftDown(0)
 	}
 	e.now = ev.at
-	e.steps++
 	ev.fn()
 }
 
@@ -191,21 +161,6 @@ func (r *Resource) Reserve(at, service Time) (start, done Time) {
 	r.busy += service
 	return start, done
 }
-
-// FreeAt returns the earliest time a new reservation could start.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
-// Busy returns the cumulative busy time of the resource.
-func (r *Resource) Busy() Time { return r.busy }
-
-// State returns the resource's internal accumulators — next free time
-// and cumulative busy time — so a caller that must be able to undo a
-// Reserve (the optimistic simulation backend's rollback) can snapshot
-// and later restore them.
-func (r *Resource) State() (freeAt, busy Time) { return r.freeAt, r.busy }
-
-// SetState restores accumulators captured by State.
-func (r *Resource) SetState(freeAt, busy Time) { r.freeAt, r.busy = freeAt, busy }
 
 // Utilization returns busy time as a fraction of the elapsed horizon.
 func (r *Resource) Utilization(horizon Time) float64 {

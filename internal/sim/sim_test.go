@@ -42,7 +42,7 @@ func TestEngineStableTieBreak(t *testing.T) {
 // TestEngineTieBreakIsScheduleOrder pins the engine's documented
 // tie-breaking contract: events at equal times fire in Schedule order,
 // regardless of how they interleave with other timestamps in the heap.
-// The parallel-engine oracle (internal/sim/des) depends on this.
+// netsim's packet schedule depends on this (its TestScheduleGolden).
 func TestEngineTieBreakIsScheduleOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -96,9 +96,9 @@ func TestEngineNestedScheduling(t *testing.T) {
 	var e Engine
 	hits := 0
 	e.Schedule(0, func() {
-		e.After(10*Nanosecond, func() {
+		e.Schedule(e.Now()+10*Nanosecond, func() {
 			hits++
-			e.After(10*Nanosecond, func() { hits++ })
+			e.Schedule(e.Now()+10*Nanosecond, func() { hits++ })
 		})
 	})
 	e.Run()
@@ -118,38 +118,6 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 		e.Schedule(5*Nanosecond, func() {})
 	})
 	e.Run()
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.Schedule(10*Nanosecond, func() { fired++ })
-	e.Schedule(30*Nanosecond, func() { fired++ })
-	e.RunUntil(20 * Nanosecond)
-	if fired != 1 {
-		t.Fatalf("fired=%d before horizon, want 1", fired)
-	}
-	if e.Now() != 20*Nanosecond {
-		t.Fatalf("clock %v, want horizon 20ns", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending=%d, want 1", e.Pending())
-	}
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("fired=%d after Run, want 2", fired)
-	}
-}
-
-func TestEngineSteps(t *testing.T) {
-	var e Engine
-	for i := 0; i < 5; i++ {
-		e.Schedule(Time(i)*Nanosecond, func() {})
-	}
-	e.Run()
-	if e.Steps() != 5 {
-		t.Fatalf("Steps = %d, want 5", e.Steps())
-	}
 }
 
 func TestResourceFCFS(t *testing.T) {
@@ -255,38 +223,14 @@ func TestResourceNeverOverlapsQuick(t *testing.T) {
 	}
 }
 
-func TestGrowPreservesHeapOrder(t *testing.T) {
-	var e Engine
-	var got []Time
-	record := func(at Time) func() {
-		return func() { got = append(got, at) }
-	}
-	e.Schedule(5*Nanosecond, record(5*Nanosecond))
-	e.Schedule(1*Nanosecond, record(1*Nanosecond))
-	e.Grow(1024)
-	e.Schedule(3*Nanosecond, record(3*Nanosecond))
-	e.Schedule(2*Nanosecond, record(2*Nanosecond))
-	e.Run()
-	want := []Time{1 * Nanosecond, 2 * Nanosecond, 3 * Nanosecond, 5 * Nanosecond}
-	if len(got) != len(want) {
-		t.Fatalf("ran %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d fired at %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // BenchmarkScheduleRun measures the engine's per-event cost: after the
-// backing array has warmed up (Grow or a first Run), scheduling and
+// backing array has warmed up on the first batch, scheduling and
 // stepping an event must not allocate — the engine moves events by value
 // instead of boxing them through container/heap interfaces.
 func BenchmarkScheduleRun(b *testing.B) {
 	var e Engine
 	fn := func() {}
 	const batch = 64
-	e.Grow(batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

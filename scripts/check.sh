@@ -34,9 +34,6 @@ go test -race ./internal/core ./internal/collnet ./internal/watchdog
 echo "==> GOMAXPROCS=1 go test -race (node-team protocol: no wait may depend on a second core)"
 GOMAXPROCS=1 go test -race -run 'TestTeam|TestRootedReduceCannotLap|TestParked|TestJoinAfterDeath|TestStranded' ./internal/core
 
-echo "==> go test -race (Time Warp engine: equivalence vs oracle, rollback stress, netsim cross-engine)"
-go test -race ./internal/sim/... ./internal/netsim
-
 echo "==> go test -race (wire transport: burst property + chunking + reconnect and fault storms, cross-process machines, liveness; the failure scenarios pamirun runs, in one process)"
 go test -race ./internal/wire ./internal/machine ./internal/health ./cmd/pamirun ./internal/scenario
 
@@ -95,9 +92,5 @@ go test -run xxx -fuzz FuzzParsePlan -fuzztime 10s ./internal/fault >/dev/null
 echo "==> wire frame fuzz (decoder must never panic on hostile bytes; the stream reader delivers only what it accepts, however the stream is cut)"
 go test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire >/dev/null
 go test -run xxx -fuzz FuzzStreamReader -fuzztime 10s ./internal/wire >/dev/null
-
-echo "==> GVT fuzz (concurrent stamp folding + whole-engine runs, short)"
-go test -run xxx -fuzz 'FuzzGVT$' -fuzztime 10s ./internal/sim/warp >/dev/null
-go test -run xxx -fuzz 'FuzzGVTEngine$' -fuzztime 10s ./internal/sim/warp >/dev/null
 
 echo "all checks passed"

@@ -35,8 +35,7 @@ for f in $(grep -rl "sync.NewCond" --include="*.go" . | grep -v _test.go); do
 	./internal/wakeup/wakeup.go | \
 		./internal/collnet/collnet.go | \
 		./internal/mu/reliable.go | \
-		./internal/wire/transport.go | \
-		./internal/sim/warp/warp.go) ;;
+		./internal/wire/transport.go) ;;
 	*)
 		echo "lint_parks: $f introduces a raw sync.Cond park outside the allowlist: make it abortable (poison broadcast + sentinel park) or extend scripts/lint_parks.sh with a justification" >&2
 		fail=1
@@ -48,13 +47,11 @@ done
 # abort-aware: wakeup.Region (WaitAbort + Touch broadcast), collnet
 # retired-cond (Poison broadcasts it), mu flow cond (failFlow kicks
 # it, stage parks on the sentinel), wire transport conds (reconnect/
-# close paths broadcast), warp LP cond (engine-internal, drained by
-# Stop).
+# close paths broadcast).
 check "sync.NewCond" internal/wakeup/wakeup.go 1
 check "sync.NewCond" internal/collnet/collnet.go 1
 check "sync.NewCond" internal/mu/reliable.go 1
 check "sync.NewCond" internal/wire/transport.go 3
-check "sync.NewCond" internal/sim/warp/warp.go 1
 
 # Channel construction inside the abortable layers, counts pinned.
 # The allowed ones are either poisonable gates (GI barrier
