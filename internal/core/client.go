@@ -160,14 +160,10 @@ func (c *Client) CreateContexts(n int) ([]*Context, error) {
 			pending:   make(map[uint64]*pendingSend),
 			deferred:  make(map[Endpoint][]SendParams),
 			inbox:     make(map[inboxKey][]byte),
-			workBatch: make([]func(), advanceBatchInit),
-			pktBatch:  make([]mu.Packet, advanceBatchInit),
-			msgBatch:  make([]shmem.Message, advanceBatchInit),
-			advTarget: advanceBatchInit,
+			workBatch: make([]func(), advanceBatch),
+			pktBatch:  make([]mu.Packet, advanceBatch),
+			msgBatch:  make([]shmem.Message, advanceBatch),
 			stats:     newCtxStats(c.tele.Group(fmt.Sprintf("task%d", addr.Task)).Group(fmt.Sprintf("ctx%d", ord))),
-		}
-		if telemetry.TraceEnabled {
-			ctx.tracer = telemetry.NewTracer(traceRingSlots)
 		}
 		// Idle progress parks are legitimately indefinite: pinned
 		// observe-only so an armed sentinel never escalates them.
@@ -215,8 +211,6 @@ func (c *Client) EnableCommThreads() {
 				// but report activity so we re-check soon.
 				return 1
 			}
-			// Adaptive batch: a flooded commthread widens its drain to the
-			// max, an idle one narrows to cheap empty polls before sleeping.
 			n := ctx.AdvanceAuto()
 			ctx.Unlock()
 			return n
@@ -262,5 +256,4 @@ const (
 	injFIFOsPerContext = 4
 	shmemSlots         = 256
 	workQueueSlots     = 256
-	traceRingSlots     = 4096 // per-context event ring under -tags pamitrace
 )

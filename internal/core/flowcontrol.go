@@ -127,26 +127,25 @@ func (c *Client) noteEagerOK() {
 }
 
 // destPressure reads the destination endpoint's inbound-queue occupancy
-// and the capacity of its lock-free array, through whichever transport a
-// send would take. ok is false when the destination is unknown (bootstrap
-// races resolve on the send itself, which has the authoritative error).
-// It resolves through the context's destination cache — sends probe
-// pressure per message, so this sits on the hot path with transportSend
-// and shares its owner-thread-only contract.
-func (ctx *Context) destPressure(dst Endpoint) (occ, arrayCap int64, ok bool) {
+// through whichever transport a send would take. ok is false when the
+// destination is unknown (bootstrap races resolve on the send itself,
+// which has the authoritative error). It resolves through the context's
+// destination cache — sends probe pressure per message, so this sits on
+// the hot path with transportSend and shares its owner-thread-only
+// contract.
+func (ctx *Context) destPressure(dst Endpoint) (occ int64, ok bool) {
 	e := ctx.destResolve(dst)
 	if e.sameNode {
 		if e.dev == nil {
-			return 0, 0, false
+			return 0, false
 		}
-		occ, arrayCap = e.dev.Pressure()
-		return occ, arrayCap, true
+		return e.dev.Pressure(), true
 	}
 	if e.fifo == nil {
-		return 0, 0, false
+		return 0, false
 	}
-	cur, _ := e.fifo.Occupancy()
-	return cur, int64(e.fifo.ArrayCap()), true
+	occ, _ = e.fifo.Occupancy()
+	return occ, true
 }
 
 // destCongested reports whether eager traffic to dst should degrade to
@@ -163,27 +162,22 @@ func (ctx *Context) destCongested(dst Endpoint) bool {
 	if budget <= 0 {
 		return false
 	}
-	occ, _, ok := ctx.destPressure(dst)
+	occ, ok := ctx.destPressure(dst)
 	return ok && occ >= budget/2
 }
 
-// hardCongested reports whether the destination sits at or over the full
-// unexpected-message budget — the point where Send stops emitting even
-// rendezvous RTS packets and parks the send in the deferred queue, so the
-// destination's inbound packet queue itself stays bounded by the budget.
-func (ctx *Context) hardCongested(dst Endpoint) bool {
-	_, _, over := ctx.overBudget(dst)
-	return over
-}
-
-// overBudget is SendImmediate's hard gate: true only past the configured
-// budget itself, never at mere array spill — the immediate path stays
-// usable under ordinary bursts and refuses only genuine overload.
+// overBudget reports whether the destination sits at or over the full
+// unexpected-message budget, never at mere array spill. It is
+// SendImmediate's refusal, which keeps the immediate path usable under
+// ordinary bursts, and the point where Send stops emitting even
+// rendezvous RTS packets and parks the send in the deferred queue, so
+// the destination's inbound packet queue itself stays bounded by the
+// budget.
 func (ctx *Context) overBudget(dst Endpoint) (occ, budget int64, over bool) {
 	budget = int64(ctx.client.UnexpectedBudget)
 	if budget <= 0 {
 		return 0, 0, false
 	}
-	occ, _, ok := ctx.destPressure(dst)
+	occ, ok := ctx.destPressure(dst)
 	return occ, budget, ok && occ >= budget
 }

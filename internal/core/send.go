@@ -8,7 +8,6 @@ import (
 	"pamigo/internal/bufpool"
 	"pamigo/internal/mu"
 	"pamigo/internal/shmem"
-	"pamigo/internal/telemetry"
 )
 
 // SendMode selects the point-to-point protocol.
@@ -101,10 +100,35 @@ func (d *Delivery) IsRendezvous() bool { return d.rts != nil }
 // element has room for: a constant of its layout) they ride in the
 // element itself and no pooled buffer is involved at either end.
 func (ctx *Context) SendImmediate(dst Endpoint, dispatch uint16, meta, data []byte) error {
+	return ctx.sendImmediate(dst, dispatch, meta, data, nil)
+}
+
+// SendImmediateBuf is SendImmediate with ownership transfer: the caller
+// relinquishes data — a pooled buffer whose Bytes are the payload — and
+// the context consumes that reference on every path that *acts* on the
+// send, success or hard failure. ErrThrottled is the one exception,
+// deliberately EAGAIN-shaped: nothing was sent, the caller still owns
+// the buffer, and the natural retry loop reuses it as-is — a throttled
+// flood must not pay a pool round-trip and a payload copy per refusal.
+// The payload is never copied on the same-node path: the receiving
+// context dispatches straight out of this slab.
+func (ctx *Context) SendImmediateBuf(dst Endpoint, dispatch uint16, meta []byte, data *bufpool.Buf) error {
+	if data == nil {
+		return ctx.sendImmediate(dst, dispatch, meta, nil, nil)
+	}
+	return ctx.sendImmediate(dst, dispatch, meta, data.Bytes(), data)
+}
+
+// sendImmediate is both immediate sends: data is the payload, and own,
+// when non-nil, the pooled buffer it lives in, whose reference the call
+// consumes unless it refuses with ErrThrottled.
+func (ctx *Context) sendImmediate(dst Endpoint, dispatch uint16, meta, data []byte, own *bufpool.Buf) error {
 	if dispatch >= MaxUserDispatch {
+		own.Release()
 		return fmt.Errorf("core: dispatch %#x is reserved", dispatch)
 	}
 	if len(meta)+len(data) > mu.MaxPayload {
+		own.Release()
 		return fmt.Errorf("core: SendImmediate of %d bytes exceeds the %d byte packet payload",
 			len(meta)+len(data), mu.MaxPayload)
 	}
@@ -133,59 +157,10 @@ func (ctx *Context) SendImmediate(dst Endpoint, dispatch uint16, meta, data []by
 	}
 	ctx.stats.sendsImmediate.Inc()
 	ctx.stats.bytesSent.Add(int64(len(data)))
-	if telemetry.TraceEnabled {
-		ctx.tracer.Emit("send.immediate", int64(dispatch), int64(len(data)))
+	if own != nil {
+		return ctx.transportSendBuf(dst, hdr, own)
 	}
 	return ctx.transportSend(dst, hdr, data)
-}
-
-// SendImmediateBuf is SendImmediate with ownership transfer: the caller
-// relinquishes data — a pooled buffer whose Bytes are the payload — and
-// the context consumes that reference on every path that *acts* on the
-// send, success or hard failure. ErrThrottled is the one exception,
-// deliberately EAGAIN-shaped: nothing was sent, the caller still owns
-// the buffer, and the natural retry loop reuses it as-is — a throttled
-// flood must not pay a pool round-trip and a payload copy per refusal.
-// The payload is never copied on the same-node path: the receiving
-// context dispatches straight out of this slab.
-func (ctx *Context) SendImmediateBuf(dst Endpoint, dispatch uint16, meta []byte, data *bufpool.Buf) error {
-	if data == nil {
-		return ctx.SendImmediate(dst, dispatch, meta, nil)
-	}
-	if dispatch >= MaxUserDispatch {
-		data.Release()
-		return fmt.Errorf("core: dispatch %#x is reserved", dispatch)
-	}
-	n := len(data.Bytes())
-	if len(meta)+n > mu.MaxPayload {
-		data.Release()
-		return fmt.Errorf("core: SendImmediate of %d bytes exceeds the %d byte packet payload",
-			len(meta)+n, mu.MaxPayload)
-	}
-	if ctx.deferredLen > 0 && len(ctx.deferred[dst]) > 0 {
-		ctx.stats.throttled.Inc()
-		return fmt.Errorf("core: immediate send %v -> %v: %d sends deferred ahead of it: %w",
-			ctx.addr, dst, len(ctx.deferred[dst]), ErrThrottled)
-	}
-	if occ, budget, over := ctx.overBudget(dst); over {
-		ctx.stats.throttled.Inc()
-		ctx.client.noteCongestion()
-		return fmt.Errorf("core: immediate send %v -> %v: inbound queue at %d of budget %d: %w",
-			ctx.addr, dst, occ, budget, ErrThrottled)
-	}
-	ctx.sendSeq++
-	hdr := mu.Header{
-		Dispatch: dispatch,
-		Origin:   ctx.addr,
-		Seq:      ctx.sendSeq,
-		Meta:     meta,
-	}
-	ctx.stats.sendsImmediate.Inc()
-	ctx.stats.bytesSent.Add(int64(n))
-	if telemetry.TraceEnabled {
-		ctx.tracer.Emit("send.immediate", int64(dispatch), int64(n))
-	}
-	return ctx.transportSendBuf(dst, hdr, data)
 }
 
 // Send sends an active message using the eager or rendezvous protocol.
@@ -234,8 +209,11 @@ func (ctx *Context) Send(p SendParams) error {
 	// per-destination deferred queue (payload in our memory, retried by
 	// Advance), and once a destination has a queue every later Send joins
 	// the tail so point-to-point order survives the detour.
-	if len(ctx.deferred[p.Dest]) > 0 ||
-		(mode == ModeRendezvous && ctx.hardCongested(p.Dest)) {
+	park := len(ctx.deferred[p.Dest]) > 0
+	if !park && mode == ModeRendezvous {
+		_, _, park = ctx.overBudget(p.Dest)
+	}
+	if park {
 		p.Mode = mode
 		ctx.deferSend(p)
 		return nil
@@ -267,7 +245,10 @@ func (ctx *Context) deferSend(p SendParams) {
 func (ctx *Context) drainDeferred(max int) int {
 	n := 0
 	for dst, q := range ctx.deferred {
-		for len(q) > 0 && n < max && !ctx.hardCongested(dst) {
+		for len(q) > 0 && n < max {
+			if _, _, over := ctx.overBudget(dst); over {
+				break
+			}
 			p := q[0]
 			q[0] = SendParams{}
 			q = q[1:]
@@ -341,9 +322,6 @@ func (ctx *Context) sendEager(p SendParams) error {
 	}
 	ctx.stats.sendsEager.Inc()
 	ctx.stats.bytesSent.Add(int64(plen))
-	if telemetry.TraceEnabled {
-		ctx.tracer.Emit("send.eager", int64(p.Dispatch), int64(plen))
-	}
 	var err error
 	if p.DataBuf != nil {
 		err = ctx.transportSendBuf(p.Dest, hdr, p.DataBuf)
@@ -435,9 +413,6 @@ func (ctx *Context) sendRendezvous(p SendParams) error {
 	ctx.stats.sendsRdv.Inc()
 	ctx.stats.bytesSent.Add(int64(len(data)))
 	ctx.stats.rdvInflight.Inc()
-	if telemetry.TraceEnabled {
-		ctx.tracer.Emit("send.rendezvous", int64(p.Dispatch), int64(len(data)))
-	}
 	// Publication IDs embed the context ordinal: the registries are keyed
 	// per task/process, and a task's contexts allocate independently.
 	ctx.nextMR++
@@ -583,9 +558,6 @@ func (ctx *Context) handleRTS(hdr mu.Header, viaShmem bool) {
 		panic(fmt.Sprintf("core: endpoint %v received RTS for unregistered dispatch %#x", ctx.addr, dispatch))
 	}
 	ctx.stats.delivered.Inc()
-	if telemetry.TraceEnabled {
-		ctx.tracer.Emit("deliver.rts", int64(dispatch), int64(info.size))
-	}
 	fn(ctx, &Delivery{
 		Origin: hdr.Origin,
 		Meta:   userMeta,
@@ -669,9 +641,6 @@ func (ctx *Context) handleAck(hdr mu.Header) {
 	ctx.stats.rdvInflight.Dec()
 	ctx.stats.rdvCompleted.Inc()
 	ctx.stats.rdvLatencyNs.Add(time.Since(ps.start).Nanoseconds())
-	if telemetry.TraceEnabled {
-		ctx.tracer.Emit("rdv.ack", int64(sendID), time.Since(ps.start).Nanoseconds())
-	}
 	if ps.mrID != 0 {
 		ctx.client.mach.Fabric().DeregisterMemregion(ctx.addr.Task, ps.mrID)
 	}

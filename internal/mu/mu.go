@@ -238,7 +238,7 @@ func (f *RecFIFO) overflowHWM() (value, highWater int64) {
 }
 
 // ArrayCap returns the total lock-free array capacity across the FIFO's
-// shards — the denominator of the InboundPressure ratio.
+// shards.
 func (f *RecFIFO) ArrayCap() int {
 	n := 0
 	for _, q := range f.shards {
@@ -406,10 +406,9 @@ type memregionKey struct {
 // per-node MUs, the task placement map, registered memory regions, and
 // packet delivery.
 type Fabric struct {
-	dims         torus.Dims
-	nodes        []*NodeMU
-	tele         *telemetry.Registry
-	recFIFOSlots int // lock-free array slots per reception FIFO
+	dims  torus.Dims
+	nodes []*NodeMU
+	tele  *telemetry.Registry
 
 	// Task placement and context registration are read on every send but
 	// written only at bootstrap, so readers go through copy-on-write maps
@@ -474,13 +473,12 @@ func NewFabric(dims torus.Dims, recFIFOSlots int) (*Fabric, error) {
 	}
 	tele := telemetry.NewRegistry("mu")
 	f := &Fabric{
-		dims:         dims,
-		tele:         tele,
-		recFIFOSlots: recFIFOSlots,
-		memregions:   make(map[memregionKey][]byte),
-		puts:         tele.Counter("puts"),
-		remoteGets:   tele.Counter("remote_gets"),
-		hops:         tele.Counter("hops"),
+		dims:       dims,
+		tele:       tele,
+		memregions: make(map[memregionKey][]byte),
+		puts:       tele.Counter("puts"),
+		remoteGets: tele.Counter("remote_gets"),
+		hops:       tele.Counter("hops"),
 	}
 	tele.CounterFunc("packets", func() int64 { return f.Snapshot().Packets })
 	tele.CounterFunc("bytes", func() int64 { return f.Snapshot().Bytes })
@@ -580,20 +578,6 @@ func (f *Fabric) ContextRegistered(addr TaskAddr) bool {
 	return ok
 }
 
-// InboundPressure reports the destination endpoint's reception FIFO
-// occupancy and the capacity of its lock-free array. Senders read it to
-// pace themselves before committing an eager message — the software
-// analogue of the MU reporting reception FIFO free space. ok is false
-// when the endpoint has no registered context.
-func (f *Fabric) InboundPressure(addr TaskAddr) (occ, arrayCap int64, ok bool) {
-	fifo, found := (*f.contexts.Load())[addr]
-	if !found {
-		return 0, 0, false
-	}
-	cur, _ := fifo.Occupancy()
-	return cur, int64(fifo.ArrayCap()), true
-}
-
 // RecFIFOOf returns the reception FIFO registered for the endpoint, for
 // harnesses that tune its overflow cap or read its occupancy high-water
 // mark. ok is false when the endpoint has no registered context.
@@ -674,7 +658,7 @@ func (f *Fabric) account(inj *InjFIFO, srcTask int, dstTask int, packets, bytes 
 		if ok1 && ok2 {
 			h := f.dims.Hops(sn, dn)
 			if rl := f.rel.Load(); rl != nil {
-				if rh, ok := rl.routeHops(sn, dn); ok {
+				if rh, ok := rl.routeInfo(sn, dn); ok {
 					h = rh
 				}
 			}

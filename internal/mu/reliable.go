@@ -190,12 +190,9 @@ type flow struct {
 	hash uint64
 
 	// Placement of the two endpoints, fixed for the flow's lifetime (a
-	// revived node gets fresh flows); injLink is the first link of the
-	// deterministic route, which congestion sensing charges.
+	// revived node gets fresh flows).
 	srcNode, dstNode torus.Rank
-	injLink          torus.Link
 	srcOK, dstOK     bool
-	hasLink          bool
 
 	smu     sync.Mutex
 	cond    *sync.Cond
@@ -280,13 +277,8 @@ type reliableLayer struct {
 	dmu     sync.Mutex
 	delayed []delayedPkt
 
-	// cong is the per-link congestion sensor (FIFO-occupancy EWMA);
-	// route selection biases detours away from links it reports hot.
-	cong *torus.Congestion
-
 	rmu      sync.Mutex
 	routeGen int64
-	congGen  int64
 	routes   map[[2]torus.Rank]routeEntry
 
 	closed    atomic.Bool
@@ -320,7 +312,6 @@ type reliableLayer struct {
 	creditStalls    *telemetry.Counter // times a sender blocked on exhausted credit
 	creditRefreshes *telemetry.Counter // daemon re-grants to credit-blocked flows
 	paceWaits       *telemetry.Counter // messages delayed because the reception queue was past paceDepth
-	hotLinks        *telemetry.Gauge   // links over the congestion threshold (hwm = worst heat)
 }
 
 // InstallFaults threads a fault injector through the fabric: every send
@@ -330,19 +321,11 @@ type reliableLayer struct {
 // retransmission daemon.
 func (f *Fabric) InstallFaults(inj *fault.Injector) {
 	g := f.tele.Group("reliable")
-	// A link counts as hot once its smoothed FIFO occupancy reaches half
-	// the reception array — backlog building faster than the consumer
-	// drains, well before overflow.
-	hotThreshold := f.recFIFOSlots / 2
-	if hotThreshold < 8 {
-		hotThreshold = 8
-	}
 	rl := &reliableLayer{
 		f:                f,
 		inj:              inj,
 		epoch:            time.Now(),
 		retryBudget:      defaultRetryBudget,
-		cong:             torus.NewCongestion(f.dims, hotThreshold),
 		flows:            make(map[flowKey]*flow),
 		deadNodes:        make(map[torus.Rank]bool),
 		routes:           make(map[[2]torus.Rank]routeEntry),
@@ -374,7 +357,6 @@ func (f *Fabric) InstallFaults(inj *fault.Injector) {
 		creditStalls:    g.Counter("credit_stalls"),
 		creditRefreshes: g.Counter("credit_refreshes"),
 		paceWaits:       g.Counter("pace_waits"),
-		hotLinks:        g.Gauge("hot_links"),
 	}
 	inj.OnLinkDown(func(torus.Rank, torus.Link) { rl.linkDownEvents.Inc() })
 	f.rel.Store(rl)
@@ -464,9 +446,7 @@ func (r *reliableLayer) flowFor(key flowKey) *flow {
 		}
 		fl.cond = sync.NewCond(&fl.smu)
 		fl.dstNode, fl.dstOK = r.f.TaskNode(key.dst.Task)
-		if fl.srcNode, fl.srcOK = r.f.TaskNode(key.src.Task); fl.srcOK {
-			fl.injLink, fl.hasLink = r.f.dims.FirstLink(fl.srcNode, fl.dstNode)
-		}
+		fl.srcNode, fl.srcOK = r.f.TaskNode(key.src.Task)
 		r.flows[key] = fl
 		r.flowList = append(r.flowList, fl)
 	}
@@ -481,26 +461,21 @@ func (r *reliableLayer) allFlows() []*flow {
 }
 
 // routeInfo returns the hop count of the (possibly detoured) route
-// between two nodes and whether one exists at all. Routes dodge failed
-// links (mandatory) and congestion-hot links (advisory: when no route
-// clears both, dead links win and the traffic rides the heat). Results
-// are cached per (link-failure, congestion) generation pair; the
-// reroutes counter advances once per (pair, generation) whose
-// deterministic route is blocked or biased away.
+// between two nodes and whether one exists at all: routes dodge failed
+// links, and with none failed the deterministic route stands. Results
+// are cached per link-failure generation; the reroutes counter advances
+// once per (pair, generation) whose deterministic route is blocked.
 func (r *reliableLayer) routeInfo(sn, dn torus.Rank) (int, bool) {
 	d := r.f.dims
 	downFn := r.inj.DownFn()
-	hotFn := r.cong.HotFn()
-	if downFn == nil && hotFn == nil {
+	if downFn == nil {
 		return d.Hops(sn, dn), true
 	}
 	gen := r.inj.DownGen()
-	cgen := r.cong.Gen()
 	key := [2]torus.Rank{sn, dn}
 	r.rmu.Lock()
-	if r.routeGen != gen || r.congGen != cgen {
+	if r.routeGen != gen {
 		r.routeGen = gen
-		r.congGen = cgen
 		r.routes = make(map[[2]torus.Rank]routeEntry)
 	}
 	if e, ok := r.routes[key]; ok {
@@ -510,23 +485,7 @@ func (r *reliableLayer) routeInfo(sn, dn torus.Rank) (int, bool) {
 	r.rmu.Unlock()
 
 	def := d.Route(sn, dn)
-	avoid := downFn
-	switch {
-	case downFn == nil:
-		avoid = hotFn
-	case hotFn != nil:
-		avoid = func(n torus.Rank, l torus.Link) bool { return downFn(n, l) || hotFn(n, l) }
-	}
-	path, ok := d.RouteAround(sn, dn, avoid)
-	if !ok && hotFn != nil {
-		// Heat alone must never partition the machine: retry avoiding only
-		// the links that are actually dead.
-		if downFn == nil {
-			path, ok = def, true
-		} else {
-			path, ok = d.RouteAround(sn, dn, downFn)
-		}
-	}
+	path, ok := d.RouteAround(sn, dn, downFn)
 	e := routeEntry{ok: ok}
 	if ok {
 		e.hops = len(path)
@@ -542,7 +501,7 @@ func (r *reliableLayer) routeInfo(sn, dn torus.Rank) (int, bool) {
 		}
 	}
 	r.rmu.Lock()
-	if _, dup := r.routes[key]; !dup && r.routeGen == gen && r.congGen == cgen {
+	if _, dup := r.routes[key]; !dup && r.routeGen == gen {
 		r.routes[key] = e
 		if e.rerouted {
 			r.reroutes.Inc()
@@ -550,20 +509,6 @@ func (r *reliableLayer) routeInfo(sn, dn torus.Rank) (int, bool) {
 	}
 	r.rmu.Unlock()
 	return e.hops, e.ok
-}
-
-// routeHops reports the detoured hop count for traffic accounting; ok
-// is false when default accounting applies (no failed links, no hot
-// links, or the pair is unreachable).
-func (r *reliableLayer) routeHops(sn, dn torus.Rank) (int, bool) {
-	if !r.inj.HasDownLinks() && r.cong.HotCount() == 0 {
-		return 0, false
-	}
-	h, ok := r.routeInfo(sn, dn)
-	if !ok {
-		return 0, false
-	}
-	return h, true
 }
 
 // chunkSentHook, when non-nil, runs on the sending goroutine between one
@@ -595,8 +540,7 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 	}
 	inj.sends.Add(1)
 	own = slabFor(hdr, src, own) // every chunk's reference, before chunk 0 is staged
-	occ, _ := fifo.Occupancy()
-	if occ >= paceDepth {
+	if occ, _ := fifo.Occupancy(); occ >= paceDepth {
 		// The consumer is milliseconds behind. Credit would only stop us a
 		// whole overflow budget later; until then back off a bounded moment
 		// per message: no cycle of senders can turn that into a deadlock,
@@ -623,12 +567,6 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 		}
 	}
 	fl.smu.Unlock()
-	if fl.hasLink {
-		// Feed the congestion sensor, once per message: the destination
-		// FIFO's occupancy, charged to the link the flow leaves its node on.
-		r.cong.Observe(fl.srcNode, fl.injLink, occ)
-		r.hotLinks.Set(r.cong.HotCount())
-	}
 	nchunks := int64(packetsFor(hdr.Total))
 	r.f.account(inj, hdr.Origin.Task, dst.Task, nchunks, int64(hdr.Total)+nchunks*PacketHeaderBytes)
 	return nil
@@ -1139,10 +1077,23 @@ func (r *reliableLayer) reviveNode(node torus.Rank) {
 	}
 }
 
+// attemptsRunning counts the attempts executing outside smu. An ack can
+// retire a slot while one of them still reads it (a first attempt
+// descheduled long enough for the timer to send a twin), and that
+// attempt holds the slot's slabs until it returns. Caller holds fl.smu.
+func (fl *flow) attemptsRunning() int32 {
+	var n int32
+	for i := range fl.win {
+		n += fl.win[i].inflight
+	}
+	return n
+}
+
 // quiesced verifies every flow between live nodes is idle: no delayed
-// packets awaiting re-delivery, empty retransmit windows, and empty
-// reorder rings. Flows with a dead endpoint are skipped — a death
-// strands window state by design, and failFlow already released it.
+// packets awaiting re-delivery, empty retransmit windows, no attempt
+// still running, and empty reorder rings. Flows with a dead endpoint are
+// skipped — a death strands window state by design, and failFlow
+// already released it.
 func (r *reliableLayer) quiesced() error {
 	r.dmu.Lock()
 	delayed := len(r.delayed)
@@ -1155,8 +1106,11 @@ func (r *reliableLayer) quiesced() error {
 			continue
 		}
 		fl.smu.Lock()
-		unacked, failed := fl.nextSeq-fl.base, fl.failed // base only ever rests on an unacked packet
+		unacked, running, failed := fl.nextSeq-fl.base, fl.attemptsRunning(), fl.failed // base only ever rests on an unacked packet
 		fl.smu.Unlock()
+		if running > 0 {
+			return fmt.Errorf("mu: flow %v -> %v: %d attempts still running", fl.key.src, fl.key.dst, running)
+		}
 		if failed != nil {
 			continue
 		}

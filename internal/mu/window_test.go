@@ -3,6 +3,7 @@ package mu
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -149,6 +150,60 @@ func TestWindowProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// An ack can retire a slot while an earlier attempt of it still runs
+// outside the send lock: a first attempt descheduled past initialRTO, so
+// the timer sent a twin whose ack came home first. That attempt reads the
+// slot's slab until it returns, so the fabric is not quiescent before
+// then. The test plays the scheduler: it stages a packet (staging counts
+// the first attempt, which the test holds back), lets a timer twin
+// deliver it and retire the slot, and only then runs the held attempt.
+func TestQuiescedWaitsForRunningAttempt(t *testing.T) {
+	f := newTestFabric(t)
+	dst := setupEndpoint(t, f, 0, 0, 0)
+	setupEndpoint(t, f, 1, 1, 0)
+	installPlan(t, f, fault.Plan{}, 1)
+	r := f.rel.Load()
+	live0, _ := bufpool.Live()
+
+	src := testMessage(1, 0, 2*InlineMax) // a slab packet: the held attempt pins a buffer
+	hdr := Header{Dispatch: 1, Origin: TaskAddr{1, 0}, Total: len(src)}
+	fl := r.flowFor(flowKey{src: hdr.Origin, dst: TaskAddr{0, 0}})
+	own := slabFor(&hdr, src, nil)
+	now := r.now()
+	fl.smu.Lock()
+	pp, err := r.stageLocked(fl, &hdr, &src, own, dst.Rec, &now)
+	if err != nil {
+		fl.smu.Unlock()
+		t.Fatal(err)
+	}
+	pp.deadline = math.MaxInt64 // the daemon's timer stays out: the twin below is it
+	r.transmitLocked(fl, pp, r.timerRetransmits)
+	retired, running := pp.acked, pp.inflight
+	fl.smu.Unlock()
+	if !retired || running != 1 {
+		t.Fatalf("after the twin: acked %v, %d attempts running; want the slot retired under the held attempt", retired, running)
+	}
+	for _, p := range drainPackets(t, dst.Rec, 1, time.Second) {
+		p.Release()
+	}
+	if err := f.Quiesced(); err == nil {
+		t.Fatal("Quiesced with an attempt still reading a retired slot's slab")
+	}
+
+	fl.smu.Lock()
+	r.transmitLocked(fl, pp, nil) // the held attempt: a duplicate, suppressed and re-acked
+	fl.smu.Unlock()
+	if err := f.Quiesced(); err != nil {
+		t.Fatalf("held attempt returned: %v", err)
+	}
+	if live, _ := bufpool.Live(); live != live0 {
+		t.Fatalf("%d pooled buffers live, %d before the send", live, live0)
+	}
+	if n := relCounter(t, f, "dup_drops"); n != 1 {
+		t.Fatalf("dup_drops = %d, want the held attempt's copy suppressed once", n)
 	}
 }
 

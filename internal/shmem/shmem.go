@@ -22,7 +22,6 @@ import (
 	"pamigo/internal/bufpool"
 	"pamigo/internal/lockless"
 	"pamigo/internal/mu"
-	"pamigo/internal/telemetry"
 	"pamigo/internal/torus"
 	"pamigo/internal/wakeup"
 )
@@ -52,10 +51,6 @@ type Device struct {
 	addr   mu.TaskAddr
 	q      *lockless.Queue[Message]
 	region *wakeup.Region
-
-	// received is sharded (telemetry.Counter) because every local
-	// producer increments it on the eager fast path.
-	received telemetry.Counter
 }
 
 // Poll removes the next message, if one is ready. Single consumer: the
@@ -79,15 +74,13 @@ func (d *Device) Empty() bool { return d.q.Empty() }
 // Region returns the wakeup region touched on every delivery.
 func (d *Device) Region() *wakeup.Region { return d.region }
 
-// Received returns the number of messages delivered to this device.
-func (d *Device) Received() int64 { return d.received.Load() }
+// Received returns the number of messages delivered to this device: the
+// queue's tail ticket, which every delivery already advances.
+func (d *Device) Received() int64 { return d.q.Enqueued() }
 
-// Pressure reports the device's queue occupancy and lock-free array
-// capacity without any endpoint lookup — the fast-path form of
-// Node.Pressure for senders that hold a resolved *Device.
-func (d *Device) Pressure() (occ, arrayCap int64) {
-	return int64(d.q.Len()), int64(d.q.Cap())
-}
+// Pressure reports the device's queue occupancy, the figure senders pace
+// eager traffic on before committing a copy into shared memory.
+func (d *Device) Pressure() int64 { return int64(d.q.Len()) }
 
 // Node is the per-node shared-memory segment: the registry mapping local
 // endpoints to their reception queues.
@@ -97,11 +90,6 @@ type Node struct {
 	mu  sync.RWMutex
 	eps map[mu.TaskAddr]*Device
 	gen atomic.Uint64 // bumped on every Register/Deregister; see Gen
-
-	// sends/bytes are incremented by every local producer concurrently;
-	// sharded counters keep the node totals off the senders' hot lines.
-	sends telemetry.Counter
-	bytes telemetry.Counter
 }
 
 // NewNode returns an empty shared-memory segment for the node with the
@@ -219,7 +207,7 @@ func (n *Node) SendBufTo(d *Device, hdr mu.Header, payload *bufpool.Buf) error {
 	return n.finish(d, &msg)
 }
 
-// finish enqueues the built message and settles accounting; on refusal
+// finish enqueues the built message and wakes the consumer; on refusal
 // the message's references are reclaimed.
 func (n *Node) finish(d *Device, msg *Message) error {
 	if err := d.q.EnqueueRef(msg); err != nil {
@@ -227,28 +215,6 @@ func (n *Node) finish(d *Device, msg *Message) error {
 		return fmt.Errorf("shmem: endpoint %v on node %d refused message from %v: %w",
 			d.addr, n.rank, msg.Hdr.Origin, err)
 	}
-	d.received.Inc()
-	n.sends.Inc()
-	n.bytes.Add(int64(msg.Hdr.Total))
 	d.region.Touch()
 	return nil
-}
-
-// Pressure reports the destination endpoint's queue occupancy and the
-// capacity of its lock-free array; ok is false when the endpoint is not
-// registered on this node. Senders read it to pace eager traffic before
-// committing a copy into shared memory.
-func (n *Node) Pressure(dst mu.TaskAddr) (occ, arrayCap int64, ok bool) {
-	n.mu.RLock()
-	d, found := n.eps[dst]
-	n.mu.RUnlock()
-	if !found {
-		return 0, 0, false
-	}
-	return int64(d.q.Len()), int64(d.q.Cap()), true
-}
-
-// Stats returns the cumulative message and payload-byte counts.
-func (n *Node) Stats() (sends, bytes int64) {
-	return n.sends.Load(), n.bytes.Load()
 }

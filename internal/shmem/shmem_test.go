@@ -97,17 +97,6 @@ func TestZeroByteMessage(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	n := NewNode(0)
-	n.Register(mu.TaskAddr{Task: 1}, 4, nil)
-	n.Send(mu.TaskAddr{Task: 1}, mu.Header{}, make([]byte, 10))
-	n.Send(mu.TaskAddr{Task: 1}, mu.Header{}, make([]byte, 5))
-	sends, bytes := n.Stats()
-	if sends != 2 || bytes != 15 {
-		t.Fatalf("stats = (%d,%d)", sends, bytes)
-	}
-}
-
 func TestConcurrentProducersPerSourceFIFO(t *testing.T) {
 	n := NewNode(0)
 	dst := mu.TaskAddr{Task: 0}

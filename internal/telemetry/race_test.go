@@ -108,38 +108,3 @@ func TestRaceRegistryCreateAndSnapshot(t *testing.T) {
 		t.Fatalf("depth gauge = %d, want 0", d.Value)
 	}
 }
-
-func TestRaceTracer(t *testing.T) {
-	tr := NewTracer(64)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				tr.Emit("stress", int64(id), int64(j))
-				if j%128 == 0 {
-					for _, e := range tr.Events() {
-						if e.Tag != "stress" {
-							t.Errorf("corrupt event %+v", e)
-							return
-						}
-					}
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if tr.Emitted() != 8000 {
-		t.Fatalf("emitted = %d, want 8000", tr.Emitted())
-	}
-	evs := tr.Events()
-	if len(evs) != 64 {
-		t.Fatalf("retained %d, want 64", len(evs))
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatalf("dump out of order at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
-		}
-	}
-}

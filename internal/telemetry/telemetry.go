@@ -1,6 +1,6 @@
-// Package telemetry is the messaging stack's counter and tracing
-// subsystem — the software analogue of the Blue Gene/Q universal
-// performance counter (UPC) unit the paper's evaluation (§V) is built on.
+// Package telemetry is the messaging stack's counter subsystem — the
+// software analogue of the Blue Gene/Q universal performance counter
+// (UPC) unit the paper's evaluation (§V) is built on.
 // Message rates, FIFO occupancies and eager/rendezvous crossovers are
 // observed there through hardware counters; this package gives every
 // layer of the reproduction the same facility so experiments print
@@ -28,9 +28,6 @@
 //     JSON or a text table, and Totals aggregates leaf names across
 //     groups (counters sum; gauge high-water marks take the max), which
 //     is how "packets received" over 272 reception FIFOs becomes one row.
-//
-// The optional ring-buffer event tracer lives in trace.go and is wired
-// into the stack only under the `pamitrace` build tag; see TraceEnabled.
 package telemetry
 
 import (

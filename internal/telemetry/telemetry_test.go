@@ -145,33 +145,6 @@ func contains(s, sub string) bool {
 	return false
 }
 
-func TestTracer(t *testing.T) {
-	tr := NewTracer(4)
-	for i := int64(0); i < 6; i++ {
-		tr.Emit("ev", i, i*2)
-	}
-	if tr.Emitted() != 6 {
-		t.Fatalf("emitted = %d", tr.Emitted())
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	for i, e := range evs {
-		if want := int64(i) + 2; e.Seq != want || e.A != want || e.B != 2*want {
-			t.Fatalf("event %d = %+v, want seq %d", i, e, want)
-		}
-	}
-}
-
-func TestNilTracer(t *testing.T) {
-	var tr *Tracer
-	tr.Emit("ignored", 1, 2) // must not panic
-	if tr.Emitted() != 0 || tr.Events() != nil {
-		t.Fatal("nil tracer retained state")
-	}
-}
-
 // The acceptance bar for hot-path instrumentation: incrementing a counter
 // on the eager send path costs zero allocations...
 func TestCounterIncNoAlloc(t *testing.T) {

@@ -429,22 +429,6 @@ func BuildTreeExcluding(d Dims, rc Rectangle, root Rank, excluded func(Rank) boo
 	return t, nil
 }
 
-// FirstLink returns the first link a deterministic route from a to b
-// traverses, and ok=false when a==b. Injection-FIFO pinning uses it.
-func (d Dims) FirstLink(a, b Rank) (Link, bool) {
-	ca, cb := d.CoordOf(a), d.CoordOf(b)
-	for _, dim := range defaultOrder {
-		delta := d.Delta(ca, cb, dim)
-		if delta > 0 {
-			return Link{dim, +1}, true
-		}
-		if delta < 0 {
-			return Link{dim, -1}, true
-		}
-	}
-	return Link{}, false
-}
-
 // Rectangle is a contiguous block of nodes: the closed coordinate box
 // [Lo[i], Hi[i]] in each dimension. Classroutes cover exactly such blocks
 // ("lines, planes or cubes", paper §III.D). Rectangles do not wrap.

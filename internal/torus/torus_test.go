@@ -149,25 +149,6 @@ func TestRouteDeterministic(t *testing.T) {
 	}
 }
 
-func TestFirstLinkMatchesRoute(t *testing.T) {
-	d := Dims{4, 3, 2, 2, 2}
-	for a := Rank(0); a < Rank(d.Nodes()); a += 7 {
-		for b := Rank(0); b < Rank(d.Nodes()); b += 5 {
-			l, ok := d.FirstLink(a, b)
-			path := d.Route(a, b)
-			if !ok {
-				if a != b {
-					t.Fatalf("FirstLink(%d,%d) not ok", a, b)
-				}
-				continue
-			}
-			if got := d.Neighbor(a, l); got != path[0] {
-				t.Fatalf("FirstLink(%d,%d)=%v leads to %d, route starts %d", a, b, l, got, path[0])
-			}
-		}
-	}
-}
-
 func TestLinksCanonical(t *testing.T) {
 	ls := Links()
 	if len(ls) != NumLinks {

@@ -1,3 +1,12 @@
+// Package watchdog turns a stall into a diagnosis. Start arms a
+// wall-clock deadline on a process: if it passes before the returned stop
+// is called, the hang dump is written to stderr and the process exits
+// non-zero. The CLI tools use it (via their -deadline flags) so a hung
+// run under fault injection — a lost wakeup, a livelocked retransmit loop
+// — turns into a diagnosable dump instead of a silent stall. The dump
+// opens with every registered stall sentinel's wait-site table (see
+// Sentinel), then the goroutine stacks; InstallHangDump prints the same
+// dump on SIGQUIT.
 package watchdog
 
 import (
@@ -5,10 +14,48 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"sync"
 	"syscall"
 	"time"
 )
+
+// Overridable for tests; the real watchdog kills the process.
+var (
+	exit func(int) = os.Exit
+	out  io.Writer = os.Stderr
+)
+
+// ExitCode is the process exit status used when the deadline fires.
+const ExitCode = 2
+
+// Start arms a watchdog that fires after d. The returned stop function
+// disarms it; calling stop more than once is safe. A non-positive d
+// arms nothing.
+func Start(d time.Duration, label string) (stop func()) {
+	if d <= 0 {
+		return func() {}
+	}
+	observe()
+	t := time.AfterFunc(d, func() {
+		fmt.Fprintf(out, "watchdog: %s still running after %v\n\n", label, d)
+		DumpTo(out, label)
+		exit(ExitCode)
+	})
+	return func() { t.Stop() }
+}
+
+// Stacks returns the stack traces of every live goroutine.
+func Stacks() []byte {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return buf[:n]
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
 
 // The hang-dump registry: every live machine registers a dumper that
 // renders its stall-sentinel wait-site table. The SIGQUIT handler (the
@@ -81,11 +128,7 @@ func RegisterDump(fn func(io.Writer)) (unregister func()) {
 func DumpTo(w io.Writer, label string) {
 	fmt.Fprintf(w, "=== hang dump: %s ===\n", label)
 	dumpMu.Lock()
-	ids := make([]int, 0, len(dumpers))
-	for id := range dumpers {
-		ids = append(ids, id)
-	}
-	fns := make([]func(io.Writer), 0, len(ids))
+	fns := make([]func(io.Writer), 0, len(dumpers))
 	for id := 0; id < dumpNext; id++ {
 		if fn, ok := dumpers[id]; ok {
 			fns = append(fns, fn)

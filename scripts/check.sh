@@ -40,9 +40,6 @@ go test -race ./internal/wire ./internal/machine ./internal/health ./cmd/pamirun
 echo "==> GOMAXPROCS=1 go test -race ./internal/wire (a reader/writer pair must not need a second core to make progress)"
 GOMAXPROCS=1 go test -race ./internal/wire
 
-echo "==> go test -race -tags pamitrace ./internal/telemetry"
-go test -race -tags pamitrace ./internal/telemetry
-
 echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release, a kept view of an inline message reads poison; the live count folds the quarantine out, under -race)"
 go test -tags bufpooldebug ./internal/bufpool ./internal/mu ./internal/core ./internal/mpilib
 go test -race -tags bufpooldebug ./internal/bufpool
