@@ -131,8 +131,10 @@ type Context struct {
 	deferredPark watchdog.Park
 
 	// reasmOld holds finished reassembly states for reuse; without it
-	// every multi-packet message allocates one. Owner-thread only.
+	// every multi-packet message allocates one. pendOld does the same for
+	// retired rendezvous sends. Owner-thread only.
 	reasmOld []*reasmState
+	pendOld  []*pendingSend
 }
 
 // ctxStats is a context's hardware-counter set (paper §V quantities):
@@ -505,15 +507,34 @@ func (ctx *Context) cancelDeadSends() {
 		}
 		ps.buf.Release()
 		err := fmt.Errorf("core: rendezvous send %d to %v cancelled: %w", sendID, ps.dst, mu.ErrPeerDead)
-		if ps.onFail != nil {
-			ps.onFail(err)
-		} else if ps.onDone != nil {
+		onDone, onFail := ps.onDone, ps.onFail
+		ctx.retirePending(ps)
+		if onFail != nil {
+			onFail(err)
+		} else if onDone != nil {
 			// No failure callback: fire the completion callback anyway so a
 			// waiter counting completions does not hang forever. The send
 			// buffer really is reusable — nobody will ever pull from it.
-			ps.onDone()
+			onDone()
 		}
 	}
+}
+
+// newPending takes a rendezvous send record from the context's free list.
+func (ctx *Context) newPending() *pendingSend {
+	if n := len(ctx.pendOld); n > 0 {
+		ps := ctx.pendOld[n-1]
+		ctx.pendOld = ctx.pendOld[:n-1]
+		return ps
+	}
+	return new(pendingSend)
+}
+
+// retirePending returns a record that has left the pending table to the
+// free list; the caller reads what it still needs out of it first.
+func (ctx *Context) retirePending(ps *pendingSend) {
+	*ps = pendingSend{}
+	ctx.pendOld = append(ctx.pendOld, ps)
 }
 
 // Drain advances the context until it is quiescent: no posted work, no

@@ -76,7 +76,8 @@ type Delivery struct {
 	Data []byte
 
 	ctx *Context
-	rts *rtsInfo
+	rdv bool    // rts is set: the payload waits to be pulled
+	rts rtsInfo // held by value: a retained Delivery is one object
 }
 
 // rtsInfo is the sender state a rendezvous Delivery carries: where the
@@ -91,7 +92,7 @@ type rtsInfo struct {
 }
 
 // IsRendezvous reports whether the payload must be pulled with Receive.
-func (d *Delivery) IsRendezvous() bool { return d.rts != nil }
+func (d *Delivery) IsRendezvous() bool { return d.rdv }
 
 // SendImmediate sends a small message that fits in a single packet,
 // copying it out of the caller's buffers before returning — the paper's
@@ -409,7 +410,8 @@ func (ctx *Context) sendRendezvous(p SendParams) error {
 		srcProc: ctx.client.proc.LocalID(),
 		intra:   intra,
 	}
-	ps := &pendingSend{dst: p.Dest, onDone: p.OnDone, onFail: p.OnFail, buf: p.DataBuf, start: time.Now()}
+	ps := ctx.newPending()
+	*ps = pendingSend{dst: p.Dest, onDone: p.OnDone, onFail: p.OnFail, buf: p.DataBuf, start: time.Now()}
 	ctx.stats.sendsRdv.Inc()
 	ctx.stats.bytesSent.Add(int64(len(data)))
 	ctx.stats.rdvInflight.Inc()
@@ -448,6 +450,7 @@ func (ctx *Context) sendRendezvous(p SendParams) error {
 			ctx.client.proc.RetractSegment(ps.gvaTag)
 		}
 		ps.buf.Release()
+		ctx.retirePending(ps)
 	}
 	return err
 }
@@ -563,7 +566,8 @@ func (ctx *Context) handleRTS(hdr mu.Header, viaShmem bool) {
 		Meta:   userMeta,
 		Size:   info.size,
 		ctx:    ctx,
-		rts:    &info,
+		rdv:    true,
+		rts:    info,
 	})
 }
 
@@ -573,7 +577,7 @@ func (ctx *Context) handleRTS(hdr mu.Header, viaShmem bool) {
 // safe from any thread. done, if non-nil, runs before Receive returns —
 // data movement is synchronous in this fabric model.
 func (d *Delivery) Receive(buf []byte, done func()) error {
-	if d.rts == nil {
+	if !d.rdv {
 		return fmt.Errorf("core: Receive on an eager delivery")
 	}
 	n := len(buf)
@@ -620,7 +624,7 @@ func (d *Delivery) Receive(buf []byte, done func()) error {
 // Discard acknowledges a rendezvous message without pulling any data —
 // the zero-length-receive / truncation path.
 func (d *Delivery) Discard() error {
-	if d.rts == nil {
+	if !d.rdv {
 		return nil
 	}
 	return d.Receive(nil, nil)
@@ -648,7 +652,9 @@ func (ctx *Context) handleAck(hdr mu.Header) {
 		ctx.client.proc.RetractSegment(ps.gvaTag)
 	}
 	ps.buf.Release()
-	if ps.onDone != nil {
-		ps.onDone()
+	onDone := ps.onDone
+	ctx.retirePending(ps)
+	if onDone != nil {
+		onDone()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pamigo/internal/core"
 	"pamigo/internal/telemetry"
 )
 
@@ -27,8 +28,7 @@ type refRecv struct {
 
 func (m *refMatcher) arrive(msgID int, e envelope) {
 	for i, p := range m.posted {
-		pr := postedRecv{comm: p.comm, src: p.src, tag: p.tag}
-		if pr.matches(e) {
+		if matches(p.comm, p.src, p.tag, e) {
 			m.pairs = append(m.pairs, [2]int{p.id, msgID})
 			m.posted = append(m.posted[:i], m.posted[i+1:]...)
 			return
@@ -40,8 +40,7 @@ func (m *refMatcher) arrive(msgID int, e envelope) {
 
 func (m *refMatcher) post(r refRecv) {
 	for i, e := range m.unex {
-		pr := postedRecv{comm: r.comm, src: r.src, tag: r.tag}
-		if pr.matches(e) {
+		if matches(r.comm, r.src, r.tag, e) {
 			m.pairs = append(m.pairs, [2]int{r.id, m.unexIDs[i]})
 			m.unex = append(m.unex[:i], m.unex[i+1:]...)
 			m.unexIDs = append(m.unexIDs[:i], m.unexIDs[i+1:]...)
@@ -51,27 +50,25 @@ func (m *refMatcher) post(r refRecv) {
 	m.posted = append(m.posted, r)
 }
 
-// TestMatcherAgainstReference runs the *World matcher (onMessage +
-// matchUnexpected, exercised white-box through its queues) against the
+// TestMatcherAgainstReference runs the *World matcher — matchPosted and
+// fileUnexpected as onMessage calls them, matchUnexpected and the posted
+// queue as Irecv does, white-box on its intrusive queues — against the
 // reference on random interleavings of arrivals and posts, including
 // wildcards, and demands identical match pairs.
 func TestMatcherAgainstReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		// Queues only; no machine needed for matching logic, but the stats
-		// slots must exist because matchUnexpected updates them.
+		// slots must exist because the matcher updates them.
 		w := &World{tele: newWorldStats(telemetry.NewRegistry("test"))}
 		ref := &refMatcher{}
 
 		var gotPairs [][2]int
 		nextMsg, nextRecv := 0, 0
-		// Outstanding posted receives in w are tracked so we can identify
-		// which receive an arrival matched.
-		type livePost struct {
-			id int
-			pr *postedRecv
-		}
-		var live []livePost
+		// The receive ID of each entry still in the posted queue, so an
+		// arrival's match can be named. An unexpected entry carries its
+		// message ID in size.
+		recvIDs := map[*postedRecv]int{}
 
 		steps := 30 + rng.Intn(40)
 		for s := 0; s < steps; s++ {
@@ -84,27 +81,12 @@ func TestMatcherAgainstReference(t *testing.T) {
 				}
 				msgID := nextMsg
 				nextMsg++
-				// Mirror of onMessage's queue walk.
 				w.queueMu.Lock()
-				matched := -1
-				for el := w.posted.Front(); el != nil; el = el.Next() {
-					p := el.Value.(*postedRecv)
-					if p.matches(e) {
-						for li, lp := range live {
-							if lp.pr == p {
-								matched = lp.id
-								live = append(live[:li], live[li+1:]...)
-								break
-							}
-						}
-						w.posted.Remove(el)
-						break
-					}
-				}
-				if matched >= 0 {
-					gotPairs = append(gotPairs, [2]int{matched, msgID})
+				if p := w.matchPosted(e); p != nil {
+					gotPairs = append(gotPairs, [2]int{recvIDs[p], msgID})
+					delete(recvIDs, p)
 				} else {
-					w.unex.PushBack(&unexpectedMsg{env: e, size: msgID})
+					w.fileUnexpected(e, &core.Delivery{Size: msgID})
 				}
 				w.queueMu.Unlock()
 				ref.arrive(msgID, e)
@@ -116,12 +98,12 @@ func TestMatcherAgainstReference(t *testing.T) {
 				recvID := nextRecv
 				nextRecv++
 				w.queueMu.Lock()
-				if un := w.matchUnexpected(comm, src, tag); un != nil {
+				if un, ok := w.matchUnexpected(comm, src, tag); ok {
 					gotPairs = append(gotPairs, [2]int{recvID, un.size})
 				} else {
 					pr := &postedRecv{comm: comm, src: src, tag: tag}
-					w.posted.PushBack(pr)
-					live = append(live, livePost{recvID, pr})
+					w.posted.pushBack(pr)
+					recvIDs[pr] = recvID
 				}
 				w.queueMu.Unlock()
 				ref.post(refRecv{id: recvID, src: src, tag: tag, comm: comm})
@@ -134,6 +116,9 @@ func TestMatcherAgainstReference(t *testing.T) {
 			if gotPairs[i] != ref.pairs[i] {
 				t.Fatalf("trial %d: match %d = %v, reference %v", trial, i, gotPairs[i], ref.pairs[i])
 			}
+		}
+		if p, u := w.QueueDepths(); p != len(ref.posted) || u != len(ref.unex) {
+			t.Fatalf("trial %d: queue depths %d/%d, reference %d/%d", trial, p, u, len(ref.posted), len(ref.unex))
 		}
 	}
 }

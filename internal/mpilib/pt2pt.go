@@ -24,10 +24,21 @@ type Status struct {
 // through an L2-atomic counter that communication threads increment and
 // the application thread polls — the cache interaction the two-phase
 // Waitall of §IV.A is designed around.
+//
+// A Request carries what its point-to-point operation needs, so a pooled
+// request of the thread-optimized build sends or receives without
+// allocating: the envelope bytes a send's SendParams.Meta points at, the
+// send's completion func (built the first time the object sends, then
+// kept with it) and the posted-queue entry of a receive.
 type Request struct {
 	done   l2atomic.Counter
 	status Status
 	w      *World
+	freed  bool
+
+	env  [envelopeLen]byte
+	sent func()
+	recv postedRecv
 }
 
 func (r *Request) complete(st Status) {
@@ -53,14 +64,23 @@ func (w *World) newRequest() *Request {
 		r.done.Store(0)
 		r.status = Status{}
 		r.w = w
+		r.freed = false
 		return r
 	}
 	return &Request{w: w}
 }
 
-// Free returns a completed request to the allocator pool.
+// Free releases the request. A completed request of the thread-optimized
+// build goes back to the pool. An active one is orphaned instead: the
+// matcher or the send in flight still holds it, so its operation
+// completes into it and the garbage collector takes it afterwards. A
+// second Free is a no-op.
 func (r *Request) Free() {
-	if r.w != nil && r.w.opts.Library == ThreadOptimized {
+	if r.freed {
+		return
+	}
+	r.freed = true
+	if r.w != nil && r.w.opts.Library == ThreadOptimized && r.Done() {
 		reqPool.Put(r)
 	}
 }
@@ -89,17 +109,20 @@ func (c *Comm) isend(buf []byte, dest, tag int, mode core.SendMode) (*Request, e
 	defer w.exit()
 	req := w.newRequest()
 	destWorld := c.group[dest]
-	env := envelope{comm: c.id, src: int32(c.rank), tag: int32(tag)}
+	envelope{comm: c.id, src: int32(c.rank), tag: int32(tag)}.encode(&req.env)
+	// The status is known now; completion only publishes it.
+	req.status = Status{Source: c.rank, Tag: tag, Count: len(buf)}
+	if req.sent == nil {
+		req.sent = func() { req.done.Store(1) }
+	}
 	srcCtx := w.contextForDest(destWorld, c.id)
 	dstOrd := w.contextOrdinalForSrc(w.rank, c.id)
 	params := core.SendParams{
 		Dest:     core.Endpoint{Task: destWorld, Ctx: dstOrd},
 		Dispatch: dispatchMPI,
-		Meta:     env.encode(),
+		Meta:     req.env[:],
 		Mode:     mode,
-		OnDone: func() {
-			req.complete(Status{Source: c.rank, Tag: tag, Count: len(buf)})
-		},
+		OnDone:   req.sent,
 	}
 	if mode != core.ModeRendezvous && len(buf) <= w.client.EagerLimit() {
 		// Eager-size payloads are copied once here, at the MPI boundary,
@@ -148,23 +171,22 @@ func (c *Comm) Irecv(buf []byte, src, tag int) (*Request, error) {
 	defer w.exit()
 	req := w.newRequest()
 	w.queueMu.Lock()
-	if un := w.matchUnexpected(c.id, src, tag); un != nil {
+	if un, ok := w.matchUnexpected(c.id, src, tag); ok {
 		w.queueMu.Unlock()
-		n := un.size
-		if n > len(buf) {
-			n = len(buf)
-		}
+		n := min(un.size, len(buf))
 		if un.rdv != nil {
 			if err := un.rdv.Receive(buf[:n], nil); err != nil {
 				return nil, err
 			}
-		} else {
-			copy(buf[:n], un.data[:n])
+		} else if un.data != nil {
+			copy(buf[:n], un.data.Bytes())
+			un.data.Release()
 		}
 		req.complete(Status{Source: int(un.env.src), Tag: int(un.env.tag), Count: n})
 		return req, nil
 	}
-	w.posted.PushBack(&postedRecv{comm: c.id, src: src, tag: tag, buf: buf, req: req})
+	req.recv = postedRecv{comm: c.id, src: src, tag: tag, buf: buf, req: req}
+	w.posted.pushBack(&req.recv)
 	w.tele.posted.Inc()
 	w.queueMu.Unlock()
 	return req, nil
@@ -334,11 +356,9 @@ func (c *Comm) Probe(src, tag int) (Status, bool) {
 	}
 	w.queueMu.Lock()
 	defer w.queueMu.Unlock()
-	pr := postedRecv{comm: c.id, src: src, tag: tag}
-	for e := w.unex.Front(); e != nil; e = e.Next() {
-		un := e.Value.(*unexpectedMsg)
+	for un := w.unex.head; un != nil; un = un.next {
 		w.tele.matchAttempts.Inc()
-		if pr.matches(un.env) {
+		if matches(c.id, src, tag, un.env) {
 			return Status{Source: int(un.env.src), Tag: int(un.env.tag), Count: un.size}, true
 		}
 	}

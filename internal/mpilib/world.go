@@ -22,7 +22,6 @@
 package mpilib
 
 import (
-	"container/list"
 	"fmt"
 	"runtime"
 	"sync"
@@ -127,13 +126,11 @@ type World struct {
 	size int
 
 	globalMu sync.Mutex     // Classic build: the per-call global lock
-	queueMu  l2atomic.Mutex // receive-queue mutex (paper §IV.A)
-	// The matching queues are linked lists, like MPICH2's: matching may
-	// remove from the middle (wildcards), and removal must be O(1) so
-	// deep queues (thousands of posted receives) stay linear overall.
-	posted list.List // of *postedRecv, in post order
-	unex   list.List // of *unexpectedMsg, in arrival order
-	tele   worldStats
+	queueMu  l2atomic.Mutex // receive-queue mutex (paper §IV.A); guards the three below
+	posted   postedQueue
+	unex     unexpectedQueue
+	unexFree *unexpectedMsg // recycled unexpected entries, linked by next
+	tele     worldStats
 
 	commMu     sync.Mutex
 	comms      map[uint64]*Comm

@@ -105,12 +105,21 @@ const dryPollsPerLook = 16
 // origin endpoint onto a shard, and the owning context's Poll/PollBatch
 // drains the shards round-robin starting from a rotating cursor so no
 // shard can starve the others.
+//
+// The struct is three cache lines, one per writer (DESIGN §7): every
+// producer reads the first line per message and nobody writes it after
+// allocation; the consumer stores to the second on every poll; both sides
+// ratchet the third. Its 192 bytes are an allocation size class of whole
+// lines, so the lines stay aligned.
 type RecFIFO struct {
 	id     int
 	shards [recShards]*lockless.Queue[Packet]
 	region *wakeup.Region
-	next   uint32 // round-robin drain cursor; single consumer, no atomics
-	dry    uint32 // PollBatch calls that drained nothing; same consumer
+	_      [16]byte
+
+	next uint32 // round-robin drain cursor; single consumer, no atomics
+	dry  uint32 // PollBatch calls that drained nothing; same consumer
+	_    [56]byte
 
 	// The FIFO keeps no per-packet counter of its own: packets received,
 	// occupancy and the overflow high-water mark are read off the shards'
@@ -118,6 +127,7 @@ type RecFIFO struct {
 	// high-water mark, ratcheted where the depth is computed anyway: at
 	// each drain, each Occupancy probe and each snapshot.
 	occHWM l2atomic.Counter
+	_      [56]byte
 }
 
 // shardFor picks the delivery shard for an origin endpoint. The same

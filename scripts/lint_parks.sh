@@ -86,10 +86,10 @@ check "make(chan " internal/mu/reliable.go 2
 #   FILE                         N  LINES            WHY IT MAY POLL
 spins="
 internal/core/geometry.go        2  234,818          bootstrap rendezvous in CreateGeometry (bounded by context creation); swWait advances the context itself and yields only when nothing moved, its exit is the deadMember gate
-internal/core/context.go         2  411,537          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
-internal/mpilib/pt2pt.go         4  261,275,296,323  Waitall/Test/Testall/Probe drive progress themselves and yield only on an idle pass; converting them is ROADMAP item 1(b)'s spinwait helper
-internal/mpilib/world.go         1  290              progress(): context lock held by a commthread, yield to it
-internal/mu/mu.go                1  166              not a wait: RecFIFO.PollBatch yields once, then returns 0, when it drained nothing from a FIFO whose head ticket is claimed but unpublished, so the producer that lost the P can publish; the wait around it is the caller's (advanceUntil: visible, abortable)
+internal/core/context.go         2  413,558          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
+internal/mpilib/pt2pt.go         4  283,297,318,345  Waitall/Test/Testall/Probe drive progress themselves and yield only on an idle pass; converting them is ROADMAP item 1(b)'s spinwait helper
+internal/mpilib/world.go         1  287              progress(): context lock held by a commthread, yield to it
+internal/mu/mu.go                1  176              not a wait: RecFIFO.PollBatch yields once, then returns 0, when it drained nothing from a FIFO whose head ticket is claimed but unpublished, so the producer that lost the P can publish; the wait around it is the caller's (advanceUntil: visible, abortable)
 internal/l2atomic/l2atomic.go    4  110,233,247,314  the L2 primitives' own backoff: Mutex.Lock (held for a few instructions) and Barrier, which no runtime code constructs any more (checked below)
 internal/scenario/online.go      1  326              the online policy's progress loop, yields after a productive pass (idle passes sleep)
 "
