@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"pamigo/internal/abort"
 	"pamigo/internal/bufpool"
@@ -150,7 +149,6 @@ type ctxStats struct {
 	workItems      *telemetry.Counter
 	rdvInflight    *telemetry.Gauge   // rendezvous sends awaiting ack (hwm = peak exposure)
 	rdvCompleted   *telemetry.Counter // rendezvous sends acked
-	rdvLatencyNs   *telemetry.Counter // summed RTS→ack completion latency
 	rdvFailed      *telemetry.Counter // rendezvous sends cancelled: peer died
 
 	eagerFallbacks *telemetry.Counter // ModeAuto eager sends degraded to rendezvous: destination congested
@@ -178,7 +176,6 @@ func newCtxStats(reg *telemetry.Registry) *ctxStats {
 		workItems:      reg.Counter("work_items"),
 		rdvInflight:    reg.Gauge("rdv_inflight"),
 		rdvCompleted:   reg.Counter("rdv_completed"),
-		rdvLatencyNs:   reg.Counter("rdv_latency_ns"),
 		rdvFailed:      reg.Counter("rdv_failed"),
 
 		eagerFallbacks: reg.Counter("eager_fallbacks"),
@@ -220,7 +217,6 @@ type pendingSend struct {
 	mrID   uint64
 	gvaTag uint64
 	buf    *bufpool.Buf // ownership-transfer payload; released when the send retires
-	start  time.Time    // RTS injection time, for the completion-latency counter
 }
 
 // Client returns the owning client.

@@ -2,8 +2,9 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"time"
+	"sync/atomic"
 
 	"pamigo/internal/bufpool"
 	"pamigo/internal/mu"
@@ -78,7 +79,17 @@ type Delivery struct {
 	ctx *Context
 	rdv bool    // rts is set: the payload waits to be pulled
 	rts rtsInfo // held by value: a retained Delivery is one object
+
+	// pulled is claimed by the first Receive or Discard, on whichever
+	// thread: one pull and one ack per rendezvous, however often it is
+	// called.
+	pulled atomic.Bool
 }
+
+// ErrDeliveryConsumed is returned by a second Receive or Discard of one
+// rendezvous Delivery: the first already pulled the payload and
+// acknowledged the sender, whose publication may since have been retired.
+var ErrDeliveryConsumed = errors.New("core: rendezvous delivery already received")
 
 // rtsInfo is the sender state a rendezvous Delivery carries: where the
 // payload lives until the receiver pulls it.
@@ -411,7 +422,7 @@ func (ctx *Context) sendRendezvous(p SendParams) error {
 		intra:   intra,
 	}
 	ps := ctx.newPending()
-	*ps = pendingSend{dst: p.Dest, onDone: p.OnDone, onFail: p.OnFail, buf: p.DataBuf, start: time.Now()}
+	*ps = pendingSend{dst: p.Dest, onDone: p.OnDone, onFail: p.OnFail, buf: p.DataBuf}
 	ctx.stats.sendsRdv.Inc()
 	ctx.stats.bytesSent.Add(int64(len(data)))
 	ctx.stats.rdvInflight.Inc()
@@ -575,10 +586,15 @@ func (ctx *Context) handleRTS(hdr mu.Header, viaShmem bool) {
 // d.Size) and acknowledges the sender. It may be called from the dispatch
 // handler or later (MPI calls it when the message finally matches); it is
 // safe from any thread. done, if non-nil, runs before Receive returns —
-// data movement is synchronous in this fabric model.
+// data movement is synchronous in this fabric model. The first Receive or
+// Discard consumes the Delivery, whether or not it succeeds; every later
+// one returns ErrDeliveryConsumed and sends nothing.
 func (d *Delivery) Receive(buf []byte, done func()) error {
 	if !d.rdv {
 		return fmt.Errorf("core: Receive on an eager delivery")
+	}
+	if !d.pulled.CompareAndSwap(false, true) {
+		return fmt.Errorf("%w: send %d from %v", ErrDeliveryConsumed, d.rts.sendID, d.Origin)
 	}
 	n := len(buf)
 	if n > d.rts.size {
@@ -644,7 +660,6 @@ func (ctx *Context) handleAck(hdr mu.Header) {
 	delete(ctx.pending, sendID)
 	ctx.stats.rdvInflight.Dec()
 	ctx.stats.rdvCompleted.Inc()
-	ctx.stats.rdvLatencyNs.Add(time.Since(ps.start).Nanoseconds())
 	if ps.mrID != 0 {
 		ctx.client.mach.Fabric().DeregisterMemregion(ctx.addr.Task, ps.mrID)
 	}

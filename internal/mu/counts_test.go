@@ -176,3 +176,39 @@ func checkCountsExact(t *testing.T, reliable bool) {
 		}
 	}
 }
+
+// TestRDMACountedOnInjFIFO: puts and remote gets are charged to the
+// initiator's injection FIFO — its descriptors, packets and bytes — and
+// the fabric's own counters, which keep only wire deliveries, stay at
+// zero. Stats and the registry read the same folded values.
+func TestRDMACountedOnInjFIFO(t *testing.T) {
+	f := newTestFabric(t)
+	setupEndpoint(t, f, 0, 0, 0)
+	res := setupEndpoint(t, f, 1, 1, 0)
+	f.RegisterMemregion(0, 1, make([]byte, 2*MaxPayload))
+	inj := res.PinnedInj(0)
+	for i := 0; i < 3; i++ {
+		if err := f.InjectPut(inj, 1, make([]byte, MaxPayload+1), TaskAddr{0, 0}, 1, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.InjectRemoteGet(inj, TaskAddr{1, 0}, 0, 1, 0, make([]byte, 10), nil); err != nil {
+		t.Fatal(err)
+	}
+	if f.packets.Load() != 0 || f.bytes.Load() != 0 {
+		t.Errorf("fabric's own counters read %d packets, %d bytes; RDMA belongs to the InjFIFO", f.packets.Load(), f.bytes.Load())
+	}
+	if got := inj.Injected(); got != 4 {
+		t.Errorf("InjFIFO injected %d descriptors, want 4", got)
+	}
+	want := Stats{Packets: 3*2 + 1, Bytes: 3*(MaxPayload+1+2*PacketHeaderBytes) + 10 + PacketHeaderBytes, Puts: 3, RemoteGets: 1}
+	if s := f.Snapshot(); s != want {
+		t.Errorf("Snapshot = %+v, want %+v", s, want)
+	}
+	snap := f.Telemetry().Snapshot()
+	for name, v := range map[string]int64{"packets": want.Packets, "bytes": want.Bytes, "puts": want.Puts, "remote_gets": want.RemoteGets} {
+		if got, _ := snap.Counter(name); got != v {
+			t.Errorf("registry %s = %d, want %d", name, got, v)
+		}
+	}
+}

@@ -284,11 +284,12 @@ type InjFIFO struct {
 	id int
 
 	// The traffic this FIFO's descriptors carried: memory-FIFO sends,
-	// RDMA descriptors, and the packets and bytes the sends put on the
-	// torus. The owning context is in practice the one writer (atomics
-	// because InjectMemFIFO may run on another thread), so counting costs
-	// no shared cache line; the fabric folds them into its totals.
-	sends, rdma, packets, bytes atomic.Int64
+	// puts, remote gets, and the packets and bytes they put on the torus.
+	// The owning context is in practice the one writer (atomics because
+	// InjectMemFIFO and a rendezvous pull may run on another thread), so
+	// counting costs no shared cache line; the fabric folds them into its
+	// totals.
+	sends, puts, gets, packets, bytes atomic.Int64
 
 	// Destination-resolution cache. Injection FIFOs are pinned per
 	// destination (PinnedInj), so consecutive injections overwhelmingly
@@ -305,14 +306,14 @@ type InjFIFO struct {
 
 	// Pad to 128 bytes, an allocation size class of whole cache lines:
 	// FIFOs of two contexts never share a line.
-	_ [56]byte
+	_ [48]byte
 }
 
 // ID returns the FIFO's hardware index on its node.
 func (f *InjFIFO) ID() int { return f.id }
 
 // Injected returns the number of descriptors injected into this FIFO.
-func (f *InjFIFO) Injected() int64 { return f.sends.Load() + f.rdma.Load() }
+func (f *InjFIFO) Injected() int64 { return f.sends.Load() + f.puts.Load() + f.gets.Load() }
 
 // ContextResources is the exclusive MU slice handed to one PAMI context.
 type ContextResources struct {
@@ -407,13 +408,8 @@ type Stats struct {
 	Hops         int64
 }
 
-type memregionKey struct {
-	task int
-	id   uint64
-}
-
 // Fabric is the machine-wide Message Unit + torus data plane: it owns the
-// per-node MUs, the task placement map, registered memory regions, and
+// per-node MUs, the task placement map, each task's memregion table, and
 // packet delivery.
 type Fabric struct {
 	dims  torus.Dims
@@ -429,15 +425,16 @@ type Fabric struct {
 	contexts atomic.Pointer[map[TaskAddr]*RecFIFO]
 	ctxGen   atomic.Uint64 // bumped with every contexts swap; see ContextsGen
 
-	mrMu       sync.RWMutex
-	memregions map[memregionKey][]byte
+	// mrTables holds one memregion table per task, indexed by task
+	// (memregion.go): a copy-on-write slice like the maps above. The pad
+	// keeps the counters below off the lines every send reads.
+	mrTables atomic.Pointer[[]*mrTable]
+	_        [24]byte
 
-	// packets and bytes count the traffic no injection FIFO here carries
-	// (wire deliveries, RDMA); injected messages are counted on their
-	// InjFIFO, and Snapshot folds both.
+	// packets and bytes count the wire deliveries, the one traffic no
+	// injection FIFO here carries; every injected message and RDMA
+	// descriptor is counted on its InjFIFO, and Snapshot folds both.
 	packets, bytes telemetry.Counter
-	puts           *telemetry.Counter
-	remoteGets     *telemetry.Counter
 	hops           *telemetry.Counter
 
 	// rel is the reliable-delivery layer, installed by InstallFaults.
@@ -483,20 +480,21 @@ func NewFabric(dims torus.Dims, recFIFOSlots int) (*Fabric, error) {
 	}
 	tele := telemetry.NewRegistry("mu")
 	f := &Fabric{
-		dims:       dims,
-		tele:       tele,
-		memregions: make(map[memregionKey][]byte),
-		puts:       tele.Counter("puts"),
-		remoteGets: tele.Counter("remote_gets"),
-		hops:       tele.Counter("hops"),
+		dims: dims,
+		tele: tele,
+		hops: tele.Counter("hops"),
 	}
 	tele.CounterFunc("packets", func() int64 { return f.Snapshot().Packets })
 	tele.CounterFunc("bytes", func() int64 { return f.Snapshot().Bytes })
 	tele.CounterFunc("mem_fifo_sends", func() int64 { return f.Snapshot().MemFIFOSends })
+	tele.CounterFunc("puts", func() int64 { return f.Snapshot().Puts })
+	tele.CounterFunc("remote_gets", func() int64 { return f.Snapshot().RemoteGets })
 	emptyTasks := make(map[int]torus.Rank)
 	emptyCtxs := make(map[TaskAddr]*RecFIFO)
+	var emptyMRs []*mrTable
 	f.taskNode.Store(&emptyTasks)
 	f.contexts.Store(&emptyCtxs)
+	f.mrTables.Store(&emptyMRs)
 	for r := 0; r < dims.Nodes(); r++ {
 		f.nodes = append(f.nodes, &NodeMU{
 			rank:       torus.Rank(r),
@@ -629,31 +627,8 @@ func (f *Fabric) lookupContextCached(inj *InjFIFO, addr TaskAddr) (*RecFIFO, err
 // instead of re-probing the map per message.
 func (f *Fabric) ContextsGen() uint64 { return f.ctxGen.Load() }
 
-// RegisterMemregion pins a buffer for RDMA under (task, id); puts and
-// remote gets name remote memory this way, like PAMI memregions.
-func (f *Fabric) RegisterMemregion(task int, id uint64, buf []byte) {
-	f.mrMu.Lock()
-	f.memregions[memregionKey{task, id}] = buf
-	f.mrMu.Unlock()
-}
-
-// DeregisterMemregion unpins a buffer.
-func (f *Fabric) DeregisterMemregion(task int, id uint64) {
-	f.mrMu.Lock()
-	delete(f.memregions, memregionKey{task, id})
-	f.mrMu.Unlock()
-}
-
-// Memregion resolves a registered buffer.
-func (f *Fabric) Memregion(task int, id uint64) ([]byte, bool) {
-	f.mrMu.RLock()
-	buf, ok := f.memregions[memregionKey{task, id}]
-	f.mrMu.RUnlock()
-	return buf, ok
-}
-
 // account charges packets put on the torus to inj, the FIFO that carried
-// them, or with a nil inj to the fabric's own counters.
+// them, or with a nil inj (the wire leg) to the fabric's own counters.
 func (f *Fabric) account(inj *InjFIFO, srcTask int, dstTask int, packets, bytes int64) {
 	if inj != nil {
 		inj.packets.Add(packets)
@@ -783,8 +758,7 @@ func (f *Fabric) InjectPut(inj *InjFIFO, srcTask int, src []byte, dst TaskAddr, 
 	if dstOff < 0 || dstOff+len(src) > len(buf) {
 		return fmt.Errorf("%w: put %d+%d > %d (memregion %d of task %d)", ErrMemregionBounds, dstOff, len(src), len(buf), dstMR, dst.Task)
 	}
-	inj.rdma.Add(1)
-	f.puts.Add(1)
+	inj.puts.Add(1)
 	if rl := f.rel.Load(); rl != nil {
 		if err := rl.rdmaFaults(srcTask, dst.Task, int(dstMR), len(src)); err != nil {
 			return err
@@ -798,7 +772,7 @@ func (f *Fabric) InjectPut(inj *InjFIFO, srcTask int, src []byte, dst TaskAddr, 
 	if npkts == 0 {
 		npkts = 1
 	}
-	f.account(nil, srcTask, dst.Task, npkts, int64(len(src))+npkts*PacketHeaderBytes)
+	f.account(inj, srcTask, dst.Task, npkts, int64(len(src))+npkts*PacketHeaderBytes)
 	if fifo, err := f.lookupContext(dst); err == nil {
 		fifo.region.Touch()
 	}
@@ -821,8 +795,7 @@ func (f *Fabric) InjectRemoteGet(inj *InjFIFO, initiator TaskAddr, dataTask int,
 	if srcOff < 0 || srcOff+len(dst) > len(buf) {
 		return fmt.Errorf("%w: remote get %d+%d > %d (memregion %d of task %d)", ErrMemregionBounds, srcOff, len(dst), len(buf), dataMR, dataTask)
 	}
-	inj.rdma.Add(1)
-	f.remoteGets.Add(1)
+	inj.gets.Add(1)
 	if rl := f.rel.Load(); rl != nil {
 		// The data moves dataTask -> initiator; faults hit that direction.
 		if err := rl.rdmaFaults(dataTask, initiator.Task, int(dataMR), len(dst)); err != nil {
@@ -837,7 +810,7 @@ func (f *Fabric) InjectRemoteGet(inj *InjFIFO, initiator TaskAddr, dataTask int,
 	if npkts == 0 {
 		npkts = 1
 	}
-	f.account(nil, dataTask, initiator.Task, npkts, int64(len(dst))+npkts*PacketHeaderBytes)
+	f.account(inj, dataTask, initiator.Task, npkts, int64(len(dst))+npkts*PacketHeaderBytes)
 	if fifo, err := f.lookupContext(initiator); err == nil {
 		fifo.region.Touch()
 	}
@@ -848,16 +821,16 @@ func (f *Fabric) InjectRemoteGet(inj *InjFIFO, initiator TaskAddr, dataTask int,
 // counters plus every injection FIFO's.
 func (f *Fabric) Snapshot() Stats {
 	s := Stats{
-		Packets:    f.packets.Load(),
-		Bytes:      f.bytes.Load(),
-		Puts:       f.puts.Load(),
-		RemoteGets: f.remoteGets.Load(),
-		Hops:       f.hops.Load(),
+		Packets: f.packets.Load(),
+		Bytes:   f.bytes.Load(),
+		Hops:    f.hops.Load(),
 	}
 	for _, n := range f.nodes {
 		n.mu.Lock()
 		for _, inj := range n.inj {
 			s.MemFIFOSends += inj.sends.Load()
+			s.Puts += inj.puts.Load()
+			s.RemoteGets += inj.gets.Load()
 			s.Packets += inj.packets.Load()
 			s.Bytes += inj.bytes.Load()
 		}
