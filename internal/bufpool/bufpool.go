@@ -50,11 +50,15 @@ func (b *Buf) Cap() int { return cap(b.data) }
 
 // Retain adds a reference. Every layer that stores the buffer beyond its
 // current call frame must Retain before storing.
-func (b *Buf) Retain() {
+func (b *Buf) Retain() { b.RetainN(1) }
+
+// RetainN adds n references in one atomic add: a layer that hands the
+// buffer to n holders at once pays one read-modify-write, not n.
+func (b *Buf) RetainN(n int32) {
 	if b == nil {
 		return
 	}
-	if b.refs.Add(1) <= 1 {
+	if b.refs.Add(n) <= n {
 		debugViolation(b, "Retain of a released buffer")
 		panic("bufpool: Retain of a released buffer")
 	}

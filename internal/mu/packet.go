@@ -125,9 +125,10 @@ func (h *Header) checkNarrow(total int) error {
 // and the inline-or-slab choice live here and nowhere else; the four legs
 // (copy-in, ownership transfer, reliable staging, wire delivery) differ
 // only in what they do with a built packet. The slab carries one
-// reference per packet not yet built: slabFor takes them all before the
-// first packet can reach a consumer, because from then on consumer and
-// acks release concurrently and a later Retain could find the slab free.
+// reference per packet not yet built: slabFor takes them all, in one
+// add, before the first packet can reach a consumer, because from then
+// on consumer and acks release concurrently and a later Retain could
+// find the slab free.
 // nextPacket hands one to a slab packet and releases the one an inline
 // packet does not need — on the injecting goroutine, so the slab returns
 // to the pool shard it came from; abandon releases the rest.
@@ -145,9 +146,7 @@ func slabFor(hdr *Header, src []byte, own *bufpool.Buf) *bufpool.Buf {
 	if own == nil && len(src) > 0 {
 		own = bufpool.GetCopy(src)
 	}
-	for i := packetsFor(len(src)); i > 1; i-- {
-		own.Retain()
-	}
+	own.RetainN(int32(packetsFor(len(src)) - 1))
 	return own
 }
 

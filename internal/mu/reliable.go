@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,24 +32,31 @@ import (
 // matching and the collective inbox rely on per-flow ordering): the
 // packet that is next in line goes straight into the reception FIFO, one
 // that arrives past a hole parks in a reorder ring until the hole fills.
-// Every accepted copy is answered by one ack, selective and cumulative
-// at once: seq (the packet it answers), frontier (nextExp-1, the end of
-// the in-order prefix), seen (the highest sequence number accepted) and
-// credit (the reception FIFO's slack, see creditFor). The sender retires
-// seq and everything <= frontier in one step, so a lost ack is repaired
-// by the next one with no resend and no duplicate; seen > frontier says
-// there is a hole, and that it starts at frontier+1.
+//
+// Bursts. Software pays per burst, not per packet, as it pays the MU per
+// descriptor: a sender stages up to burstMax packets of one message
+// under one smu hold, the attempt pass decides each packet's fate, and
+// the receiver takes the surviving copies under one rmu hold and answers
+// them with one ack, selective and cumulative at once: seq (the highest
+// sequence number the burst's copies reached), frontier (nextExp-1, the
+// end of the in-order prefix), sack (what is parked past it), seen (the
+// highest sequence number accepted) and credit (the reception FIFO's
+// slack, see creditFor), plus a nack bit per copy whose CRC failed. The
+// sender retires seq, the sack and everything <= frontier in one step,
+// so a lost ack is repaired by the next one with no resend and no
+// duplicate; seen > frontier says there is a hole, and that it starts at
+// frontier+1.
 //
 // Who resends when. deliver does not apply the ack; it hands it to the
 // goroutine that ran the attempt, which applies it under the send lock
-// it needs anyway to stage its next packet and, if the ack reports a
-// hole, resends the missing packet itself, at once — provided the report
-// proves a loss: the packet is unacknowledged, no attempt of it is
-// executing, and the receiver has seen a packet staged after its last
-// transmission (seen >= sentBefore). Each resend needs fresh proof. A
-// failed CRC elicits a nack, answered the same way up to maxFastRetx
-// times in a row. The daemon and its doubling timeout are the fallback:
-// the tail of a burst (nothing later exposes the hole), delay faults,
+// it needs anyway to stage its next burst and, if the ack reports a
+// hole, resends the missing packet itself, at once, as a burst of one —
+// provided the report proves a loss: the packet is unacknowledged, no
+// attempt of it is executing, and the receiver has seen a packet staged
+// after its last transmission (seen >= sentBefore). Each resend needs
+// fresh proof. A nacked packet is resent the same way, up to maxFastRetx
+// times per call. The daemon and its doubling timeout are the fallback:
+// the tail of a stream (nothing later exposes the hole), delay faults,
 // stalled or saturated receivers, and dead peers, whose flows it fails
 // with ErrPeerDead after the retry budget.
 //
@@ -63,6 +71,9 @@ const (
 	// the receiver's reorder ring, so it must stay a power of two.
 	sendWindow = 64
 	winMask    = sendWindow - 1
+	// burstMax bounds a burst, so how long one sender holds smu and rmu; at
+	// most sendWindow, since nack bits are seq&winMask. 4 KiB is one burst.
+	burstMax = 16
 	// initialRTO is the first retransmission timeout; it doubles on
 	// every expiry up to maxRTO.
 	initialRTO = 2 * time.Millisecond
@@ -215,7 +226,7 @@ type flow struct {
 	rmu      sync.Mutex
 	nextExp  uint64
 	maxSeen  uint64              // highest PktSeq accepted (delivered or parked)
-	parked   int                 // packets in reorder
+	parked   uint64              // bit seq&winMask per packet in reorder
 	reorder  *[sendWindow]Packet // slot of seq is reorder[seq&winMask]; allocated at the first hole
 	rscratch [hdrBytes]byte
 }
@@ -231,13 +242,16 @@ func (r *reliableLayer) retireLocked(pp *pendingPkt) {
 	}
 }
 
-// ackInfo is what one attempt brings back to the sender: an ack (ok), a
-// nack (the CRC failed at the receiver), or nothing — the packet was
-// dropped, refused or held back, or its ack was lost on the reverse
+// ackInfo is what one attempt pass brings back to the sender: the
+// burst's ack (ok) and its nacks, bit seq&winMask per copy whose CRC
+// failed. sack is the receiver's reorder ring, bit i for frontier+1+i.
+// No ack means no copy got past the CRC and the refusals — they were
+// dropped, refused or held back — or the ack was lost on the reverse
 // path, and the timer recovers it.
 type ackInfo struct {
-	ok, nack            bool
+	ok                  bool
 	seq, frontier, seen uint64
+	sack, nacks         uint64
 	credit              uint64
 }
 
@@ -511,16 +525,16 @@ func (r *reliableLayer) routeInfo(sn, dn torus.Rank) (int, bool) {
 	return e.hops, e.ok
 }
 
-// chunkSentHook, when non-nil, runs on the sending goroutine between one
-// packet's attempt (ack applied) and the staging of the next. Tests use
-// it to force a consumer's release into that gap.
-var chunkSentHook func()
+// burstSentHook, when non-nil, runs on the sending goroutine between one
+// burst's attempt pass (ack applied) and the staging of the next. Tests
+// use it to force a consumer's release into that gap.
+var burstSentHook func()
 
 // injectMemFIFOBuf is the faulted leg of injectMemFIFO, copy-in (own
 // nil) and ownership transfer alike: same packetization and accounting,
-// but every packet is built in the flow's window, attempted, and only
-// forgotten once acknowledged. The own reference is consumed on every
-// path, error included.
+// but every packet is built in the flow's window, attempted in a burst,
+// and only forgotten once acknowledged. The own reference is consumed on
+// every path, error included.
 func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAddr, hdr *Header, src []byte, own *bufpool.Buf) error {
 	if r.closed.Load() {
 		own.Release()
@@ -551,7 +565,7 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 	now := r.now()
 	fl.smu.Lock()
 	for more := true; more; more = len(src) > 0 {
-		pp, err := r.stageLocked(fl, hdr, &src, own, fifo, &now)
+		first, n, err := r.stageLocked(fl, hdr, &src, own, fifo, &now)
 		if err != nil {
 			fl.smu.Unlock()
 			// Staged chunks keep their references until acked; the rest's
@@ -559,8 +573,8 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 			abandon(own, src)
 			return err
 		}
-		r.transmitLocked(fl, pp, nil)
-		if h := chunkSentHook; h != nil {
+		r.transmitLocked(fl, first, n, nil)
+		if h := burstSentHook; h != nil {
 			fl.smu.Unlock()
 			h()
 			fl.smu.Lock()
@@ -572,13 +586,16 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 	return nil
 }
 
-// stageLocked waits for window space and receiver credit, builds the
-// message's next packet (nextPacket; *src advances) in the window slot
-// of the next sequence number, stamps it with that number and its
-// checksum, and records one inflight hold for the attempt the caller
-// runs next. On error nothing was built. Caller holds fl.smu; *now is
-// refreshed if it parked.
-func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, src *[]byte, own *bufpool.Buf, fifo *RecFIFO, now *int64) (*pendingPkt, error) {
+// stageLocked stages the message's next burst, sequence numbers
+// first..first+n-1: it waits for window space and receiver credit, then
+// builds packets (nextPacket; *src advances) into consecutive window
+// slots while canStage holds, up to burstMax or the message's end. It
+// never parks once a packet is staged: no one can ack a packet before
+// its attempt pass, so the window would never open. Each packet is
+// stamped with its number and checksum and holds one inflight for the
+// attempt pass the caller runs next. On error nothing was staged.
+// Caller holds fl.smu; *now is refreshed if it parked.
+func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, src *[]byte, own *bufpool.Buf, fifo *RecFIFO, now *int64) (first uint64, n int, err error) {
 	if fl.lastFifo != fifo {
 		if fl.lastFifo == nil {
 			// Seed the flow's credit with the receiver's current slack; from
@@ -592,26 +609,30 @@ func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, src *[]byte, own *buf
 		*now = r.now()
 	}
 	if fl.failed != nil {
-		return nil, fl.failed
+		return 0, 0, fl.failed
 	}
 	if r.closed.Load() {
-		return nil, ErrFabricClosed
+		return 0, 0, ErrFabricClosed
 	}
-	pp := &fl.win[fl.nextSeq&winMask]
-	*pp = pendingPkt{
-		firstTx:    *now,
-		deadline:   *now + int64(initialRTO),
-		rto:        initialRTO,
-		sentBefore: fl.nextSeq + 1,
-		attempts:   1,
-		inflight:   1,
+	first = fl.nextSeq
+	for more := true; more && n < burstMax && fl.canStage(); more = len(*src) > 0 {
+		pp := &fl.win[fl.nextSeq&winMask]
+		*pp = pendingPkt{
+			firstTx:    *now,
+			deadline:   *now + int64(initialRTO),
+			rto:        initialRTO,
+			sentBefore: fl.nextSeq + 1,
+			attempts:   1,
+			inflight:   1,
+		}
+		*src = nextPacket(&pp.pkt, hdr, *src, own)
+		pp.pkt.pktSeq = fl.nextSeq
+		pp.pkt.checksum = packetChecksum(&fl.sscratch, &pp.pkt)
+		fl.nextSeq++
+		n++
 	}
-	*src = nextPacket(&pp.pkt, hdr, *src, own)
-	pp.pkt.pktSeq = fl.nextSeq
-	pp.pkt.checksum = packetChecksum(&fl.sscratch, &pp.pkt)
-	fl.nextSeq++
-	r.unackedG.Inc()
-	return pp, nil
+	r.unackedG.Update(int64(n))
+	return first, n, nil
 }
 
 // canStage reports whether the next sequence number may be staged now:
@@ -647,14 +668,19 @@ func (r *reliableLayer) awaitWindowLocked(fl *flow, fifo *RecFIFO) {
 	}
 }
 
-// transmitLocked runs one attempt of pp and then whatever its outcome
-// asks of this goroutine: resends after a nack, or the resend of the
-// packet the ack reported missing. cause is nil for a first
-// transmission, which stageLocked has already counted in attempts and
-// inflight, and the counter to charge for a resend. Entered and left
-// with fl.smu held; the lock is dropped around every attempt.
-func (r *reliableLayer) transmitLocked(fl *flow, pp *pendingPkt, cause *telemetry.Counter) {
-	for nacks := 0; pp != nil; cause = r.fastRetransmits {
+// transmitLocked runs one attempt pass over the window's packets
+// first..first+n-1 and then whatever its outcome asks of this goroutine:
+// the resend of the packet the ack proved missing, else of a packet
+// whose copy failed its CRC (at most maxFastRetx of those), each a burst
+// of one, until nothing is asked. cause is nil for a fresh burst, which
+// stageLocked has already counted in attempts and inflight, and the
+// counter to charge for a resend (n == 1); first 0 asks nothing.
+// Entered and left with fl.smu held; the lock is dropped around every
+// attempt pass.
+func (r *reliableLayer) transmitLocked(fl *flow, first uint64, n int, cause *telemetry.Counter) {
+	var nacked uint64 // seq&winMask of nacked packets not yet looked at
+	for fast := 0; first != 0; n, cause = 1, r.fastRetransmits {
+		pp := &fl.win[first&winMask]
 		if cause != nil {
 			pp.attempts++
 			pp.inflight++
@@ -663,35 +689,50 @@ func (r *reliableLayer) transmitLocked(fl *flow, pp *pendingPkt, cause *telemetr
 		}
 		attempt, fifo := int(pp.attempts), fl.lastFifo
 		fl.smu.Unlock()
-		a := r.attemptOnce(fl, pp, fifo, attempt)
+		a := r.attemptOnce(fl, first, n, attempt, fifo)
 		fl.smu.Lock()
-		pp.inflight--
-		if pp.acked && pp.inflight == 0 {
-			// Retired while this attempt ran: the last reader drops the
-			// window's reference, and a stager may be waiting for the slot.
-			pp.pkt.Release()
-			fl.cond.Broadcast()
+		for seq := first; seq < first+uint64(n); seq++ {
+			pp := &fl.win[seq&winMask]
+			if pp.inflight--; pp.acked && pp.inflight == 0 {
+				// Retired while this attempt ran: the last reader drops the
+				// window's reference, and a stager may be waiting for the slot.
+				pp.pkt.Release()
+				fl.cond.Broadcast()
+			}
 		}
-		switch {
-		case a.ok:
-			pp = r.applyAckLocked(fl, a)
-		case a.nack && !pp.acked && nacks < maxFastRetx:
-			nacks++
-		default:
-			pp = nil
+		first, nacked = 0, nacked|a.nacks
+		if a.ok {
+			first = r.applyAckLocked(fl, a)
+		}
+		// A bit names its slot's live seq; a later tenant's went unanswered too.
+		for seq := fl.base; first == 0 && nacked != 0 && fast < maxFastRetx && seq < fl.nextSeq; seq++ {
+			if bit := uint64(1) << (seq & winMask); nacked&bit != 0 {
+				nacked &^= bit
+				if pp := &fl.win[seq&winMask]; !pp.acked && pp.inflight == 0 {
+					first, fast = seq, fast+1
+				}
+			}
 		}
 	}
 }
 
 // applyAckLocked is the sender's half of the ack protocol: retire the
-// acknowledged packet and everything up to the cumulative frontier,
-// advance base over the retired prefix, extend credit, and decide
-// whether the hole the ack reports is proof of a loss. It returns the
-// packet the caller must resend, or nil. Caller holds fl.smu.
-func (r *reliableLayer) applyAckLocked(fl *flow, a ackInfo) *pendingPkt {
+// acknowledged packet, every packet the receiver holds parked, and
+// everything up to the cumulative frontier, advance base over the
+// retired prefix, extend credit, and decide whether the hole the ack
+// reports is proof of a loss. It returns the sequence number the caller
+// must resend, or 0. Caller holds fl.smu.
+func (r *reliableLayer) applyAckLocked(fl *flow, a ackInfo) uint64 {
 	if a.seq >= fl.base && a.seq < fl.nextSeq {
 		if pp := &fl.win[a.seq&winMask]; !pp.acked {
 			r.retireLocked(pp)
+		}
+	}
+	for m := a.sack; m != 0; m &= m - 1 {
+		if seq := a.frontier + 1 + uint64(bits.TrailingZeros64(m)); seq >= fl.base && seq < fl.nextSeq {
+			if pp := &fl.win[seq&winMask]; !pp.acked {
+				r.retireLocked(pp)
+			}
 		}
 	}
 	base := fl.base
@@ -709,149 +750,177 @@ func (r *reliableLayer) applyAckLocked(fl *flow, a ackInfo) *pendingPkt {
 	if fl.base != base {
 		fl.cond.Broadcast()
 	}
-	if m := max(a.seq, a.frontier); m > fl.maxAcked {
-		fl.maxAcked = m
-	}
+	fl.maxAcked = max(fl.maxAcked, a.seq, a.frontier)
 	r.grantLocked(fl, fl.maxAcked+a.credit)
 	if hole := a.frontier + 1; a.seen > a.frontier && hole >= fl.base && hole < fl.nextSeq {
 		if pp := &fl.win[hole&winMask]; !pp.acked && pp.inflight == 0 && a.seen >= pp.sentBefore {
 			pp.sentBefore = fl.nextSeq
-			return pp
+			return hole
 		}
 	}
-	return nil
+	return 0
 }
 
-// attemptOnce pushes one copy of the packet through the injector and,
-// if it survives, the receiver-side protocol. It returns what came back
-// (a duplicated copy can bring an ack even when the attempt is lost).
-func (r *reliableLayer) attemptOnce(fl *flow, pp *pendingPkt, fifo *RecFIFO, attempt int) ackInfo {
-	if r.inj.NotePacket(fl.dstNode) {
-		r.stallDrops.Inc()
-		return ackInfo{}
+// attemptOnce pushes one copy of each of the window's packets
+// first..first+n-1 through the injector — NotePacket, NodeFaulted and
+// Decide per packet, in sequence order, so count-triggered faults trip
+// on the same packet whatever the burst — and hands the copies that
+// survive to the receiver as one burst. It returns what came back.
+func (r *reliableLayer) attemptOnce(fl *flow, first uint64, n, attempt int, fifo *RecFIFO) ackInfo {
+	var burst [2 * burstMax]*Packet // each packet may arrive twice
+	var bad *[burstMax]Packet       // corrupt copies, allocated at the first
+	k, nbad := 0, 0
+	for seq := first; seq < first+uint64(n); seq++ {
+		if r.inj.NotePacket(fl.dstNode) {
+			r.stallDrops.Inc()
+			continue
+		}
+		if r.inj.NodeFaulted(fl.dstNode) {
+			// The destination node has crashed or hung: its MU accepts
+			// nothing. The packet vanishes; the timer retries until the retry
+			// budget or the health monitor declares the peer dead.
+			r.blackholed.Inc()
+			continue
+		}
+		pkt := &fl.win[seq&winMask].pkt
+		act := r.inj.Decide(fl.hash, seq, attempt)
+		if act.Has(fault.Duplicate) {
+			// An extra copy arrives; the receiver suppresses the second one.
+			burst[k], k = pkt, k+1
+		}
+		if act.Has(fault.Drop) {
+			r.dropsInjected.Inc()
+			continue
+		}
+		if act.Has(fault.Corrupt) {
+			if bad == nil {
+				bad = new([burstMax]Packet)
+			}
+			bad[nbad] = corruptCopy(pkt, r.inj.CorruptByte(fl.hash, seq, attempt))
+			pkt, nbad = &bad[nbad], nbad+1
+		}
+		if act.Has(fault.Delay) {
+			r.delaysInjected.Inc()
+			r.holdBack(fl, pkt, fifo, attempt, r.inj.DelayFor(fl.hash, seq, attempt))
+			continue
+		}
+		burst[k], k = pkt, k+1
 	}
-	if r.inj.NodeFaulted(fl.dstNode) {
-		// The destination node has crashed or hung: its MU accepts
-		// nothing. The packet vanishes; the timer retries until the retry
-		// budget or the health monitor declares the peer dead.
-		r.blackholed.Inc()
-		return ackInfo{}
+	a := r.deliver(fl, burst[:k], fifo, attempt)
+	for i := 0; i < nbad; i++ {
+		bad[i].Release()
 	}
-	pkt := &pp.pkt
-	seq := pkt.pktSeq
-	act := r.inj.Decide(fl.hash, seq, attempt)
-	var dupAck ackInfo
-	if act.Has(fault.Duplicate) {
-		// An extra copy arrives; the receiver suppresses the second one.
-		dupAck = r.deliver(fl, pkt, fifo, attempt)
-	}
-	if act.Has(fault.Drop) {
-		r.dropsInjected.Inc()
-		return dupAck
-	}
-	if act.Has(fault.Corrupt) {
-		c := corruptCopy(pkt, r.inj.CorruptByte(fl.hash, seq, attempt))
-		defer c.Release()
-		pkt = &c
-	}
-	if act.Has(fault.Delay) {
-		r.delaysInjected.Inc()
-		r.holdBack(fl, pkt, fifo, attempt, r.inj.DelayFor(fl.hash, seq, attempt))
-		return dupAck
-	}
-	if a := r.deliver(fl, pkt, fifo, attempt); a.ok || !dupAck.ok {
-		return a
-	}
-	return dupAck
+	return a
 }
 
 // deliver is the receiver side, run inline by fabric code (it models MU
-// hardware, not the destination CPU): CRC verify, duplicate
-// suppression, reorder to strict in-order delivery, acknowledge. pkt is
-// read in place, never written; the receiver takes its own reference to
-// the slabs before the consumer can reach the packet. The ack is
-// returned, not applied: the caller owns the sender side.
-func (r *reliableLayer) deliver(fl *flow, pkt *Packet, fifo *RecFIFO, attempt int) ackInfo {
-	seq := pkt.pktSeq
-	fl.rmu.Lock()
-	if packetChecksum(&fl.rscratch, pkt) != pkt.checksum {
-		fl.rmu.Unlock()
-		r.corruptDrops.Inc()
-		r.nacksSent.Inc()
-		return ackInfo{nack: true}
+// hardware, not the destination CPU): under one rmu hold it takes the
+// burst's copies in order through CRC verify, duplicate suppression,
+// refusal, in-order publish or park and the reorder drain, and answers
+// with one ack, returned, not applied. Copies are read in place. Each
+// one's reference is taken before the first can reach the consumer, one
+// add per run viewing the same slab; a copy not accepted drops its own.
+// Publishing is quiet, with one wake-up once rmu is released.
+func (r *reliableLayer) deliver(fl *flow, burst []*Packet, fifo *RecFIFO, attempt int) ackInfo {
+	for i, run := 0, int32(1); i < len(burst); i, run = i+1, run+1 {
+		burst[i].mbuf.Retain()
+		if i+1 == len(burst) || burst[i+1].pbuf != burst[i].pbuf {
+			burst[i].pbuf.RetainN(run)
+			run = 0
+		}
 	}
-	switch {
-	case seq < fl.nextExp || (fl.parked > 0 && fl.reorder[seq&winMask].pktSeq == seq):
-		// Duplicate. Re-ack: the earlier ack may have been lost, leaving
-		// the sender retransmitting an already-delivered packet.
-		r.dupDrops.Inc()
-	case seq-fl.nextExp >= sendWindow || fifo.saturatedFor(fl.key.src):
-		// Past the reorder ring (base ran ahead of a stuck in-order
-		// prefix), or this flow's shard of the reception FIFO has its
-		// overflow at cap: the consumer has stopped draining. Refuse the
-		// packet before accepting it — no ack, so the sender's timer
-		// retries: the backpressure a full hardware FIFO exerts.
-		fl.rmu.Unlock()
-		r.fifoRefusals.Inc()
-		return ackInfo{}
-	case seq == fl.nextExp:
-		// Next in line: straight into the reception FIFO.
-		pkt.Retain()
-		if fifo.deliver(pkt, false) != nil {
-			// Saturation raced past the pre-check: withdraw; the sender retries.
-			fl.rmu.Unlock()
+	var a ackInfo
+	published := false
+	fl.rmu.Lock()
+	for _, pkt := range burst {
+		seq := pkt.pktSeq
+		if packetChecksum(&fl.rscratch, pkt) != pkt.checksum {
+			pkt.unretain()
+			r.corruptDrops.Inc()
+			r.nacksSent.Inc()
+			a.nacks |= 1 << (seq & winMask)
+			continue
+		}
+		switch {
+		case seq < fl.nextExp || (fl.parked&(1<<(seq&winMask)) != 0 && fl.reorder[seq&winMask].pktSeq == seq):
+			// Duplicate. Re-ack: the earlier ack may have been lost, leaving
+			// the sender retransmitting an already-delivered packet.
+			pkt.unretain()
+			r.dupDrops.Inc()
+		case seq-fl.nextExp >= sendWindow || fifo.saturatedFor(fl.key.src):
+			// Past the reorder ring (base ran ahead of a stuck in-order
+			// prefix), or this flow's shard of the reception FIFO has its
+			// overflow at cap: the consumer has stopped draining. Refuse the
+			// packet — no ack for it, so the sender's timer retries: the
+			// backpressure a full hardware FIFO exerts.
 			pkt.unretain()
 			r.fifoRefusals.Inc()
-			return ackInfo{}
+			continue
+		case seq == fl.nextExp:
+			// Next in line: straight into the reception FIFO.
+			if fifo.deliver(pkt, true) != nil {
+				// Saturation raced past the pre-check: withdraw; the sender retries.
+				pkt.unretain()
+				r.fifoRefusals.Inc()
+				continue
+			}
+			fl.nextExp++
+			published = true
+		default:
+			// Past a hole: park until the hole fills.
+			if fl.reorder == nil {
+				fl.reorder = new([sendWindow]Packet)
+			}
+			fl.reorder[seq&winMask] = *pkt
+			fl.parked |= 1 << (seq & winMask)
+			r.reorderDepth.Inc()
 		}
-		fl.nextExp++
-	default:
-		// Past a hole: park until the hole fills.
-		if fl.reorder == nil {
-			fl.reorder = new([sendWindow]Packet)
+		a.ok, a.seq, fl.maxSeen = true, max(a.seq, seq), max(fl.maxSeen, seq)
+		if r.drainLocked(fl, fifo) {
+			published = true
 		}
-		pkt.Retain()
-		fl.reorder[seq&winMask] = *pkt
-		fl.parked++
-		r.reorderDepth.Inc()
 	}
-	if seq > fl.maxSeen {
-		fl.maxSeen = seq
+	a.frontier, a.seen = fl.nextExp-1, fl.maxSeen
+	a.sack = bits.RotateLeft64(fl.parked, -int(fl.nextExp&winMask))
+	fl.rmu.Unlock()
+	if published {
+		fifo.region.Touch()
 	}
-	// Drain the ring's in-order prefix while still holding rmu, so
-	// concurrent deliveries cannot interleave the restored order. A refusal
-	// leaves the rest parked (acked already) for the next arrival to retry.
-	drained := 0
-	for ; drained < fl.parked; drained++ {
+	// The ack crosses the reverse path, subject to ack loss, and
+	// piggybacks the receiver's credit advertisement, so credit flows back
+	// on the very traffic it regulates; a lost ack loses its grant too,
+	// and the next ack or the daemon's refresh repairs it (grants are
+	// cumulative, so replays and reordering are harmless). Nacks are not
+	// lost with it.
+	if a.ok && r.inj.DropAck(fl.hash, a.seq, attempt) {
+		r.acksDropped.Inc()
+		a.ok = false
+	} else if a.ok {
+		r.acksSent.Inc()
+		a.credit = creditFor(fifo, fl.key.src)
+	}
+	return a
+}
+
+// drainLocked publishes the reorder ring's in-order prefix, quietly,
+// and reports whether it published anything. It runs under rmu, so
+// concurrent deliveries cannot interleave the restored order. A refusal
+// leaves the rest parked (acked already) for the next arrival or the
+// daemon to retry. Caller holds fl.rmu.
+func (r *reliableLayer) drainLocked(fl *flow, fifo *RecFIFO) (published bool) {
+	for bit := uint64(1) << (fl.nextExp & winMask); fl.parked&bit != 0; bit = bits.RotateLeft64(bit, 1) {
 		slot := &fl.reorder[fl.nextExp&winMask]
-		if slot.pktSeq != fl.nextExp {
-			break
-		}
-		if fifo.deliver(slot, false) != nil {
+		if fifo.deliver(slot, true) != nil {
 			r.fifoRefusals.Inc()
 			break
 		}
 		*slot = Packet{}
 		fl.nextExp++
+		fl.parked &^= bit
+		r.reorderDepth.Dec()
+		published = true
 	}
-	if drained > 0 {
-		fl.parked -= drained
-		r.reorderDepth.Update(-int64(drained))
-	}
-	a := ackInfo{seq: seq, frontier: fl.nextExp - 1, seen: fl.maxSeen}
-	fl.rmu.Unlock()
-	// The ack crosses the reverse path, subject to ack loss, and
-	// piggybacks the receiver's credit advertisement, so credit flows back
-	// on the very traffic it regulates; a lost ack loses its grant too,
-	// and the next ack or the daemon's refresh repairs it (grants are
-	// cumulative, so replays and reordering are harmless).
-	if r.inj.DropAck(fl.hash, seq, attempt) {
-		r.acksDropped.Inc()
-		return ackInfo{}
-	}
-	r.acksSent.Inc()
-	a.ok, a.credit = true, creditFor(fifo, fl.key.src)
-	return a
+	return published
 }
 
 func (r *reliableLayer) holdBack(fl *flow, pkt *Packet, fifo *RecFIFO, attempt int, d time.Duration) {
@@ -901,10 +970,10 @@ func (r *reliableLayer) releaseDelayed(now int64) {
 	r.dmu.Unlock()
 	for i := range rel {
 		dp := &rel[i]
-		// A nack here is ignored: the sender's timer covers the loss.
-		if a := r.deliver(dp.fl, &dp.pkt, dp.fifo, dp.attempt); a.ok {
+		// A burst of one; a nack is ignored, the sender's timer covers it.
+		if a := r.deliver(dp.fl, []*Packet{&dp.pkt}, dp.fifo, dp.attempt); a.ok {
 			dp.fl.smu.Lock()
-			r.transmitLocked(dp.fl, r.applyAckLocked(dp.fl, a), r.fastRetransmits)
+			r.transmitLocked(dp.fl, r.applyAckLocked(dp.fl, a), 1, r.fastRetransmits)
 			dp.fl.smu.Unlock()
 		}
 		dp.pkt.Release()
@@ -953,9 +1022,20 @@ func (r *reliableLayer) retransmitDue(fl *flow, now int64) {
 		pp.deadline = now + int64(pp.rto)
 		pp.sentBefore = fl.nextSeq
 		r.backoffNS.Add(int64(pp.rto))
-		r.transmitLocked(fl, pp, r.timerRetransmits)
+		r.transmitLocked(fl, seq, 1, r.timerRetransmits)
 	}
+	fifo, failed := fl.lastFifo, fl.failed
 	fl.smu.Unlock()
+	// The receiver half: a drain a saturated FIFO refused waits for the
+	// next arrival, and none comes once the sender's window is all acked.
+	if fifo != nil && failed == nil {
+		fl.rmu.Lock()
+		published := r.drainLocked(fl, fifo)
+		fl.rmu.Unlock()
+		if published {
+			fifo.region.Touch()
+		}
+	}
 	if dead != "" {
 		r.budgetExceeded.Inc()
 		r.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: %s (%v): %w",
@@ -1065,13 +1145,11 @@ func (r *reliableLayer) reviveNode(node torus.Rank) {
 		// Receiver side: release what is parked past a hole the dead
 		// incarnation will never fill.
 		fl.rmu.Lock()
-		for i := 0; i < sendWindow && fl.parked > 0; i++ {
-			if slot := &fl.reorder[i]; slot.pktSeq != 0 {
-				slot.Release()
-				*slot = Packet{}
-				fl.parked--
-				r.reorderDepth.Dec()
-			}
+		for ; fl.parked != 0; fl.parked &= fl.parked - 1 {
+			slot := &fl.reorder[bits.TrailingZeros64(fl.parked)]
+			slot.Release()
+			*slot = Packet{}
+			r.reorderDepth.Dec()
 		}
 		fl.rmu.Unlock()
 	}
@@ -1118,7 +1196,7 @@ func (r *reliableLayer) quiesced() error {
 			return fmt.Errorf("mu: flow %v -> %v: window of %d packets not fully acknowledged", fl.key.src, fl.key.dst, unacked)
 		}
 		fl.rmu.Lock()
-		parked := fl.parked
+		parked := bits.OnesCount64(fl.parked)
 		fl.rmu.Unlock()
 		if parked > 0 {
 			return fmt.Errorf("mu: flow %v -> %v: %d packets parked out of order", fl.key.src, fl.key.dst, parked)

@@ -45,6 +45,9 @@ func awaitQuiesced(t *testing.T, f *Fabric, where string) {
 // slab) and the three-packet messages end in an inline 13-byte tail, so
 // inline packets are dropped, duplicated, delayed and corrupted — a
 // flipped inline byte must fail the CRC — like the slab ones beside them.
+// One message per flow is longer than the window, so its bursts end on
+// the burst bound and, behind a hole, on the window; odd seeds cap the
+// reception FIFO's overflow so that credit, not the window, binds them.
 func TestWindowProperty(t *testing.T) {
 	plans := []struct {
 		name string
@@ -57,21 +60,32 @@ func TestWindowProperty(t *testing.T) {
 		{"ack-loss-heavy", fault.Plan{Drop: 0.30}},
 	}
 	const (
-		seeds  = 32
-		msgs   = 12
-		msgLen = 2*MaxPayload + 13 // 3 packets
-		perMsg = (msgLen + MaxPayload - 1) / MaxPayload
+		seeds   = 32
+		msgs    = 12
+		msgLen  = 2*MaxPayload + 13 // 3 packets
+		longMsg = 7
+		longLen = (sendWindow+5)*MaxPayload + 13 // past the window
 	)
 	lenOf := func(m int) int { // of message m, on every flow
-		if m%3 == 2 {
+		switch {
+		case m == longMsg:
+			return longLen
+		case m%3 == 2:
 			return 40
 		}
 		return msgLen
 	}
-	var sched []int // the messages' packets in order, as m*perMsg + chunk
+	type chunk struct{ m, off int }
+	var sched []chunk // the messages' packets in order
 	for m := 0; m < msgs; m++ {
-		for c := 0; c*MaxPayload < lenOf(m); c++ {
-			sched = append(sched, m*perMsg+c)
+		for off := 0; off < lenOf(m); off += MaxPayload {
+			sched = append(sched, chunk{m, off})
+		}
+	}
+	var payloads [5][msgs][]byte // of origin o, message m
+	for o := range payloads {
+		for m := range payloads[o] {
+			payloads[o][m] = testMessage(o, m, lenOf(m))
 		}
 	}
 	if testing.Short() {
@@ -87,6 +101,9 @@ func TestWindowProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				dst := setupEndpoint(t, f, 0, 0, 0)
+				if seed%2 == 1 {
+					dst.Rec.SetOverflowCap(32) // a shard's credit: 16 slots + 8 overflow
+				}
 				src := make([]*ContextResources, origins+1)
 				for o := 1; o <= origins; o++ {
 					src[o] = setupEndpoint(t, f, o, torus.Rank(o), 0)
@@ -104,7 +121,7 @@ func TestWindowProperty(t *testing.T) {
 						defer senders.Done()
 						for m := 0; m < msgs; m++ {
 							hdr := Header{Dispatch: 1, Origin: TaskAddr{o, 0}, Seq: uint64(m), Meta: []byte{byte(o), byte(m)}}
-							payload := testMessage(o, m, lenOf(m))
+							payload := payloads[o][m]
 							var err error
 							if (o+m)%2 == 0 { // both entry points share the one packetizer
 								err = f.InjectMemFIFOBuf(src[o].PinnedInj(0), TaskAddr{0, 0}, hdr, bufpool.GetCopy(payload))
@@ -123,12 +140,12 @@ func TestWindowProperty(t *testing.T) {
 				next := make([]int, origins+1) // packets seen per origin
 				for _, p := range drainPackets(t, dst.Rec, origins*len(sched), 20*time.Second) {
 					o := p.Header().Origin.Task
-					m, off := sched[next[o]]/perMsg, sched[next[o]]%perMsg*MaxPayload
+					m, off := sched[next[o]].m, sched[next[o]].off
 					next[o]++
 					if p.Header().Seq != uint64(m) || p.Header().Offset != off {
 						t.Fatalf("%s: origin %d: got (msg %d, off %d), want (msg %d, off %d)", name, o, p.Header().Seq, p.Header().Offset, m, off)
 					}
-					if want := testMessage(o, m, lenOf(m))[off:min(off+MaxPayload, lenOf(m))]; !bytes.Equal(p.Payload(), want) {
+					if want := payloads[o][m][off:min(off+MaxPayload, lenOf(m))]; !bytes.Equal(p.Payload(), want) {
 						t.Fatalf("%s: origin %d msg %d off %d: payload mangled", name, o, m, off)
 					}
 					if off == 0 && !bytes.Equal(p.Header().Meta, []byte{byte(o), byte(m)}) {
@@ -174,13 +191,14 @@ func TestQuiescedWaitsForRunningAttempt(t *testing.T) {
 	own := slabFor(&hdr, src, nil)
 	now := r.now()
 	fl.smu.Lock()
-	pp, err := r.stageLocked(fl, &hdr, &src, own, dst.Rec, &now)
+	seq, _, err := r.stageLocked(fl, &hdr, &src, own, dst.Rec, &now)
 	if err != nil {
 		fl.smu.Unlock()
 		t.Fatal(err)
 	}
+	pp := &fl.win[seq&winMask]
 	pp.deadline = math.MaxInt64 // the daemon's timer stays out: the twin below is it
-	r.transmitLocked(fl, pp, r.timerRetransmits)
+	r.transmitLocked(fl, seq, 1, r.timerRetransmits)
 	retired, running := pp.acked, pp.inflight
 	fl.smu.Unlock()
 	if !retired || running != 1 {
@@ -194,7 +212,7 @@ func TestQuiescedWaitsForRunningAttempt(t *testing.T) {
 	}
 
 	fl.smu.Lock()
-	r.transmitLocked(fl, pp, nil) // the held attempt: a duplicate, suppressed and re-acked
+	r.transmitLocked(fl, seq, 1, nil) // the held attempt: a duplicate, suppressed and re-acked
 	fl.smu.Unlock()
 	if err := f.Quiesced(); err != nil {
 		t.Fatalf("held attempt returned: %v", err)
@@ -214,30 +232,38 @@ func TestQuiescedWaitsForRunningAttempt(t *testing.T) {
 // retransmission of the victim included.
 func cleanStreamSeed(t *testing.T, plan fault.Plan, n int, dropAck bool) (seed int64, victim uint64) {
 	t.Helper()
+	seed, victims := mishapSeed(t, plan, n, 1, dropAck)
+	return seed, victims[0]
+}
+
+// mishapSeed is cleanStreamSeed for k mishaps.
+func mishapSeed(t *testing.T, plan fault.Plan, n, k int, dropAck bool) (seed int64, victims []uint64) {
+	t.Helper()
 	hash := fault.FlowHash(1, 0, 0, 0)
 	for seed = 1; seed < 1<<16; seed++ {
 		inj, err := fault.NewInjector(dims, plan, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		victim, ok := uint64(0), true
+		victims = victims[:0]
+		ok := true
 		for seq := uint64(1); seq <= uint64(n) && ok; seq++ {
 			drop, ack := inj.Decide(hash, seq, 1).Has(fault.Drop), inj.DropAck(hash, seq, 1)
 			switch {
 			case !drop && !ack:
-			case victim == 0 && seq < uint64(n) && drop != dropAck && ack == dropAck:
-				victim = seq
+			case len(victims) < k && seq < uint64(n) && drop != dropAck && ack == dropAck:
+				victims = append(victims, seq)
 				ok = !inj.Decide(hash, seq, 2).Has(fault.Drop) && !inj.DropAck(hash, seq, 2)
 			default:
 				ok = false
 			}
 		}
-		if ok && victim != 0 {
-			return seed, victim
+		if ok && len(victims) == k {
+			return seed, victims
 		}
 	}
-	t.Fatal("no seed gives a single clean mishap")
-	return 0, 0
+	t.Fatalf("no seed gives %d clean mishaps", k)
+	return 0, nil
 }
 
 // streamOnePacketMessages sends n one-packet messages 1.0 -> 0.0 under
@@ -279,6 +305,41 @@ func TestGapResendBeatsTimer(t *testing.T) {
 	}
 	if g, _ := f.Telemetry().Snapshot().Gauge("reliable.reorder_depth"); g.HighWater != 1 || g.Value != 0 {
 		t.Errorf("reorder_depth = %+v, want one packet parked behind the hole and none at rest", g)
+	}
+}
+
+// Two packets of one burst lost on their first attempt: the burst's ack
+// proves the first hole, the first resend's ack the second, and the
+// sending goroutine resends both at once; the timer never fires. Every
+// burst and every resend is answered by exactly one ack.
+func TestTwoHolesInOneBurst(t *testing.T) {
+	const n = 16
+	plan := fault.Plan{Drop: 0.05}
+	seed, victims := mishapSeed(t, plan, n, 2, false)
+	f := newTestFabric(t)
+	dst := setupEndpoint(t, f, 0, 0, 0)
+	src := setupEndpoint(t, f, 1, 1, 0)
+	installPlan(t, f, plan, seed)
+	want := testMessage(1, 0, n*MaxPayload)
+	if err := f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, Header{Dispatch: 1, Origin: TaskAddr{1, 0}}, want); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for _, p := range drainPackets(t, dst.Rec, n, 5*time.Second) {
+		got = append(got, p.Payload()...)
+		p.Release()
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("seed %d: reassembled %d bytes, want the %d sent", seed, len(got), len(want))
+	}
+	awaitQuiesced(t, f, "two holes")
+	bursts := int64((n + burstMax - 1) / burstMax)
+	for name, want := range map[string]int64{
+		"drops_injected": 2, "fast_retransmits": 2, "timer_retransmits": 0, "dup_drops": 0, "acks_sent": bursts + 2,
+	} {
+		if got := relCounter(t, f, name); got != want {
+			t.Errorf("seed %d, packets %v dropped: %s = %d, want %d", seed, victims, name, got, want)
+		}
 	}
 }
 
@@ -330,32 +391,40 @@ func TestReliableInjectPollZeroAlloc(t *testing.T) {
 }
 
 // A multi-packet ownership-transfer send must hold every chunk's
-// reference before chunk 0 is staged: once chunk 0 is acked the window
-// drops its reference, and the consumer is free to drop the receiver's.
-// The hook forces exactly that — the consumer polls and releases each
-// packet before the next is staged — which, with a reference taken per
-// chunk in turn, leaves chunk 1 retaining a slab that is already free.
+// reference before chunk 0 is staged: once a burst is acked the window
+// drops its references, and the consumer is free to drop the receiver's.
+// The hook forces exactly that — between bursts the consumer polls and
+// releases everything delivered so far — which, with a reference taken
+// per chunk as it is staged, leaves the next burst retaining a slab that
+// is already free. The message is three bursts long.
 func TestDataBufChunkRefsTakenUpFront(t *testing.T) {
 	f := newTestFabric(t)
 	dst := setupEndpoint(t, f, 0, 0, 0)
 	src := setupEndpoint(t, f, 1, 1, 0)
 	installPlan(t, f, fault.Plan{}, 1)
 	live0, _ := bufpool.Live()
-	want := testMessage(1, 0, 3*MaxPayload)
+	want := testMessage(1, 0, (2*burstMax+3)*MaxPayload)
 	var got []byte
-	chunkSentHook = func() {
+	bursts := 0
+	burstSentHook = func() {
+		bursts++
 		p, ok := dst.Rec.Poll()
 		if !ok {
-			t.Error("hook: the packet just sent is not in the reception FIFO")
+			t.Error("hook: the burst just sent is not in the reception FIFO")
 			return
 		}
-		got = append(got, p.Payload()...)
-		p.Release()
+		for ; ok; p, ok = dst.Rec.Poll() {
+			got = append(got, p.Payload()...)
+			p.Release()
+		}
 	}
-	defer func() { chunkSentHook = nil }()
+	defer func() { burstSentHook = nil }()
 	hdr := Header{Dispatch: 1, Origin: TaskAddr{1, 0}}
 	if err := f.InjectMemFIFOBuf(src.PinnedInj(0), TaskAddr{0, 0}, hdr, bufpool.GetCopy(want)); err != nil {
 		t.Fatal(err)
+	}
+	if bursts != 3 {
+		t.Fatalf("the message went out in %d bursts, want 3", bursts)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("reassembled %d bytes, want the %d sent", len(got), len(want))

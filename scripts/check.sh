@@ -43,9 +43,9 @@ go test -race ./internal/wire ./internal/machine ./internal/health ./cmd/pamirun
 echo "==> GOMAXPROCS=1 go test -race ./internal/wire (a reader/writer pair must not need a second core to make progress)"
 GOMAXPROCS=1 go test -race ./internal/wire
 
-echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release, a kept view of an inline message reads poison; the live count folds the quarantine out, under -race)"
+echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release, a kept view of an inline message reads poison; the live count folds the quarantine out, under -race; the reliable layer's burst references, taken in one add and published to a concurrent consumer, under -race)"
 go test -tags bufpooldebug ./internal/bufpool ./internal/mu ./internal/core ./internal/mpilib
-go test -race -tags bufpooldebug ./internal/bufpool
+go test -race -tags bufpooldebug ./internal/bufpool ./internal/mu
 
 echo "==> benchmark module (outside ./...: vet + 1/100-length smoke run)"
 (cd benchmark && go vet ./... && go test)
