@@ -347,42 +347,3 @@ func TestJoinParameterMismatchPanics(t *testing.T) {
 	}()
 	cr.Join(1, KindReduce, OpMax, Int64, 8)
 }
-
-func TestGIBarrier(t *testing.T) {
-	const parties = 8
-	const rounds = 100
-	b := NewGIBarrier(parties)
-	var mu sync.Mutex
-	counts := make([]int, rounds)
-	var wg sync.WaitGroup
-	for p := 0; p < parties; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				mu.Lock()
-				counts[r]++
-				mu.Unlock()
-				b.Await()
-				mu.Lock()
-				c := counts[r]
-				mu.Unlock()
-				if c != parties {
-					t.Errorf("round %d released with %d arrivals", r, c)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestGIBarrierSingleParty(t *testing.T) {
-	b := NewGIBarrier(1)
-	for i := 0; i < 3; i++ {
-		b.Await()
-	}
-	if b.Parties() != 1 {
-		t.Fatal("Parties != 1")
-	}
-}

@@ -98,43 +98,3 @@ func TestJoinSentinelEscalatesCreditStall(t *testing.T) {
 		t.Fatal("sentinel never escalated the credit stall")
 	}
 }
-
-// GIBarrier poison must wake parked parties of the in-flight generation
-// with the cause, fail later Awaits fast, and be clear after Heal.
-func TestGIBarrierPoison(t *testing.T) {
-	b := NewGIBarrier(2)
-	done := make(chan error, 1)
-	go func() { done <- b.Await() }()
-	time.Sleep(10 * time.Millisecond) // let the party park
-	cause := abort.Causef(abort.KindHealth, "test.gibarrier", "peer died")
-	b.Poison(cause)
-	b.Poison(errors.New("second cause must not stick"))
-	select {
-	case err := <-done:
-		if !errors.Is(err, abort.ErrAborted) {
-			t.Fatalf("parked Await returned %v, want ErrAborted wrap", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("poison did not release the parked GI party")
-	}
-	if err := b.Await(); !errors.Is(err, cause) {
-		t.Fatalf("poisoned Await returned %v, want first cause fail-fast", err)
-	}
-	if err := b.Poisoned(); !errors.Is(err, cause) {
-		t.Fatalf("Poisoned() = %v, want first cause", err)
-	}
-	b.Heal()
-	res := make(chan error, 2)
-	go func() { res <- b.Await() }()
-	go func() { res <- b.Await() }()
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-res:
-			if err != nil {
-				t.Fatalf("healed Await returned %v", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("healed barrier did not complete")
-		}
-	}
-}

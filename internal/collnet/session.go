@@ -360,98 +360,3 @@ func (s *Session) Release(seq uint64) {
 	}
 	s.unlockRetire()
 }
-
-// GIBarrier is the Global Interrupt network barrier: a reusable,
-// generation-counted barrier across the nodes of a partition (paper §IV.B:
-// "we use the fast L2 atomics and the global interrupt network to provide
-// very low-overhead barrier across the entire machine").
-//
-// Like the L2 barrier, the GI barrier is poisonable: Poison releases
-// every parked party of the in-flight generation with the typed cause
-// and makes later Awaits fail fast until Heal.
-type GIBarrier struct {
-	parties int
-
-	mu      sync.Mutex
-	arrived int
-	gen     *giGen
-	poison  error // sticky: set by Poison, cleared by Heal
-}
-
-// giGen is one barrier generation: its completion channel and the error
-// (nil on a normal completion) every waiter of that generation returns.
-type giGen struct {
-	ch  chan struct{}
-	err error
-}
-
-// NewGIBarrier returns a barrier for the given number of nodes.
-func NewGIBarrier(parties int) *GIBarrier {
-	if parties < 1 {
-		panic("collnet: GI barrier needs at least one party")
-	}
-	return &GIBarrier{parties: parties, gen: &giGen{ch: make(chan struct{})}}
-}
-
-// Parties returns the number of participating nodes.
-func (b *GIBarrier) Parties() int { return b.parties }
-
-// Await blocks until all parties of the current generation arrive, or
-// until the barrier is poisoned — then every party of the generation
-// (parked and yet-to-arrive) gets the typed cause.
-func (b *GIBarrier) Await() error {
-	b.mu.Lock()
-	if b.poison != nil {
-		err := b.poison
-		b.mu.Unlock()
-		return err
-	}
-	b.arrived++
-	if b.arrived == b.parties {
-		g := b.gen
-		close(g.ch)
-		b.arrived = 0
-		b.gen = &giGen{ch: make(chan struct{})}
-		b.mu.Unlock()
-		return g.err
-	}
-	g := b.gen
-	b.mu.Unlock()
-	<-g.ch
-	return g.err
-}
-
-// Poison fails the in-flight generation with err and latches the cause:
-// parked parties wake with it, and later Awaits fail fast until Heal.
-// The first cause sticks.
-func (b *GIBarrier) Poison(err error) {
-	if err == nil {
-		panic("collnet: GIBarrier.Poison(nil)")
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.poison != nil {
-		return
-	}
-	b.poison = err
-	g := b.gen
-	g.err = err
-	close(g.ch)
-	b.arrived = 0
-	b.gen = &giGen{ch: make(chan struct{})}
-}
-
-// Poisoned returns the latched cause, or nil.
-func (b *GIBarrier) Poisoned() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.poison
-}
-
-// Heal clears the poison so the barrier is usable again; the recovery
-// layer calls it once membership is consistent. Idempotent.
-func (b *GIBarrier) Heal() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.poison = nil
-}

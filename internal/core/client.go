@@ -31,7 +31,6 @@ import (
 	"pamigo/internal/lockless"
 	"pamigo/internal/machine"
 	"pamigo/internal/mu"
-	"pamigo/internal/shmem"
 	"pamigo/internal/telemetry"
 )
 
@@ -162,7 +161,6 @@ func (c *Client) CreateContexts(n int) ([]*Context, error) {
 			inbox:     make(map[inboxKey][]byte),
 			workBatch: make([]func(), advanceBatch),
 			pktBatch:  make([]mu.Packet, advanceBatch),
-			msgBatch:  make([]shmem.Message, advanceBatch),
 			stats:     newCtxStats(c.tele.Group(fmt.Sprintf("task%d", addr.Task)).Group(fmt.Sprintf("ctx%d", ord))),
 		}
 		// Idle progress parks are legitimately indefinite: pinned

@@ -98,7 +98,6 @@ type Context struct {
 	// Advance on the same context, so one set per context suffices.
 	workBatch []func()
 	pktBatch  []mu.Packet
-	msgBatch  []shmem.Message
 
 	// del is the scratch Delivery reused for every eager dispatch. The
 	// DispatchFn contract makes the Delivery (not just Data) valid only for
@@ -281,11 +280,13 @@ func (ctx *Context) Post(fn func()) {
 	ctx.region.Touch()
 }
 
-// Advance makes progress on the context: it runs posted work, receives MU
-// packets, and receives shared-memory messages, up to max items, and
-// returns the number processed. Each source is drained in batches — one
-// queue-head update per batch rather than per item — into per-context
-// scratch arrays, so the steady state performs no allocation.
+// Advance makes progress on the context: it runs posted work, then
+// receives from the MU reception FIFO or, when that is empty, the
+// shared-memory queue, up to max items, and returns the number
+// processed. Both devices queue mu.Packet, so one scratch array and one
+// loop serve them. Each source is drained in batches — one queue-head
+// update per batch rather than per item — into per-context scratch
+// arrays, so the steady state performs no allocation.
 // Thread-unsafe by design; see the type comment.
 func (ctx *Context) Advance(max int) int {
 	if e := ctx.client.mach.Epoch(); e != ctx.epoch {
@@ -294,7 +295,7 @@ func (ctx *Context) Advance(max int) int {
 	}
 	if c := ctx.aborted.Load(); c != nil {
 		ctx.aborted.Store(nil)
-		ctx.failDeferred(c)
+		ctx.failDeferred(false, "aborted", c)
 	}
 	n := 0
 	if ctx.deferredLen > 0 {
@@ -318,31 +319,20 @@ func (ctx *Context) Advance(max int) int {
 		if k > len(ctx.pktBatch) {
 			k = len(ctx.pktBatch)
 		}
-		if g := ctx.muRes.Rec.PollBatch(ctx.pktBatch[:k]); g > 0 {
-			for i := 0; i < g; i++ {
-				// An inline packet's bytes are this scratch element: the
-				// handler's views die when the next drain overwrites it.
-				ctx.handlePacket(&ctx.pktBatch[i])
-				ctx.pktBatch[i].Release() // drops the slab pointers too
-			}
-			n += g
-			continue
+		g := ctx.muRes.Rec.PollBatch(ctx.pktBatch[:k])
+		if g == 0 {
+			g = ctx.shmDev.PollBatch(ctx.pktBatch[:k])
 		}
-		k = max - n
-		if k > len(ctx.msgBatch) {
-			k = len(ctx.msgBatch)
+		if g == 0 {
+			break
 		}
-		if g := ctx.shmDev.PollBatch(ctx.msgBatch[:k]); g > 0 {
-			for i := 0; i < g; i++ {
-				m := &ctx.msgBatch[i]
-				ctx.handleMessage(m.Hdr, m.Payload, true)
-				m.Release()
-				ctx.msgBatch[i] = shmem.Message{}
-			}
-			n += g
-			continue
+		for i := 0; i < g; i++ {
+			// An inline packet's bytes are this scratch element: the
+			// handler's views die when the next drain overwrites it.
+			ctx.handlePacket(&ctx.pktBatch[i])
+			ctx.pktBatch[i].Release() // drops the slab pointers too
 		}
-		break
+		n += g
 	}
 	if n > 0 {
 		ctx.stats.workItems.Add(int64(n))
@@ -454,19 +444,25 @@ func (ctx *Context) Abort(c *abort.Cause) {
 	}
 }
 
-// failDeferred fails every parked deferred send with the abort cause,
-// destination by destination. Runs on the advancing thread, which owns
-// the queues.
-func (ctx *Context) failDeferred(c *abort.Cause) {
+// failDeferred fails parked deferred sends, destination by destination,
+// with cause: every one of them on an abort, or with deadOnly only those
+// whose destination died — its queue occupancy will never drain, so
+// waiting on it would hang forever. Callbacks fire exactly as rendezvous
+// cancellation fires them. Runs on the advancing thread, which owns the
+// queues.
+func (ctx *Context) failDeferred(deadOnly bool, verb string, cause error) {
 	if ctx.deferredLen == 0 {
 		return
 	}
 	for dst, q := range ctx.deferred {
+		if deadOnly && ctx.client.mach.Alive(dst.Task) {
+			continue
+		}
 		delete(ctx.deferred, dst)
 		ctx.deferredLen -= len(q)
 		for _, p := range q {
 			p.DataBuf.Release()
-			err := fmt.Errorf("core: deferred send %v -> %v aborted: %w", ctx.addr, dst, c)
+			err := fmt.Errorf("core: deferred send %v -> %v %s: %w", ctx.addr, dst, verb, cause)
 			if p.OnFail != nil {
 				p.OnFail(err)
 			} else if p.OnDone != nil {
@@ -483,7 +479,7 @@ func (ctx *Context) failDeferred(c *abort.Cause) {
 // completion callback fires exceptionally. Runs on the advancing thread
 // when Advance observes a membership epoch change.
 func (ctx *Context) cancelDeadSends() {
-	ctx.cancelDeadDeferred()
+	ctx.failDeferred(true, "cancelled", mu.ErrPeerDead)
 	if len(ctx.pending) == 0 {
 		return
 	}
@@ -495,13 +491,7 @@ func (ctx *Context) cancelDeadSends() {
 		delete(ctx.pending, sendID)
 		ctx.stats.rdvInflight.Dec()
 		ctx.stats.rdvFailed.Inc()
-		if ps.mrID != 0 {
-			m.Fabric().DeregisterMemregion(ctx.addr.Task, ps.mrID)
-		}
-		if ps.gvaTag != 0 {
-			ctx.client.proc.RetractSegment(ps.gvaTag)
-		}
-		ps.buf.Release()
+		ctx.unpublish(ps)
 		err := fmt.Errorf("core: rendezvous send %d to %v cancelled: %w", sendID, ps.dst, mu.ErrPeerDead)
 		onDone, onFail := ps.onDone, ps.onFail
 		ctx.retirePending(ps)
@@ -524,6 +514,18 @@ func (ctx *Context) newPending() *pendingSend {
 		return ps
 	}
 	return new(pendingSend)
+}
+
+// unpublish retires a rendezvous send's publication — its memregion or
+// GVA segment — and releases its DataBuf slab.
+func (ctx *Context) unpublish(ps *pendingSend) {
+	if ps.mrID != 0 {
+		ctx.client.mach.Fabric().DeregisterMemregion(ctx.addr.Task, ps.mrID)
+	}
+	if ps.gvaTag != 0 {
+		ctx.client.proc.RetractSegment(ps.gvaTag)
+	}
+	ps.buf.Release()
 }
 
 // retirePending returns a record that has left the pending table to the
@@ -564,12 +566,13 @@ func (ctx *Context) Stats() (advances, workDone, delivered int64) {
 	return ctx.stats.advances.Load(), ctx.stats.workItems.Load(), ctx.stats.delivered.Load()
 }
 
-// handlePacket processes one MU packet: either the whole message (single
-// packet) or a piece to reassemble. It takes the packet by pointer into
-// the drain scratch so the hot path never copies the Packet struct.
+// handlePacket processes one packet of either device: the whole message
+// (every shared-memory element, and a single-packet MU message) or a
+// piece to reassemble. It takes the packet by pointer into the drain
+// scratch so the hot path never copies the Packet struct.
 func (ctx *Context) handlePacket(pkt *mu.Packet) {
 	if pkt.Whole() {
-		ctx.handleMessage(pkt.Header(), pkt.Payload(), false)
+		ctx.handleMessage(pkt.Header(), pkt.Payload())
 		return
 	}
 	hdr, payload := pkt.Header(), pkt.Payload()
@@ -602,7 +605,7 @@ func (ctx *Context) handlePacket(pkt *mu.Packet) {
 			Total:    len(st.buf),
 			Meta:     st.meta,
 		}
-		ctx.handleMessage(full, st.buf, false)
+		ctx.handleMessage(full, st.buf)
 		st.bbuf.Release()
 		st.mbuf.Release()
 		ctx.reasmOld = append(ctx.reasmOld, st)
@@ -610,10 +613,10 @@ func (ctx *Context) handlePacket(pkt *mu.Packet) {
 }
 
 // handleMessage dispatches a fully reassembled message.
-func (ctx *Context) handleMessage(hdr mu.Header, payload []byte, viaShmem bool) {
+func (ctx *Context) handleMessage(hdr mu.Header, payload []byte) {
 	switch hdr.Dispatch {
 	case dispatchRTS:
-		ctx.handleRTS(hdr, viaShmem)
+		ctx.handleRTS(hdr)
 		return
 	case dispatchAck:
 		ctx.handleAck(hdr)

@@ -3,10 +3,14 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
+	"pamigo/internal/abort"
+	"pamigo/internal/fault"
 	"pamigo/internal/lockless"
+	"pamigo/internal/machine"
 	"pamigo/internal/mu"
 	"pamigo/internal/torus"
 )
@@ -159,5 +163,89 @@ func TestAdaptiveEagerThreshold(t *testing.T) {
 	}
 	if v := c.fc.eagerNow.Load(); v != 0 {
 		t.Fatalf("recovered state %d, want 0 (tracking configured)", v)
+	}
+}
+
+// TestDeferredSendsFailOnDeathAndAbort parks sends to two destinations
+// that never drain, then confirms one destination's node dead: only its
+// deferred sends fail, with mu.ErrPeerDead, and the other destination's
+// stay parked. An Abort then fails those with the abort cause. (The
+// rendezvous RTSs already sent to the dead node fail too, as pending
+// sends, not deferred ones.)
+func TestDeferredSendsFailOnDeathAndAbort(t *testing.T) {
+	dims := torus.Dims{3, 1, 1, 1, 1}
+	// A node fault that never fires arms the health monitor, so the
+	// test picks the death instant.
+	plan, err := fault.ParsePlan("crash@pkt=100000000,node=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machine.New(machine.Config{Dims: dims, PPN: 1, Faults: &plan, FaultSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	sc, sctx := newClientCtx(t, m, 0)
+	_, live := newClientCtx(t, m, 1)
+	_, dead := newClientCtx(t, m, 2)
+	sc.UnexpectedBudget = 4
+	var peerDead, aborted, pending int
+	var other []error
+	for i := 0; i < 40; i++ {
+		for _, dst := range []Endpoint{live.Endpoint(), dead.Endpoint()} {
+			err := sctx.Send(SendParams{
+				Dest:     dst,
+				Dispatch: 1,
+				Data:     []byte{byte(i)},
+				OnFail: func(err error) {
+					switch {
+					case errors.Is(err, mu.ErrPeerDead) && strings.Contains(err.Error(), "deferred send") &&
+						strings.Contains(err.Error(), "cancelled"):
+						peerDead++
+					case errors.Is(err, abort.ErrAborted) && strings.Contains(err.Error(), "deferred send") &&
+						strings.Contains(err.Error(), "aborted"):
+						aborted++
+					case errors.Is(err, mu.ErrPeerDead) && strings.Contains(err.Error(), "rendezvous send"):
+						pending++
+					default:
+						other = append(other, err)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatalf("send %d to %v: %v", i, dst, err)
+			}
+		}
+	}
+	toLive, toDead := len(sctx.deferred[live.Endpoint()]), len(sctx.deferred[dead.Endpoint()])
+	if toLive == 0 || toDead == 0 {
+		t.Fatalf("deferred %d to the live and %d to the dead destination; the test needs both", toLive, toDead)
+	}
+
+	m.Health().DeclareDead(2)
+	for m.Epoch() == 0 {
+		runtime.Gosched()
+	}
+	sctx.Advance(advanceBatch)
+	if peerDead != toDead {
+		t.Fatalf("%d deferred sends failed with ErrPeerDead, want the %d to the dead node", peerDead, toDead)
+	}
+	if _, ok := sctx.deferred[dead.Endpoint()]; ok {
+		t.Fatal("the dead destination still has a deferred queue")
+	}
+	if got := len(sctx.deferred[live.Endpoint()]); got != toLive || aborted != 0 {
+		t.Fatalf("live destination: %d deferred (want %d), %d aborted (want 0)", got, toLive, aborted)
+	}
+
+	sctx.Abort(abort.Causef(abort.KindUser, "test.deferred", "stop"))
+	sctx.Advance(advanceBatch)
+	if aborted != toLive || sctx.deferredLen != 0 || len(sctx.deferred) != 0 {
+		t.Fatalf("after Abort: %d aborted (want %d), %d still deferred", aborted, toLive, sctx.deferredLen)
+	}
+	if len(other) != 0 {
+		t.Fatalf("sends failed with unexpected errors: %v", other)
+	}
+	if peerDead+pending > 40 {
+		t.Fatalf("%d deferred and %d pending sends to the dead node failed, more than the 40 sent", peerDead, pending)
 	}
 }

@@ -246,3 +246,126 @@ func TestRetainedInlineViewIsPoisoned(t *testing.T) {
 		t.Fatalf("kept views read %q / %q: not the drain scratch the next message overwrote", keptMeta, keptData)
 	}
 }
+
+// TestShmemFanInNoPoolTraffic is TestFanInNoPoolTraffic on the
+// shared-memory device: one node at PPN 4, three producers streaming 8 B
+// SendImmediateBuf into the fourth task. The node's queue carries the
+// reception-FIFO element, so the sender copies each message into it and
+// gets its slab back on the spot: queued messages hold no slab, and the
+// steady state never misses the pool. When the queue carried its own
+// element, every queued message held its slab until the consumer
+// released it, on the consumer's P.
+func TestShmemFanInNoPoolTraffic(t *testing.T) {
+	if raceBuild || bufpool.DebugEnabled {
+		t.Skip("under -race sync.Pool drops a quarter of its Puts; bufpooldebug never repools")
+	}
+	const window, warm, msgs = 64, 5_000, 25_000
+	origins := []int{0, 1, 2}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	m := newTestMachine(t, torus.Dims{1, 1, 1, 1, 1}, 4)
+	defer m.Shutdown()
+	_, rctx := newClientCtx(t, m, 3)
+	seen := make([]atomic.Int64, m.Tasks())
+	var bad int
+	rctx.RegisterDispatch(1, func(_ *Context, d *Delivery) {
+		c := &seen[d.Origin.Task]
+		if len(d.Data) != 8 || int64(binary.LittleEndian.Uint64(d.Data)) != c.Load() {
+			bad++
+		}
+		c.Add(1)
+	})
+	var phase [3]sync.WaitGroup
+	var start [3]chan struct{}
+	for i := range phase {
+		phase[i].Add(len(origins))
+		start[i] = make(chan struct{})
+	}
+	live0, _ := bufpool.Live()
+	for _, o := range origins {
+		_, sctx := newClientCtx(t, m, o)
+		go func(o int) {
+			from := int64(0)
+			for i, upTo := range []int64{window, warm, warm + msgs} {
+				<-start[i]
+				fanInStream(t, sctx, rctx.Endpoint(), &seen[o], window, from, upTo)
+				from = upTo
+				phase[i].Done()
+			}
+		}(o)
+	}
+	consume := func(upTo int64) {
+		for more := true; more; {
+			if rctx.Advance(64) == 0 {
+				runtime.Gosched()
+			}
+			more = false
+			for _, o := range origins {
+				more = more || seen[o].Load() < upTo
+			}
+		}
+	}
+
+	close(start[0])
+	phase[0].Wait()
+	if queued, live := rctx.shmDev.Pressure(), liveBufs(); queued != int64(len(origins)*window) || live != live0 {
+		t.Errorf("%d messages queued hold %d slabs, want %d holding none", queued, live-live0, len(origins)*window)
+	}
+	close(start[1])
+	consume(warm)
+	phase[1].Wait()
+
+	misses0 := bufpool.Misses()
+	close(start[2])
+	consume(warm + msgs)
+	phase[2].Wait()
+	if misses := bufpool.Misses() - misses0; misses != 0 {
+		t.Errorf("%d pool misses over %d messages, want 0", misses, len(origins)*msgs)
+	}
+	if live := liveBufs(); live != live0 {
+		t.Errorf("%d pooled buffers live, %d before", live, live0)
+	}
+	if bad != 0 {
+		t.Errorf("%d messages mangled or out of sequence", bad)
+	}
+}
+
+func liveBufs() int64 { n, _ := bufpool.Live(); return n }
+
+// An intra-node eager DataBuf travels as one shared-memory element that
+// views the sender's slab: the handler's d.Data is that slab, with no
+// reassembly and no copy, at a size the MU would cut into eight packets.
+func TestShmemEagerDataBufAliasesSlab(t *testing.T) {
+	m := newTestMachine(t, torus.Dims{1, 1, 1, 1, 1}, 2)
+	defer m.Shutdown()
+	_, sctx := newClientCtx(t, m, 0)
+	_, rctx := newClientCtx(t, m, 1)
+	b := bufpool.Get(4096)
+	for i := range b.Bytes() {
+		b.Bytes()[i] = byte(i)
+	}
+	slab := &b.Bytes()[0]
+	var got *byte
+	rctx.RegisterDispatch(1, func(_ *Context, d *Delivery) {
+		if len(d.Data) == 4096 && d.Data[4095] == byte(4095%256) {
+			got = &d.Data[0]
+		}
+	})
+	if err := sctx.Send(SendParams{Dest: rctx.Endpoint(), Dispatch: 1, Meta: []byte("env"), DataBuf: b, Mode: ModeEager}); err != nil {
+		t.Fatal(err)
+	}
+	if n := rctx.shmDev.Received(); n != 1 {
+		t.Fatalf("%d shared-memory elements for one 4 KiB message, want 1", n)
+	}
+	rctx.Advance(64)
+	if got == nil {
+		t.Fatal("the message was not dispatched whole and intact")
+	}
+	if got != slab {
+		t.Fatal("d.Data does not alias the sender's slab: the payload was copied")
+	}
+	if len(rctx.reasm) != 0 {
+		t.Fatalf("%d reassemblies open for a whole message", len(rctx.reasm))
+	}
+}

@@ -36,15 +36,15 @@ type SendParams struct {
 	// DataBuf, when non-nil, replaces Data with an ownership transfer: the
 	// caller relinquishes the pooled buffer (its Bytes are exactly the
 	// payload) and the context consumes that reference on every path —
-	// success, error, deferral or cancellation. Same-node eager delivery
-	// then dispatches straight out of this slab with no copy at all, and
-	// the MU path packetizes it as views instead of copies — unless Meta
-	// and payload together fit in the packet itself (mu.InlineMax, 64
-	// bytes): then they are copied into it and the slab is released
-	// before Send returns, on this thread, so it goes back to the pool
-	// shard it came from. The cut is a constant of the packet layout,
-	// not an option. Do not set Data and DataBuf together, and do not
-	// touch the buffer after Send.
+	// success, error, deferral or cancellation. Eager delivery then
+	// dispatches straight out of this slab with no copy at all — same-node
+	// as one shared-memory element, off-node as packets that view it —
+	// unless Meta and payload together fit in the element itself
+	// (mu.InlineMax, 64 bytes): then they are copied into it and the slab
+	// is released before Send returns, on this thread, so it goes back to
+	// the pool shard it came from. The cut is a constant of the packet
+	// layout, not an option, and the same for both devices. Do not set
+	// Data and DataBuf together, and do not touch the buffer after Send.
 	DataBuf *bufpool.Buf
 	// OnDone, if non-nil, runs when the send buffer may be reused: at
 	// injection for eager, at remote-completion ack for rendezvous. It
@@ -58,6 +58,14 @@ type SendParams struct {
 	OnFail func(error)
 	// Mode forces a protocol; ModeAuto sizes it from the payload.
 	Mode SendMode
+}
+
+// payload returns the bytes the send carries: DataBuf's, else Data.
+func (p *SendParams) payload() []byte {
+	if p.DataBuf != nil {
+		return p.DataBuf.Bytes()
+	}
+	return p.Data
 }
 
 // Delivery is what a dispatch handler receives. For eager messages Data
@@ -122,8 +130,8 @@ func (ctx *Context) SendImmediate(dst Endpoint, dispatch uint16, meta, data []by
 // deliberately EAGAIN-shaped: nothing was sent, the caller still owns
 // the buffer, and the natural retry loop reuses it as-is — a throttled
 // flood must not pay a pool round-trip and a payload copy per refusal.
-// The payload is never copied on the same-node path: the receiving
-// context dispatches straight out of this slab.
+// Past mu.InlineMax the payload is not copied on the same-node path:
+// the receiving context dispatches straight out of this slab.
 func (ctx *Context) SendImmediateBuf(dst Endpoint, dispatch uint16, meta []byte, data *bufpool.Buf) error {
 	if data == nil {
 		return ctx.sendImmediate(dst, dispatch, meta, nil, nil)
@@ -182,10 +190,7 @@ func (ctx *Context) Send(p SendParams) error {
 		p.DataBuf.Release()
 		return fmt.Errorf("core: dispatch %#x is reserved", p.Dispatch)
 	}
-	plen := len(p.Data)
-	if p.DataBuf != nil {
-		plen = len(p.DataBuf.Bytes())
-	}
+	plen := len(p.payload())
 	mode := p.Mode
 	if mode == ModeAuto && !ctx.client.mach.Hosted(p.Dest.Task) {
 		// The destination lives in another OS process: rendezvous is off
@@ -290,33 +295,6 @@ func (ctx *Context) drainDeferred(max int) int {
 	return n
 }
 
-// cancelDeadDeferred drops deferred sends whose destination died: its
-// queue occupancy will never drain, so waiting on it would hang forever.
-// Callbacks fire exactly as rendezvous cancellation fires them.
-func (ctx *Context) cancelDeadDeferred() {
-	if ctx.deferredLen == 0 {
-		return
-	}
-	m := ctx.client.mach
-	for dst, q := range ctx.deferred {
-		if m.Alive(dst.Task) {
-			continue
-		}
-		delete(ctx.deferred, dst)
-		ctx.deferredLen -= len(q)
-		for _, p := range q {
-			p.DataBuf.Release()
-			err := fmt.Errorf("core: deferred send %v -> %v cancelled: %w", ctx.addr, dst, mu.ErrPeerDead)
-			if p.OnFail != nil {
-				p.OnFail(err)
-			} else if p.OnDone != nil {
-				p.OnDone()
-			}
-		}
-	}
-	ctx.stats.deferredSends.Set(int64(ctx.deferredLen))
-}
-
 // sendEager copies the payload into packets (or the shared-memory queue)
 // — or, for a DataBuf send, transfers the caller's slab with no copy at
 // all; local completion is immediate either way.
@@ -328,12 +306,8 @@ func (ctx *Context) sendEager(p SendParams) error {
 		Seq:      ctx.sendSeq,
 		Meta:     p.Meta,
 	}
-	plen := len(p.Data)
-	if p.DataBuf != nil {
-		plen = len(p.DataBuf.Bytes())
-	}
 	ctx.stats.sendsEager.Inc()
-	ctx.stats.bytesSent.Add(int64(plen))
+	ctx.stats.bytesSent.Add(int64(len(p.payload())))
 	var err error
 	if p.DataBuf != nil {
 		err = ctx.transportSendBuf(p.Dest, hdr, p.DataBuf)
@@ -411,10 +385,7 @@ func (ctx *Context) sendRendezvous(p SendParams) error {
 	// A DataBuf rendezvous publishes the caller's slab directly: the
 	// pending send holds the reference until the completion ack (or a
 	// peer-death cancellation) retires the publication and releases it.
-	data := p.Data
-	if p.DataBuf != nil {
-		data = p.DataBuf.Bytes()
-	}
+	data := p.payload()
 	info := rtsInfo{
 		sendID:  sendID,
 		size:    len(data),
@@ -454,13 +425,7 @@ func (ctx *Context) sendRendezvous(p SendParams) error {
 		// does not pin the payload (or an owned DataBuf slab) forever.
 		delete(ctx.pending, sendID)
 		ctx.stats.rdvInflight.Dec()
-		if ps.mrID != 0 {
-			ctx.client.mach.Fabric().DeregisterMemregion(ctx.addr.Task, ps.mrID)
-		}
-		if ps.gvaTag != 0 {
-			ctx.client.proc.RetractSegment(ps.gvaTag)
-		}
-		ps.buf.Release()
+		ctx.unpublish(ps)
 		ctx.retirePending(ps)
 	}
 	return err
@@ -562,7 +527,7 @@ func (ctx *Context) transportSendAnyThread(dst Endpoint, hdr mu.Header, data []b
 
 // handleRTS dispatches a rendezvous arrival to the user handler with a
 // pull-capable Delivery.
-func (ctx *Context) handleRTS(hdr mu.Header, viaShmem bool) {
+func (ctx *Context) handleRTS(hdr mu.Header) {
 	info, dispatch, userMeta, err := decodeRTS(hdr.Meta)
 	if err != nil {
 		panic("core: " + err.Error())
@@ -660,13 +625,7 @@ func (ctx *Context) handleAck(hdr mu.Header) {
 	delete(ctx.pending, sendID)
 	ctx.stats.rdvInflight.Dec()
 	ctx.stats.rdvCompleted.Inc()
-	if ps.mrID != 0 {
-		ctx.client.mach.Fabric().DeregisterMemregion(ctx.addr.Task, ps.mrID)
-	}
-	if ps.gvaTag != 0 {
-		ctx.client.proc.RetractSegment(ps.gvaTag)
-	}
-	ps.buf.Release()
+	ctx.unpublish(ps)
 	onDone := ps.onDone
 	ctx.retirePending(ps)
 	if onDone != nil {

@@ -267,9 +267,6 @@ func NewInjector(dims torus.Dims, plan Plan, seed int64) (*Injector, error) {
 // Plan returns the injector's plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// PacketCount returns the number of transmission attempts observed.
-func (in *Injector) PacketCount() int64 { return in.count.Load() }
-
 // mix is the splitmix64 finalizer: a cheap, high-quality bit mixer.
 func mix(x uint64) uint64 {
 	x ^= x >> 30

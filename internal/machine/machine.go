@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"pamigo/internal/abort"
 	"pamigo/internal/bufpool"
 	"pamigo/internal/cnk"
 	"pamigo/internal/collnet"
@@ -115,7 +114,6 @@ type Machine struct {
 	shm    []*shmem.Node
 	fabric *mu.Fabric
 	coll   *collnet.Network
-	gi     *collnet.GIBarrier
 	tasks  []*cnk.Process
 	tele   *telemetry.Registry
 
@@ -167,7 +165,6 @@ func New(cfg Config) (*Machine, error) {
 		cfg:    cfg,
 		fabric: fabric,
 		coll:   collnet.New(cfg.Dims),
-		gi:     collnet.NewGIBarrier(cfg.Dims.Nodes()),
 		geoReg: make(map[uint64]any),
 		tele:   telemetry.NewRegistry("machine"),
 
@@ -242,11 +239,6 @@ func New(cfg Config) (*Machine, error) {
 			if m.wt != nil {
 				m.wt.MarkTaskDead(int(n) * cfg.PPN)
 			}
-			// The machine-wide GI barrier counts one party per node, so a
-			// confirmed death means the in-flight generation can never
-			// complete: poison it with the typed cause (Revive heals it).
-			m.gi.Poison(abort.Wrap(abort.KindHealth, "machine.gibarrier",
-				fmt.Errorf("node %d confirmed dead: %w", n, mu.ErrPeerDead)))
 			m.deathMu.Lock()
 			for _, fn := range m.deathHooks {
 				fn(n)
@@ -433,9 +425,6 @@ func (m *Machine) Revive(n torus.Rank) error {
 	m.fabric.ReviveNode(n)
 	m.coll.HandleNodeUp(n)
 	m.hmon.Revive(n)
-	if len(m.hmon.DeadNodes()) == 0 {
-		m.gi.Heal()
-	}
 	m.fabric.TouchAll()
 	return nil
 }
@@ -591,10 +580,6 @@ func (m *Machine) Telemetry() *telemetry.Registry { return m.tele }
 
 // CollNet returns the classroute manager.
 func (m *Machine) CollNet() *collnet.Network { return m.coll }
-
-// GIBarrier returns the machine-wide global interrupt barrier (one party
-// per node).
-func (m *Machine) GIBarrier() *collnet.GIBarrier { return m.gi }
 
 // SameNode reports whether two tasks share a node.
 func (m *Machine) SameNode(a, b int) bool {

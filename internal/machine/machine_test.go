@@ -72,16 +72,6 @@ func TestRunLaunchesEveryProcess(t *testing.T) {
 	}
 }
 
-func TestGIBarrierParties(t *testing.T) {
-	m, err := New(Config{Dims: torus.Dims{2, 2, 2, 1, 1}, PPN: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.GIBarrier().Parties() != 8 {
-		t.Fatalf("GI barrier parties = %d", m.GIBarrier().Parties())
-	}
-}
-
 func TestSharedStateSingleton(t *testing.T) {
 	m, err := New(Config{Dims: torus.Dims{1, 1, 1, 1, 1}, PPN: 4})
 	if err != nil {

@@ -13,8 +13,9 @@ import (
 
 // TestCountsExactAcrossLegs runs concurrent producers on every leg that
 // enqueues on a reception FIFO — the owner's InjectMemFIFOBuf, an
-// any-thread InjectMemFIFO, the wire's DeliverRemote and
-// DeliverRemoteBurst — plus RDMA puts and gets, against one draining
+// any-thread InjectMemFIFO, the wire's DeliverRemoteBurst a message at a
+// time and a packet-sized segment at a time — plus RDMA puts and gets,
+// against one draining
 // consumer, once fault-free and once through the reliable layer. The
 // FIFO and fabric keep no per-message counter of their own: Received,
 // Occupancy and the snapshot's packets, packets_received,
@@ -39,7 +40,7 @@ type countOracle struct {
 // message notes one memory-FIFO message of n payload bytes; delivered
 // says it lands in the reception FIFO under test.
 func (o *countOracle) message(n int, send bool) {
-	p := int64(packetsFor(n))
+	p := int64(packetsFor(n, MaxPayload))
 	if send {
 		o.sends.Add(1)
 	}
@@ -74,10 +75,19 @@ func checkCountsExact(t *testing.T, reliable bool) {
 			return f.InjectMemFIFO(res.PinnedInj(0), dstAddr, hdr, payload)
 		},
 		func(_ *ContextResources, _ TaskAddr, hdr Header, payload []byte) error {
+			// The wire's segments: the message in MaxPayload pieces, one
+			// burst.
 			o.message(len(payload), false)
 			hdr.Total = len(payload)
-			_, err := f.DeliverRemote(dstAddr, hdr, payload)
-			return err
+			defer f.EndRemoteBurst([]TaskAddr{dstAddr})
+			for more := true; more; more = hdr.Offset < hdr.Total {
+				seg := payload[hdr.Offset:min(hdr.Offset+MaxPayload, hdr.Total)]
+				if _, err := f.DeliverRemoteBurst(dstAddr, hdr, seg); err != nil {
+					return err
+				}
+				hdr.Offset += len(seg)
+			}
+			return nil
 		},
 		func(_ *ContextResources, _ TaskAddr, hdr Header, payload []byte) error {
 			o.message(len(payload), false)
@@ -88,7 +98,7 @@ func checkCountsExact(t *testing.T, reliable bool) {
 		},
 		func(res *ContextResources, origin TaskAddr, _ Header, payload []byte) error {
 			// RDMA moves packets on the torus but delivers none to a FIFO.
-			p := int64(packetsFor(len(payload)))
+			p := int64(packetsFor(len(payload), MaxPayload))
 			o.rdma.Add(1)
 			o.packets.Add(p)
 			o.bytes.Add(int64(len(payload)) + p*PacketHeaderBytes)

@@ -710,24 +710,25 @@ func (f *Fabric) injectMemFIFO(inj *InjFIFO, owner bool, dst TaskAddr, hdr *Head
 		return rl.injectMemFIFOBuf(inj, fifo, dst, hdr, src, own)
 	}
 	inj.sends.Add(1)
-	_, err = f.enqueue(inj, fifo, dst, hdr, src, own, false)
+	_, err = f.enqueue(inj, fifo, dst, hdr, src, own)
 	return err
 }
 
 // enqueue is the fault-free end of local injection and of the wire leg:
 // packetize src from hdr.Offset on and queue the packets on fifo,
-// accounting them to inj (nil on the wire leg). It returns the payload
+// accounting them to inj. On the wire leg inj is nil and the wake-up is
+// left to the burst's end (EndRemoteBurst). It returns the payload
 // bytes queued; a refusal names the flow and FIFO so callers up in
 // core/mpilib can diagnose it and still errors.Is-match
 // lockless.ErrBackpressure.
-func (f *Fabric) enqueue(inj *InjFIFO, fifo *RecFIFO, dst TaskAddr, hdr *Header, src []byte, own *bufpool.Buf, quiet bool) (int, error) {
+func (f *Fabric) enqueue(inj *InjFIFO, fifo *RecFIFO, dst TaskAddr, hdr *Header, src []byte, own *bufpool.Buf) (int, error) {
 	var pkt Packet
 	var err error
 	base, npkts := hdr.Offset, int64(0)
-	own = slabFor(hdr, src, own)
+	own = slabFor(hdr, src, own, MaxPayload)
 	for more := true; more; npkts++ {
-		rest := nextPacket(&pkt, hdr, src, own)
-		if err = fifo.deliver(&pkt, quiet); err != nil {
+		rest := nextPacket(&pkt, hdr, src, own, MaxPayload)
+		if err = fifo.deliver(&pkt, inj == nil); err != nil {
 			pkt.Release()
 			if len(rest) > 0 {
 				abandon(own, rest)
@@ -768,10 +769,7 @@ func (f *Fabric) InjectPut(inj *InjFIFO, srcTask int, src []byte, dst TaskAddr, 
 	if done != nil {
 		done.StoreAdd(int64(len(src)))
 	}
-	npkts := int64((len(src) + MaxPayload - 1) / MaxPayload)
-	if npkts == 0 {
-		npkts = 1
-	}
+	npkts := int64(packetsFor(len(src), MaxPayload))
 	f.account(inj, srcTask, dst.Task, npkts, int64(len(src))+npkts*PacketHeaderBytes)
 	if fifo, err := f.lookupContext(dst); err == nil {
 		fifo.region.Touch()
@@ -806,10 +804,7 @@ func (f *Fabric) InjectRemoteGet(inj *InjFIFO, initiator TaskAddr, dataTask int,
 	if done != nil {
 		done.StoreAdd(int64(len(dst)))
 	}
-	npkts := int64((len(dst) + MaxPayload - 1) / MaxPayload)
-	if npkts == 0 {
-		npkts = 1
-	}
+	npkts := int64(packetsFor(len(dst), MaxPayload))
 	f.account(inj, dataTask, initiator.Task, npkts, int64(len(dst))+npkts*PacketHeaderBytes)
 	if fifo, err := f.lookupContext(initiator); err == nil {
 		fifo.region.Touch()

@@ -39,8 +39,8 @@ type Packet struct {
 	poff     uint32 // where Payload starts in pbuf.Bytes()
 	mlen     uint32
 	dispatch uint16
-	ctx      uint16 // Header.Origin.Ctx
-	plen     uint16
+	ctx      uint16          // Header.Origin.Ctx
+	plen     uint32          // at most MaxPayload, but on the shared-memory leg the whole message
 	inl      [InlineMax]byte // meta, then payload, of an inline packet
 }
 
@@ -60,7 +60,7 @@ func (p *Packet) Header() Header {
 }
 
 // Whole reports whether the packet carries its entire message.
-func (p *Packet) Whole() bool { return p.offset == 0 && uint32(p.plen) == p.total }
+func (p *Packet) Whole() bool { return p.offset == 0 && p.plen == p.total }
 
 func (p *Packet) origin() TaskAddr { return TaskAddr{Task: int(p.task), Ctx: int(p.ctx)} }
 
@@ -120,12 +120,14 @@ func (h *Header) checkNarrow(total int) error {
 }
 
 // The packetizer — slabFor, then nextPacket until nothing is left — cuts
-// one memory-FIFO message (on the wire leg, one segment of it) into
-// packets. The MaxPayload tiling, the metadata-on-the-first-packet rule
-// and the inline-or-slab choice live here and nowhere else; the four legs
-// (copy-in, ownership transfer, reliable staging, wire delivery) differ
-// only in what they do with a built packet. The slab carries one
-// reference per packet not yet built: slabFor takes them all, in one
+// one message (on the wire leg, one segment of it) into packets of at
+// most chunk payload bytes: MaxPayload on the torus and wire legs, the
+// whole message on the shared-memory leg (PackWhole). The tiling, the
+// metadata-on-the-first-packet rule and the inline-or-slab choice live
+// here and nowhere else; the five legs (copy-in, ownership transfer,
+// reliable staging, wire delivery, shared memory) differ only in the
+// chunk bound and in what they do with a built packet. The slab carries
+// one reference per packet not yet built: slabFor takes them all, in one
 // add, before the first packet can reach a consumer, because from then
 // on consumer and acks release concurrently and a later Retain could
 // find the slab free.
@@ -133,34 +135,35 @@ func (h *Header) checkNarrow(total int) error {
 // packet does not need — on the injecting goroutine, so the slab returns
 // to the pool shard it came from; abandon releases the rest.
 
-// packetsFor is how many packets carry an n-byte message.
-func packetsFor(n int) int { return max(1, (n+MaxPayload-1)/MaxPayload) }
+// packetsFor is how many packets of at most chunk bytes carry an n-byte
+// message, the empty message included.
+func packetsFor(n, chunk int) int { return max(1, (n+chunk-1)/chunk) }
 
 // slabFor returns the slab the packets of the message will view: own,
 // the relinquished buffer whose Bytes are exactly src, or with own nil
 // (the caller keeps src) a pooled copy of src if some packet needs one.
-func slabFor(hdr *Header, src []byte, own *bufpool.Buf) *bufpool.Buf {
+func slabFor(hdr *Header, src []byte, own *bufpool.Buf, chunk int) *bufpool.Buf {
 	if len(hdr.Meta)+len(src) <= InlineMax {
 		return own // one inline packet: nextPacket releases own
 	}
 	if own == nil && len(src) > 0 {
 		own = bufpool.GetCopy(src)
 	}
-	own.RetainN(int32(packetsFor(len(src)) - 1))
+	own.RetainN(int32(packetsFor(len(src), chunk) - 1))
 	return own
 }
 
 // nextPacket builds into *p the next packet of the message: hdr.Meta, if
-// any, and up to MaxPayload bytes off the front of src, the tail of the
-// slab own. All of *p is overwritten but stale inline bytes; hdr.Offset
-// and hdr.Meta advance; what is left of src comes back — nothing, after
-// the last packet. The reliable leg stamps PktSeq and Checksum afterwards.
-func nextPacket(p *Packet, hdr *Header, src []byte, own *bufpool.Buf) []byte {
-	n, m := min(len(src), MaxPayload), len(hdr.Meta)
+// any, and up to chunk bytes off the front of src, the tail of the slab
+// own. All of *p is overwritten but stale inline bytes; hdr.Offset and
+// hdr.Meta advance; what is left of src comes back — nothing, after the
+// last packet. The reliable leg stamps PktSeq and Checksum afterwards.
+func nextPacket(p *Packet, hdr *Header, src []byte, own *bufpool.Buf, chunk int) []byte {
+	n, m := min(len(src), chunk), len(hdr.Meta)
 	p.seq, p.pktSeq, p.checksum = hdr.Seq, hdr.PktSeq, hdr.Checksum
 	p.task, p.ctx, p.dispatch = uint32(hdr.Origin.Task), uint16(hdr.Origin.Ctx), hdr.Dispatch
 	p.offset, p.total = uint32(hdr.Offset), uint32(hdr.Total)
-	p.plen, p.mlen = uint16(n), uint32(m)
+	p.plen, p.mlen = uint32(n), uint32(m)
 	p.pbuf, p.mbuf, p.poff = nil, nil, 0
 	if m+n <= InlineMax {
 		if m > 0 {
@@ -184,10 +187,27 @@ func nextPacket(p *Packet, hdr *Header, src []byte, own *bufpool.Buf) []byte {
 	return src[n:]
 }
 
-// abandon releases the references of the packets nextPacket would still
-// have built from src (one, for an empty message not yet started).
+// abandon releases the references of the MaxPayload packets nextPacket
+// would still have built from src (one, for an empty message not yet
+// started).
 func abandon(own *bufpool.Buf, src []byte) {
-	for i := packetsFor(len(src)); i > 0; i-- {
+	for i := packetsFor(len(src), MaxPayload); i > 0; i-- {
 		own.Release()
 	}
+}
+
+// PackWhole builds into *p the shared-memory leg's element: the whole
+// message as one packet, under the inline and ownership rules of every
+// other leg. own is the relinquished slab src views, nil when the caller
+// keeps src; its reference is consumed on every path, and on error
+// nothing was built.
+func (p *Packet) PackWhole(hdr Header, src []byte, own *bufpool.Buf) error {
+	if err := hdr.checkNarrow(len(src)); err != nil {
+		own.Release()
+		return err
+	}
+	hdr.Offset, hdr.Total = 0, len(src)
+	chunk := max(1, len(src))
+	nextPacket(p, &hdr, src, slabFor(&hdr, src, own, chunk), chunk)
+	return nil
 }

@@ -27,19 +27,19 @@ func TestPacketFitsBudget(t *testing.T) {
 func liveBufs() int64 { n, _ := bufpool.Live(); return n }
 
 // checkMessage polls one message's packets off fifo and checks them
-// against what was injected: the MaxPayload tiling (Offset, Total, one
-// packet for an empty message), metadata on the first packet only, the
-// bytes exact.
-func checkMessage(t *testing.T, where string, fifo *RecFIFO, meta, payload []byte) {
+// against what was injected: the tiling in packets of at most size bytes
+// (Offset, Total, one packet for an empty message), metadata on the
+// first packet only, the bytes exact.
+func checkMessage(t *testing.T, where string, fifo *RecFIFO, meta, payload []byte, size int) {
 	t.Helper()
 	got := make([]byte, 0, len(payload))
-	for i := 0; i < packetsFor(len(payload)); i++ {
+	for i := 0; i < packetsFor(len(payload), size); i++ {
 		p, ok := fifo.Poll()
 		if !ok {
-			t.Fatalf("%s: packet %d of %d missing", where, i, packetsFor(len(payload)))
+			t.Fatalf("%s: packet %d of %d missing", where, i, packetsFor(len(payload), size))
 		}
 		h, chunk := p.Header(), p.Payload()
-		if h.Total != len(payload) || h.Offset != i*MaxPayload || len(chunk) != min(MaxPayload, len(payload)-h.Offset) {
+		if h.Total != len(payload) || h.Offset != i*size || len(chunk) != min(size, len(payload)-h.Offset) {
 			t.Fatalf("%s: packet %d: offset %d, total %d, %d bytes", where, i, h.Offset, h.Total, len(chunk))
 		}
 		if want := meta[:len(meta)*(1-min(i, 1))]; !bytes.Equal(h.Meta, want) || !bytes.Equal(p.Meta(), want) {
@@ -59,27 +59,53 @@ func checkMessage(t *testing.T, where string, fifo *RecFIFO, meta, payload []byt
 	}
 }
 
+// packWhole is the shared-memory leg as shmem.Node builds its element —
+// the whole message, one packet — delivered onto dst's reception FIFO.
+func packWhole(f *Fabric, dst TaskAddr, hdr Header, payload []byte, own *bufpool.Buf) error {
+	var p Packet
+	if err := p.PackWhole(hdr, payload, own); err != nil {
+		return err
+	}
+	fifo, err := f.lookupContext(dst)
+	if err == nil {
+		err = fifo.deliver(&p, false)
+	}
+	if err != nil {
+		p.Release()
+	}
+	return err
+}
+
 // Either side of the inline cut and of the packet cut, through each leg:
-// delivery is byte-exact and tiled as ever, an inline-sized message
-// takes no pooled buffer at any point (and gives back at once the one it
-// was handed), and every buffer is back afterwards.
+// delivery is byte-exact and tiled as ever (the shared-memory leg in one
+// packet), an inline-sized message takes no pooled buffer at any point
+// (and gives back at once the one it was handed), and every buffer is
+// back afterwards.
 func TestInlineBoundary(t *testing.T) {
 	legs := []struct {
 		name     string
 		reliable bool
+		whole    bool // one packet per message: the shared-memory leg
 		inject   func(f *Fabric, inj *InjFIFO, dst TaskAddr, hdr Header, payload []byte) error
 	}{
-		{"copy-in", false, (*Fabric).InjectMemFIFO},
-		{"transfer", false, func(f *Fabric, inj *InjFIFO, dst TaskAddr, hdr Header, payload []byte) error {
+		{"copy-in", false, false, (*Fabric).InjectMemFIFO},
+		{"transfer", false, false, func(f *Fabric, inj *InjFIFO, dst TaskAddr, hdr Header, payload []byte) error {
 			return f.InjectMemFIFOBuf(inj, dst, hdr, bufpool.GetCopy(payload))
 		}},
-		{"reliable copy-in", true, (*Fabric).InjectMemFIFO},
-		{"reliable transfer", true, func(f *Fabric, inj *InjFIFO, dst TaskAddr, hdr Header, payload []byte) error {
+		{"reliable copy-in", true, false, (*Fabric).InjectMemFIFO},
+		{"reliable transfer", true, false, func(f *Fabric, inj *InjFIFO, dst TaskAddr, hdr Header, payload []byte) error {
 			return f.InjectMemFIFOBuf(inj, dst, hdr, bufpool.GetCopy(payload))
 		}},
-		{"wire", false, func(f *Fabric, _ *InjFIFO, dst TaskAddr, hdr Header, payload []byte) error {
+		{"shared-memory copy-in", false, true, func(f *Fabric, _ *InjFIFO, dst TaskAddr, hdr Header, payload []byte) error {
+			return packWhole(f, dst, hdr, payload, nil)
+		}},
+		{"shared-memory transfer", false, true, func(f *Fabric, _ *InjFIFO, dst TaskAddr, hdr Header, payload []byte) error {
+			return packWhole(f, dst, hdr, payload, bufpool.GetCopy(payload))
+		}},
+		{"wire", false, false, func(f *Fabric, _ *InjFIFO, dst TaskAddr, hdr Header, payload []byte) error {
 			hdr.Total = len(payload)
-			n, err := f.DeliverRemote(dst, hdr, payload)
+			n, err := f.DeliverRemoteBurst(dst, hdr, payload)
+			f.EndRemoteBurst([]TaskAddr{dst})
 			if err == nil && n != len(payload) {
 				err = fmt.Errorf("consumed %d of %d bytes", n, len(payload))
 			}
@@ -107,7 +133,11 @@ func TestInlineBoundary(t *testing.T) {
 				if inFlight := liveBufs() - live0; msize+psize <= InlineMax && inFlight != 0 {
 					t.Fatalf("%s: %d pooled buffers in flight for an inline message", where, inFlight)
 				}
-				checkMessage(t, where, dst.Rec, meta, payload)
+				size := MaxPayload
+				if leg.whole {
+					size = max(1, len(payload))
+				}
+				checkMessage(t, where, dst.Rec, meta, payload, size)
 				if leg.reliable {
 					awaitQuiesced(t, f, where)
 				}
@@ -270,12 +300,13 @@ func TestTooLargeRefused(t *testing.T) {
 			installPlan(t, f, fault.Plan{}, 1)
 		}
 		for name, err := range map[string]error{
-			"payload": f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, Header{Origin: TaskAddr{1, 0}}, huge),
-			"meta":    f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, Header{Origin: TaskAddr{1, 0}, Meta: huge}, nil),
-			"origin":  f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, Header{Origin: TaskAddr{1, 1 << 16}}, nil),
-			"task":    f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, Header{Origin: TaskAddr{1 << 32, 0}}, nil),
+			"payload":       f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, Header{Origin: TaskAddr{1, 0}}, huge),
+			"meta":          f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, Header{Origin: TaskAddr{1, 0}, Meta: huge}, nil),
+			"origin":        f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, Header{Origin: TaskAddr{1, 1 << 16}}, nil),
+			"task":          f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, Header{Origin: TaskAddr{1 << 32, 0}}, nil),
+			"shared memory": packWhole(f, TaskAddr{0, 0}, Header{Origin: TaskAddr{1, 0}}, huge, nil),
 			"wire": func() error {
-				_, err := f.DeliverRemote(TaskAddr{0, 0}, Header{Origin: TaskAddr{1, 0}, Total: 1 << 32}, nil)
+				_, err := f.DeliverRemoteBurst(TaskAddr{0, 0}, Header{Origin: TaskAddr{1, 0}, Total: 1 << 32}, nil)
 				return err
 			}(),
 		} {

@@ -553,7 +553,7 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 		}
 	}
 	inj.sends.Add(1)
-	own = slabFor(hdr, src, own) // every chunk's reference, before chunk 0 is staged
+	own = slabFor(hdr, src, own, MaxPayload) // every chunk's reference, before chunk 0 is staged
 	if occ, _ := fifo.Occupancy(); occ >= paceDepth {
 		// The consumer is milliseconds behind. Credit would only stop us a
 		// whole overflow budget later; until then back off a bounded moment
@@ -581,7 +581,7 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 		}
 	}
 	fl.smu.Unlock()
-	nchunks := int64(packetsFor(hdr.Total))
+	nchunks := int64(packetsFor(hdr.Total, MaxPayload))
 	r.f.account(inj, hdr.Origin.Task, dst.Task, nchunks, int64(hdr.Total)+nchunks*PacketHeaderBytes)
 	return nil
 }
@@ -625,7 +625,7 @@ func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, src *[]byte, own *buf
 			attempts:   1,
 			inflight:   1,
 		}
-		*src = nextPacket(&pp.pkt, hdr, *src, own)
+		*src = nextPacket(&pp.pkt, hdr, *src, own, MaxPayload)
 		pp.pkt.pktSeq = fl.nextSeq
 		pp.pkt.checksum = packetChecksum(&fl.sscratch, &pp.pkt)
 		fl.nextSeq++
@@ -1225,10 +1225,7 @@ func (r *reliableLayer) rdmaFaults(srcTask, dstTask, mr, n int) error {
 		dn = 0
 	}
 	h := fault.FlowHash(srcTask, dstTask, mr, 0x4d52)
-	chunks := (n + MaxPayload - 1) / MaxPayload
-	if chunks == 0 {
-		chunks = 1
-	}
+	chunks := packetsFor(n, MaxPayload)
 	for c := 1; c <= chunks; c++ {
 		for attempt := 1; attempt <= maxRDMAAttempts; attempt++ {
 			stalled := r.inj.NotePacket(dn)

@@ -301,7 +301,7 @@ func TestTypedErrors(t *testing.T) {
 // buildPacket packetizes a one-packet message the way every leg does.
 func buildPacket(hdr Header, payload []byte) Packet {
 	var p Packet
-	nextPacket(&p, &hdr, payload, slabFor(&hdr, payload, nil))
+	nextPacket(&p, &hdr, payload, slabFor(&hdr, payload, nil, MaxPayload), MaxPayload)
 	return p
 }
 

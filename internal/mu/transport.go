@@ -59,53 +59,29 @@ func (f *Fabric) injectRemote(t Transport, inj *InjFIFO, dst TaskAddr, hdr Heade
 	inj.sends.Add(1)
 	hdr.Total = len(payload)
 	hdr.Offset = 0
-	npkts := int64((len(payload) + MaxPayload - 1) / MaxPayload)
-	if npkts == 0 {
-		npkts = 1
-	}
+	npkts := int64(packetsFor(len(payload), MaxPayload))
 	f.account(inj, hdr.Origin.Task, dst.Task, npkts, int64(len(payload))+npkts*PacketHeaderBytes)
 	return t.Send(dst, hdr, payload)
 }
 
-// DeliverRemote injects a message segment that arrived from a peer
+// DeliverRemoteBurst injects a message segment that arrived from a peer
 // process into the destination endpoint's reception FIFO, packetized
 // exactly like a local injection (MaxPayload chunks, metadata only on
 // the offset-0 packet, the same packetizer). hdr.Offset is the segment's
 // absolute offset within hdr.Total; meta and payload are copied — into
 // the packet itself when they fit (InlineMax), else into pooled slabs —
-// so the caller may reuse its frame buffer immediately.
+// so the caller may reuse its frame buffer immediately. The packets are
+// queued without waking the consumer: the transport owes one
+// EndRemoteBurst naming dst once its burst is over — and before it
+// sleeps on a refusal, or a full FIFO whose consumer is parked never
+// drains.
 //
 // It returns the number of payload bytes delivered. On backpressure
 // (the FIFO's overflow is at cap) the error wraps
 // lockless.ErrBackpressure and consumed < len(payload): the caller
 // retries with the remainder — hdr.Offset advanced by consumed — once
 // the consumer drains, so no packet is ever delivered twice.
-func (f *Fabric) DeliverRemote(dst TaskAddr, hdr Header, payload []byte) (consumed int, err error) {
-	return f.deliverRemote(dst, hdr, payload, false)
-}
-
-// DeliverRemoteBurst is DeliverRemote for a transport that delivers in
-// bursts: the packets are queued without waking the consumer, and the
-// transport owes one EndRemoteBurst naming dst once its burst is over —
-// and before it sleeps on a refusal, or a full FIFO whose consumer is
-// parked never drains.
 func (f *Fabric) DeliverRemoteBurst(dst TaskAddr, hdr Header, payload []byte) (consumed int, err error) {
-	return f.deliverRemote(dst, hdr, payload, true)
-}
-
-// EndRemoteBurst wakes the consumers of the endpoints a burst of
-// DeliverRemoteBurst calls queued packets for: one touch of each
-// endpoint's wakeup region, however many packets it was sent.
-func (f *Fabric) EndRemoteBurst(dsts []TaskAddr) {
-	contexts := *f.contexts.Load()
-	for _, dst := range dsts {
-		if fifo, ok := contexts[dst]; ok {
-			fifo.region.Touch()
-		}
-	}
-}
-
-func (f *Fabric) deliverRemote(dst TaskAddr, hdr Header, payload []byte, quiet bool) (consumed int, err error) {
 	fifo, err := f.lookupContext(dst)
 	if err == nil {
 		err = hdr.checkNarrow(max(hdr.Total, hdr.Offset+len(payload)))
@@ -119,7 +95,19 @@ func (f *Fabric) deliverRemote(dst TaskAddr, hdr Header, payload []byte, quiet b
 	if hdr.Offset != 0 {
 		hdr.Meta = nil
 	}
-	return f.enqueue(nil, fifo, dst, &hdr, payload, nil, quiet)
+	return f.enqueue(nil, fifo, dst, &hdr, payload, nil)
+}
+
+// EndRemoteBurst wakes the consumers of the endpoints a burst of
+// DeliverRemoteBurst calls queued packets for: one touch of each
+// endpoint's wakeup region, however many packets it was sent.
+func (f *Fabric) EndRemoteBurst(dsts []TaskAddr) {
+	contexts := *f.contexts.Load()
+	for _, dst := range dsts {
+		if fifo, ok := contexts[dst]; ok {
+			fifo.region.Touch()
+		}
+	}
 }
 
 // crossProcessRDMACheck rejects RDMA naming a task in another process:

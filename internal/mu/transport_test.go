@@ -12,7 +12,7 @@ import (
 )
 
 // TestRemoteBurstWakesOncePerDestination: DeliverRemoteBurst queues
-// packets exactly like DeliverRemote but leaves the consumer's wakeup
+// packets exactly like a local injection but leaves the consumer's wakeup
 // region alone; EndRemoteBurst touches each named endpoint once, however
 // many packets it was sent, and ignores an endpoint nobody registered.
 func TestRemoteBurstWakesOncePerDestination(t *testing.T) {
@@ -59,7 +59,7 @@ func TestRemoteBurstWakesOncePerDestination(t *testing.T) {
 		t.Fatal("the burst end did not wake the parked consumer")
 	}
 
-	// The packets are the ones DeliverRemote builds: meta on the first only.
+	// The packets are the ones a local injection builds: meta on the first only.
 	first, ok := a.Rec.Poll()
 	if !ok || string(first.Header().Meta) != "meta" || first.Header().Offset != 0 || len(first.Payload()) != MaxPayload {
 		t.Fatalf("first packet: %+v ok=%v", first.Header(), ok)
@@ -70,18 +70,10 @@ func TestRemoteBurstWakesOncePerDestination(t *testing.T) {
 		t.Fatalf("second packet: %+v", second.Header())
 	}
 	second.Release()
-
-	// The per-frame form still wakes by itself.
-	if _, err := f.DeliverRemote(dstB, Header{Origin: TaskAddr{Task: 2}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if touches(b) != 2 {
-		t.Fatalf("DeliverRemote touched b %d times in all, want 2", touches(b))
-	}
 }
 
 // TestRemoteBurstRefusalIsResumable: a quiet delivery refused by a full
-// FIFO reports how far it got, like the waking form, so the transport
+// FIFO reports how far it got, so the transport
 // resumes with the remainder and no packet is queued twice.
 func TestRemoteBurstRefusalIsResumable(t *testing.T) {
 	f := newTestFabric(t)
@@ -143,7 +135,7 @@ func TestDeliverRemoteForgedOrigin(t *testing.T) {
 	dst := setupEndpoint(t, f, 0, 0, 0)
 	forged := TaskAddr{Task: math.MaxUint32, Ctx: math.MaxUint16}
 	hdr := Header{Dispatch: 1, Origin: forged, Total: 8, Meta: []byte("m")}
-	if n, err := f.DeliverRemote(TaskAddr{0, 0}, hdr, []byte("12345678")); err != nil || n != 8 {
+	if n, err := f.DeliverRemoteBurst(TaskAddr{0, 0}, hdr, []byte("12345678")); err != nil || n != 8 {
 		t.Fatalf("forged origin %v: n=%d err=%v, want delivery", forged, n, err)
 	}
 	pkt, ok := dst.Rec.Poll()

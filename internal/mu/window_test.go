@@ -188,7 +188,7 @@ func TestQuiescedWaitsForRunningAttempt(t *testing.T) {
 	src := testMessage(1, 0, 2*InlineMax) // a slab packet: the held attempt pins a buffer
 	hdr := Header{Dispatch: 1, Origin: TaskAddr{1, 0}, Total: len(src)}
 	fl := r.flowFor(flowKey{src: hdr.Origin, dst: TaskAddr{0, 0}})
-	own := slabFor(&hdr, src, nil)
+	own := slabFor(&hdr, src, nil, MaxPayload)
 	now := r.now()
 	fl.smu.Lock()
 	seq, _, err := r.stageLocked(fl, &hdr, &src, own, dst.Rec, &now)

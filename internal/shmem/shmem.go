@@ -6,12 +6,17 @@
 // atomically write into" — and the wakeup unit replaces polling on the
 // receive path, exactly as it does for the MU.
 //
-// Short messages are copied through the queue (one copy in, one copy out,
-// both within the shared L2, which is why intra-node eager is fast). Large
-// messages ride the CNK global virtual address space instead: the sender
-// publishes its buffer and the receiver copies directly from the sender's
-// memory (package cnk), so the queue only carries the control message —
-// that path is wired up by the PAMI core's rendezvous protocol.
+// The queue carries the MU's reception element, mu.Packet, built by the
+// MU's one packetizer with the whole message as its chunk: one element
+// per message. Up to mu.InlineMax bytes of metadata and payload ride in
+// the element itself, so the sender copies them once and no pooled
+// buffer moves; a larger payload is a view of a slab — the sender's own
+// under ownership transfer, else a pooled copy — that the consumer
+// dispatches from and releases. Large messages ride the CNK global
+// virtual address space instead: the sender publishes its buffer and the
+// receiver copies directly from the sender's memory (package cnk), so
+// the queue only carries the control message — that path is wired up by
+// the PAMI core's rendezvous protocol.
 package shmem
 
 import (
@@ -26,37 +31,21 @@ import (
 	"pamigo/internal/wakeup"
 )
 
-// Message is one intra-node message: the same software header the MU path
-// uses (so the PAMI dispatch layer is transport-agnostic) plus a payload
-// that was copied into shared memory — a pooled slab — at send time. The
-// consumer that polls a message owns one reference and must Release it
-// after dispatch; Payload and Hdr.Meta are invalid afterwards.
-type Message struct {
-	Hdr     mu.Header
-	Payload []byte
-
-	pbuf *bufpool.Buf
-	mbuf *bufpool.Buf
-}
-
-// Release returns the message's pooled slabs to the buffer pool.
-func (m *Message) Release() {
-	m.pbuf.Release()
-	m.mbuf.Release()
-	m.pbuf, m.mbuf = nil, nil
-}
+// Message is the queue's element: the MU reception element, under the
+// name the benchmark's ladder uses.
+type Message = mu.Packet
 
 // Device is the shared-memory reception queue of one context.
 type Device struct {
 	addr   mu.TaskAddr
-	q      *lockless.Queue[Message]
+	q      *lockless.Queue[mu.Packet]
 	region *wakeup.Region
 }
 
 // Poll removes the next message, if one is ready. Single consumer: the
 // thread advancing the owning context, which must Release the message
 // after dispatch.
-func (d *Device) Poll() (Message, bool) {
+func (d *Device) Poll() (mu.Packet, bool) {
 	m, ok := d.q.Dequeue()
 	return m, ok
 }
@@ -64,7 +53,7 @@ func (d *Device) Poll() (Message, bool) {
 // PollBatch drains up to len(dst) messages in delivery order with one
 // head update on the lockless queue. The consumer must Release each
 // drained message after dispatch.
-func (d *Device) PollBatch(dst []Message) int {
+func (d *Device) PollBatch(dst []mu.Packet) int {
 	return d.q.DrainInto(dst)
 }
 
@@ -108,7 +97,7 @@ func (n *Node) Register(addr mu.TaskAddr, slots int, region *wakeup.Region) (*De
 	}
 	d := &Device{
 		addr:   addr,
-		q:      lockless.NewQueue[Message](slots),
+		q:      lockless.NewQueue[mu.Packet](slots),
 		region: region,
 	}
 	n.mu.Lock()
@@ -144,39 +133,30 @@ func (n *Node) Resolve(dst mu.TaskAddr) (*Device, bool) {
 	return d, ok
 }
 
-// Send copies the payload into the destination endpoint's queue and wakes
-// its region. Safe for concurrent use by any number of local producers;
-// per-producer FIFO order is preserved by the lockless queue.
+// Send copies the message into the destination endpoint's queue and
+// wakes its region, so the caller may reuse its buffers immediately.
+// Safe for concurrent use by any number of local producers; per-producer
+// FIFO order is preserved by the lockless queue.
 func (n *Node) Send(dst mu.TaskAddr, hdr mu.Header, payload []byte) error {
 	d, ok := n.Resolve(dst)
 	if !ok {
 		return fmt.Errorf("shmem: no endpoint %v on this node", dst)
 	}
-	return n.SendTo(d, hdr, payload)
+	return n.send(d, hdr, payload, nil)
 }
 
-// SendTo is Send against an already-resolved device: the payload and
-// metadata are copied into pooled shared-memory slabs, so the caller may
-// reuse its buffers immediately.
+// SendTo is Send against an already-resolved device.
 func (n *Node) SendTo(d *Device, hdr mu.Header, payload []byte) error {
-	hdr.Total = len(payload)
-	msg := Message{Hdr: hdr}
-	if len(hdr.Meta) > 0 {
-		msg.mbuf = bufpool.GetCopy(hdr.Meta)
-		msg.Hdr.Meta = msg.mbuf.Bytes()
-	}
-	if len(payload) > 0 {
-		msg.pbuf = bufpool.GetCopy(payload)
-		msg.Payload = msg.pbuf.Bytes()
-	}
-	return n.finish(d, &msg)
+	return n.send(d, hdr, payload, nil)
 }
 
 // SendBuf is Send with ownership transfer: the caller relinquishes the
 // pooled payload and the queue takes it with no copy at all — the
 // receiving context dispatches straight out of the sender's slab and
-// Releases it. The reference is consumed on every path, error included.
-// A nil payload is the zero-length message.
+// Releases it — unless the message fits in the element, which then holds
+// a copy and the slab is released on the spot. The reference is
+// consumed on every path, error included. A nil payload is the
+// zero-length message.
 func (n *Node) SendBuf(dst mu.TaskAddr, hdr mu.Header, payload *bufpool.Buf) error {
 	d, ok := n.Resolve(dst)
 	if !ok {
@@ -188,32 +168,24 @@ func (n *Node) SendBuf(dst mu.TaskAddr, hdr mu.Header, payload *bufpool.Buf) err
 
 // SendBufTo is SendBuf against an already-resolved device.
 func (n *Node) SendBufTo(d *Device, hdr mu.Header, payload *bufpool.Buf) error {
-	msg := Message{Hdr: hdr}
-	if payload != nil {
-		msg.Payload = payload.Bytes()
-		msg.Hdr.Total = len(msg.Payload)
-		msg.pbuf = payload
-		if len(msg.Payload) == 0 {
-			payload.Release()
-			msg.pbuf = nil
-		}
-	} else {
-		msg.Hdr.Total = 0
+	if payload == nil {
+		return n.send(d, hdr, nil, nil)
 	}
-	if len(hdr.Meta) > 0 {
-		msg.mbuf = bufpool.GetCopy(hdr.Meta)
-		msg.Hdr.Meta = msg.mbuf.Bytes()
-	}
-	return n.finish(d, &msg)
+	return n.send(d, hdr, payload.Bytes(), payload)
 }
 
-// finish enqueues the built message and wakes the consumer; on refusal
-// the message's references are reclaimed.
-func (n *Node) finish(d *Device, msg *Message) error {
-	if err := d.q.EnqueueRef(msg); err != nil {
-		msg.Release()
+// send packs the message into one element, queues it and wakes the
+// consumer. own is the relinquished slab src views, nil when the caller
+// keeps src; on refusal the element's references are reclaimed.
+func (n *Node) send(d *Device, hdr mu.Header, src []byte, own *bufpool.Buf) error {
+	var p mu.Packet
+	if err := p.PackWhole(hdr, src, own); err != nil {
+		return err
+	}
+	if err := d.q.EnqueueRef(&p); err != nil {
+		p.Release()
 		return fmt.Errorf("shmem: endpoint %v on node %d refused message from %v: %w",
-			d.addr, n.rank, msg.Hdr.Origin, err)
+			d.addr, n.rank, hdr.Origin, err)
 	}
 	d.region.Touch()
 	return nil

@@ -1,9 +1,11 @@
 package shmem
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
+	"pamigo/internal/bufpool"
 	"pamigo/internal/mu"
 )
 
@@ -21,11 +23,12 @@ func TestSendReceive(t *testing.T) {
 	if !ok {
 		t.Fatal("no message delivered")
 	}
-	if m.Hdr.Dispatch != 4 || m.Hdr.Seq != 3 || string(m.Hdr.Meta) != "env" {
-		t.Fatalf("header mangled: %+v", m.Hdr)
+	h := m.Header()
+	if h.Dispatch != 4 || h.Seq != 3 || string(h.Meta) != "env" || !m.Whole() {
+		t.Fatalf("header mangled: %+v", h)
 	}
-	if string(m.Payload) != "intranode" || m.Hdr.Total != 9 {
-		t.Fatalf("payload mangled: %q total=%d", m.Payload, m.Hdr.Total)
+	if string(m.Payload()) != "intranode" || h.Total != 9 {
+		t.Fatalf("payload mangled: %q total=%d", m.Payload(), h.Total)
 	}
 }
 
@@ -38,8 +41,8 @@ func TestSendCopiesPayload(t *testing.T) {
 	}
 	copy(buf, "after!")
 	m, _ := dev.Poll()
-	if string(m.Payload) != "before" {
-		t.Fatalf("payload aliases sender buffer: %q", m.Payload)
+	if string(m.Payload()) != "before" {
+		t.Fatalf("payload aliases sender buffer: %q", m.Payload())
 	}
 }
 
@@ -92,8 +95,8 @@ func TestZeroByteMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, ok := dev.Poll()
-	if !ok || m.Payload != nil || m.Hdr.Total != 0 {
-		t.Fatalf("zero-byte message mangled: %+v", m)
+	if !ok || m.Payload() != nil || m.Header().Total != 0 || !m.Whole() {
+		t.Fatalf("zero-byte message mangled: %+v", m.Header())
 	}
 }
 
@@ -128,11 +131,12 @@ func TestConcurrentProducersPerSourceFIFO(t *testing.T) {
 		if !ok {
 			continue
 		}
-		src := m.Hdr.Origin.Task
-		if int64(m.Hdr.Seq) != last[src]+1 {
-			t.Fatalf("per-producer order broken for %d: seq %d after %d", src, m.Hdr.Seq, last[src])
+		h := m.Header()
+		src := h.Origin.Task
+		if int64(h.Seq) != last[src]+1 {
+			t.Fatalf("per-producer order broken for %d: seq %d after %d", src, h.Seq, last[src])
 		}
-		last[src] = int64(m.Hdr.Seq)
+		last[src] = int64(h.Seq)
 		got++
 	}
 	wg.Wait()
@@ -141,5 +145,37 @@ func TestConcurrentProducersPerSourceFIFO(t *testing.T) {
 	}
 	if dev.Received() != producers*per {
 		t.Fatalf("Received = %d", dev.Received())
+	}
+}
+
+// Both cuts of the inline rule on the shared-memory leg: a message of
+// mu.InlineMax bytes of metadata and payload is copied into its element
+// and the relinquished slab goes back on the spot; one byte more and the
+// element views the slab, plus a copy of the metadata if there is any,
+// until the consumer releases it.
+func TestInlineCut(t *testing.T) {
+	n := NewNode(0)
+	dev, _ := n.Register(mu.TaskAddr{Task: 1}, 4, nil)
+	live := func() int64 { l, _ := bufpool.Live(); return l }
+	for _, c := range []struct{ meta, payload, slabs int }{
+		{mu.InlineMax, 0, 0}, {16, mu.InlineMax - 16, 0}, {0, mu.InlineMax, 0},
+		{mu.InlineMax + 1, 0, 1}, {16, mu.InlineMax - 15, 2}, {0, mu.InlineMax + 1, 1},
+	} {
+		meta, payload := bytes.Repeat([]byte{'m'}, c.meta), bytes.Repeat([]byte{'p'}, c.payload)
+		live0 := live()
+		if err := n.SendBufTo(dev, mu.Header{Meta: meta}, bufpool.GetCopy(payload)); err != nil {
+			t.Fatal(err)
+		}
+		if held := live() - live0; held != int64(c.slabs) {
+			t.Errorf("%d+%d B: the queued element holds %d slabs, want %d", c.meta, c.payload, held, c.slabs)
+		}
+		m, _ := dev.Poll()
+		if !m.Whole() || !bytes.Equal(m.Meta(), meta) || !bytes.Equal(m.Payload(), payload) {
+			t.Errorf("%d+%d B: delivered %q / %q", c.meta, c.payload, m.Meta(), m.Payload())
+		}
+		m.Release()
+		if live() != live0 {
+			t.Errorf("%d+%d B: %d slabs live after the release", c.meta, c.payload, live()-live0)
+		}
 	}
 }

@@ -90,7 +90,7 @@ type Config struct {
 	// node-aligned (multiples of PPN).
 	HostedLo, HostedHi int
 	// Deliver injects an arriving message segment into the local
-	// fabric, returning bytes consumed (mu.Fabric.DeliverRemote).
+	// fabric, returning bytes consumed (mu.Fabric.DeliverRemoteBurst).
 	Deliver func(dst mu.TaskAddr, hdr mu.Header, payload []byte) (int, error)
 	// OnBeat, if non-nil, is called once per read burst that held a valid
 	// frame — any frame, not only a beat: whatever passes its CRC proves

@@ -28,10 +28,10 @@ go test ./...
 echo "==> go test -count=20 -run TestPAMIFasterThanMPI ./internal/mpilib (MPI point-to-point now costs PAMI plus matching: the paired comparison's margin is about 250 ns, so one pass says little)"
 go test -count=20 -run TestPAMIFasterThanMPI ./internal/mpilib
 
-echo "==> go test -race (telemetry + integration + hot layers; bufpool and lockless carry the concurrent-count and queue stress tests; mu includes the reliable-window property test: 32 seeds x 5 fault plans x 1 and 4 origins; core the node-team property test: 4 team shapes x 3 seeds x every root, size class and combine op; armci and upc are the concurrent users of caller-chosen memregion IDs)"
+echo "==> go test -race (telemetry + integration + hot layers; bufpool and lockless carry the concurrent-count and queue stress tests; mu includes the reliable-window property test: 32 seeds x 5 fault plans x 1 and 4 origins; core the node-team property test: 4 team shapes x 3 seeds x every root, size class and combine op; armci and upc are the concurrent users of caller-chosen memregion IDs; shmem the many-producer queue of the shared-memory device)"
 # Two invocations: the chaos and recovery suites in integration are
 # sensitive to load, and core's property test is a second of it.
-go test -race ./internal/telemetry ./internal/bufpool ./internal/lockless ./internal/integration ./internal/mpilib ./internal/mu ./internal/armci ./internal/upc
+go test -race ./internal/telemetry ./internal/bufpool ./internal/lockless ./internal/integration ./internal/mpilib ./internal/mu ./internal/armci ./internal/upc ./internal/shmem
 go test -race ./internal/core ./internal/collnet ./internal/watchdog
 
 echo "==> GOMAXPROCS=1 go test -race (node-team protocol: no wait may depend on a second core)"
@@ -43,9 +43,9 @@ go test -race ./internal/wire ./internal/machine ./internal/health ./cmd/pamirun
 echo "==> GOMAXPROCS=1 go test -race ./internal/wire (a reader/writer pair must not need a second core to make progress)"
 GOMAXPROCS=1 go test -race ./internal/wire
 
-echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release, a kept view of an inline message reads poison; the live count folds the quarantine out, under -race; the reliable layer's burst references, taken in one add and published to a concurrent consumer, under -race)"
-go test -tags bufpooldebug ./internal/bufpool ./internal/mu ./internal/core ./internal/mpilib
-go test -race -tags bufpooldebug ./internal/bufpool ./internal/mu
+echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release, a kept view of an inline message reads poison; the shared-memory leg holds a slab only past the inline cut; the live count folds the quarantine out, under -race; the reliable layer's burst references, taken in one add and published to a concurrent consumer, under -race)"
+go test -tags bufpooldebug ./internal/bufpool ./internal/mu ./internal/shmem ./internal/core ./internal/mpilib
+go test -race -tags bufpooldebug ./internal/bufpool ./internal/mu ./internal/shmem
 
 echo "==> benchmark module (outside ./...: vet + 1/100-length smoke run)"
 (cd benchmark && go vet ./... && go test)

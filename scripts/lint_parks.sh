@@ -1,7 +1,7 @@
 #!/bin/sh
 # Abortable-wait lint (grep-based): every blocking park in the runtime
 # must be reachable by the cancellation layer — barrier poisoning
-# (l2atomic, collnet.GIBarrier), abort-aware region waits
+# (l2atomic, the node team), abort-aware region waits
 # (wakeup.Region.WaitAbort), or a sentinel-registered watchdog.Park on
 # the stall path — so the partition stall sentinel can observe and
 # escalate it (DESIGN §8). A wait the sentinel cannot see is a silent
@@ -54,16 +54,13 @@ check "sync.NewCond" internal/mu/reliable.go 1
 check "sync.NewCond" internal/wire/transport.go 3
 
 # Channel construction inside the abortable layers, counts pinned.
-# The allowed ones are either poisonable gates (GI barrier
-# generations: Poison publishes the error then closes) or
-# stop/done plumbing that is closed on shutdown, never awaited by the
-# data path.
+# The allowed ones are stop/done plumbing that is closed on shutdown,
+# never awaited by the data path.
 for f in $(grep -rl "make(chan " --include="*.go" \
 	internal/core internal/collnet internal/l2atomic internal/wakeup \
 	internal/recovery internal/mu 2>/dev/null | grep -v _test.go); do
 	case "$f" in
-	internal/collnet/session.go | \
-		internal/recovery/supervisor.go | \
+	internal/recovery/supervisor.go | \
 		internal/mu/reliable.go) ;;
 	*)
 		echo "lint_parks: $f introduces a raw channel wait in an abortable layer: gate it behind a poisonable primitive or extend scripts/lint_parks.sh with a justification" >&2
@@ -71,7 +68,6 @@ for f in $(grep -rl "make(chan " --include="*.go" \
 		;;
 	esac
 done
-check "make(chan " internal/collnet/session.go 3
 check "make(chan " internal/recovery/supervisor.go 2
 check "make(chan " internal/mu/reliable.go 2
 
@@ -86,7 +82,7 @@ check "make(chan " internal/mu/reliable.go 2
 #   FILE                         N  LINES            WHY IT MAY POLL
 spins="
 internal/core/geometry.go        2  234,818          bootstrap rendezvous in CreateGeometry (bounded by context creation); swWait advances the context itself and yields only when nothing moved, its exit is the deadMember gate
-internal/core/context.go         2  413,558          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
+internal/core/context.go         2  399,556          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
 internal/mpilib/pt2pt.go         4  283,297,318,345  Waitall/Test/Testall/Probe drive progress themselves and yield only on an idle pass; converting them is ROADMAP item 1(b)'s spinwait helper
 internal/mpilib/world.go         1  287              progress(): context lock held by a commthread, yield to it
 internal/mu/mu.go                1  176              not a wait: RecFIFO.PollBatch yields once, then returns 0, when it drained nothing from a FIFO whose head ticket is claimed but unpublished, so the producer that lost the P can publish; the wait around it is the caller's (advanceUntil: visible, abortable)
