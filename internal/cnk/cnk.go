@@ -9,10 +9,10 @@
 //     priorities, reserved for messaging software, which suspend on the
 //     wakeup unit when no communication is in flight and voluntarily yield
 //     whenever an application thread wants the hardware thread;
-//   - the global virtual address space within a node: CNK maintains a
-//     node-wide translation table so any process can read its peers'
-//     memory, eliminating copies in intra-node point-to-point and
-//     collective protocols.
+//   - the global virtual address space within a node, which lets any
+//     process read its peers' memory in place. It is modelled by the
+//     per-task memregion table (package mu): a node peer resolves a
+//     registered buffer there and copies straight out of it.
 package cnk
 
 import (
@@ -55,16 +55,8 @@ type Node struct {
 
 	procs []*Process
 
-	gvaMu sync.RWMutex
-	gva   map[segKey][]byte
-
 	ctMu        sync.Mutex
 	commthreads []*CommThread
-}
-
-type segKey struct {
-	pid int
-	tag uint64
 }
 
 // NewNode builds a node with ppn processes. Global task ranks are assigned
@@ -77,7 +69,6 @@ func NewNode(rank torus.Rank, ppn, rankBase int) (*Node, error) {
 	n := &Node{
 		Rank:   rank,
 		Wakeup: wakeup.NewUnit(HWThreads),
-		gva:    make(map[segKey][]byte),
 	}
 	per := HWThreads / ppn
 	for p := 0; p < ppn; p++ {
@@ -145,33 +136,6 @@ func (p *Process) HWThreads() []int { return p.hwThreads }
 // IsNodeMaster reports whether the process is the designated master of its
 // node; shared-address collectives funnel network operations through it.
 func (p *Process) IsNodeMaster() bool { return p.localID == 0 }
-
-// PublishSegment registers a memory buffer in the node's global virtual
-// address table under (process, tag), making it readable by node peers —
-// CNK's shared address space (paper §II.D). The same process may republish
-// a tag to move it.
-func (p *Process) PublishSegment(tag uint64, buf []byte) {
-	p.node.gvaMu.Lock()
-	p.node.gva[segKey{p.localID, tag}] = buf
-	p.node.gvaMu.Unlock()
-}
-
-// RetractSegment removes a published segment.
-func (p *Process) RetractSegment(tag uint64) {
-	p.node.gvaMu.Lock()
-	delete(p.node.gva, segKey{p.localID, tag})
-	p.node.gvaMu.Unlock()
-}
-
-// PeerSegment resolves a peer process's published segment through the
-// node's global virtual address table. The returned slice aliases the
-// peer's memory: reads are zero-copy, exactly the point of the feature.
-func (n *Node) PeerSegment(localID int, tag uint64) ([]byte, bool) {
-	n.gvaMu.RLock()
-	buf, ok := n.gva[segKey{localID, tag}]
-	n.gvaMu.RUnlock()
-	return buf, ok
-}
 
 // CommThread state values.
 const (

@@ -66,46 +66,6 @@ func TestNewNodeRejectsBadPPN(t *testing.T) {
 	}
 }
 
-func TestGlobalVA(t *testing.T) {
-	n, err := NewNode(0, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := n.Proc(0)
-	buf := []byte("shared address data")
-	owner.PublishSegment(42, buf)
-	got, ok := n.PeerSegment(0, 42)
-	if !ok {
-		t.Fatal("published segment not found")
-	}
-	// Zero-copy: the peer sees the owner's memory, not a copy.
-	buf[0] = 'S'
-	if got[0] != 'S' {
-		t.Fatal("PeerSegment returned a copy, want an alias")
-	}
-	if _, ok := n.PeerSegment(1, 42); ok {
-		t.Fatal("lookup with wrong pid succeeded")
-	}
-	if _, ok := n.PeerSegment(0, 43); ok {
-		t.Fatal("lookup with wrong tag succeeded")
-	}
-	owner.RetractSegment(42)
-	if _, ok := n.PeerSegment(0, 42); ok {
-		t.Fatal("retracted segment still visible")
-	}
-}
-
-func TestGlobalVARepublish(t *testing.T) {
-	n, _ := NewNode(0, 1, 0)
-	p := n.Proc(0)
-	p.PublishSegment(1, []byte("old"))
-	p.PublishSegment(1, []byte("new"))
-	got, ok := n.PeerSegment(0, 1)
-	if !ok || string(got) != "new" {
-		t.Fatalf("republish: got %q ok=%v", got, ok)
-	}
-}
-
 func TestCommThreadProcessesWork(t *testing.T) {
 	n, _ := NewNode(0, 1, 0)
 	var pending, completed atomic.Int64

@@ -120,6 +120,10 @@ type Context struct {
 	// because only the owner may touch the thread-unsafe queues.
 	aborted atomic.Pointer[abort.Cause]
 
+	// userMRs numbers the context's RegisterMemory regions; any thread
+	// may register.
+	userMRs atomic.Uint64
+
 	// Stall-sentinel wiring, attached at creation: the observe-only idle
 	// park (progress loops sleeping on the wakeup region are legitimately
 	// indefinite) and the escalating deferred-send park, whose hook is
@@ -214,7 +218,6 @@ type pendingSend struct {
 	onDone func()
 	onFail func(error)
 	mrID   uint64
-	gvaTag uint64
 	buf    *bufpool.Buf // ownership-transfer payload; released when the send retires
 }
 
@@ -516,15 +519,10 @@ func (ctx *Context) newPending() *pendingSend {
 	return new(pendingSend)
 }
 
-// unpublish retires a rendezvous send's publication — its memregion or
-// GVA segment — and releases its DataBuf slab.
+// unpublish retires a rendezvous send's memregion and releases its
+// DataBuf slab.
 func (ctx *Context) unpublish(ps *pendingSend) {
-	if ps.mrID != 0 {
-		ctx.client.mach.Fabric().DeregisterMemregion(ctx.addr.Task, ps.mrID)
-	}
-	if ps.gvaTag != 0 {
-		ctx.client.proc.RetractSegment(ps.gvaTag)
-	}
+	ctx.client.mach.Fabric().DeregisterMemregion(ctx.addr.Task, ps.mrID)
 	ps.buf.Release()
 }
 

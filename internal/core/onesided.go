@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Memregion is a buffer registered for one-sided RDMA (PAMI memregions).
 // The owner shares the region's ID out of band; remote endpoints then Put
@@ -14,13 +11,12 @@ type Memregion struct {
 	buf []byte
 }
 
-// userMRCounter allocates user memregion IDs, disjoint from the internal
-// rendezvous publication ID space (which sets bit 62).
-var userMRCounter atomic.Uint64
-
 // RegisterMemory pins buf for one-sided access and returns its region.
+// Its ID carries the context ordinal in bits 48 and up over a per-context
+// count, so IDs are the same on every run of a program and disjoint from
+// rendezvous publications (bit 62 set).
 func (ctx *Context) RegisterMemory(buf []byte) *Memregion {
-	id := userMRCounter.Add(1)
+	id := uint64(ctx.addr.Ctx)<<48 | ctx.userMRs.Add(1)
 	ctx.client.mach.Fabric().RegisterMemregion(ctx.addr.Task, id, buf)
 	return &Memregion{ctx: ctx, id: id, buf: buf}
 }

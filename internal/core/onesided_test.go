@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,6 +67,41 @@ func TestMemregionIDsUnique(t *testing.T) {
 	m2 := a.RegisterMemory(make([]byte, 4))
 	if m1.ID() == m2.ID() {
 		t.Fatal("memregion IDs collide")
+	}
+}
+
+// RegisterMemory numbers regions per context: a fresh machine hands out
+// the same IDs whatever ran before it in the process, and two contexts of
+// one task never hand out the same one.
+func TestMemregionIDsPerContext(t *testing.T) {
+	ids := func() []uint64 {
+		m := newTestMachine(t, torus.Dims{1, 1, 1, 1, 1}, 1)
+		c, err := NewClient(m, m.Task(0), "mr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctxs, err := c.CreateContexts(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []uint64
+		for _, ctx := range ctxs {
+			for range 2 {
+				out = append(out, ctx.RegisterMemory(make([]byte, 4)).ID())
+			}
+		}
+		return out
+	}
+	first, second := ids(), ids()
+	if !slices.Equal(first, second) {
+		t.Fatalf("two fresh machines handed out %#x and %#x", first, second)
+	}
+	seen := map[uint64]bool{}
+	for _, id := range first {
+		if seen[id] || id&mrSendIDBase != 0 {
+			t.Fatalf("IDs %#x: %#x repeats or sits in the publication space", first, id)
+		}
+		seen[id] = true
 	}
 }
 

@@ -94,8 +94,8 @@ func TestRendezvousDeliveryConcurrentReceive(t *testing.T) {
 	}
 }
 
-// TestRendezvousRoundTripAllocs: one inter-node 64 KiB rendezvous — RTS,
-// the memregion publication, the receiver's remote get, the ack and the
+// TestRendezvousRoundTripAllocs: one 64 KiB rendezvous on either leg —
+// RTS, the memregion publication, the receiver's pull, the ack and the
 // sender's retirement — allocates only the Delivery the receiver may
 // retain. The publication reuses a free slot of the sender's memregion
 // table, and the RTS and ack metadata come from the pool.
@@ -103,7 +103,13 @@ func TestRendezvousRoundTripAllocs(t *testing.T) {
 	if raceBuild || bufpool.DebugEnabled {
 		t.Skip("the race detector and the pool's debug build allocate")
 	}
-	a, b := pair(t)
+	for _, leg := range bothLegs {
+		t.Run(leg.name, func(t *testing.T) { rendezvousRoundTripAllocs(t, leg.mk) })
+	}
+}
+
+func rendezvousRoundTripAllocs(t *testing.T, mk func(*testing.T) (*Context, *Context)) {
+	a, b := mk(t)
 	sink := make([]byte, 64<<10)
 	if err := b.RegisterDispatch(5, func(_ *Context, d *Delivery) {
 		if err := d.Receive(sink, nil); err != nil {

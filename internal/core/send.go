@@ -102,12 +102,9 @@ var ErrDeliveryConsumed = errors.New("core: rendezvous delivery already received
 // rtsInfo is the sender state a rendezvous Delivery carries: where the
 // payload lives until the receiver pulls it.
 type rtsInfo struct {
-	sendID  uint64
-	mrID    uint64
-	gvaTag  uint64
-	srcProc int // sender's local process index (intra-node GVA pull)
-	size    int
-	intra   bool
+	sendID uint64
+	mrID   uint64
+	size   int
 }
 
 // IsRendezvous reports whether the payload must be pulled with Receive.
@@ -326,13 +323,11 @@ func (ctx *Context) sendEager(p SendParams) error {
 // rtsMeta is the wire encoding of a rendezvous request-to-send: fixed
 // fields followed by the user's metadata.
 //
-//	sendID  uint64 — key for the completion ack
-//	mrOrTag uint64 — fabric memregion ID (inter-node) or GVA tag (intra)
-//	size    uint64 — payload bytes
-//	srcProc uint32 — sender's node-local process index
-//	intra   uint8  — 1 when the payload is pulled through the GVA
+//	sendID   uint64 — key for the completion ack
+//	mrID     uint64 — the payload's memregion in the sender's table
+//	size     uint64 — payload bytes
 //	dispatch uint16 — the user dispatch to deliver to
-const rtsFixed = 8 + 8 + 8 + 4 + 1 + 2
+const rtsFixed = 8 + 8 + 8 + 2
 
 // encodeRTS writes the RTS wire form into a pooled scratch slab; the
 // caller releases it after the transport has copied the header out.
@@ -340,18 +335,9 @@ func encodeRTS(info rtsInfo, dispatch uint16, userMeta []byte) *bufpool.Buf {
 	bb := bufpool.Get(rtsFixed + len(userMeta))
 	buf := bb.Bytes()
 	binary.LittleEndian.PutUint64(buf[0:], info.sendID)
-	mrOrTag := info.mrID
-	if info.intra {
-		mrOrTag = info.gvaTag
-	}
-	binary.LittleEndian.PutUint64(buf[8:], mrOrTag)
+	binary.LittleEndian.PutUint64(buf[8:], info.mrID)
 	binary.LittleEndian.PutUint64(buf[16:], uint64(info.size))
-	binary.LittleEndian.PutUint32(buf[24:], uint32(info.srcProc))
-	buf[28] = 0 // pooled scratch is not zeroed
-	if info.intra {
-		buf[28] = 1
-	}
-	binary.LittleEndian.PutUint16(buf[29:], dispatch)
+	binary.LittleEndian.PutUint16(buf[24:], dispatch)
 	copy(buf[rtsFixed:], userMeta)
 	return bb
 }
@@ -361,57 +347,35 @@ func decodeRTS(meta []byte) (info rtsInfo, dispatch uint16, userMeta []byte, err
 		return info, 0, nil, fmt.Errorf("core: malformed RTS of %d bytes", len(meta))
 	}
 	info.sendID = binary.LittleEndian.Uint64(meta[0:])
-	mrOrTag := binary.LittleEndian.Uint64(meta[8:])
+	info.mrID = binary.LittleEndian.Uint64(meta[8:])
 	info.size = int(binary.LittleEndian.Uint64(meta[16:]))
-	info.srcProc = int(binary.LittleEndian.Uint32(meta[24:]))
-	info.intra = meta[28] == 1
-	if info.intra {
-		info.gvaTag = mrOrTag
-	} else {
-		info.mrID = mrOrTag
-	}
-	dispatch = binary.LittleEndian.Uint16(meta[29:])
+	dispatch = binary.LittleEndian.Uint16(meta[24:])
 	return info, dispatch, meta[rtsFixed:], nil
 }
 
-// sendRendezvous publishes the payload (a fabric memregion across nodes,
-// a CNK global-VA segment within the node) and sends a request-to-send;
-// the receiver pulls the data with a remote get or a GVA copy and sends a
-// completion ack, which fires OnDone and retires the publication.
+// sendRendezvous publishes the payload in the sender task's memregion
+// table, wherever the peer is, and sends a request-to-send; the receiver
+// pulls the data (Delivery.Receive picks the leg) and sends a completion
+// ack, which fires OnDone and retires the publication.
 func (ctx *Context) sendRendezvous(p SendParams) error {
 	ctx.sendSeq++
 	sendID := ctx.sendSeq
-	intra := ctx.client.mach.SameNode(ctx.addr.Task, p.Dest.Task)
 	// A DataBuf rendezvous publishes the caller's slab directly: the
 	// pending send holds the reference until the completion ack (or a
 	// peer-death cancellation) retires the publication and releases it.
 	data := p.payload()
-	info := rtsInfo{
-		sendID:  sendID,
-		size:    len(data),
-		srcProc: ctx.client.proc.LocalID(),
-		intra:   intra,
-	}
 	ps := ctx.newPending()
 	*ps = pendingSend{dst: p.Dest, onDone: p.OnDone, onFail: p.OnFail, buf: p.DataBuf}
 	ctx.stats.sendsRdv.Inc()
 	ctx.stats.bytesSent.Add(int64(len(data)))
 	ctx.stats.rdvInflight.Inc()
-	// Publication IDs embed the context ordinal: the registries are keyed
-	// per task/process, and a task's contexts allocate independently.
+	// Publication IDs embed the context ordinal: the table is the task's,
+	// and a task's contexts allocate independently.
 	ctx.nextMR++
-	pubID := mrSendIDBase | uint64(ctx.addr.Ctx)<<48 | ctx.nextMR
-	if intra {
-		info.gvaTag = pubID
-		ps.gvaTag = info.gvaTag
-		ctx.client.proc.PublishSegment(info.gvaTag, data)
-	} else {
-		info.mrID = pubID
-		ps.mrID = info.mrID
-		ctx.client.mach.Fabric().RegisterMemregion(ctx.addr.Task, info.mrID, data)
-	}
+	ps.mrID = mrSendIDBase | uint64(ctx.addr.Ctx)<<48 | ctx.nextMR
+	ctx.client.mach.Fabric().RegisterMemregion(ctx.addr.Task, ps.mrID, data)
 	ctx.pending[sendID] = ps
-	rts := encodeRTS(info, p.Dispatch, p.Meta)
+	rts := encodeRTS(rtsInfo{sendID: sendID, mrID: ps.mrID, size: len(data)}, p.Dispatch, p.Meta)
 	hdr := mu.Header{
 		Dispatch: dispatchRTS,
 		Origin:   ctx.addr,
@@ -431,11 +395,9 @@ func (ctx *Context) sendRendezvous(p SendParams) error {
 	return err
 }
 
-// ID spaces for sender-side publications, disjoint from user memregions.
-const (
-	mrSendIDBase   uint64 = 1 << 62
-	gvaSendTagBase uint64 = 1 << 62
-)
+// mrSendIDBase marks sender-side publication IDs, disjoint from user
+// memregions (bit 62 clear).
+const mrSendIDBase uint64 = 1 << 62
 
 // destEntry is one resolved destination route, cached per context so the
 // per-message cost of repeated sends to one endpoint is a handful of
@@ -548,12 +510,16 @@ func (ctx *Context) handleRTS(hdr mu.Header) {
 }
 
 // Receive pulls a rendezvous payload into buf (len(buf) bytes, at most
-// d.Size) and acknowledges the sender. It may be called from the dispatch
-// handler or later (MPI calls it when the message finally matches); it is
-// safe from any thread. done, if non-nil, runs before Receive returns —
-// data movement is synchronous in this fabric model. The first Receive or
-// Discard consumes the Delivery, whether or not it succeeds; every later
-// one returns ErrDeliveryConsumed and sends nothing.
+// d.Size) and acknowledges the sender. The pull reads the sender's
+// publication in its memregion table: in place when the sender shares
+// this node, with a remote get otherwise; on either leg a retired
+// publication fails with mu.ErrNoSuchMemregion. Receive may be called
+// from the dispatch handler or later (MPI calls it when the message
+// finally matches); it is safe from any thread. done, if non-nil, runs
+// before Receive returns — data movement is synchronous in this fabric
+// model. The first Receive or Discard consumes the Delivery, whether or
+// not it succeeds; every later one returns ErrDeliveryConsumed and sends
+// nothing.
 func (d *Delivery) Receive(buf []byte, done func()) error {
 	if !d.rdv {
 		return fmt.Errorf("core: Receive on an eager delivery")
@@ -567,15 +533,15 @@ func (d *Delivery) Receive(buf []byte, done func()) error {
 	}
 	ctx := d.ctx
 	m := ctx.client.mach
-	if d.rts.intra {
-		// Pull straight out of the sender's memory through the CNK global
-		// virtual address space — the zero-copy path of paper §II.D.
-		node := ctx.client.proc.Node()
-		src, ok := node.PeerSegment(d.rts.srcProc, d.rts.gvaTag)
+	if m.SameNode(d.Origin.Task, ctx.addr.Task) {
+		// A node peer reads the sender's registered buffer in place, as
+		// CNK's shared address space lets it (paper §II.D): no remote get
+		// and nothing on the torus.
+		src, ok := m.Fabric().Memregion(d.Origin.Task, d.rts.mrID)
 		if !ok {
-			return fmt.Errorf("core: rendezvous GVA segment %d of process %d vanished", d.rts.gvaTag, d.rts.srcProc)
+			return fmt.Errorf("%w: rendezvous publication %d of task %d", mu.ErrNoSuchMemregion, d.rts.mrID, d.Origin.Task)
 		}
-		copy(buf[:n], src[:n])
+		copy(buf[:n], src)
 	} else {
 		inj := ctx.muRes.PinnedInj(d.Origin.Task)
 		if err := m.Fabric().InjectRemoteGet(inj, ctx.addr, d.Origin.Task, d.rts.mrID, 0, buf[:n], nil); err != nil {

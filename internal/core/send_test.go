@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"pamigo/internal/bufpool"
+	"pamigo/internal/mu"
 	"pamigo/internal/torus"
 )
 
@@ -186,38 +190,106 @@ func TestSendRendezvousInterNode(t *testing.T) {
 	}
 }
 
-func TestSendRendezvousIntraNodeGVA(t *testing.T) {
-	a, b := nodePair(t)
-	var got capture
-	b.RegisterDispatch(3, got.handler(true))
-	payload := make([]byte, 8192)
-	for i := range payload {
-		payload[i] = byte(i * 3)
+// soloPending returns the one rendezvous send a context has in flight.
+func soloPending(t *testing.T, ctx *Context) *pendingSend {
+	t.Helper()
+	if len(ctx.pending) != 1 {
+		t.Fatalf("%d sends pending, want 1", len(ctx.pending))
 	}
-	var doneFired bool
-	if err := a.Send(SendParams{
-		Dest: b.Endpoint(), Dispatch: 3, Data: payload,
-		Mode: ModeRendezvous, OnDone: func() { doneFired = true },
-	}); err != nil {
-		t.Fatal(err)
+	for _, ps := range ctx.pending {
+		return ps
 	}
-	for b.Advance(16) > 0 {
+	return nil
+}
+
+// bothLegs names the two rendezvous pulls: a remote get across nodes, a
+// read of the sender's registered buffer on one.
+var bothLegs = []struct {
+	name string
+	mk   func(*testing.T) (*Context, *Context)
+}{{"internode", pair}, {"intranode", nodePair}}
+
+// An intra-node rendezvous publishes in the sender's memregion table like
+// any other — a DataBuf send its caller's slab — and the node peer copies
+// straight out of it: while the send is pending the publication aliases
+// the payload, the ack retires it and returns every slab to the pool, and
+// nothing crosses the torus.
+func TestSendRendezvousIntraNode(t *testing.T) {
+	for _, name := range []string{"data", "databuf"} {
+		t.Run(name, func(t *testing.T) {
+			owned := name == "databuf"
+			a, b := nodePair(t)
+			var got capture
+			b.RegisterDispatch(3, got.handler(true))
+			live0 := liveBufs()
+			p := SendParams{Dest: b.Endpoint(), Dispatch: 3, Mode: ModeRendezvous}
+			var payload []byte
+			if owned {
+				p.DataBuf = bufpool.Get(8192)
+				payload = p.DataBuf.Bytes()
+			} else {
+				payload = make([]byte, 8192)
+				p.Data = payload
+			}
+			for i := range payload {
+				payload[i] = byte(i * 3)
+			}
+			want := append([]byte(nil), payload...)
+			var doneFired bool
+			p.OnDone = func() { doneFired = true }
+			if err := a.Send(p); err != nil {
+				t.Fatal(err)
+			}
+			fab := a.Client().Machine().Fabric()
+			id := soloPending(t, a).mrID
+			if pub, ok := fab.Memregion(a.Endpoint().Task, id); !ok || unsafe.SliceData(pub) != unsafe.SliceData(payload) {
+				t.Fatalf("publication %#x does not alias the payload (found %v)", id, ok)
+			}
+			for b.Advance(16) > 0 {
+			}
+			if !bytes.Equal(got.data, want) {
+				t.Fatal("intra-node rendezvous payload corrupted")
+			}
+			for a.Advance(16) > 0 {
+			}
+			if !doneFired {
+				t.Fatal("intra-node rendezvous completion lost")
+			}
+			if _, ok := fab.Memregion(a.Endpoint().Task, id); ok {
+				t.Fatal("rendezvous publication outlived the ack")
+			}
+			if live := liveBufs(); live != live0 {
+				t.Fatalf("%d pooled buffers live after the ack, %d before", live, live0)
+			}
+			if s := fab.Snapshot(); s.RemoteGets != 0 || s.Packets != 0 {
+				t.Fatalf("intra-node rendezvous used %d remote gets and %d packets", s.RemoteGets, s.Packets)
+			}
+		})
 	}
-	if !bytes.Equal(got.data, payload) {
-		t.Fatal("GVA rendezvous payload corrupted")
-	}
-	for a.Advance(16) > 0 {
-	}
-	if !doneFired {
-		t.Fatal("intra-node rendezvous completion lost")
-	}
-	// The GVA segment must be retracted after the ack.
-	if _, ok := a.Client().Process().Node().PeerSegment(0, gvaSendTagBase|1); ok {
-		t.Fatal("rendezvous GVA segment leaked")
-	}
-	// Rendezvous through the GVA puts nothing on the torus.
-	if s := a.Client().Machine().Fabric().Snapshot(); s.RemoteGets != 0 {
-		t.Fatalf("intra-node rendezvous used %d remote gets", s.RemoteGets)
+}
+
+// A Receive whose publication the sender has retired fails with the typed
+// memregion miss on either leg.
+func TestRendezvousReceiveRetiredPublication(t *testing.T) {
+	for _, leg := range bothLegs {
+		t.Run(leg.name, func(t *testing.T) {
+			a, b := leg.mk(t)
+			var got capture
+			b.RegisterDispatch(5, got.handler(false))
+			if err := a.Send(SendParams{Dest: b.Endpoint(), Dispatch: 5, Data: make([]byte, 4096), Mode: ModeRendezvous}); err != nil {
+				t.Fatal(err)
+			}
+			for b.Advance(16) > 0 {
+			}
+			d := got.delivery
+			if d == nil {
+				t.Fatal("RTS not dispatched")
+			}
+			a.Client().Machine().Fabric().DeregisterMemregion(a.Endpoint().Task, d.rts.mrID)
+			if err := d.Receive(make([]byte, d.Size), nil); !errors.Is(err, mu.ErrNoSuchMemregion) {
+				t.Fatalf("Receive of a retired publication = %v, want ErrNoSuchMemregion", err)
+			}
+		})
 	}
 }
 

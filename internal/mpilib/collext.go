@@ -26,66 +26,49 @@ func (c *Comm) collSeq() int {
 // n bytes — so that rank i receives block i into recv (len(recv) >= n).
 // send is ignored on non-roots.
 func (c *Comm) Scatter(send []byte, n int, recv []byte, root int) error {
-	if root < 0 || root >= c.size {
-		return fmt.Errorf("mpilib: scatter root %d out of range", root)
-	}
-	if len(recv) < n {
-		return fmt.Errorf("mpilib: scatter recv buffer %d < block %d", len(recv), n)
-	}
-	tag := collTagBase + c.collSeq()
-	if c.rank == root {
-		if len(send) < n*c.size {
-			return fmt.Errorf("mpilib: scatter send buffer %d < %d", len(send), n*c.size)
-		}
-		var reqs []*Request
-		for r := 0; r < c.size; r++ {
-			if r == root {
-				copy(recv[:n], send[r*n:(r+1)*n])
-				continue
-			}
-			q, err := c.Isend(send[r*n:(r+1)*n], r, tag)
-			if err != nil {
-				return err
-			}
-			reqs = append(reqs, q)
-		}
-		c.w.Waitall(reqs)
-		return nil
-	}
-	_, err := c.Recv(recv[:n], root, tag)
-	return err
+	counts, offsets := c.uniformBlocks(n)
+	return c.Scatterv(send, counts, offsets, recv, root)
 }
 
 // Gather collects n-byte blocks from every rank into root's recv buffer,
 // block i at offset i*n. recv is ignored on non-roots.
 func (c *Comm) Gather(send []byte, n int, recv []byte, root int) error {
+	counts, offsets := c.uniformBlocks(n)
+	return c.Gatherv(send, recv, counts, offsets, root)
+}
+
+// uniformBlocks lays out size() consecutive n-byte blocks.
+func (c *Comm) uniformBlocks(n int) (counts, offsets []int) {
+	counts, offsets = make([]int, c.size), make([]int, c.size)
+	for r := range counts {
+		counts[r], offsets[r] = n, r*n
+	}
+	return counts, offsets
+}
+
+// checkBlocks validates a rooted v-collective before it draws a tag or
+// posts anything, so a bad argument leaves no request behind: the root in
+// range, one non-negative count and offset per rank, this rank's own
+// block inside mine, and at the root every block inside rootBuf.
+func (c *Comm) checkBlocks(op string, counts, offsets []int, mine, rootBuf []byte, root int) error {
 	if root < 0 || root >= c.size {
-		return fmt.Errorf("mpilib: gather root %d out of range", root)
+		return fmt.Errorf("mpilib: %s root %d out of range", op, root)
 	}
-	if len(send) < n {
-		return fmt.Errorf("mpilib: gather send buffer %d < block %d", len(send), n)
+	if len(counts) != c.size || len(offsets) != c.size {
+		return fmt.Errorf("mpilib: %s needs %d counts and offsets", op, c.size)
 	}
-	tag := collTagBase + c.collSeq()
-	if c.rank == root {
-		if len(recv) < n*c.size {
-			return fmt.Errorf("mpilib: gather recv buffer %d < %d", len(recv), n*c.size)
+	for r := range counts {
+		if counts[r] < 0 || offsets[r] < 0 {
+			return fmt.Errorf("mpilib: %s block %d has count %d at offset %d", op, r, counts[r], offsets[r])
 		}
-		var reqs []*Request
-		for r := 0; r < c.size; r++ {
-			if r == root {
-				copy(recv[r*n:(r+1)*n], send[:n])
-				continue
-			}
-			q, err := c.Irecv(recv[r*n:(r+1)*n], r, tag)
-			if err != nil {
-				return err
-			}
-			reqs = append(reqs, q)
+		if c.rank == root && offsets[r]+counts[r] > len(rootBuf) {
+			return fmt.Errorf("mpilib: %s block %d overruns the root's buffer of %d", op, r, len(rootBuf))
 		}
-		c.w.Waitall(reqs)
-		return nil
 	}
-	return c.Send(send[:n], root, tag)
+	if len(mine) < counts[c.rank] {
+		return fmt.Errorf("mpilib: %s buffer %d < block %d", op, len(mine), counts[c.rank])
+	}
+	return nil
 }
 
 // Alltoall exchanges n-byte blocks: block i of send goes to rank i, and
@@ -93,7 +76,7 @@ func (c *Comm) Gather(send []byte, n int, recv []byte, root int) error {
 // in size-1 phases; in phase k every rank trades with (rank ± k), which
 // on the torus drives disjoint link sets per phase.
 func (c *Comm) Alltoall(send []byte, n int, recv []byte) error {
-	if len(send) < n*c.size || len(recv) < n*c.size {
+	if n < 0 || len(send) < n*c.size || len(recv) < n*c.size {
 		return fmt.Errorf("mpilib: alltoall buffers too small for %d blocks of %d", c.size, n)
 	}
 	tag := collTagBase + c.collSeq()
@@ -120,7 +103,7 @@ func (c *Comm) Alltoall(send []byte, n int, recv []byte) error {
 // concurrency, the variant that benefits from multiple contexts and
 // commthreads. Same data contract as Alltoall.
 func (c *Comm) AlltoallNonblocking(send []byte, n int, recv []byte) error {
-	if len(send) < n*c.size || len(recv) < n*c.size {
+	if n < 0 || len(send) < n*c.size || len(recv) < n*c.size {
 		return fmt.Errorf("mpilib: alltoall buffers too small for %d blocks of %d", c.size, n)
 	}
 	tag := collTagBase + c.collSeq()
@@ -152,22 +135,13 @@ func (c *Comm) AlltoallNonblocking(send []byte, n int, recv []byte) error {
 // Scatterv distributes variable-length blocks: root sends counts[i]
 // bytes starting at offsets[i] of send to rank i's recv buffer.
 func (c *Comm) Scatterv(send []byte, counts, offsets []int, recv []byte, root int) error {
-	if root < 0 || root >= c.size {
-		return fmt.Errorf("mpilib: scatterv root %d out of range", root)
-	}
-	if len(counts) != c.size || len(offsets) != c.size {
-		return fmt.Errorf("mpilib: scatterv needs %d counts and offsets", c.size)
-	}
-	if len(recv) < counts[c.rank] {
-		return fmt.Errorf("mpilib: scatterv recv buffer %d < %d", len(recv), counts[c.rank])
+	if err := c.checkBlocks("scatterv", counts, offsets, recv, send, root); err != nil {
+		return err
 	}
 	tag := collTagBase + c.collSeq()
 	if c.rank == root {
 		var reqs []*Request
 		for r := 0; r < c.size; r++ {
-			if offsets[r]+counts[r] > len(send) {
-				return fmt.Errorf("mpilib: scatterv block %d overruns send buffer", r)
-			}
 			blk := send[offsets[r] : offsets[r]+counts[r]]
 			if r == root {
 				copy(recv, blk)
@@ -195,22 +169,13 @@ func (c *Comm) Scatterv(send []byte, counts, offsets []int, recv []byte, root in
 // Gatherv collects variable-length blocks: counts[i] bytes from rank i
 // land at offsets[i] of root's recv buffer.
 func (c *Comm) Gatherv(send []byte, recv []byte, counts, offsets []int, root int) error {
-	if root < 0 || root >= c.size {
-		return fmt.Errorf("mpilib: gatherv root %d out of range", root)
-	}
-	if len(counts) != c.size || len(offsets) != c.size {
-		return fmt.Errorf("mpilib: gatherv needs %d counts and offsets", c.size)
-	}
-	if len(send) < counts[c.rank] {
-		return fmt.Errorf("mpilib: gatherv send buffer %d < %d", len(send), counts[c.rank])
+	if err := c.checkBlocks("gatherv", counts, offsets, send, recv, root); err != nil {
+		return err
 	}
 	tag := collTagBase + c.collSeq()
 	if c.rank == root {
 		var reqs []*Request
 		for r := 0; r < c.size; r++ {
-			if offsets[r]+counts[r] > len(recv) {
-				return fmt.Errorf("mpilib: gatherv block %d overruns recv buffer", r)
-			}
 			dst := recv[offsets[r] : offsets[r]+counts[r]]
 			if r == root {
 				copy(dst, send)
@@ -239,10 +204,7 @@ func (c *Comm) Gatherv(send []byte, recv []byte, counts, offsets []int, root int
 // gather to rank 0 followed by a broadcast, which keeps the network
 // operations on the classroute when one is programmed.
 func (c *Comm) Allgatherv(send []byte, counts []int, recv []byte) error {
-	if len(counts) != c.size {
-		return fmt.Errorf("mpilib: allgatherv needs %d counts, got %d", c.size, len(counts))
-	}
-	offsets := make([]int, c.size)
+	offsets := make([]int, len(counts))
 	total := 0
 	for i, n := range counts {
 		offsets[i] = total
@@ -251,28 +213,8 @@ func (c *Comm) Allgatherv(send []byte, counts []int, recv []byte) error {
 	if len(recv) < total {
 		return fmt.Errorf("mpilib: allgatherv recv buffer %d < %d", len(recv), total)
 	}
-	if len(send) < counts[c.rank] {
-		return fmt.Errorf("mpilib: allgatherv send buffer %d < %d", len(send), counts[c.rank])
-	}
-	tag := collTagBase + c.collSeq()
-	if c.rank == 0 {
-		var reqs []*Request
-		copy(recv[offsets[0]:offsets[0]+counts[0]], send[:counts[0]])
-		for r := 1; r < c.size; r++ {
-			if counts[r] == 0 {
-				continue
-			}
-			q, err := c.Irecv(recv[offsets[r]:offsets[r]+counts[r]], r, tag)
-			if err != nil {
-				return err
-			}
-			reqs = append(reqs, q)
-		}
-		c.w.Waitall(reqs)
-	} else if counts[c.rank] > 0 {
-		if err := c.Send(send[:counts[c.rank]], 0, tag); err != nil {
-			return err
-		}
+	if err := c.Gatherv(send, recv, counts, offsets, 0); err != nil {
+		return err
 	}
 	return c.Bcast(recv[:total], 0)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"pamigo/internal/collnet"
 	"pamigo/internal/torus"
 )
 
@@ -198,6 +199,20 @@ func TestCollExtValidation(t *testing.T) {
 		}
 		if err := cw.Allgatherv(nil, []int{1}, nil); err == nil {
 			t.Error("allgatherv with wrong counts length accepted")
+		}
+		// A negative block size is an error on every rank, before any
+		// communication; none of these may panic.
+		buf := make([]byte, 64)
+		for name, call := range map[string]func() error{
+			"scatter":              func() error { return cw.Scatter(buf, -8, buf, 0) },
+			"gather":               func() error { return cw.Gather(buf, -8, buf, 0) },
+			"alltoall":             func() error { return cw.Alltoall(buf, -8, buf) },
+			"alltoall nonblocking": func() error { return cw.AlltoallNonblocking(buf, -8, buf) },
+			"reduce-scatter":       func() error { return cw.ReduceScatterBlock(buf, -8, buf, collnet.OpAdd, collnet.Int64) },
+		} {
+			if err := call(); err == nil {
+				t.Errorf("%s with a negative block size accepted", name)
+			}
 		}
 		cw.Barrier()
 	})

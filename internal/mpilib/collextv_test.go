@@ -92,6 +92,42 @@ func TestScattervGathervValidation(t *testing.T) {
 				t.Error("overrunning scatterv accepted")
 			}
 		}
+		// Negative counts and offsets are errors on every rank, before
+		// any communication.
+		buf := make([]byte, 8)
+		if err := cw.Scatterv(buf, []int{-1, -1}, []int{0, 0}, buf, 0); err == nil {
+			t.Error("scatterv with negative counts accepted")
+		}
+		if err := cw.Gatherv(buf, buf, []int{-1, -1}, []int{0, 0}, 0); err == nil {
+			t.Error("gatherv with negative counts accepted")
+		}
+		if err := cw.Scatterv(buf, []int{1, 1}, []int{-4, 0}, buf, 0); err == nil {
+			t.Error("scatterv with a negative offset accepted")
+		}
+		if err := cw.Gatherv(buf, buf, []int{1, 1}, []int{0, -4}, 0); err == nil {
+			t.Error("gatherv with a negative offset accepted")
+		}
+		cw.Barrier()
+	})
+}
+
+// A Gatherv whose root finds block 2 overrunning its buffer must fail
+// before posting the receive for block 1: ranks 1 and 2 fail their own
+// send-length check, so a receive the root posted would never complete.
+func TestGathervErrorPostsNothing(t *testing.T) {
+	runMPI(t, torus.Dims{1, 1, 1, 1, 1}, 4, Options{}, func(w *World) {
+		cw := w.CommWorld()
+		var send []byte
+		if w.Rank() == 0 {
+			send = []byte{7}
+		}
+		err := cw.Gatherv(send, make([]byte, 4), []int{1, 1, 8, 0}, []int{0, 1, 2, 3}, 0)
+		if (err == nil) != (w.Rank() == 3) {
+			t.Errorf("rank %d: gatherv = %v", w.Rank(), err)
+		}
+		if posted, _ := w.QueueDepths(); w.Rank() == 0 && posted != 0 {
+			t.Errorf("the failed gatherv left %d receives posted on the root", posted)
+		}
 		cw.Barrier()
 	})
 }

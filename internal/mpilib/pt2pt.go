@@ -3,7 +3,6 @@ package mpilib
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"pamigo/internal/bufpool"
 	"pamigo/internal/core"
@@ -52,15 +51,12 @@ func (r *Request) Done() bool { return r.done.Load() != 0 }
 // Status returns the completion status; valid only after Done.
 func (r *Request) Status() Status { return r.status }
 
-// reqPool is the thread-private request allocator of the thread-optimized
-// build ("We extended request allocators by creating thread private pools
-// to minimize locking overheads", §IV.A). sync.Pool has exactly the
-// per-thread caching semantics.
-var reqPool = sync.Pool{New: func() any { return new(Request) }}
-
 func (w *World) newRequest() *Request {
 	if w.opts.Library == ThreadOptimized {
-		r := reqPool.Get().(*Request)
+		r, _ := w.reqPool.Get().(*Request)
+		if r == nil {
+			r = new(Request)
+		}
 		r.done.Store(0)
 		r.status = Status{}
 		r.w = w
@@ -81,7 +77,7 @@ func (r *Request) Free() {
 	}
 	r.freed = true
 	if r.w != nil && r.w.opts.Library == ThreadOptimized && r.Done() {
-		reqPool.Put(r)
+		r.w.reqPool.Put(r)
 	}
 }
 

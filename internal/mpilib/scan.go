@@ -101,7 +101,7 @@ func (c *Comm) ReduceScatterBlock(send []byte, n int, recv []byte, op collnet.Op
 	if n%8 != 0 {
 		return fmt.Errorf("mpilib: reduce-scatter block %d not word aligned", n)
 	}
-	if len(send) < n*c.size || len(recv) < n {
+	if n < 0 || len(send) < n*c.size || len(recv) < n {
 		return fmt.Errorf("mpilib: reduce-scatter buffers too small")
 	}
 	full := make([]byte, n*c.size)

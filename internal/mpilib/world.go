@@ -132,6 +132,12 @@ type World struct {
 	unexFree *unexpectedMsg // recycled unexpected entries, linked by next
 	tele     worldStats
 
+	// reqPool is the thread-private request allocator of the
+	// thread-optimized build ("We extended request allocators by creating
+	// thread private pools to minimize locking overheads", §IV.A).
+	// sync.Pool has exactly the per-thread caching semantics.
+	reqPool sync.Pool
+
 	commMu     sync.Mutex
 	comms      map[uint64]*Comm
 	nextCommID uint64

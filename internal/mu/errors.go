@@ -30,9 +30,9 @@ var (
 	// was in flight.
 	ErrFabricClosed = errors.New("mu: fabric closed")
 	// ErrCrossProcessRDMA means an RDMA operation named a task hosted by
-	// another OS process: memregions and GVA segments are process memory,
-	// so puts and remote gets cannot cross the wire transport. Senders
-	// use eager memory-FIFO messages between processes instead.
+	// another OS process: memregions are process memory, so puts and
+	// remote gets cannot cross the wire transport. Senders use eager
+	// memory-FIFO messages between processes instead.
 	ErrCrossProcessRDMA = errors.New("mu: RDMA cannot reach a task in another process")
 	// ErrTooLarge means a message cannot be described by the packet's
 	// narrow header: 4 GiB or more of payload or metadata, or an origin

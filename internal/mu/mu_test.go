@@ -284,6 +284,10 @@ func TestMemregionLifecycle(t *testing.T) {
 	if got, ok := f.Memregion(3, 1); !ok || len(got) != 4 {
 		t.Fatal("registered memregion not found")
 	}
+	f.RegisterMemregion(4, 2, buf)
+	if _, ok := f.Memregion(4, 1); ok {
+		t.Fatal("task 3's memregion resolves under task 4")
+	}
 	f.DeregisterMemregion(3, 1)
 	if _, ok := f.Memregion(3, 1); ok {
 		t.Fatal("deregistered memregion still visible")

@@ -111,7 +111,7 @@ func (f *Fabric) EndRemoteBurst(dsts []TaskAddr) {
 }
 
 // crossProcessRDMACheck rejects RDMA naming a task in another process:
-// memregions and GVA segments are process memory, and the simulated MU
+// memregions are process memory, and the simulated MU
 // cannot reach across address spaces. Rendezvous between processes is
 // avoided above this layer (core forces eager for remote tasks); this
 // guard turns any residual attempt into a typed error instead of a

@@ -12,11 +12,11 @@
 // the element itself, so the sender copies them once and no pooled
 // buffer moves; a larger payload is a view of a slab — the sender's own
 // under ownership transfer, else a pooled copy — that the consumer
-// dispatches from and releases. Large messages ride the CNK global
-// virtual address space instead: the sender publishes its buffer and the
-// receiver copies directly from the sender's memory (package cnk), so
-// the queue only carries the control message — that path is wired up by
-// the PAMI core's rendezvous protocol.
+// dispatches from and releases. Large messages go by the PAMI core's
+// rendezvous protocol instead: the sender publishes its buffer in its
+// memregion table (package mu), the node peer copies directly out of the
+// sender's memory, as CNK's shared address space allows, and the queue
+// carries only the control messages.
 package shmem
 
 import (

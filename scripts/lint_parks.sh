@@ -14,6 +14,13 @@
 # the moment to route the wait through an abortable primitive instead,
 # or to justify it here (zero-alloc fast paths that never block, stop/
 # done plumbing that only closes, never parks a peer's progress).
+#
+# It also keeps fabric-wide shared state off the message path. In the
+# non-test Go of core, mu, cnk, shmem and mpilib it fails on a
+# package-level sync or atomic variable (state every machine in the
+# process shares, so a result depends on what ran before) and on a
+# sync.RWMutex outside the one pinned below: the shmem.Node endpoint
+# registry, the last such shape ROADMAP lists.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -82,9 +89,9 @@ check "make(chan " internal/mu/reliable.go 2
 #   FILE                         N  LINES            WHY IT MAY POLL
 spins="
 internal/core/geometry.go        2  234,818          bootstrap rendezvous in CreateGeometry (bounded by context creation); swWait advances the context itself and yields only when nothing moved, its exit is the deadMember gate
-internal/core/context.go         2  399,556          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
-internal/mpilib/pt2pt.go         4  283,297,318,345  Waitall/Test/Testall/Probe drive progress themselves and yield only on an idle pass; converting them is ROADMAP item 1(b)'s spinwait helper
-internal/mpilib/world.go         1  287              progress(): context lock held by a commthread, yield to it
+internal/core/context.go         2  402,554          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
+internal/mpilib/pt2pt.go         4  279,293,314,341  Waitall/Test/Testall/Probe drive progress themselves and yield only on an idle pass; converting them is ROADMAP item 1(b)'s spinwait helper
+internal/mpilib/world.go         1  293              progress(): context lock held by a commthread, yield to it
 internal/mu/mu.go                1  176              not a wait: RecFIFO.PollBatch yields once, then returns 0, when it drained nothing from a FIFO whose head ticket is claimed but unpublished, so the producer that lost the P can publish; the wait around it is the caller's (advanceUntil: visible, abortable)
 internal/l2atomic/l2atomic.go    4  110,233,247,314  the L2 primitives' own backoff: Mutex.Lock (held for a few instructions) and Barrier, which no runtime code constructs any more (checked below)
 internal/scenario/online.go      1  326              the online policy's progress loop, yields after a productive pass (idle passes sleep)
@@ -116,6 +123,26 @@ if grep -rn "l2atomic\.NewBarrier" --include="*.go" . | grep -v _test.go | grep 
 	echo "lint_parks: the runtime constructs an l2atomic.Barrier again: its Await is a Gosched spin; use the node-team round (internal/core) or a wakeup.Region" >&2
 	fail=1
 fi
+
+# Fabric-wide shared state on the message path: no package-level sync or
+# atomic variable (top-level `var x` or a line inside a top-level
+# `var (...)` block), and one pinned sync.RWMutex.
+shared="internal/core internal/mu internal/cnk internal/shmem internal/mpilib"
+for f in $(find $shared -name '*.go' -not -name '*_test.go'); do
+	if awk '/^var \(/ { blk = 1; next } blk && /^\)/ { blk = 0; next }
+		(blk || /^var /) && /(sync|atomic)\./ { print FILENAME ":" FNR ": " $0; bad = 1 }
+		END { exit !bad }' "$f" >&2; then
+		echo "lint_parks: $f has a package-level sync/atomic variable: every machine in the process shares it; hang it off the machine, task or context instead" >&2
+		fail=1
+	fi
+done
+for f in $(grep -rl "sync\.RWMutex" $shared --include="*.go" | grep -v _test.go); do
+	if [ "$f" != internal/shmem/shmem.go ]; then
+		echo "lint_parks: $f introduces a sync.RWMutex on the message path: use a per-owner table read without a lock (see mu/memregion.go)" >&2
+		fail=1
+	fi
+done
+check "sync\.RWMutex" internal/shmem/shmem.go 1
 
 [ "$fail" -eq 0 ] && echo "lint_parks: every park site is abortable or allowlisted, every spin is pinned"
 exit "$fail"
