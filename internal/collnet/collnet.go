@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"sync/atomic"
@@ -223,8 +222,8 @@ type ClassRoute struct {
 	// sessions read a consistent tree (old or new, both spanning).
 	tree atomic.Pointer[torus.Tree]
 
-	// ranks is the surviving membership, swapped atomically when a node
-	// death shrinks the route.
+	// ranks is the membership: nodes minus those health calls dead,
+	// swapped atomically when a death or a revival reprograms the route.
 	ranks atomic.Pointer[[]torus.Rank]
 
 	net      *Network
@@ -249,9 +248,9 @@ func (cr *ClassRoute) index(rank torus.Rank) int {
 	return i
 }
 
-// failOpen fails every session open on cr right now; what names the
+// failOpen fails every session open on cr right now; why names the
 // membership change in the error.
-func (n *Network) failOpen(cr *ClassRoute, node torus.Rank, what string) {
+func (n *Network) failOpen(cr *ClassRoute, why string) {
 	var seqs [SessionCredits]uint64
 	var open [SessionCredits]bool
 	cr.mu.Lock()
@@ -262,8 +261,8 @@ func (n *Network) failOpen(cr *ClassRoute, node torus.Rank, what string) {
 	// Fail outside cr.mu, by sequence number: a slot may have retired and
 	// found a new tenant in between.
 	for i, seq := range seqs {
-		if open[i] && cr.slots[i].FailSeq(seq, fmt.Errorf("collnet: node %d %s during session %d: %w",
-			node, what, seq, health.ErrEpochChanged)) {
+		if open[i] && cr.slots[i].FailSeq(seq, fmt.Errorf("collnet: %s during session %d: %w",
+			why, seq, health.ErrEpochChanged)) {
 			n.sessionsFailed.Inc()
 		}
 	}
@@ -311,7 +310,9 @@ func (cr *ClassRoute) Tree() *torus.Tree { return cr.tree.Load() }
 // Depth returns the tree depth in hops; model latency scales with it.
 func (cr *ClassRoute) Depth() int { return cr.Tree().Depth() }
 
-// Network owns the classroute slot accounting for a machine.
+// Network programs the classroutes of a machine. It keeps no membership
+// of its own: health says who is dead, and a node's used slots are
+// counted from the memberships of the live routes.
 type Network struct {
 	dims torus.Dims
 	tele *telemetry.Registry
@@ -338,16 +339,18 @@ type Network struct {
 	inboxBytes   *telemetry.Gauge   // contribution bytes parked in open sessions
 	creditStalls *telemetry.Counter // Joins that blocked on a full session inbox
 
-	mu       sync.Mutex
-	inUse    map[torus.Rank]int
-	live     map[int]*ClassRoute                // allocated, not yet freed
-	down     map[torus.Rank]map[torus.Link]bool // failed directed links
-	deadNode map[torus.Rank]bool                // confirmed-dead nodes
-	nextID   int
+	mu     sync.Mutex
+	live   map[int]*ClassRoute                // allocated, not yet freed
+	down   map[torus.Rank]map[torus.Link]bool // failed directed links
+	nextID int
 
 	// joinSite is the stall-sentinel wait site credit-blocked Joins
 	// register at; nil until the machine installs a sentinel.
 	joinSite atomic.Pointer[watchdog.Site]
+
+	// hmon is the membership record; nil (the default) means no node
+	// ever dies.
+	hmon atomic.Pointer[health.Monitor]
 }
 
 // SetSentinel registers the network's credit-gate wait site with the
@@ -360,6 +363,12 @@ func (n *Network) SetSentinel(s *watchdog.Sentinel) {
 	}
 	n.joinSite.Store(s.Site("collnet.join.credit"))
 }
+
+// SetHealth makes m the membership record every route is programmed
+// from: a node m calls dead is left out of each route spanning it.
+// HandleMembership is the reaction to m changing its mind. Call before
+// the first Allocate.
+func (n *Network) SetHealth(m *health.Monitor) { n.hmon.Store(m) }
 
 // New returns the classroute manager for a machine of the given shape.
 func New(dims torus.Dims) *Network {
@@ -384,10 +393,8 @@ func New(dims torus.Dims) *Network {
 		inboxBytes:   tele.Gauge("inbox_bytes"),
 		creditStalls: tele.Counter("session_credit_stalls"),
 
-		inUse:    make(map[torus.Rank]int),
-		live:     make(map[int]*ClassRoute),
-		down:     make(map[torus.Rank]map[torus.Link]bool),
-		deadNode: make(map[torus.Rank]bool),
+		live: make(map[int]*ClassRoute),
+		down: make(map[torus.Rank]map[torus.Link]bool),
 	}
 }
 
@@ -403,7 +410,8 @@ func (n *Network) Dims() torus.Dims { return n.dims }
 var ErrNoClassRoute = fmt.Errorf("collnet: no free classroute slot (limit %d user slots per node)", UserSlots)
 
 // Allocate programs a classroute over the rectangle, rooted at root, and
-// returns it. Every node inside the rectangle must have a free user slot.
+// returns it. Nodes health calls dead are left out of the membership;
+// every other node inside the rectangle must have a free user slot.
 func (n *Network) Allocate(rect torus.Rectangle, root torus.Rank) (*ClassRoute, error) {
 	if err := rect.Validate(n.dims); err != nil {
 		return nil, err
@@ -411,30 +419,18 @@ func (n *Network) Allocate(rect torus.Rectangle, root torus.Rank) (*ClassRoute, 
 	if !rect.Contains(n.dims.CoordOf(root)) {
 		return nil, fmt.Errorf("collnet: root %d outside rectangle %v", root, rect)
 	}
+	hm := n.hmon.Load()
+	if hm.Dead(root) {
+		return nil, fmt.Errorf("collnet: root node %d is dead", root)
+	}
 	all := rect.Ranks(n.dims)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.deadNode[root] {
-		return nil, fmt.Errorf("collnet: root node %d is dead", root)
-	}
-	// Confirmed-dead nodes inside the rectangle are excluded from the
-	// membership: a route allocated after a death spans the survivors.
-	ranks := all
-	if len(n.deadNode) > 0 {
-		ranks = make([]torus.Rank, 0, len(all))
-		for _, r := range all {
-			if !n.deadNode[r] {
-				ranks = append(ranks, r)
-			}
-		}
-	}
-	for _, r := range ranks {
-		if n.inUse[r] >= UserSlots {
+	used := n.usedLocked()
+	for _, r := range all {
+		if used[r] >= UserSlots && !hm.Dead(r) {
 			return nil, ErrNoClassRoute
 		}
-	}
-	for _, r := range ranks {
-		n.inUse[r]++
 	}
 	n.nextID++
 	n.classroutes.Inc()
@@ -449,41 +445,76 @@ func (n *Network) Allocate(rect torus.Rectangle, root torus.Rank) (*ClassRoute, 
 	for i := range cr.slots {
 		cr.slots[i].cr, cr.slots[i].region = cr, wakeup.NewRegion()
 	}
-	cr.ranks.Store(&ranks)
-	tree, degraded := n.buildTreeLocked(rect, root)
-	cr.tree.Store(tree)
-	cr.degraded = degraded
+	n.reprogramLocked(cr)
 	n.live[cr.ID] = cr
 	return cr, nil
 }
 
-// buildTreeLocked programs a combine tree for the rectangle, excluding
-// dead nodes and avoiding failed links when possible. When failures
-// disconnect the rectangle no such tree exists; the route falls back to
-// the standard tree and is marked degraded — software combining over
-// contributions still completes, only the dead links would be crossed
-// by real hardware. Called with n.mu held.
-func (n *Network) buildTreeLocked(rect torus.Rectangle, root torus.Rank) (*torus.Tree, bool) {
-	faulty := len(n.down) > 0 || len(n.deadNode) > 0
-	if faulty {
-		if t, err := torus.BuildTreeExcluding(n.dims, rect, root, n.deadLocked, n.downLocked); err == nil {
-			return t, false
+// usedLocked counts each node's used user slots, indexed by rank: the
+// live routes whose membership lists it. Called with n.mu held.
+func (n *Network) usedLocked() []int {
+	used := make([]int, n.dims.Nodes())
+	for _, cr := range n.live {
+		for _, r := range cr.Ranks() {
+			used[r]++
 		}
+	}
+	return used
+}
+
+// reprogramLocked programs cr from the current membership and links,
+// and reports whether the membership changed. The membership is the
+// rectangle's nodes minus those health calls dead. The root moves, to
+// the lowest member, only if it is no member itself: it died, or the
+// route was empty. The combine tree avoids dead nodes and down links; a
+// new route over a healthy rectangle gets the standard tree. When
+// failures disconnect the rectangle (or kill all of it) no avoiding
+// tree exists: the route keeps the tree it had (a new one the standard
+// tree) and is marked degraded — software combining over contributions
+// still completes, only the dead links would be crossed by real
+// hardware. Called with n.mu held.
+func (n *Network) reprogramLocked(cr *ClassRoute) (changed bool) {
+	hm := n.hmon.Load()
+	ranks := make([]torus.Rank, 0, len(cr.nodes))
+	for _, r := range cr.nodes {
+		if !hm.Dead(r) {
+			ranks = append(ranks, r)
+		}
+	}
+	old := cr.ranks.Swap(&ranks)
+	changed = old == nil || !slices.Equal(*old, ranks)
+	member := func(r torus.Rank) bool { _, ok := slices.BinarySearch(ranks, r); return ok }
+	if !member(cr.Root) && len(ranks) > 0 {
+		cr.Root = ranks[0]
+	}
+	if old == nil && len(n.down) == 0 && len(ranks) == len(cr.nodes) {
+		cr.tree.Store(torus.BuildTree(n.dims, cr.Rect, cr.Root, 0))
+		return changed
+	}
+	t, err := torus.BuildTreeExcluding(n.dims, cr.Rect, cr.Root, func(r torus.Rank) bool { return !member(r) }, n.downLocked)
+	switch {
+	case err == nil:
+		cr.tree.Store(t)
+		cr.degraded = false
+		if old != nil {
+			n.rebuilds.Inc()
+		}
+	case old == nil:
+		cr.tree.Store(torus.BuildTree(n.dims, cr.Rect, cr.Root, 0))
+		fallthrough
+	default:
+		cr.degraded = true
 		n.rebuildFailures.Inc()
 	}
-	return torus.BuildTree(n.dims, rect, root, 0), faulty
+	return changed
 }
 
 func (n *Network) downLocked(r torus.Rank, l torus.Link) bool {
 	return n.down[r][l]
 }
 
-func (n *Network) deadLocked(r torus.Rank) bool {
-	return n.deadNode[r]
-}
-
 // HandleLinkDown records a failed cable (both directions die) and
-// rebuilds every live classroute whose rectangle spans it. A route the
+// reprograms every live classroute whose rectangle spans it. A route the
 // failure disconnects keeps its old connected tree and is marked
 // degraded — graceful degradation rather than a dead communicator.
 // Machine wiring calls this from the fault injector's link-down
@@ -492,8 +523,8 @@ func (n *Network) HandleLinkDown(node torus.Rank, link torus.Link) {
 	nb := n.dims.Neighbor(node, link)
 	rev := torus.Link{Dim: link.Dim, Dir: -link.Dir}
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.down[node][link] {
+		n.mu.Unlock()
 		return
 	}
 	if n.down[node] == nil {
@@ -505,144 +536,50 @@ func (n *Network) HandleLinkDown(node torus.Rank, link torus.Link) {
 	n.down[node][link] = true
 	n.down[nb][rev] = true
 	n.linksDown.Inc()
-	nc, nbc := n.dims.CoordOf(node), n.dims.CoordOf(nb)
-	for _, cr := range n.live {
-		// Only rectangles containing both cable endpoints can be affected.
-		if !cr.Rect.Contains(nc) || !cr.Rect.Contains(nbc) {
-			continue
-		}
-		if t, err := torus.BuildTreeExcluding(n.dims, cr.Rect, cr.Root, n.deadLocked, n.downLocked); err == nil {
-			cr.tree.Store(t)
-			cr.degraded = false
-			n.rebuilds.Inc()
-		} else {
-			cr.degraded = true
-			n.rebuildFailures.Inc()
-		}
-	}
+	n.mu.Unlock()
+	// Only rectangles containing both cable endpoints can be affected.
+	n.reprogram("membership changed", n.dims.CoordOf(node), n.dims.CoordOf(nb))
 }
 
-// HandleNodeDown records a confirmed node death and reconfigures every
-// live classroute spanning it: the dead node leaves the membership, the
-// root is re-elected (lowest surviving rank) if it died, the combine
-// tree is rebuilt over the survivors, and every in-flight session on an
-// affected route fails with ErrEpochChanged — surviving ranks' blocked
-// collectives return an error instead of waiting forever for a
-// contribution that will never come. Subsequent sessions joined on the
-// shrunk route complete over the surviving membership. Machine wiring
-// calls this from the health monitor's death callback; safe for
-// concurrent use with running sessions.
-func (n *Network) HandleNodeDown(node torus.Rank) {
-	n.mu.Lock()
-	if n.deadNode[node] {
-		n.mu.Unlock()
-		return
+// HandleMembership is the collective network's reaction to health
+// declaring node dead or reviving it: every live classroute whose
+// rectangle spans the node is reprogrammed from the new membership. On
+// a death, surviving ranks' blocked collectives return an error instead
+// of waiting forever for a contribution that will never come; on a
+// revival, a session opened against the shrunk membership would
+// otherwise wait on (or be waited on by) a contributor set that no
+// longer matches the route. Sessions joined afterwards complete over
+// the new membership. A revived root rejoins as a member, not as root:
+// survivors already re-elected. The machine calls this after the epoch
+// has moved, from the health monitor's death callback and from Revive;
+// safe for concurrent use with running sessions.
+func (n *Network) HandleMembership(node torus.Rank) {
+	what := "rejoined"
+	if n.hmon.Load().Dead(node) {
+		what = "died"
+		n.nodesDown.Inc()
 	}
-	n.deadNode[node] = true
-	n.nodesDown.Inc()
-	var affected []*ClassRoute
+	n.reprogram(fmt.Sprintf("node %d %s", node, what), n.dims.CoordOf(node))
+}
+
+// reprogram reprograms every live classroute whose rectangle contains
+// all of at, then fails with ErrEpochChanged the in-flight sessions of
+// each route whose membership changed; why names the change in their
+// error. A death health confirmed before its own handler ran shows up
+// in whichever reprogram comes first, and that one fails the sessions.
+func (n *Network) reprogram(why string, at ...torus.Coord) {
+	var changed []*ClassRoute
+	n.mu.Lock()
 	for _, cr := range n.live {
-		ranks := *cr.ranks.Load()
-		idx := -1
-		for i, r := range ranks {
-			if r == node {
-				idx = i
-				break
-			}
+		if !slices.ContainsFunc(at, func(c torus.Coord) bool { return !cr.Rect.Contains(c) }) && n.reprogramLocked(cr) {
+			changed = append(changed, cr)
 		}
-		if idx < 0 {
-			continue
-		}
-		survivors := make([]torus.Rank, 0, len(ranks)-1)
-		survivors = append(survivors, ranks[:idx]...)
-		survivors = append(survivors, ranks[idx+1:]...)
-		if len(survivors) == 0 {
-			// Every participant is dead; nothing left to reconfigure.
-			cr.ranks.Store(&survivors)
-			cr.degraded = true
-			continue
-		}
-		if cr.Root == node {
-			cr.Root = survivors[0] // re-elect: lowest surviving rank
-		}
-		if t, err := torus.BuildTreeExcluding(n.dims, cr.Rect, cr.Root, n.deadLocked, n.downLocked); err == nil {
-			cr.tree.Store(t)
-			cr.degraded = false
-			n.rebuilds.Inc()
-		} else {
-			cr.degraded = true
-			n.rebuildFailures.Inc()
-		}
-		cr.ranks.Store(&survivors)
-		affected = append(affected, cr)
 	}
 	n.mu.Unlock()
 	// Fail in-flight sessions outside n.mu (lock order: cr.mu, then s.mu).
-	for _, cr := range affected {
-		n.failOpen(cr, node, "died")
+	for _, cr := range changed {
+		n.failOpen(cr, why)
 	}
-}
-
-// HandleNodeUp reverses HandleNodeDown once the recovery supervisor has
-// restored a dead node: the node rejoins the membership of every live
-// classroute whose rectangle spans it, combine trees are rebuilt over
-// the grown membership, and in-flight sessions on affected routes fail
-// with ErrEpochChanged — exactly as they do on a death, because a
-// session opened against the shrunk membership would otherwise wait on
-// (or be waited on by) a contributor set that no longer matches the
-// route. Root election is sticky: the revived node rejoins as a leaf
-// even if it was the root before it died (survivors already re-elected,
-// and re-electing again would churn every open allocation). Machine
-// wiring calls this from the recovery supervisor; safe for concurrent
-// use with running sessions.
-func (n *Network) HandleNodeUp(node torus.Rank) {
-	n.mu.Lock()
-	if !n.deadNode[node] {
-		n.mu.Unlock()
-		return
-	}
-	delete(n.deadNode, node)
-	nc := n.dims.CoordOf(node)
-	var affected []*ClassRoute
-	for _, cr := range n.live {
-		if !cr.Rect.Contains(nc) {
-			continue
-		}
-		ranks := *cr.ranks.Load()
-		idx := sort.Search(len(ranks), func(i int) bool { return ranks[i] >= node })
-		if idx < len(ranks) && ranks[idx] == node {
-			continue // already a member (route allocated after the revival)
-		}
-		grown := make([]torus.Rank, 0, len(ranks)+1)
-		grown = append(grown, ranks[:idx]...)
-		grown = append(grown, node)
-		grown = append(grown, ranks[idx:]...)
-		if cr.Root == node || len(ranks) == 0 {
-			cr.Root = grown[0]
-		}
-		if t, err := torus.BuildTreeExcluding(n.dims, cr.Rect, cr.Root, n.deadLocked, n.downLocked); err == nil {
-			cr.tree.Store(t)
-			cr.degraded = false
-			n.rebuilds.Inc()
-		} else {
-			cr.degraded = true
-			n.rebuildFailures.Inc()
-		}
-		cr.ranks.Store(&grown)
-		affected = append(affected, cr)
-	}
-	n.mu.Unlock()
-	// Fail in-flight sessions outside n.mu (lock order: cr.mu, then s.mu).
-	for _, cr := range affected {
-		n.failOpen(cr, node, "rejoined")
-	}
-}
-
-// DeadNodes reports how many node deaths the network has recorded.
-func (n *Network) DeadNodes() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.deadNode)
 }
 
 // DownLinks reports how many directed links are currently failed.
@@ -679,11 +616,6 @@ func (n *Network) Free(cr *ClassRoute) {
 		return
 	}
 	n.mu.Lock()
-	for _, r := range *cr.ranks.Load() {
-		if n.inUse[r] > 0 {
-			n.inUse[r]--
-		}
-	}
 	delete(n.live, cr.ID)
 	n.mu.Unlock()
 	// A freed route cannot run collectives; wake anyone parked in Join
@@ -694,9 +626,10 @@ func (n *Network) Free(cr *ClassRoute) {
 	cr.mu.Unlock()
 }
 
-// InUse reports how many user classroute slots node r currently occupies.
+// InUse reports how many user classroute slots node r currently
+// occupies: the live routes whose membership lists it.
 func (n *Network) InUse(r torus.Rank) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.inUse[r]
+	return n.usedLocked()[r]
 }

@@ -102,15 +102,6 @@ type NodeFault struct {
 	AfterPackets int64
 }
 
-// Flood is an overload injection: every task except those on Node
-// blasts eager traffic at Node's context 0 for the duration of the run.
-// Unlike the loss verbs it breaks nothing by itself — it exists to
-// prove the flow-control layer keeps the victim's queues bounded and
-// the senders throttled instead of the receiver OOMing.
-type Flood struct {
-	Node torus.Rank
-}
-
 // Plan is a complete fault scenario. The zero value injects nothing.
 type Plan struct {
 	// Drop, Corrupt, Duplicate, Delay are per-transmission-attempt
@@ -128,30 +119,13 @@ type Plan struct {
 
 	// NodeFaults are crash-stop node failures at given packet counts.
 	NodeFaults []NodeFault
-
-	// Floods are many-to-one overload targets; drivers that support the
-	// verb aim their traffic at these nodes.
-	Floods []Flood
 }
 
 // Active reports whether the plan injects any fault at all; an inactive
 // plan keeps the data plane on its zero-overhead fast path.
 func (p Plan) Active() bool {
 	return p.Drop > 0 || p.Corrupt > 0 || p.Duplicate > 0 || p.Delay > 0 ||
-		len(p.LinkDowns) > 0 || len(p.Stalls) > 0 || len(p.NodeFaults) > 0 ||
-		len(p.Floods) > 0
-}
-
-// HasFloods reports whether the plan aims an overload flood anywhere.
-func (p Plan) HasFloods() bool { return len(p.Floods) > 0 }
-
-// FloodTargets returns the flooded nodes in plan order.
-func (p Plan) FloodTargets() []torus.Rank {
-	var ts []torus.Rank
-	for _, fl := range p.Floods {
-		ts = append(ts, fl.Node)
-	}
-	return ts
+		len(p.LinkDowns) > 0 || len(p.Stalls) > 0 || len(p.NodeFaults) > 0
 }
 
 // HasNodeFaults reports whether the plan kills or freezes any node; the
@@ -190,11 +164,6 @@ func (p Plan) Validate(dims torus.Dims) error {
 		}
 		if nf.Kind != FaultCrash && nf.Kind != FaultHang {
 			return fmt.Errorf("fault: node fault kind %d malformed", nf.Kind)
-		}
-	}
-	for _, fl := range p.Floods {
-		if fl.Node < 0 || int(fl.Node) >= dims.Nodes() {
-			return fmt.Errorf("fault: flood node %d outside %v", fl.Node, dims)
 		}
 	}
 	return nil

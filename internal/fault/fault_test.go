@@ -165,27 +165,13 @@ func TestStallWindow(t *testing.T) {
 	}
 }
 
+// TestParsePlanFlood checks the flood verb is gone: a plan that names it
+// is refused, not accepted and then ignored.
 func TestParsePlanFlood(t *testing.T) {
-	p, err := ParsePlan("flood@node=2,drop=0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Active() || !p.HasFloods() || len(p.Floods) != 1 || p.Floods[0].Node != 2 {
-		t.Fatalf("flood clause wrong: %+v", p)
-	}
-	if ts := p.FloodTargets(); len(ts) != 1 || ts[0] != 2 {
-		t.Fatalf("FloodTargets wrong: %v", ts)
-	}
-	back, err := ParsePlan(p.String())
-	if err != nil || back.String() != p.String() {
-		t.Fatalf("flood round trip %q -> %q (%v)", p.String(), back.String(), err)
-	}
-	if _, err := ParsePlan("flood@node=x"); err == nil {
-		t.Error("flood@node=x accepted")
-	}
-	dims := torus.Dims{2, 2, 1, 1, 1}
-	if err := (Plan{Floods: []Flood{{Node: 99}}}).Validate(dims); err == nil {
-		t.Error("out-of-range flood node accepted")
+	for _, spec := range []string{"flood@node=2", "drop=0.1,flood@node=2"} {
+		if p, err := ParsePlan(spec); err == nil {
+			t.Errorf("ParsePlan(%q) = %v, want an error", spec, p)
+		}
 	}
 }
 

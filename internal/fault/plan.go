@@ -22,9 +22,6 @@ import (
 //	              moved (crash-stop: its processes stop and never return)
 //	hang@pkt=C    followed by node=X: node X freezes instead (processes
 //	              park but hold their resources)
-//	flood@node=X  overload: every other task blasts eager traffic at
-//	              node X's context 0 (drivers that support the verb run
-//	              the many-to-one flood workload against it)
 //
 // e.g. "drop=0.05,corrupt=0.02,dup=0.01,linkdown=3:A+@500,stall=1@100-200"
 // or "crash@pkt=5000,node=3". The crash/hang verbs are stateful: each
@@ -74,12 +71,6 @@ func ParsePlan(spec string) (Plan, error) {
 				return p, err
 			}
 			p.Stalls = append(p.Stalls, s)
-		case "flood@node":
-			node, err := strconv.Atoi(val)
-			if err != nil {
-				return p, fmt.Errorf("fault: flood node %q: %v", val, err)
-			}
-			p.Floods = append(p.Floods, Flood{Node: torus.Rank(node)})
 		case "crash@pkt", "hang@pkt":
 			c, err := strconv.ParseInt(val, 10, 64)
 			if err != nil || c < 0 {
@@ -206,9 +197,6 @@ func (p Plan) String() string {
 	}
 	for _, nf := range p.NodeFaults {
 		parts = append(parts, fmt.Sprintf("%s@pkt=%d,node=%d", nf.Kind, nf.AfterPackets, nf.Node))
-	}
-	for _, fl := range p.Floods {
-		parts = append(parts, fmt.Sprintf("flood@node=%d", fl.Node))
 	}
 	if len(parts) == 0 {
 		return "none"

@@ -78,7 +78,7 @@ type Monitor struct {
 	everBeat []atomic.Bool  // external node has delivered at least one beat
 
 	deadCount atomic.Int64
-	epoch     atomic.Int64 // bumped once per confirmed death
+	epoch     atomic.Int64 // bumped once per confirmed death and per revival
 
 	phiGauges []*telemetry.Gauge // per-node suspicion, in centi-phi
 	deaths    *telemetry.Counter
@@ -325,12 +325,21 @@ func (m *Monitor) OnDeath(fn func(torus.Rank)) {
 }
 
 // Epoch returns the membership epoch: 0 at boot, +1 per confirmed
-// death. Layers cache it and compare to detect membership changes.
-func (m *Monitor) Epoch() int64 { return m.epoch.Load() }
+// death and per revival. Layers cache it and compare to detect
+// membership changes. A nil monitor is a machine without a failure
+// detector: its epoch stays 0 and nobody ever dies.
+func (m *Monitor) Epoch() int64 {
+	if m == nil {
+		return 0
+	}
+	return m.epoch.Load()
+}
 
-// Alive reports whether node n has not been confirmed dead.
+// Alive reports whether node n has not been confirmed dead. It is the
+// one membership record: the fabric and the collective network ask it
+// rather than keep their own copy.
 func (m *Monitor) Alive(n torus.Rank) bool {
-	if m.deadCount.Load() == 0 {
+	if m == nil || m.deadCount.Load() == 0 {
 		return true
 	}
 	return int(n) >= len(m.dead) || !m.dead[n].Load()

@@ -9,6 +9,7 @@ import (
 
 	"pamigo/internal/cnk"
 	"pamigo/internal/core"
+	"pamigo/internal/fault"
 	"pamigo/internal/machine"
 	"pamigo/internal/mu"
 	"pamigo/internal/torus"
@@ -17,18 +18,21 @@ import (
 // TestOverloadFlood drives a sustained many-to-one eager flood, the
 // overload scenario of paper §III.E: senders blast tiny payloads at one
 // victim endpoint under a deliberately small unexpected-message budget,
-// and the victim verifies every payload byte-for-byte. A fault plan's
-// flood@ verb names the victim; a drop/dup/corrupt storm riding along
-// arms the reliable layer underneath the flood, proving the two
-// protections compose. Every payload must arrive, the victim's queue
-// high-water mark must stay near the budget instead of absorbing the
-// whole flood, and the run leaks no goroutines (bounded).
+// and the victim verifies every payload byte-for-byte. Each case names
+// its victim; a drop/dup/corrupt storm riding along, or the zero fault
+// plan installed before traffic, arms the reliable layer underneath the
+// flood, proving the two protections compose. Every payload must
+// arrive, the victim's queue high-water mark must stay near the budget
+// instead of absorbing the whole flood, and the run leaks no goroutines
+// (bounded).
 func TestOverloadFlood(t *testing.T) {
 	for _, tc := range []struct {
 		name                      string
 		dims                      torus.Dims
 		plan                      string
 		seed                      int64
+		victim                    int
+		reliable                  bool // install the zero fault plan before traffic
 		senders, messages, budget int
 		// slack is each sender's allowance over the budget in the victim's
 		// queue high-water mark.
@@ -42,27 +46,38 @@ func TestOverloadFlood(t *testing.T) {
 		// un-budgeted flood depth.
 		{name: "bounded", dims: torus.Dims{2, 2, 2, 2, 1}, seed: 1,
 			senders: 15, messages: 200, budget: 64, slack: 1, degrades: true},
-		{name: "32 senders", dims: torus.Dims{3, 3, 2, 2, 2}, plan: "flood@node=0", seed: 1,
+		{name: "32 senders", dims: torus.Dims{3, 3, 2, 2, 2}, seed: 1, reliable: true,
 			senders: 32, messages: 300, budget: 64, slack: 1, degrades: true},
 		// Duplicated and retransmitted packets are injected by the fault
 		// layer and the retransmit daemon, not by Send, so they land outside
 		// the sender-side budget gate. Each flow can have at most one
 		// reliable window of packets in flight, which bounds that slack.
-		{name: "storm", dims: torus.Dims{2, 2, 2, 1, 1}, plan: "drop=0.10,dup=0.05,corrupt=0.05,flood@node=2", seed: 7,
+		{name: "storm", dims: torus.Dims{2, 2, 2, 1, 1}, plan: "drop=0.10,dup=0.05,corrupt=0.05", seed: 7, victim: 2,
 			senders: 7, messages: 120, budget: 48, slack: 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := machine.Config{Dims: tc.dims, PPN: 1, FaultSeed: tc.seed}
-			var victim core.Endpoint
 			if tc.plan != "" {
 				cfg.Faults = mustPlan(t, tc.plan, tc.dims)
-				victim.Task = int(cfg.Faults.FloodTargets()[0])
+			}
+			var inj *fault.Injector
+			if tc.reliable {
+				var err error
+				if inj, err = fault.NewInjector(tc.dims, fault.Plan{}, tc.seed); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var rep floodReport
-			runMachineJob(t, "flood", chaosDeadline, cfg, func(m *machine.Machine) {
-				rep = flood(t, m, victim, tc.senders, tc.messages, tc.budget)
+			m := runMachineJob(t, "flood", chaosDeadline, cfg, func(m *machine.Machine) {
+				if inj != nil {
+					m.Fabric().InstallFaults(inj)
+				}
+				rep = flood(t, m, core.Endpoint{Task: tc.victim}, tc.senders, tc.messages, tc.budget)
 			})
 			t.Logf("%d senders x %d msgs, budget %d: %+v", tc.senders, tc.messages, tc.budget, rep)
+			if armed := inj != nil || tc.plan != ""; armed && machineCounter(t, m, "mu.reliable.acks_sent") == 0 {
+				t.Error("the reliable layer carried none of the flood")
+			}
 			if rep.delivered != int64(tc.senders*tc.messages) || rep.corrupt != 0 {
 				t.Fatalf("integrity: %+v", rep)
 			}

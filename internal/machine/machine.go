@@ -225,7 +225,12 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.hmon = hmon
-		// Confirmed death: propagate through every layer —
+		// The monitor is the one membership record: the fabric and the
+		// collective network ask it who is dead and keep no copy.
+		fabric.SetHealth(hmon)
+		m.coll.SetHealth(hmon)
+		// Confirmed death (the epoch has already moved): propagate
+		// through every layer —
 		//   fabric:  fail flows touching the node, wake blocked senders
 		//   collnet: shrink classroutes, fail in-flight sessions
 		//   cnk:     stop the dead node's commthreads
@@ -234,7 +239,7 @@ func New(cfg Config) (*Machine, error) {
 		// epoch instead of sleeping on a signal that will never come.
 		hmon.OnDeath(func(n torus.Rank) {
 			m.fabric.MarkNodeDead(n)
-			m.coll.HandleNodeDown(n)
+			m.coll.HandleMembership(n)
 			m.nodes[n].StopCommThreads()
 			if m.wt != nil {
 				m.wt.MarkTaskDead(int(n) * cfg.PPN)
@@ -290,7 +295,6 @@ func New(cfg Config) (*Machine, error) {
 			HostedHi: cfg.HostedHi,
 			Deliver:  fabric.DeliverRemoteBurst,
 			BurstEnd: fabric.EndRemoteBurst,
-			Epoch:    m.hmon.Epoch,
 			OnBeat: func(taskLo, taskHi int) {
 				for r := taskLo / cfg.PPN; r < (taskHi+cfg.PPN-1)/cfg.PPN; r++ {
 					m.hmon.Beat(torus.Rank(r))
@@ -310,8 +314,8 @@ func New(cfg Config) (*Machine, error) {
 			// FIRST — the rejoin admission pre-created the peer record, so
 			// the replica becomes frame #1 of the new incarnation's stream.
 			// Only then are the nodes revived through the full chain
-			// (fabric flow reset, classroute regrow, membership epoch
-			// bump): revival unparks senders blocked in retry loops, and
+			// (fabric flow reset, membership epoch bump, classroute
+			// regrow): revival unparks senders blocked in retry loops, and
 			// their data must sequence BEHIND the replica, because the
 			// rejoined process cannot consume data until its tasks have
 			// restored from it (head-of-line deadlock otherwise).
@@ -409,22 +413,25 @@ func (m *Machine) pushReplica(dstTask int, blob []byte) {
 
 // Revive returns a confirmed-dead node to service: clears its injected
 // fault so it can heartbeat again, resets every fabric flow touching it
-// (fresh flows restart at sequence 1 on both sides), regrows the
-// classroutes it belongs to, re-admits it to the health membership
-// (epoch bump), and wakes every parked context so blocked callers
-// observe the new epoch. Idempotent: reviving an alive node is a no-op.
+// (fresh flows restart at sequence 1 on both sides), re-admits it to the
+// health membership (epoch bump), regrows the classroutes it belongs to,
+// and wakes every parked context so blocked callers observe the new
+// epoch. The order matters: the flows are torn down while health still
+// calls the node dead, so no sender resumes the dead incarnation's
+// stream; and the epoch moves before collnet fails sessions, as it does
+// for a death. Idempotent: reviving an alive node is a no-op.
 // Restarting the node's application tasks — and its commthreads, if the
 // workload uses them — is the caller's job after Revive returns.
 func (m *Machine) Revive(n torus.Rank) error {
-	if m.hmon == nil || !m.hmon.Dead(n) {
+	if !m.hmon.Dead(n) {
 		return nil
 	}
 	if inj := m.fabric.Injector(); inj != nil {
 		inj.ClearNodeFault(n)
 	}
 	m.fabric.ReviveNode(n)
-	m.coll.HandleNodeUp(n)
 	m.hmon.Revive(n)
+	m.coll.HandleMembership(n)
 	m.fabric.TouchAll()
 	return nil
 }
@@ -514,23 +521,14 @@ func (m *Machine) WaitWire(timeout time.Duration) error {
 }
 
 // Epoch returns the cluster membership epoch: 0 at boot and whenever no
-// failure detector is armed, +1 per confirmed node death. One atomic
-// load; contexts compare it against their cached value every advance.
-func (m *Machine) Epoch() int64 {
-	if m.hmon == nil {
-		return 0
-	}
-	return m.hmon.Epoch()
-}
+// failure detector is armed, +1 per confirmed node death and per
+// revival. One atomic load; contexts compare it against their cached
+// value every advance.
+func (m *Machine) Epoch() int64 { return m.hmon.Epoch() }
 
 // Alive reports whether the node hosting the given task has not been
 // confirmed dead.
-func (m *Machine) Alive(task int) bool {
-	if m.hmon == nil {
-		return true
-	}
-	return m.hmon.Alive(m.tasks[task].Node().Rank)
-}
+func (m *Machine) Alive(task int) bool { return m.hmon.Alive(m.tasks[task].Node().Rank) }
 
 // Crashed reports whether the node hosting the given task has a node
 // fault fired against it (crash or hang) — true from the instant the

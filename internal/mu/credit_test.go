@@ -72,6 +72,7 @@ func TestCreditConservationUnderChaos(t *testing.T) {
 	src := setupEndpoint(t, f, 0, 0, 0)
 	dst := setupEndpoint(t, f, 1, 1, 0)
 	setupEndpoint(t, f, 3, 3, 0) // the crash victim's endpoint
+	hmon := watchHealth(t, f)
 	installPlan(t, f, fault.Plan{Drop: 0.10, Corrupt: 0.05, Duplicate: 0.10}, 42)
 
 	const sendersPerFlow = 3
@@ -165,7 +166,7 @@ func TestCreditConservationUnderChaos(t *testing.T) {
 		}
 	}()
 	<-warmedUp
-	f.MarkNodeDead(3)
+	hmon.DeclareDead(3)
 	close(nodeDead)
 	crashSenders.Wait()
 

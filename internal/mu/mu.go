@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"pamigo/internal/bufpool"
+	"pamigo/internal/health"
 	"pamigo/internal/l2atomic"
 	"pamigo/internal/lockless"
 	"pamigo/internal/telemetry"
@@ -450,6 +451,10 @@ type Fabric struct {
 	// register with; nil (the default) keeps stage() sentinel-free.
 	stallSite atomic.Pointer[watchdog.Site]
 
+	// hmon is the membership record the reliable layer asks who is dead;
+	// nil (the default) means no node ever dies.
+	hmon atomic.Pointer[health.Monitor]
+
 	// TrackHops enables per-packet route-length accounting (costs a route
 	// computation per message; tests and examples enable it).
 	TrackHops bool
@@ -466,6 +471,12 @@ func (f *Fabric) SetSentinel(s *watchdog.Sentinel) {
 	}
 	f.stallSite.Store(s.Site("mu.credit.stall"))
 }
+
+// SetHealth makes m the fabric's membership record: the reliable layer
+// fails sends and RDMA to a node m calls dead, and Quiesced skips that
+// node's flows. The fabric keeps no copy; MarkNodeDead and ReviveNode
+// are its reactions to a change m has made. Call before traffic starts.
+func (f *Fabric) SetHealth(m *health.Monitor) { f.hmon.Store(m) }
 
 // NewFabric builds the MU fabric for a machine of the given shape. Each
 // reception FIFO's lock-free array holds recFIFOSlots packets before

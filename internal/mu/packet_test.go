@@ -233,8 +233,9 @@ func TestDataBufReleasedBySender(t *testing.T) {
 	f = newTestFabric(t)
 	setupEndpoint(t, f, 0, 0, 0)
 	src = setupEndpoint(t, f, 1, 1, 0)
+	hmon := watchHealth(t, f)
 	installPlan(t, f, fault.Plan{}, 1)
-	f.MarkNodeDead(0)
+	hmon.DeclareDead(0)
 	b = relinquish()
 	if err := f.InjectMemFIFOBuf(src.PinnedInj(0), TaskAddr{0, 0}, hdr, b); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("send to a dead node: %v", err)

@@ -278,15 +278,12 @@ type reliableLayer struct {
 	epoch       time.Time // origin of the layer's clock
 	retryBudget time.Duration
 
-	deadCount atomic.Int64 // len(deadNodes), readable without fmu
-
 	fmu sync.Mutex
 	// flowList holds the values of flows for the daemon and the audits to
 	// walk without copying: appended in place, replaced wholesale on
 	// teardown, so a slice read under fmu stays valid after.
-	flows     map[flowKey]*flow
-	flowList  []*flow
-	deadNodes map[torus.Rank]bool // confirmed-dead nodes: fail fast
+	flows    map[flowKey]*flow
+	flowList []*flow
 
 	dmu     sync.Mutex
 	delayed []delayedPkt
@@ -341,7 +338,6 @@ func (f *Fabric) InstallFaults(inj *fault.Injector) {
 		epoch:            time.Now(),
 		retryBudget:      defaultRetryBudget,
 		flows:            make(map[flowKey]*flow),
-		deadNodes:        make(map[torus.Rank]bool),
 		routes:           make(map[[2]torus.Rank]routeEntry),
 		stop:             make(chan struct{}),
 		done:             make(chan struct{}),
@@ -541,7 +537,7 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 		return ErrFabricClosed
 	}
 	fl := r.flowFor(flowKey{src: hdr.Origin, dst: dst})
-	if r.deadCount.Load() > 0 && r.nodeDead(fl.dstNode) {
+	if r.f.hmon.Load().Dead(fl.dstNode) {
 		own.Release()
 		r.peerDeadFails.Inc()
 		return fmt.Errorf("mu: send to task %d on node %d: %w", dst.Task, fl.dstNode, ErrPeerDead)
@@ -1065,67 +1061,39 @@ func (fl *flow) touches(node torus.Rank) bool {
 	return (fl.srcOK && fl.srcNode == node) || (fl.dstOK && fl.dstNode == node)
 }
 
-// nodeDead reports whether node n's death has been confirmed to the
-// reliable layer. Callers gate on deadCount first for the fast path.
-func (r *reliableLayer) nodeDead(n torus.Rank) bool {
-	r.fmu.Lock()
-	d := r.deadNodes[n]
-	r.fmu.Unlock()
-	return d
-}
-
-// MarkNodeDead tells the fabric that node's death has been confirmed
-// (by the health monitor): every flow touching the node fails with
+// MarkNodeDead is the fabric's reaction to the health monitor
+// confirming node dead: every flow touching the node fails with
 // ErrPeerDead — blocked senders wake, send windows release their pooled
-// buffers — and future sends to it fail fast. Idempotent; a no-op when
-// faults were never installed.
+// buffers. Sends that start later fail fast on the monitor's word.
+// Idempotent; a no-op when faults were never installed.
 func (f *Fabric) MarkNodeDead(node torus.Rank) {
-	if rl := f.rel.Load(); rl != nil {
-		rl.markNodeDead(node)
-	}
-}
-
-func (r *reliableLayer) markNodeDead(node torus.Rank) {
-	r.fmu.Lock()
-	if r.deadNodes[node] {
-		r.fmu.Unlock()
+	rl := f.rel.Load()
+	if rl == nil {
 		return
 	}
-	r.deadNodes[node] = true
-	r.deadCount.Add(1)
-	flows := r.flowList
-	r.fmu.Unlock()
-	for _, fl := range flows {
+	for _, fl := range rl.allFlows() {
 		if fl.touches(node) {
-			r.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: node %d confirmed dead: %w",
+			rl.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: node %d confirmed dead: %w",
 				fl.key.src, fl.key.dst, node, ErrPeerDead))
 		}
 	}
 }
 
-// ReviveNode tells the fabric that node has been restored by the
-// recovery supervisor: sends to it stop failing fast, and every flow
-// that touched the node is torn down so the next send builds a fresh
-// flow starting at sequence 1 — the revived incarnation shares no
-// sequence space with the dead one. Idempotent; a no-op when faults
-// were never installed.
+// ReviveNode tears down every flow that touched node, so the next send
+// builds a fresh flow starting at sequence 1: the revived incarnation
+// shares no sequence space with the dead one. The machine calls it
+// while the health monitor still calls node dead, so no sender can
+// resume a torn-down flow. A no-op on a node the monitor calls alive,
+// and when faults were never installed.
 func (f *Fabric) ReviveNode(node torus.Rank) {
-	if rl := f.rel.Load(); rl != nil {
-		rl.reviveNode(node)
-	}
-}
-
-func (r *reliableLayer) reviveNode(node torus.Rank) {
-	r.fmu.Lock()
-	if !r.deadNodes[node] {
-		r.fmu.Unlock()
+	r := f.rel.Load()
+	if r == nil || !f.hmon.Load().Dead(node) {
 		return
 	}
-	delete(r.deadNodes, node)
-	r.deadCount.Add(-1)
 	// Unhook every flow touching the node while the map is locked, so a
 	// concurrent sender's next flowFor builds a fresh flow (nextSeq 1,
 	// nextExp 1) instead of resuming the dead incarnation's stream.
+	r.fmu.Lock()
 	var torn, kept []*flow
 	for _, fl := range r.flowList {
 		if fl.touches(node) {
@@ -1180,7 +1148,7 @@ func (r *reliableLayer) quiesced() error {
 		return fmt.Errorf("mu: %d delayed packets still in flight", delayed)
 	}
 	for _, fl := range r.allFlows() {
-		if (fl.srcOK && r.nodeDead(fl.srcNode)) || (fl.dstOK && r.nodeDead(fl.dstNode)) {
+		if hm := r.f.hmon.Load(); (fl.srcOK && hm.Dead(fl.srcNode)) || (fl.dstOK && hm.Dead(fl.dstNode)) {
 			continue
 		}
 		fl.smu.Lock()
@@ -1212,7 +1180,7 @@ func (r *reliableLayer) quiesced() error {
 func (r *reliableLayer) rdmaFaults(srcTask, dstTask, mr, n int) error {
 	sn, okS := r.f.TaskNode(srcTask)
 	dn, okD := r.f.TaskNode(dstTask)
-	if r.deadCount.Load() > 0 && okD && r.nodeDead(dn) {
+	if okD && r.f.hmon.Load().Dead(dn) {
 		r.peerDeadFails.Inc()
 		return fmt.Errorf("mu: rdma to task %d on node %d: %w", dstTask, dn, ErrPeerDead)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"pamigo/internal/bufpool"
 	"pamigo/internal/fault"
+	"pamigo/internal/health"
 	"pamigo/internal/torus"
 )
 
@@ -27,6 +28,21 @@ func installPlan(t *testing.T, f *Fabric, plan fault.Plan, seed int64) *fault.In
 	f.InstallFaults(inj)
 	t.Cleanup(f.Close)
 	return inj
+}
+
+// watchHealth makes a health monitor f's membership record, wired the
+// way the machine wires it: a confirmed death runs MarkNodeDead from the
+// monitor's death callback. The scanner never starts; tests declare
+// deaths and revivals themselves.
+func watchHealth(t *testing.T, f *Fabric) *health.Monitor {
+	t.Helper()
+	hmon, err := health.NewMonitor(health.Config{Nodes: f.Dims().Nodes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetHealth(hmon)
+	hmon.OnDeath(f.MarkNodeDead)
+	return hmon
 }
 
 // drainFlow polls the reception FIFO until the expected number of
@@ -75,6 +91,43 @@ func TestFaultFreeFastPath(t *testing.T) {
 	if f.Injector() != nil {
 		t.Fatal("injector reported with faults off")
 	}
+}
+
+// A death declared on the monitor fails the next send fast; after the
+// revival, in the machine's order (flows torn down while the monitor
+// still says dead, then the monitor revives), the first send opens a
+// fresh flow at sequence 1 and is delivered.
+func TestReviveOpensFreshFlow(t *testing.T) {
+	f := newTestFabric(t)
+	dst := setupEndpoint(t, f, 0, 0, 0)
+	src := setupEndpoint(t, f, 1, 1, 0)
+	hmon := watchHealth(t, f)
+	installPlan(t, f, fault.Plan{}, 1)
+	send := func(seq uint64) error {
+		hdr := Header{Dispatch: 1, Origin: TaskAddr{1, 0}, Seq: seq}
+		return f.InjectMemFIFO(src.PinnedInj(0), TaskAddr{0, 0}, hdr, []byte("8 bytes!"))
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := send(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainPackets(t, dst.Rec, 3, time.Second)
+
+	hmon.DeclareDead(0)
+	if err := send(4); !errors.Is(err, ErrPeerDead) {
+		t.Fatalf("send to a dead node: %v, want ErrPeerDead", err)
+	}
+	f.ReviveNode(0)
+	hmon.Revive(0)
+	if err := send(5); err != nil {
+		t.Fatalf("first send after the revival: %v", err)
+	}
+	p := drainPackets(t, dst.Rec, 1, time.Second)[0]
+	if h := p.Header(); h.Seq != 5 || h.PktSeq != 1 {
+		t.Fatalf("delivered message %d at flow sequence %d, want message 5 at sequence 1", h.Seq, h.PktSeq)
+	}
+	p.Release()
 }
 
 // Under a heavy fault mix every packet still arrives exactly once, in

@@ -19,7 +19,7 @@ var (
 	ErrDialTimeout = errors.New("wire: dial timed out")
 
 	// ErrHandshakeMismatch means the join handshake disagreed on the
-	// protocol version, torus shape, PPN, task range, or epoch — the two
+	// protocol version, torus shape, PPN or task range — the two
 	// processes are not describing the same partition. Terminal: the
 	// dialer stops retrying, because no amount of backoff repairs a
 	// mis-launched process.

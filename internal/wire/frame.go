@@ -21,7 +21,7 @@
 // exactly-once delivery over any number of connection incarnations.
 // Handshake (hello/welcome) frames carry the partition identity —
 // protocol version, partition ID, torus dims, PPN, hosted task range,
-// membership epoch — plus the receiver's cumulative sequence, which
+// incarnation — plus the receiver's cumulative sequence, which
 // trims the peer's resend window on reconnect. Any valid frame is a
 // sign of life to the phi-accrual detector, and beats fill the silence
 // of an idle link; acks are cumulative; rejects carry a typed reason
@@ -41,8 +41,9 @@ import (
 // ProtocolVersion is the wire protocol version carried in every
 // handshake; processes with different versions refuse to join.
 // Version 2 added the Incarnation handshake field and replica frames
-// (the self-healing rejoin protocol).
-const ProtocolVersion = 2
+// (the self-healing rejoin protocol); version 3 dropped the membership
+// epoch from the handshake (nothing read it).
+const ProtocolVersion = 3
 
 // Size bounds. MaxFrame bounds one frame's post-length bytes and is
 // checked before any allocation; maxSegment is the largest data payload
@@ -89,7 +90,6 @@ type Hello struct {
 	PPN       int
 	TaskLo    int // hosted task range [TaskLo, TaskHi)
 	TaskHi    int
-	Epoch     int64  // sender's membership epoch, for diagnostics
 	RecvSeq   uint64 // last packet seq the sender has delivered from us
 
 	// Incarnation counts how many times the sender's process has been
@@ -124,7 +124,7 @@ type Frame struct {
 	Replica    []byte      // kindReplica: encoded recovery snapshot (view into data)
 }
 
-const helloBody = 2 + 8 + 2*torus.NumDims + 2 + 4 + 4 + 8 + 8 + 4
+const helloBody = 2 + 8 + 2*torus.NumDims + 2 + 4 + 4 + 8 + 4
 
 // appendHello appends an encoded hello or welcome frame.
 func appendHello(dst []byte, kind byte, h Hello) []byte {
@@ -140,9 +140,8 @@ func appendHello(dst []byte, kind byte, h Hello) []byte {
 	binary.BigEndian.PutUint16(b[off:], uint16(h.PPN))
 	binary.BigEndian.PutUint32(b[off+2:], uint32(h.TaskLo))
 	binary.BigEndian.PutUint32(b[off+6:], uint32(h.TaskHi))
-	binary.BigEndian.PutUint64(b[off+10:], uint64(h.Epoch))
-	binary.BigEndian.PutUint64(b[off+18:], h.RecvSeq)
-	binary.BigEndian.PutUint32(b[off+26:], h.Incarnation)
+	binary.BigEndian.PutUint64(b[off+10:], h.RecvSeq)
+	binary.BigEndian.PutUint32(b[off+18:], h.Incarnation)
 	return finish(dst, body)
 }
 
@@ -295,9 +294,8 @@ func decodeBody(f *Frame, kind byte, b []byte) error {
 		h.PPN = int(binary.BigEndian.Uint16(b[off:]))
 		h.TaskLo = int(binary.BigEndian.Uint32(b[off+2:]))
 		h.TaskHi = int(binary.BigEndian.Uint32(b[off+6:]))
-		h.Epoch = int64(binary.BigEndian.Uint64(b[off+10:]))
-		h.RecvSeq = binary.BigEndian.Uint64(b[off+18:])
-		h.Incarnation = binary.BigEndian.Uint32(b[off+26:])
+		h.RecvSeq = binary.BigEndian.Uint64(b[off+10:])
+		h.Incarnation = binary.BigEndian.Uint32(b[off+18:])
 	case kindReject:
 		if len(b) < 3 {
 			return fmt.Errorf("%w: reject body %d bytes", ErrFrameCorrupt, len(b))

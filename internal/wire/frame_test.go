@@ -18,7 +18,6 @@ func testHello() Hello {
 		PPN:       4,
 		TaskLo:    16,
 		TaskHi:    32,
-		Epoch:     3,
 		RecvSeq:   91,
 	}
 }

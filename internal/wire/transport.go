@@ -101,9 +101,6 @@ type Config struct {
 	// read buffer runs dry (and before every delivery-stall sleep), wakes
 	// their consumers. Nil means Deliver wakes its consumer by itself.
 	BurstEnd func(dsts []mu.TaskAddr)
-	// Epoch, if non-nil, supplies the local membership epoch carried in
-	// handshakes (diagnostic; see DESIGN.md for the epoch rules).
-	Epoch func() int64
 	// RangeDead, if non-nil, reports whether any node hosting tasks
 	// [lo, hi) is confirmed dead; joins from such ranges are fenced
 	// (a restarted process may not impersonate a dead one).
@@ -409,14 +406,6 @@ func (t *Transport) Local(task int) bool {
 // HostedRange returns this process's task range [lo, hi).
 func (t *Transport) HostedRange() (lo, hi int) { return t.cfg.HostedLo, t.cfg.HostedHi }
 
-// epoch returns the local membership epoch for handshakes.
-func (t *Transport) epoch() int64 {
-	if t.cfg.Epoch == nil {
-		return 0
-	}
-	return t.cfg.Epoch()
-}
-
 func (t *Transport) isClosed() bool {
 	select {
 	case <-t.closeCh:
@@ -480,7 +469,6 @@ func (t *Transport) hello(peerLo int) Hello {
 		PPN:         t.cfg.PPN,
 		TaskLo:      t.cfg.HostedLo,
 		TaskHi:      t.cfg.HostedHi,
-		Epoch:       t.epoch(),
 		Incarnation: t.cfg.Incarnation,
 	}
 	if p := t.peerFor(peerLo); p != nil {
@@ -498,9 +486,7 @@ func (t *Transport) hello(peerLo int) Hello {
 
 // validateHello checks a remote identity against the local partition.
 // The returned reject code is sent back; the error is what the local
-// side records. Epoch skew is deliberately not a mismatch: survivors
-// observe deaths at different times, and refusing a reconnect for it
-// would partition the survivors (see DESIGN.md).
+// side records.
 func (t *Transport) validateHello(h Hello, addr string) (byte, error) {
 	if h.Version != ProtocolVersion {
 		return rejectVersion, fmt.Errorf("%w: peer %s speaks protocol version %d, this process speaks %d",

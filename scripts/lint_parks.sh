@@ -21,6 +21,13 @@
 # process shares, so a result depends on what ran before) and on a
 # sync.RWMutex outside the one pinned below: the shmem.Node endpoint
 # registry, the last such shape ROADMAP lists.
+#
+# And it keeps one membership record. The health monitor alone says
+# which nodes are dead; the fabric and the collective network ask it. A
+# map[torus.Rank]bool in the non-test Go of internal/ is how a second
+# dead-node set would come back, so it fails everywhere but in
+# internal/health and internal/netsim (the BFS seen set of its route
+# search).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -143,6 +150,13 @@ for f in $(grep -rl "sync\.RWMutex" $shared --include="*.go" | grep -v _test.go)
 	fi
 done
 check "sync\.RWMutex" internal/shmem/shmem.go 1
+
+# One membership record: no node set keyed by rank outside health.
+if grep -rn "map\[torus\.Rank\]bool" --include="*.go" internal | grep -v "_test\.go:" |
+	grep -v "^internal/health/" | grep -v "^internal/netsim/" >&2; then
+	echo "lint_parks: a map[torus.Rank]bool outside internal/health: who is dead is the health monitor's to say (health.Monitor.Dead); ask it instead of keeping a copy" >&2
+	fail=1
+fi
 
 [ "$fail" -eq 0 ] && echo "lint_parks: every park site is abortable or allowlisted, every spin is pinned"
 exit "$fail"
