@@ -53,10 +53,9 @@ type Client struct {
 	commThreaded atomic.Bool // len(cts) > 0, readable without mu
 
 	// EagerThreshold is the message size (bytes) at or below which Send
-	// uses the eager protocol; larger messages use rendezvous. Mutable
-	// before communication starts. Under destination congestion the
-	// effective threshold adapts downward from this value and recovers
-	// additively (see flowcontrol.go).
+	// uses the eager protocol; larger messages use rendezvous, and so
+	// does a smaller one to a destination past half its unexpected-message
+	// budget (see flowcontrol.go). Mutable before communication starts.
 	EagerThreshold int
 
 	// UnexpectedBudget bounds how deep a destination's inbound queue may
@@ -65,8 +64,6 @@ type Client struct {
 	// fails with ErrThrottled. <= 0 disables the budget. Mutable before
 	// communication starts.
 	UnexpectedBudget int
-
-	fc flowControl
 }
 
 // DefaultEagerThreshold is the eager/rendezvous crossover, in bytes.

@@ -156,7 +156,6 @@ type ctxStats struct {
 
 	eagerFallbacks *telemetry.Counter // ModeAuto eager sends degraded to rendezvous: destination congested
 	throttled      *telemetry.Counter // SendImmediate calls refused with ErrThrottled
-	eagerThreshold *telemetry.Gauge   // effective adaptive eager threshold, bytes
 	inboxMsgs      *telemetry.Gauge   // software-collective fragments parked in the inbox (hwm = peak)
 	deferredSends  *telemetry.Gauge   // sends parked for an over-budget destination (hwm = peak)
 
@@ -183,7 +182,6 @@ func newCtxStats(reg *telemetry.Registry) *ctxStats {
 
 		eagerFallbacks: reg.Counter("eager_fallbacks"),
 		throttled:      reg.Counter("throttled"),
-		eagerThreshold: reg.Gauge("eager_threshold"),
 		inboxMsgs:      reg.Gauge("inbox_msgs"),
 		deferredSends:  reg.Gauge("deferred_sends"),
 

@@ -1,39 +1,28 @@
 package core
 
-import (
-	"errors"
-	"sync/atomic"
-)
+import "errors"
 
 // Sender-side flow control (overload protection for the data plane).
 //
 // The reliable-delivery layer paces each flow with receiver-granted
 // credits, but it is armed only when faults are installed; this file is
 // the layer above it, always on, and protocol-level rather than
-// packet-level. Two mechanisms:
-//
-//  1. An unexpected-message budget. Every client bounds how deep a
-//     destination's inbound queue may grow before its senders stop
-//     committing eager payloads to it. Send (ModeAuto) falls back to
-//     rendezvous — the payload stays in the sender's memory until the
-//     receiver pulls it, so receiver-side memory stays bounded — and
-//     SendImmediate, which has no rendezvous to fall back to, fails fast
-//     with ErrThrottled (the PAMI_EAGAIN idiom: advance your own context
-//     and retry).
-//
-//  2. An adaptive eager threshold. Each congestion observation halves the
-//     client's effective eager/rendezvous crossover (multiplicative
-//     decrease, floored at MinEagerThreshold); each uncongested eager
-//     send recovers it additively until it reaches the configured
-//     EagerThreshold again. Under a sustained many-to-one storm the
-//     client converges to shipping only small payloads eagerly, exactly
-//     the degradation §III.E prescribes for reception-FIFO pressure.
+// packet-level: an unexpected-message budget. Every client bounds how
+// deep a destination's inbound queue may grow before its senders stop
+// committing eager payloads to it. At half the budget Send (ModeAuto)
+// falls back to rendezvous — the payload stays in the sender's memory
+// until the receiver pulls it, so receiver-side memory stays bounded —
+// and at the full budget SendImmediate, which has no rendezvous to fall
+// back to, fails fast with ErrThrottled (the PAMI_EAGAIN idiom: advance
+// your own context and retry) while Send parks in the deferred queue.
 //
 // Pressure is read from the destination's actual inbound queue (the
-// reception FIFO off node, the shared-memory queue on node) rather than
-// tracked with explicit credit messages: in this model senders can read
-// the receiver's occupancy as cheaply as hardware reads its FIFO free
-// space, and the figure is exact, not an estimate.
+// reception FIFO off node, the shared-memory queue on node), on every
+// send, rather than tracked with explicit credit messages or inferred
+// from past refusals: in this model senders can read the receiver's
+// occupancy as cheaply as hardware reads its FIFO free space, and the
+// figure is exact and per destination, so congestion at one destination
+// never changes the protocol toward another.
 
 // ErrThrottled reports that a send was refused because the destination's
 // inbound queue is over the client's unexpected-message budget. The
@@ -48,83 +37,7 @@ const (
 	// Generous: a healthy receiver drains its queue within one advance,
 	// so thousands of parked messages already signal a many-to-one storm.
 	DefaultUnexpectedBudget = 16384
-
-	// MinEagerThreshold floors the adaptive eager threshold: congestion
-	// never pushes the crossover below one packet's worth of payload
-	// minus headroom, so tiny messages keep their latency advantage.
-	MinEagerThreshold = 128
-
-	// eagerRecoveryStep is the additive-increase step, in bytes, by which
-	// an uncongested eager send raises the adaptive threshold back toward
-	// the configured one.
-	eagerRecoveryStep = 4
 )
-
-// flowControl is the client-wide adaptive state. The zero value means
-// "uncongested": the effective threshold tracks the configured one.
-type flowControl struct {
-	// eagerNow is the adaptive eager threshold in bytes; 0 means no
-	// congestion has been observed and Client.EagerThreshold applies.
-	eagerNow atomic.Int64
-}
-
-// eagerLimit returns the effective eager/rendezvous crossover in bytes.
-func (c *Client) eagerLimit() int {
-	if t := c.fc.eagerNow.Load(); t != 0 {
-		return int(t)
-	}
-	return c.EagerThreshold
-}
-
-// EagerLimit reports the effective eager/rendezvous crossover in bytes —
-// the configured EagerThreshold, lowered while the AIMD controller is
-// backing off congestion. Runtimes layered on core use it to decide
-// whether a payload is worth copying into a relinquished pool buffer
-// (eager: the copy here is the only one the stack makes) or should stay
-// in caller memory for the rendezvous pull.
-func (c *Client) EagerLimit() int { return c.eagerLimit() }
-
-// noteCongestion multiplicatively decreases the adaptive threshold.
-func (c *Client) noteCongestion() {
-	configured := int64(c.EagerThreshold)
-	floor := int64(MinEagerThreshold)
-	if floor > configured {
-		floor = configured
-	}
-	for {
-		cur := c.fc.eagerNow.Load()
-		base := cur
-		if base == 0 {
-			base = configured
-		}
-		next := base >> 1
-		if next < floor {
-			next = floor
-		}
-		if cur != 0 && next >= cur {
-			return // already at the floor
-		}
-		if c.fc.eagerNow.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
-// noteEagerOK additively recovers the adaptive threshold after an
-// uncongested eager send; on reaching the configured threshold the state
-// returns to zero (fully recovered). Losing a CAS race just skips one
-// recovery step.
-func (c *Client) noteEagerOK() {
-	cur := c.fc.eagerNow.Load()
-	if cur == 0 {
-		return
-	}
-	next := cur + eagerRecoveryStep
-	if next >= int64(c.EagerThreshold) {
-		next = 0
-	}
-	c.fc.eagerNow.CompareAndSwap(cur, next)
-}
 
 // destPressure reads the destination endpoint's inbound-queue occupancy
 // through whichever transport a send would take. ok is false when the

@@ -130,39 +130,35 @@ func TestDeferredSendsPreserveOrder(t *testing.T) {
 	}
 }
 
-// TestAdaptiveEagerThreshold checks the AIMD rules directly: congestion
-// halves the effective threshold down to the floor, uncongested eager
-// sends recover it additively, and full recovery snaps back to tracking
-// the configured value.
-func TestAdaptiveEagerThreshold(t *testing.T) {
-	m := newTestMachine(t, torus.Dims{2, 1, 1, 1, 1}, 1)
-	c, _ := newClientCtx(t, m, 0)
-	configured := c.EagerThreshold
-	if got := c.eagerLimit(); got != configured {
-		t.Fatalf("fresh client eagerLimit %d, want configured %d", got, configured)
+// TestCongestionStaysPerDestination throttles immediate sends toward one
+// destination and then sends an eager-size message to another, idle one:
+// the protocol toward the idle destination is decided from its own queue
+// alone, so the send goes eager.
+func TestCongestionStaysPerDestination(t *testing.T) {
+	m := newTestMachine(t, torus.Dims{3, 1, 1, 1, 1}, 1)
+	sc, sctx := newClientCtx(t, m, 0)
+	_, busy := newClientCtx(t, m, 1)
+	_, idle := newClientCtx(t, m, 2)
+	busy.RegisterDispatch(1, func(_ *Context, _ *Delivery) {})
+	idle.RegisterDispatch(1, func(_ *Context, _ *Delivery) {})
+	sc.UnexpectedBudget = 4
+	var throttled error
+	for i := 0; i < 100 && throttled == nil; i++ {
+		throttled = sctx.SendImmediate(busy.Endpoint(), 1, nil, []byte{1})
 	}
-	c.noteCongestion()
-	if got := c.eagerLimit(); got != configured/2 {
-		t.Fatalf("after one congestion eagerLimit %d, want %d", got, configured/2)
+	if !errors.Is(throttled, ErrThrottled) {
+		t.Fatalf("over-budget immediate send = %v, want ErrThrottled", throttled)
 	}
-	for i := 0; i < 64; i++ {
-		c.noteCongestion()
+	const size = 1500
+	if size > sc.EagerThreshold {
+		t.Fatalf("test size %d is past the eager threshold %d", size, sc.EagerThreshold)
 	}
-	floor := MinEagerThreshold
-	if configured < floor {
-		floor = configured
+	eager, rdv := sctx.stats.sendsEager.Load(), sctx.stats.sendsRdv.Load()
+	if err := sctx.Send(SendParams{Dest: idle.Endpoint(), Dispatch: 1, Data: make([]byte, size)}); err != nil {
+		t.Fatal(err)
 	}
-	if got := c.eagerLimit(); got != floor {
-		t.Fatalf("sustained congestion eagerLimit %d, want floor %d", got, floor)
-	}
-	for i := 0; i < (configured-floor)/eagerRecoveryStep+2; i++ {
-		c.noteEagerOK()
-	}
-	if got := c.eagerLimit(); got != configured {
-		t.Fatalf("recovered eagerLimit %d, want configured %d", got, configured)
-	}
-	if v := c.fc.eagerNow.Load(); v != 0 {
-		t.Fatalf("recovered state %d, want 0 (tracking configured)", v)
+	if de, dr := sctx.stats.sendsEager.Load()-eager, sctx.stats.sendsRdv.Load()-rdv; de != 1 || dr != 0 {
+		t.Fatalf("%d B send to an idle destination: sends_eager +%d, sends_rendezvous +%d, want +1 and +0", size, de, dr)
 	}
 }
 

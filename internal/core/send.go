@@ -161,7 +161,6 @@ func (ctx *Context) sendImmediate(dst Endpoint, dispatch uint16, meta, data []by
 		// send outright rather than let an unbounded flood pile up at the
 		// receiver. PAMI_EAGAIN semantics — advance and retry.
 		ctx.stats.throttled.Inc()
-		ctx.client.noteCongestion()
 		return fmt.Errorf("core: immediate send %v -> %v: inbound queue at %d of budget %d: %w",
 			ctx.addr, dst, occ, budget, ErrThrottled)
 	}
@@ -198,19 +197,15 @@ func (ctx *Context) Send(p SendParams) error {
 		mode = ModeEager
 	}
 	if mode == ModeAuto {
-		if plen <= ctx.client.eagerLimit() {
+		if plen <= ctx.client.EagerThreshold {
+			mode = ModeEager
 			if ctx.destCongested(p.Dest) {
 				// Degrade gracefully: ship a rendezvous RTS (one header-sized
 				// packet) instead of committing the payload to a receiver
-				// that is not draining, and shrink the adaptive threshold.
+				// that is not draining.
 				ctx.stats.eagerFallbacks.Inc()
-				ctx.client.noteCongestion()
 				mode = ModeRendezvous
-			} else {
-				ctx.client.noteEagerOK()
-				mode = ModeEager
 			}
-			ctx.stats.eagerThreshold.Set(int64(ctx.client.eagerLimit()))
 		} else {
 			mode = ModeRendezvous
 		}
@@ -249,7 +244,6 @@ func (ctx *Context) deferSend(p SendParams) {
 	ctx.deferred[p.Dest] = append(ctx.deferred[p.Dest], p)
 	ctx.deferredLen++
 	ctx.stats.deferredSends.Set(int64(ctx.deferredLen))
-	ctx.client.noteCongestion()
 }
 
 // drainDeferred retries parked sends, oldest first per destination, while

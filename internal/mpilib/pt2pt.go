@@ -120,7 +120,7 @@ func (c *Comm) isend(buf []byte, dest, tag int, mode core.SendMode) (*Request, e
 		Mode:     mode,
 		OnDone:   req.sent,
 	}
-	if mode != core.ModeRendezvous && len(buf) <= w.client.EagerLimit() {
+	if mode != core.ModeRendezvous && len(buf) <= w.client.EagerThreshold {
 		// Eager-size payloads are copied once here, at the MPI boundary,
 		// into a relinquished pool slab: the layers below reference the
 		// slab instead of re-copying (same-node receivers dispatch

@@ -448,7 +448,8 @@ type Fabric struct {
 	transport atomic.Pointer[transportSlot]
 
 	// stallSite is the stall-sentinel wait site credit-blocked senders
-	// register with; nil (the default) keeps stage() sentinel-free.
+	// register with; nil (the default) keeps awaitWindowLocked
+	// sentinel-free.
 	stallSite atomic.Pointer[watchdog.Site]
 
 	// hmon is the membership record the reliable layer asks who is dead;
@@ -461,9 +462,9 @@ type Fabric struct {
 }
 
 // SetSentinel registers the fabric's credit-stall wait site with the
-// partition stall sentinel: senders blocked past the window/credit gate
-// in stage() become visible in the wait-site table, and — when the
-// sentinel is armed — an over-deadline stall fails the flow with a
+// partition stall sentinel: senders parked at the window/credit gate in
+// awaitWindowLocked become visible in the wait-site table, and — when
+// the sentinel is armed — an over-deadline stall fails the flow with a
 // typed abort instead of hanging. Call before traffic starts.
 func (f *Fabric) SetSentinel(s *watchdog.Sentinel) {
 	if s == nil {

@@ -57,8 +57,8 @@ import (
 // fresh proof. A nacked packet is resent the same way, up to maxFastRetx
 // times per call. The daemon and its doubling timeout are the fallback:
 // the tail of a stream (nothing later exposes the hole), delay faults,
-// stalled or saturated receivers, and dead peers, whose flows it fails
-// with ErrPeerDead after the retry budget.
+// stalled or saturated receivers. However long a peer stays silent, the
+// daemon keeps retrying; only the health monitor says it is dead.
 //
 // Window. Both sides keep fixed rings of sendWindow slots indexed by
 // seq & winMask; the sender never stages at or past base+sendWindow, the
@@ -86,10 +86,6 @@ const (
 	// maxRDMAAttempts bounds the per-chunk retry loop of faulted RDMA
 	// operations.
 	maxRDMAAttempts = 1 << 16
-	// defaultRetryBudget caps the total time a flow keeps retransmitting
-	// one packet before giving up with ErrPeerDead: a peer silent for many
-	// maxRTO periods is gone, not slow.
-	defaultRetryBudget = 500 * time.Millisecond
 	// maxCreditGrant caps how many packets of credit one ack can extend a
 	// flow, whatever the reception FIFO's slack.
 	maxCreditGrant = 256
@@ -166,7 +162,6 @@ type flowKey struct{ src, dst TaskAddr }
 // multi-packet send takes every chunk's before the first is staged.
 type pendingPkt struct {
 	pkt      Packet
-	firstTx  int64 // when the packet was staged; bounds total retry time
 	deadline int64
 	rto      time.Duration
 	// sentBefore is the flow's nextSeq when this packet's latest
@@ -210,18 +205,12 @@ type flow struct {
 	base    uint64 // lowest unretired PktSeq; everything below has left the window
 	nextSeq uint64
 	win     [sendWindow]pendingPkt // slot of seq is win[seq&winMask], live for base <= seq < nextSeq
-	failed  error                  // set once, permanently: the peer is dead
+	failed  error                  // set once, permanently, by failFlow
 
 	creditLimit uint64   // highest stageable PktSeq (receiver-granted, ratchets up)
 	maxAcked    uint64   // highest PktSeq known delivered; base of daemon re-grants
 	lastFifo    *RecFIFO // destination FIFO; the daemon's credit refresh reads its slack
-
-	// Credit-stall liveness: while a sender is blocked on credit the
-	// daemon watches the destination FIFO. Drain progress resets the clock;
-	// a receiver that absorbs nothing for the retry budget is declared dead.
-	stallSince int64 // 0 when not credit-blocked
-	stallOcc   int64 // destination occupancy when the stall began
-	sscratch   [hdrBytes]byte
+	sscratch    [hdrBytes]byte
 
 	rmu      sync.Mutex
 	nextExp  uint64
@@ -275,8 +264,7 @@ type reliableLayer struct {
 	f   *Fabric
 	inj *fault.Injector
 
-	epoch       time.Time // origin of the layer's clock
-	retryBudget time.Duration
+	epoch time.Time // origin of the layer's clock
 
 	fmu sync.Mutex
 	// flowList holds the values of flows for the daemon and the audits to
@@ -316,7 +304,6 @@ type reliableLayer struct {
 	unackedG         *telemetry.Gauge
 	blackholed       *telemetry.Counter
 	peerDeadFails    *telemetry.Counter
-	budgetExceeded   *telemetry.Counter
 	fifoRefusals     *telemetry.Counter
 
 	creditsGranted  *telemetry.Counter // cumulative credit extended to senders
@@ -336,7 +323,6 @@ func (f *Fabric) InstallFaults(inj *fault.Injector) {
 		f:                f,
 		inj:              inj,
 		epoch:            time.Now(),
-		retryBudget:      defaultRetryBudget,
 		flows:            make(map[flowKey]*flow),
 		routes:           make(map[[2]torus.Rank]routeEntry),
 		stop:             make(chan struct{}),
@@ -360,7 +346,6 @@ func (f *Fabric) InstallFaults(inj *fault.Injector) {
 		unackedG:         g.Gauge("unacked"),
 		blackholed:       g.Counter("blackholed"),
 		peerDeadFails:    g.Counter("peer_dead_fails"),
-		budgetExceeded:   g.Counter("retry_budget_exceeded"),
 		fifoRefusals:     g.Counter("fifo_refusals"),
 
 		creditsGranted:  g.Counter("credits_granted"),
@@ -417,8 +402,8 @@ func (r *reliableLayer) close() {
 // instead of a refusal/retransmit storm, within the same memory bound.
 // Mutual traffic never deadlocks on this: the bound only bites once the
 // consumer has fallen a whole overflow budget behind, and the daemon
-// re-advertises (or, failing drain progress, kills the flow) on its own
-// goroutine. One origin's backlog cannot starve flows on other shards.
+// re-advertises on its own goroutine once the consumer drains. One
+// origin's backlog cannot starve flows on other shards.
 func creditFor(fifo *RecFIFO, origin TaskAddr) uint64 {
 	h := fifo.shardFor(origin).Headroom()
 	if h < 0 {
@@ -438,7 +423,6 @@ func (r *reliableLayer) grantLocked(fl *flow, limit uint64) {
 	}
 	r.creditsGranted.Add(int64(limit - fl.creditLimit))
 	fl.creditLimit = limit
-	fl.stallSince = 0
 	fl.cond.Broadcast()
 }
 
@@ -601,7 +585,7 @@ func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, src *[]byte, own *buf
 		fl.lastFifo = fifo
 	}
 	if !fl.canStage() {
-		r.awaitWindowLocked(fl, fifo)
+		r.awaitWindowLocked(fl)
 		*now = r.now()
 	}
 	if fl.failed != nil {
@@ -614,7 +598,6 @@ func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, src *[]byte, own *buf
 	for more := true; more && n < burstMax && fl.canStage(); more = len(*src) > 0 {
 		pp := &fl.win[fl.nextSeq&winMask]
 		*pp = pendingPkt{
-			firstTx:    *now,
 			deadline:   *now + int64(initialRTO),
 			rto:        initialRTO,
 			sentBefore: fl.nextSeq + 1,
@@ -641,7 +624,7 @@ func (fl *flow) canStage() bool {
 
 // awaitWindowLocked parks the sender until it may stage, or the flow
 // fails, or the fabric closes. Caller holds fl.smu.
-func (r *reliableLayer) awaitWindowLocked(fl *flow, fifo *RecFIFO) {
+func (r *reliableLayer) awaitWindowLocked(fl *flow) {
 	if st := r.f.stallSite.Load(); st != nil {
 		var park watchdog.Park
 		st.Attach(&park, func(c *abort.Cause) {
@@ -656,10 +639,6 @@ func (r *reliableLayer) awaitWindowLocked(fl *flow, fifo *RecFIFO) {
 		if fl.nextSeq > fl.creditLimit && !stalled {
 			stalled = true
 			r.creditStalls.Inc()
-			if fl.stallSince == 0 {
-				fl.stallSince = r.now()
-				fl.stallOcc, _ = fifo.Occupancy()
-			}
 		}
 	}
 }
@@ -773,8 +752,8 @@ func (r *reliableLayer) attemptOnce(fl *flow, first uint64, n, attempt int, fifo
 		}
 		if r.inj.NodeFaulted(fl.dstNode) {
 			// The destination node has crashed or hung: its MU accepts
-			// nothing. The packet vanishes; the timer retries until the retry
-			// budget or the health monitor declares the peer dead.
+			// nothing. The packet vanishes; the timer retries until the
+			// health monitor declares the peer dead.
 			r.blackholed.Inc()
 			continue
 		}
@@ -931,7 +910,9 @@ func (r *reliableLayer) holdBack(fl *flow, pkt *Packet, fifo *RecFIFO, attempt i
 }
 
 // daemon is the fallback retransmission engine: it releases held-back
-// packets and retransmits what is past its deadline, with capped backoff.
+// packets, refreshes the credit of blocked senders, retransmits what is
+// past its deadline, with capped backoff, and retries refused reorder
+// drains. It never fails a flow.
 func (r *reliableLayer) daemon() {
 	defer close(r.done)
 	t := time.NewTicker(daemonTick)
@@ -978,41 +959,27 @@ func (r *reliableLayer) releaseDelayed(now int64) {
 
 // retransmitDue is the daemon's pass over one flow: refresh the credit
 // of a blocked sender, walk the window base..nextSeq retransmitting what
-// is past its deadline, and fail the flow once the peer has been silent
-// for the whole retry budget.
+// is past its deadline, and retry a refused reorder drain. A silent peer
+// is retried at maxRTO for as long as it stays silent; whether it is
+// dead is the health monitor's to say.
 func (r *reliableLayer) retransmitDue(fl *flow, now int64) {
-	var dead string
 	fl.smu.Lock()
 	// Credit refresh: a flow blocked on credit with no ack in flight would
 	// otherwise never learn the receiver drained. Re-derive the
-	// advertisement from the destination FIFO; any drain progress resets
-	// the stall clock, a receiver that absorbed nothing for the whole
-	// retry budget is declared dead.
+	// advertisement from the destination FIFO.
 	if fl.failed == nil && fl.lastFifo != nil && fl.nextSeq > fl.creditLimit {
 		if limit := fl.maxAcked + creditFor(fl.lastFifo, fl.key.src); limit > fl.creditLimit {
 			r.creditRefreshes.Inc()
 			r.grantLocked(fl, limit)
-		} else if fl.stallSince != 0 {
-			if occ, _ := fl.lastFifo.Occupancy(); occ < fl.stallOcc {
-				fl.stallSince = now
-				fl.stallOcc = occ
-			} else if now-fl.stallSince > int64(r.retryBudget) {
-				dead = "receiver absorbed nothing for the credit-stall budget"
-			}
 		}
 	}
 	// Each retransmission drops the lock, and its ack may retire a whole
 	// run behind it (one resend fills the hole, the frontier jumps), so
 	// the walk re-reads base and nextSeq as it goes.
-	for seq := fl.base; seq < fl.nextSeq && dead == ""; seq = max(seq+1, fl.base) {
+	for seq := fl.base; seq < fl.nextSeq; seq = max(seq+1, fl.base) {
 		pp := &fl.win[seq&winMask]
 		if pp.acked || now <= pp.deadline {
 			continue
-		}
-		if now-pp.firstTx > int64(r.retryBudget) {
-			// The peer has been silent for the whole backoff budget.
-			dead = "retry budget exhausted"
-			break
 		}
 		pp.rto = min(2*pp.rto, maxRTO)
 		pp.deadline = now + int64(pp.rto)
@@ -1032,15 +999,14 @@ func (r *reliableLayer) retransmitDue(fl *flow, now int64) {
 			fifo.region.Touch()
 		}
 	}
-	if dead != "" {
-		r.budgetExceeded.Inc()
-		r.failFlow(fl, fmt.Errorf("mu: flow %v -> %v: %s (%v): %w",
-			fl.key.src, fl.key.dst, dead, r.retryBudget, ErrPeerDead))
-	}
 }
 
 // failFlow marks the flow permanently failed, releases its send window,
 // and wakes blocked senders. Idempotent; must be called without smu held.
+// A flow fails in no other way than through its three callers — the
+// health monitor's confirmed death (MarkNodeDead), a revival's reset
+// (ReviveNode), the stall sentinel's escalation of a parked sender
+// (awaitWindowLocked) — or stops at Close.
 func (r *reliableLayer) failFlow(fl *flow, err error) {
 	fl.smu.Lock()
 	if fl.failed == nil {

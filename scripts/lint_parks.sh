@@ -28,6 +28,15 @@
 # dead-node set would come back, so it fails everywhere but in
 # internal/health and internal/netsim (the BFS seen set of its route
 # search).
+#
+# And it keeps one judge of death in the reliable layer. A flow fails
+# only when the health monitor confirms a death (MarkNodeDead), when a
+# revival resets it (ReviveNode), or when the stall sentinel escalates a
+# sender parked at the window/credit gate (awaitWindowLocked); Close
+# stops the layer without failing anything. So the non-test Go of
+# internal/mu calls failFlow( from exactly those three functions, once
+# each. A fourth caller is a sender-side clock deciding that a silent
+# peer is dead, which is the monitor's to say: it fails here.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -155,6 +164,16 @@ check "sync\.RWMutex" internal/shmem/shmem.go 1
 if grep -rn "map\[torus\.Rank\]bool" --include="*.go" internal | grep -v "_test\.go:" |
 	grep -v "^internal/health/" | grep -v "^internal/netsim/" >&2; then
 	echo "lint_parks: a map[torus.Rank]bool outside internal/health: who is dead is the health monitor's to say (health.Monitor.Dead); ask it instead of keeping a copy" >&2
+	fail=1
+fi
+
+# One judge of death: failFlow( is called from exactly three functions.
+callers=$(for f in $(find internal/mu -name '*.go' -not -name '*_test.go'); do
+	awk '/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); next }
+		/failFlow\(/ && !/^[[:space:]]*\/\// { print fn }' "$f"
+done | LC_ALL=C sort | tr '\n' ' ')
+if [ "$callers" != "MarkNodeDead ReviveNode awaitWindowLocked " ]; then
+	echo "lint_parks: internal/mu calls failFlow( from: ${callers:-nowhere}; want exactly MarkNodeDead, ReviveNode and awaitWindowLocked, once each: a flow fails on the health monitor's word, a revival or the stall sentinel, never on a sender-side clock" >&2
 	fail=1
 fi
 
