@@ -6,18 +6,18 @@
 // event it is waiting for. Every park site therefore returns an error
 // wrapping ErrAborted instead of hanging, and the error carries a Cause
 // that says what cut the wait short (a confirmed peer death, a stall
-// deadline, an orderly shutdown) and at which wait site.
+// deadline, a user cancellation) and at which wait site.
 //
-// Cause precedence, applied wherever two causes race for one wait:
-// health (membership changed under the wait) explains more than a
-// deadline (something stalled, cause unknown), which explains more than
-// shutdown or user cancellation (the wait was simply no longer wanted).
+// The package is a vocabulary, not a mechanism: it holds no state and
+// wakes nobody. The stall sentinel's park hook cuts a waiter loose by
+// latching a Cause in the primitive the waiter sleeps on, and each such
+// latch keeps the first cause it is given; a later one, racing for the
+// same wait, describes the same incident and is dropped.
 package abort
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrAborted is the sentinel wrapped by every abortable wait's failure.
@@ -27,12 +27,11 @@ var ErrAborted = errors.New("abort: wait aborted")
 // Kind classifies why a wait was cut short.
 type Kind uint8
 
-// Abort kinds, in increasing order of how little they explain.
+// Abort kinds.
 const (
 	KindUnknown  Kind = iota
 	KindHealth        // cluster membership changed under the wait (peer death or revival)
 	KindDeadline      // a stall-sentinel or watchdog deadline expired
-	KindShutdown      // orderly teardown of the runtime
 	KindUser          // explicit application-level cancellation
 )
 
@@ -42,28 +41,10 @@ func (k Kind) String() string {
 		return "health"
 	case KindDeadline:
 		return "deadline"
-	case KindShutdown:
-		return "shutdown"
 	case KindUser:
 		return "user"
 	default:
 		return "unknown"
-	}
-}
-
-// Precedence orders causes by explanatory power: when two causes race
-// for the same wait (a peer death confirmed just as the stall sentinel
-// fires), the higher-precedence one is the root cause worth reporting.
-func (k Kind) Precedence() int {
-	switch k {
-	case KindHealth:
-		return 3
-	case KindDeadline:
-		return 2
-	case KindShutdown, KindUser:
-		return 1
-	default:
-		return 0
 	}
 }
 
@@ -108,90 +89,4 @@ func (c *Cause) Unwrap() []error {
 		return []error{ErrAborted, c.Detail}
 	}
 	return []error{ErrAborted}
-}
-
-// Signal is a one-shot cancellation latch shared between a waiter and
-// whoever may need to cut it loose: the first Abort wins, later ones
-// are dropped (the racing causes describe the same incident, and the
-// first observer is closest to it). Waiters either select on Done or
-// poll Err; cond-based parks register a Subscribe hook so the aborter
-// can kick their condition variable.
-type Signal struct {
-	mu    sync.Mutex
-	done  chan struct{}
-	cause *Cause
-	subs  []func()
-}
-
-// NewSignal returns an un-aborted signal.
-func NewSignal() *Signal {
-	return &Signal{done: make(chan struct{})}
-}
-
-// Abort latches the cause and wakes every waiter. Only the first call
-// takes effect; the return value reports whether this call was it.
-func (s *Signal) Abort(c *Cause) bool {
-	if c == nil {
-		panic("abort: Abort with nil cause")
-	}
-	s.mu.Lock()
-	if s.cause != nil {
-		s.mu.Unlock()
-		return false
-	}
-	s.cause = c
-	close(s.done)
-	subs := s.subs
-	s.subs = nil
-	s.mu.Unlock()
-	for _, wake := range subs {
-		wake()
-	}
-	return true
-}
-
-// Err returns the latched cause as an error, nil while un-aborted.
-func (s *Signal) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cause == nil {
-		return nil
-	}
-	return s.cause
-}
-
-// Cause returns the latched cause, nil while un-aborted.
-func (s *Signal) Cause() *Cause {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cause
-}
-
-// Aborted reports whether the signal has latched.
-func (s *Signal) Aborted() bool { return s.Err() != nil }
-
-// Done returns a channel closed when the signal aborts.
-func (s *Signal) Done() <-chan struct{} { return s.done }
-
-// Subscribe registers a wake hook called (once, on its own stack) when
-// the signal aborts; if the signal already latched the hook runs
-// immediately. The returned cancel removes a not-yet-fired hook —
-// parks that exit for their own reasons must deregister.
-func (s *Signal) Subscribe(wake func()) (cancel func()) {
-	s.mu.Lock()
-	if s.cause != nil {
-		s.mu.Unlock()
-		wake()
-		return func() {}
-	}
-	s.subs = append(s.subs, wake)
-	idx := len(s.subs) - 1
-	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		if idx < len(s.subs) {
-			s.subs[idx] = func() {}
-		}
-		s.mu.Unlock()
-	}
 }

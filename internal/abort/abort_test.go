@@ -3,7 +3,6 @@ package abort
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -25,84 +24,5 @@ func TestCauseDetailChain(t *testing.T) {
 	}
 	if !errors.Is(c, base) {
 		t.Fatalf("wrapped cause lost its detail chain")
-	}
-}
-
-func TestKindPrecedence(t *testing.T) {
-	if KindHealth.Precedence() <= KindDeadline.Precedence() {
-		t.Fatal("health must outrank deadline")
-	}
-	if KindDeadline.Precedence() <= KindShutdown.Precedence() {
-		t.Fatal("deadline must outrank shutdown")
-	}
-	for _, k := range []Kind{KindUnknown, KindHealth, KindDeadline, KindShutdown, KindUser} {
-		if k.String() == "" {
-			t.Fatalf("kind %d has no name", k)
-		}
-	}
-}
-
-func TestSignalFirstCauseWins(t *testing.T) {
-	s := NewSignal()
-	if s.Aborted() || s.Err() != nil {
-		t.Fatal("fresh signal already aborted")
-	}
-	first := Causef(KindHealth, "a", "first")
-	if !s.Abort(first) {
-		t.Fatal("first Abort did not latch")
-	}
-	if s.Abort(Causef(KindDeadline, "b", "second")) {
-		t.Fatal("second Abort claimed the latch")
-	}
-	if s.Cause() != first {
-		t.Fatalf("cause = %v, want the first", s.Cause())
-	}
-	select {
-	case <-s.Done():
-	default:
-		t.Fatal("Done not closed after Abort")
-	}
-}
-
-func TestSignalSubscribe(t *testing.T) {
-	s := NewSignal()
-	woke := make(chan struct{}, 2)
-	cancel := s.Subscribe(func() { woke <- struct{}{} })
-	cancelled := s.Subscribe(func() { t.Error("cancelled hook fired") })
-	cancelled()
-	s.Abort(Causef(KindUser, "x", "cancel"))
-	select {
-	case <-woke:
-	default:
-		t.Fatal("subscribed hook did not fire on Abort")
-	}
-	// Subscribing after the abort fires immediately.
-	s.Subscribe(func() { woke <- struct{}{} })
-	select {
-	case <-woke:
-	default:
-		t.Fatal("post-abort Subscribe did not fire immediately")
-	}
-	_ = cancel
-}
-
-func TestSignalConcurrentAbort(t *testing.T) {
-	s := NewSignal()
-	var wins sync.Map
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if s.Abort(Causef(KindUser, "race", "caller %d", i)) {
-				wins.Store(i, true)
-			}
-		}(i)
-	}
-	wg.Wait()
-	n := 0
-	wins.Range(func(any, any) bool { n++; return true })
-	if n != 1 {
-		t.Fatalf("%d Abort calls won, want exactly 1", n)
 	}
 }

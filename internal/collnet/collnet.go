@@ -270,7 +270,8 @@ func (n *Network) failOpen(cr *ClassRoute, why string) {
 
 // Poison marks the classroute failed: parked and future Joins return
 // err (typically an abort.Cause from the stall sentinel) instead of
-// waiting for credits that will never free. The first cause sticks.
+// waiting for credits that will never free. The first cause sticks, and
+// the route stays poisoned until Free.
 func (cr *ClassRoute) Poison(err error) {
 	if err == nil {
 		panic("collnet: Poison with nil error")
@@ -280,21 +281,6 @@ func (cr *ClassRoute) Poison(err error) {
 		cr.poison = err
 		cr.retired.Broadcast()
 	}
-	cr.mu.Unlock()
-}
-
-// Poisoned returns the route's sticky failure, nil while healthy.
-func (cr *ClassRoute) Poisoned() error {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	return cr.poison
-}
-
-// Heal clears a poisoned route so fresh Joins proceed; the collective
-// layer calls it once the membership is healthy again.
-func (cr *ClassRoute) Heal() {
-	cr.mu.Lock()
-	cr.poison = nil
 	cr.mu.Unlock()
 }
 

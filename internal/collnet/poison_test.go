@@ -20,9 +20,10 @@ func poisonTestRoute(t *testing.T) (*Network, *ClassRoute) {
 }
 
 // Poison must release a Join parked on the session-credit gate with the
-// typed cause, and fail later Joins fast until Heal.
+// typed cause and fail later Joins fast until the route is freed; a route
+// allocated afterwards on the same rectangle starts healthy.
 func TestJoinPoisonReleasesCreditParked(t *testing.T) {
-	_, cr := poisonTestRoute(t)
+	n, cr := poisonTestRoute(t)
 	for seq := uint64(0); seq < SessionCredits; seq++ {
 		if _, err := cr.Join(seq, KindBarrier, OpAdd, Uint64, 0); err != nil {
 			t.Fatalf("Join(%d): %v", seq, err)
@@ -59,10 +60,19 @@ func TestJoinPoisonReleasesCreditParked(t *testing.T) {
 	if _, err := cr.Join(0, KindBarrier, OpAdd, Uint64, 0); err != nil {
 		t.Fatalf("Join of open session on poisoned route: %v", err)
 	}
-	cr.Heal()
-	s, err := cr.Join(0, KindBarrier, OpAdd, Uint64, 0)
-	if err != nil || s == nil {
-		t.Fatalf("healed route Join: %v", err)
+	if _, err := cr.Join(SessionCredits+2, KindBarrier, OpAdd, Uint64, 0); !errors.Is(err, cause) {
+		t.Fatalf("later Join on poisoned route returned %v, want the poison cause", err)
+	}
+	n.Free(cr)
+	fresh, err := n.AllocateWorld()
+	if err != nil {
+		t.Fatalf("AllocateWorld after Free: %v", err)
+	}
+	if fresh.Rect != cr.Rect {
+		t.Fatalf("fresh route rectangle %v, want %v", fresh.Rect, cr.Rect)
+	}
+	if s, err := fresh.Join(0, KindBarrier, OpAdd, Uint64, 0); err != nil || s == nil {
+		t.Fatalf("Join on a route allocated after Free: %v", err)
 	}
 }
 

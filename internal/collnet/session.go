@@ -297,23 +297,18 @@ func (s *Session) fold(tree *torus.Tree, n torus.Rank) []byte {
 	return acc
 }
 
-// Fail completes the session exceptionally: waiters wake with err
-// instead of a result. Reports whether this call failed the session (a
-// completed or already-failed session is left untouched).
-func (s *Session) Fail(err error) bool {
-	s.mu.Lock()
-	return s.failUnlock(s.seq, err)
-}
-
-// FailSeq is Fail for a holder whose handle may have gone stale: it only
-// fails the slot while it still holds session seq.
+// FailSeq completes the session exceptionally, waking its waiters with
+// err instead of a result, but only while the slot still holds session
+// seq: the holder's handle may have gone stale. Reports whether this call
+// failed the session (a completed or already-failed session, or a slot
+// with a new tenant, is left untouched).
 func (s *Session) FailSeq(seq uint64, err error) bool {
 	s.mu.Lock()
 	return s.failUnlock(seq, err)
 }
 
 // Fail fails the route's open session with the given sequence number, if
-// there is one: Session.Fail for a caller that holds no handle.
+// there is one: FailSeq for a caller that holds no handle.
 func (cr *ClassRoute) Fail(seq uint64, err error) (failed bool) {
 	for i := 0; i < len(cr.slots) && !failed; i++ {
 		failed = cr.slots[i].FailSeq(seq, err)

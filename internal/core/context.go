@@ -69,12 +69,11 @@ type Context struct {
 	dispatch    map[uint16]DispatchFn
 
 	// Sender-side state (touched only while advancing/sending).
-	sendSeq  uint64
-	nextMR   uint64
-	pending  map[uint64]*pendingSend
-	reasm    map[reasmKey]*reasmState
-	inbox    map[inboxKey][]byte
-	inboxGen uint64
+	sendSeq uint64
+	nextMR  uint64
+	pending map[uint64]*pendingSend
+	reasm   map[reasmKey]*reasmState
+	inbox   map[inboxKey][]byte
 
 	// deferred parks sends whose destination sat at or over the hard
 	// unexpected-message budget: the payload stays in our memory and the
@@ -350,18 +349,6 @@ func (ctx *Context) AdvanceAuto() int { return ctx.Advance(advanceBatch) }
 // AdvanceUntil advances the context until cond reports true. It is the
 // blocking-progress idiom the MPI layer uses while waiting for a request.
 func (ctx *Context) AdvanceUntil(cond func() bool) {
-	ctx.advanceUntil(cond, nil)
-}
-
-// AdvanceUntilAbort is AdvanceUntil with typed cancellation: it
-// additionally returns — with the latched cause, which wraps
-// abort.ErrAborted — when sig aborts, instead of advancing forever on a
-// condition that can no longer come true. A nil sig is AdvanceUntil.
-func (ctx *Context) AdvanceUntilAbort(cond func() bool, sig *abort.Signal) error {
-	return ctx.advanceUntil(cond, sig)
-}
-
-func (ctx *Context) advanceUntil(cond func() bool, sig *abort.Signal) error {
 	idleParked, defParked := false, false
 	leave := func() {
 		if idleParked {
@@ -375,17 +362,12 @@ func (ctx *Context) advanceUntil(cond func() bool, sig *abort.Signal) error {
 	}
 	defer leave()
 	for !cond() {
-		if sig != nil {
-			if err := sig.Err(); err != nil {
-				return err
-			}
-		}
 		if ctx.AdvanceAuto() == 0 && !cond() {
 			// Nothing to do: sleep on the wakeup region like the hardware
 			// thread would, re-checking the condition against lost wakeups.
 			gen := ctx.region.Gen()
 			if cond() {
-				return nil
+				return
 			}
 			if ctx.deferredLen > 0 {
 				// A deferred send is waiting for the destination's queue to
@@ -412,9 +394,7 @@ func (ctx *Context) advanceUntil(cond func() bool, sig *abort.Signal) error {
 					idleParked = true
 					ctx.idlePark.Enter()
 				}
-				if err := ctx.region.WaitAbort(gen, sig); err != nil {
-					return err
-				}
+				ctx.region.Wait(gen)
 			}
 		} else if idleParked || defParked {
 			// Progress resumed: drop the parks so their ages measure one
@@ -422,7 +402,6 @@ func (ctx *Context) advanceUntil(cond func() bool, sig *abort.Signal) error {
 			leave()
 		}
 	}
-	return nil
 }
 
 // advanceBatch is the progress loops' Advance width and the size of the

@@ -463,7 +463,7 @@ func (in *Injector) LinkIsDown(n torus.Rank, l torus.Link) bool {
 }
 
 // DownFn returns the down-link predicate in the shape torus.RouteAround
-// and torus.BuildTreeAvoiding consume. Returns nil when nothing is down,
+// and torus.BuildTreeExcluding consume. Returns nil when nothing is down,
 // which those functions treat as the fault-free fast path.
 func (in *Injector) DownFn() func(torus.Rank, torus.Link) bool {
 	if in.downCount.Load() == 0 {

@@ -20,7 +20,9 @@ import (
 // no heartbeat monitor armed (nothing dies), the survivor's network wait
 // would block forever; the armed stall sentinel must convert the park
 // into a typed abort — errors.Is(err, abort.ErrAborted) with a deadline
-// cause — well within the escalation deadline plus scan slack.
+// cause — well within the escalation deadline plus scan slack. The abort
+// is terminal and latched once: a second collective on the same geometry
+// fails fast with the same cause, without parking for a second escalation.
 func TestStallSentinelAbortsPermanentStall(t *testing.T) {
 	const stallDeadline = 200 * time.Millisecond
 	dims := torus.Dims{2, 1, 1, 1, 1}
@@ -34,8 +36,9 @@ func TestStallSentinelAbortsPermanentStall(t *testing.T) {
 	defer m.Shutdown()
 
 	var mu_ sync.Mutex
-	var stallErr error
-	var stallTook time.Duration
+	var stallErr, againErr error
+	var stallTook, againTook time.Duration
+	var escBefore, escAfter int64
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -63,11 +66,16 @@ func TestStallSentinelAbortsPermanentStall(t *testing.T) {
 			send := make([]byte, 8)
 			recv := make([]byte, 8)
 			binary.LittleEndian.PutUint64(send, 42)
-			start := time.Now()
-			aerr := g.Allreduce(send, recv, collnet.OpAdd, collnet.Uint64)
 			mu_.Lock()
-			stallErr, stallTook = aerr, time.Since(start)
-			mu_.Unlock()
+			defer mu_.Unlock()
+			start := time.Now()
+			stallErr = g.Allreduce(send, recv, collnet.OpAdd, collnet.Uint64)
+			stallTook = time.Since(start)
+			escBefore = machineCounter(t, m, "sentinel.escalations")
+			start = time.Now()
+			againErr = g.Allreduce(send, recv, collnet.OpAdd, collnet.Uint64)
+			againTook = time.Since(start)
+			escAfter = machineCounter(t, m, "sentinel.escalations")
 		})
 	}()
 	select {
@@ -90,6 +98,19 @@ func TestStallSentinelAbortsPermanentStall(t *testing.T) {
 	// the old behavior (forever).
 	if limit := 10 * stallDeadline; stallTook > limit {
 		t.Fatalf("escalation took %v, want under %v", stallTook, limit)
+	}
+	var c2 *abort.Cause
+	if !errors.As(againErr, &c2) || c2 != c {
+		t.Fatalf("second collective after the abort returned %v, want the same cause %v", againErr, c)
+	}
+	if againTook >= stallDeadline {
+		t.Fatalf("second collective took %v, want a fail-fast return under the %v deadline", againTook, stallDeadline)
+	}
+	if escAfter != escBefore {
+		t.Fatalf("sentinel escalations went %d -> %d across the second collective; nothing may re-park", escBefore, escAfter)
+	}
+	if escBefore == 0 {
+		t.Fatal("sentinel.escalations is 0 after a deadline abort")
 	}
 	if st := m.Sentinel().Table(); len(st) == 0 {
 		t.Fatal("sentinel table is empty; wait sites never registered")

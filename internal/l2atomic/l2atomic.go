@@ -13,8 +13,10 @@
 // same semantics. A Counter is the software stand-in for one such 8-byte
 // word; Mutex and Barrier are the two higher-level constructs the paper
 // builds directly from L2 atomics (the "low overhead L2 atomic mutex" that
-// serializes the MPI receive queue, and the intra-node barrier used by
-// MPI_Barrier at PPN>1).
+// serializes the MPI receive queue, and the intra-node local barrier).
+// The runtime's MPI_Barrier at PPN>1 runs on the node team in core, not
+// on Barrier, so that the stall sentinel can poison it; Barrier is the
+// paper's primitive alone, measured by the benchmark.
 package l2atomic
 
 import (
@@ -131,44 +133,17 @@ func (m *Mutex) Unlock() {
 // Barrier is an intra-node sense-reversing barrier built on a single L2
 // word, as used by the PAMI local barrier at PPN>1 (paper §IV.B: "the
 // local barrier is implemented via the scalable L2 atomic increment
-// operation").
-//
-// Beyond the paper, the barrier is *poisonable*: on hardware that can
-// lose a participant mid-collective (a SIGKILLed node-mate, a confirmed
-// peer death), a party that will never arrive must not strand the ones
-// already parked. Poison(err) releases every parked party with the
-// typed error, makes every subsequent Await fail fast with it, and
-// stays sticky until Heal() — called at a point where the survivors
-// have re-synchronized (e.g. after machine.Revive restored the
-// membership) — returns the barrier to normal service. The whole state
-// (generation, poison flag, arrival count) lives in one word updated by
-// CAS, so a poison cannot race an arrival into a lost count.
+// operation"). The word packs the generation above the arrival count,
+// so the last arriver resets the count and releases the generation in
+// one CAS.
 type Barrier struct {
 	parties int64
-	state   Counter // packed: generation<<32 | poisonBit | count
-	// spinners counts parties physically inside Await. Heal drains it to
-	// zero before clearing the poison bit, so no party can sleep through
-	// a poison+heal cycle and wrongly observe success — while any party
-	// is mid-protocol, at most one poison cycle can be live.
-	spinners Counter
-	perr     atomic.Pointer[barrierPoison]
-}
-
-// barrierPoison records a poison cause and the generation it struck.
-// The cell is published *before* the poison bit becomes visible, so any
-// party that observes the bit also observes a cell at least as new:
-// parked parties compare gens to tell "my generation was poisoned"
-// (error) from "my generation completed and a later one was poisoned"
-// (success).
-type barrierPoison struct {
-	gen int64
-	err error
+	state   Counter // packed: generation<<32 | count
 }
 
 const (
-	barrierPoisonBit = int64(1) << 31
-	barrierCountMask = barrierPoisonBit - 1
 	barrierGenShift  = 32
+	barrierCountMask = int64(1)<<barrierGenShift - 1
 )
 
 // NewBarrier returns a barrier for the given number of participants.
@@ -186,27 +161,16 @@ func NewBarrier(parties int) *Barrier {
 func (b *Barrier) Parties() int { return int(b.parties) }
 
 // Await blocks until all parties have called Await for the current
-// generation, returning nil, or until the barrier is poisoned,
-// returning the poison error (for parked parties and arrivals alike).
-// It is safe to reuse the barrier for successive generations.
+// generation. It is safe to reuse the barrier for successive
+// generations. The error result is always nil: nothing cuts a Barrier
+// wait loose, because the runtime's node barrier is the node team,
+// whose poison the stall sentinel fires; the result stays for callers
+// that check it.
 func (b *Barrier) Await() error {
-	// Register as in-protocol for the whole call: Heal cannot retire a
-	// poison cycle while any party is between its state loads, so the
-	// gen-stamped poison cell each party consults is never recycled
-	// under it.
-	b.spinners.StoreAdd(1)
-	defer b.spinners.StoreAdd(-1)
 	for {
 		s := b.state.Load()
-		if s&barrierPoisonBit != 0 {
-			return b.poisonErr()
-		}
 		gen := s >> barrierGenShift
-		cnt := s & barrierCountMask
-		if cnt == b.parties-1 {
-			// Last arriver: one CAS resets the count and releases the
-			// generation. A racing Poison makes the CAS fail and the
-			// reload observe the bit.
+		if s&barrierCountMask == b.parties-1 {
 			if b.state.CompareAndSwap(s, (gen+1)<<barrierGenShift) {
 				return nil
 			}
@@ -215,116 +179,11 @@ func (b *Barrier) Await() error {
 		if !b.state.CompareAndSwap(s, s+1) {
 			continue
 		}
-		for spins := 0; ; spins++ {
-			s2 := b.state.Load()
-			if s2&barrierPoisonBit != 0 {
-				// Released by a poison's gen bump — but possibly our
-				// generation completed first and the poison struck a later
-				// one. The cell's gen stamp tells the two apart.
-				if p := b.perr.Load(); p != nil && p.gen > gen {
-					return nil
-				}
-				return b.poisonErr()
-			}
-			if s2>>barrierGenShift != gen {
-				return nil
-			}
+		for spins := 0; b.state.Load()>>barrierGenShift == gen; spins++ {
 			if spins > 64 {
 				runtime.Gosched()
 			}
 		}
-	}
-}
-
-// poisonErr returns the poison cause observed alongside the poison bit.
-// The cell is published before the bit, so a party that saw the bit
-// sees a cell; the yield loop is belt and braces.
-func (b *Barrier) poisonErr() error {
-	for {
-		if p := b.perr.Load(); p != nil {
-			return p.err
-		}
-		runtime.Gosched()
-	}
-}
-
-// Poison releases every parked party and fails every future Await with
-// err until Heal. The first poison's cause sticks; later calls on an
-// already-poisoned barrier are no-ops.
-func (b *Barrier) Poison(err error) {
-	if err == nil {
-		panic("l2atomic: Poison with nil error")
-	}
-	for {
-		s := b.state.Load()
-		if s&barrierPoisonBit != 0 {
-			return
-		}
-		gen := s >> barrierGenShift
-		// Publish the gen-stamped cause first, then flip the bit: anyone
-		// who observes the bit observes a cell at least this new. The
-		// monotonic CAS keeps a stale retry from clobbering a newer cell.
-		b.storePoison(gen, err)
-		// Bump the generation (releasing parked parties into the poison
-		// check) and set the bit, zeroing the count, in one CAS.
-		if b.state.CompareAndSwap(s, (gen+1)<<barrierGenShift|barrierPoisonBit) {
-			return
-		}
-	}
-}
-
-// storePoison installs a poison cell unless one at least as new exists.
-func (b *Barrier) storePoison(gen int64, err error) {
-	cell := &barrierPoison{gen: gen, err: err}
-	for {
-		cur := b.perr.Load()
-		if cur != nil && cur.gen >= gen {
-			return
-		}
-		if b.perr.CompareAndSwap(cur, cell) {
-			return
-		}
-	}
-}
-
-// Poisoned returns the current poison cause, nil when healthy.
-func (b *Barrier) Poisoned() error {
-	if b.state.Load()&barrierPoisonBit == 0 {
 		return nil
 	}
-	return b.poisonErr()
-}
-
-// Heal returns a poisoned barrier to service on a fresh generation.
-// Call it only from a point where the parties are known to have
-// re-synchronized outside the barrier (the collective layer heals at
-// its membership gate once the epoch is healthy again): Heal first
-// waits for every party still physically inside Await to observe the
-// poison and leave, so none can sleep through the cycle and miss the
-// error. Healing a healthy barrier is a no-op; concurrent heals are
-// safe.
-func (b *Barrier) Heal() {
-	for {
-		s := b.state.Load()
-		if s&barrierPoisonBit == 0 {
-			return
-		}
-		for spins := 0; b.spinners.Load() != 0; spins++ {
-			if spins > 16 {
-				runtime.Gosched()
-			}
-		}
-		gen := s >> barrierGenShift
-		if b.state.CompareAndSwap(s, (gen+1)<<barrierGenShift) {
-			return
-		}
-	}
-}
-
-// Parked returns how many parties are currently blocked inside Await —
-// arrived for the current generation but not yet released. Inherently
-// racy (the answer can change before it returns); tests and the stall
-// sentinel use it as a progress probe, not for synchronization.
-func (b *Barrier) Parked() int {
-	return int(b.state.Load() & barrierCountMask)
 }

@@ -149,7 +149,7 @@ func TestBuildTreeAvoidingMatchesRectangle(t *testing.T) {
 	d := Dims{3, 3, 2, 1, 1}
 	rc := Rectangle{Lo: Coord{0, 0, 0, 0, 0}, Hi: Coord{2, 2, 1, 0, 0}}
 	root := d.RankOf(Coord{1, 1, 0, 0, 0})
-	tree, err := BuildTreeAvoiding(d, rc, root, nil)
+	tree, err := BuildTreeExcluding(d, rc, root, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestBuildTreeAvoidingRoutesAroundDeadLink(t *testing.T) {
 	rc := Rectangle{Lo: Coord{0, 0, 0, 0, 0}, Hi: Coord{2, 2, 0, 0, 0}}
 	root := d.RankOf(Coord{0, 0, 0, 0, 0})
 	down := downSet(d, fail(root, Link{Dim: DimA, Dir: +1}))
-	tree, err := BuildTreeAvoiding(d, rc, root, down)
+	tree, err := BuildTreeExcluding(d, rc, root, nil, down)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +207,10 @@ func TestBuildTreeAvoidingPartitionedBox(t *testing.T) {
 	d := Dims{3, 1, 1, 1, 1}
 	rc := Rectangle{Lo: Coord{0, 0, 0, 0, 0}, Hi: Coord{1, 0, 0, 0, 0}}
 	down := downSet(d, fail(0, Link{Dim: DimA, Dir: +1}))
-	if _, err := BuildTreeAvoiding(d, rc, 0, down); err == nil {
+	if _, err := BuildTreeExcluding(d, rc, 0, nil, down); err == nil {
 		t.Fatal("partitioned rectangle produced a tree")
 	}
-	if _, err := BuildTreeAvoiding(d, rc, 99, nil); err == nil {
+	if _, err := BuildTreeExcluding(d, rc, 99, nil, nil); err == nil {
 		t.Fatal("root outside rectangle accepted")
 	}
 }

@@ -310,67 +310,15 @@ func (d Dims) RouteAround(a, b Rank, down func(from Rank, l Link) bool) ([]Rank,
 	return nil, false
 }
 
-// BuildTreeAvoiding builds a spanning tree over the rectangle that uses
-// no failed link: breadth-first from the root, staying inside the box
-// (classroutes never wrap), skipping links for which down reports true.
-// Classroute rebuilds use it after a link failure so collectives keep a
-// connected combine tree. It returns an error when the failures
-// disconnect the rectangle.
-func BuildTreeAvoiding(d Dims, rc Rectangle, root Rank, down func(from Rank, l Link) bool) (*Tree, error) {
-	if err := rc.Validate(d); err != nil {
-		return nil, err
-	}
-	if !rc.Contains(d.CoordOf(root)) {
-		return nil, fmt.Errorf("torus: root %d outside rectangle %v", root, rc)
-	}
-	t := &Tree{
-		Root:     root,
-		parent:   make(map[Rank]Rank),
-		children: make(map[Rank][]Rank),
-	}
-	visited := map[Rank]bool{root: true}
-	queue := []Rank{root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		nc := d.CoordOf(n)
-		for dim := 0; dim < NumDims; dim++ {
-			for _, dir := range [2]int{+1, -1} {
-				cc := nc
-				cc[dim] += dir
-				if cc[dim] < rc.Lo[dim] || cc[dim] > rc.Hi[dim] {
-					continue // would leave the box (or wrap)
-				}
-				nb := d.RankOf(cc)
-				if visited[nb] || (down != nil && down(n, Link{Dim: dim, Dir: dir})) {
-					continue
-				}
-				visited[nb] = true
-				t.parent[nb] = n
-				t.children[n] = append(t.children[n], nb)
-				queue = append(queue, nb)
-			}
-		}
-	}
-	if len(visited) != rc.Size() {
-		return nil, fmt.Errorf("torus: failed links disconnect rectangle %v (%d of %d nodes reachable from %d)",
-			rc, len(visited), rc.Size(), root)
-	}
-	for p := range t.children {
-		cs := t.children[p]
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-	}
-	return t, nil
-}
-
 // BuildTreeExcluding builds a spanning tree over the rectangle's
-// *surviving* nodes: nodes for which excluded reports true are left out
-// of the tree entirely, and links for which down reports true are never
-// used. It extends BuildTreeAvoiding from link faults to node faults:
-// classroute rebuilds use it after a node death so collectives keep a
-// connected combine tree over the remaining membership. The root must be
-// a surviving node. It returns an error when the exclusions and failed
-// links disconnect the surviving nodes.
+// *surviving* nodes, breadth-first from the root and staying inside the
+// box (classroutes never wrap): nodes for which excluded reports true are
+// left out of the tree entirely, and links for which down reports true
+// are never used. Classroute rebuilds use it after a link failure or a
+// node death so collectives keep a connected combine tree over the
+// remaining membership; a nil excluded spans the whole rectangle. The
+// root must be a surviving node. It returns an error when the exclusions
+// and failed links disconnect the surviving nodes.
 func BuildTreeExcluding(d Dims, rc Rectangle, root Rank, excluded func(Rank) bool, down func(from Rank, l Link) bool) (*Tree, error) {
 	if err := rc.Validate(d); err != nil {
 		return nil, err

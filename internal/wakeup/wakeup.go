@@ -24,8 +24,6 @@ package wakeup
 import (
 	"sync"
 	"sync/atomic"
-
-	"pamigo/internal/abort"
 )
 
 // Region is one watched memory region. The zero value is not usable;
@@ -110,52 +108,6 @@ func (r *Region) Wait(observed uint64) {
 	}
 	r.waiters.Add(-1)
 	r.mu.Unlock()
-}
-
-// WaitAbort is Wait with typed cancellation: it additionally returns —
-// with the latched cause, which wraps abort.ErrAborted — when sig
-// aborts before or during the suspension. A nil sig degrades to plain
-// Wait. The no-lost-wakeup argument extends to the abort: the signal's
-// wake hook broadcasts under the region mutex, which the waiter holds
-// between its abort re-check and parking, so either the hook's
-// broadcast finds the waiter parked or the waiter sees the latched
-// cause and never parks. The hot path (Wait) is untouched; WaitAbort
-// pays one subscription per suspension and is for waits that may
-// legitimately never be satisfied — a progress loop whose peer can die.
-func (r *Region) WaitAbort(observed uint64, sig *abort.Signal) error {
-	if sig == nil {
-		r.Wait(observed)
-		return nil
-	}
-	if r.gen.Load() > observed {
-		return nil
-	}
-	if err := sig.Err(); err != nil {
-		return err
-	}
-	cancel := sig.Subscribe(func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer cancel()
-	r.mu.Lock()
-	r.waiters.Add(1)
-	var err error
-	for {
-		r.signaled.Store(false)
-		if r.gen.Load() > observed {
-			break
-		}
-		if err = sig.Err(); err != nil {
-			break
-		}
-		r.waits.Add(1)
-		r.cond.Wait()
-	}
-	r.waiters.Add(-1)
-	r.mu.Unlock()
-	return err
 }
 
 // Stats reports how many touches the region has seen and how many waits

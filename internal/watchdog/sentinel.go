@@ -312,8 +312,9 @@ type Park struct {
 // Attach registers p at the site for its owner's lifetime. abortFn,
 // when non-nil, is the escalation hook: called once per wait (from the
 // scanner goroutine) if the wait outlives the site's deadline; it must
-// cut the waiter loose — poison the team, fail the session, latch the
-// abort signal — and must not block. A nil abortFn makes p observe-only.
+// cut the waiter loose — poison the team or the route, fail the flow,
+// latch the context's abort — and must not block. A nil abortFn makes p
+// observe-only.
 func (st *Site) Attach(p *Park, abortFn func(*abort.Cause)) {
 	st.mu.Lock()
 	p.site, p.abortFn, p.idx = st, abortFn, len(st.parks)

@@ -28,11 +28,11 @@ go test ./...
 echo "==> go test -count=20 -run TestPAMIFasterThanMPI ./internal/mpilib (MPI point-to-point now costs PAMI plus matching: the paired comparison's margin is about 250 ns, so one pass says little)"
 go test -count=20 -run TestPAMIFasterThanMPI ./internal/mpilib
 
-echo "==> go test -race (telemetry + integration + hot layers; bufpool and lockless carry the concurrent-count and queue stress tests; mu includes the reliable-window property test: 32 seeds x 5 fault plans x 1 and 4 origins; core the node-team property test: 4 team shapes x 3 seeds x every root, size class and combine op; armci and upc are the concurrent users of caller-chosen memregion IDs; shmem the many-producer queue of the shared-memory device)"
+echo "==> go test -race (telemetry + integration + hot layers; bufpool and lockless carry the concurrent-count and queue stress tests; mu includes the reliable-window property test: 32 seeds x 5 fault plans x 1 and 4 origins; core the node-team property test: 4 team shapes x 3 seeds x every root, size class and combine op; armci and upc are the concurrent users of caller-chosen memregion IDs; shmem the many-producer queue of the shared-memory device; l2atomic, wakeup and abort the primitives a wait sleeps on and the causes that cut it loose)"
 # Two invocations: the chaos and recovery suites in integration are
 # sensitive to load, and core's property test is a second of it.
 go test -race ./internal/telemetry ./internal/bufpool ./internal/lockless ./internal/integration ./internal/mpilib ./internal/mu ./internal/armci ./internal/upc ./internal/shmem
-go test -race ./internal/core ./internal/collnet ./internal/watchdog
+go test -race ./internal/core ./internal/collnet ./internal/watchdog ./internal/l2atomic ./internal/wakeup ./internal/abort
 
 echo "==> GOMAXPROCS=1 go test -race (node-team protocol: no wait may depend on a second core)"
 GOMAXPROCS=1 go test -race -run 'TestTeam|TestRootedReduceCannotLap|TestParked|TestJoinAfterDeath|TestStranded' ./internal/core

@@ -1,11 +1,11 @@
 #!/bin/sh
 # Abortable-wait lint (grep-based): every blocking park in the runtime
-# must be reachable by the cancellation layer — barrier poisoning
-# (l2atomic, the node team), abort-aware region waits
-# (wakeup.Region.WaitAbort), or a sentinel-registered watchdog.Park on
-# the stall path — so the partition stall sentinel can observe and
-# escalate it (DESIGN §8). A wait the sentinel cannot see is a silent
-# hang waiting to happen.
+# must be reachable by the one cancellation path — a sentinel-registered
+# watchdog.Park whose hook cuts the waiter loose by latching a cause in
+# the primitive it sleeps on (failFlow, ClassRoute.Poison,
+# Context.Abort), plus the node team's poison — so the partition stall
+# sentinel can observe and escalate it (DESIGN §8). A wait the sentinel
+# cannot see is a silent hang waiting to happen.
 #
 # The check is deliberately dumb: it counts raw park primitives
 # (sync.NewCond, channel construction in the abortable layers) and raw
@@ -66,11 +66,13 @@ for f in $(grep -rl "sync.NewCond" --include="*.go" . | grep -v _test.go); do
 	esac
 done
 
-# Allowlisted sync.Cond owners, counts pinned. Every cond here is
-# abort-aware: wakeup.Region (WaitAbort + Touch broadcast), collnet
-# retired-cond (Poison broadcasts it), mu flow cond (failFlow kicks
-# it, stage parks on the sentinel), wire transport conds (reconnect/
-# close paths broadcast).
+# Allowlisted sync.Cond owners, counts pinned. Every cond here is woken
+# by whoever cuts its waiter loose: wakeup.Region (Touch broadcasts it;
+# the sentinel's hook touches after latching its cause, as
+# Context.Abort and the node team's poison do), collnet retired-cond
+# (Poison broadcasts it), mu flow cond (failFlow kicks it, stage parks
+# on the sentinel), wire transport conds (reconnect/close paths
+# broadcast).
 check "sync.NewCond" internal/wakeup/wakeup.go 1
 check "sync.NewCond" internal/collnet/collnet.go 1
 check "sync.NewCond" internal/mu/reliable.go 1
@@ -99,17 +101,17 @@ check "make(chan " internal/mu/reliable.go 2
 # are pinned too: per file, the count that remains and why. A new spin —
 # or a spin in a file not listed — fails until it goes through an
 # abortable park or is justified here. LINES are where the sites sit in
-# the current tree (15 spins in all); an edit that moves one updates its
+# the current tree (13 spins in all); an edit that moves one updates its
 # row.
 #
 #   FILE                         N  LINES            WHY IT MAY POLL
 spins="
 internal/core/geometry.go        2  234,818          bootstrap rendezvous in CreateGeometry (bounded by context creation); swWait advances the context itself and yields only when nothing moved, its exit is the deadMember gate
-internal/core/context.go         2  402,554          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
+internal/core/context.go         2  382,531          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
 internal/mpilib/pt2pt.go         4  279,293,314,341  Waitall/Test/Testall/Probe drive progress themselves and yield only on an idle pass; converting them is ROADMAP item 1(b)'s spinwait helper
 internal/mpilib/world.go         1  293              progress(): context lock held by a commthread, yield to it
-internal/mu/mu.go                1  176              not a wait: RecFIFO.PollBatch yields once, then returns 0, when it drained nothing from a FIFO whose head ticket is claimed but unpublished, so the producer that lost the P can publish; the wait around it is the caller's (advanceUntil: visible, abortable)
-internal/l2atomic/l2atomic.go    4  110,233,247,314  the L2 primitives' own backoff: Mutex.Lock (held for a few instructions) and Barrier, which no runtime code constructs any more (checked below)
+internal/mu/mu.go                1  177              not a wait: RecFIFO.PollBatch yields once, then returns 0, when it drained nothing from a FIFO whose head ticket is claimed but unpublished, so the producer that lost the P can publish; the wait around it is the caller's (advanceUntil: visible, abortable)
+internal/l2atomic/l2atomic.go    2  112,184          the L2 primitives' own backoff: Mutex.Lock (held for a few instructions) and Barrier.Await, which no runtime code constructs any more (checked below)
 internal/scenario/online.go      1  326              the online policy's progress loop, yields after a productive pass (idle passes sleep)
 "
 listed=$(echo "$spins" | awk 'NF { print "./" $1 }')
@@ -137,6 +139,22 @@ check "time\.Sleep" internal/wire/transport.go 1
 # for the benchmark's ladder, but nothing in the runtime may wait on it.
 if grep -rn "l2atomic\.NewBarrier" --include="*.go" . | grep -v _test.go | grep -v "^./benchmark/" >&2; then
 	echo "lint_parks: the runtime constructs an l2atomic.Barrier again: its Await is a Gosched spin; use the node-team round (internal/core) or a wakeup.Region" >&2
+	fail=1
+fi
+
+# One cancellation path. internal/abort is a vocabulary (kinds, causes,
+# ErrAborted), not a mechanism: a latch of its own with subscribers
+# would be a second way to cut a wait loose, beside the sentinel's park
+# hook, so its non-test Go imports no sync. And the wakeup unit waits
+# only for a touch: whoever aborts a region waiter latches its cause
+# elsewhere and touches the region, so non-test internal/wakeup imports
+# no internal/abort.
+if grep -n '"sync' internal/abort/*.go | grep -v "_test\.go:" >&2; then
+	echo "lint_parks: internal/abort imports sync: it holds the cancellation vocabulary, not a latch; cut a wait loose through the sentinel's park hook (watchdog.Site.Attach)" >&2
+	fail=1
+fi
+if grep -n '"pamigo/internal/abort"' internal/wakeup/*.go | grep -v "_test\.go:" >&2; then
+	echo "lint_parks: internal/wakeup imports internal/abort: a region wait ends on a touch; latch the cause in the waiter's own primitive and touch the region" >&2
 	fail=1
 fi
 
