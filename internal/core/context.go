@@ -158,8 +158,8 @@ type ctxStats struct {
 	inboxMsgs      *telemetry.Gauge   // software-collective fragments parked in the inbox (hwm = peak)
 	deferredSends  *telemetry.Gauge   // sends parked for an over-budget destination (hwm = peak)
 
-	// How each wait of a classroute collective resolved: at its first poll,
-	// or by parking on the team's wakeup region. Parked waits dominating is
+	// How each collective wait, classroute or software, resolved: without
+	// a park, or by parking on its wakeup region. Parked waits dominating is
 	// normal (seven of eight members wait for the last); parked falling to
 	// zero while throughput falls means waiting has become spinning again.
 	collSpun   *telemetry.Counter
@@ -516,20 +516,15 @@ func (ctx *Context) retirePending(ps *pendingSend) {
 // Call it only once every peer has stopped initiating traffic (after a
 // team barrier, or after a failure cancelled the job) — Drain is the
 // quiesce step checkpointing requires, not a general-purpose flush.
-// Rendezvous sends to dead peers are cancelled by the epoch check inside
-// Advance, so Drain terminates even when a peer crashed mid-protocol.
+// Quiet but not quiescent, it parks at core.ctx.idle until a late packet
+// or ack touches the region. Rendezvous sends to dead peers are cancelled
+// by the epoch check inside Advance, and the machine touches every region
+// on a death, so Drain terminates even when a peer crashed mid-protocol.
 func (ctx *Context) Drain() {
-	for {
-		for ctx.AdvanceAuto() > 0 {
-		}
-		if ctx.work.Empty() && ctx.muRes.Rec.Empty() && ctx.shmDev.Empty() &&
-			len(ctx.reasm) == 0 && len(ctx.pending) == 0 && ctx.deferredLen == 0 {
-			return
-		}
-		// Quiet but not quiescent: a rendezvous ack or a late packet is
-		// still in flight somewhere. Yield so its sender runs.
-		runtime.Gosched()
-	}
+	ctx.AdvanceUntil(func() bool {
+		return ctx.work.Empty() && ctx.muRes.Rec.Empty() && ctx.shmDev.Empty() &&
+			len(ctx.reasm) == 0 && len(ctx.pending) == 0 && ctx.deferredLen == 0
+	})
 }
 
 // Stats reports how many Advance calls ran, how many work items were

@@ -55,7 +55,8 @@ type Geometry struct {
 	strikes uint64
 	// Stall-sentinel parks, attached for the geometry's life: matePark
 	// (site core.team.barrier) while waiting for node-mates to arrive,
-	// netPark (core.geom.hwwait) while waiting for a collective's outcome.
+	// netPark (core.geom.hwwait) while waiting for a collective's outcome
+	// or, on the software path, a fragment.
 	matePark, netPark watchdog.Park
 }
 
@@ -165,26 +166,37 @@ func (c *teamCell) SessionDone(seq uint64, result []byte, err error) {
 	}
 }
 
-// await is the one wait of the protocol: until word reaches want — every
-// mate arrived, or the round's outcome is published — or the team is
-// poisoned. One poll, then the paper's wakeup-unit wait: on hosts with
-// fewer cores than ranks any longer spin only delays the mates queued
-// behind the spinner (EXPERIMENTS "Short collectives in one wait").
-func (g *Geometry) await(word *atomic.Uint64, want uint64, park *watchdog.Park) error {
+// wait is the one wait of every collective, on either path: until poll
+// reports done or the team is poisoned. One poll, then the paper's
+// wakeup-unit wait on r at park, unless the poll moved something: on hosts
+// with fewer cores than ranks any longer spin only delays the mates queued
+// behind the spinner (EXPERIMENTS "Short collectives in one wait"). The
+// generation is read before the poll, so a touch after it is never lost.
+func (g *Geometry) wait(r *wakeup.Region, park *watchdog.Park, poll func() (done, moved bool)) error {
 	t := g.team
-	for how := g.ctx.stats.collSpun; ; how = g.ctx.stats.collParked {
-		gen := t.region.Gen()
-		if word.Load() == want {
+	for how := g.ctx.stats.collSpun; ; {
+		gen := r.Gen()
+		done, moved := poll()
+		if done {
 			how.Inc()
 			return nil
 		}
 		if t.strikes.Load() != g.strikes {
 			return *t.cause.Load()
 		}
-		park.Enter()
-		t.region.Wait(gen)
-		park.Leave()
+		if !moved {
+			how = g.ctx.stats.collParked
+			park.Enter()
+			r.Wait(gen)
+			park.Leave()
+		}
 	}
+}
+
+// await waits on the team's region until word reaches want: every mate
+// arrived, or the round's outcome is published.
+func (g *Geometry) await(word *atomic.Uint64, want uint64, park *watchdog.Park) error {
+	return g.wait(g.team.region, park, func() (bool, bool) { return word.Load() == want, false })
 }
 
 // ErrNotRectangular is returned by Optimize when the geometry's node set
@@ -247,13 +259,15 @@ func (c *Client) CreateGeometry(ctx *Context, id uint64, tasks []int) (*Geometry
 	}
 	g.tidx, _ = slices.BinarySearch(team.members, c.Task())
 	// A wait parked past the stall deadline poisons the team and fails the
-	// sessions it awaits, so every member of every team is cut loose.
+	// sessions it awaits, so every member of every team is cut loose; the
+	// touch of the context's region wakes a software wait.
 	stalled := func(cause *abort.Cause) {
 		team.poison(cause)
 		if cr := shared.cr.Load(); cr != nil {
 			cr.Fail(team.cells[0].sessSeq.Load(), cause)
 			cr.Fail(team.cells[1].sessSeq.Load(), cause)
 		}
+		ctx.region.Touch()
 	}
 	sent := c.mach.Sentinel()
 	sent.Site("core.team.barrier").Attach(&g.matePark, stalled)
@@ -432,7 +446,7 @@ func (g *Geometry) begin(rounds int) (seq uint64, cr *collnet.ClassRoute, round 
 		round = g.round + 1
 		g.round += uint64(rounds)
 	}
-	if err = g.deadMember(); err == nil && cr != nil {
+	if err = g.deadMember(); err == nil {
 		// Same-spell arrivals fail fast, like the parked mates did.
 		if g.strikes = g.team.strikes.Load(); g.strikes != g.team.heals.Load() {
 			err = *g.team.cause.Load()
@@ -761,6 +775,10 @@ func (ctx *Context) handleCollMsg(hdr mu.Header, payload []byte) {
 	// never send round k+1 before round k completes, so the gauge staying
 	// near the fan-in width is the invariant overload tests assert).
 	ctx.stats.inboxMsgs.Set(int64(len(ctx.inbox)))
+	// Wake the member that waits for this fragment: the thread that filed
+	// it need not be the member's own, and the arrival's touch may predate
+	// the member's park.
+	ctx.region.Touch()
 }
 
 // swSend ships a software-collective fragment to a geometry member. It
@@ -786,43 +804,40 @@ func (g *Geometry) swSend(dst int, phase uint8, seq uint64, data []byte) error {
 	return nil
 }
 
-// swWait advances the context until the keyed fragment arrives, then
-// claims it. Progress is made under the context lock so application
-// threads and commthreads can share the context. When any geometry
-// member's node is confirmed dead, swWait fails with mu.ErrPeerDead
-// instead of spinning forever: even if the directly awaited peer is a
-// survivor, that survivor's own wait may have failed on the dead member,
-// so its fragment would never be sent — failing on *any* member death is
-// what makes every survivor converge on the error instead of a subset
-// deadlocking on the others.
-func (g *Geometry) swWait(src int, phase uint8, seq uint64) ([]byte, error) {
+// swWait waits until the keyed fragment arrives, then claims it: a poll
+// of the one collective wait, on the context's region. Each poll claims
+// or advances under the context lock, which application threads and
+// commthreads share. It takes Lock, not TryLock: a holder may have filed
+// the fragment and touched the region before this pass read its
+// generation, and a pass that left without the claim would sleep on it.
+// A member death reaches the wait through the geometry's death hook,
+// which poisons every team before the machine wakes every context.
+func (g *Geometry) swWait(src int, phase uint8, seq uint64) (v []byte, err error) {
 	key := inboxKey{geom: g.id, seq: seq, src: src, phase: phase}
 	ctx := g.ctx
-	for {
-		if err := g.deadMember(); err != nil {
-			return nil, err
+	err = g.wait(ctx.region, &g.netPark, func() (done, moved bool) {
+		ctx.Lock()
+		defer ctx.Unlock()
+		if v, done = ctx.inbox[key]; done {
+			delete(ctx.inbox, key)
+			ctx.stats.inboxMsgs.Set(int64(len(ctx.inbox)))
+			return true, true
 		}
-		worked := 0
-		if ctx.TryLock() {
-			if v, ok := ctx.inbox[key]; ok {
-				delete(ctx.inbox, key)
-				ctx.stats.inboxMsgs.Set(int64(len(ctx.inbox)))
-				ctx.Unlock()
-				return v, nil
-			}
-			worked = ctx.AdvanceAuto()
-			ctx.Unlock()
-		}
-		if worked == 0 {
-			// Nothing moved: yield so the peers we are waiting on run.
-			runtime.Gosched()
-		}
-	}
+		return false, ctx.AdvanceAuto() > 0
+	})
+	return v, err
 }
 
-// swBarrier is a dissemination barrier over the geometry's members.
+// swBarrier is a dissemination barrier over the geometry's members: the
+// barrier of Optimize, Deoptimize and Destroy. It passes the membership
+// gate and snapshots the team's strikes, as begin does, but runs on a
+// poisoned team, so that a geometry cut loose can still be released.
 func (g *Geometry) swBarrier() error {
 	g.seq++
+	if err := g.deadMember(); err != nil {
+		return err
+	}
+	g.strikes = g.team.strikes.Load()
 	return g.swBarrierSeq(g.seq)
 }
 

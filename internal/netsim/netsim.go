@@ -141,24 +141,6 @@ func (n *Network) injectFor(node torus.Rank, first torus.Link) *sim.Resource {
 	return r
 }
 
-// linkOf returns the directed link taken from cur toward the next node.
-func linkOf(d torus.Dims, cur, next torus.Rank) (torus.Link, error) {
-	cc, nc := d.CoordOf(cur), d.CoordOf(next)
-	for dim := 0; dim < torus.NumDims; dim++ {
-		if cc[dim] == nc[dim] {
-			continue
-		}
-		delta := d.Delta(cc, nc, dim)
-		if delta == 1 {
-			return torus.Link{Dim: dim, Dir: +1}, nil
-		}
-		if delta == -1 {
-			return torus.Link{Dim: dim, Dir: -1}, nil
-		}
-	}
-	return torus.Link{}, fmt.Errorf("netsim: %d and %d are not neighbors", cur, next)
-}
-
 // FailLink marks the physical cable out of node across l as dead in both
 // directions — the BG/Q control system's view of a link failure — so
 // subsequent messages route around it.
@@ -181,9 +163,9 @@ func (n *Network) downFn() func(torus.Rank, torus.Link) bool {
 // dimension the reverse-direction cable reaches the same neighbor, so a
 // hop survives one of the pair failing.
 func (n *Network) hopLink(cur, next torus.Rank) (torus.Link, error) {
-	l, err := linkOf(n.dims, cur, next)
-	if err != nil {
-		return l, err
+	l, ok := n.dims.LinkBetween(cur, next)
+	if !ok {
+		return l, fmt.Errorf("netsim: %d and %d are not neighbors", cur, next)
 	}
 	if n.down[linkKey{cur, l}] {
 		alt := torus.Link{Dim: l.Dim, Dir: -l.Dir}

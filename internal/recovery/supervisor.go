@@ -43,11 +43,11 @@ func (s State) String() string {
 	}
 }
 
-// DefaultSettleDelay is the fencing window between a death confirmation
-// and the revival: long enough for the death callbacks (flow failure,
-// classroute shrink, blackholing) to finish propagating, short enough
-// to keep MTTR in the single-digit milliseconds.
-const DefaultSettleDelay = 2 * time.Millisecond
+// settleDelay is the fencing window between a death confirmation and the
+// revival: long enough for the death callbacks (flow failure, classroute
+// shrink, blackholing) to finish propagating, short enough to keep MTTR
+// in the single-digit milliseconds.
+const settleDelay = 2 * time.Millisecond
 
 // Options is the operator-facing tuning of the recovery subsystem.
 type Options struct {
@@ -57,8 +57,6 @@ type Options struct {
 	// transport the victim is another OS process; revival then happens
 	// on its rejoin handshake instead, and AutoRevive stays false.
 	AutoRevive bool
-	// SettleDelay overrides DefaultSettleDelay.
-	SettleDelay time.Duration
 	// Seed drives the deterministic poll jitter (replica waits).
 	Seed int64
 }
@@ -145,9 +143,6 @@ func NewSupervisor(cfg Config) (*Supervisor, error) {
 	if cfg.HostedLo < 0 || cfg.HostedHi > cfg.Nodes || cfg.HostedLo >= cfg.HostedHi {
 		return nil, fmt.Errorf("recovery: hosted node range [%d,%d) outside the %d-node partition",
 			cfg.HostedLo, cfg.HostedHi, cfg.Nodes)
-	}
-	if cfg.Options.SettleDelay <= 0 {
-		cfg.Options.SettleDelay = DefaultSettleDelay
 	}
 	s := &Supervisor{
 		cfg:      cfg,
@@ -360,7 +355,7 @@ func (s *Supervisor) recover(n torus.Rank) {
 	// Fencing window: the death wiring (flow failure, classroute
 	// shrink, blackholing) finishes propagating before the world is
 	// told the node is back.
-	tm := time.NewTimer(s.cfg.Options.SettleDelay)
+	tm := time.NewTimer(settleDelay)
 	select {
 	case <-s.stopCh:
 		tm.Stop()

@@ -352,7 +352,7 @@ func (r *run) online() error {
 	wired := r.Span.wired()
 	// Over the wire recovery is respawn + rejoin, so the in-process
 	// auto-revive stays off (the machine forces it off regardless).
-	cfg.Recovery = &recovery.Options{AutoRevive: !wired, SettleDelay: 2 * time.Millisecond, Seed: cfg.FaultSeed}
+	cfg.Recovery = &recovery.Options{AutoRevive: !wired, Seed: cfg.FaultSeed}
 	m, err := r.boot(cfg, nil)
 	if err != nil {
 		return err

@@ -22,12 +22,15 @@ import (
 // Defaults for Options zero fields.
 const (
 	DefaultDialTimeout   = 2 * time.Second
-	DefaultWriteDeadline = 2 * time.Second
 	DefaultBeatInterval  = 2 * time.Millisecond
 	DefaultBackoffBase   = 5 * time.Millisecond
 	DefaultBackoffMax    = 500 * time.Millisecond
 	DefaultOutboundQueue = 1024
 )
+
+// writeDeadline bounds one connection write, per 256 KiB: a peer that
+// stops reading breaks the connection instead of wedging the writer.
+const writeDeadline = 2 * time.Second
 
 // readBuf is the stream reader's buffer: what one read(2) returns is one
 // burst. Only a replica can exceed it, and is read at its exact size.
@@ -48,9 +51,6 @@ type Options struct {
 	Partition uint64
 	// DialTimeout bounds one dial attempt (and one handshake read).
 	DialTimeout time.Duration
-	// WriteDeadline bounds one connection write, per 256 KiB: a peer that
-	// stops reading breaks the connection instead of wedging the writer.
-	WriteDeadline time.Duration
 	// BeatInterval is the heartbeat period: beat frames fill the silence
 	// of an idle link for the phi-accrual failure detector.
 	BeatInterval time.Duration
@@ -254,9 +254,6 @@ func New(cfg Config) (*Transport, error) {
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = DefaultDialTimeout
-	}
-	if cfg.WriteDeadline <= 0 {
-		cfg.WriteDeadline = DefaultWriteDeadline
 	}
 	if cfg.BeatInterval <= 0 {
 		cfg.BeatInterval = DefaultBeatInterval
@@ -1166,7 +1163,7 @@ func (p *peer) writer() {
 			flat[fault.FlowHash(int(peerLo), int(flush), 0, 0)%uint64(size)] ^= 0x40
 			p.wbufs = append(p.wbufs[:0], flat)
 		}
-		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteDeadline * time.Duration(1+size>>18)))
+		conn.SetWriteDeadline(time.Now().Add(writeDeadline * time.Duration(1+size>>18)))
 		n, err := p.wbufs.WriteTo(conn)
 		t.socketWrites.Inc()
 		t.bytesSent.Add(n)

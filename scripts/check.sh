@@ -34,8 +34,8 @@ echo "==> go test -race (telemetry + integration + hot layers; bufpool and lockl
 go test -race ./internal/telemetry ./internal/bufpool ./internal/lockless ./internal/integration ./internal/mpilib ./internal/mu ./internal/armci ./internal/upc ./internal/shmem
 go test -race ./internal/core ./internal/collnet ./internal/watchdog ./internal/l2atomic ./internal/wakeup ./internal/abort
 
-echo "==> GOMAXPROCS=1 go test -race (node-team protocol: no wait may depend on a second core)"
-GOMAXPROCS=1 go test -race -run 'TestTeam|TestRootedReduceCannotLap|TestParked|TestJoinAfterDeath|TestStranded' ./internal/core
+echo "==> GOMAXPROCS=1 go test -race (node-team protocol and the software collectives' stall abort: no wait may depend on a second core)"
+GOMAXPROCS=1 go test -race -run 'TestTeam|TestRootedReduceCannotLap|TestParked|TestJoinAfterDeath|TestStranded|TestSoftwareCollectiveStallAborts' ./internal/core
 
 echo "==> go test -race (wire transport: burst property + chunking + reconnect and fault storms, cross-process machines, liveness; the failure scenarios pamirun runs, in one process)"
 go test -race ./internal/wire ./internal/machine ./internal/health ./cmd/pamirun ./internal/scenario

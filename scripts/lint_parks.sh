@@ -101,13 +101,13 @@ check "make(chan " internal/mu/reliable.go 2
 # are pinned too: per file, the count that remains and why. A new spin —
 # or a spin in a file not listed — fails until it goes through an
 # abortable park or is justified here. LINES are where the sites sit in
-# the current tree (13 spins in all); an edit that moves one updates its
+# the current tree (11 spins in all); an edit that moves one updates its
 # row.
 #
 #   FILE                         N  LINES            WHY IT MAY POLL
 spins="
-internal/core/geometry.go        2  234,818          bootstrap rendezvous in CreateGeometry (bounded by context creation); swWait advances the context itself and yields only when nothing moved, its exit is the deadMember gate
-internal/core/context.go         2  382,531          deferred-send drain, registered at core.deferred.send (the sentinel aborts it); Drain's quiet-but-not-quiescent yield
+internal/core/geometry.go        1  245              bootstrap rendezvous in CreateGeometry, bounded by context creation; every collective wait, software or classroute, parks in Geometry.wait
+internal/core/context.go         1  382              deferred-send drain in AdvanceUntil, registered at core.deferred.send (the sentinel aborts it); Drain is an AdvanceUntil
 internal/mpilib/pt2pt.go         4  279,293,314,341  Waitall/Test/Testall/Probe drive progress themselves and yield only on an idle pass; converting them is ROADMAP item 1(b)'s spinwait helper
 internal/mpilib/world.go         1  293              progress(): context lock held by a commthread, yield to it
 internal/mu/mu.go                1  177              not a wait: RecFIFO.PollBatch yields once, then returns 0, when it drained nothing from a FIFO whose head ticket is claimed but unpublished, so the producer that lost the P can publish; the wait around it is the caller's (advanceUntil: visible, abortable)
@@ -126,6 +126,20 @@ while read -r f n _; do
 done <<SPINS
 $spins
 SPINS
+# One wait for core: the non-test functions of internal/core that call
+# runtime.Gosched() are exactly AdvanceUntil (the deferred-send poll) and
+# CreateGeometry (the bootstrap rendezvous). A collective, a drain or any
+# other wait that spins instead of parking in Geometry.wait or
+# AdvanceUntil fails here.
+callers=$(for f in $(find internal/core -name '*.go' -not -name '*_test.go'); do
+	awk '/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); next }
+		/runtime\.Gosched\(\)/ && !/^[[:space:]]*\/\// { print fn }' "$f"
+done | LC_ALL=C sort -u | tr '\n' ' ')
+if [ "$callers" != "AdvanceUntil CreateGeometry " ]; then
+	echo "lint_parks: internal/core calls runtime.Gosched() from: ${callers:-nowhere}; want exactly AdvanceUntil and CreateGeometry: a wait parks in Geometry.wait or AdvanceUntil, where the sentinel sees it" >&2
+	fail=1
+fi
+
 # The wire transport's data path wakes by cond signal and by socket
 # readiness, never by polling: no Gosched anywhere in it (it is not in
 # the table above), and exactly one time.Sleep — the reader's
