@@ -148,6 +148,10 @@ func TestExternalBeatLifecycle(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+	// The scanner flips the node dead before it runs the death callbacks.
+	for died.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if died.Load() != 1 || !m.Alive(0) {
 		t.Fatalf("deaths=%d alive(0)=%v, want exactly the external node dead", died.Load(), m.Alive(0))
 	}

@@ -183,7 +183,7 @@ func TestRecoveryAutoReviveSingleKill(t *testing.T) {
 		Dims: dims, PPN: 1,
 		Faults:    mustPlan(t, "crash@pkt=600,node=2", dims),
 		FaultSeed: 9,
-		Recovery:  &recovery.Options{AutoRevive: true, Seed: 9},
+		Recovery:  true,
 	}
 	scenario.FastDetect(&cfg)
 	recoveryRing(t, cfg, 1, 400, 25)
@@ -199,7 +199,7 @@ func TestRecoveryChaosSoakSequentialKills(t *testing.T) {
 		Dims: dims, PPN: 1,
 		Faults:    mustPlan(t, "crash@pkt=400,node=1,crash@pkt=1200,node=3,crash@pkt=2000,node=2", dims),
 		FaultSeed: 17,
-		Recovery:  &recovery.Options{AutoRevive: true, Seed: 17},
+		Recovery:  true,
 	}
 	scenario.FastDetect(&cfg)
 	recoveryRing(t, cfg, 3, 900, 25)
@@ -215,7 +215,7 @@ func TestRecoveryRepeatKillSameNode(t *testing.T) {
 		Dims: dims, PPN: 1,
 		Faults:    mustPlan(t, "crash@pkt=250,node=1,crash@pkt=900,node=1", dims),
 		FaultSeed: 5,
-		Recovery:  &recovery.Options{AutoRevive: true, Seed: 5},
+		Recovery:  true,
 	}
 	scenario.FastDetect(&cfg)
 	recoveryRing(t, cfg, 2, 700, 20)

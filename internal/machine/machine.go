@@ -70,11 +70,11 @@ type Config struct {
 	// node-aligned (multiples of PPN). Both zero means "host everything"
 	// (useful for a single-process wire-mode reference run).
 	HostedLo, HostedHi int
-	// Recovery, when non-nil, arms the self-healing subsystem: a
-	// recovery.Supervisor that keeps buddy-replicated in-memory
-	// checkpoints and — with AutoRevive, single-process mode — turns a
-	// confirmed death into an online restart. Arms the health monitor.
-	Recovery *recovery.Options
+	// Recovery arms the self-healing subsystem: a recovery.Supervisor
+	// that keeps buddy-replicated in-memory checkpoints and, in a single
+	// process, turns a confirmed death into an online restart. Its replica
+	// waits jitter from FaultSeed. Arms the health monitor.
+	Recovery bool
 	// StallDeadline, when positive, arms the partition stall sentinel:
 	// any registered wait (team barriers, collective credit gates, MU
 	// window stalls) parked longer than this is escalated into a typed
@@ -203,7 +203,7 @@ func New(cfg Config) (*Machine, error) {
 			m.tasks = append(m.tasks, p)
 		}
 	}
-	needHmon := cfg.Wire != nil || cfg.Recovery != nil ||
+	needHmon := cfg.Wire != nil || cfg.Recovery ||
 		(cfg.Faults != nil && cfg.Faults.Active() && cfg.Faults.HasNodeFaults())
 	if needHmon {
 		if cfg.Wire != nil && cfg.HeartbeatInterval == 0 {
@@ -357,21 +357,21 @@ func New(cfg Config) (*Machine, error) {
 		m.tele.Adopt(wt.Telemetry())
 		fabric.InstallTransport(wt)
 	}
-	if cfg.Recovery != nil {
-		loN, hiN := 0, cfg.Dims.Nodes()
-		opts := *cfg.Recovery
+	if cfg.Recovery {
 		rcfg := recovery.Config{
 			Nodes:     cfg.Dims.Nodes(),
+			HostedHi:  cfg.Dims.Nodes(),
 			Telemetry: m.tele,
+			Seed:      cfg.FaultSeed,
 			Alive:     func(n torus.Rank) bool { return m.hmon.Alive(n) },
 			Revive:    m.Revive,
 		}
 		if m.wt != nil {
-			loN, hiN = m.cfg.HostedLo/cfg.PPN, m.cfg.HostedHi/cfg.PPN
+			rcfg.HostedLo, rcfg.HostedHi = m.cfg.HostedLo/cfg.PPN, m.cfg.HostedHi/cfg.PPN
 			// Over a wire, a dead node means a dead OS process: nothing in
 			// this process can revive it. Recovery there is respawn + rejoin
 			// handshake, so the in-process auto path stays off.
-			opts.AutoRevive = false
+			rcfg.Revive = nil
 			rcfg.Replicate = func(buddy torus.Rank, blob []byte) error {
 				if m.Hosted(int(buddy) * cfg.PPN) {
 					return m.rsup.AcceptReplica(blob)
@@ -379,8 +379,6 @@ func New(cfg Config) (*Machine, error) {
 				return m.wt.SendReplica(int(buddy)*cfg.PPN, blob)
 			}
 		}
-		rcfg.HostedLo, rcfg.HostedHi = loN, hiN
-		rcfg.Options = opts
 		rsup, err := recovery.NewSupervisor(rcfg)
 		if err != nil {
 			return nil, err

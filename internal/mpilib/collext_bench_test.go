@@ -9,14 +9,11 @@ import (
 	"pamigo/internal/torus"
 )
 
-// Alltoall ablation: phased pairwise exchange (one exchange in flight)
-// versus the fully nonblocking variant (all phases posted at once).
-// Compare with:
+// BenchmarkAlltoallPhased times the phased pairwise exchange (one
+// exchange in flight per phase) on 8 ranks with 1 KiB blocks:
 //
 //	go test -bench 'Alltoall' ./internal/mpilib/
-
-func benchAlltoall(b *testing.B, nonblocking bool) {
-	b.Helper()
+func BenchmarkAlltoallPhased(b *testing.B) {
 	m, err := machine.New(machine.Config{Dims: torus.Dims{2, 2, 2, 1, 1}, PPN: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -35,13 +32,7 @@ func benchAlltoall(b *testing.B, nonblocking bool) {
 		cw.Barrier()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			var err error
-			if nonblocking {
-				err = cw.AlltoallNonblocking(send, blk, recv)
-			} else {
-				err = cw.Alltoall(send, blk, recv)
-			}
-			if err != nil {
+			if err := cw.Alltoall(send, blk, recv); err != nil {
 				panic(err)
 			}
 		}
@@ -57,6 +48,3 @@ func benchAlltoall(b *testing.B, nonblocking bool) {
 	b.ReportMetric(float64(counters["packets"])/float64(b.N), "pkts/op")
 	b.ReportMetric(float64(gauges["occupancy"].HighWater), "fifo-hwm")
 }
-
-func BenchmarkAlltoallPhased(b *testing.B)      { benchAlltoall(b, false) }
-func BenchmarkAlltoallNonblocking(b *testing.B) { benchAlltoall(b, true) }

@@ -89,8 +89,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	})
 }
 
-func testAlltoall(t *testing.T, nonblocking bool) {
-	t.Helper()
+func TestAlltoall(t *testing.T) {
 	const n = 12
 	runMPI(t, torus.Dims{2, 2, 1, 1, 1}, 2, Options{}, func(w *World) {
 		cw := w.CommWorld()
@@ -101,13 +100,7 @@ func testAlltoall(t *testing.T, nonblocking bool) {
 			}
 		}
 		recv := make([]byte, n*w.Size())
-		var err error
-		if nonblocking {
-			err = cw.AlltoallNonblocking(send, n, recv)
-		} else {
-			err = cw.Alltoall(send, n, recv)
-		}
-		if err != nil {
+		if err := cw.Alltoall(send, n, recv); err != nil {
 			panic(err)
 		}
 		for r := 0; r < w.Size(); r++ {
@@ -122,9 +115,6 @@ func testAlltoall(t *testing.T, nonblocking bool) {
 		}
 	})
 }
-
-func TestAlltoall(t *testing.T)            { testAlltoall(t, false) }
-func TestAlltoallNonblocking(t *testing.T) { testAlltoall(t, true) }
 
 func TestAlltoallOnSubcommunicator(t *testing.T) {
 	runMPI(t, torus.Dims{2, 2, 1, 1, 1}, 1, Options{}, func(w *World) {
@@ -204,11 +194,10 @@ func TestCollExtValidation(t *testing.T) {
 		// communication; none of these may panic.
 		buf := make([]byte, 64)
 		for name, call := range map[string]func() error{
-			"scatter":              func() error { return cw.Scatter(buf, -8, buf, 0) },
-			"gather":               func() error { return cw.Gather(buf, -8, buf, 0) },
-			"alltoall":             func() error { return cw.Alltoall(buf, -8, buf) },
-			"alltoall nonblocking": func() error { return cw.AlltoallNonblocking(buf, -8, buf) },
-			"reduce-scatter":       func() error { return cw.ReduceScatterBlock(buf, -8, buf, collnet.OpAdd, collnet.Int64) },
+			"scatter":        func() error { return cw.Scatter(buf, -8, buf, 0) },
+			"gather":         func() error { return cw.Gather(buf, -8, buf, 0) },
+			"alltoall":       func() error { return cw.Alltoall(buf, -8, buf) },
+			"reduce-scatter": func() error { return cw.ReduceScatterBlock(buf, -8, buf, collnet.OpAdd, collnet.Int64) },
 		} {
 			if err := call(); err == nil {
 				t.Errorf("%s with a negative block size accepted", name)

@@ -99,9 +99,5 @@ func (c *Comm) RectBcast(buf []byte, root int) error {
 			reqs = append(reqs, r)
 		}
 	}
-	c.w.Waitall(reqs)
-	for _, r := range reqs {
-		r.Free()
-	}
-	return nil
+	return c.w.waitFree(reqs)
 }

@@ -19,29 +19,12 @@ func (c *Comm) Scan(send, recv []byte, op collnet.Op, dt collnet.DType) error {
 	// acc carries the combination of the contiguous block of ranks ending
 	// at us that we have folded so far; recv carries our prefix result.
 	acc := append([]byte(nil), send...)
+	in := make([]byte, len(send))
 	for d := 1; d < c.size; d *= 2 {
-		var reqs []*Request
-		var in []byte
-		if c.rank+d < c.size {
-			r, err := c.Isend(acc, c.rank+d, tag+d)
-			if err != nil {
-				return err
-			}
-			reqs = append(reqs, r)
+		if err := c.shift(acc, in, d, tag+d); err != nil {
+			return err
 		}
 		if c.rank-d >= 0 {
-			in = make([]byte, len(send))
-			r, err := c.Irecv(in, c.rank-d, tag+d)
-			if err != nil {
-				return err
-			}
-			reqs = append(reqs, r)
-		}
-		c.w.Waitall(reqs)
-		for _, r := range reqs {
-			r.Free()
-		}
-		if in != nil {
 			// The incoming block covers ranks [rank-2d+1 .. rank-d] (or a
 			// prefix of it); fold it into both the running block and the
 			// prefix result.
@@ -71,26 +54,31 @@ func (c *Comm) Exscan(send, recv []byte, op collnet.Op, dt collnet.DType) error 
 	if err := c.Scan(send, incl, op, dt); err != nil {
 		return err
 	}
-	var reqs []*Request
-	if c.rank+1 < c.size {
-		r, err := c.Isend(incl, c.rank+1, tag)
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, r)
-	}
 	if c.rank > 0 {
-		r, err := c.Irecv(recv[:len(send)], c.rank-1, tag)
+		recv = recv[:len(send)]
+	}
+	return c.shift(incl, recv, 1, tag)
+}
+
+// shift sends out to rank+d and receives in from rank-d, each where that
+// rank exists, and waits for both.
+func (c *Comm) shift(out, in []byte, d, tag int) error {
+	var reqs []*Request
+	if c.rank+d < c.size {
+		r, err := c.Isend(out, c.rank+d, tag)
 		if err != nil {
 			return err
 		}
 		reqs = append(reqs, r)
 	}
-	c.w.Waitall(reqs)
-	for _, r := range reqs {
-		r.Free()
+	if c.rank-d >= 0 {
+		r, err := c.Irecv(in, c.rank-d, tag)
+		if err != nil {
+			return err
+		}
+		reqs = append(reqs, r)
 	}
-	return nil
+	return c.w.waitFree(reqs)
 }
 
 // ReduceScatterBlock reduces size() equal blocks element-wise across all

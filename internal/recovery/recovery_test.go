@@ -118,8 +118,7 @@ func TestSupervisorAutoRecover(t *testing.T) {
 	var err error
 	sup, err = NewSupervisor(Config{
 		Nodes: 4, HostedLo: 0, HostedHi: 4,
-		Options: Options{AutoRevive: true},
-		Revive:  func(n torus.Rank) error { revived <- n; return nil },
+		Revive: func(n torus.Rank) error { revived <- n; return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +158,7 @@ func TestSupervisorAutoRecover(t *testing.T) {
 func TestSupervisorFreshStartWithoutReplica(t *testing.T) {
 	sup, err := NewSupervisor(Config{
 		Nodes: 2, HostedLo: 0, HostedHi: 2,
-		Options: Options{AutoRevive: true},
-		Revive:  func(torus.Rank) error { return nil },
+		Revive: func(torus.Rank) error { return nil },
 	})
 	if err != nil {
 		t.Fatal(err)

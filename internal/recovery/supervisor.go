@@ -49,18 +49,6 @@ func (s State) String() string {
 // in the single-digit milliseconds.
 const settleDelay = 2 * time.Millisecond
 
-// Options is the operator-facing tuning of the recovery subsystem.
-type Options struct {
-	// AutoRevive makes the supervisor recover locally observed deaths on
-	// its own: fence, revive, restore from the buddy replica, and hand
-	// the snapshot to OnRestore — the single-process path. Over a wire
-	// transport the victim is another OS process; revival then happens
-	// on its rejoin handshake instead, and AutoRevive stays false.
-	AutoRevive bool
-	// Seed drives the deterministic poll jitter (replica waits).
-	Seed int64
-}
-
 // Config wires a Supervisor into its process.
 type Config struct {
 	// Nodes is the partition's node count; HostedLo/HostedHi is the node
@@ -68,14 +56,20 @@ type Config struct {
 	Nodes              int
 	HostedLo, HostedHi int
 	Telemetry          *telemetry.Registry
-	Options            Options
+	// Seed drives the deterministic poll jitter (replica waits).
+	Seed int64
 
 	// Alive reports whether a node is currently in the live membership
 	// (the health monitor's verdict). Used for leader election.
 	Alive func(torus.Rank) bool
 	// Revive performs the machine-level revival of a node: clear the
 	// injected fault, reset fabric flows, regrow classroutes, return the
-	// node to the health membership (epoch bump).
+	// node to the health membership (epoch bump). When set, the
+	// supervisor recovers locally observed deaths on its own: fence,
+	// revive, restore from the buddy replica, and hand the snapshot to
+	// OnRestore — the single-process path. Over a wire transport the
+	// victim is another OS process, revival happens on its rejoin
+	// handshake instead, and Revive stays nil.
 	Revive func(torus.Rank) error
 	// Replicate ships an encoded snapshot blob to the process hosting
 	// the buddy node. nil means every buddy is in-process and the store
@@ -288,7 +282,7 @@ func (s *Supervisor) AwaitReplica(n torus.Rank, timeout time.Duration) (*Snapsho
 			return nil, abort.Wrap(abort.KindDeadline, "recovery.await.replica",
 				fmt.Errorf("recovery: no replica for node %d arrived within %v", n, timeout))
 		}
-		time.Sleep(fault.Jitter(s.cfg.Options.Seed, step, time.Millisecond))
+		time.Sleep(fault.Jitter(s.cfg.Seed, step, time.Millisecond))
 	}
 }
 
@@ -304,14 +298,14 @@ func (s *Supervisor) SetSentinel(sent *watchdog.Sentinel) {
 }
 
 // NoteDeath records a confirmed death (machine wiring calls it from the
-// health monitor's death callback — it must not block). With AutoRevive
-// armed the death queues for the recovery worker; otherwise it only
+// health monitor's death callback — it must not block). With Revive
+// set the death queues for the recovery worker; otherwise it only
 // stamps the clock that MTTR is measured from when the node rejoins.
 func (s *Supervisor) NoteDeath(n torus.Rank) {
 	s.mu.Lock()
 	s.deathAt[n] = time.Now()
 	s.mu.Unlock()
-	if s.cfg.Options.AutoRevive {
+	if s.cfg.Revive != nil {
 		select {
 		case s.restoreQ <- n:
 		default: // queue full: worker is drowning; drop rather than block the detector
@@ -369,10 +363,8 @@ func (s *Supervisor) recover(n torus.Rank) {
 		snap = &Snapshot{Node: n}
 		s.freshStarts.Inc()
 	}
-	if s.cfg.Revive != nil {
-		if err := s.cfg.Revive(n); err != nil {
-			return
-		}
+	if err := s.cfg.Revive(n); err != nil {
+		return
 	}
 	s.state.Store(int32(StateResuming))
 	s.NoteRestored(n)

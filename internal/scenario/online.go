@@ -350,9 +350,9 @@ func resumePoint(s *recovery.Snapshot) (round int, digest uint64) {
 func (r *run) online() error {
 	cfg := r.Machine
 	wired := r.Span.wired()
-	// Over the wire recovery is respawn + rejoin, so the in-process
-	// auto-revive stays off (the machine forces it off regardless).
-	cfg.Recovery = &recovery.Options{AutoRevive: !wired, Seed: cfg.FaultSeed}
+	// Over the wire recovery is respawn + rejoin; the machine hands the
+	// supervisor no in-process revive there.
+	cfg.Recovery = true
 	m, err := r.boot(cfg, nil)
 	if err != nil {
 		return err
