@@ -131,6 +131,16 @@ type Context struct {
 	idlePark     watchdog.Park
 	deferredPark watchdog.Park
 
+	// drainedGen is the region generation at which an AdvanceUntil pass
+	// last found the context's sources drained: the pass began at it,
+	// came up short and ended with the generation unmoved. Until the
+	// region is touched again there is nothing to advance, so
+	// AdvanceUntil sleeps on it without a pass; passes of other callers
+	// in between only take items out. Written only by advance
+	// (scripts/lint_parks.sh pins that); a second writer could put a
+	// waiter to sleep on a generation nobody drained. Owner-thread only.
+	drainedGen uint64
+
 	// reasmOld holds finished reassembly states for reuse; without it
 	// every multi-packet message allocates one. pendOld does the same for
 	// retired rendezvous sends. Owner-thread only.
@@ -281,14 +291,33 @@ func (ctx *Context) Post(fn func()) {
 }
 
 // Advance makes progress on the context: it runs posted work, then
-// receives from the MU reception FIFO or, when that is empty, the
-// shared-memory queue, up to max items, and returns the number
+// receives from the MU reception FIFO and, into what is left of the
+// batch, the shared-memory queue, up to max items, and returns the number
 // processed. Both devices queue mu.Packet, so one scratch array and one
 // loop serve them. Each source is drained in batches — one queue-head
 // update per batch rather than per item — into per-context scratch
-// arrays, so the steady state performs no allocation.
+// arrays, so the steady state performs no allocation. A pass that comes
+// up short of max returns: there is no second, dry scan, and the caller's
+// progress loop makes the next look.
 // Thread-unsafe by design; see the type comment.
-func (ctx *Context) Advance(max int) int {
+func (ctx *Context) Advance(max int) int { return ctx.advance(max, false) }
+
+// advance is Advance. With ends set — AdvanceUntil's passes — a pass
+// that comes up short ends on the region's generation, read on entry:
+// every publish into the context's sources is followed by a touch of its
+// region (DESIGN §7, progress-engine invariants), so if the generation
+// has not moved, nothing the pass missed was published and touched
+// before it began, and advance records the generation in drainedGen. If
+// it moved, a pass that found something repeats; a dry one returns 0
+// and leaves the next look to AdvanceUntil. Only AdvanceUntil sleeps on
+// drainedGen, so only its passes pay the two loads of the region's line,
+// which every producer's touch writes: a caller that polls (mpilib's
+// wait) would take that miss on every message.
+func (ctx *Context) advance(max int, ends bool) int {
+	var gen uint64
+	if ends {
+		gen = ctx.region.Gen()
+	}
 	if e := ctx.client.mach.Epoch(); e != ctx.epoch {
 		ctx.epoch = e
 		ctx.cancelDeadSends()
@@ -301,7 +330,7 @@ func (ctx *Context) Advance(max int) int {
 	if ctx.deferredLen > 0 {
 		n += ctx.drainDeferred(max)
 	}
-	for n < max {
+	for from := n; n < max; {
 		k := max - n
 		if k > len(ctx.workBatch) {
 			k = len(ctx.workBatch)
@@ -320,11 +349,8 @@ func (ctx *Context) Advance(max int) int {
 			k = len(ctx.pktBatch)
 		}
 		g := ctx.muRes.Rec.PollBatch(ctx.pktBatch[:k])
-		if g == 0 {
-			g = ctx.shmDev.PollBatch(ctx.pktBatch[:k])
-		}
-		if g == 0 {
-			break
+		if g < k {
+			g += ctx.shmDev.PollBatch(ctx.pktBatch[g:k])
 		}
 		for i := 0; i < g; i++ {
 			// An inline packet's bytes are this scratch element: the
@@ -333,6 +359,25 @@ func (ctx *Context) Advance(max int) int {
 			ctx.pktBatch[i].Release() // drops the slab pointers too
 		}
 		n += g
+		if g < k {
+			if !ends || ctx.deferredLen > 0 {
+				// AdvanceUntil does not sleep while a deferred send, which
+				// nothing touches for, is queued.
+				break
+			}
+			now := ctx.region.Gen()
+			if now == gen {
+				ctx.drainedGen = gen
+				break
+			}
+			if n == from {
+				// Touched during a pass that found nothing: the caller's
+				// next look decides, so a region touched on someone
+				// else's behalf cannot keep this call going.
+				break
+			}
+			gen, from = now, n
+		}
 	}
 	if n > 0 {
 		ctx.stats.workItems.Add(int64(n))
@@ -348,6 +393,13 @@ func (ctx *Context) AdvanceAuto() int { return ctx.Advance(advanceBatch) }
 
 // AdvanceUntil advances the context until cond reports true. It is the
 // blocking-progress idiom the MPI layer uses while waiting for a request.
+//
+// It advances only when the region has been touched since the last
+// pass that came up short drained it: at the generation in drainedGen
+// nothing is waiting in the context's sources, so it sleeps on the
+// wakeup region at once, like the hardware thread would, with no dry
+// pass first. A ticket claimed but not yet published wakes it through
+// its publisher's touch.
 func (ctx *Context) AdvanceUntil(cond func() bool) {
 	idleParked, defParked := false, false
 	leave := func() {
@@ -361,45 +413,43 @@ func (ctx *Context) AdvanceUntil(cond func() bool) {
 		}
 	}
 	defer leave()
-	for !cond() {
-		if ctx.AdvanceAuto() == 0 && !cond() {
-			// Nothing to do: sleep on the wakeup region like the hardware
-			// thread would, re-checking the condition against lost wakeups.
-			gen := ctx.region.Gen()
-			if cond() {
-				return
-			}
-			if ctx.deferredLen > 0 {
-				// A deferred send is waiting for the destination's queue to
-				// drain, and that drain will not touch our wakeup region —
-				// poll instead of sleeping, yielding so the receiver runs.
-				// The park makes the stall visible to the sentinel, whose
-				// escalation fails the deferred queue with a typed cause.
-				if !defParked {
-					defParked = true
-					ctx.deferredPark.Enter()
-				}
-				runtime.Gosched()
-				continue
-			}
+	for {
+		// Observe, then re-check the condition under the observed
+		// generation: a touch after the read ends the Wait below.
+		gen := ctx.region.Gen()
+		if cond() {
+			return
+		}
+		if ctx.deferredLen == 0 && gen == ctx.drainedGen {
 			if defParked {
 				defParked = false
 				ctx.deferredPark.Leave()
 			}
-			if ctx.work.Empty() && ctx.muRes.Rec.Empty() && ctx.shmDev.Empty() {
-				if !idleParked {
-					// Observe-only: an idle progress loop may legitimately
-					// park forever, so it shows in hang dumps but is never
-					// escalated.
-					idleParked = true
-					ctx.idlePark.Enter()
-				}
-				ctx.region.Wait(gen)
+			if !idleParked {
+				// Observe-only: an idle progress loop may legitimately
+				// park forever, so it shows in hang dumps but is never
+				// escalated.
+				idleParked = true
+				ctx.idlePark.Enter()
 			}
-		} else if idleParked || defParked {
+			ctx.region.Wait(gen)
+			continue
+		}
+		if ctx.advance(advanceBatch, true) > 0 {
 			// Progress resumed: drop the parks so their ages measure one
 			// continuous stall, not the sum of unrelated idle spells.
 			leave()
+		} else if ctx.deferredLen > 0 {
+			// A deferred send is waiting for the destination's queue to
+			// drain, and that drain will not touch our wakeup region —
+			// poll instead of sleeping, yielding so the receiver runs.
+			// The park makes the stall visible to the sentinel, whose
+			// escalation fails the deferred queue with a typed cause.
+			if !defParked {
+				defParked = true
+				ctx.deferredPark.Enter()
+			}
+			runtime.Gosched()
 		}
 	}
 }

@@ -153,11 +153,12 @@ func TestFanInNoPoolTraffic(t *testing.T) {
 // receiver ahead of its last senders, polling a FIFO whose head ticket is
 // claimed but not yet published — its producer lost the P between the
 // two, queued on the shard's overflow lock behind another producer of the
-// same shard. AdvanceUntil neither parks nor yields on a non-empty FIFO,
-// so if that poll spins instead of handing the producer the P
-// (mu.RecFIFO.PollBatch), a run with the rest of the machine waiting in
-// the closing barrier stalls for seconds and counts tens of millions of
-// advances for 120 k messages; a healthy run counts a fiftieth of an
+// same shard. AdvanceUntil sleeps on the generation its last short pass
+// recorded, and the producer's touch after its publish wakes it; a
+// receiver that instead polled the stuck FIFO without handing the
+// producer the P stalled for seconds with the rest of the machine
+// waiting in the closing barrier, and counted tens of millions of
+// advances for 120 k messages. A healthy run counts a fiftieth of an
 // advance per message. Tasks 1, 2 and 3 hash onto one shard and task 6
 // onto another (mu.RecFIFO.shardFor): TestFanInNoPoolTraffic's origins,
 // one per shard, never queue on each other's lock and never stall.

@@ -28,7 +28,6 @@ func TestRecFIFOLayout(t *testing.T) {
 	}
 	consumerWritten := []field{
 		{"next", unsafe.Offsetof(f.next), unsafe.Sizeof(f.next)},
-		{"dry", unsafe.Offsetof(f.dry), unsafe.Sizeof(f.dry)},
 	}
 	hwm := field{"occHWM", unsafe.Offsetof(f.occHWM), unsafe.Sizeof(f.occHWM)}
 

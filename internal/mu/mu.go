@@ -26,7 +26,6 @@ package mu
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -94,13 +93,6 @@ type Header struct {
 // was never guaranteed — concurrent producers raced for tickets before.
 const recShards = 4
 
-// dryPollsPerLook is how many empty-handed PollBatch calls pass between
-// two looks at whether the FIFO is empty or stuck behind an unpublished
-// ticket: a publish takes nanoseconds, so one dry poll says nothing (and
-// a ping-pong's, before it parks, stays free); a consumer spinning on a
-// descheduled producer gets there in a microsecond.
-const dryPollsPerLook = 16
-
 // RecFIFO is a reception FIFO owned by exactly one PAMI context. It is
 // recShards lockless queues behind one facade: deliveries hash their
 // origin endpoint onto a shard, and the owning context's Poll/PollBatch
@@ -119,8 +111,7 @@ type RecFIFO struct {
 	_      [16]byte
 
 	next uint32 // round-robin drain cursor; single consumer, no atomics
-	dry  uint32 // PollBatch calls that drained nothing; same consumer
-	_    [56]byte
+	_    [60]byte
 
 	// The FIFO keeps no per-packet counter of its own: packets received,
 	// occupancy and the overflow high-water mark are read off the shards'
@@ -158,6 +149,12 @@ func (f *RecFIFO) Poll() (Packet, bool) {
 // sustained fan-in every producer shard gets the front slot equally
 // often. The caller owns one reference to each drained packet's pooled
 // buffers and must Release each after dispatch.
+//
+// A shard's drain stops at a ticket that is claimed but not yet
+// published, so a short batch can leave packets behind it. PollBatch
+// does not wait for that producer: its touch after the publish
+// (deliver) wakes a caller that sleeps on a generation it read before
+// polling.
 func (f *RecFIFO) PollBatch(dst []Packet) int {
 	n, depth := 0, int64(0)
 	start := f.next
@@ -169,12 +166,6 @@ func (f *RecFIFO) PollBatch(dst []Packet) int {
 	}
 	if n > 0 {
 		f.occHWM.StoreMax(depth)
-	} else if f.dry++; f.dry%dryPollsPerLook == 0 && !f.Empty() {
-		// A ticket is claimed but not published: its producer lost the P
-		// between the two (typically waiting for the overflow lock). The
-		// caller's progress loop neither parks nor yields on a non-empty
-		// FIFO, so hand that producer the P instead of spinning it away.
-		runtime.Gosched()
 	}
 	return n
 }
@@ -265,7 +256,11 @@ func (f *RecFIFO) ID() int { return f.id }
 // with lockless.ErrBackpressure when that shard's overflow is at cap —
 // the hardware analogue of a reception FIFO whose consumer has died —
 // and the caller then still owns the packet's references. The packet is
-// copied out of *p; quiet leaves the wake-up to the burst's end.
+// copied out of *p. quiet leaves the wake-up to the burst's end, and
+// obliges the caller to touch the region once the burst is published
+// (after the reliable layer's rmu hold, or by EndRemoteBurst): a
+// consumer that found its sources drained sleeps on the generation
+// until that touch (core.Context.AdvanceUntil).
 func (f *RecFIFO) deliver(p *Packet, quiet bool) error {
 	if err := f.shardFor(p.origin()).EnqueueRef(p); err != nil {
 		return err

@@ -19,6 +19,12 @@
 // returns immediately when a Touch happened after the observed generation,
 // the protocol has no lost-wakeup window — the same guarantee the hardware
 // address-match logic provides.
+//
+// For a progress loop the re-check is a pass over its queues, and the
+// generation read before the pass is the observe step: a pass that
+// finds nothing may sleep on that generation at once, with no second
+// look. A PAMI context's AdvanceUntil keeps it as its drained generation
+// and waits on it without another pass (core.Context.AdvanceUntil).
 package wakeup
 
 import (

@@ -37,6 +37,10 @@
 # internal/mu calls failFlow( from exactly those three functions, once
 # each. A fourth caller is a sender-side clock deciding that a silent
 # peer is dead, which is the monitor's to say: it fails here.
+#
+# And it keeps one record of a drained context: the non-test Go of
+# internal/core assigns Context.drainedGen only inside advance, the one
+# place a pass proves the sources drained (AdvanceUntil sleeps on it).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -101,15 +105,14 @@ check "make(chan " internal/mu/reliable.go 2
 # are pinned too: per file, the count that remains and why. A new spin —
 # or a spin in a file not listed — fails until it goes through an
 # abortable park or is justified here. LINES are where the sites sit in
-# the current tree (7 spins in all); an edit that moves one updates its
+# the current tree (6 spins in all); an edit that moves one updates its
 # row.
 #
 #   FILE                         N  LINES            WHY IT MAY POLL
 spins="
 internal/core/geometry.go        1  246              bootstrap rendezvous in CreateGeometry, bounded by context creation; every collective wait, software or classroute, parks in Geometry.wait
-internal/core/context.go         1  382              deferred-send drain in AdvanceUntil, registered at core.deferred.send (the sentinel aborts it); Drain is an AdvanceUntil
+internal/core/context.go         1  452              deferred-send drain in AdvanceUntil, registered at core.deferred.send (the sentinel aborts it); Drain is an AdvanceUntil
 internal/mpilib/pt2pt.go         1  289              World.wait, the one wait of every MPI request: it drives progress and yields only on an idle pass, and a wait that stays idle registers at mpilib.wait (the sentinel aborts it)
-internal/mu/mu.go                1  177              not a wait: RecFIFO.PollBatch yields once, then returns 0, when it drained nothing from a FIFO whose head ticket is claimed but unpublished, so the producer that lost the P can publish; the wait around it is the caller's (advanceUntil: visible, abortable)
 internal/l2atomic/l2atomic.go    2  112,184          the L2 primitives' own backoff: Mutex.Lock (held for a few instructions) and Barrier.Await, which no runtime code constructs any more (checked below)
 internal/scenario/online.go      1  326              the online policy's progress loop, yields after a productive pass (idle passes sleep)
 "
@@ -138,6 +141,22 @@ if [ "$callers" != "AdvanceUntil CreateGeometry " ]; then
 	echo "lint_parks: internal/core calls runtime.Gosched() from: ${callers:-nowhere}; want exactly AdvanceUntil and CreateGeometry: a wait parks in Geometry.wait or AdvanceUntil, where the sentinel sees it" >&2
 	fail=1
 fi
+# One record of a drained context. AdvanceUntil sleeps without a pass
+# when the region's generation equals drainedGen, so the field may be
+# assigned only where a pass proved the sources drained at that
+# generation: in the non-test Go of internal/core, inside
+# (*Context).advance, the pass of Advance and AdvanceUntil, and nowhere
+# else. A second writer could put a waiter to sleep on a generation
+# nobody drained.
+callers=$(for f in $(find internal/core -name '*.go' -not -name '*_test.go'); do
+	awk '/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); next }
+		/drainedGen[[:space:]]*(=[^=]|\+\+|--|[-+|&^]=)/ && !/^[[:space:]]*\/\// { print fn }' "$f"
+done | LC_ALL=C sort | tr '\n' ' ')
+if [ "$callers" != "advance " ]; then
+	echo "lint_parks: internal/core assigns drainedGen from: ${callers:-nowhere}; want exactly Context.advance, once: only a pass that found the sources drained may record it" >&2
+	fail=1
+fi
+
 # One wait for mpilib: its only non-test caller of runtime.Gosched() is
 # World.wait. A Waitall, Test, Probe or progress loop that spins on its
 # own is a wait the sentinel cannot see.
