@@ -145,75 +145,54 @@ const (
 )
 
 // CommThread is CNK's special messaging pthread bound to one hardware
-// thread (paper §II.D). It repeatedly calls a progress function; when the
-// function reports no work, the thread arms the wakeup unit and suspends
-// until the watched region is touched. Suspend/Resume model the priority
-// dance: at lowest priority the commthread is "completely out of the way"
-// of application threads on the same hardware thread.
+// thread (paper §II.D). CNK keeps its binding and lifecycle; what it runs
+// is the messaging software's: a function that makes progress, sleeps on
+// the hardware thread's wakeup region when there is none to make, and
+// returns once the thread stops running. Suspend/Resume model the
+// priority dance: at lowest priority the commthread is "completely out of
+// the way" of application threads on the same hardware thread.
 type CommThread struct {
-	node     *Node
-	hwThread int
-	region   *wakeup.Region
-	state    atomic.Int32
-
-	iterations atomic.Int64
-	workDone   atomic.Int64
-
-	done chan struct{}
+	region *wakeup.Region
+	state  atomic.Int32
+	done   chan struct{}
 }
 
-// StartCommThread launches a commthread on the given hardware thread. The
-// progress function returns the number of work items it completed; zero
-// sends the thread to the wakeup unit. Producers that enqueue work for
-// this thread must Touch Region() afterwards.
-func (n *Node) StartCommThread(hwThread int, progress func() int) *CommThread {
+// StartCommThread launches a commthread on the given hardware thread. It
+// calls run while it is running; run sleeps on the hardware thread's
+// wakeup region, which Suspend, Resume and Stop touch, and returns once
+// running reports false. If run returns early, the thread sleeps until
+// the next touch before calling it again.
+func (n *Node) StartCommThread(hwThread int, run func(running func() bool)) *CommThread {
 	if hwThread < 0 || hwThread >= HWThreads {
 		panic(fmt.Sprintf("cnk: hardware thread %d out of range", hwThread))
 	}
 	ct := &CommThread{
-		node:     n,
-		hwThread: hwThread,
-		region:   n.Wakeup.Region(hwThread),
-		done:     make(chan struct{}),
+		region: n.Wakeup.Region(hwThread),
+		done:   make(chan struct{}),
 	}
 	n.ctMu.Lock()
 	n.commthreads = append(n.commthreads, ct)
 	n.ctMu.Unlock()
-	go ct.run(progress)
+	go ct.loop(run)
 	return ct
 }
 
-func (ct *CommThread) run(progress func() int) {
+func (ct *CommThread) loop(run func(running func() bool)) {
 	defer close(ct.done)
+	running := func() bool { return ct.state.Load() == ctRunning }
 	for {
+		gen := ct.region.Gen()
 		switch ct.state.Load() {
 		case ctStopped:
 			return
-		case ctSuspended:
-			// Yielded to an application thread: sleep until resumed.
-			gen := ct.region.Gen()
-			if ct.state.Load() == ctSuspended {
-				ct.region.Wait(gen)
-			}
-			continue
+		case ctRunning:
+			run(running)
 		}
-		gen := ct.region.Gen()
-		did := progress()
-		ct.iterations.Add(1)
-		ct.workDone.Add(int64(did))
-		if did == 0 && ct.state.Load() == ctRunning {
-			// No communications in flight: execute the PPC wait through
-			// the wakeup unit instead of polling (paper §III.C).
-			ct.region.Wait(gen)
-		}
+		// Suspended (yielded to an application thread), or run came back:
+		// sleep until Resume, Stop or the next touch.
+		ct.region.Wait(gen)
 	}
 }
-
-// Region returns the wakeup region that wakes this commthread.
-func (ct *CommThread) Region() *wakeup.Region { return ct.region }
-
-// HWThread returns the hardware thread the commthread is bound to.
-func (ct *CommThread) HWThread() int { return ct.hwThread }
 
 // Suspend lowers the commthread's priority so an application thread on the
 // same hardware thread runs instead; progress stops until Resume.
@@ -233,12 +212,6 @@ func (ct *CommThread) Stop() {
 	ct.state.Store(ctStopped)
 	ct.region.Touch()
 	<-ct.done
-}
-
-// Stats returns how many loop iterations the commthread ran and how much
-// work its progress function reported.
-func (ct *CommThread) Stats() (iterations, workDone int64) {
-	return ct.iterations.Load(), ct.workDone.Load()
 }
 
 // StopCommThreads stops every commthread started on the node.

@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pamigo/internal/wakeup"
 )
 
 func TestValidPPN(t *testing.T) {
@@ -66,22 +68,38 @@ func TestNewNodeRejectsBadPPN(t *testing.T) {
 	}
 }
 
+// serve is run the way the messaging software writes it: process
+// pending work, and with none left sleep on the hardware thread's region
+// until it is touched; return once the thread stops running. loops
+// counts its looks.
+func serve(r *wakeup.Region, pending, completed, loops *atomic.Int64) func(func() bool) {
+	return func(running func() bool) {
+		for {
+			gen := r.Gen()
+			if !running() {
+				return
+			}
+			loops.Add(1)
+			if pending.Load() > 0 {
+				pending.Add(-1)
+				completed.Add(1)
+				continue
+			}
+			r.Wait(gen)
+		}
+	}
+}
+
 func TestCommThreadProcessesWork(t *testing.T) {
 	n, _ := NewNode(0, 1, 0)
-	var pending, completed atomic.Int64
-	ct := n.StartCommThread(0, func() int {
-		if pending.Load() > 0 {
-			pending.Add(-1)
-			completed.Add(1)
-			return 1
-		}
-		return 0
-	})
+	r := n.Wakeup.Region(0)
+	var pending, completed, loops atomic.Int64
+	ct := n.StartCommThread(0, serve(r, &pending, &completed, &loops))
 	defer ct.Stop()
 	const items = 1000
 	for i := 0; i < items; i++ {
 		pending.Add(1)
-		ct.Region().Touch()
+		r.Touch()
 	}
 	deadline := time.After(10 * time.Second)
 	for completed.Load() < items {
@@ -94,51 +112,62 @@ func TestCommThreadProcessesWork(t *testing.T) {
 	}
 }
 
+// TestCommThreadSleepsWhenIdle: without touches the thread stays asleep,
+// whether its run sleeps itself or returns at once.
 func TestCommThreadSleepsWhenIdle(t *testing.T) {
 	n, _ := NewNode(0, 1, 0)
-	ct := n.StartCommThread(1, func() int { return 0 })
+	var pending, completed, loops, calls atomic.Int64
+	ct := n.StartCommThread(1, serve(n.Wakeup.Region(1), &pending, &completed, &loops))
 	defer ct.Stop()
+	quick := n.StartCommThread(2, func(func() bool) { calls.Add(1) })
+	defer quick.Stop()
 	time.Sleep(50 * time.Millisecond)
-	iters1, _ := ct.Stats()
+	loops1, calls1 := loops.Load(), calls.Load()
 	time.Sleep(100 * time.Millisecond)
-	iters2, _ := ct.Stats()
 	// An idle commthread must be suspended on the wakeup unit, not
-	// spinning: iteration count stays (nearly) flat without touches.
-	if iters2-iters1 > 2 {
-		t.Fatalf("idle commthread spun %d iterations", iters2-iters1)
+	// spinning: the counts stay (nearly) flat without touches.
+	if d := loops.Load() - loops1; d > 2 {
+		t.Fatalf("idle commthread spun %d looks", d)
+	}
+	if d := calls.Load() - calls1; d > 2 {
+		t.Fatalf("commthread whose run returns at once called it %d times while idle", d)
 	}
 }
 
 func TestCommThreadSuspendResume(t *testing.T) {
 	n, _ := NewNode(0, 1, 0)
-	var work atomic.Int64
-	ct := n.StartCommThread(2, func() int {
-		work.Add(1)
-		return 0
-	})
+	r := n.Wakeup.Region(2)
+	var pending, completed, loops atomic.Int64
+	ct := n.StartCommThread(2, serve(r, &pending, &completed, &loops))
 	defer ct.Stop()
 	ct.Suspend()
-	// Drain any in-flight iteration, then verify no progress while yielded.
+	// Let run notice the suspension, then verify no progress while yielded.
 	time.Sleep(20 * time.Millisecond)
-	before := work.Load()
+	before := loops.Load()
 	for i := 0; i < 10; i++ {
-		ct.Region().Touch() // wakeups must NOT run a suspended thread's work
+		pending.Add(1)
+		r.Touch() // wakeups must NOT run a suspended thread's work
 	}
 	time.Sleep(50 * time.Millisecond)
-	if got := work.Load(); got > before {
+	if got := loops.Load(); got > before {
 		t.Fatalf("suspended commthread made progress (%d -> %d)", before, got)
 	}
 	ct.Resume()
-	ct.Region().Touch()
-	time.Sleep(50 * time.Millisecond)
-	if got := work.Load(); got == before {
-		t.Fatal("resumed commthread made no progress")
+	deadline := time.After(5 * time.Second)
+	for completed.Load() < 10 {
+		select {
+		case <-deadline:
+			t.Fatalf("resumed commthread completed %d of the 10 items queued while suspended", completed.Load())
+		default:
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
 func TestCommThreadStop(t *testing.T) {
 	n, _ := NewNode(0, 1, 0)
-	ct := n.StartCommThread(3, func() int { return 0 })
+	var pending, completed, loops atomic.Int64
+	ct := n.StartCommThread(3, serve(n.Wakeup.Region(3), &pending, &completed, &loops))
 	done := make(chan struct{})
 	go func() { ct.Stop(); close(done) }()
 	select {
@@ -150,8 +179,9 @@ func TestCommThreadStop(t *testing.T) {
 
 func TestStopCommThreads(t *testing.T) {
 	n, _ := NewNode(0, 1, 0)
+	var pending, completed, loops atomic.Int64
 	for i := 0; i < 4; i++ {
-		n.StartCommThread(i, func() int { return 0 })
+		n.StartCommThread(i, serve(n.Wakeup.Region(i), &pending, &completed, &loops))
 	}
 	done := make(chan struct{})
 	go func() { n.StopCommThreads(); close(done) }()
@@ -162,34 +192,6 @@ func TestStopCommThreads(t *testing.T) {
 	}
 }
 
-func TestCommThreadStats(t *testing.T) {
-	n, _ := NewNode(0, 1, 0)
-	var fed atomic.Int64
-	fed.Store(5)
-	ct := n.StartCommThread(0, func() int {
-		if fed.Load() > 0 {
-			fed.Add(-1)
-			return 1
-		}
-		return 0
-	})
-	defer ct.Stop()
-	deadline := time.After(5 * time.Second)
-	for {
-		_, workDone := ct.Stats()
-		if workDone == 5 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("workDone = %d, want 5", workDone)
-		default:
-			ct.Region().Touch()
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
 func TestStartCommThreadRejectsBadThread(t *testing.T) {
 	n, _ := NewNode(0, 1, 0)
 	defer func() {
@@ -197,5 +199,5 @@ func TestStartCommThreadRejectsBadThread(t *testing.T) {
 			t.Fatal("out-of-range hardware thread accepted")
 		}
 	}()
-	n.StartCommThread(HWThreads, func() int { return 0 })
+	n.StartCommThread(HWThreads, func(func() bool) {})
 }

@@ -188,9 +188,10 @@ func (c *Client) Context(i int) *Context {
 }
 
 // EnableCommThreads starts one commthread per context (paper §III.C).
-// Each commthread runs on the hardware thread its context is bound to,
-// acquires the context lock opportunistically, advances it, and sleeps on
-// the wakeup unit when the context reports no work.
+// Each commthread runs on the hardware thread its context is bound to
+// and, while it runs, waits in the context's progress loop on its shared
+// path: it advances the context under the context lock and sleeps on the
+// wakeup unit when the context is drained.
 func (c *Client) EnableCommThreads() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -199,16 +200,8 @@ func (c *Client) EnableCommThreads() {
 	}
 	node := c.proc.Node()
 	for _, ctx := range c.contexts {
-		ctx := ctx
-		ct := node.StartCommThread(ctx.hwThread, func() int {
-			if !ctx.TryLock() {
-				// An application thread is advancing; stay out of the way
-				// but report activity so we re-check soon.
-				return 1
-			}
-			n := ctx.AdvanceAuto()
-			ctx.Unlock()
-			return n
+		ct := node.StartCommThread(ctx.hwThread, func(running func() bool) {
+			ctx.advanceUntil(func() bool { return !running() }, &ctx.idlePark, true)
 		})
 		c.cts = append(c.cts, ct)
 	}

@@ -124,21 +124,21 @@ type Context struct {
 	userMRs atomic.Uint64
 
 	// Stall-sentinel wiring, attached at creation: the observe-only idle
-	// park (progress loops sleeping on the wakeup region are legitimately
-	// indefinite) and the escalating deferred-send park, whose hook is
-	// Abort. AdvanceUntil is thread-unsafe like the rest of the context,
-	// so one set per context suffices.
+	// park of the progress loop (a loop sleeping on the wakeup region is
+	// legitimately indefinite) and the deferred queue's park, whose hook
+	// is Abort: entered with the first deferred send, restarted whenever
+	// a send leaves the queue, left when it empties (deferredLeft).
 	idlePark     watchdog.Park
 	deferredPark watchdog.Park
 
-	// drainedGen is the region generation at which an AdvanceUntil pass
+	// drainedGen is the region generation at which a progress-loop pass
 	// last found the context's sources drained: the pass began at it,
 	// came up short and ended with the generation unmoved. Until the
-	// region is touched again there is nothing to advance, so
-	// AdvanceUntil sleeps on it without a pass; passes of other callers
-	// in between only take items out. Written only by advance
-	// (scripts/lint_parks.sh pins that); a second writer could put a
-	// waiter to sleep on a generation nobody drained. Owner-thread only.
+	// region is touched again there is nothing to advance, so the loop
+	// sleeps on it without a pass; passes of other callers in between
+	// only take items out. Written only by advance (scripts/lint_parks.sh
+	// pins that); a second writer could put a waiter to sleep on a
+	// generation nobody drained. Owner-thread only, like the queues.
 	drainedGen uint64
 
 	// reasmOld holds finished reassembly states for reuse; without it
@@ -302,14 +302,14 @@ func (ctx *Context) Post(fn func()) {
 // Thread-unsafe by design; see the type comment.
 func (ctx *Context) Advance(max int) int { return ctx.advance(max, false) }
 
-// advance is Advance. With ends set — AdvanceUntil's passes — a pass
+// advance is Advance. With ends set — the progress loop's passes — a pass
 // that comes up short ends on the region's generation, read on entry:
 // every publish into the context's sources is followed by a touch of its
 // region (DESIGN §7, progress-engine invariants), so if the generation
 // has not moved, nothing the pass missed was published and touched
 // before it began, and advance records the generation in drainedGen. If
 // it moved, a pass that found something repeats; a dry one returns 0
-// and leaves the next look to AdvanceUntil. Only AdvanceUntil sleeps on
+// and leaves the next look to the loop. Only the loop sleeps on
 // drainedGen, so only its passes pay the two loads of the region's line,
 // which every producer's touch writes: a caller that polls (mpilib's
 // wait) would take that miss on every message.
@@ -361,7 +361,7 @@ func (ctx *Context) advance(max int, ends bool) int {
 		n += g
 		if g < k {
 			if !ends || ctx.deferredLen > 0 {
-				// AdvanceUntil does not sleep while a deferred send, which
+				// The loop does not sleep while a deferred send, which
 				// nothing touches for, is queued.
 				break
 			}
@@ -392,64 +392,62 @@ func (ctx *Context) advance(max int, ends bool) int {
 func (ctx *Context) AdvanceAuto() int { return ctx.Advance(advanceBatch) }
 
 // AdvanceUntil advances the context until cond reports true. It is the
-// blocking-progress idiom the MPI layer uses while waiting for a request.
+// blocking-progress idiom the MPI layer uses while waiting for a request:
+// the owner's call into the context's one progress loop, with no lock.
+func (ctx *Context) AdvanceUntil(cond func() bool) { ctx.advanceUntil(cond, &ctx.idlePark, false) }
+
+// advanceUntil is the context's one progress loop, run by AdvanceUntil,
+// the commthread and the software collectives' fragment wait. At the
+// generation in drainedGen nothing waits in the context's sources, so it
+// sleeps on the wakeup region at once, with no dry pass, registered at
+// park until a pass makes progress. A deferred send is never touched
+// for: while one is queued it yields after a pass that moved nothing.
 //
-// It advances only when the region has been touched since the last
-// pass that came up short drained it: at the generation in drainedGen
-// nothing is waiting in the context's sources, so it sleeps on the
-// wakeup region at once, like the hardware thread would, with no dry
-// pass first. A ticket claimed but not yet published wakes it through
-// its publisher's touch.
-func (ctx *Context) AdvanceUntil(cond func() bool) {
-	idleParked, defParked := false, false
-	leave := func() {
-		if idleParked {
-			idleParked = false
-			ctx.idlePark.Leave()
+// With shared set, other threads advance the context too, and each pass
+// holds the context lock, so cond may claim what a pass filed. Lock, not
+// TryLock: a holder may have filed what cond waits for and touched the
+// region before this pass read its generation, and a pass that left
+// without looking would sleep on it. It reports whether it slept.
+func (ctx *Context) advanceUntil(cond func() bool, park *watchdog.Park, shared bool) (slept bool) {
+	parked := false
+	defer func() {
+		if parked {
+			park.Leave()
 		}
-		if defParked {
-			defParked = false
-			ctx.deferredPark.Leave()
-		}
-	}
-	defer leave()
+	}()
 	for {
 		// Observe, then re-check the condition under the observed
 		// generation: a touch after the read ends the Wait below.
 		gen := ctx.region.Gen()
-		if cond() {
-			return
+		if shared {
+			ctx.Lock()
 		}
-		if ctx.deferredLen == 0 && gen == ctx.drainedGen {
-			if defParked {
-				defParked = false
-				ctx.deferredPark.Leave()
+		done := cond()
+		idle := !done && ctx.deferredLen == 0 && gen == ctx.drainedGen
+		moved := !done && !idle && ctx.advance(advanceBatch, true) > 0
+		deferred := ctx.deferredLen > 0
+		if shared {
+			ctx.Unlock()
+		}
+		switch {
+		case done:
+			return slept
+		case idle:
+			if !parked {
+				parked = true
+				park.Enter()
 			}
-			if !idleParked {
-				// Observe-only: an idle progress loop may legitimately
-				// park forever, so it shows in hang dumps but is never
-				// escalated.
-				idleParked = true
-				ctx.idlePark.Enter()
-			}
+			slept = true
 			ctx.region.Wait(gen)
-			continue
-		}
-		if ctx.advance(advanceBatch, true) > 0 {
-			// Progress resumed: drop the parks so their ages measure one
+		case moved:
+			// Progress resumed: leave the park so its age measures one
 			// continuous stall, not the sum of unrelated idle spells.
-			leave()
-		} else if ctx.deferredLen > 0 {
-			// A deferred send is waiting for the destination's queue to
-			// drain, and that drain will not touch our wakeup region —
-			// poll instead of sleeping, yielding so the receiver runs.
-			// The park makes the stall visible to the sentinel, whose
-			// escalation fails the deferred queue with a typed cause.
-			if !defParked {
-				defParked = true
-				ctx.deferredPark.Enter()
+			if parked {
+				parked = false
+				park.Leave()
 			}
-			runtime.Gosched()
+		case deferred:
+			runtime.Gosched() // let the destination's consumer run
 		}
 	}
 }
@@ -484,6 +482,7 @@ func (ctx *Context) failDeferred(deadOnly bool, verb string, cause error) {
 	if ctx.deferredLen == 0 {
 		return
 	}
+	queued := ctx.deferredLen
 	for dst, q := range ctx.deferred {
 		if deadOnly && ctx.client.mach.Alive(dst.Task) {
 			continue
@@ -500,7 +499,9 @@ func (ctx *Context) failDeferred(deadOnly bool, verb string, cause error) {
 			}
 		}
 	}
-	ctx.stats.deferredSends.Set(int64(ctx.deferredLen))
+	if ctx.deferredLen != queued {
+		ctx.deferredLeft()
+	}
 }
 
 // cancelDeadSends fails every pending rendezvous send whose destination

@@ -166,37 +166,26 @@ func (c *teamCell) SessionDone(seq uint64, result []byte, err error) {
 	}
 }
 
-// wait is the one wait of every collective, on either path: until poll
-// reports done or the team is poisoned. One poll, then the paper's
-// wakeup-unit wait on r at park, unless the poll moved something: on hosts
-// with fewer cores than ranks any longer spin only delays the mates queued
-// behind the spinner (EXPERIMENTS "Short collectives in one wait"). The
-// generation is read before the poll, so a touch after it is never lost.
-func (g *Geometry) wait(r *wakeup.Region, park *watchdog.Park, poll func() (done, moved bool)) error {
+// await waits on the team's region until word reaches want (every mate
+// arrived, or the round's outcome is published) or the team is poisoned:
+// one look, then the paper's wakeup-unit wait, registered at park. The
+// generation is read before the look, so a touch after it is not lost.
+func (g *Geometry) await(word *atomic.Uint64, want uint64, park *watchdog.Park) error {
 	t := g.team
 	for how := g.ctx.stats.collSpun; ; {
-		gen := r.Gen()
-		done, moved := poll()
-		if done {
+		gen := t.region.Gen()
+		if word.Load() == want {
 			how.Inc()
 			return nil
 		}
 		if t.strikes.Load() != g.strikes {
 			return *t.cause.Load()
 		}
-		if !moved {
-			how = g.ctx.stats.collParked
-			park.Enter()
-			r.Wait(gen)
-			park.Leave()
-		}
+		how = g.ctx.stats.collParked
+		park.Enter()
+		t.region.Wait(gen)
+		park.Leave()
 	}
-}
-
-// await waits on the team's region until word reaches want: every mate
-// arrived, or the round's outcome is published.
-func (g *Geometry) await(word *atomic.Uint64, want uint64, park *watchdog.Park) error {
-	return g.wait(g.team.region, park, func() (bool, bool) { return word.Load() == want, false })
 }
 
 // ErrNotRectangular is returned by Optimize when the geometry's node set
@@ -804,27 +793,30 @@ func (g *Geometry) swSend(dst int, phase uint8, seq uint64, data []byte) error {
 	return nil
 }
 
-// swWait waits until the keyed fragment arrives, then claims it: a poll
-// of the one collective wait, on the context's region. Each poll claims
-// or advances under the context lock, which application threads and
-// commthreads share. It takes Lock, not TryLock: a holder may have filed
-// the fragment and touched the region before this pass read its
-// generation, and a pass that left without the claim would sleep on it.
-// A member death reaches the wait through the geometry's death hook,
-// which poisons every team before the machine wakes every context.
+// swWait waits until the keyed fragment arrives, then claims it under
+// the context lock, in the context's progress loop on its shared path;
+// it registers at netPark while it sleeps. A member death or the stall
+// sentinel poisons the team and touches the context's region.
 func (g *Geometry) swWait(src int, phase uint8, seq uint64) (v []byte, err error) {
 	key := inboxKey{geom: g.id, seq: seq, src: src, phase: phase}
-	ctx := g.ctx
-	err = g.wait(ctx.region, &g.netPark, func() (done, moved bool) {
-		ctx.Lock()
-		defer ctx.Unlock()
-		if v, done = ctx.inbox[key]; done {
+	ctx, t, how := g.ctx, g.team, g.ctx.stats.collSpun
+	if ctx.advanceUntil(func() bool {
+		var ok bool
+		if v, ok = ctx.inbox[key]; ok {
 			delete(ctx.inbox, key)
 			ctx.stats.inboxMsgs.Set(int64(len(ctx.inbox)))
-			return true, true
+			return true
 		}
-		return false, ctx.AdvanceAuto() > 0
-	})
+		if t.strikes.Load() != g.strikes {
+			err = *t.cause.Load()
+		}
+		return err != nil
+	}, &g.netPark, true) {
+		how = ctx.stats.collParked
+	}
+	if err == nil {
+		how.Inc()
+	}
 	return v, err
 }
 

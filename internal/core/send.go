@@ -239,11 +239,26 @@ func (ctx *Context) sendResolved(mode SendMode, p SendParams) error {
 }
 
 // deferSend parks a protocol-resolved send for a destination that sits at
-// or over the hard unexpected-message budget.
+// or over the hard unexpected-message budget. The first send queued
+// registers the queue at core.deferred.send.
 func (ctx *Context) deferSend(p SendParams) {
+	if ctx.deferredLen == 0 {
+		ctx.deferredPark.Enter()
+	}
 	ctx.deferred[p.Dest] = append(ctx.deferred[p.Dest], p)
 	ctx.deferredLen++
 	ctx.stats.deferredSends.Set(int64(ctx.deferredLen))
+}
+
+// deferredLeft settles the deferred queue after sends left it: its park
+// restarts while sends remain and is left once the queue is empty.
+func (ctx *Context) deferredLeft() {
+	ctx.stats.deferredSends.Set(int64(ctx.deferredLen))
+	if ctx.deferredLen == 0 {
+		ctx.deferredPark.Leave()
+	} else {
+		ctx.deferredPark.Enter()
+	}
 }
 
 // drainDeferred retries parked sends, oldest first per destination, while
@@ -281,7 +296,7 @@ func (ctx *Context) drainDeferred(max int) int {
 		}
 	}
 	if n > 0 {
-		ctx.stats.deferredSends.Set(int64(ctx.deferredLen))
+		ctx.deferredLeft()
 	}
 	return n
 }

@@ -103,6 +103,6 @@ func TestShutdownStopsCommThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Node(0).StartCommThread(0, func() int { return 0 })
+	m.Node(0).StartCommThread(0, func(func() bool) {})
 	m.Shutdown() // must not hang
 }

@@ -106,29 +106,40 @@ func TestMemregionSlotReuse(t *testing.T) {
 // publication IDs of two contexts on it too — while every task looks up
 // everyone's. A lookup returns the whole buffer registered under exactly
 // that (task, id) or misses; it never returns the buffer of an ID that
-// reused the slot, nor one buffer's base with another's length. Run it
-// with -race: the slot reads are atomics around a sequence word.
+// reused the slot, nor one buffer's base with another's length. The
+// readers start once every owner has registered once and read until the
+// last owner is done (and at least rounds times), so the run overlaps
+// writers and readers however the goroutines are scheduled. Run it with -race: the slot reads are
+// atomics around a sequence word.
 func TestMemregionConcurrentTables(t *testing.T) {
 	const tasks, rounds = 4, 20000
 	f := newTestFabric(t)
 	ids := []uint64{3, 3 + mrSlots, 3 + 2*mrSlots, pubID(0, 3), pubID(0, 3+mrSlots), 4, pubID(1, 5)}
 	var hits, misses atomic.Int64
-	var wg sync.WaitGroup
+	var registered, owners, readers sync.WaitGroup
+	var writing atomic.Bool
+	writing.Store(true)
+	registered.Add(tasks)
+	owners.Add(tasks)
+	readers.Add(tasks)
 	for task := 0; task < tasks; task++ {
-		wg.Add(2)
 		go func() { // the owner: the only writer of its table
-			defer wg.Done()
+			defer owners.Done()
 			for r := 0; r < rounds; r++ {
 				id := ids[(r*5+task)%len(ids)]
 				f.RegisterMemregion(task, id, taggedBuf(task, id, r%5*8))
+				if r == 0 {
+					registered.Done()
+				}
 				if r%4 != 0 {
 					f.DeregisterMemregion(task, ids[(r*3+task+1)%len(ids)])
 				}
 			}
 		}()
 		go func() { // a peer: reads every table
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
+			defer readers.Done()
+			registered.Wait()
+			for r := 0; r < rounds || writing.Load(); r++ {
 				owner, id := (task+r)%tasks, ids[(r*3+task)%len(ids)]
 				buf, ok := f.Memregion(owner, id)
 				if !ok {
@@ -143,7 +154,9 @@ func TestMemregionConcurrentTables(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	owners.Wait()
+	writing.Store(false)
+	readers.Wait()
 	if hits.Load() == 0 || misses.Load() == 0 {
 		t.Errorf("%d hits and %d misses: the run exercised only one side", hits.Load(), misses.Load())
 	}

@@ -40,7 +40,16 @@
 #
 # And it keeps one record of a drained context: the non-test Go of
 # internal/core assigns Context.drainedGen only inside advance, the one
-# place a pass proves the sources drained (AdvanceUntil sleeps on it).
+# place a pass proves the sources drained (the progress loop sleeps on
+# it).
+#
+# And it keeps one progress loop per context. The owner's AdvanceUntil,
+# the commthread and the software collectives' fragment wait all run
+# (*Context).advanceUntil: the non-test Go of internal/core sleeps on a
+# wakeup region only there and in the classroute's Geometry.await (which
+# advances nothing), commthreads start only in Client.EnableCommThreads,
+# cnk waits on a region once (a suspended commthread waiting out its
+# suspension), and only send.go enters the deferred queue's park.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -110,8 +119,8 @@ check "make(chan " internal/mu/reliable.go 2
 #
 #   FILE                         N  LINES            WHY IT MAY POLL
 spins="
-internal/core/geometry.go        1  246              bootstrap rendezvous in CreateGeometry, bounded by context creation; every collective wait, software or classroute, parks in Geometry.wait
-internal/core/context.go         1  452              deferred-send drain in AdvanceUntil, registered at core.deferred.send (the sentinel aborts it); Drain is an AdvanceUntil
+internal/core/geometry.go        1  235              bootstrap rendezvous in CreateGeometry, bounded by context creation; a classroute wait parks in Geometry.await, a software one in the progress loop
+internal/core/context.go         1  450              the progress loop (advanceUntil: AdvanceUntil, Drain, the commthread, the software collectives' fragment wait) yields after a pass that moved nothing while a deferred send is queued; the queue is registered at core.deferred.send from its first send until it empties (the sentinel aborts it)
 internal/mpilib/pt2pt.go         1  289              World.wait, the one wait of every MPI request: it drives progress and yields only on an idle pass, and a wait that stays idle registers at mpilib.wait (the sentinel aborts it)
 internal/l2atomic/l2atomic.go    2  112,184          the L2 primitives' own backoff: Mutex.Lock (held for a few instructions) and Barrier.Await, which no runtime code constructs any more (checked below)
 internal/scenario/online.go      1  326              the online policy's progress loop, yields after a productive pass (idle passes sleep)
@@ -129,23 +138,59 @@ done <<SPINS
 $spins
 SPINS
 # One wait for core: the non-test functions of internal/core that call
-# runtime.Gosched() are exactly AdvanceUntil (the deferred-send poll) and
+# runtime.Gosched() are exactly advanceUntil (the deferred-send poll) and
 # CreateGeometry (the bootstrap rendezvous). A collective, a drain or any
-# other wait that spins instead of parking in Geometry.wait or
-# AdvanceUntil fails here.
+# other wait that spins instead of parking in Geometry.await or
+# advanceUntil fails here.
 callers=$(for f in $(find internal/core -name '*.go' -not -name '*_test.go'); do
 	awk '/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); next }
 		/runtime\.Gosched\(\)/ && !/^[[:space:]]*\/\// { print fn }' "$f"
 done | LC_ALL=C sort -u | tr '\n' ' ')
-if [ "$callers" != "AdvanceUntil CreateGeometry " ]; then
-	echo "lint_parks: internal/core calls runtime.Gosched() from: ${callers:-nowhere}; want exactly AdvanceUntil and CreateGeometry: a wait parks in Geometry.wait or AdvanceUntil, where the sentinel sees it" >&2
+if [ "$callers" != "CreateGeometry advanceUntil " ]; then
+	echo "lint_parks: internal/core calls runtime.Gosched() from: ${callers:-nowhere}; want exactly advanceUntil and CreateGeometry: a wait parks in Geometry.await or advanceUntil, where the sentinel sees it" >&2
 	fail=1
 fi
-# One record of a drained context. AdvanceUntil sleeps without a pass
-# when the region's generation equals drainedGen, so the field may be
-# assigned only where a pass proved the sources drained at that
+# One progress loop per context. The non-test functions of internal/core
+# that call a region's Wait are exactly advanceUntil, which
+# advances the context between sleeps, and Geometry.await, which waits
+# for node-mates and advances nothing. A loop of its own that advances a
+# context and sleeps — the commthread's used to — fails here.
+callers=$(for f in $(find internal/core -name '*.go' -not -name '*_test.go'); do
+	awk '/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); next }
+		/\.Wait\(/ && !/^[[:space:]]*\/\// { print fn }' "$f"
+done | LC_ALL=C sort | tr '\n' ' ')
+if [ "$callers" != "advanceUntil await " ]; then
+	echo "lint_parks: internal/core waits on a region from: ${callers:-nowhere}; want exactly advanceUntil and await, once each: a context has one progress loop" >&2
+	fail=1
+fi
+# The commthread runs core's loop: only Client.EnableCommThreads starts
+# one, and cnk waits on a region once, in the commthread's lifecycle
+# loop, where a suspended thread waits out its suspension.
+if grep -rn "StartCommThread(" --include="*.go" . | grep -v "_test\.go:" | grep -v "func (n \*Node) StartCommThread(" |
+	grep -v "^\./internal/core/client\.go:" >&2; then
+	echo "lint_parks: a commthread started outside internal/core/client.go: a commthread runs the context's progress loop (Client.EnableCommThreads)" >&2
+	fail=1
+fi
+got=$(find internal/cnk -name '*.go' -not -name '*_test.go' -exec cat {} + | grep -v '^\s*//' | grep -c "\.Wait(" || true)
+if [ "$got" -ne 1 ]; then
+	echo "lint_parks: internal/cnk waits on a region $got times; want once, the wait that sees a suspended commthread through: progress, and the sleep between passes, are core's" >&2
+	fail=1
+fi
+# The deferred queue owns its park: only send.go (deferSend, and
+# deferredLeft when a send leaves the queue) enters it, so its age is how
+# long the queue has not moved, not how long some loop has waited.
+for f in $(grep -rl "deferredPark\.Enter(" --include="*.go" internal | grep -v _test.go); do
+	if [ "$f" != internal/core/send.go ]; then
+		echo "lint_parks: $f enters the deferred-send park: the queue's own bookkeeping in send.go does that" >&2
+		fail=1
+	fi
+done
+check "deferredPark\.Enter(" internal/core/send.go 2
+# One record of a drained context. The progress loop sleeps without a
+# pass when the region's generation equals drainedGen, so the field may
+# be assigned only where a pass proved the sources drained at that
 # generation: in the non-test Go of internal/core, inside
-# (*Context).advance, the pass of Advance and AdvanceUntil, and nowhere
+# (*Context).advance, the pass of Advance and of the loop, and nowhere
 # else. A second writer could put a waiter to sleep on a generation
 # nobody drained.
 callers=$(for f in $(find internal/core -name '*.go' -not -name '*_test.go'); do
