@@ -334,23 +334,6 @@ func (q *Queue[T]) Dequeue() (v T, ok bool) {
 	return v, false
 }
 
-// Headroom reports how many more elements the queue can absorb before
-// refusing with ErrBackpressure: the free slots of the lock-free array
-// plus whatever the overflow cap still allows. Producers use it to pace
-// themselves instead of discovering the limit by refusal; like the cap
-// itself the figure is advisory under concurrency.
-func (q *Queue[T]) Headroom() int64 {
-	arr := int64(len(q.cells)) - (q.tail.Load() - q.head.Load())
-	if arr < 0 {
-		arr = 0
-	}
-	ovf := q.overflowCap - q.overflowN.Load()
-	if ovf < 0 {
-		ovf = 0
-	}
-	return arr + ovf
-}
-
 // Len reports the number of elements enqueued but not yet dequeued,
 // including elements whose producers are still publishing.
 func (q *Queue[T]) Len() int {

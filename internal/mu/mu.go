@@ -442,8 +442,8 @@ type Fabric struct {
 	// every send in-process.
 	transport atomic.Pointer[transportSlot]
 
-	// stallSite is the stall-sentinel wait site credit-blocked senders
-	// register with; nil (the default) keeps awaitWindowLocked
+	// stallSite is the stall-sentinel wait site senders parked at the
+	// window gate register with; nil (the default) keeps awaitWindowLocked
 	// sentinel-free.
 	stallSite atomic.Pointer[watchdog.Site]
 
@@ -456,8 +456,8 @@ type Fabric struct {
 	TrackHops bool
 }
 
-// SetSentinel registers the fabric's credit-stall wait site with the
-// partition stall sentinel: senders parked at the window/credit gate in
+// SetSentinel registers the fabric's window-stall wait site with the
+// partition stall sentinel: senders parked at the window gate in
 // awaitWindowLocked become visible in the wait-site table, and — when
 // the sentinel is armed — an over-deadline stall fails the flow with a
 // typed abort instead of hanging. Call before traffic starts.
@@ -465,7 +465,7 @@ func (f *Fabric) SetSentinel(s *watchdog.Sentinel) {
 	if s == nil {
 		return
 	}
-	f.stallSite.Store(s.Site("mu.credit.stall"))
+	f.stallSite.Store(s.Site("mu.window.stall"))
 }
 
 // SetHealth makes m the fabric's membership record: the reliable layer

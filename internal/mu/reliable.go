@@ -39,13 +39,12 @@ import (
 // the receiver takes the surviving copies under one rmu hold and answers
 // them with one ack, selective and cumulative at once: seq (the highest
 // sequence number the burst's copies reached), frontier (nextExp-1, the
-// end of the in-order prefix), sack (what is parked past it), seen (the
-// highest sequence number accepted) and credit (the reception FIFO's
-// slack, see creditFor), plus a nack bit per copy whose CRC failed. The
-// sender retires seq, the sack and everything <= frontier in one step,
-// so a lost ack is repaired by the next one with no resend and no
-// duplicate; seen > frontier says there is a hole, and that it starts at
-// frontier+1.
+// end of the in-order prefix), sack (what is parked past it) and seen
+// (the highest sequence number accepted), plus a nack bit per copy whose
+// CRC failed. The sender retires seq, the sack and everything <=
+// frontier in one step, so a lost ack is repaired by the next one with
+// no resend and no duplicate; seen > frontier says there is a hole, and
+// that it starts at frontier+1.
 //
 // Who resends when. deliver does not apply the ack; it hands it to the
 // goroutine that ran the attempt, which applies it under the send lock
@@ -64,6 +63,14 @@ import (
 // seq & winMask; the sender never stages at or past base+sendWindow, the
 // receiver refuses anything at or past nextExp+sendWindow, and nothing on
 // the per-packet path allocates. Bounds and lifecycle: DESIGN §7.
+//
+// Backpressure. A reception FIFO whose consumer has stopped draining
+// refuses what it cannot hold (the origin's shard at its overflow cap):
+// a refused packet gets no ack, so it stays in the window, the window
+// fills, and the sender parks at the window gate until the daemon's
+// resend finds room. That is the backpressure a full hardware FIFO
+// exerts, and the only gate; a sender facing a deep queue also backs off
+// paceDelay per message, well before any refusal.
 const (
 	// sendWindow bounds the span of unretired packets per flow (nextSeq -
 	// base); injection blocks when the window is full, modeling FIFO
@@ -86,9 +93,6 @@ const (
 	// maxRDMAAttempts bounds the per-chunk retry loop of faulted RDMA
 	// operations.
 	maxRDMAAttempts = 1 << 16
-	// maxCreditGrant caps how many packets of credit one ack can extend a
-	// flow, whatever the reception FIFO's slack.
-	maxCreditGrant = 256
 	// paceDepth is the reception-queue depth, in packets, past which a
 	// sender backs off paceDelay before each message.
 	paceDepth = 4096
@@ -177,20 +181,6 @@ type pendingPkt struct {
 // the sender's window under smu, the receiver's reorder ring under rmu.
 // The two locks are never held together; rmu -> reception FIFO internals
 // is the only nesting.
-//
-// Credit accounting (all under smu): creditLimit is the highest PktSeq
-// the receiver has authorized the sender to stage. It is a cumulative
-// grant that only ratchets upward — every ack carries a fresh
-// advertisement derived from the destination FIFO's slack, and the
-// retransmission daemon re-derives it for flows blocked with no ack in
-// flight — so duplicated or reordered grants are harmless, credits are
-// never negative, and at all times
-//
-//	creditLimit == (nextSeq-1) + outstanding,  outstanding >= 0
-//
-// where nextSeq-1 is the credits consumed (packets staged) and
-// outstanding is what the sender may still stage without hearing from
-// the receiver again.
 type flow struct {
 	key  flowKey
 	hash uint64
@@ -207,10 +197,8 @@ type flow struct {
 	win     [sendWindow]pendingPkt // slot of seq is win[seq&winMask], live for base <= seq < nextSeq
 	failed  error                  // set once, permanently, by failFlow
 
-	creditLimit uint64   // highest stageable PktSeq (receiver-granted, ratchets up)
-	maxAcked    uint64   // highest PktSeq known delivered; base of daemon re-grants
-	lastFifo    *RecFIFO // destination FIFO; the daemon's credit refresh reads its slack
-	sscratch    [hdrBytes]byte
+	lastFifo *RecFIFO // destination FIFO; the daemon's resends and drain retries use it
+	sscratch [hdrBytes]byte
 
 	rmu      sync.Mutex
 	nextExp  uint64
@@ -241,7 +229,6 @@ type ackInfo struct {
 	ok                  bool
 	seq, frontier, seen uint64
 	sack, nacks         uint64
-	credit              uint64
 }
 
 type delayedPkt struct {
@@ -305,11 +292,8 @@ type reliableLayer struct {
 	blackholed       *telemetry.Counter
 	peerDeadFails    *telemetry.Counter
 	fifoRefusals     *telemetry.Counter
-
-	creditsGranted  *telemetry.Counter // cumulative credit extended to senders
-	creditStalls    *telemetry.Counter // times a sender blocked on exhausted credit
-	creditRefreshes *telemetry.Counter // daemon re-grants to credit-blocked flows
-	paceWaits       *telemetry.Counter // messages delayed because the reception queue was past paceDepth
+	windowStalls     *telemetry.Counter // times a sender parked at the window gate
+	paceWaits        *telemetry.Counter // messages delayed because the reception queue was past paceDepth
 }
 
 // InstallFaults threads a fault injector through the fabric: every send
@@ -347,11 +331,8 @@ func (f *Fabric) InstallFaults(inj *fault.Injector) {
 		blackholed:       g.Counter("blackholed"),
 		peerDeadFails:    g.Counter("peer_dead_fails"),
 		fifoRefusals:     g.Counter("fifo_refusals"),
-
-		creditsGranted:  g.Counter("credits_granted"),
-		creditStalls:    g.Counter("credit_stalls"),
-		creditRefreshes: g.Counter("credit_refreshes"),
-		paceWaits:       g.Counter("pace_waits"),
+		windowStalls:     g.Counter("window_stalls"),
+		paceWaits:        g.Counter("pace_waits"),
 	}
 	inj.OnLinkDown(func(torus.Rank, torus.Link) { rl.linkDownEvents.Inc() })
 	f.rel.Store(rl)
@@ -391,39 +372,6 @@ func (r *reliableLayer) close() {
 			fl.smu.Unlock()
 		}
 	})
-}
-
-// creditFor derives the receiver's current credit advertisement for a
-// flow into fifo: the remaining headroom of the shard serving the flow's
-// origin — free lock-free array slots plus what its bounded overflow
-// still accepts — clamped to [0, maxCreditGrant]. Senders therefore
-// block (zero credit) shortly *before* the overflow cap would
-// hard-refuse deliveries: overload becomes receiver-driven pacing
-// instead of a refusal/retransmit storm, within the same memory bound.
-// Mutual traffic never deadlocks on this: the bound only bites once the
-// consumer has fallen a whole overflow budget behind, and the daemon
-// re-advertises on its own goroutine once the consumer drains. One
-// origin's backlog cannot starve flows on other shards.
-func creditFor(fifo *RecFIFO, origin TaskAddr) uint64 {
-	h := fifo.shardFor(origin).Headroom()
-	if h < 0 {
-		h = 0
-	}
-	if h > maxCreditGrant {
-		h = maxCreditGrant
-	}
-	return uint64(h)
-}
-
-// grantLocked raises the flow's credit limit to the receiver's latest
-// advertisement and wakes blocked senders. Caller holds fl.smu.
-func (r *reliableLayer) grantLocked(fl *flow, limit uint64) {
-	if limit <= fl.creditLimit {
-		return
-	}
-	r.creditsGranted.Add(int64(limit - fl.creditLimit))
-	fl.creditLimit = limit
-	fl.cond.Broadcast()
 }
 
 func (r *reliableLayer) flowFor(key flowKey) *flow {
@@ -535,10 +483,11 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 	inj.sends.Add(1)
 	own = slabFor(hdr, src, own, MaxPayload) // every chunk's reference, before chunk 0 is staged
 	if occ, _ := fifo.Occupancy(); occ >= paceDepth {
-		// The consumer is milliseconds behind. Credit would only stop us a
-		// whole overflow budget later; until then back off a bounded moment
-		// per message: no cycle of senders can turn that into a deadlock,
-		// and a consumer with paceDepth packets in hand never runs dry.
+		// The consumer is milliseconds behind. A refusal would only stop us
+		// a whole overflow budget later; until then back off a bounded
+		// moment per message: no cycle of senders can turn that into a
+		// deadlock, and a consumer with paceDepth packets in hand never runs
+		// dry.
 		r.paceWaits.Inc()
 		time.Sleep(paceDelay)
 	}
@@ -567,23 +516,16 @@ func (r *reliableLayer) injectMemFIFOBuf(inj *InjFIFO, fifo *RecFIFO, dst TaskAd
 }
 
 // stageLocked stages the message's next burst, sequence numbers
-// first..first+n-1: it waits for window space and receiver credit, then
-// builds packets (nextPacket; *src advances) into consecutive window
-// slots while canStage holds, up to burstMax or the message's end. It
+// first..first+n-1: it waits for window space, then builds packets
+// (nextPacket; *src advances) into consecutive window slots while
+// canStage holds, up to burstMax or the message's end. It
 // never parks once a packet is staged: no one can ack a packet before
 // its attempt pass, so the window would never open. Each packet is
 // stamped with its number and checksum and holds one inflight for the
 // attempt pass the caller runs next. On error nothing was staged.
 // Caller holds fl.smu; *now is refreshed if it parked.
 func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, src *[]byte, own *bufpool.Buf, fifo *RecFIFO, now *int64) (first uint64, n int, err error) {
-	if fl.lastFifo != fifo {
-		if fl.lastFifo == nil {
-			// Seed the flow's credit with the receiver's current slack; from
-			// here on only acks and the daemon extend it.
-			r.grantLocked(fl, creditFor(fifo, fl.key.src))
-		}
-		fl.lastFifo = fifo
-	}
+	fl.lastFifo = fifo
 	if !fl.canStage() {
 		r.awaitWindowLocked(fl)
 		*now = r.now()
@@ -615,16 +557,17 @@ func (r *reliableLayer) stageLocked(fl *flow, hdr *Header, src *[]byte, own *buf
 }
 
 // canStage reports whether the next sequence number may be staged now:
-// the window has room, the receiver's credit covers it, and no straggling
-// attempt still reads the ring slot it would overwrite.
+// the window has room and no straggling attempt still reads the ring
+// slot it would overwrite.
 func (fl *flow) canStage() bool {
-	return fl.nextSeq-fl.base < sendWindow && fl.nextSeq <= fl.creditLimit &&
-		fl.win[fl.nextSeq&winMask].inflight == 0
+	return fl.nextSeq-fl.base < sendWindow && fl.win[fl.nextSeq&winMask].inflight == 0
 }
 
 // awaitWindowLocked parks the sender until it may stage, or the flow
-// fails, or the fabric closes. Caller holds fl.smu.
+// fails, or the fabric closes; each park counts one window stall.
+// Caller holds fl.smu.
 func (r *reliableLayer) awaitWindowLocked(fl *flow) {
+	r.windowStalls.Inc()
 	if st := r.f.stallSite.Load(); st != nil {
 		var park watchdog.Park
 		st.Attach(&park, func(c *abort.Cause) {
@@ -635,11 +578,8 @@ func (r *reliableLayer) awaitWindowLocked(fl *flow) {
 		park.Enter()
 		defer park.Detach()
 	}
-	for stalled := false; !fl.canStage() && !r.closed.Load() && fl.failed == nil; fl.cond.Wait() {
-		if fl.nextSeq > fl.creditLimit && !stalled {
-			stalled = true
-			r.creditStalls.Inc()
-		}
+	for !fl.canStage() && !r.closed.Load() && fl.failed == nil {
+		fl.cond.Wait()
 	}
 }
 
@@ -694,9 +634,9 @@ func (r *reliableLayer) transmitLocked(fl *flow, first uint64, n int, cause *tel
 // applyAckLocked is the sender's half of the ack protocol: retire the
 // acknowledged packet, every packet the receiver holds parked, and
 // everything up to the cumulative frontier, advance base over the
-// retired prefix, extend credit, and decide whether the hole the ack
-// reports is proof of a loss. It returns the sequence number the caller
-// must resend, or 0. Caller holds fl.smu.
+// retired prefix, and decide whether the hole the ack reports is proof
+// of a loss. It returns the sequence number the caller must resend, or
+// 0. Caller holds fl.smu.
 func (r *reliableLayer) applyAckLocked(fl *flow, a ackInfo) uint64 {
 	if a.seq >= fl.base && a.seq < fl.nextSeq {
 		if pp := &fl.win[a.seq&winMask]; !pp.acked {
@@ -725,8 +665,6 @@ func (r *reliableLayer) applyAckLocked(fl *flow, a ackInfo) uint64 {
 	if fl.base != base {
 		fl.cond.Broadcast()
 	}
-	fl.maxAcked = max(fl.maxAcked, a.seq, a.frontier)
-	r.grantLocked(fl, fl.maxAcked+a.credit)
 	if hole := a.frontier + 1; a.seen > a.frontier && hole >= fl.base && hole < fl.nextSeq {
 		if pp := &fl.win[hole&winMask]; !pp.acked && pp.inflight == 0 && a.seen >= pp.sentBefore {
 			pp.sentBefore = fl.nextSeq
@@ -861,18 +799,13 @@ func (r *reliableLayer) deliver(fl *flow, burst []*Packet, fifo *RecFIFO, attemp
 	if published {
 		fifo.region.Touch()
 	}
-	// The ack crosses the reverse path, subject to ack loss, and
-	// piggybacks the receiver's credit advertisement, so credit flows back
-	// on the very traffic it regulates; a lost ack loses its grant too,
-	// and the next ack or the daemon's refresh repairs it (grants are
-	// cumulative, so replays and reordering are harmless). Nacks are not
-	// lost with it.
+	// The ack crosses the reverse path, subject to ack loss; the next ack
+	// repairs a lost one. Nacks are not lost with it.
 	if a.ok && r.inj.DropAck(fl.hash, a.seq, attempt) {
 		r.acksDropped.Inc()
 		a.ok = false
 	} else if a.ok {
 		r.acksSent.Inc()
-		a.credit = creditFor(fifo, fl.key.src)
 	}
 	return a
 }
@@ -910,9 +843,8 @@ func (r *reliableLayer) holdBack(fl *flow, pkt *Packet, fifo *RecFIFO, attempt i
 }
 
 // daemon is the fallback retransmission engine: it releases held-back
-// packets, refreshes the credit of blocked senders, retransmits what is
-// past its deadline, with capped backoff, and retries refused reorder
-// drains. It never fails a flow.
+// packets, retransmits what is past its deadline, with capped backoff,
+// and retries refused reorder drains. It never fails a flow.
 func (r *reliableLayer) daemon() {
 	defer close(r.done)
 	t := time.NewTicker(daemonTick)
@@ -957,22 +889,12 @@ func (r *reliableLayer) releaseDelayed(now int64) {
 	}
 }
 
-// retransmitDue is the daemon's pass over one flow: refresh the credit
-// of a blocked sender, walk the window base..nextSeq retransmitting what
-// is past its deadline, and retry a refused reorder drain. A silent peer
-// is retried at maxRTO for as long as it stays silent; whether it is
-// dead is the health monitor's to say.
+// retransmitDue is the daemon's pass over one flow: walk the window
+// base..nextSeq retransmitting what is past its deadline, and retry a
+// refused reorder drain. A silent peer is retried at maxRTO for as long
+// as it stays silent; whether it is dead is the health monitor's to say.
 func (r *reliableLayer) retransmitDue(fl *flow, now int64) {
 	fl.smu.Lock()
-	// Credit refresh: a flow blocked on credit with no ack in flight would
-	// otherwise never learn the receiver drained. Re-derive the
-	// advertisement from the destination FIFO.
-	if fl.failed == nil && fl.lastFifo != nil && fl.nextSeq > fl.creditLimit {
-		if limit := fl.maxAcked + creditFor(fl.lastFifo, fl.key.src); limit > fl.creditLimit {
-			r.creditRefreshes.Inc()
-			r.grantLocked(fl, limit)
-		}
-	}
 	// Each retransmission drops the lock, and its ack may retire a whole
 	// run behind it (one resend fills the hole, the frontier jumps), so
 	// the walk re-reads base and nextSeq as it goes.

@@ -47,7 +47,8 @@ func awaitQuiesced(t *testing.T, f *Fabric, where string) {
 // flipped inline byte must fail the CRC — like the slab ones beside them.
 // One message per flow is longer than the window, so its bursts end on
 // the burst bound and, behind a hole, on the window; odd seeds cap the
-// reception FIFO's overflow so that credit, not the window, binds them.
+// reception FIFO's overflow, so a shard that fills refuses packets, they
+// go unacked and the window holds their sender until a resend finds room.
 func TestWindowProperty(t *testing.T) {
 	plans := []struct {
 		name string
@@ -102,7 +103,7 @@ func TestWindowProperty(t *testing.T) {
 				}
 				dst := setupEndpoint(t, f, 0, 0, 0)
 				if seed%2 == 1 {
-					dst.Rec.SetOverflowCap(32) // a shard's credit: 16 slots + 8 overflow
+					dst.Rec.SetOverflowCap(32) // a shard refuses past its 64 slots + 8 overflow
 				}
 				src := make([]*ContextResources, origins+1)
 				for o := 1; o <= origins; o++ {

@@ -76,9 +76,11 @@ func (s Span) wired() bool { return s.Listen != "" || len(s.Join) > 0 }
 type Plan struct {
 	// Machine is the partition to boot: shape, fault plan and seed,
 	// deadlines. Wire, HostedLo/Hi and Recovery are Run's to fill in.
-	// Where the links under test are the inter-process ones (every
-	// exchange but the in-process online one) the plan's drop and corrupt
-	// rates arm the wire-level storm and the torus injector stays off.
+	// In one process the fault plan arms the torus injector. In a
+	// partition that spans processes the links under test are the
+	// inter-process ones: the plan's drop and corrupt rates arm the
+	// wire-level storm, the torus injector stays off, and the plan may
+	// hold nothing else (a process dies at Span.DieRound instead).
 	Machine       machine.Config
 	Workload      Workload
 	Policy        Policy
@@ -134,9 +136,11 @@ func Run(p Plan) (*Report, error) {
 		return r.rep, fmt.Errorf("buddy checkpoint interval %d: must be at least 1 round", p.BuddyInterval)
 	case p.Policy == Online && !wired && (cfg.Faults == nil || !cfg.Faults.HasNodeFaults()):
 		return r.rep, errors.New(`the online policy (-recover=auto) needs a node-fault plan to heal from, e.g. -faults "crash@pkt=600,node=2"`)
+	case wired && offWire(cfg.Faults).Active():
+		return r.rep, fmt.Errorf("scenario: over the wire only drop and corrupt are injected, not %s: kill a process with -die-round instead", offWire(cfg.Faults))
 	}
 	var drop, corrupt float64 // the wire-level storm
-	if cfg.Faults != nil && p.Workload == Exchange && (p.Policy == Restart || wired) {
+	if wired && cfg.Faults != nil {
 		drop, corrupt = cfg.Faults.Drop, cfg.Faults.Corrupt
 		cfg.Faults = nil
 		r.logf("wire fault storm armed: drop=%g corrupt=%g (seed %d)", drop, corrupt, cfg.FaultSeed)
@@ -160,6 +164,17 @@ func Run(p Plan) (*Report, error) {
 		err = r.restart(exchangeJob)
 	}
 	return r.rep, err
+}
+
+// offWire is what of plan a wired run cannot inject: all but its drop
+// and corrupt rates.
+func offWire(plan *fault.Plan) fault.Plan {
+	if plan == nil {
+		return fault.Plan{}
+	}
+	rest := *plan
+	rest.Drop, rest.Corrupt = 0, 0
+	return rest
 }
 
 // run is one Run call's state: the plan, the report being filled, and

@@ -34,7 +34,10 @@ func testConfig(t *testing.T, faults string, seed int64) machine.Config {
 
 // TestScenarios runs each of the three combinations in one process, on
 // the fault plans scripts/check.sh and scripts/recovery_soak.sh use, and
-// holds the report to what the scripts grep for.
+// holds the report to what the scripts grep for. In one process the
+// exchange under Restart runs on the torus plan it was given: a crash
+// restarts it, a drop and corrupt storm costs the reliable layer
+// retransmits.
 func TestScenarios(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -71,6 +74,28 @@ func TestScenarios(t *testing.T) {
 			},
 		},
 		{
+			name: "exchange restart, one crash", faults: "crash@pkt=100,node=1", seed: 7,
+			plan: Plan{Workload: Exchange, Policy: Restart},
+			check: func(t *testing.T, rep *Report) {
+				if rep.Generations != 2 || rep.TypedFailures == 0 || rep.Resume < 0 {
+					t.Errorf("generations %d, typed failures %d, resume %d: want one restart after typed failures",
+						rep.Generations, rep.TypedFailures, rep.Resume)
+				}
+			},
+		},
+		{
+			name: "exchange restart, torus storm", faults: "drop=0.05,corrupt=0.02", seed: 7,
+			plan: Plan{Workload: Exchange, Policy: Restart},
+			check: func(t *testing.T, rep *Report) {
+				if rep.Generations != 1 {
+					t.Errorf("generations %d: want one generation, the storm kills nobody", rep.Generations)
+				}
+				if v, _ := rep.Machines[0].Telemetry().Snapshot().Counter("mu.reliable.retransmits"); v == 0 {
+					t.Error("mu.reliable.retransmits = 0: the storm never reached the torus")
+				}
+			},
+		},
+		{
 			name: "exchange restart, fault-free reference",
 			plan: Plan{Workload: Exchange, Policy: Restart},
 			check: func(t *testing.T, rep *Report) {
@@ -103,18 +128,31 @@ func TestScenarios(t *testing.T) {
 	}
 }
 
-// TestRunRefusesWhatPamirunCannotAsk pins the offered combinations.
+// TestRunRefusesWhatPamirunCannotAsk pins the offered combinations. Over
+// a wire only drop and corrupt are injected: a plan with anything else is
+// refused, not dropped.
 func TestRunRefusesWhatPamirunCannotAsk(t *testing.T) {
-	for name, p := range map[string]Plan{
-		"allreduce online":       {Workload: Allreduce, Policy: Online, BuddyInterval: 4, Span: Span{DieRound: -1}},
-		"allreduce over a wire":  {Workload: Allreduce, Span: Span{Listen: "127.0.0.1:0", DieRound: -1}},
-		"die in one process":     {Workload: Exchange, Span: Span{DieRound: 3}},
-		"online without a fault": {Workload: Exchange, Policy: Online, BuddyInterval: 4, Span: Span{DieRound: -1}},
-		"online without buddies": {Workload: Exchange, Policy: Online, Span: Span{DieRound: -1}},
+	wire := Span{Listen: "127.0.0.1:0", DieRound: -1}
+	for name, tc := range map[string]struct {
+		p      Plan
+		faults string
+	}{
+		"allreduce online":         {p: Plan{Workload: Allreduce, Policy: Online, BuddyInterval: 4, Span: Span{DieRound: -1}}},
+		"allreduce over a wire":    {p: Plan{Workload: Allreduce, Span: wire}},
+		"die in one process":       {p: Plan{Workload: Exchange, Span: Span{DieRound: 3}}},
+		"online without a fault":   {p: Plan{Workload: Exchange, Policy: Online, BuddyInterval: 4, Span: Span{DieRound: -1}}},
+		"online without buddies":   {p: Plan{Workload: Exchange, Policy: Online, Span: Span{DieRound: -1}}},
+		"crash over a wire":        {p: Plan{Workload: Exchange, Span: wire}, faults: "drop=0.05,crash@pkt=100,node=1"},
+		"duplicates over a wire":   {p: Plan{Workload: Exchange, Span: wire}, faults: "dup=0.01"},
+		"online crash over a wire": {p: Plan{Workload: Exchange, Policy: Online, BuddyInterval: 4, Span: wire}, faults: "crash@pkt=100,node=1"},
 	} {
-		p.Machine = testConfig(t, "", 1)
-		if rep, err := Run(p); err == nil || rep.Generations != 0 {
+		p := tc.p
+		p.Machine = testConfig(t, tc.faults, 1)
+		rep, err := Run(p)
+		if err == nil || rep.Generations != 0 {
 			t.Errorf("%s: err %v after %d boots, want a refusal before any boot", name, err, rep.Generations)
+		} else if tc.faults != "" && !strings.Contains(err.Error(), "-die-round") {
+			t.Errorf("%s: %v, want a refusal that points to -die-round", name, err)
 		}
 	}
 }

@@ -41,6 +41,9 @@ GOMAXPROCS=1 go test -race -count=20 -run 'TestAdvanceUntilNoLostPublish|TestCom
 echo "==> GOMAXPROCS=1 go test -race ./internal/mpilib (an MPI wait no peer satisfies is cut loose by the stall sentinel on one core, with and without commthreads; one that keeps moving is not)"
 GOMAXPROCS=1 go test -race -run 'TestWaitStallAborts|TestSlowProgressNotAborted|TestWaitallPanicsOnAbortedWorld|TestSendCancelledByDeath' ./internal/mpilib
 
+echo "==> GOMAXPROCS=1 go test -race ./internal/mu (a full reception FIFO refuses and the window parks its sender: the daemon's resend resumes it once the consumer drains, and the stall sentinel cuts it loose when none does, on one core)"
+GOMAXPROCS=1 go test -race -run 'TestLiveSilentPeerKeepsFlow|TestSentinelEscalatesWindowStall' ./internal/mu
+
 echo "==> go test -race (wire transport: burst property + chunking + reconnect and fault storms, cross-process machines, liveness; the failure scenarios pamirun runs, in one process)"
 go test -race ./internal/wire ./internal/machine ./internal/health ./cmd/pamirun ./internal/scenario
 

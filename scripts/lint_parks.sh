@@ -32,11 +32,18 @@
 # And it keeps one judge of death in the reliable layer. A flow fails
 # only when the health monitor confirms a death (MarkNodeDead), when a
 # revival resets it (ReviveNode), or when the stall sentinel escalates a
-# sender parked at the window/credit gate (awaitWindowLocked); Close
+# sender parked at the window gate (awaitWindowLocked); Close
 # stops the layer without failing anything. So the non-test Go of
 # internal/mu calls failFlow( from exactly those three functions, once
 # each. A fourth caller is a sender-side clock deciding that a silent
 # peer is dead, which is the monitor's to say: it fails here.
+#
+# And it keeps one backpressure on the reliable leg. A full reception
+# FIFO refuses, the refused packet goes unacked, and the window holds
+# its sender at the one sentinel site the fabric registers,
+# mu.window.stall; the only sleep in the non-test Go of internal/mu is
+# the pace sleep of injectMemFIFOBuf. A second gate on the same
+# condition would come back as a second site or a second sleep.
 #
 # And it keeps one record of a drained context: the non-test Go of
 # internal/core assigns Context.drainedGen only inside advance, the one
@@ -280,6 +287,22 @@ callers=$(for f in $(find internal/mu -name '*.go' -not -name '*_test.go'); do
 done | LC_ALL=C sort | tr '\n' ' ')
 if [ "$callers" != "MarkNodeDead ReviveNode awaitWindowLocked " ]; then
 	echo "lint_parks: internal/mu calls failFlow( from: ${callers:-nowhere}; want exactly MarkNodeDead, ReviveNode and awaitWindowLocked, once each: a flow fails on the health monitor's word, a revival or the stall sentinel, never on a sender-side clock" >&2
+	fail=1
+fi
+
+# One backpressure on the reliable leg: one sleep, one sentinel site.
+callers=$(for f in $(find internal/mu -name '*.go' -not -name '*_test.go'); do
+	awk '/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); next }
+		/time\.Sleep\(/ && !/^[[:space:]]*\/\// { print FILENAME ":" fn }' "$f"
+done | LC_ALL=C sort | tr '\n' ' ')
+if [ "$callers" != "internal/mu/reliable.go:injectMemFIFOBuf " ]; then
+	echo "lint_parks: internal/mu sleeps in: ${callers:-nowhere}; want exactly the pace sleep of injectMemFIFOBuf in reliable.go: a full FIFO refuses and the window holds the sender" >&2
+	fail=1
+fi
+sites=$(find internal/mu -name '*.go' -not -name '*_test.go' -exec grep -h '\.Site(' {} + | grep -v '^[[:space:]]*//' |
+	sed 's/^[[:space:]]*//' | tr '\n' ' ')
+if [ "$sites" != 'f.stallSite.Store(s.Site("mu.window.stall")) ' ]; then
+	echo "lint_parks: internal/mu registers sentinel sites: ${sites:-none}; want exactly mu.window.stall, where the window holds a sender" >&2
 	fail=1
 fi
 
