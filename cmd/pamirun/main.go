@@ -224,10 +224,8 @@ func shakedown(cfg machine.Config, verbose, stats bool) {
 		}
 		downs, _ := snap.Counter("collnet.links_down")
 		rebuilds, _ := snap.Counter("collnet.classroute_rebuilds")
-		reorder, _ := snap.Gauge("mu.reliable.reorder_depth")
-		fmt.Printf("reliability: %d retransmits (%d fast, %d timer), %d corrupt drops, %d dup drops, %d acks (%d dropped, %d packets retired by a later ack's frontier), %d nacks, reorder depth hwm %d\n",
-			get("retransmits"), get("fast_retransmits"), get("timer_retransmits"), get("corrupt_drops"), get("dup_drops"),
-			get("acks_sent"), get("acks_dropped"), get("cum_acked"), get("nacks_sent"), reorder.HighWater)
+		fmt.Printf("reliability: %d retransmits, %d corrupt drops, %d dup drops, %d link stalls, %d fifo refusals\n",
+			get("retransmits"), get("corrupt_drops"), get("dup_drops"), get("link_stalls"), get("fifo_refusals"))
 		fmt.Printf("faults: %d drops, %d delays, %d stall drops; %d links down, %d classroute rebuilds, %d reroutes\n",
 			get("drops_injected"), get("delays_injected"), get("stall_drops"),
 			downs, rebuilds, get("reroutes"))

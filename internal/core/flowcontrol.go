@@ -4,9 +4,9 @@ import "errors"
 
 // Sender-side flow control (overload protection for the data plane).
 //
-// The reliable-delivery layer paces each flow with receiver-granted
-// credits, but it is armed only when faults are installed; this file is
-// the layer above it, always on, and protocol-level rather than
+// The reliable-delivery layer holds a sender while a full reception FIFO
+// refuses it, but it is armed only when faults are installed; this file
+// is the layer above it, always on, and protocol-level rather than
 // packet-level: an unexpected-message budget. Every client bounds how
 // deep a destination's inbound queue may grow before its senders stop
 // committing eager payloads to it. At half the budget Send (ModeAuto)

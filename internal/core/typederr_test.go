@@ -58,10 +58,10 @@ func TestTypedErrorVocabulary(t *testing.T) {
 		want error
 	}{
 		{
-			// mu failFlow -> core rendezvous cancellation layering.
+			// mu link's dead-endpoint failure -> core rendezvous cancellation layering.
 			name: "peer death through flow failure and send cancellation",
 			err: fmt.Errorf("core: rendezvous send %d to %v cancelled: %w", 7, Endpoint{Task: 3},
-				fmt.Errorf("mu: flow %v -> %v: destination node %d confirmed dead: %w",
+				fmt.Errorf("mu: flow %v -> %v: node %d: %w",
 					Endpoint{Task: 0}, Endpoint{Task: 3}, 3, mu.ErrPeerDead)),
 			want: mu.ErrPeerDead,
 		},

@@ -14,10 +14,10 @@
 // regardless of goroutine scheduling — chaos tests are replayable.
 //
 // The injector itself moves no packets; internal/mu consults it on every
-// transmission attempt and runs the recovery protocol (checksum verify,
-// ack/nack, retransmission with backoff), while internal/netsim and
-// internal/collnet consult the down-link set for route-around and
-// classroute rebuilds.
+// transmission attempt and runs the recovery (checksum verify, resend,
+// a backoff wait for a stalled or refusing receiver), while
+// internal/netsim and internal/collnet consult the down-link set for
+// route-around and classroute rebuilds.
 package fault
 
 import (
@@ -36,15 +36,15 @@ type Action uint8
 
 // Individual mishaps.
 const (
-	// Drop loses the packet in flight; the sender's retransmission timer
-	// recovers it.
+	// Drop loses the packet in flight; the link resends it at once.
 	Drop Action = 1 << iota
 	// Corrupt flips payload bits so the receiver's CRC check fails.
 	Corrupt
-	// Duplicate delivers the packet twice; the receiver's sequence
-	// tracking must suppress the second copy.
+	// Duplicate delivers the packet twice; the link must suppress the
+	// second copy.
 	Duplicate
-	// Delay holds the packet back, reordering it against later traffic.
+	// Delay holds the packet back for DelayFor. The link holds the flow's
+	// later packets behind it, so a delay costs time and reorders nothing.
 	Delay
 )
 
@@ -253,7 +253,7 @@ const (
 	saltCorrupt
 	saltDuplicate
 	saltDelay
-	saltAck
+	_ // unused; keeps the salts below at their values, so a seed replays the same faults
 	saltDelayLen
 	saltCorruptByte
 )
@@ -287,15 +287,8 @@ func (in *Injector) Decide(flow, seq uint64, attempt int) Action {
 	return a
 }
 
-// DropAck reports whether the acknowledgement for (flow, seq, attempt)
-// is lost on the reverse path; ack loss exercises the sender's timeout
-// and the receiver's duplicate suppression.
-func (in *Injector) DropAck(flow, seq uint64, attempt int) bool {
-	return in.plan.Drop > 0 && in.rand01(flow, seq, attempt, saltAck) < in.plan.Drop
-}
-
 // DelayFor returns the deterministic hold-back duration for a delayed
-// packet: 1..4ms, long enough to reorder against live traffic.
+// packet: 1..4ms.
 func (in *Injector) DelayFor(flow, seq uint64, attempt int) time.Duration {
 	return time.Duration(1+in.hash(flow, seq, attempt, saltDelayLen)%4) * time.Millisecond
 }

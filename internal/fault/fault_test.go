@@ -38,9 +38,6 @@ func TestDeterminism(t *testing.T) {
 				if a.Decide(flow, seq, attempt) != c.Decide(flow, seq, attempt) {
 					differs = true
 				}
-				if a.DropAck(flow, seq, attempt) != b.DropAck(flow, seq, attempt) {
-					t.Fatalf("ack decision not deterministic")
-				}
 				if a.DelayFor(flow, seq, attempt) != b.DelayFor(flow, seq, attempt) {
 					t.Fatalf("delay duration not deterministic")
 				}

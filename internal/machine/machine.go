@@ -77,7 +77,7 @@ type Config struct {
 	Recovery bool
 	// StallDeadline, when positive, arms the partition stall sentinel:
 	// any registered wait (team barriers, collective credit gates, MU
-	// window stalls) parked longer than this is escalated into a typed
+	// link stalls) parked longer than this is escalated into a typed
 	// abort instead of hanging. Zero leaves the sentinel observe-only —
 	// the wait-site table still populates for hang dumps, but nothing
 	// is ever aborted by deadline.
@@ -231,14 +231,14 @@ func New(cfg Config) (*Machine, error) {
 		m.coll.SetHealth(hmon)
 		// Confirmed death (the epoch has already moved): propagate
 		// through every layer —
-		//   fabric:  fail flows touching the node, wake blocked senders
 		//   collnet: shrink classroutes, fail in-flight sessions
 		//   cnk:     stop the dead node's commthreads
 		//   wire:    fail queued and future sends with ErrPeerDead
 		// then wake every parked context so survivors observe the new
-		// epoch instead of sleeping on a signal that will never come.
+		// epoch instead of sleeping on a signal that will never come. The
+		// fabric needs no call: a sender the reliable link holds asks the
+		// monitor at every wait, and fails within one backoff.
 		hmon.OnDeath(func(n torus.Rank) {
-			m.fabric.MarkNodeDead(n)
 			m.coll.HandleMembership(n)
 			m.nodes[n].StopCommThreads()
 			if m.wt != nil {
@@ -435,8 +435,8 @@ func (m *Machine) Revive(n torus.Rank) error {
 }
 
 // OnDeath registers fn to run on every confirmed node death, after the
-// machine has propagated the death through its own layers (flows failed,
-// classroutes shrunk, the epoch already moved) and before the recovery
+// machine has propagated the death through its own layers (classroutes
+// shrunk, commthreads stopped, the epoch already moved) and before the recovery
 // supervisor hears of it — so a hook's effects precede any revival. The
 // layers above use it for state that must fail eagerly rather than at
 // the next membership gate (core: the node teams of every geometry that
@@ -458,9 +458,9 @@ func (m *Machine) OnDeath(fn func(torus.Rank)) (detach func()) {
 }
 
 // Quiesced is the checkpoint precondition: nil only when nothing is in
-// flight — every reception FIFO is empty, every reliable-delivery window
-// between live nodes has drained and, in wire mode, every frame to every
-// live peer has been acknowledged — so a snapshot taken now holds no
+// flight — every reception FIFO is empty, no send is inside the reliable
+// link and, in wire mode, every frame to every live peer has been
+// acknowledged — so a snapshot taken now holds no
 // transport state and a restart (machine.New on the same Config, its
 // transports starting clean) never replays or loses a message. Callers
 // stop initiating traffic and drain their contexts (core.Context.Drain)
@@ -625,8 +625,8 @@ func (m *Machine) DropSharedState(key uint64) {
 }
 
 // Shutdown stops machine-owned background activity: commthreads started
-// through the cnk nodes and, when fault injection is armed, the fabric's
-// reliable-delivery retransmit daemon.
+// through the cnk nodes, and the fabric's reliable link, whose waiting
+// senders then fail with mu.ErrFabricClosed.
 func (m *Machine) Shutdown() {
 	// The wire transport goes first: its read loops deliver into the
 	// fabric and its beats feed the monitor, so nothing may arrive after

@@ -33,24 +33,23 @@ func waitCounter(t *testing.T, f *Fabric, name string, want int64) {
 }
 
 // TestLiveSilentPeerKeepsFlow silences a destination the health monitor
-// calls alive throughout for longer than any sender-side clock would
-// wait — a consumer that stops polling while its full reception FIFO
-// refuses a sender parked at the window gate, a stall window that drops
-// the first 30 attempts of a packet — and checks the flow survives: the
-// silence ends, the blocked send completes, a new send succeeds, every
-// message arrives exactly once, in order, and no flow was failed as
-// dead. Who is dead is the monitor's to say.
+// calls alive throughout — a consumer that stops polling while its full
+// reception FIFO refuses a sender the link holds, a stall window that
+// refuses the first 400 tries of a packet — and checks the flow
+// survives: the silence ends, the blocked send completes, a new send
+// succeeds, every message arrives exactly once, in order, and no send
+// failed as dead. Who is dead is the monitor's to say.
 func TestLiveSilentPeerKeepsFlow(t *testing.T) {
-	const stallAttempts = 30 // 2+4+8+16 ms, then 32 ms per retry: over 800 ms of silence
+	const stallAttempts = 400 // at the 500 us backoff cap: 200 ms of silence or more
 	cases := []struct {
 		name        string
 		plan        fault.Plan
 		overflowCap int           // reception FIFO overflow cap; 0 keeps the default
 		msgs        int           // messages sent before the silence ends
-		pause       time.Duration // how long the consumer ignores a window-blocked sender
+		pause       time.Duration // how long the consumer ignores a waiting sender
 	}{
-		// The shard's 64 slots, its 2 overflow and the 64-packet window
-		// hold 130 messages, so the sender parks only past that.
+		// The shard's 64 slots and its 2 overflow hold 66 messages, so
+		// the sender waits only past that.
 		{name: "paused consumer", overflowCap: 8, msgs: 256, pause: 700 * time.Millisecond},
 		{name: "stall that ends", plan: fault.Plan{Stalls: []fault.Stall{{Node: 1, From: 0, To: stallAttempts + 1}}}, msgs: 1},
 	}
@@ -67,7 +66,7 @@ func TestLiveSilentPeerKeepsFlow(t *testing.T) {
 			sent := make(chan error, 1)
 			go func() { sent <- sendSeqs(f, src, 0, tc.msgs) }()
 			if tc.pause > 0 {
-				waitCounter(t, f, "window_stalls", 1)
+				waitCounter(t, f, "link_stalls", 1)
 				select {
 				case err := <-sent:
 					t.Fatalf("sender returned %v before the consumer drained", err)
@@ -82,11 +81,7 @@ func TestLiveSilentPeerKeepsFlow(t *testing.T) {
 				t.Fatalf("send after the silence: %v", err)
 			}
 			got = append(got, drainPackets(t, dst.Rec, 1, 5*time.Second)...)
-			for stop := time.Now().Add(5 * time.Second); f.Quiesced() != nil; time.Sleep(time.Millisecond) {
-				if time.Now().After(stop) {
-					t.Fatalf("flow never quiesced: %v", f.Quiesced())
-				}
-			}
+			mustQuiesce(t, f, tc.name)
 			if p, ok := dst.Rec.Poll(); ok {
 				t.Fatalf("extra packet after the last message: seq %d", p.Header().Seq)
 			}
@@ -112,17 +107,18 @@ func TestLiveSilentPeerKeepsFlow(t *testing.T) {
 }
 
 // TestSentinelEscalatesWindowStall covers the one bound left on a sender
-// parked at the window gate: with the fabric's wait site registered on an
-// armed stall sentinel and the consumer paused, the full reception FIFO
-// refuses, the window fills, and the parked sender returns the
-// sentinel's typed abort within the deadline plus scan slack, and its
-// flow carries that cause.
+// the link holds: with the fabric's wait site registered on an armed
+// stall sentinel and the consumer paused, the full reception FIFO
+// refuses and the waiting sender returns the sentinel's typed abort
+// within the deadline plus scan slack. The cause is the flow's: later
+// sends on it fail with the same cause, even once the consumer drains,
+// until a revival gives the endpoints a fresh flow.
 func TestSentinelEscalatesWindowStall(t *testing.T) {
 	const deadline, scan = 50 * time.Millisecond, 10 * time.Millisecond
 	f := newTestFabric(t)
 	src := setupEndpoint(t, f, 0, 0, 0)
 	dst := setupEndpoint(t, f, 1, 1, 0)
-	watchHealth(t, f)
+	hmon := watchHealth(t, f)
 	sent := watchdog.NewSentinel(nil)
 	f.SetSentinel(sent)
 	sent.Arm(deadline, scan)
@@ -131,8 +127,8 @@ func TestSentinelEscalatesWindowStall(t *testing.T) {
 	dst.Rec.SetOverflowCap(8)
 
 	done := make(chan error, 1)
-	go func() { done <- sendSeqs(f, src, 0, 256) }() // past the 130 the FIFO and window hold
-	waitCounter(t, f, "window_stalls", 1)
+	go func() { done <- sendSeqs(f, src, 0, 256) }() // past the 66 the shard holds
+	waitCounter(t, f, "link_stalls", 1)
 	stalled := time.Now()
 	// A scan stamps the wait, a later one escalates it; the second of
 	// slack absorbs a loaded scheduler (the race detector).
@@ -141,21 +137,36 @@ func TestSentinelEscalatesWindowStall(t *testing.T) {
 	select {
 	case err = <-done:
 	case <-time.After(limit):
-		t.Fatalf("window-blocked sender still parked %v after the stall", limit)
+		t.Fatalf("the waiting sender still waits %v after the stall", limit)
 	}
 	if took := time.Since(stalled); took > limit {
 		t.Fatalf("sender returned %v after the stall, want within %v", took, limit)
 	}
 	var c *abort.Cause
-	if !errors.Is(err, abort.ErrAborted) || !errors.As(err, &c) || c.Kind != abort.KindDeadline || c.Site != "mu.window.stall" {
-		t.Fatalf("window-blocked sender returned %v, want a mu.window.stall deadline abort", err)
+	if !errors.Is(err, abort.ErrAborted) || !errors.As(err, &c) || c.Kind != abort.KindDeadline || c.Site != "mu.link.stall" {
+		t.Fatalf("the waiting sender returned %v, want a mu.link.stall deadline abort", err)
 	}
 	fl := f.rel.Load().flowFor(flowKey{src: TaskAddr{0, 0}, dst: TaskAddr{1, 0}})
-	fl.smu.Lock()
-	failed := fl.failed
-	fl.smu.Unlock()
-	var fc *abort.Cause
-	if !errors.As(failed, &fc) || fc != c {
-		t.Fatalf("flow failed with %v, want the sentinel's cause %v", failed, c)
+	if fc := fl.cause.Load(); fc != c {
+		t.Fatalf("flow carries cause %v, want the sentinel's %v", fc, c)
 	}
+
+	for p, ok := dst.Rec.Poll(); ok; p, ok = dst.Rec.Poll() {
+		p.Release()
+	}
+	var later *abort.Cause
+	if err := sendSeqs(f, src, 256, 257); !errors.As(err, &later) || later != c {
+		t.Fatalf("a later send on the flow returned %v, want the sentinel's cause %v", err, c)
+	}
+	hmon.DeclareDead(1)
+	f.ReviveNode(1)
+	hmon.Revive(1)
+	if err := sendSeqs(f, src, 257, 258); err != nil {
+		t.Fatalf("first send after the revival: %v", err)
+	}
+	p := drainPackets(t, dst.Rec, 1, time.Second)[0]
+	if h := p.Header(); h.Seq != 257 || h.PktSeq != 1 {
+		t.Fatalf("delivered message %d at flow sequence %d, want message 257 at sequence 1", h.Seq, h.PktSeq)
+	}
+	p.Release()
 }

@@ -180,15 +180,6 @@ func (f *RecFIFO) Empty() bool {
 	return true
 }
 
-// saturatedFor reports whether the shard serving the given origin can no
-// longer absorb its deliveries: its overflow has reached cap, meaning the
-// owning context has stopped consuming. The reliable layer's delivery
-// check uses it.
-func (f *RecFIFO) saturatedFor(origin TaskAddr) bool {
-	q := f.shardFor(origin)
-	return q.OverflowLen() >= q.OverflowCap()
-}
-
 // Region returns the wakeup region touched on every delivery.
 func (f *RecFIFO) Region() *wakeup.Region { return f.region }
 
@@ -258,9 +249,10 @@ func (f *RecFIFO) ID() int { return f.id }
 // and the caller then still owns the packet's references. The packet is
 // copied out of *p. quiet leaves the wake-up to the burst's end, and
 // obliges the caller to touch the region once the burst is published
-// (after the reliable layer's rmu hold, or by EndRemoteBurst): a
-// consumer that found its sources drained sleeps on the generation
-// until that touch (core.Context.AdvanceUntil).
+// (at the end of the reliable link's message and before each of its
+// waits, or by EndRemoteBurst): a consumer that found its sources
+// drained sleeps on the generation until that touch
+// (core.Context.AdvanceUntil).
 func (f *RecFIFO) deliver(p *Packet, quiet bool) error {
 	if err := f.shardFor(p.origin()).EnqueueRef(p); err != nil {
 		return err
@@ -442,9 +434,9 @@ type Fabric struct {
 	// every send in-process.
 	transport atomic.Pointer[transportSlot]
 
-	// stallSite is the stall-sentinel wait site senders parked at the
-	// window gate register with; nil (the default) keeps awaitWindowLocked
-	// sentinel-free.
+	// stallSite is the stall-sentinel wait site a sender waiting on the
+	// reliable link registers with; nil (the default) keeps the link's
+	// waits sentinel-free.
 	stallSite atomic.Pointer[watchdog.Site]
 
 	// hmon is the membership record the reliable layer asks who is dead;
@@ -456,22 +448,22 @@ type Fabric struct {
 	TrackHops bool
 }
 
-// SetSentinel registers the fabric's window-stall wait site with the
-// partition stall sentinel: senders parked at the window gate in
-// awaitWindowLocked become visible in the wait-site table, and — when
-// the sentinel is armed — an over-deadline stall fails the flow with a
-// typed abort instead of hanging. Call before traffic starts.
+// SetSentinel registers the fabric's link-stall wait site with the
+// partition stall sentinel: senders waiting for the reliable link to
+// take a packet become visible in the wait-site table, and — when the
+// sentinel is armed — an over-deadline wait fails the flow with a typed
+// abort instead of hanging. Call before traffic starts.
 func (f *Fabric) SetSentinel(s *watchdog.Sentinel) {
 	if s == nil {
 		return
 	}
-	f.stallSite.Store(s.Site("mu.window.stall"))
+	f.stallSite.Store(s.Site("mu.link.stall"))
 }
 
 // SetHealth makes m the fabric's membership record: the reliable layer
-// fails sends and RDMA to a node m calls dead, and Quiesced skips that
-// node's flows. The fabric keeps no copy; MarkNodeDead and ReviveNode
-// are its reactions to a change m has made. Call before traffic starts.
+// fails sends and RDMA to a node m calls dead, a sender waiting on such
+// a node included. The fabric keeps no copy; ReviveNode is its reaction
+// to a revival m is about to record. Call before traffic starts.
 func (f *Fabric) SetHealth(m *health.Monitor) { f.hmon.Store(m) }
 
 // NewFabric builds the MU fabric for a machine of the given shape. Each
@@ -570,10 +562,8 @@ func (f *Fabric) TouchAll() {
 
 // Quiesced verifies the data plane is idle — the precondition for a
 // checkpoint: every registered reception FIFO is empty and, when the
-// reliable layer is armed, no packet is delayed, unacknowledged, or
-// parked out of order on any flow between live nodes. Flows touching a
-// confirmed-dead node are exempt (their state is garbage by definition).
-// Returns nil when quiescent, or an error naming the busy component.
+// reliable layer is armed, no send is inside its link. Returns nil when
+// quiescent, or an error naming the busy component.
 func (f *Fabric) Quiesced() error {
 	for addr, fifo := range *f.contexts.Load() {
 		if !fifo.Empty() {

@@ -139,7 +139,7 @@ func TestInlineBoundary(t *testing.T) {
 				}
 				checkMessage(t, where, dst.Rec, meta, payload, size)
 				if leg.reliable {
-					awaitQuiesced(t, f, where)
+					mustQuiesce(t, f, where)
 				}
 				if live := liveBufs(); live != live0 {
 					t.Fatalf("%s: %d pooled buffers live, %d before", where, live, live0)
@@ -151,8 +151,8 @@ func TestInlineBoundary(t *testing.T) {
 }
 
 // A view of an inline packet points into the value it was taken from: a
-// by-value copy (the reliable window, the reorder ring, the delayed list
-// hold such copies) reads its own bytes whatever happens to the original.
+// by-value copy (a reception FIFO's cell, the reliable link's corrupt
+// copy) reads its own bytes whatever happens to the original.
 func TestInlineViewsFollowTheCopy(t *testing.T) {
 	f := newTestFabric(t)
 	dst := setupEndpoint(t, f, 0, 0, 0)

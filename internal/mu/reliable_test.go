@@ -30,10 +30,9 @@ func installPlan(t *testing.T, f *Fabric, plan fault.Plan, seed int64) *fault.In
 	return inj
 }
 
-// watchHealth makes a health monitor f's membership record, wired the
-// way the machine wires it: a confirmed death runs MarkNodeDead from the
-// monitor's death callback. The scanner never starts; tests declare
-// deaths and revivals themselves.
+// watchHealth makes a health monitor f's membership record, as the
+// machine does. The scanner never starts; tests declare deaths and
+// revivals themselves.
 func watchHealth(t *testing.T, f *Fabric) *health.Monitor {
 	t.Helper()
 	hmon, err := health.NewMonitor(health.Config{Nodes: f.Dims().Nodes()})
@@ -41,7 +40,6 @@ func watchHealth(t *testing.T, f *Fabric) *health.Monitor {
 		t.Fatal(err)
 	}
 	f.SetHealth(hmon)
-	hmon.OnDeath(f.MarkNodeDead)
 	return hmon
 }
 
@@ -70,8 +68,8 @@ func relCounter(t *testing.T, f *Fabric, name string) int64 {
 	return v
 }
 
-// With an inactive reliable layer the fast path applies: PktSeq stays
-// zero, no acks, no retransmits.
+// With an inactive reliable layer the fast path applies: PktSeq and the
+// checksum stay zero.
 func TestFaultFreeFastPath(t *testing.T) {
 	f := newTestFabric(t)
 	res := setupEndpoint(t, f, 1, 1, 0)
@@ -219,8 +217,8 @@ func TestInstalledButQuiescentPlan(t *testing.T) {
 	}
 }
 
-// A stalled receiver refuses traffic for a window; the sender's timer
-// must push the packets through once the window passes.
+// A stalled receiver refuses traffic for a window; the link's wait must
+// push the packets through once the window passes.
 func TestStallRecovery(t *testing.T) {
 	f := newTestFabric(t)
 	res := setupEndpoint(t, f, 1, 1, 0)
@@ -420,8 +418,8 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-// Many concurrent flows under faults: the window and daemon must not
-// deadlock, and every flow's bytes arrive intact (run with -race).
+// Many concurrent flows under faults: the links must not deadlock, and
+// every flow's bytes arrive intact (run with -race).
 func TestConcurrentFlowsUnderFaults(t *testing.T) {
 	f := newTestFabric(t)
 	recs := make([]*ContextResources, 4)

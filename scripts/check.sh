@@ -28,7 +28,7 @@ go test ./...
 echo "==> go test -count=20 -run TestPAMIFasterThanMPI ./internal/mpilib (MPI point-to-point now costs PAMI plus matching: the paired comparison's margin is about 250 ns, so one pass says little)"
 go test -count=20 -run TestPAMIFasterThanMPI ./internal/mpilib
 
-echo "==> go test -race (telemetry + integration + hot layers; bufpool and lockless carry the concurrent-count and queue stress tests; mu includes the reliable-window property test: 32 seeds x 5 fault plans x 1 and 4 origins; core the node-team property test: 4 team shapes x 3 seeds x every root, size class and combine op; armci and upc are the concurrent users of caller-chosen memregion IDs; shmem the many-producer queue of the shared-memory device; l2atomic, wakeup and abort the primitives a wait sleeps on and the causes that cut it loose)"
+echo "==> go test -race (telemetry + integration + hot layers; bufpool and lockless carry the concurrent-count and queue stress tests; mu includes the reliable link's property test: 32 seeds x 5 fault plans x 1 and 4 origins, exactly once, in order and byte-exact; core the node-team property test: 4 team shapes x 3 seeds x every root, size class and combine op; armci and upc are the concurrent users of caller-chosen memregion IDs; shmem the many-producer queue of the shared-memory device; l2atomic, wakeup and abort the primitives a wait sleeps on and the causes that cut it loose)"
 # Two invocations: the chaos and recovery suites in integration are
 # sensitive to load, and core's property test is a second of it.
 go test -race ./internal/telemetry ./internal/bufpool ./internal/lockless ./internal/integration ./internal/mpilib ./internal/mu ./internal/armci ./internal/upc ./internal/shmem
@@ -41,8 +41,8 @@ GOMAXPROCS=1 go test -race -count=20 -run 'TestAdvanceUntilNoLostPublish|TestCom
 echo "==> GOMAXPROCS=1 go test -race ./internal/mpilib (an MPI wait no peer satisfies is cut loose by the stall sentinel on one core, with and without commthreads; one that keeps moving is not)"
 GOMAXPROCS=1 go test -race -run 'TestWaitStallAborts|TestSlowProgressNotAborted|TestWaitallPanicsOnAbortedWorld|TestSendCancelledByDeath' ./internal/mpilib
 
-echo "==> GOMAXPROCS=1 go test -race ./internal/mu (a full reception FIFO refuses and the window parks its sender: the daemon's resend resumes it once the consumer drains, and the stall sentinel cuts it loose when none does, on one core)"
-GOMAXPROCS=1 go test -race -run 'TestLiveSilentPeerKeepsFlow|TestSentinelEscalatesWindowStall' ./internal/mu
+echo "==> GOMAXPROCS=1 go test -race ./internal/mu (a full reception FIFO refuses and the link holds its sender in a backoff wait: it crosses once the consumer drains, the stall sentinel cuts it loose when none does, and a consumer asleep on its region is woken before the link waits on it, on one core)"
+GOMAXPROCS=1 go test -race -run 'TestLiveSilentPeerKeepsFlow|TestSentinelEscalatesWindowStall|TestLinkWakesSleepingConsumer' ./internal/mu
 
 echo "==> go test -race (wire transport: burst property + chunking + reconnect and fault storms, cross-process machines, liveness; the failure scenarios pamirun runs, in one process)"
 go test -race ./internal/wire ./internal/machine ./internal/health ./cmd/pamirun ./internal/scenario
@@ -50,7 +50,7 @@ go test -race ./internal/wire ./internal/machine ./internal/health ./cmd/pamirun
 echo "==> GOMAXPROCS=1 go test -race ./internal/wire (a reader/writer pair must not need a second core to make progress)"
 GOMAXPROCS=1 go test -race ./internal/wire
 
-echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release, a kept view of an inline message reads poison; the shared-memory leg holds a slab only past the inline cut; the live count folds the quarantine out, under -race; the reliable layer's burst references, taken in one add and published to a concurrent consumer, under -race)"
+echo "==> go test -tags bufpooldebug (buffer ownership: double-release, use-after-release, a kept view of an inline message reads poison; the shared-memory leg holds a slab only past the inline cut; the live count folds the quarantine out, under -race; the reliable link's chunk references, all taken before chunk 0 crosses to a concurrent consumer, under -race)"
 go test -tags bufpooldebug ./internal/bufpool ./internal/mu ./internal/shmem ./internal/core ./internal/mpilib
 go test -race -tags bufpooldebug ./internal/bufpool ./internal/mu ./internal/shmem
 

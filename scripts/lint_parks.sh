@@ -2,7 +2,7 @@
 # Abortable-wait lint (grep-based): every blocking park in the runtime
 # must be reachable by the one cancellation path — a sentinel-registered
 # watchdog.Park whose hook cuts the waiter loose by latching a cause in
-# the primitive it sleeps on (failFlow, ClassRoute.Poison,
+# the primitive it sleeps on (a reliable flow's cause, ClassRoute.Poison,
 # Context.Abort), plus the node team's poison — so the partition stall
 # sentinel can observe and escalate it (DESIGN §8). A wait the sentinel
 # cannot see is a silent hang waiting to happen.
@@ -29,21 +29,21 @@
 # internal/health and internal/netsim (the BFS seen set of its route
 # search).
 #
-# And it keeps one judge of death in the reliable layer. A flow fails
-# only when the health monitor confirms a death (MarkNodeDead), when a
-# revival resets it (ReviveNode), or when the stall sentinel escalates a
-# sender parked at the window gate (awaitWindowLocked); Close
-# stops the layer without failing anything. So the non-test Go of
-# internal/mu calls failFlow( from exactly those three functions, once
-# each. A fourth caller is a sender-side clock deciding that a silent
-# peer is dead, which is the monitor's to say: it fails here.
+# And it keeps one judge of death in the reliable layer. A send fails
+# as dead only on the health monitor's word, which a waiting sender
+# reads at every wait; the one failure a flow records is the stall
+# sentinel's cause. So the non-test Go of internal/mu writes a flow's
+# cause (cause.Store or cause.CompareAndSwap) in exactly one place, the
+# escalation hook enterWait attaches. A second writer is a sender-side
+# clock deciding that a silent peer is dead, which is the monitor's to
+# say: it fails here.
 #
 # And it keeps one backpressure on the reliable leg. A full reception
-# FIFO refuses, the refused packet goes unacked, and the window holds
-# its sender at the one sentinel site the fabric registers,
-# mu.window.stall; the only sleep in the non-test Go of internal/mu is
-# the pace sleep of injectMemFIFOBuf. A second gate on the same
-# condition would come back as a second site or a second sleep.
+# FIFO refuses, and the link holds its sender in a backoff wait at the
+# one sentinel site the fabric registers, mu.link.stall; the only sleep
+# in the non-test Go of internal/mu is hold, the one helper the pace,
+# a delay fault and the wait's backoff go through. A second gate on the
+# same condition would come back as a second site or a second sleep.
 #
 # And it keeps one record of a drained context: the non-test Go of
 # internal/core assigns Context.drainedGen only inside advance, the one
@@ -77,7 +77,6 @@ for f in $(grep -rl "sync.NewCond" --include="*.go" . | grep -v _test.go); do
 	case "$f" in
 	./internal/wakeup/wakeup.go | \
 		./internal/collnet/collnet.go | \
-		./internal/mu/reliable.go | \
 		./internal/wire/transport.go) ;;
 	*)
 		echo "lint_parks: $f introduces a raw sync.Cond park outside the allowlist: make it abortable (poison broadcast + sentinel park) or extend scripts/lint_parks.sh with a justification" >&2
@@ -90,12 +89,10 @@ done
 # by whoever cuts its waiter loose: wakeup.Region (Touch broadcasts it;
 # the sentinel's hook touches after latching its cause, as
 # Context.Abort and the node team's poison do), collnet retired-cond
-# (Poison broadcasts it), mu flow cond (failFlow kicks it, stage parks
-# on the sentinel), wire transport conds (reconnect/close paths
+# (Poison broadcasts it), wire transport conds (reconnect/close paths
 # broadcast).
 check "sync.NewCond" internal/wakeup/wakeup.go 1
 check "sync.NewCond" internal/collnet/collnet.go 1
-check "sync.NewCond" internal/mu/reliable.go 1
 check "sync.NewCond" internal/wire/transport.go 3
 
 # Channel construction inside the abortable layers, counts pinned.
@@ -105,8 +102,7 @@ for f in $(grep -rl "make(chan " --include="*.go" \
 	internal/core internal/collnet internal/l2atomic internal/wakeup \
 	internal/recovery internal/mu 2>/dev/null | grep -v _test.go); do
 	case "$f" in
-	internal/recovery/supervisor.go | \
-		internal/mu/reliable.go) ;;
+	internal/recovery/supervisor.go) ;;
 	*)
 		echo "lint_parks: $f introduces a raw channel wait in an abortable layer: gate it behind a poisonable primitive or extend scripts/lint_parks.sh with a justification" >&2
 		fail=1
@@ -114,7 +110,6 @@ for f in $(grep -rl "make(chan " --include="*.go" \
 	esac
 done
 check "make(chan " internal/recovery/supervisor.go 2
-check "make(chan " internal/mu/reliable.go 2
 
 # Raw spins. A `runtime.Gosched()` poll is a wait the sentinel cannot see
 # and the scheduler pays for (ROADMAP item 1(b)), so the runtime's spins
@@ -280,13 +275,14 @@ if grep -rn "map\[torus\.Rank\]bool" --include="*.go" internal | grep -v "_test\
 	fail=1
 fi
 
-# One judge of death: failFlow( is called from exactly three functions.
+# One judge of death: a flow's cause is written once, in the sentinel
+# hook enterWait attaches.
 callers=$(for f in $(find internal/mu -name '*.go' -not -name '*_test.go'); do
 	awk '/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); next }
-		/failFlow\(/ && !/^[[:space:]]*\/\// { print fn }' "$f"
+		/cause\.(Store|CompareAndSwap|Swap)\(/ && !/^[[:space:]]*\/\// { print fn }' "$f"
 done | LC_ALL=C sort | tr '\n' ' ')
-if [ "$callers" != "MarkNodeDead ReviveNode awaitWindowLocked " ]; then
-	echo "lint_parks: internal/mu calls failFlow( from: ${callers:-nowhere}; want exactly MarkNodeDead, ReviveNode and awaitWindowLocked, once each: a flow fails on the health monitor's word, a revival or the stall sentinel, never on a sender-side clock" >&2
+if [ "$callers" != "enterWait " ]; then
+	echo "lint_parks: internal/mu writes a flow's cause in: ${callers:-nowhere}; want exactly once, in the stall-sentinel hook enterWait attaches: a send fails as dead on the health monitor's word, never on a sender-side clock" >&2
 	fail=1
 fi
 
@@ -295,14 +291,14 @@ callers=$(for f in $(find internal/mu -name '*.go' -not -name '*_test.go'); do
 	awk '/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); next }
 		/time\.Sleep\(/ && !/^[[:space:]]*\/\// { print FILENAME ":" fn }' "$f"
 done | LC_ALL=C sort | tr '\n' ' ')
-if [ "$callers" != "internal/mu/reliable.go:injectMemFIFOBuf " ]; then
-	echo "lint_parks: internal/mu sleeps in: ${callers:-nowhere}; want exactly the pace sleep of injectMemFIFOBuf in reliable.go: a full FIFO refuses and the window holds the sender" >&2
+if [ "$callers" != "internal/mu/reliable.go:hold " ]; then
+	echo "lint_parks: internal/mu sleeps in: ${callers:-nowhere}; want exactly hold in reliable.go, the one helper the pace, a delay and the link's backoff go through: a full FIFO refuses and the link's wait holds the sender" >&2
 	fail=1
 fi
 sites=$(find internal/mu -name '*.go' -not -name '*_test.go' -exec grep -h '\.Site(' {} + | grep -v '^[[:space:]]*//' |
 	sed 's/^[[:space:]]*//' | tr '\n' ' ')
-if [ "$sites" != 'f.stallSite.Store(s.Site("mu.window.stall")) ' ]; then
-	echo "lint_parks: internal/mu registers sentinel sites: ${sites:-none}; want exactly mu.window.stall, where the window holds a sender" >&2
+if [ "$sites" != 'f.stallSite.Store(s.Site("mu.link.stall")) ' ]; then
+	echo "lint_parks: internal/mu registers sentinel sites: ${sites:-none}; want exactly mu.link.stall, where the link holds a sender" >&2
 	fail=1
 fi
 
