@@ -287,14 +287,23 @@ func (m *Monitor) Revive(n torus.Rank) bool {
 	if int(n) >= len(m.dead) {
 		return false
 	}
+	if !m.dead[n].Load() {
+		return false
+	}
+	// Re-arm while the node is still dead, which the scanner skips: a
+	// pass between making it alive and re-arming it would read a
+	// silenced node with a stale beat and confirm its death again. And
+	// re-arm before the epoch bump: once survivors see the new epoch
+	// they may immediately probe Alive(n) and start talking to it.
+	m.lastBeat[n].Store(m.now())
+	m.everBeat[n].Store(false)
+	m.silenced[n].Store(false)
+	if h := reviveHook; h != nil {
+		h(n)
+	}
 	if !m.dead[n].CompareAndSwap(true, false) {
 		return false
 	}
-	// Re-arm before the epoch bump: once survivors see the new epoch
-	// they may immediately probe Alive(n) and start talking to it.
-	m.silenced[n].Store(false)
-	m.everBeat[n].Store(false)
-	m.lastBeat[n].Store(m.now())
 	if m.phiGauges != nil {
 		m.phiGauges[n].Set(0)
 	}
@@ -310,6 +319,10 @@ func (m *Monitor) Revive(n torus.Rank) bool {
 	m.epoch.Add(1)
 	return true
 }
+
+// reviveHook, when non-nil, runs inside Revive after node n is re-armed
+// and before it is made alive: a test runs a scanner pass there.
+var reviveHook func(n torus.Rank)
 
 // OnDeath registers a callback invoked once per confirmed death. Nodes
 // already dead at registration time are replayed immediately in

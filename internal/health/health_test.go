@@ -204,3 +204,29 @@ func TestScannerPauseIsNotPeerSilence(t *testing.T) {
 		t.Fatal("the in-process node died with it")
 	}
 }
+
+// TestReviveLeavesNoDeadWindow: a scanner pass that runs while Revive
+// returns a node to life must not confirm it dead again. Revive re-arms
+// the node (a fresh beat, no silence) while it is still dead, which the
+// scanner skips, and only then makes it alive; in the other order a
+// pass in between reads a silenced node with a stale beat and kills it
+// a second time.
+func TestReviveLeavesNoDeadWindow(t *testing.T) {
+	m, err := NewMonitor(Config{Nodes: 1, BeatInterval: time.Millisecond, PhiThreshold: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := m.now() // the stamp the node's beats start from
+	m.now = func() int64 { return clk }
+	m.DeclareDead(0)
+	clk += int64(time.Second) // the beat before the death is long stale
+	reviveHook = func(torus.Rank) { m.scanOnce(clk, clk) }
+	defer func() { reviveHook = nil }()
+	if !m.Revive(0) {
+		t.Fatal("Revive found the node alive")
+	}
+	m.scanOnce(clk, clk)
+	if !m.Alive(0) || m.Epoch() != 2 {
+		t.Fatalf("after one death and one revival: alive %v, epoch %d, want alive at epoch 2", m.Alive(0), m.Epoch())
+	}
+}

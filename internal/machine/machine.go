@@ -362,8 +362,6 @@ func New(cfg Config) (*Machine, error) {
 			Nodes:     cfg.Dims.Nodes(),
 			HostedHi:  cfg.Dims.Nodes(),
 			Telemetry: m.tele,
-			Seed:      cfg.FaultSeed,
-			Alive:     func(n torus.Rank) bool { return m.hmon.Alive(n) },
 			Revive:    m.Revive,
 		}
 		if m.wt != nil {
@@ -373,9 +371,6 @@ func New(cfg Config) (*Machine, error) {
 			// handshake, so the in-process auto path stays off.
 			rcfg.Revive = nil
 			rcfg.Replicate = func(buddy torus.Rank, blob []byte) error {
-				if m.Hosted(int(buddy) * cfg.PPN) {
-					return m.rsup.AcceptReplica(blob)
-				}
 				return m.wt.SendReplica(int(buddy)*cfg.PPN, blob)
 			}
 		}
@@ -418,8 +413,10 @@ func (m *Machine) pushReplica(dstTask int, blob []byte) {
 // calls the node dead, so no sender resumes the dead incarnation's
 // stream; and the epoch moves before collnet fails sessions, as it does
 // for a death. Idempotent: reviving an alive node is a no-op.
-// Restarting the node's application tasks — and its commthreads, if the
-// workload uses them — is the caller's job after Revive returns.
+// The node's application tasks are not restarted here: each one's own
+// goroutine resumes from the restore the recovery supervisor publishes
+// after Revive returns. Restarting its commthreads, if the workload uses
+// them, is the caller's job.
 func (m *Machine) Revive(n torus.Rank) error {
 	if !m.hmon.Dead(n) {
 		return nil

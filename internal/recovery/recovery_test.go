@@ -3,10 +3,13 @@ package recovery
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
+	"pamigo/internal/abort"
 	"pamigo/internal/torus"
+	"pamigo/internal/watchdog"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -114,9 +117,7 @@ func TestBuddyOf(t *testing.T) {
 
 func TestSupervisorAutoRecover(t *testing.T) {
 	revived := make(chan torus.Rank, 1)
-	var sup *Supervisor
-	var err error
-	sup, err = NewSupervisor(Config{
+	sup, err := NewSupervisor(Config{
 		Nodes: 4, HostedLo: 0, HostedHi: 4,
 		Revive: func(n torus.Rank) error { revived <- n; return nil },
 	})
@@ -124,9 +125,6 @@ func TestSupervisorAutoRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sup.Stop()
-
-	restored := make(chan *Snapshot, 1)
-	sup.OnRestore(func(s *Snapshot) { restored <- s })
 
 	if err := sup.Checkpoint(1, 7, []byte("state@7")); err != nil {
 		t.Fatal(err)
@@ -145,13 +143,29 @@ func TestSupervisorAutoRecover(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Revive never called")
 	}
-	select {
-	case s := <-restored:
-		if s.Node != 1 || s.Version != 7 || string(s.Data) != "state@7" {
-			t.Fatalf("restored %+v, want node 1 version 7", s)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnRestore never called")
+	// The victim's goroutine takes the restore the recovery published.
+	s, seen, err := sup.AwaitRestore(1, 0, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Node != 1 || s.Version != 7 || string(s.Data) != "state@7" || seen != 1 {
+		t.Fatalf("restored %+v as restore %d, want node 1 version 7 as restore 1", s, seen)
+	}
+	if n := sup.Restores(1); n != 1 {
+		t.Fatalf("Restores(1) = %d after one recovery, want 1", n)
+	}
+	if n := sup.Restores(2); n != 0 {
+		t.Fatalf("Restores(2) = %d, want 0: node 2 never died", n)
+	}
+
+	// A second death of the same node publishes a second restore; a
+	// goroutine that resumed from the first waits for it.
+	if err := sup.Checkpoint(1, 9, []byte("state@9")); err != nil {
+		t.Fatal(err)
+	}
+	sup.NoteDeath(1)
+	if s, seen, err = sup.AwaitRestore(1, seen, 2*time.Second); err != nil || s.Version != 9 || seen != 2 {
+		t.Fatalf("second restore = %+v as restore %d (%v), want version 9 as restore 2", s, seen, err)
 	}
 }
 
@@ -164,16 +178,13 @@ func TestSupervisorFreshStartWithoutReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sup.Stop()
-	restored := make(chan *Snapshot, 1)
-	sup.OnRestore(func(s *Snapshot) { restored <- s })
 	sup.NoteDeath(0)
-	select {
-	case s := <-restored:
-		if s.Version != 0 || len(s.Data) != 0 {
-			t.Fatalf("expected empty version-0 snapshot, got %+v", s)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnRestore never called")
+	s, _, err := sup.AwaitRestore(0, 0, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Version != 0 || len(s.Data) != 0 {
+		t.Fatalf("expected empty version-0 snapshot, got %+v", s)
 	}
 }
 
@@ -214,39 +225,59 @@ func TestReplicaResponse(t *testing.T) {
 	}
 }
 
+// TestAwaitReplica is the wire case of the restore wait: a rejoined
+// process's task waits at startup, and the buddy replica the rejoin
+// pushes for a node this process hosts satisfies it. A replica held for
+// another process's node is no restore.
 func TestAwaitReplica(t *testing.T) {
-	sup, err := NewSupervisor(Config{Nodes: 2, HostedLo: 0, HostedHi: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Stop()
-	if _, err := sup.AwaitReplica(0, 10*time.Millisecond); err == nil {
-		t.Fatal("AwaitReplica should time out with no replica")
-	}
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		sup.Store().PutReplica(&Snapshot{Node: 0, Version: 4})
-	}()
-	s, err := sup.AwaitReplica(0, 2*time.Second)
-	if err != nil || s.Version != 4 {
-		t.Fatalf("AwaitReplica = %+v, %v", s, err)
-	}
-}
-
-func TestLeader(t *testing.T) {
-	dead := map[torus.Rank]bool{0: true}
+	// Process hosting [0,2) of a 4-node partition, as over a wire.
 	sup, err := NewSupervisor(Config{
-		Nodes: 4, HostedLo: 0, HostedHi: 4,
-		Alive: func(n torus.Rank) bool { return !dead[n] },
+		Nodes: 4, HostedLo: 0, HostedHi: 2,
+		Replicate: func(torus.Rank, []byte) error { return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sup.Stop()
-	if l := sup.Leader(); l != 1 {
-		t.Fatalf("Leader = %d, want 1 (lowest alive)", l)
+	_, _, err = sup.AwaitRestore(0, 0, 10*time.Millisecond)
+	if !errors.Is(err, abort.ErrAborted) {
+		t.Fatalf("AwaitRestore with nothing pushed = %v, want a typed deadline abort", err)
 	}
-	if !sup.IsLeader() {
-		t.Fatal("this process hosts rank 1 and should lead")
+	var c *abort.Cause
+	if !errors.As(err, &c) || c.Kind != abort.KindDeadline || c.Site != "recovery.await.restore" {
+		t.Fatalf("timeout cause = %+v, want KindDeadline at recovery.await.restore", c)
+	}
+
+	// Node 2 is not ours: its replica is held for it, not restored.
+	if err := sup.AcceptReplica((&Snapshot{Node: 2, Version: 3}).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if n := sup.Restores(2); n != 0 {
+		t.Fatalf("Restores(2) = %d after holding its replica, want 0", n)
+	}
+
+	// The wait parks at its sentinel site until the push lands.
+	sent := watchdog.NewSentinel(nil)
+	defer sent.Stop()
+	sup.SetSentinel(sent)
+	got := make(chan *Snapshot, 1)
+	go func() {
+		s, _, err := sup.AwaitRestore(0, 0, 5*time.Second)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- s
+	}()
+	for waiting := false; !waiting; {
+		for _, st := range sent.Table() {
+			waiting = waiting || st.Name == "recovery.await.restore" && st.Waiters == 1
+		}
+		runtime.Gosched()
+	}
+	if err := sup.AcceptReplica((&Snapshot{Node: 0, Version: 4, Data: []byte("n0")}).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if s := <-got; s == nil || s.Node != 0 || s.Version != 4 || string(s.Data) != "n0" {
+		t.Fatalf("AwaitRestore = %+v, want node 0 version 4", s)
 	}
 }

@@ -1,8 +1,8 @@
 // Package recovery is the self-healing subsystem of the simulated BG/Q
-// partition: buddy-replicated in-memory checkpoints plus a supervised
-// state machine that turns a confirmed node death into an online
-// restart — detect → fence → restore → resume — with no operator in
-// the loop and no quiescence of the whole run.
+// partition: buddy-replicated in-memory checkpoints plus a supervisor
+// that turns a confirmed node death into an online restart — detect →
+// fence → restore → resume — with no operator in the loop and no
+// quiescence of the whole run.
 //
 // The checkpoint scheme is the FTC-Charm++ double in-memory checkpoint:
 // each node's application state snapshot is kept locally *and*
@@ -16,13 +16,13 @@
 // restart replays a little more.
 //
 // Recovery is driven by the phi-accrual detector's death confirmation.
-// The supervisor — acting for the recovery leader, the lowest alive
-// rank of the current epoch — fences the dead epoch (the existing
-// death wiring has already failed flows and shrunk classroutes),
-// revives the victim's ranks through the machine's revival chain, and
-// hands the buddy's replica to the application, which replays forward
-// from the snapshot's version. Unaffected flows keep progressing
-// throughout: nothing stops the world.
+// The supervisor fences the dead epoch (the existing death wiring has
+// already failed flows and shrunk classroutes), revives the victim's
+// ranks through the machine's revival chain, and publishes the buddy's
+// replica as the node's restore. The victim's own task goroutine takes
+// it and replays forward from the snapshot's version; no goroutine is
+// started for it. Unaffected flows keep progressing throughout:
+// nothing stops the world.
 package recovery
 
 import (

@@ -7,41 +7,10 @@ import (
 	"time"
 
 	"pamigo/internal/abort"
-	"pamigo/internal/fault"
 	"pamigo/internal/telemetry"
 	"pamigo/internal/torus"
 	"pamigo/internal/watchdog"
 )
-
-// State is the supervisor's recovery state machine. One recovery runs
-// at a time (deaths queue); the state is observable for telemetry and
-// tests but carries no locking duty of its own.
-type State int32
-
-// Recovery states: Idle (nothing in flight), Fencing (death confirmed,
-// waiting out the settle window while the death wiring propagates),
-// Restoring (reviving the victim and locating its replica), Resuming
-// (handing the snapshot back to the application).
-const (
-	StateIdle State = iota
-	StateFencing
-	StateRestoring
-	StateResuming
-)
-
-// String names the state for logs.
-func (s State) String() string {
-	switch s {
-	case StateFencing:
-		return "fencing"
-	case StateRestoring:
-		return "restoring"
-	case StateResuming:
-		return "resuming"
-	default:
-		return "idle"
-	}
-}
 
 // settleDelay is the fencing window between a death confirmation and the
 // revival: long enough for the death callbacks (flow failure, classroute
@@ -56,24 +25,19 @@ type Config struct {
 	Nodes              int
 	HostedLo, HostedHi int
 	Telemetry          *telemetry.Registry
-	// Seed drives the deterministic poll jitter (replica waits).
-	Seed int64
 
-	// Alive reports whether a node is currently in the live membership
-	// (the health monitor's verdict). Used for leader election.
-	Alive func(torus.Rank) bool
 	// Revive performs the machine-level revival of a node: clear the
 	// injected fault, reset fabric flows, regrow classroutes, return the
 	// node to the health membership (epoch bump). When set, the
 	// supervisor recovers locally observed deaths on its own: fence,
-	// revive, restore from the buddy replica, and hand the snapshot to
-	// OnRestore — the single-process path. Over a wire transport the
-	// victim is another OS process, revival happens on its rejoin
-	// handshake instead, and Revive stays nil.
+	// revive, and publish the buddy replica as the node's restore — the
+	// single-process path. Over a wire transport the victim is another
+	// OS process, revival happens on its rejoin handshake instead, and
+	// Revive stays nil.
 	Revive func(torus.Rank) error
 	// Replicate ships an encoded snapshot blob to the process hosting
-	// the buddy node. nil means every buddy is in-process and the store
-	// insert happens directly.
+	// the buddy node when that is another process. A buddy this process
+	// hosts gets the replica in its store directly.
 	Replicate func(buddy torus.Rank, blob []byte) error
 }
 
@@ -101,23 +65,28 @@ func BuddyOf(n torus.Rank, nodes, lo, hi int) torus.Rank {
 }
 
 // Supervisor is the per-process recovery coordinator: it owns the
-// checkpoint store, runs the detect → fence → restore → resume state
-// machine, and accounts the recovery.* telemetry subtree.
+// checkpoint store, fences and revives locally observed deaths,
+// publishes each node's restores, and accounts the recovery.* telemetry
+// subtree. It starts no goroutine for a restored task: the task's own
+// goroutine takes its restore (AwaitRestore), so a context keeps one
+// advancer (paper §III.B) across every crash.
 type Supervisor struct {
 	cfg   Config
 	store *Store
-	state atomic.Int32
 
-	mu        sync.Mutex
-	deathAt   map[torus.Rank]time.Time
-	onRestore func(*Snapshot)
+	mu      sync.Mutex
+	deathAt map[torus.Rank]time.Time
+	latest  map[torus.Rank]restore // each node's newest published restore
+	// published is closed at every publish; the next waiter makes a new
+	// one. nil while nobody waits.
+	published chan struct{}
 
 	restoreQ chan torus.Rank
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// waitSite is the stall-sentinel site replica waits register with;
+	// waitSite is the stall-sentinel site restore waits register with;
 	// nil until SetSentinel wires one.
 	waitSite atomic.Pointer[watchdog.Site]
 
@@ -142,6 +111,7 @@ func NewSupervisor(cfg Config) (*Supervisor, error) {
 		cfg:      cfg,
 		store:    NewStore(),
 		deathAt:  make(map[torus.Rank]time.Time),
+		latest:   make(map[torus.Rank]restore),
 		restoreQ: make(chan torus.Rank, cfg.Nodes+1),
 		stopCh:   make(chan struct{}),
 	}
@@ -171,39 +141,9 @@ func (s *Supervisor) Stop() {
 // Store returns the supervisor's checkpoint store.
 func (s *Supervisor) Store() *Store { return s.store }
 
-// State returns the current recovery state.
-func (s *Supervisor) State() State { return State(s.state.Load()) }
-
-// OnRestore registers the application hook invoked with the restored
-// snapshot at the end of an automatic recovery — the application
-// relaunches the victim's tasks from it. At most one hook.
-func (s *Supervisor) OnRestore(fn func(*Snapshot)) {
-	s.mu.Lock()
-	s.onRestore = fn
-	s.mu.Unlock()
-}
-
 // Buddy returns the replica holder for one of this process's own nodes.
 func (s *Supervisor) Buddy(n torus.Rank) torus.Rank {
 	return BuddyOf(n, s.cfg.Nodes, s.cfg.HostedLo, s.cfg.HostedHi)
-}
-
-// Leader returns the recovery leader: the lowest alive node rank in the
-// current epoch. Deterministic across processes — every survivor
-// elects the same leader from the same membership view.
-func (s *Supervisor) Leader() torus.Rank {
-	for n := 0; n < s.cfg.Nodes; n++ {
-		if s.cfg.Alive == nil || s.cfg.Alive(torus.Rank(n)) {
-			return torus.Rank(n)
-		}
-	}
-	return 0
-}
-
-// IsLeader reports whether this process hosts the recovery leader.
-func (s *Supervisor) IsLeader() bool {
-	l := int(s.Leader())
-	return l >= s.cfg.HostedLo && l < s.cfg.HostedHi
 }
 
 // Checkpoint saves one hosted node's state at the given version: the
@@ -215,20 +155,26 @@ func (s *Supervisor) Checkpoint(node torus.Rank, version uint64, data []byte) er
 	snap := &Snapshot{Node: node, Version: version, Data: append([]byte(nil), data...)}
 	s.store.PutLocal(snap)
 	s.checkpoints.Inc()
-	buddy := s.Buddy(node)
-	if s.cfg.Replicate != nil {
+	if buddy := s.Buddy(node); s.cfg.Replicate != nil && !s.hosts(buddy) {
 		return s.cfg.Replicate(buddy, snap.Encode())
 	}
-	// Single failure domain: the buddy lives in this store.
+	// The buddy lives in this store.
 	s.store.PutReplica(snap)
 	s.replicas.Inc()
 	return nil
 }
 
-// AcceptReplica ingests an encoded replica blob (from the wire
-// transport's replica frames, or the local Replicate shortcut). A blob
-// that fails validation is rejected with ErrCorruptSnapshot and
-// counted — the previous replica, if any, stays in place.
+// hosts reports whether node n is one of this process's.
+func (s *Supervisor) hosts(n torus.Rank) bool {
+	return int(n) >= s.cfg.HostedLo && int(n) < s.cfg.HostedHi
+}
+
+// AcceptReplica ingests an encoded replica blob from the wire
+// transport's replica frames. A blob that fails validation is rejected
+// with ErrCorruptSnapshot and counted — the previous replica, if any,
+// stays in place. A replica of a node this process hosts can only be a
+// buddy's push to a rejoined incarnation, so it is published as that
+// node's restore.
 func (s *Supervisor) AcceptReplica(blob []byte) error {
 	snap, err := DecodeSnapshot(blob)
 	if err != nil {
@@ -237,6 +183,9 @@ func (s *Supervisor) AcceptReplica(blob []byte) error {
 	}
 	s.store.PutReplica(snap)
 	s.replicas.Inc()
+	if s.hosts(snap.Node) {
+		s.publish(snap)
+	}
 	return nil
 }
 
@@ -259,42 +208,81 @@ func (s *Supervisor) ReplicaResponse(n torus.Rank, victimLo, victimHi int) (blob
 	return snap.Encode(), true
 }
 
-// AwaitReplica blocks until a replica for node n is in the store (a
-// rejoined victim waiting for its buddy's push), polling on a seeded
-// jitter. Returns the snapshot — possibly the version-0 empty snapshot
-// meaning "start fresh" — or, on timeout, a typed deadline abort
-// (errors.Is(err, abort.ErrAborted)) so callers distinguish "buddy
-// never pushed" from replica decode failures. While waiting, the park
-// is visible in the sentinel's wait-site table when one is wired.
-func (s *Supervisor) AwaitReplica(n torus.Rank, timeout time.Duration) (*Snapshot, error) {
-	if st := s.waitSite.Load(); st != nil {
-		var park watchdog.Park
-		st.Attach(&park, nil) // observe-only: the poll below owns the deadline
-		park.Enter()
-		defer park.Detach()
-	}
-	deadline := time.Now().Add(timeout)
-	for step := int64(0); ; step++ {
-		if snap := s.store.Replica(n); snap != nil {
-			return snap, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, abort.Wrap(abort.KindDeadline, "recovery.await.replica",
-				fmt.Errorf("recovery: no replica for node %d arrived within %v", n, timeout))
-		}
-		time.Sleep(fault.Jitter(s.cfg.Seed, step, time.Millisecond))
+// restore is one published restore of a node: the snapshot its tasks
+// resume from, and how many restores of the node were published up to
+// and including it.
+type restore struct {
+	snap *Snapshot
+	seq  uint64
+}
+
+// publish makes snap node snap.Node's latest restore and wakes every
+// AwaitRestore.
+func (s *Supervisor) publish(snap *Snapshot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.latest[snap.Node] = restore{snap: snap, seq: s.latest[snap.Node].seq + 1}
+	if s.published != nil {
+		close(s.published)
+		s.published = nil
 	}
 }
 
-// SetSentinel registers the replica-wait site with the partition stall
-// sentinel so a victim stuck waiting for its buddy's push shows up in
+// Restores returns how many restores of node n have been published. A
+// task that resumed from fewer runs from a stale snapshot: its node was
+// restored under it, and it must take the new restore.
+func (s *Supervisor) Restores(n torus.Rank) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.latest[n].seq
+}
+
+// AwaitRestore is how a task's own goroutine comes back from a crash:
+// it blocks until more than seen restores of node n have been published
+// and returns the latest — the buddy replica, or the version-0 snapshot
+// meaning "start fresh" — with the count to pass as seen next time. On
+// timeout it returns a typed deadline abort (errors.Is(err,
+// abort.ErrAborted)). While waiting, the park is visible in the
+// sentinel's wait-site table when one is wired.
+func (s *Supervisor) AwaitRestore(n torus.Rank, seen uint64, timeout time.Duration) (*Snapshot, uint64, error) {
+	if st := s.waitSite.Load(); st != nil {
+		var park watchdog.Park
+		st.Attach(&park, nil) // observe-only: the timer below owns the deadline
+		park.Enter()
+		defer park.Detach()
+	}
+	tm := time.NewTimer(timeout)
+	defer tm.Stop()
+	for {
+		s.mu.Lock()
+		r := s.latest[n]
+		if r.seq > seen {
+			s.mu.Unlock()
+			return r.snap, r.seq, nil
+		}
+		if s.published == nil {
+			s.published = make(chan struct{})
+		}
+		published := s.published
+		s.mu.Unlock()
+		select {
+		case <-published:
+		case <-tm.C:
+			return nil, seen, abort.Wrap(abort.KindDeadline, "recovery.await.restore",
+				fmt.Errorf("recovery: node %d not restored within %v", n, timeout))
+		}
+	}
+}
+
+// SetSentinel registers the restore wait's site with the partition
+// stall sentinel so a task stuck waiting for its restore shows up in
 // hang dumps. The wait keeps its own timeout, so the site is
 // observe-only.
 func (s *Supervisor) SetSentinel(sent *watchdog.Sentinel) {
 	if sent == nil {
 		return
 	}
-	s.waitSite.Store(sent.Site("recovery.await.replica"))
+	s.waitSite.Store(sent.Site("recovery.await.restore"))
 }
 
 // NoteDeath records a confirmed death (machine wiring calls it from the
@@ -342,10 +330,8 @@ func (s *Supervisor) worker() {
 	}
 }
 
-// recover runs one victim through fence → restore → resume.
+// recover fences one victim, revives it, and publishes its restore.
 func (s *Supervisor) recover(n torus.Rank) {
-	defer s.state.Store(int32(StateIdle))
-	s.state.Store(int32(StateFencing))
 	// Fencing window: the death wiring (flow failure, classroute
 	// shrink, blackholing) finishes propagating before the world is
 	// told the node is back.
@@ -356,7 +342,6 @@ func (s *Supervisor) recover(n torus.Rank) {
 		return
 	case <-tm.C:
 	}
-	s.state.Store(int32(StateRestoring))
 	snap := s.store.Replica(n)
 	if snap == nil {
 		// Died before the first checkpoint interval: restart from zero.
@@ -366,12 +351,6 @@ func (s *Supervisor) recover(n torus.Rank) {
 	if err := s.cfg.Revive(n); err != nil {
 		return
 	}
-	s.state.Store(int32(StateResuming))
 	s.NoteRestored(n)
-	s.mu.Lock()
-	cb := s.onRestore
-	s.mu.Unlock()
-	if cb != nil {
-		cb(snap)
-	}
+	s.publish(snap)
 }

@@ -80,8 +80,8 @@ func closed(ch chan struct{}) bool {
 // onlineTask is one task's run state. It is built once and survives the
 // task's crash/revive cycles (the revival chain resets the transport
 // state underneath its context, and run reseeds the cursors). Every field
-// is touched only from the task's current goroutine: dispatch handlers
-// run inside its Advance calls, so no locks are needed.
+// is touched only from the task's one goroutine: dispatch handlers run
+// inside its Advance calls, so no locks are needed.
 type onlineTask struct {
 	o    *onlineJob
 	ctx  *core.Context
@@ -276,12 +276,13 @@ func (t *onlineTask) announceDone() (all bool, err error) {
 // queue until every task has folded out. Across processes completion is
 // negotiated with done announcements, and the task settles the wire
 // before returning so a fast exiter cannot turn a clean finish into a
-// spurious peer death.
-func (t *onlineTask) run(start int, seed uint64) error {
+// spurious peer death. It returns errCrashed once the task's node has
+// crashed or been restored since the seen-th restore.
+func (t *onlineTask) run(start int, seed, seen uint64) error {
 	t.folded, t.digest, t.sentThrough = start, seed, start
 	t.completed, t.lastDone = false, time.Time{}
 	for !closed(t.o.aborted) {
-		if t.o.m.Crashed(t.task) {
+		if t.o.m.Crashed(t.task) || t.o.sup.Restores(torus.Rank(t.task)) != seen {
 			return errCrashed
 		}
 		err := t.serveReplay()
@@ -339,14 +340,44 @@ func resumePoint(s *recovery.Snapshot) (round int, digest uint64) {
 	return 0, 0
 }
 
+// host runs one hosted task for the whole run: run, and whenever its
+// node crashes or is restored under it, take the node's latest restore
+// and run again from it. A respawned incarnation starts by taking the
+// buddy replica the rejoin pushes.
+func (o *onlineJob) host(t *onlineTask) error {
+	node := torus.Rank(t.task)
+	round, digest, seen := 0, uint64(0), uint64(0)
+	for restored := o.Span.Incarnation > 0; ; restored = true {
+		if restored {
+			snap, n, err := o.sup.AwaitRestore(node, seen, 15*time.Second)
+			if err != nil {
+				return fmt.Errorf("restoring from its buddy: %w", err)
+			}
+			seen = n
+			round, digest = resumePoint(snap)
+			o.mu.Lock()
+			o.rep.Resume = round
+			o.mu.Unlock()
+			o.logf("task %d restored from its buddy replica: resuming at round %d", t.task, round)
+		}
+		if err := t.run(round, digest, seen); !errors.Is(err, errCrashed) {
+			return err
+		}
+		if o.Verbose {
+			o.logf("task %d crashed with %d round(s) folded", t.task, t.folded)
+		}
+	}
+}
+
 // online boots the self-healing machine and runs the exchange on it. In
 // one process the fault plan kills nodes mid-run, the supervisor
-// auto-revives each victim, and its task is relaunched here from the
-// buddy replica. Across processes a SIGKILLed process is relaunched by
-// the respawn supervisor with a bumped incarnation; it rejoins over the
-// wire handshake (the survivors revive its nodes and push the buddy
-// replicas back), restores, and replays, while the survivors' sends
-// toward the dead range stall until the revival lands, then flow again.
+// auto-revives each victim, and the victim's task resumes from the
+// buddy replica in its own goroutine. Across processes a SIGKILLed
+// process is relaunched by the respawn supervisor with a bumped
+// incarnation; it rejoins over the wire handshake (the survivors revive
+// its nodes and push the buddy replicas back), restores, and replays,
+// while the survivors' sends toward the dead range stall until the
+// revival lands, then flow again.
 func (r *run) online() error {
 	cfg := r.Machine
 	wired := r.Span.wired()
@@ -385,40 +416,14 @@ func (r *run) online() error {
 	}
 
 	var wg sync.WaitGroup
-	launch := func(s *recovery.Snapshot, restored bool) {
-		round, digest := resumePoint(s)
-		if restored {
-			r.rep.Resume = round
-			r.logf("task %d restored from its buddy replica: resuming at round %d", s.Node, round)
-		}
+	for _, t := range tasks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t := tasks[int(s.Node)-r.lo]
-			err := t.run(round, digest)
-			if errors.Is(err, errCrashed) {
-				if r.Verbose {
-					r.logf("task %d crashed with %d round(s) folded", t.task, t.folded)
-				}
-				return // the supervisor's OnRestore relaunches it
-			}
-			if err != nil {
+			if err := o.host(t); err != nil {
 				o.fail(fmt.Errorf("task %d: %w", t.task, err))
 			}
 		}()
-	}
-	o.sup.OnRestore(func(s *recovery.Snapshot) { launch(s, true) })
-	for task := r.lo; task < r.hi; task++ {
-		snap := &recovery.Snapshot{Node: torus.Rank(task)}
-		if r.Span.Incarnation > 0 {
-			// A respawned incarnation restores from the buddy replicas the
-			// survivors push during the rejoin handshake.
-			if snap, err = o.sup.AwaitReplica(torus.Rank(task), 15*time.Second); err != nil {
-				o.fail(fmt.Errorf("restoring task %d from its buddy: %w", task, err))
-				break
-			}
-		}
-		launch(snap, r.Span.Incarnation > 0)
 	}
 	wg.Wait()
 	if o.failure != nil {

@@ -3,8 +3,10 @@ package watchdog
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -207,9 +209,16 @@ func TestParkEnterLeaveCost(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { parks[0].Enter(); parks[0].Leave() }); a != 0 {
 		t.Fatalf("Enter+Leave allocates %v times per wait", a)
 	}
-	run := func(n int) time.Duration {
+	// CPU time, not wall time: a box that other processes load stretches
+	// the wall time of eight waiters far more than one's, but not the
+	// CPU time they take. Eight waiters do eight times one waiter's work,
+	// so ideal scaling is the same CPU time per wait; the bound allows a
+	// quarter over that, the allowance the wall-time bounds encoded (5x
+	// one waiter's time at 2 P, 10x at 1 P). Parks that share a cache
+	// line pay for it in CPU time as much as in wall time.
+	run := func(n int) float64 { // CPU ns per wait
 		var wg sync.WaitGroup
-		start := time.Now()
+		start := cpuTime(t)
 		for i := 0; i < n; i++ {
 			wg.Add(1)
 			go func(p *Park) {
@@ -221,7 +230,7 @@ func TestParkEnterLeaveCost(t *testing.T) {
 			}(&parks[i].Park)
 		}
 		wg.Wait()
-		return time.Since(start)
+		return float64(cpuTime(t)-start) / float64(n*rounds)
 	}
 	site.mu.Lock()
 	defer site.mu.Unlock()
@@ -229,26 +238,30 @@ func TestParkEnterLeaveCost(t *testing.T) {
 		run(waiters)
 		return
 	}
-	// Eight waiters on two cores are four waiters' work per core: 5x one
-	// waiter's time leaves a quarter for the scheduler. One core gets
-	// twice that; more cores are not given less.
-	bound := 5.0
-	if runtime.GOMAXPROCS(0) == 1 {
-		bound = 10
+	// The median of nine tries: a try whose waiters the scheduler happened
+	// to run one at a time shares nothing and reads 1.0, so the best try
+	// would hide contention; a warm-up run first brings every P into play.
+	const bound = 1.25
+	run(waiters)
+	var ratios [9]float64
+	for i := range ratios {
+		one := run(1)
+		ratios[i] = run(waiters) / one
 	}
-	best := 0.0
-	for try := 0; try < 10; try++ {
-		one, all := run(1), run(waiters)
-		ratio := float64(all) / float64(one)
-		if best == 0 || ratio < best {
-			best = ratio
-		}
-		if best <= bound {
-			return
-		}
+	slices.Sort(ratios[:])
+	if med := ratios[len(ratios)/2]; med > bound {
+		t.Fatalf("8 waiters x 1M waits took %.2fx one waiter's CPU time per wait on %d cores (median of %.2f), want <= %.2fx",
+			med, runtime.GOMAXPROCS(0), ratios, bound)
 	}
-	t.Fatalf("8 waiters x 1M waits took %.1fx one waiter's time on %d cores, want <= %.0fx",
-		best, runtime.GOMAXPROCS(0), bound)
+}
+
+// cpuTime is the CPU time the process has used, user and system.
+func cpuTime(t *testing.T) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // TestObservedSentinelStampsAges: an unarmed sentinel runs no scanner, so

@@ -62,6 +62,20 @@ go test -race -run TestChaos ./internal/integration
 go run ./cmd/pamirun -dims 2x2x1x1x1 -ppn 2 -deadline 120s \
 	-faults "drop=0.05,corrupt=0.02,dup=0.01" -fault-seed 7 >/dev/null
 
+echo "==> loaded recovery lane (-race on the recovery suites while a second go test loads the box: a restored task resumes in its own goroutine, so no scheduling may put two advancers on one context)"
+# loaded CMD...: run CMD while a second go test loads the box. The load's
+# own verdict is not this lane's.
+loaded() {
+	go test -count=1 ./internal/wire ./internal/core ./internal/mu >/dev/null 2>&1 &
+	load=$!
+	st=0
+	"$@" || st=$?
+	wait "$load" || true
+	return "$st"
+}
+loaded go test -race -count=10 -run TestRecovery ./internal/integration
+loaded go test -race -count=5 ./internal/scenario
+
 echo "==> crash-recovery smoke (node death, checkpoint-restart, fixed seed)"
 go run ./cmd/pamirun -dims 2x2x2x1x1 -ppn 1 -deadline 120s \
 	-faults "crash@pkt=5000,node=3" -fault-seed 7 >/dev/null

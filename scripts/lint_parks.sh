@@ -22,6 +22,9 @@
 # sync.RWMutex outside the one pinned below: the shmem.Node endpoint
 # registry, the last such shape ROADMAP lists.
 #
+# And it keeps one advancer per context across a crash: recovery starts
+# no goroutine for a restored task and polls for no replica (below).
+#
 # And it keeps one membership record. The health monitor alone says
 # which nodes are dead; the fabric and the collective network ask it. A
 # map[torus.Rank]bool in the non-test Go of internal/ is how a second
@@ -109,7 +112,26 @@ for f in $(grep -rl "make(chan " --include="*.go" \
 		;;
 	esac
 done
-check "make(chan " internal/recovery/supervisor.go 2
+# supervisor.go: the worker's death queue and stop channel, and the
+# restore broadcast AwaitRestore sleeps on (closed at every publish,
+# its timeout owned by the waiter, its site recovery.await.restore).
+check "make(chan " internal/recovery/supervisor.go 3
+
+# Recovery starts nothing for a restored task: the task's own goroutine
+# takes its restore from AwaitRestore, which sleeps on the publish
+# broadcast rather than polling. So the non-test Go of internal/recovery
+# has no time.Sleep and one go statement, the recovery worker's.
+got=$(find internal/recovery -name '*.go' -not -name '*_test.go' -exec cat {} + | grep -v '^\s*//' | grep -c "time\.Sleep(" || true)
+if [ "$got" -ne 0 ]; then
+	echo "lint_parks: internal/recovery sleeps $got time(s): a restore wait sleeps on the publish broadcast, not a poll" >&2
+	fail=1
+fi
+gos=$(find internal/recovery -name '*.go' -not -name '*_test.go' -exec grep -h '^[[:space:]]*go ' {} + |
+	sed 's/^[[:space:]]*//' | tr '\n' ' ')
+if [ "$gos" != 'go s.worker() ' ]; then
+	echo "lint_parks: internal/recovery starts goroutines: ${gos:-none}; want exactly the recovery worker: a restored task resumes in its own goroutine, so its context keeps one advancer" >&2
+	fail=1
+fi
 
 # Raw spins. A `runtime.Gosched()` poll is a wait the sentinel cannot see
 # and the scheduler pays for (ROADMAP item 1(b)), so the runtime's spins
@@ -125,7 +147,7 @@ internal/core/geometry.go        1  235              bootstrap rendezvous in Cre
 internal/core/context.go         1  450              the progress loop (advanceUntil: AdvanceUntil, Drain, the commthread, the software collectives' fragment wait) yields after a pass that moved nothing while a deferred send is queued; the queue is registered at core.deferred.send from its first send until it empties (the sentinel aborts it)
 internal/mpilib/pt2pt.go         1  289              World.wait, the one wait of every MPI request: it drives progress and yields only on an idle pass, and a wait that stays idle registers at mpilib.wait (the sentinel aborts it)
 internal/l2atomic/l2atomic.go    2  112,184          the L2 primitives' own backoff: Mutex.Lock (held for a few instructions) and Barrier.Await, which no runtime code constructs any more (checked below)
-internal/scenario/online.go      1  326              the online policy's progress loop, yields after a productive pass (idle passes sleep)
+internal/scenario/online.go      1  330              the online policy's progress loop, yields after a productive pass (idle passes sleep)
 "
 listed=$(echo "$spins" | awk 'NF { print "./" $1 }')
 for f in $(grep -rl "runtime\.Gosched()" --include="*.go" . | grep -v _test.go | grep -v "^./benchmark/" | grep -v "^./examples/"); do
