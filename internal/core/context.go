@@ -399,9 +399,13 @@ func (ctx *Context) AdvanceUntil(cond func() bool) { ctx.advanceUntil(cond, &ctx
 // advanceUntil is the context's one progress loop, run by AdvanceUntil,
 // the commthread and the software collectives' fragment wait. At the
 // generation in drainedGen nothing waits in the context's sources, so it
-// sleeps on the wakeup region at once, with no dry pass, registered at
-// park until a pass makes progress. A deferred send is never touched
-// for: while one is queued it yields after a pass that moved nothing.
+// may sleep on the wakeup region with no dry pass, registered at park
+// until a pass makes progress. The first time a call finds itself idle
+// it yields once instead and looks again: the peer its own send readied
+// usually answers on this processor during the yield, a run-queue hop
+// in place of a park and a wake. A later idle spell sleeps at once. A
+// deferred send is never touched for: while one is queued it yields
+// after a pass that moved nothing.
 //
 // With shared set, other threads advance the context too, and each pass
 // holds the context lock, so cond may claim what a pass filed. Lock, not
@@ -409,7 +413,7 @@ func (ctx *Context) AdvanceUntil(cond func() bool) { ctx.advanceUntil(cond, &ctx
 // region before this pass read its generation, and a pass that left
 // without looking would sleep on it. It reports whether it slept.
 func (ctx *Context) advanceUntil(cond func() bool, park *watchdog.Park, shared bool) (slept bool) {
-	parked := false
+	parked, yielded := false, false
 	defer func() {
 		if parked {
 			park.Leave()
@@ -432,7 +436,7 @@ func (ctx *Context) advanceUntil(cond func() bool, park *watchdog.Park, shared b
 		switch {
 		case done:
 			return slept
-		case idle:
+		case idle && yielded:
 			if !parked {
 				parked = true
 				park.Enter()
@@ -446,8 +450,13 @@ func (ctx *Context) advanceUntil(cond func() bool, park *watchdog.Park, shared b
 				parked = false
 				park.Leave()
 			}
-		case deferred:
-			runtime.Gosched() // let the destination's consumer run
+		case idle || deferred:
+			// Let the peer this thread just readied run here: before the
+			// call's first sleep, so that its answer lands while nobody
+			// waits and costs no wake; and after every idle pass while a
+			// deferred send waits on the destination's consumer.
+			yielded = yielded || idle
+			runtime.Gosched()
 		}
 	}
 }

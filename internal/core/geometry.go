@@ -168,11 +168,14 @@ func (c *teamCell) SessionDone(seq uint64, result []byte, err error) {
 
 // await waits on the team's region until word reaches want (every mate
 // arrived, or the round's outcome is published) or the team is poisoned:
-// one look, then the paper's wakeup-unit wait, registered at park. The
-// generation is read before the look, so a touch after it is not lost.
+// one look, one yield and a second look, then the paper's wakeup-unit
+// wait, registered at park. The yield lets the mates this member's
+// arrival readied finish the round on this processor, so the completer
+// usually finds nobody to wake. The generation is read before each
+// look, so a touch after it is not lost.
 func (g *Geometry) await(word *atomic.Uint64, want uint64, park *watchdog.Park) error {
 	t := g.team
-	for how := g.ctx.stats.collSpun; ; {
+	for how, yielded := g.ctx.stats.collSpun, false; ; {
 		gen := t.region.Gen()
 		if word.Load() == want {
 			how.Inc()
@@ -180,6 +183,11 @@ func (g *Geometry) await(word *atomic.Uint64, want uint64, park *watchdog.Park) 
 		}
 		if t.strikes.Load() != g.strikes {
 			return *t.cause.Load()
+		}
+		if !yielded {
+			yielded = true
+			runtime.Gosched()
+			continue
 		}
 		how = g.ctx.stats.collParked
 		park.Enter()

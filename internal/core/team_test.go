@@ -273,6 +273,40 @@ func TestShortAllreduceZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestClassrouteAllreduceHandsOff: a short classroute allreduce completes
+// without parking most of its members. Each member's wait yields once
+// before it would sleep, so the mates its arrival readied reach the
+// round on this processor and the completer finds few to wake. A wait
+// that sleeps at its first look parks seven members of eight.
+func TestClassrouteAllreduceHandsOff(t *testing.T) {
+	const ops = 2000
+	skipRandomScheduler(t)
+	var spun, parked atomic.Int64
+	runJob(t, torus.Dims{2, 2, 1, 1, 1}, 2, func(g *Geometry, ctx *Context) {
+		send, recv := make([]byte, 8), make([]byte, 8)
+		reduce := func(n int) {
+			for i := 0; i < n; i++ {
+				if err := g.Allreduce(send, recv, collnet.OpAdd, collnet.Int64); err != nil {
+					panic(err)
+				}
+			}
+		}
+		reduce(200)
+		spun0, parked0 := ctx.stats.collSpun.Load(), ctx.stats.collParked.Load()
+		reduce(ops)
+		spun.Add(ctx.stats.collSpun.Load() - spun0)
+		parked.Add(ctx.stats.collParked.Load() - parked0)
+	})
+	s, p := spun.Load(), parked.Load()
+	if s+p == 0 {
+		t.Fatal("no collective waits counted")
+	}
+	if share := float64(p) / float64(s+p); share > 0.5 {
+		t.Errorf("%.3f of classroute waits parked (%d of %d in %d allreduces over 8 ranks), want <= 0.5: a member sleeps before its mates can complete the round",
+			share, p, s+p, ops)
+	}
+}
+
 // strandedTeam boots 2x1 nodes with two ranks each and the health monitor
 // armed, and runs one 8-byte allreduce on node 0's team only — node 1's
 // ranks create the geometry and leave, so the collective can never

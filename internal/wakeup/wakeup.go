@@ -20,11 +20,31 @@
 // the protocol has no lost-wakeup window — the same guarantee the hardware
 // address-match logic provides.
 //
+// The hardware wait costs nothing; a Wait that suspends costs a park
+// here, and the Touch that ends it a broadcast and a wake. So a waiter
+// that has just readied the thread it waits for yields its processor
+// once first (a Go scheduler yield):
+//
+//	gen := region.Gen()          // observe
+//	if !workAvailable() {        // re-check
+//	        yield()              // once: the readied peer may answer here
+//	        gen = region.Gen()   // observe again
+//	        if !workAvailable() {
+//	                region.Wait(gen)
+//	        }
+//	}
+//
+// A Touch during the yield finds no waiter and costs nothing more, and
+// the second observation keeps the contract: a Touch after it ends the
+// Wait. One yield per wait, not per Wait: a waiter that sleeps again in
+// the same wait sleeps at once.
+//
 // For a progress loop the re-check is a pass over its queues, and the
 // generation read before the pass is the observe step: a pass that
-// finds nothing may sleep on that generation at once, with no second
-// look. A PAMI context's AdvanceUntil keeps it as its drained generation
-// and waits on it without another pass (core.Context.AdvanceUntil).
+// finds nothing may sleep on that generation, with no second pass. A
+// PAMI context's AdvanceUntil keeps it as its drained generation and,
+// after its one yield, waits on it without another pass
+// (core.Context.AdvanceUntil).
 package wakeup
 
 import (

@@ -34,8 +34,8 @@ echo "==> go test -race (telemetry + integration + hot layers; bufpool and lockl
 go test -race ./internal/telemetry ./internal/bufpool ./internal/lockless ./internal/integration ./internal/mpilib ./internal/mu ./internal/armci ./internal/upc ./internal/shmem
 go test -race ./internal/core ./internal/collnet ./internal/watchdog ./internal/l2atomic ./internal/wakeup ./internal/abort
 
-echo "==> GOMAXPROCS=1 go test -race (node-team protocol and the software collectives' stall abort: no wait may depend on a second core; the progress loop parks without a dry pass, one Advance per ping-pong hop under AdvanceUntil and under commthreads, and loses no publish: the property test runs -count=20; a commthread sends what it deferred once the destination drains, -count=20; a deferred send stalled under other traffic still escalates)"
-GOMAXPROCS=1 go test -race -run 'TestTeam|TestRootedReduceCannotLap|TestParked|TestJoinAfterDeath|TestStranded|TestSoftwareCollectiveStallAborts|TestAdvanceUntilOneAdvancePerHop|TestAdvanceUntilNoLostPublish|TestCommThreadOneAdvancePerHop|TestDeferredStallAbortsUnderTraffic' ./internal/core
+echo "==> GOMAXPROCS=1 go test -race (node-team protocol and the software collectives' stall abort: no wait may depend on a second core; the progress loop parks without a dry pass, one Advance per ping-pong hop under AdvanceUntil and under commthreads, and loses no publish: the property test runs -count=20; a wait yields once before it sleeps, so a ping-pong hop and a classroute allreduce hand off through the run queue, not a park; a commthread sends what it deferred once the destination drains, -count=20; a deferred send stalled under other traffic still escalates)"
+GOMAXPROCS=1 go test -race -run 'TestTeam|TestRootedReduceCannotLap|TestParked|TestJoinAfterDeath|TestStranded|TestSoftwareCollectiveStallAborts|TestAdvanceUntilOneAdvancePerHop|TestAdvanceUntilHandsOffPingPong|TestClassrouteAllreduceHandsOff|TestAdvanceUntilNoLostPublish|TestCommThreadOneAdvancePerHop|TestDeferredStallAbortsUnderTraffic' ./internal/core
 GOMAXPROCS=1 go test -race -count=20 -run 'TestAdvanceUntilNoLostPublish|TestCommThreadSendsDeferred' ./internal/core
 
 echo "==> GOMAXPROCS=1 go test -race ./internal/mpilib (an MPI wait no peer satisfies is cut loose by the stall sentinel on one core, with and without commthreads; one that keeps moving is not)"
